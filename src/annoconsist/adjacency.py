@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .masks import dilate
 
 
@@ -24,6 +25,17 @@ class Adjacency:
     edge_u: np.ndarray = field(repr=False)
     edge_v: np.ndarray = field(repr=False)
     edge_w: np.ndarray = field(repr=False)
+    _kernel_edges: dict = field(default_factory=dict, repr=False,
+                                compare=False)
+
+    def kernel_edges(self, m: int) -> kernels.Edges:
+        """The directed edges with weights exp(-I_uv), laid out for the
+        refinement kernels on tables of m columns; built on first use."""
+        edges = self._kernel_edges.get(m)
+        if edges is None:
+            edges = self._kernel_edges[m] = kernels.Edges.from_arrays(
+                self.edge_u, self.edge_v, np.exp(-self.edge_w), m)
+        return edges
 
     def edge_weight(self, u: int, v: int) -> float:
         for i, n in enumerate(self.neighbors[u]):

@@ -33,6 +33,16 @@ class InferenceConfig:
     center_scores: bool = False  # subtract the per-class pool median first
     box_rho: float = 0.5  # box-IoU needed to count as covering a box
 
+    def __post_init__(self):
+        if not self.delta > 0.0:
+            raise ValueError("delta must be positive")
+        if self.n_iters < 0:
+            raise ValueError("n_iters must be non-negative")
+        if not 0.0 <= self.overlap_t <= 1.0:
+            raise ValueError("overlap_t must lie in [0, 1]")
+        if not 0.0 <= self.box_rho <= 1.0:
+            raise ValueError("box_rho must lie in [0, 1]")
+
 
 def pairwise_refine(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
     """Boundary-aware score smoothing, final table only."""
@@ -49,10 +59,8 @@ def refine_stack(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
     g0 = np.ascontiguousarray(f, dtype=np.float64)
     if adjacency.edge_u.size == 0:
         return np.broadcast_to(g0, (cfg.n_iters + 1,) + g0.shape).copy()
-    w = np.exp(-adjacency.edge_w)
-    return kernels.refine_forward(
-        g0, adjacency.edge_u, adjacency.edge_v, w, cfg.delta, cfg.n_iters
-    )
+    return kernels.refine_forward(g0, adjacency.kernel_edges(g0.shape[1]),
+                                  cfg.delta, cfg.n_iters)
 
 
 def refine_backward(stack: np.ndarray, adjacency, cfg: InferenceConfig,
@@ -60,9 +68,8 @@ def refine_backward(stack: np.ndarray, adjacency, cfg: InferenceConfig,
     """Adjoint of refine_stack: gradient wrt the unrefined table."""
     if adjacency.edge_u.size == 0:
         return q_final.astype(np.float64).copy()
-    w = np.exp(-adjacency.edge_w)
     return kernels.refine_backward(
-        stack, adjacency.edge_u, adjacency.edge_v, w, cfg.delta,
+        stack, adjacency.kernel_edges(q_final.shape[1]), cfg.delta,
         np.ascontiguousarray(q_final, dtype=np.float64),
     )
 
@@ -77,12 +84,7 @@ def higher_order_feasible(labels: np.ndarray, ann: Annotation,
             return False
     if ann.boxes is not None:
         for j, b in ann.boxes:
-            hit = False
-            for u in np.nonzero(labels == j)[0]:
-                if box_iou(geom.boxes[u], b) >= cfg.box_rho:
-                    hit = True
-                    break
-            if not hit:
+            if not (geom.covering(b, cfg.box_rho) & (labels == j)).any():
                 return False
     return True
 
@@ -115,7 +117,7 @@ def greedy_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
     per class ignores the threshold, and box annotations additionally get
     a covering proposal forced in when the threshold pass missed them.
     """
-    classes = np.asarray(ann.classes, dtype=np.int64)
+    classes = ann.classes
     if classes.size == 0:
         return np.zeros(g.shape[0], dtype=np.int64)
     tau = _class_thresholds(g, classes, cfg)
@@ -123,8 +125,7 @@ def greedy_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
         np.ascontiguousarray(g, dtype=np.float64),
         classes,
         tau,
-        geom.ovl,
-        cfg.overlap_t,
+        geom.keep_masks(cfg.overlap_t),
         enforce,
     )
     if status == kernels.EXHAUSTED:
@@ -137,19 +138,12 @@ def greedy_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
 def _force_box_cover(g, labels, ann, geom, cfg):
     labels = labels.copy()
     for j, b in ann.boxes:
-        covered = any(
-            box_iou(geom.boxes[u], b) >= cfg.box_rho
-            for u in np.nonzero(labels == j)[0]
-        )
-        if covered:
+        covering = geom.covering(b, cfg.box_rho)
+        if (covering & (labels == j)).any():
             continue
         best = -1
         best_score = -np.inf
-        for u in range(g.shape[0]):
-            if labels[u] != 0:
-                continue
-            if box_iou(geom.boxes[u], b) < cfg.box_rho:
-                continue
+        for u in np.flatnonzero(covering & (labels == 0)).tolist():
             if g[u, j] > best_score:
                 best = u
                 best_score = g[u, j]
@@ -276,13 +270,14 @@ def sample_k(params: CondParams, rec: SceneRecord, k: int, seed: int,
     if enforce is None:
         enforce = term_mode == "U+P+H"
     geom = rec.geometry()
+    dim = params_noise_dim(params, rec)
     states = []
     labels = np.zeros((k, rec.num_proposals), dtype=np.int64)
     for i in range(k):
         if zero_noise:
-            z = np.zeros(params_noise_dim(params, rec), dtype=np.float64)
+            z = np.zeros(dim, dtype=np.float64)
         else:
-            z = draw_noise(seed, rec.scene_id, i, noise_tag)
+            z = draw_noise(seed, rec.scene_id, i, noise_tag, dim=dim)
         st = forward_scores(params, rec, z, cfg, refine)
         labels[i] = greedy_infer(st.g, rec.annotation, geom, cfg, enforce=enforce)
         states.append(st)

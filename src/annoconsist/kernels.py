@@ -1,32 +1,51 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels: pairwise score refinement, its adjoint, and greedy
+per-class selection.
 
-Three loops dominate training time: the pairwise score refinement, its
-adjoint (used for gradients), and greedy per-class selection. Each exists
-twice here, once jitted and once in plain numpy/python, selected at import
-time by the ANNOCONSIST_NUMBA env flag ("0" forces the numpy path).
-Outputs of the two paths are bitwise identical; tests assert parity.
+Each runs once per noise draw or per loss-augmented inference on a small
+table (tens of proposals by a few classes), so per-call overhead weighs
+as much as arithmetic. The refinement scatters over the flattened table,
+which adds each entry's edge terms in the same order as `np.add.at` over
+table rows, so results are bit-identical to that scatter; the tests keep
+it and the per-proposal greedy loop as reference implementations.
 """
 
-import os
+from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-_FLAG = os.environ.get("ANNOCONSIST_NUMBA", "1")
-USE_NUMBA = HAS_NUMBA and _FLAG != "0"
 
 # greedy status codes
 OK = 0
 EXHAUSTED = 1  # an annotated class found no available proposal to force
 
 
-def _refine_forward_py(g0, eu, ev, w, delta, n_iters):
+@dataclass(frozen=True)
+class Edges:
+    """Directed edges u[e] -> v[e] with weights w[e], for tables of M columns.
+
+    flat_u[e*M + c] is the position of entry (u[e], c) in the flattened
+    (P, M) table, and flat_v likewise for v[e]. A scatter over the
+    flattened table adds the terms of each entry in edge order, the order
+    np.add.at over table rows uses, and takes numpy's faster 1-D path.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    flat_u: np.ndarray
+    flat_v: np.ndarray
+
+    @staticmethod
+    def from_arrays(u: np.ndarray, v: np.ndarray, w: np.ndarray,
+                    m: int) -> "Edges":
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        cols = np.arange(m, dtype=np.int64)
+        return Edges(u=u, v=v, w=np.asarray(w, dtype=np.float64),
+                     flat_u=(u[:, None] * m + cols).ravel(),
+                     flat_v=(v[:, None] * m + cols).ravel())
+
+
+def refine_forward(g0, edges: Edges, delta, n_iters):
     """Iterate g[u,c] += w_uv / ((g[u,c]-g[v,c])^2 + delta) over directed edges.
 
     Updates are synchronous: every iteration reads the previous table only.
@@ -35,178 +54,94 @@ def _refine_forward_py(g0, eu, ev, w, delta, n_iters):
     """
     stack = np.empty((n_iters + 1,) + g0.shape, dtype=np.float64)
     stack[0] = g0
+    w = edges.w[:, None]
     for n in range(1, n_iters + 1):
         prev = stack[n - 1]
-        d = prev[eu, :] - prev[ev, :]
-        contrib = w[:, None] / (d * d + delta)
-        cur = prev.copy()
-        np.add.at(cur, eu, contrib)
-        stack[n] = cur
+        d = np.take(prev, edges.u, axis=0)
+        d -= np.take(prev, edges.v, axis=0)
+        d *= d
+        d += delta
+        contrib = np.divide(w, d, out=d)
+        cur = stack[n]
+        cur[...] = prev
+        np.add.at(cur.reshape(-1), edges.flat_u, contrib.reshape(-1))
     return stack
 
 
-def _refine_backward_py(stack, eu, ev, w, delta, q_final):
-    """Adjoint of _refine_forward: push d(loss)/dG_n back to d(loss)/dG_0."""
+def refine_backward(stack, edges: Edges, delta, q_final):
+    """Adjoint of refine_forward: push d(loss)/dG_n back to d(loss)/dG_0."""
+    w2 = 2.0 * edges.w[:, None]
     q = q_final.astype(np.float64).copy()
     n_iters = stack.shape[0] - 1
     for n in range(n_iters, 0, -1):
         prev = stack[n - 1]
-        d = prev[eu, :] - prev[ev, :]
-        denom = d * d + delta
-        coef = 2.0 * w[:, None] * d / (denom * denom)
-        pull = coef * q[eu, :]
-        q_new = q.copy()
-        np.subtract.at(q_new, eu, pull)
-        np.add.at(q_new, ev, pull)
-        q = q_new
+        d = np.take(prev, edges.u, axis=0)
+        d -= np.take(prev, edges.v, axis=0)
+        denom = d * d
+        denom += delta
+        denom *= denom
+        pull = w2 * d
+        pull /= denom
+        pull *= np.take(q, edges.u, axis=0)
+        q = q.copy()
+        np.subtract.at(q.reshape(-1), edges.flat_u, pull.reshape(-1))
+        np.add.at(q.reshape(-1), edges.flat_v, pull.reshape(-1))
     return q
 
 
-def _greedy_labels_py(g, ann_classes, thresholds, ovl, t, enforce):
+def keep_masks(ovl, t) -> list:
+    """Per proposal i, an int whose bit l is set iff ovl[i, l] <= t: the
+    proposals that selecting i leaves available to the current class."""
+    packed = np.packbits(ovl <= t, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def greedy_labels(g, ann_classes, thresholds, keep, enforce):
     """Greedy per-class selection. See condnet.greedy_infer for semantics.
 
-    ovl[i, l] is the fraction of proposal l covered by proposal i; selecting
-    i removes every remaining l with ovl[i, l] > t from the current class's
-    candidate list only. Selected proposals are excluded globally.
+    keep is keep_masks(ovl, t), where ovl[i, l] is the fraction of proposal
+    l covered by proposal i: selecting i removes every remaining l with
+    ovl[i, l] > t from the current class's candidate list only. Selected
+    proposals are excluded globally.
     """
     p = g.shape[0]
-    labels = np.zeros(p, dtype=np.int64)
-    selected = np.zeros(p, dtype=np.bool_)
-    for idx in range(ann_classes.shape[0]):
-        j = ann_classes[idx]
-        tau = thresholds[idx]
-        order = np.argsort(-g[:, j], kind="stable")
-        suppressed = np.zeros(p, dtype=np.bool_)
-        taken = 0
+    labels = [0] * p
+    free = (1 << p) - 1  # bit i set while no class has selected proposal i
+    for j, tau in zip(ann_classes.tolist(), thresholds.tolist()):
+        scores = g[:, j]
+        order = (-scores).argsort(kind="stable").tolist()
+        scores = scores.tolist()
+        avail = free
+        taken = False
         for i in order:
-            if selected[i] or suppressed[i]:
+            if not (avail >> i) & 1:
                 continue
-            if taken > 0 and g[i, j] <= tau:
-                break
-            if taken == 0 and not enforce and g[i, j] <= tau:
+            if scores[i] <= tau and (taken or not enforce):
                 break
             labels[i] = j
-            selected[i] = True
-            taken += 1
-            for l in range(p):
-                if not selected[l] and ovl[i, l] > t:
-                    suppressed[l] = True
-        if taken == 0 and enforce:
-            return labels, EXHAUSTED
-    return labels, OK
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _refine_forward_nb(g0, eu, ev, w, delta, n_iters):
-        p, m = g0.shape
-        stack = np.empty((n_iters + 1, p, m), dtype=np.float64)
-        stack[0] = g0
-        for n in range(1, n_iters + 1):
-            prev = stack[n - 1]
-            cur = stack[n]
-            for u in range(p):
-                for c in range(m):
-                    cur[u, c] = prev[u, c]
-            for e in range(eu.shape[0]):
-                u = eu[e]
-                v = ev[e]
-                we = w[e]
-                for c in range(m):
-                    d = prev[u, c] - prev[v, c]
-                    cur[u, c] += we / (d * d + delta)
-        return stack
-
-    @njit(cache=True)
-    def _refine_backward_nb(stack, eu, ev, w, delta, q_final):
-        n_iters = stack.shape[0] - 1
-        p, m = q_final.shape
-        q = q_final.copy()
-        for n in range(n_iters, 0, -1):
-            prev = stack[n - 1]
-            q_new = q.copy()
-            # two edge passes, not one: nodes shared between an edge's u
-            # side and another edge's v side must accumulate in the same
-            # order as the numpy scatter ops or the last bits diverge
-            for e in range(eu.shape[0]):
-                u = eu[e]
-                v = ev[e]
-                we = w[e]
-                for c in range(m):
-                    d = prev[u, c] - prev[v, c]
-                    denom = d * d + delta
-                    coef = 2.0 * we * d / (denom * denom)
-                    q_new[u, c] -= coef * q[u, c]
-            for e in range(eu.shape[0]):
-                u = eu[e]
-                v = ev[e]
-                we = w[e]
-                for c in range(m):
-                    d = prev[u, c] - prev[v, c]
-                    denom = d * d + delta
-                    coef = 2.0 * we * d / (denom * denom)
-                    q_new[v, c] += coef * q[u, c]
-            q = q_new
-        return q
-
-    @njit(cache=True)
-    def _greedy_labels_nb(g, ann_classes, thresholds, ovl, t, enforce):
-        p = g.shape[0]
-        labels = np.zeros(p, dtype=np.int64)
-        selected = np.zeros(p, dtype=np.bool_)
-        for idx in range(ann_classes.shape[0]):
-            j = ann_classes[idx]
-            tau = thresholds[idx]
-            order = np.argsort(-g[:, j], kind="mergesort")
-            suppressed = np.zeros(p, dtype=np.bool_)
-            taken = 0
-            for oi in range(p):
-                i = order[oi]
-                if selected[i] or suppressed[i]:
-                    continue
-                if taken > 0 and g[i, j] <= tau:
-                    break
-                if taken == 0 and not enforce and g[i, j] <= tau:
-                    break
-                labels[i] = j
-                selected[i] = True
-                taken += 1
-                for l in range(p):
-                    if not selected[l] and ovl[i, l] > t:
-                        suppressed[l] = True
-            if taken == 0 and enforce:
-                return labels, EXHAUSTED
-        return labels, OK
+            free ^= 1 << i
+            avail &= keep[i]
+            taken = True
+        if enforce and not taken:
+            return np.array(labels, dtype=np.int64), EXHAUSTED
+    return np.array(labels, dtype=np.int64), OK
 
 
 def backend_name():
-    return "numba" if USE_NUMBA else "numpy"
-
-
-if USE_NUMBA:
-    refine_forward = _refine_forward_nb
-    refine_backward = _refine_backward_nb
-    greedy_labels = _greedy_labels_nb
-else:
-    refine_forward = _refine_forward_py
-    refine_backward = _refine_backward_py
-    greedy_labels = _greedy_labels_py
+    return "numpy"
 
 
 def warmup():
-    """Trigger jit compilation so timed sections measure the algorithm."""
+    """Run each kernel once on a tiny input, so the first timed call pays
+    no one-off set-up."""
     g = np.zeros((2, 2))
-    eu = np.array([0, 1], dtype=np.int64)
-    ev = np.array([1, 0], dtype=np.int64)
-    w = np.ones(2)
-    stack = refine_forward(g, eu, ev, w, 0.1, 1)
-    refine_backward(stack, eu, ev, w, 0.1, g)
+    edges = Edges.from_arrays(np.array([0, 1]), np.array([1, 0]), np.ones(2), 2)
+    stack = refine_forward(g, edges, 0.1, 1)
+    refine_backward(stack, edges, 0.1, g)
     greedy_labels(
         g,
         np.array([1], dtype=np.int64),
         np.zeros(1),
-        np.zeros((2, 2)),
-        0.5,
+        keep_masks(np.zeros((2, 2)), 0.5),
         True,
     )

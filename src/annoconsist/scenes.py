@@ -7,14 +7,17 @@ image and edge rasters are base64 little-endian float32.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .adjacency import Adjacency, build_adjacency
 from .masks import (
     Box,
+    box_iou,
     overlap_fraction_matrix,
     rle_decode,
     rle_encode,
@@ -52,9 +55,12 @@ class Annotation:
     presence: np.ndarray
     boxes: list | None = None  # list of (class_id, Box)
 
-    @property
+    @functools.cached_property
     def classes(self) -> np.ndarray:
-        return np.nonzero(self.presence)[0] + 1
+        """Annotated class ids, ascending; computed once, read-only."""
+        classes = np.nonzero(self.presence)[0] + 1
+        classes.flags.writeable = False
+        return classes
 
     def without_boxes(self) -> "Annotation":
         return Annotation(presence=self.presence, boxes=None)
@@ -67,6 +73,26 @@ class PoolGeometry:
     areas: np.ndarray
     ovl: np.ndarray  # ovl[i, l] = |i ∩ l| / |l|
     boxes: list  # tight boxes, one per proposal
+    _keep: dict = field(default_factory=dict, repr=False, compare=False)
+    _covering: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def keep_masks(self, t: float) -> list:
+        """kernels.keep_masks(ovl, t), built once per threshold."""
+        masks = self._keep.get(t)
+        if masks is None:
+            masks = self._keep[t] = kernels.keep_masks(self.ovl, t)
+        return masks
+
+    def covering(self, box: Box, rho: float) -> np.ndarray:
+        """Read-only (P,) mask of the proposals whose tight box reaches
+        IoU rho with `box`; built once per (box, rho)."""
+        mask = self._covering.get((box, rho))
+        if mask is None:
+            mask = np.array([box_iou(b, box) >= rho for b in self.boxes],
+                            dtype=np.bool_)
+            mask.flags.writeable = False
+            self._covering[(box, rho)] = mask
+        return mask
 
     @staticmethod
     def from_pool(pool: np.ndarray) -> "PoolGeometry":

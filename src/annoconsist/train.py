@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError("k must be at least 1")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
+        if not 0.0 <= self.decode_thresh <= 1.0:
+            raise ValueError("decode_thresh must lie in [0, 1]")
 
 
 @dataclass
@@ -238,11 +240,12 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
     ref_eps = -train_cfg.epsilon if anchor else eps
     gamma = 0.0 if train_cfg.cond_pointwise else train_cfg.gamma
     enforce = samples.enforced
-    row_ref = cost_row(y_ref, rec.num_classes, loss_cfg)
-    pair_rows = None
+    aug_ref = eps * cost_row(y_ref, rec.num_classes, loss_cfg)
+    aug_pairs = None
     pair_coef = 0.0
     if gamma != 0.0 and kk >= 2:
-        pair_rows = [cost_row(samples.labels[k2], rec.num_classes, loss_cfg)
+        aug_pairs = [eps * cost_row(samples.labels[k2], rec.num_classes,
+                                    loss_cfg)
                      for k2 in range(kk)]
         pair_coef = 2.0 * gamma / (kk * (kk - 1) * eps)
     m_ref = selection_matrix(y_ref, m) if anchor else None
@@ -253,15 +256,15 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
         if anchor:
             m_a = m_ref
         else:
-            y_a = greedy_infer(st.g + eps * row_ref, rec.annotation, geom,
+            y_a = greedy_infer(st.g + aug_ref, rec.annotation, geom,
                                inf_cfg, enforce=enforce)
             m_a = selection_matrix(y_a, m)
         q = (m_a - m_c) / (kk * ref_eps)
-        if pair_rows is not None:
+        if aug_pairs is not None:
             for k2 in range(kk):
                 if k2 == k:
                     continue
-                y_b = greedy_infer(st.g + eps * pair_rows[k2], rec.annotation,
+                y_b = greedy_infer(st.g + aug_pairs[k2], rec.annotation,
                                    geom, inf_cfg, enforce=enforce)
                 q += pair_coef * (m_c - selection_matrix(y_b, m))
         axpy(total, grad_score_sum(params, st, q, rec, inf_cfg), 1.0)

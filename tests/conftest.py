@@ -1,16 +1,8 @@
 import numpy as np
-import pytest
 
-from annoconsist import kernels
 from annoconsist.adjacency import build_adjacency
 from annoconsist.masks import stack_pool
 from annoconsist.scenes import Annotation, SceneRecord
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jitted kernels once so no individual test pays for it
-    kernels.warmup()
 
 
 def make_record(masks, present_classes, num_classes=3, size=None, edges=None,

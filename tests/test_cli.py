@@ -5,6 +5,8 @@ import subprocess
 import pytest
 
 from annoconsist.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
+from annoconsist.scorer import feature_dim
+from annoconsist.train import load_checkpoint
 
 
 @pytest.fixture(autouse=True)
@@ -165,6 +167,39 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     bad.write_text("{oops")
     assert run(["gen", "--config", str(bad),
                 "--out", str(tmp_path / "d")]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_out_of_range_config_value_is_usage_error(tmp_path, pipeline,
+                                                  capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(TINY_CONFIG, inference={"n_iters": -1})))
+    code = run(["train", "--config", str(bad), "--data", pipeline["data"],
+                "--out", str(tmp_path / "m")])
+    assert code == EXIT_USAGE
+    assert "n_iters" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+SMOKE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                            "smoke.json")
+
+
+@pytest.mark.parametrize("noise_dim", [4, 12])
+def test_train_and_infer_honour_noise_dim(tmp_path, noise_dim, capsys):
+    with open(SMOKE_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["train"]["noise_dim"] = noise_dim
+    cfg_path = tmp_path / "smoke.json"
+    cfg_path.write_text(json.dumps(cfg))
+    data, model = str(tmp_path / "data"), str(tmp_path / "model")
+    assert run(["gen", "--config", str(cfg_path), "--out", data]) == EXIT_OK
+    assert run(["train", "--config", str(cfg_path), "--data", data,
+                "--out", model]) == EXIT_OK
+    cond, _, _ = load_checkpoint(os.path.join(model, "checkpoint_final.json"))
+    assert cond.w.shape[1] == feature_dim(cfg["scene"]["num_classes"]) + noise_dim
+    assert run(["infer", "--model", model, "--data", data,
+                "--out", str(tmp_path / "preds.json")]) == EXIT_OK
     capsys.readouterr()
 
 

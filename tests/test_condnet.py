@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annoconsist.condnet import (
     InferenceConfig,
@@ -210,6 +212,71 @@ def test_higher_order_feasibility_checks_presence_and_boxes():
     assert not higher_order_feasible(np.array([2, 1]), ann, geom, cfg)
     # box check is dropped with the boxes stripped
     assert higher_order_feasible(np.array([2, 1]), ann.without_boxes(), geom, cfg)
+
+
+def _loop_force_box_cover(g, labels, ann, geom, cfg):
+    """Reference box post-pass: box_iou for every proposal and box."""
+    labels = labels.copy()
+    for j, b in ann.boxes:
+        if any(box_iou(geom.boxes[u], b) >= cfg.box_rho
+               for u in np.nonzero(labels == j)[0]):
+            continue
+        best, best_score = -1, -np.inf
+        for u in range(g.shape[0]):
+            if labels[u] == 0 and box_iou(geom.boxes[u], b) >= cfg.box_rho \
+                    and g[u, j] > best_score:
+                best, best_score = u, g[u, j]
+        if best < 0:
+            raise InferenceError("no cover")
+        labels[best] = j
+    return labels
+
+
+def _loop_feasible(labels, ann, geom, cfg):
+    """Reference consistency check: box_iou for every selected proposal."""
+    return all((labels == j).any() for j in ann.classes) and all(
+        any(box_iou(geom.boxes[u], b) >= cfg.box_rho
+            for u in np.nonzero(labels == j)[0])
+        for j, b in ann.boxes)
+
+
+# rectangles on a coarse grid, repeated ones and boxes taken from the pool,
+# so a box is often covered by several proposals with tied scores
+_rect = st.tuples(st.sampled_from([0, 3, 6]), st.sampled_from([0, 3, 6]),
+                  st.sampled_from([4, 6]), st.sampled_from([4, 6]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rect, min_size=1, max_size=7),
+       st.lists(st.integers(0, 6), max_size=3),
+       st.lists(st.tuples(st.integers(1, 2), st.one_of(_rect, st.integers(0, 9))),
+                min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 0.8]))
+def test_box_checks_match_per_proposal_box_iou_loops(rects, repeats, boxes,
+                                                      seed, rho):
+    rects = rects + [rects[i % len(rects)] for i in repeats]
+    masks = [rect_mask(12, 12, y, y + h, x, x + w) for y, x, h, w in rects]
+    boxes = [(j, rects[r % len(rects)] if isinstance(r, int) else r)
+             for j, r in boxes]
+    ann_boxes = [(j, Box(x, y, x + w - 1, y + h - 1))
+                 for j, (y, x, h, w) in boxes]
+    rec = make_record(masks, sorted({j for j, _ in ann_boxes}), num_classes=2,
+                      boxes=ann_boxes, size=(12, 12))
+    geom, ann = rec.geometry(), rec.annotation
+    cfg = InferenceConfig(box_rho=rho)
+    rng = np.random.default_rng(seed)
+    g = rng.choice([-1.0, 0.0, 2.0], size=(len(masks), 3))
+    try:
+        want = _loop_force_box_cover(
+            g, greedy_infer(g, ann.without_boxes(), geom, cfg), ann, geom, cfg)
+    except InferenceError:
+        with pytest.raises(InferenceError):
+            greedy_infer(g, ann, geom, cfg)
+    else:
+        np.testing.assert_array_equal(greedy_infer(g, ann, geom, cfg), want)
+    for labels in rng.integers(0, 3, size=(8, len(masks))):
+        assert higher_order_feasible(labels, ann, geom, cfg) == \
+            _loop_feasible(labels, ann, geom, cfg)
 
 
 def test_total_score_sums_selected_entries_or_is_minus_inf():

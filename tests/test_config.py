@@ -123,3 +123,33 @@ def test_shipped_reference_and_smoke_configs_parse():
     assert ref.inference.delta == 8.0
     smoke = load_config("configs/smoke.json")
     assert smoke.n_scenes <= 10
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("inference", "delta", 0.0),
+    ("inference", "delta", -1.0),
+    ("inference", "n_iters", -1),
+    ("inference", "overlap_t", -0.1),
+    ("inference", "overlap_t", 2.0),
+    ("inference", "box_rho", -0.1),
+    ("inference", "box_rho", 1.5),
+    ("train", "decode_thresh", -0.1),
+    ("train", "decode_thresh", 2.0),
+])
+def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
+    with pytest.raises(ConfigError, match=f"{section}: {key}"):
+        config_from_obj({section: {key: value}})
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("inference", "n_iters", 0),
+    ("inference", "overlap_t", 0.0),
+    ("inference", "overlap_t", 1.0),
+    ("inference", "box_rho", 0.0),
+    ("inference", "box_rho", 1.0),
+    ("train", "decode_thresh", 0.0),
+    ("train", "decode_thresh", 1.0),
+])
+def test_range_endpoints_are_accepted(section, key, value):
+    cfg = config_from_obj({section: {key: value}})
+    assert getattr(getattr(cfg, section), key) == value

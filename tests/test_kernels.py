@@ -1,86 +1,162 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annoconsist import kernels
 from annoconsist.kernels import (
     EXHAUSTED,
     OK,
-    _greedy_labels_py,
-    _refine_backward_py,
-    _refine_forward_py,
+    Edges,
     backend_name,
     greedy_labels,
+    keep_masks,
     refine_backward,
     refine_forward,
 )
 
 
-def _random_graph(rng, p, n_edges):
-    eu, ev = [], []
-    for _ in range(n_edges):
-        u = int(rng.integers(0, p))
-        v = int(rng.integers(0, p - 1))
-        if v >= u:
-            v += 1
-        eu.extend((u, v))
-        ev.extend((v, u))
-    return (np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64),
-            rng.uniform(0.1, 1.0, size=len(eu)))
+def _scatter_refine_forward(g0, eu, ev, w, delta, n_iters):
+    """Reference refinement: one np.add.at over table rows per iteration."""
+    stack = np.empty((n_iters + 1,) + g0.shape, dtype=np.float64)
+    stack[0] = g0
+    for n in range(1, n_iters + 1):
+        prev = stack[n - 1]
+        d = prev[eu, :] - prev[ev, :]
+        contrib = w[:, None] / (d * d + delta)
+        cur = prev.copy()
+        np.add.at(cur, eu, contrib)
+        stack[n] = cur
+    return stack
+
+
+def _scatter_refine_backward(stack, eu, ev, w, delta, q_final):
+    """Reference adjoint: np.subtract.at / np.add.at over table rows."""
+    q = q_final.astype(np.float64).copy()
+    for n in range(stack.shape[0] - 1, 0, -1):
+        prev = stack[n - 1]
+        d = prev[eu, :] - prev[ev, :]
+        denom = d * d + delta
+        coef = 2.0 * w[:, None] * d / (denom * denom)
+        pull = coef * q[eu, :]
+        q_new = q.copy()
+        np.subtract.at(q_new, eu, pull)
+        np.add.at(q_new, ev, pull)
+        q = q_new
+    return q
+
+
+def _loop_greedy_labels(g, ann_classes, thresholds, ovl, t, enforce):
+    """Reference greedy selection: marks suppressed proposals one by one."""
+    p = g.shape[0]
+    labels = np.zeros(p, dtype=np.int64)
+    selected = np.zeros(p, dtype=np.bool_)
+    for idx in range(ann_classes.shape[0]):
+        j = ann_classes[idx]
+        tau = thresholds[idx]
+        order = np.argsort(-g[:, j], kind="stable")
+        suppressed = np.zeros(p, dtype=np.bool_)
+        taken = 0
+        for i in order:
+            if selected[i] or suppressed[i]:
+                continue
+            if taken > 0 and g[i, j] <= tau:
+                break
+            if taken == 0 and not enforce and g[i, j] <= tau:
+                break
+            labels[i] = j
+            selected[i] = True
+            taken += 1
+            for l in range(p):
+                if not selected[l] and ovl[i, l] > t:
+                    suppressed[l] = True
+        if taken == 0 and enforce:
+            return labels, EXHAUSTED
+    return labels, OK
+
+
+@st.composite
+def _graphs(draw):
+    """A table and a directed edge list over it. Pairs may repeat (the
+    same edge twice), nodes may have no edges, and the list may be empty."""
+    p = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 4))
+    node = st.integers(0, p - 1)
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                          max_size=12)) if p > 1 else []
+    if pairs and draw(st.booleans()):
+        pairs = pairs + draw(st.lists(st.sampled_from(pairs), max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eu = np.array([u for u, _ in pairs], dtype=np.int64)
+    ev = np.array([v for _, v in pairs], dtype=np.int64)
+    w = rng.uniform(0.1, 1.0, size=len(pairs))
+    g0 = rng.normal(size=(p, m))
+    return g0, eu, ev, w, rng
 
 
 def test_backend_name_reports_active_kernel():
-    assert backend_name() in ("numba", "numpy")
+    assert backend_name() == "numpy"
 
 
-def test_refine_forward_backends_agree():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        p, m = int(rng.integers(2, 9)), int(rng.integers(2, 5))
-        g0 = rng.normal(size=(p, m))
-        eu, ev, w = _random_graph(rng, p, int(rng.integers(1, 7)))
-        a = refine_forward(g0, eu, ev, w, 0.1, 3)
-        b = _refine_forward_py(g0, eu, ev, w, 0.1, 3)
-        assert a.shape == (4, p, m)
-        np.testing.assert_array_equal(a, b)
+@settings(max_examples=200, deadline=None)
+@given(_graphs(), st.sampled_from([0.1, 0.3, 8.0]), st.integers(0, 4))
+def test_refine_forward_matches_row_scatter_bitwise(graph, delta, n_iters):
+    g0, eu, ev, w, _ = graph
+    edges = Edges.from_arrays(eu, ev, w, g0.shape[1])
+    got = refine_forward(g0, edges, delta, n_iters)
+    want = _scatter_refine_forward(g0, eu, ev, w, delta, n_iters)
+    assert got.shape == (n_iters + 1,) + g0.shape
+    assert got.tobytes() == want.tobytes()
 
 
-def test_refine_backward_backends_agree():
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        p, m = int(rng.integers(2, 9)), int(rng.integers(2, 5))
-        g0 = rng.normal(size=(p, m))
-        eu, ev, w = _random_graph(rng, p, int(rng.integers(1, 7)))
-        stack = _refine_forward_py(g0, eu, ev, w, 0.2, 3)
-        q = rng.normal(size=(p, m))
-        a = refine_backward(stack, eu, ev, w, 0.2, q)
-        b = _refine_backward_py(stack, eu, ev, w, 0.2, q)
-        # bitwise: both paths accumulate edge contributions in one order
-        np.testing.assert_array_equal(a, b)
+@settings(max_examples=200, deadline=None)
+@given(_graphs(), st.sampled_from([0.1, 0.3, 8.0]), st.integers(0, 4))
+def test_refine_backward_matches_row_scatter_bitwise(graph, delta, n_iters):
+    g0, eu, ev, w, rng = graph
+    stack = _scatter_refine_forward(g0, eu, ev, w, delta, n_iters)
+    q = rng.normal(size=g0.shape)
+    edges = Edges.from_arrays(eu, ev, w, g0.shape[1])
+    got = refine_backward(stack, edges, delta, q)
+    want = _scatter_refine_backward(stack, eu, ev, w, delta, q)
+    assert got.tobytes() == want.tobytes()
 
 
-def test_greedy_backends_agree():
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        p, c = int(rng.integers(1, 10)), int(rng.integers(1, 4))
-        g = rng.normal(size=(p, c + 1))
-        g[:, 0] = 0.0
-        classes = np.arange(1, c + 1, dtype=np.int64)
-        thresholds = np.zeros(c)
-        ovl = rng.uniform(0.0, 1.0, size=(p, p))
-        np.fill_diagonal(ovl, 1.0)
-        enforce = bool(rng.integers(0, 2))
-        la, sa = greedy_labels(g, classes, thresholds, ovl, 0.5, enforce)
-        lb, sb = _greedy_labels_py(g, classes, thresholds, ovl, 0.5, enforce)
-        assert sa == sb
-        np.testing.assert_array_equal(la, lb)
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_greedy_matches_per_proposal_loop_bitwise(data):
+    p = data.draw(st.integers(1, 20))  # keep rows span several bytes
+    c = data.draw(st.integers(1, 4))
+    # scores and overlaps from small grids, so ties, scores equal to the
+    # threshold and overlaps equal to t all occur
+    g = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0]),
+                 min_size=c + 1, max_size=c + 1),
+        min_size=p, max_size=p)))
+    classes = np.array(sorted(data.draw(st.sets(st.integers(1, c), min_size=1))),
+                       dtype=np.int64)
+    thresholds = np.array(data.draw(st.lists(
+        st.sampled_from([-1.0, 0.0, 0.5]), min_size=classes.size,
+        max_size=classes.size)))
+    ovl = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+                 min_size=p, max_size=p),
+        min_size=p, max_size=p)))
+    np.fill_diagonal(ovl, 1.0)
+    t = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    enforce = data.draw(st.booleans())
+    got_labels, got_status = greedy_labels(g, classes, thresholds,
+                                           keep_masks(ovl, t), enforce)
+    want_labels, want_status = _loop_greedy_labels(g, classes, thresholds,
+                                                   ovl, t, enforce)
+    assert got_status == want_status
+    assert got_labels.dtype == want_labels.dtype
+    assert got_labels.tobytes() == want_labels.tobytes()
 
 
 def test_refine_forward_single_pair_hand_case():
     # equal scores, zero gap: each node gains w / delta = 1 / 0.1 = 10
     g0 = np.array([[1.0], [1.0]])
-    eu = np.array([0, 1], dtype=np.int64)
-    ev = np.array([1, 0], dtype=np.int64)
-    w = np.ones(2)
-    stack = refine_forward(g0, eu, ev, w, 0.1, 3)
+    edges = Edges.from_arrays([0, 1], [1, 0], np.ones(2), 1)
+    stack = refine_forward(g0, edges, 0.1, 3)
     np.testing.assert_allclose(stack[1], [[11.0], [11.0]])
     np.testing.assert_allclose(stack[2], [[21.0], [21.0]])
     np.testing.assert_allclose(stack[3], [[31.0], [31.0]])
@@ -89,10 +165,8 @@ def test_refine_forward_single_pair_hand_case():
 def test_refine_forward_updates_are_synchronous():
     # node 1 must read node 0's PREVIOUS value, not the updated one
     g0 = np.array([[0.0], [1.0]])
-    eu = np.array([0, 1], dtype=np.int64)
-    ev = np.array([1, 0], dtype=np.int64)
-    w = np.ones(2)
-    stack = refine_forward(g0, eu, ev, w, 1.0, 1)
+    edges = Edges.from_arrays([0, 1], [1, 0], np.ones(2), 1)
+    stack = refine_forward(g0, edges, 1.0, 1)
     # gap^2 + delta = 1 + 1 = 2 for both directions
     np.testing.assert_allclose(stack[1], [[0.5], [1.5]])
 
@@ -101,15 +175,17 @@ def test_refine_backward_matches_finite_differences():
     rng = np.random.default_rng(3)
     p, m = 5, 3
     g0 = rng.normal(size=(p, m))
-    eu, ev, w = _random_graph(rng, p, 4)
+    eu = np.array([0, 1, 1, 3, 2, 4, 4, 0], dtype=np.int64)
+    ev = np.array([1, 0, 3, 1, 4, 2, 0, 4], dtype=np.int64)
+    edges = Edges.from_arrays(eu, ev, rng.uniform(0.1, 1.0, size=eu.size), m)
     q = rng.normal(size=(p, m))
     delta, n_iters = 0.3, 3
 
     def loss(x):
-        return float(np.sum(refine_forward(x, eu, ev, w, delta, n_iters)[-1] * q))
+        return float(np.sum(refine_forward(x, edges, delta, n_iters)[-1] * q))
 
-    stack = refine_forward(g0, eu, ev, w, delta, n_iters)
-    grad = refine_backward(stack, eu, ev, w, delta, q)
+    stack = refine_forward(g0, edges, delta, n_iters)
+    grad = refine_backward(stack, edges, delta, q)
     h = 1e-6
     for u in range(p):
         for c in range(m):
@@ -127,10 +203,14 @@ def _ovl(p):
     return o
 
 
+def _keep(p):
+    return keep_masks(_ovl(p), 0.5)
+
+
 def test_greedy_takes_descending_until_threshold():
     g = np.array([[0.0, 5.0], [0.0, 3.0], [0.0, -1.0]])
     labels, status = greedy_labels(g, np.array([1], dtype=np.int64),
-                                   np.zeros(1), _ovl(3), 0.5, False)
+                                   np.zeros(1), _keep(3), False)
     assert status == OK
     np.testing.assert_array_equal(labels, [1, 1, 0])
 
@@ -138,7 +218,7 @@ def test_greedy_takes_descending_until_threshold():
 def test_greedy_threshold_is_strict():
     g = np.array([[0.0, 2.0], [0.0, 0.0]])
     labels, _ = greedy_labels(g, np.array([1], dtype=np.int64), np.zeros(1),
-                              _ovl(2), 0.5, False)
+                              _keep(2), False)
     np.testing.assert_array_equal(labels, [1, 0])
 
 
@@ -149,7 +229,7 @@ def test_greedy_suppression_is_class_local_and_one_directional():
     ovl = _ovl(3)
     ovl[0, 1] = 0.8
     labels, status = greedy_labels(g, np.array([1, 2], dtype=np.int64),
-                                   np.zeros(2), ovl, 0.5, False)
+                                   np.zeros(2), keep_masks(ovl, 0.5), False)
     assert status == OK
     np.testing.assert_array_equal(labels, [1, 2, 1])
 
@@ -158,7 +238,7 @@ def test_greedy_selected_proposals_excluded_globally():
     # class 1 takes proposal 0; class 2's best is also 0 but must take 1
     g = np.array([[0.0, 5.0, 9.0], [0.0, -1.0, 2.0]])
     labels, status = greedy_labels(g, np.array([1, 2], dtype=np.int64),
-                                   np.zeros(2), _ovl(2), 0.5, False)
+                                   np.zeros(2), _keep(2), False)
     assert status == OK
     np.testing.assert_array_equal(labels, [1, 2])
 
@@ -169,14 +249,14 @@ def test_greedy_tie_goes_to_lower_index():
     ovl[0, 1] = 0.9
     ovl[1, 0] = 0.9
     labels, _ = greedy_labels(g, np.array([1], dtype=np.int64), np.zeros(1),
-                              ovl, 0.5, False)
+                              keep_masks(ovl, 0.5), False)
     np.testing.assert_array_equal(labels, [1, 0])
 
 
 def test_greedy_enforce_forces_first_take_below_threshold():
     g = np.array([[0.0, -2.0], [0.0, -5.0]])
     labels, status = greedy_labels(g, np.array([1], dtype=np.int64),
-                                   np.zeros(1), _ovl(2), 0.5, True)
+                                   np.zeros(1), _keep(2), True)
     assert status == OK
     np.testing.assert_array_equal(labels, [1, 0])
 
@@ -184,7 +264,7 @@ def test_greedy_enforce_forces_first_take_below_threshold():
 def test_greedy_without_enforce_takes_nothing_below_threshold():
     g = np.array([[0.0, -2.0], [0.0, -5.0]])
     labels, status = greedy_labels(g, np.array([1], dtype=np.int64),
-                                   np.zeros(1), _ovl(2), 0.5, False)
+                                   np.zeros(1), _keep(2), False)
     assert status == OK
     np.testing.assert_array_equal(labels, [0, 0])
 
@@ -193,9 +273,9 @@ def test_greedy_exhausted_when_no_proposal_left_for_class():
     # one proposal, two annotated classes: class 1 takes it, class 2 starves
     g = np.array([[0.0, 4.0, 4.0]])
     labels, status = greedy_labels(g, np.array([1, 2], dtype=np.int64),
-                                   np.zeros(2), _ovl(1), 0.5, True)
+                                   np.zeros(2), _keep(1), True)
     assert status == EXHAUSTED
 
 
 def test_warmup_runs_both_kernels():
-    kernels.warmup()  # idempotent; exercised by the session fixture too
+    kernels.warmup()  # idempotent
