@@ -22,9 +22,9 @@ from .condnet import (
     total_score,
 )
 from .config import ConfigError, EvalConfig, RunConfig, load_config, save_config
-from .disco import DiscoConfig, DiscParts, disc, div_cc, div_pc, div_pp
+from .disco import DiscParts, disc, div_cc, div_pc, div_pp
 from .evaluate import EvalResult, ap_from_flags, evaluate_predictions, map_at
-from .loss import DeltaParts, LossConfig, delta
+from .loss import LossConfig, delta
 from .masks import Box, box_iou, mask_iou, overlap_fraction, rle_decode, rle_encode
 from .prednet import PredParams, argmax_labeling, decode, pred_init, predict
 from .scenes import (
@@ -36,7 +36,7 @@ from .scenes import (
     load_dataset,
     save_dataset,
 )
-from .scorer import CondParams, cond_init, draw_noise, features, score_all
+from .scorer import CondParams, cond_init, draw_noise, features
 from .synthgen import (
     EmptyPoolError,
     PlacementError,
@@ -70,9 +70,7 @@ __all__ = [
     "CondParams",
     "ConfigError",
     "DatasetFormatError",
-    "DeltaParts",
     "DiscParts",
-    "DiscoConfig",
     "EmptyPoolError",
     "EvalConfig",
     "EvalResult",
@@ -132,7 +130,6 @@ __all__ = [
     "save_checkpoint",
     "save_config",
     "save_dataset",
-    "score_all",
     "seed_labeling",
     "total_score",
 ]

@@ -43,6 +43,27 @@ class Adjacency:
                 return float(self.weights[u][i])
         raise KeyError(f"{u} and {v} are not neighbors")
 
+    def restrict(self, keep: np.ndarray) -> "Adjacency":
+        """The subgraph induced by the ascending node indices `keep`, with
+        node keep[i] renumbered i. Edge and neighbor order carry over, so
+        on a pool built with this graph's dilation the result equals
+        build_adjacency(pool[keep], edges, dilation)."""
+        new = np.full(len(self.neighbors), -1, dtype=np.int64)
+        new[keep] = np.arange(len(keep))
+        inside = (new[self.edge_u] >= 0) & (new[self.edge_v] >= 0)
+        neighbors, weights = [], []
+        for u in keep:
+            mask = new[self.neighbors[u]] >= 0
+            neighbors.append(new[self.neighbors[u][mask]])
+            weights.append(self.weights[u][mask])
+        return Adjacency(
+            neighbors=neighbors,
+            weights=weights,
+            edge_u=new[self.edge_u[inside]],
+            edge_v=new[self.edge_v[inside]],
+            edge_w=self.edge_w[inside],
+        )
+
     @property
     def num_edges(self) -> int:
         return len(self.edge_u) // 2

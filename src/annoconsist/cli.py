@@ -22,10 +22,8 @@ from .config import ConfigError, RunConfig, load_config, save_config
 from .prednet import decode, predict
 from .render import render_predictions
 from .scenes import DatasetFormatError, load_dataset, save_dataset
-from .synthgen import (EmptyPoolError, PlacementError, filter_by_boxes,
-                       make_scene)
-from .scenes import rebuild_with_pool
-from .train import (TrainingError, evaluate_params, fit, load_checkpoint,
+from .synthgen import EmptyPoolError, PlacementError, make_scene
+from .train import (TrainingError, fit, load_checkpoint, prepare_scene,
                     save_checkpoint, write_log_csv)
 from .evaluate import evaluate_predictions
 
@@ -34,14 +32,18 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-def _resolved_config(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
+def _apply_seed_env(cfg: RunConfig) -> None:
     env = os.environ.get("ANNOCONSIST_SEED")
     if env is not None:
         try:
             cfg.seed = int(env)
         except ValueError:
             raise ConfigError("ANNOCONSIST_SEED must be an integer") from None
+
+
+def _resolved_config(args) -> RunConfig:
+    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
+    _apply_seed_env(cfg)
     # the master seed drives every stage, including training
     cfg.train = dataclasses.replace(cfg.train, seed=cfg.seed)
     return cfg
@@ -107,30 +109,23 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _sample_payload(rec, cond, cfg, tag: int) -> list:
-    """K sample labelings over the scene's original pool indices."""
+def _sample_payload(rec, prep, cond, cfg, tag: int) -> list:
+    """K sample labelings over the scene's original pool indices; none when
+    prepare_scene found the scene unusable or inference fails."""
+    if prep is None:
+        return []
     tcfg = cfg.train
-    if tcfg.supervision == "box" and rec.annotation.boxes is not None:
-        keep = filter_by_boxes(rec.pool, rec.annotation.boxes,
-                               tcfg.box_min_iou)
-        if keep.size == 0:
-            return []
-        prep = rebuild_with_pool(rec, keep, cfg.proposal.dilation)
-    else:
-        keep = None
-        prep = dataclasses.replace(rec,
-                                   annotation=rec.annotation.without_boxes())
     try:
         samples = sample_k(cond, prep, tcfg.k, cfg.seed, cfg.inference,
                            term_mode=tcfg.term_mode,
                            zero_noise=tcfg.cond_pointwise, noise_tag=tag)
     except InferenceError:
         return []
-    if keep is None:
+    if prep.pool_index is None:
         labels = samples.labels
     else:
         labels = np.zeros((samples.k, rec.num_proposals), dtype=np.int64)
-        labels[:, keep] = samples.labels
+        labels[:, prep.pool_index] = samples.labels
     return [row.tolist() for row in labels]
 
 
@@ -146,12 +141,7 @@ def _decode_payload(pred, rec, cfg) -> list:
 
 def cmd_infer(args) -> int:
     cfg = load_config(os.path.join(args.model, "config.json"))
-    env = os.environ.get("ANNOCONSIST_SEED")
-    if env is not None:
-        try:
-            cfg.seed = int(env)
-        except ValueError:
-            raise ConfigError("ANNOCONSIST_SEED must be an integer") from None
+    _apply_seed_env(cfg)
     records = _load_split(args.data, args.split)
     iter_paths = sorted(glob.glob(os.path.join(args.model,
                                                "checkpoint_iter*.json")))
@@ -160,19 +150,20 @@ def cmd_infer(args) -> int:
         raise ConfigError(f"{args.model}: missing checkpoint_final.json")
     scenes = []
     for rec in records:
+        prep = prepare_scene(rec, cfg.train, cfg.inference)
         iterations = []
         for path in iter_paths:
             cond, pred, meta = load_checkpoint(path)
             tag = 0x7E57 + int(meta.get("outer", len(iterations)))
             iterations.append({
                 "outer": int(meta.get("outer", len(iterations))),
-                "samples": _sample_payload(rec, cond, cfg, tag),
+                "samples": _sample_payload(rec, prep, cond, cfg, tag),
                 "decode": _decode_payload(pred, rec, cfg),
             })
         cond, pred, meta = load_checkpoint(final_path)
         final = {
             "outer": int(meta.get("outer", len(iter_paths))),
-            "samples": _sample_payload(rec, cond, cfg, 0x7E57 + 0x99),
+            "samples": _sample_payload(rec, prep, cond, cfg, 0x7E57 + 0x99),
             "decode": _decode_payload(pred, rec, cfg),
         }
         scenes.append({"scene_id": rec.scene_id, "iterations": iterations,
@@ -181,7 +172,9 @@ def cmd_infer(args) -> int:
     with open(args.out, "w") as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
-    print(f"wrote predictions for {len(scenes)} scenes to {args.out}")
+    empty = sum(1 for sc in scenes if not sc["final"]["samples"])
+    print(f"wrote predictions for {len(scenes)} scenes to {args.out} "
+          f"({empty} without samples)")
     return EXIT_OK
 
 

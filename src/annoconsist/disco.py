@@ -1,6 +1,6 @@
 """Dissimilarity coefficient between the prediction and conditional sides.
 
-All three diversity terms use the identity-matching task loss on the
+All three diversity terms use the weighted Hamming task loss on the
 shared pool. div_pc takes the exact expectation over the factorized
 state and the empirical mean over the K samples; div_cc is the unbiased
 k != k' sample estimator; div_pp is exact on both sides.
@@ -8,18 +8,12 @@ k != k' sample estimator; div_pp is exact on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .loss import LossConfig, delta
 from .prednet import expected_loss_vs_sample, self_diversity_pred
-
-
-@dataclass
-class DiscoConfig:
-    gamma: float = 0.5
 
 
 class DiscParts(NamedTuple):
@@ -36,7 +30,8 @@ def div_pc(state: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> float:
 
 
 def div_cc(labels: np.ndarray, rec, cfg: LossConfig) -> float:
-    """(1/(K(K-1))) sum_{k != k'} Delta(y^k, y^k'). Needs K >= 2."""
+    """(1/(K(K-1))) sum_{k != k'} Delta(y^k, y^k'). Needs K >= 2. The
+    labelings share rec's pool, so Delta does not read rec itself."""
     k = labels.shape[0]
     if k < 2:
         raise ValueError("div_cc needs at least two samples")
@@ -44,7 +39,7 @@ def div_cc(labels: np.ndarray, rec, cfg: LossConfig) -> float:
     for i in range(k):
         for j in range(k):
             if i != j:
-                acc += delta(labels[i], labels[j], rec, cfg).total
+                acc += delta(labels[i], labels[j], cfg)
     return acc / (k * (k - 1))
 
 

@@ -1,157 +1,33 @@
-"""Multi-task dissimilarity between labelings.
+"""Task loss between two labelings of one scene's proposal pool.
 
-Delta = w_cls * cls + w_box * box + w_mask * mask, summed over matched
-pairs and unmatched foreground instances. Two matching modes exist:
-
- - identity: both labelings live on one shared pool and proposal u pairs
-   with itself. Matched pairs then share mask and box, so only the cls
-   term can fire and Delta reduces to w_cls * lambda_cls * hamming.
- - iou: instance lists are matched greedily by descending mask IoU with a
-   floor; this exercises the box and mask terms and is what evaluation-
-   style comparisons use.
+Both labelings live on one shared pool, so proposal u is compared with
+itself: a pair that agrees costs nothing, and any disagreement (between
+two classes, or between a class and background) costs w_cls * lambda_cls.
+Delta is therefore a weighted Hamming distance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-
-from .masks import mask_iou
 
 
 @dataclass
 class LossConfig:
     w_cls: float = 1.0
-    w_box: float = 1.0
-    w_mask: float = 1.0
     lambda_cls: float = 1.0
-    eps_mask: float = 1e-3
-    iou_floor: float = 0.1
-
-
-class DeltaParts(NamedTuple):
-    total: float
-    cls_part: float
-    box_part: float
-    mask_part: float
-
-
-@dataclass
-class Instance:
-    class_id: int
-    mask: np.ndarray
-    box: object  # masks.Box
-
-
-def per_proposal_cost(c1: int, c2: int, cfg: LossConfig) -> float:
-    """Identity-matching cost of labeling one proposal c1 when the
-    reference says c2. Background-foreground disagreements count the same
-    as foreground-foreground ones (an unmatched instance costs lambda)."""
-    return 0.0 if c1 == c2 else cfg.w_cls * cfg.lambda_cls
 
 
 def cost_row(y_ref: np.ndarray, num_classes: int, cfg: LossConfig) -> np.ndarray:
-    """(P, C+1) table of per_proposal_cost(c, y_ref[u]) for every entry."""
+    """(P, C+1) table of the cost of labeling proposal u with class c when
+    the reference says y_ref[u], for every entry."""
     p = y_ref.shape[0]
     out = np.full((p, num_classes + 1), cfg.w_cls * cfg.lambda_cls, dtype=np.float64)
     out[np.arange(p), y_ref] = 0.0
     return out
 
 
-def instances_from_labeling(labels: np.ndarray, rec) -> list:
-    geom = rec.geometry()
-    return [
-        Instance(class_id=int(labels[u]), mask=rec.pool[u], box=geom.boxes[u])
-        for u in np.nonzero(labels)[0]
-    ]
-
-
-def match_instances(a: list, b: list, iou_floor: float):
-    """Greedy descending-IoU matching between two instance lists.
-
-    Returns (pairs, unmatched_a, unmatched_b) as index lists. Matching is
-    class-agnostic; class disagreement is charged by the cls term instead.
-    """
-    if not a or not b:
-        return [], list(range(len(a))), list(range(len(b)))
-    iou = np.array([[mask_iou(x.mask, y.mask) for y in b] for x in a])
-    pairs = []
-    used_a = set()
-    used_b = set()
-    order = np.argsort(-iou, axis=None, kind="stable")
-    for flat in order:
-        i, j = divmod(int(flat), len(b))
-        if iou[i, j] < iou_floor:
-            break
-        if i in used_a or j in used_b:
-            continue
-        pairs.append((i, j))
-        used_a.add(i)
-        used_b.add(j)
-    return (
-        pairs,
-        [i for i in range(len(a)) if i not in used_a],
-        [j for j in range(len(b)) if j not in used_b],
-    )
-
-
-def _smooth_l1(x: float) -> float:
-    ax = abs(x)
-    return 0.5 * x * x if ax < 1.0 else ax - 0.5
-
-
-def _box_term(ba, bb, width: int, height: int) -> float:
-    return (
-        _smooth_l1((ba.x_min - bb.x_min) / width)
-        + _smooth_l1((ba.y_min - bb.y_min) / height)
-        + _smooth_l1((ba.x_max - bb.x_max) / width)
-        + _smooth_l1((ba.y_max - bb.y_max) / height)
-    )
-
-
-def _mask_term(ma: np.ndarray, mb: np.ndarray, cfg: LossConfig) -> float:
-    """Mean per-pixel CE over the union, with hard-vs-hard convention:
-    0 on agreement, -ln(eps_mask) per disagreeing pixel."""
-    union = np.count_nonzero(ma | mb)
-    if union == 0:
-        return 0.0
-    disagree = np.count_nonzero(ma ^ mb)
-    return (disagree / union) * (-np.log(cfg.eps_mask))
-
-
-def delta_instances(a: list, b: list, width: int, height: int,
-                    cfg: LossConfig) -> DeltaParts:
-    pairs, un_a, un_b = match_instances(a, b, cfg.iou_floor)
-    cls_part = 0.0
-    box_part = 0.0
-    mask_part = 0.0
-    for i, j in pairs:
-        cls_part += per_proposal_cost(a[i].class_id, b[j].class_id, cfg)
-        box_part += cfg.w_box * _box_term(a[i].box, b[j].box, width, height)
-        mask_part += cfg.w_mask * _mask_term(a[i].mask, b[j].mask, cfg)
-    for _ in un_a:
-        cls_part += cfg.w_cls * cfg.lambda_cls
-    for _ in un_b:
-        cls_part += cfg.w_cls * cfg.lambda_cls
-    total = cls_part + box_part + mask_part
-    return DeltaParts(total, cls_part, box_part, mask_part)
-
-
-def delta(y1: np.ndarray, y2: np.ndarray, rec, cfg: LossConfig,
-          matching: str = "identity") -> DeltaParts:
+def delta(y1: np.ndarray, y2: np.ndarray, cfg: LossConfig) -> float:
     """Dissimilarity between two labelings of one scene's pool."""
-    if matching == "identity":
-        mism = int(np.count_nonzero(y1 != y2))
-        cls_part = cfg.w_cls * cfg.lambda_cls * mism
-        return DeltaParts(cls_part, cls_part, 0.0, 0.0)
-    if matching == "iou":
-        return delta_instances(
-            instances_from_labeling(y1, rec),
-            instances_from_labeling(y2, rec),
-            rec.width,
-            rec.height,
-            cfg,
-        )
-    raise ValueError(f"unknown matching mode {matching!r}")
+    return cfg.w_cls * cfg.lambda_cls * int(np.count_nonzero(y1 != y2))

@@ -93,10 +93,10 @@ def decode(state: np.ndarray, rec: SceneRecord, score_thresh: float = 0.7,
 
 def expected_loss_vs_sample(state: np.ndarray, y: np.ndarray,
                             cfg: LossConfig) -> float:
-    """E over the factorized state of Delta(y_p, y), identity matching.
+    """E over the factorized state of Delta(y_p, y).
 
     Per-proposal expectation of the mismatch cost has the closed form
-    lambda * (1 - p_u(y_u)); box and mask terms vanish on a shared pool.
+    lambda * (1 - p_u(y_u)).
     """
     p_target = state[np.arange(state.shape[0]), y]
     return float(cfg.w_cls * cfg.lambda_cls * (1.0 - p_target).sum())

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .adjacency import Adjacency, build_adjacency
+from .adjacency import Adjacency
 from .masks import (
     Box,
     box_iou,
@@ -116,6 +116,9 @@ class SceneRecord:
     seeds: list  # of Seed
     pool: np.ndarray  # (P, H, W) bool
     adjacency: Adjacency
+    # indices of this pool's proposals in the pool it was cut from; None
+    # when the pool is the scene's own
+    pool_index: np.ndarray | None = None
     _geom: PoolGeometry | None = field(default=None, repr=False, compare=False)
     _features: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -237,9 +240,9 @@ def load_dataset(path) -> list:
     return records
 
 
-def rebuild_with_pool(rec: SceneRecord, keep: np.ndarray, dilation: int = 1) -> SceneRecord:
-    """New record with pool restricted to `keep` indices; adjacency rebuilt."""
-    pool = rec.pool[keep]
+def rebuild_with_pool(rec: SceneRecord, keep: np.ndarray) -> SceneRecord:
+    """New record with pool restricted to the ascending indices `keep`;
+    the adjacency is the subgraph of rec's that `keep` induces."""
     return SceneRecord(
         scene_id=rec.scene_id,
         width=rec.width,
@@ -250,6 +253,7 @@ def rebuild_with_pool(rec: SceneRecord, keep: np.ndarray, dilation: int = 1) -> 
         gt=rec.gt,
         annotation=rec.annotation,
         seeds=rec.seeds,
-        pool=pool,
-        adjacency=build_adjacency(pool, rec.edges, dilation=dilation),
+        pool=rec.pool[keep],
+        adjacency=rec.adjacency.restrict(keep),
+        pool_index=keep,
     )

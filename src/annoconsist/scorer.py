@@ -109,11 +109,6 @@ def score_from_input(params: CondParams, x: np.ndarray) -> np.ndarray:
     return np.tanh(x @ params.w1.T) @ params.w2.T
 
 
-def score_all(params: CondParams, rec: SceneRecord, z: np.ndarray) -> np.ndarray:
-    """(P, C+1) score table for one noise draw; finite for finite params."""
-    return score_from_input(params, scorer_input(rec, z))
-
-
 def score_vjp(params: CondParams, x: np.ndarray, q: np.ndarray) -> CondParams:
     """Gradient of sum(q * F(x)) with respect to the parameters.
 
@@ -127,18 +122,6 @@ def score_vjp(params: CondParams, x: np.ndarray, q: np.ndarray) -> CondParams:
     dh = q @ params.w2
     dpre = dh * (1.0 - hidden * hidden)
     return CondParams(kind="mlp", w1=dpre.T @ x, w2=dw2)
-
-
-def score_grad(params: CondParams, rec: SceneRecord, z: np.ndarray, u: int, c: int) -> CondParams:
-    """Gradient of the single entry F[u, c]; analytic, used by tests too."""
-    x = scorer_input(rec, z)
-    q = np.zeros((x.shape[0], num_scores(params)))
-    q[u, c] = 1.0
-    return score_vjp(params, x, q)
-
-
-def num_scores(params: CondParams) -> int:
-    return params.w.shape[0] if params.kind == "linear" else params.w2.shape[0]
 
 
 def draw_noise(seed: int, scene_id: int, k: int, extra: int = 0,

@@ -60,8 +60,12 @@ class SceneConfig:
     def __post_init__(self):
         if self.height > 128 or self.width > 128:
             raise ValueError("scene dimensions are capped at 128")
-        if self.num_classes > 5:
-            raise ValueError("at most 5 classes supported")
+        if not 1 <= self.num_classes <= 5:
+            raise ValueError("num_classes must lie in [1, 5]")
+        if self.min_objects > self.max_objects:
+            raise ValueError("min_objects must not exceed max_objects")
+        if self.min_extent > self.max_extent:
+            raise ValueError("min_extent must not exceed max_extent")
 
 
 @dataclass
@@ -79,6 +83,10 @@ class ProposalConfig:
     min_area: int = 8
     p_target: int = 64
     dilation: int = 1
+
+    def __post_init__(self):
+        if self.p_target < 1:
+            raise ValueError("p_target must be at least 1")
 
 
 def _draw_shape(rng, cfg: SceneConfig):
@@ -343,14 +351,15 @@ def filter_by_boxes(pool: np.ndarray, boxes, min_iou: float) -> np.ndarray:
     return np.array(keep, dtype=np.int64)
 
 
-def apply_box_regime(rec: SceneRecord, min_iou: float, dilation: int = 1) -> SceneRecord:
-    """Restrict the pool to box-compatible proposals; errors if none remain."""
+def apply_box_regime(rec: SceneRecord, min_iou: float) -> SceneRecord:
+    """Restrict the pool, and its graph, to box-compatible proposals;
+    errors if none remain."""
     if rec.annotation.boxes is None:
         raise ValueError("scene has no box annotations")
     keep = filter_by_boxes(rec.pool, rec.annotation.boxes, min_iou)
     if keep.size == 0:
         raise EmptyPoolError(f"scene {rec.scene_id}: box filter removed every proposal")
-    return rebuild_with_pool(rec, keep, dilation=dilation)
+    return rebuild_with_pool(rec, keep)
 
 
 def make_scene(scene_cfg: SceneConfig, prop_cfg: ProposalConfig, seed: int, scene_id: int) -> SceneRecord:

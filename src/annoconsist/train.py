@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .condnet import (
+    TERM_MODES,
     InferenceConfig,
     SampleSet,
     greedy_infer,
@@ -31,7 +32,7 @@ from .condnet import (
 from .disco import div_cc, div_pc, div_pp
 from .evaluate import DEFAULT_THRESHOLDS, EvalResult, evaluate_predictions, map_at
 from .loss import LossConfig, cost_row
-from .masks import box_iou, inner_boundary, mask_iou, tight_box
+from .masks import inner_boundary
 from .prednet import PredParams, argmax_labeling, decode, pred_init, predict
 from .scorer import CondParams, axpy, cond_init, features, score_vjp
 from .synthgen import EmptyPoolError, apply_box_regime
@@ -78,6 +79,10 @@ class TrainConfig:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.decode_thresh <= 1.0:
             raise ValueError("decode_thresh must lie in [0, 1]")
+        if self.term_mode not in TERM_MODES:
+            raise ValueError(f"term_mode must be one of {TERM_MODES}")
+        if self.scorer_kind not in ("linear", "mlp"):
+            raise ValueError("scorer_kind must be 'linear' or 'mlp'")
 
 
 @dataclass
@@ -313,39 +318,43 @@ def pred_grad(params: PredParams, rec, labels: np.ndarray,
     return PredParams(w=dz.T @ features(rec))
 
 
-def prepare_records(records: list, train_cfg: TrainConfig,
-                    inf_cfg: InferenceConfig) -> tuple:
-    """Apply the supervision regime to every scene.
+def prepare_scene(rec, train_cfg: TrainConfig, inf_cfg: InferenceConfig):
+    """Apply the supervision regime to one scene; fit and infer share it.
 
     Image regime drops the boxes from the working annotation. Box regime
-    restricts each pool to box-compatible proposals and skips scenes
-    where some box would be impossible to cover. Returns (records,
-    num_skipped).
+    restricts the pool and its graph to box-compatible proposals. Returns
+    the prepared record, or None when the box regime leaves no proposal
+    or some box impossible to cover.
     """
+    if train_cfg.supervision == "image":
+        # warm the caches on the source record first so the shallow copy,
+        # and later fits or decodes over the source, share them
+        rec.geometry()
+        features(rec)
+        return dataclasses.replace(
+            rec, annotation=rec.annotation.without_boxes())
+    try:
+        br = apply_box_regime(rec, train_cfg.box_min_iou)
+    except EmptyPoolError:
+        return None
+    geom = br.geometry()
+    if not all(geom.covering(b, inf_cfg.box_rho).any()
+               for _, b in br.annotation.boxes):
+        return None
+    return br
+
+
+def prepare_records(records: list, train_cfg: TrainConfig,
+                    inf_cfg: InferenceConfig) -> tuple:
+    """prepare_scene over every scene. Returns (records, num_skipped)."""
     out = []
     skipped = 0
     for rec in records:
-        if train_cfg.supervision == "image":
-            # warm the caches on the source record first so repeated fits
-            # over the same list share them through the shallow copy
-            rec.geometry()
-            features(rec)
-            out.append(dataclasses.replace(
-                rec, annotation=rec.annotation.without_boxes()))
-            continue
-        try:
-            br = apply_box_regime(rec, train_cfg.box_min_iou)
-        except EmptyPoolError:
+        prep = prepare_scene(rec, train_cfg, inf_cfg)
+        if prep is None:
             skipped += 1
-            continue
-        coverable = all(
-            any(box_iou(tight_box(br.pool[u]), b) >= inf_cfg.box_rho
-                for u in range(br.num_proposals))
-            for _, b in br.annotation.boxes)
-        if not coverable:
-            skipped += 1
-            continue
-        out.append(br)
+        else:
+            out.append(prep)
     if not out:
         raise TrainingError("no usable scenes after applying supervision")
     return out, skipped

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annoconsist.adjacency import build_adjacency
 from annoconsist.masks import stack_pool
@@ -79,3 +81,41 @@ def test_neighbor_lists_are_symmetric():
         for v in adj.neighbors[u]:
             assert u in adj.neighbors[v]
             assert adj.edge_weight(u, v) == adj.edge_weight(v, u)
+
+
+def _assert_same_graph(got, want):
+    for name in ("edge_u", "edge_v", "edge_w"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("neighbors", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert len(a) == len(b), name
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+@st.composite
+def _pools(draw):
+    h = w = 12
+    n = draw(st.integers(0, 7))
+    masks = []
+    for _ in range(n):
+        y0 = draw(st.integers(0, h - 2))
+        x0 = draw(st.integers(0, w - 2))
+        masks.append(rect_mask(h, w, y0, draw(st.integers(y0 + 1, h)),
+                               x0, draw(st.integers(x0 + 1, w))))
+    pool = np.zeros((0, h, w), dtype=bool) if n == 0 else stack_pool(masks)
+    seed = draw(st.integers(0, 2**32 - 1))
+    edges = np.random.default_rng(seed).random((h, w)).astype(np.float32)
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return pool, edges, np.flatnonzero(np.array(keep, dtype=bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pools(), st.sampled_from([1, 2]))
+def test_restrict_equals_build_on_the_sub_pool_bitwise(case, dilation):
+    pool, edges, keep = case
+    full = build_adjacency(pool, edges, dilation=dilation)
+    for sub in (keep, np.arange(0), np.arange(pool.shape[0])):
+        _assert_same_graph(full.restrict(sub),
+                           build_adjacency(pool[sub], edges, dilation=dilation))

@@ -4,9 +4,15 @@ import subprocess
 
 import pytest
 
+import numpy as np
+
 from annoconsist.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
+from annoconsist.condnet import sample_k
+from annoconsist.config import load_config
+from annoconsist.scenes import load_dataset
 from annoconsist.scorer import feature_dim
-from annoconsist.train import load_checkpoint
+from annoconsist.synthgen import filter_by_boxes
+from annoconsist.train import load_checkpoint, prepare_scene
 
 
 @pytest.fixture(autouse=True)
@@ -201,6 +207,66 @@ def test_train_and_infer_honour_noise_dim(tmp_path, noise_dim, capsys):
     assert run(["infer", "--model", model, "--data", data,
                 "--out", str(tmp_path / "preds.json")]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_gen_rejects_inconsistent_scene_config(tmp_path, capsys):
+    with open(SMOKE_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["scene"]["min_objects"] = cfg["scene"]["max_objects"] + 1
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = run(["gen", "--config", str(cfg_path),
+                "--out", str(tmp_path / "data")])
+    assert code == EXIT_USAGE
+    assert "min_objects" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_box_regime_infer_samples_the_prepared_scene(tmp_path, capsys):
+    with open(SMOKE_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["train"]["supervision"] = "box"
+    cfg_path = tmp_path / "box.json"
+    cfg_path.write_text(json.dumps(cfg))
+    data, model = tmp_path / "data", str(tmp_path / "model")
+    preds = str(tmp_path / "preds.json")
+    assert run(["gen", "--config", str(cfg_path), "--out", str(data)]) == EXIT_OK
+    assert run(["train", "--config", str(cfg_path), "--data", str(data),
+                "--out", model]) == EXIT_OK
+    # a box that no proposal can cover makes the first held-out scene unusable
+    lines = (data / "eval.jsonl").read_text().splitlines()
+    scene = json.loads(lines[0])
+    scene["annotation"]["boxes"].append([1, 0, 0, 1, 1])
+    lines[0] = json.dumps(scene, separators=(",", ":"))
+    (data / "eval.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["infer", "--model", model, "--data", str(data),
+                "--out", preds]) == EXIT_OK
+    assert "(1 without samples)" in capsys.readouterr().out
+
+    run_cfg = load_config(os.path.join(model, "config.json"))
+    tcfg = run_cfg.train
+    cond, _, _ = load_checkpoint(os.path.join(model, "checkpoint_final.json"))
+    with open(preds) as fh:
+        by_id = {sc["scene_id"]: sc for sc in json.load(fh)["scenes"]}
+    filtered = 0
+    for rec in load_dataset(str(data / "eval.jsonl")):
+        got = by_id[rec.scene_id]["final"]["samples"]
+        prep = prepare_scene(rec, tcfg, run_cfg.inference)
+        if prep is None:
+            assert got == []
+            continue
+        samples = sample_k(cond, prep, tcfg.k, run_cfg.seed, run_cfg.inference,
+                           term_mode=tcfg.term_mode,
+                           zero_noise=tcfg.cond_pointwise,
+                           noise_tag=0x7E57 + 0x99)
+        keep = filter_by_boxes(rec.pool, rec.annotation.boxes, tcfg.box_min_iou)
+        want = np.zeros((tcfg.k, rec.num_proposals), dtype=np.int64)
+        want[:, keep] = samples.labels
+        assert got == want.tolist()
+        filtered += keep.size < rec.num_proposals
+    assert by_id[scene["scene_id"]]["final"]["samples"] == []
+    assert filtered > 0  # some pool was cut, so the index mapping is exercised
 
 
 def test_infer_without_final_checkpoint_is_usage_error(tmp_path, pipeline,

@@ -135,6 +135,12 @@ def test_shipped_reference_and_smoke_configs_parse():
     ("inference", "box_rho", 1.5),
     ("train", "decode_thresh", -0.1),
     ("train", "decode_thresh", 2.0),
+    ("train", "term_mode", "x"),
+    ("train", "scorer_kind", "x"),
+    ("scene", "num_classes", 0),
+    ("scene", "min_objects", 4),
+    ("scene", "min_extent", 21),
+    ("proposal", "p_target", 0),
 ])
 def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     with pytest.raises(ConfigError, match=f"{section}: {key}"):
@@ -149,7 +155,17 @@ def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     ("inference", "box_rho", 1.0),
     ("train", "decode_thresh", 0.0),
     ("train", "decode_thresh", 1.0),
+    ("scene", "num_classes", 1),
+    ("scene", "min_objects", 3),
+    ("scene", "min_extent", 20),
+    ("proposal", "p_target", 1),
 ])
 def test_range_endpoints_are_accepted(section, key, value):
     cfg = config_from_obj({section: {key: value}})
     assert getattr(getattr(cfg, section), key) == value
+
+
+@pytest.mark.parametrize("key", ["w_box", "w_mask", "eps_mask", "iou_floor"])
+def test_removed_loss_keys_are_rejected(key):
+    with pytest.raises(ConfigError, match=f"loss: unknown keys.*{key}"):
+        config_from_obj({"loss": {key: 1.0}})

@@ -60,7 +60,7 @@ def test_div_cc_is_unbiased_pairwise_mean():
     for i in range(3):
         for j in range(3):
             if i != j:
-                want += delta(labels[i], labels[j], rec, cfg).total
+                want += delta(labels[i], labels[j], cfg)
     want /= 6.0
     assert div_cc(labels, rec, cfg) == pytest.approx(want)
     # hand value: hamming distances (1,2), (1,3), (2,3) are 1, 1, 2 and

@@ -1,30 +1,23 @@
 import numpy as np
 import pytest
 
-from annoconsist.loss import (
-    DeltaParts,
-    Instance,
-    LossConfig,
-    cost_row,
-    delta,
-    delta_instances,
-    instances_from_labeling,
-    match_instances,
-    per_proposal_cost,
-)
-from annoconsist.masks import Box, tight_box
-
-from conftest import make_record, rect_mask
+from annoconsist.loss import LossConfig, cost_row, delta
 
 
 def test_per_proposal_cost_is_scaled_mismatch_indicator():
+    # Delta on one-proposal labelings is the cost of that single entry
     cfg = LossConfig()
-    assert per_proposal_cost(0, 0, cfg) == 0.0
-    assert per_proposal_cost(2, 2, cfg) == 0.0
-    assert per_proposal_cost(1, 2, cfg) == 1.0
-    assert per_proposal_cost(0, 1, cfg) == 1.0  # background miss counts fully
+    assert delta(np.array([0]), np.array([0]), cfg) == 0.0
+    assert delta(np.array([2]), np.array([2]), cfg) == 0.0
+    assert delta(np.array([1]), np.array([2]), cfg) == 1.0
+    assert delta(np.array([0]), np.array([1]), cfg) == 1.0  # background miss counts fully
     cfg = LossConfig(w_cls=2.0, lambda_cls=0.5)
-    assert per_proposal_cost(1, 0, cfg) == 1.0
+    assert delta(np.array([1]), np.array([0]), cfg) == 1.0
+    # and it is the matching entry of the cost table
+    for c1 in range(3):
+        for c2 in range(3):
+            row = cost_row(np.array([c2]), num_classes=2, cfg=cfg)
+            assert delta(np.array([c1]), np.array([c2]), cfg) == row[0, c1]
 
 
 def test_cost_row_zero_on_reference_entry_everywhere_else_lambda():
@@ -38,132 +31,9 @@ def test_cost_row_zero_on_reference_entry_everywhere_else_lambda():
 
 
 def test_identity_matching_is_weighted_hamming():
-    rec = make_record([rect_mask(8, 8, 0, 4, 0, 4),
-                       rect_mask(8, 8, 4, 8, 4, 8)], [1, 2])
     cfg = LossConfig(w_cls=1.5, lambda_cls=2.0)
-    same = delta(np.array([1, 2]), np.array([1, 2]), rec, cfg)
-    assert same == DeltaParts(0.0, 0.0, 0.0, 0.0)
-    one_off = delta(np.array([1, 2]), np.array([1, 0]), rec, cfg)
-    assert one_off.total == pytest.approx(3.0)
-    assert one_off.cls_part == one_off.total
-    assert one_off.box_part == 0.0 and one_off.mask_part == 0.0
-    both_off = delta(np.array([2, 1]), np.array([1, 2]), rec, cfg)
-    assert both_off.total == pytest.approx(6.0)
-
-
-def test_unknown_matching_mode_rejected():
-    rec = make_record([rect_mask(8, 8, 0, 4, 0, 4)], [1])
-    with pytest.raises(ValueError):
-        delta(np.array([1]), np.array([1]), rec, LossConfig(), matching="jaccard")
-
-
-def _inst(mask, class_id=1):
-    return Instance(class_id=class_id, mask=mask, box=tight_box(mask))
-
-
-def test_mask_term_half_disagreement_hand_case():
-    # masks agree on an 8x16 band and disagree on another 8x16 band: the
-    # union is 16x16 = 256 px, 128 disagree, so the mask term is
-    # 0.5 * (-ln 1e-3) = 3.453877...
-    a = rect_mask(16, 16, 0, 16, 0, 16)
-    b = rect_mask(16, 16, 0, 8, 0, 16)
-    parts = delta_instances([_inst(a)], [_inst(b)], 16, 16, LossConfig(w_box=0.0))
-    assert parts.mask_part == pytest.approx(0.5 * -np.log(1e-3))
-    assert parts.mask_part == pytest.approx(3.4538776394910684)
-    assert parts.cls_part == 0.0
-
-
-def test_box_term_quadratic_region_hand_case():
-    # identical masks forced through the iou matcher, boxes offset by
-    # width/2 on x_min only: smooth-l1 of 0.5 in the quadratic region is
-    # 0.5 * 0.5^2 = 0.125
-    m = rect_mask(16, 16, 0, 16, 0, 16)
-    i_a = Instance(class_id=1, mask=m, box=Box(0, 0, 15, 15))
-    i_b = Instance(class_id=1, mask=m, box=Box(8, 0, 15, 15))
-    parts = delta_instances([i_a], [i_b], 16, 16, LossConfig(w_mask=0.0))
-    assert parts.box_part == pytest.approx(0.125)
-    assert parts.total == pytest.approx(0.125)
-    # past the cutoff the penalty grows linearly: the whole box shifted by
-    # 1.5 widths moves both x corners, each charging 1.5 - 0.5 = 1.0
-    i_c = Instance(class_id=1, mask=m, box=Box(24, 0, 39, 15))
-    parts = delta_instances([i_a], [i_c], 16, 16, LossConfig(w_mask=0.0))
-    assert parts.box_part == pytest.approx(2.0)
-
-
-def test_matched_pair_with_class_disagreement_charges_cls_term():
-    m = rect_mask(16, 16, 0, 16, 0, 16)
-    parts = delta_instances([_inst(m, 1)], [_inst(m, 2)], 16, 16, LossConfig())
-    assert parts.cls_part == pytest.approx(1.0)
-    assert parts.box_part == 0.0 and parts.mask_part == 0.0
-
-
-def test_unmatched_instances_cost_lambda_each():
-    a = rect_mask(16, 16, 0, 4, 0, 4)
-    b = rect_mask(16, 16, 10, 14, 10, 14)  # disjoint, IoU 0 < floor
-    parts = delta_instances([_inst(a)], [_inst(b)], 16, 16,
-                            LossConfig(lambda_cls=2.5))
-    assert parts.total == pytest.approx(5.0)  # both sides unmatched
-    assert parts.cls_part == parts.total
-    empty = delta_instances([], [_inst(a), _inst(b)], 16, 16, LossConfig())
-    assert empty.total == pytest.approx(2.0)
-    assert delta_instances([], [], 16, 16, LossConfig()) == DeltaParts(0, 0, 0, 0)
-
-
-def test_match_instances_greedy_by_descending_iou():
-    big = rect_mask(16, 16, 0, 8, 0, 8)
-    big_shift = rect_mask(16, 16, 0, 8, 1, 9)
-    small = rect_mask(16, 16, 0, 4, 0, 4)
-    # big_shift overlaps big strongly and small weakly; greedy must pair
-    # (big, big_shift) first, leaving small unmatched on the floor rule
-    pairs, un_a, un_b = match_instances(
-        [_inst(big), _inst(small)], [_inst(big_shift)], iou_floor=0.5)
-    assert pairs == [(0, 0)]
-    assert un_a == [1] and un_b == []
-
-
-def test_match_instances_is_class_agnostic():
-    m = rect_mask(16, 16, 0, 8, 0, 8)
-    pairs, un_a, un_b = match_instances([_inst(m, 1)], [_inst(m, 2)], iou_floor=0.1)
-    assert pairs == [(0, 0)]
-    assert un_a == [] and un_b == []
-
-
-def test_match_instances_floor_excludes_weak_overlaps():
-    a = rect_mask(16, 16, 0, 8, 0, 8)
-    b = rect_mask(16, 16, 7, 15, 7, 15)  # IoU 1/127, far below 0.1
-    pairs, un_a, un_b = match_instances([_inst(a)], [_inst(b)], iou_floor=0.1)
-    assert pairs == []
-    assert un_a == [0] and un_b == [0]
-
-
-def test_instances_from_labeling_skips_background():
-    rec = make_record([rect_mask(8, 8, 0, 4, 0, 4),
-                       rect_mask(8, 8, 4, 8, 4, 8),
-                       rect_mask(8, 8, 0, 4, 4, 8)], [1, 2])
-    inst = instances_from_labeling(np.array([1, 0, 2]), rec)
-    assert [i.class_id for i in inst] == [1, 2]
-    np.testing.assert_array_equal(inst[0].mask, rec.pool[0])
-    np.testing.assert_array_equal(inst[1].mask, rec.pool[2])
-    assert inst[1].box.as_tuple() == tight_box(rec.pool[2]).as_tuple()
-
-
-def test_iou_matching_identity_labelings_cost_zero():
-    rec = make_record([rect_mask(8, 8, 0, 4, 0, 4),
-                       rect_mask(8, 8, 4, 8, 4, 8)], [1, 2])
-    y = np.array([1, 2])
-    assert delta(y, y, rec, LossConfig(), matching="iou").total == 0.0
-
-
-def test_iou_matching_exercises_box_and_mask_terms():
-    # same object hypothesized by two different pool masks: nested squares
-    outer = rect_mask(16, 16, 0, 8, 0, 8)
-    inner = rect_mask(16, 16, 0, 4, 0, 8)
-    rec = make_record([outer, inner], [1], size=(16, 16))
-    parts = delta(np.array([1, 0]), np.array([0, 1]), rec, LossConfig(),
-                  matching="iou")
-    # IoU 0.5 >= floor so they match; union 64, disagree 32
-    assert parts.cls_part == 0.0
-    assert parts.mask_part == pytest.approx(0.5 * -np.log(1e-3))
-    # boxes (0,0,7,7) vs (0,0,7,3): one corner moves 4/16 = 0.25
-    assert parts.box_part == pytest.approx(0.5 * 0.25**2)
-    assert parts.total == pytest.approx(parts.cls_part + parts.box_part + parts.mask_part)
+    same = delta(np.array([1, 2]), np.array([1, 2]), cfg)
+    assert same == 0.0
+    assert isinstance(same, float)
+    assert delta(np.array([1, 2]), np.array([1, 0]), cfg) == pytest.approx(3.0)
+    assert delta(np.array([2, 1]), np.array([1, 2]), cfg) == pytest.approx(6.0)

@@ -94,14 +94,12 @@ def test_self_diversity_closed_form_matches_monte_carlo():
 
 def test_expected_loss_agrees_with_identity_delta_on_point_masses():
     # a deterministic state makes the expectation a single delta evaluation
-    rec = make_record([rect_mask(8, 8, 0, 4, 0, 4),
-                       rect_mask(8, 8, 4, 8, 4, 8)], [1, 2])
     state = np.zeros((2, 3))
     state[0, 1] = 1.0
     state[1, 0] = 1.0
     y = np.array([1, 2])
     cfg = LossConfig()
-    want = delta(np.array([1, 0]), y, rec, cfg).total
+    want = delta(np.array([1, 0]), y, cfg)
     assert expected_loss_vs_sample(state, y, cfg) == pytest.approx(want)
     # and the self diversity of a point mass is zero
     assert self_diversity_pred(state, cfg) == pytest.approx(0.0)

@@ -9,9 +9,7 @@ from annoconsist.scorer import (
     draw_noise,
     feature_dim,
     features,
-    score_all,
     score_from_input,
-    score_grad,
     score_vjp,
     scorer_input,
 )
@@ -60,7 +58,8 @@ def test_linear_scorer_zero_init_scores_zero():
     rec = _record()
     params = cond_init(rec.num_classes)
     z = draw_noise(0, rec.scene_id, 0)
-    np.testing.assert_array_equal(score_all(params, rec, z), 0.0)
+    np.testing.assert_array_equal(
+        score_from_input(params, scorer_input(rec, z)), 0.0)
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
@@ -99,18 +98,28 @@ def test_score_vjp_matches_finite_differences(kind):
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
 def test_score_grad_picks_single_entry(kind):
+    # the gradient of the single entry F[u, c], in closed form
     rng = np.random.default_rng(33)
     rec = _record()
     params = cond_init(rec.num_classes, kind=kind, rng=rng)
     for _, arr in params.arrays().items():
         arr += rng.normal(0.0, 0.2, size=arr.shape)
-    z = draw_noise(1, rec.scene_id, 0)
-    g_single = score_grad(params, rec, z, 1, 2)
+    x = scorer_input(rec, draw_noise(1, rec.scene_id, 0))
+    u, c = 1, 2
     q = np.zeros((3, rec.num_classes + 1))
-    q[1, 2] = 1.0
-    g_full = score_vjp(params, scorer_input(rec, z), q)
-    for name, arr in g_single.arrays().items():
-        np.testing.assert_allclose(arr, g_full.arrays()[name])
+    q[u, c] = 1.0
+    grad = score_vjp(params, x, q)
+    if kind == "linear":
+        want = np.zeros_like(params.w)
+        want[c] = x[u]
+        np.testing.assert_allclose(grad.w, want)
+        return
+    h = np.tanh(params.w1 @ x[u])
+    want_w2 = np.zeros_like(params.w2)
+    want_w2[c] = h
+    np.testing.assert_allclose(grad.w2, want_w2)
+    np.testing.assert_allclose(
+        grad.w1, np.outer(params.w2[c] * (1.0 - h * h), x[u]))
 
 
 def test_draw_noise_deterministic_and_uniform_range():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from annoconsist.adjacency import build_adjacency
 from annoconsist.condnet import InferenceConfig, SampleSet, forward_scores, greedy_infer
 from annoconsist.disco import div_pc, div_pp
 from annoconsist.loss import LossConfig
@@ -327,6 +328,24 @@ def test_prepare_records_box_regime_filters_pool_and_skips_uncoverable():
     with pytest.raises(TrainingError):
         prepare_records([hopeless], TrainConfig(supervision="box"),
                         InferenceConfig())
+
+
+def test_prepare_records_box_regime_keeps_the_datasets_own_graph():
+    # the pool was built at dilation 2, so its box-regime sub-pool must carry
+    # the dilation-2 contact graph, not one rebuilt at another dilation
+    recs = make_dataset(SceneConfig(), ProposalConfig(dilation=2, erode_px=3),
+                        6, seed=0)
+    out, skipped = prepare_records(recs, TrainConfig(supervision="box"),
+                                   InferenceConfig())
+    assert skipped == 0
+    lost = 0
+    for br in out:
+        want = build_adjacency(br.pool, br.edges, dilation=2)
+        for name in ("edge_u", "edge_v", "edge_w"):
+            assert (getattr(br.adjacency, name).tobytes()
+                    == getattr(want, name).tobytes()), name
+        lost += want.num_edges - build_adjacency(br.pool, br.edges).num_edges
+    assert lost > 0  # dilation 1 would have dropped edges here
 
 
 def _tiny_dataset(n=2, seed=0):
