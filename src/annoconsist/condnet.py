@@ -50,7 +50,8 @@ def pairwise_refine(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarra
 
 
 def refine_stack(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
-    """All refinement iterates, shape (n_iters+1, P, C+1).
+    """All refinement iterates of a (..., P, C+1) stack of tables, shape
+    (n_iters+1, ..., P, C+1); each table is refined on its own.
 
     Each iteration adds, per neighbor pair, exp(-I_uv) / (gap^2 + delta);
     updates read the previous iterate only, so order never matters. Strong
@@ -59,17 +60,17 @@ def refine_stack(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
     g0 = np.ascontiguousarray(f, dtype=np.float64)
     if adjacency.edge_u.size == 0:
         return np.broadcast_to(g0, (cfg.n_iters + 1,) + g0.shape).copy()
-    return kernels.refine_forward(g0, adjacency.kernel_edges(g0.shape[1]),
+    return kernels.refine_forward(g0, adjacency.kernel_edges(g0.shape[-1]),
                                   cfg.delta, cfg.n_iters)
 
 
 def refine_backward(stack: np.ndarray, adjacency, cfg: InferenceConfig,
                     q_final: np.ndarray) -> np.ndarray:
-    """Adjoint of refine_stack: gradient wrt the unrefined table."""
+    """Adjoint of refine_stack: gradient wrt the unrefined tables."""
     if adjacency.edge_u.size == 0:
         return q_final.astype(np.float64).copy()
     return kernels.refine_backward(
-        stack, adjacency.kernel_edges(q_final.shape[1]), cfg.delta,
+        stack, adjacency.kernel_edges(q_final.shape[-1]), cfg.delta,
         np.ascontiguousarray(q_final, dtype=np.float64),
     )
 
@@ -218,39 +219,38 @@ def exact_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
 
 
 @dataclass
-class ForwardState:
-    """Everything one noise draw produced, kept for the backward pass."""
+class SampleSet:
+    """A scene's K noise draws, stacked along a leading draw axis, with
+    everything the backward pass needs of them."""
 
-    z: np.ndarray
-    x: np.ndarray  # scorer input matrix (P, D+d)
-    stack: np.ndarray | None  # refinement iterates, None when unrefined
-    g: np.ndarray  # final table the inference ran on
+    z: np.ndarray  # (K, d) noise
+    x: np.ndarray  # (K, P, D+d) scorer inputs
+    stack: np.ndarray | None  # (n_iters+1, K, P, C+1) iterates; None unrefined
+    g: np.ndarray  # (K, P, C+1) final tables the inference ran on
+    labels: np.ndarray  # (K, P)
+    enforced: bool  # consistency forcing used when sampling
+    term_mode: str
+
+    @property
+    def k(self) -> int:
+        return self.labels.shape[0]
 
     @property
     def refined(self) -> bool:
         return self.stack is not None
 
 
-@dataclass
-class SampleSet:
-    term_mode: str
-    states: list
-    labels: np.ndarray  # (K, P)
-    enforced: bool = True  # consistency forcing used when sampling
-
-    @property
-    def k(self) -> int:
-        return self.labels.shape[0]
-
-
 def forward_scores(params: CondParams, rec: SceneRecord, z: np.ndarray,
-                   cfg: InferenceConfig, refine: bool) -> ForwardState:
+                   cfg: InferenceConfig, refine: bool) -> tuple:
+    """Score tables of K draws from their (K, d) noise. Returns the scorer
+    inputs (K, P, D+d), the refinement stack (None unless refine) and the
+    final tables (K, P, C+1)."""
     x = scorer_input(rec, z)
-    f = score_from_input(params, x)
+    f = np.stack([score_from_input(params, xk) for xk in x])
     if refine:
         stack = refine_stack(f, rec.adjacency, cfg)
-        return ForwardState(z=z, x=x, stack=stack, g=stack[-1])
-    return ForwardState(z=z, x=x, stack=None, g=f)
+        return x, stack, stack[-1]
+    return x, None, f
 
 
 def sample_k(params: CondParams, rec: SceneRecord, k: int, seed: int,
@@ -271,18 +271,18 @@ def sample_k(params: CondParams, rec: SceneRecord, k: int, seed: int,
         enforce = term_mode == "U+P+H"
     geom = rec.geometry()
     dim = params_noise_dim(params, rec)
-    states = []
+    if zero_noise:
+        z = np.zeros((k, dim), dtype=np.float64)
+    else:
+        z = np.stack([draw_noise(seed, rec.scene_id, i, noise_tag, dim=dim)
+                      for i in range(k)])
+    x, stack, g = forward_scores(params, rec, z, cfg, refine)
     labels = np.zeros((k, rec.num_proposals), dtype=np.int64)
     for i in range(k):
-        if zero_noise:
-            z = np.zeros(dim, dtype=np.float64)
-        else:
-            z = draw_noise(seed, rec.scene_id, i, noise_tag, dim=dim)
-        st = forward_scores(params, rec, z, cfg, refine)
-        labels[i] = greedy_infer(st.g, rec.annotation, geom, cfg, enforce=enforce)
-        states.append(st)
-    return SampleSet(term_mode=term_mode, states=states, labels=labels,
-                     enforced=enforce)
+        labels[i] = greedy_infer(g[i], rec.annotation, geom, cfg,
+                                 enforce=enforce)
+    return SampleSet(z=z, x=x, stack=stack, g=g, labels=labels,
+                     enforced=enforce, term_mode=term_mode)
 
 
 def params_noise_dim(params: CondParams, rec: SceneRecord) -> int:

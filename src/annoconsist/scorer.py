@@ -98,9 +98,13 @@ def cond_init(num_classes: int, noise_dim: int = NOISE_DIM, kind: str = "linear"
 
 
 def scorer_input(rec: SceneRecord, z: np.ndarray) -> np.ndarray:
-    """(P, D+d) matrix: features with the shared noise row appended."""
+    """(P, D+d) matrix: features with the shared noise row appended. A
+    (K, d) stack of noise rows gives the (K, P, D+d) stack of matrices."""
     f = features(rec)
-    return np.hstack([f, np.broadcast_to(z, (f.shape[0], z.shape[0]))])
+    out = np.empty(z.shape[:-1] + (f.shape[0], f.shape[1] + z.shape[-1]))
+    out[..., :f.shape[1]] = f
+    out[..., f.shape[1]:] = z[..., None, :]
+    return out
 
 
 def score_from_input(params: CondParams, x: np.ndarray) -> np.ndarray:

@@ -39,6 +39,16 @@ class EmptyPoolError(Exception):
     pass
 
 
+DISTRACTOR_MARGIN = 1  # distractor blobs may come this close to the border
+
+
+def min_frame_side(margin: int, max_extent: int) -> int:
+    """Smallest frame side that holds a shape of extent max_extent at least
+    margin pixels from the border: _draw_shape draws the center from
+    [margin + e//2, side - margin - e//2), which must not be empty."""
+    return 2 * margin + 2 * (max_extent // 2) + 1
+
+
 @dataclass
 class SceneConfig:
     height: int = 48
@@ -62,10 +72,18 @@ class SceneConfig:
             raise ValueError("scene dimensions are capped at 128")
         if not 1 <= self.num_classes <= 5:
             raise ValueError("num_classes must lie in [1, 5]")
+        if self.min_objects < 1:
+            raise ValueError("min_objects must be at least 1")
         if self.min_objects > self.max_objects:
             raise ValueError("min_objects must not exceed max_objects")
         if self.min_extent > self.max_extent:
             raise ValueError("min_extent must not exceed max_extent")
+        side = min_frame_side(self.margin, self.max_extent)
+        for name in ("height", "width"):
+            if getattr(self, name) < side:
+                raise ValueError(
+                    f"{name} must be at least {side} to hold shapes of "
+                    f"max_extent {self.max_extent} with margin {self.margin}")
 
 
 @dataclass
@@ -87,6 +105,10 @@ class ProposalConfig:
     def __post_init__(self):
         if self.p_target < 1:
             raise ValueError("p_target must be at least 1")
+        if (len(self.distractor_extent) != 2
+                or self.distractor_extent[0] > self.distractor_extent[1]):
+            raise ValueError("distractor_extent must be a (min, max) pair "
+                             "with min <= max")
 
 
 def _draw_shape(rng, cfg: SceneConfig):
@@ -289,22 +311,23 @@ def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneReco
     gt_union = np.zeros((rec.height, rec.width), dtype=bool)
     for g in rec.gt:
         gt_union |= g.mask
-    dcfg = SceneConfig(
-        height=rec.height,
-        width=rec.width,
-        num_classes=rec.num_classes,
-        min_extent=cfg.distractor_extent[0],
-        max_extent=cfg.distractor_extent[1],
-        margin=1,
-    )
-    placed = 0
-    for _ in range(cfg.distractor_count * 20):
-        if placed >= cfg.distractor_count:
-            break
-        blob = _draw_shape(rng, dcfg)
-        if np.count_nonzero(blob & gt_union) / np.count_nonzero(blob) <= 0.25:
-            candidates.append(blob)
-            placed += 1
+    if cfg.distractor_count > 0:
+        placed = 0
+        dcfg = SceneConfig(
+            height=rec.height,
+            width=rec.width,
+            num_classes=rec.num_classes,
+            min_extent=cfg.distractor_extent[0],
+            max_extent=cfg.distractor_extent[1],
+            margin=DISTRACTOR_MARGIN,
+        )
+        for _ in range(cfg.distractor_count * 20):
+            if placed >= cfg.distractor_count:
+                break
+            blob = _draw_shape(rng, dcfg)
+            if np.count_nonzero(blob & gt_union) / np.count_nonzero(blob) <= 0.25:
+                candidates.append(blob)
+                placed += 1
 
     seen = set()
     kept = []

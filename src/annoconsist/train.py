@@ -184,10 +184,9 @@ def seed_labeling(rec) -> np.ndarray:
 
 
 def selection_matrix(labels: np.ndarray, m: int) -> np.ndarray:
-    """(P, C+1) one-hot rows; sum(sel * G) is the labeling's total score."""
-    out = np.zeros((labels.shape[0], m), dtype=np.float64)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+    """One-hot rows of shape labels.shape + (C+1,); for one (P,) labeling,
+    sum(sel * G) is its total score."""
+    return (labels[..., None] == np.arange(m)).astype(np.float64)
 
 
 def loss_augmented_infer(g: np.ndarray, y_ref: np.ndarray, rec,
@@ -208,17 +207,6 @@ def loss_augmented_infer(g: np.ndarray, y_ref: np.ndarray, rec,
                         enforce=enforce)
 
 
-def grad_score_sum(params: CondParams, st, q: np.ndarray, rec,
-                   inf_cfg: InferenceConfig) -> CondParams:
-    """Parameter gradient of sum(q * G) for one forward state, chaining
-    back through the pairwise refinement when it was applied."""
-    if st.refined:
-        q0 = refine_backward(st.stack, rec.adjacency, inf_cfg, q)
-    else:
-        q0 = q
-    return score_vjp(params, st.x, q0)
-
-
 def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
               train_cfg: TrainConfig, inf_cfg: InferenceConfig,
               loss_cfg: LossConfig, anchor: bool = False) -> CondParams:
@@ -226,9 +214,9 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
     with respect to the conditional parameters, for one scene.
 
     Per draw k the contributions of the reference term and of every
-    pairwise sample term are collected into a single coefficient table
-    before one backward pass, so a zero-cost configuration yields an
-    exactly zero gradient.
+    pairwise sample term are collected into a single coefficient table,
+    and one backward pass runs over the stack of all K tables, so a
+    zero-cost configuration yields an exactly zero gradient.
 
     With anchor=True the reference term skips the augmented inference and
     uses y_ref itself as the augmented labeling. This is the saturated
@@ -245,34 +233,43 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
     ref_eps = -train_cfg.epsilon if anchor else eps
     gamma = 0.0 if train_cfg.cond_pointwise else train_cfg.gamma
     enforce = samples.enforced
-    aug_ref = eps * cost_row(y_ref, rec.num_classes, loss_cfg)
-    aug_pairs = None
-    pair_coef = 0.0
-    if gamma != 0.0 and kk >= 2:
-        aug_pairs = [eps * cost_row(samples.labels[k2], rec.num_classes,
-                                    loss_cfg)
-                     for k2 in range(kk)]
+    pairs = gamma != 0.0 and kk >= 2
+    if not anchor:
+        ref_tables = samples.g + eps * cost_row(y_ref, rec.num_classes,
+                                                loss_cfg)
+    if pairs:
+        aug_pairs = eps * np.stack([cost_row(y, rec.num_classes, loss_cfg)
+                                    for y in samples.labels])
+        pair_tables = samples.g[:, None] + aug_pairs[None, :]
         pair_coef = 2.0 * gamma / (kk * (kk - 1) * eps)
-    m_ref = selection_matrix(y_ref, m) if anchor else None
+    # greedy calls in draw-major order: the reference call, then k2
+    # ascending, skipping the draw itself
+    y_a = np.empty_like(samples.labels)
+    y_b = np.zeros((kk,) + samples.labels.shape, dtype=np.int64)
+    for k in range(kk):
+        if not anchor:
+            y_a[k] = greedy_infer(ref_tables[k], rec.annotation, geom,
+                                  inf_cfg, enforce=enforce)
+        if pairs:
+            for k2 in range(kk):
+                if k2 != k:
+                    y_b[k, k2] = greedy_infer(pair_tables[k, k2],
+                                              rec.annotation, geom, inf_cfg,
+                                              enforce=enforce)
+    m_c = selection_matrix(samples.labels, m)
+    m_a = selection_matrix(y_ref if anchor else y_a, m)
+    q = (m_a - m_c) / (kk * ref_eps)
+    if pairs:
+        m_b = selection_matrix(y_b, m)
+        # each draw's table gets its pairwise terms in k2 order
+        for k2 in range(kk):
+            others = np.arange(kk) != k2
+            q[others] += pair_coef * (m_c[others] - m_b[others, k2])
+    if samples.refined:
+        q = refine_backward(samples.stack, rec.adjacency, inf_cfg, q)
     total = cond_zeros_like(params)
     for k in range(kk):
-        st = samples.states[k]
-        m_c = selection_matrix(samples.labels[k], m)
-        if anchor:
-            m_a = m_ref
-        else:
-            y_a = greedy_infer(st.g + aug_ref, rec.annotation, geom,
-                               inf_cfg, enforce=enforce)
-            m_a = selection_matrix(y_a, m)
-        q = (m_a - m_c) / (kk * ref_eps)
-        if aug_pairs is not None:
-            for k2 in range(kk):
-                if k2 == k:
-                    continue
-                y_b = greedy_infer(st.g + aug_pairs[k2], rec.annotation,
-                                   geom, inf_cfg, enforce=enforce)
-                q += pair_coef * (m_c - selection_matrix(y_b, m))
-        axpy(total, grad_score_sum(params, st, q, rec, inf_cfg), 1.0)
+        axpy(total, score_vjp(params, samples.x[k], q[k]), 1.0)
     return total
 
 
@@ -360,10 +357,25 @@ def prepare_records(records: list, train_cfg: TrainConfig,
     return out, skipped
 
 
-def _epoch_metrics(records, cond_params, pred_params, scene_samples,
-                   train_cfg, inf_cfg, loss_cfg, grad_norms):
-    """One log row: divergence parts, train-set mAP at 0.5, feasibility."""
-    pcs, ccs, pps, feas = [], [], [], []
+def _feasible_fractions(records, scene_samples, inf_cfg) -> list:
+    """Per scene, the fraction of its K sampled labelings that are
+    annotation-consistent."""
+    out = []
+    for rec, samples in zip(records, scene_samples):
+        geom = rec.geometry()
+        out.append(np.mean([
+            higher_order_feasible(samples.labels[k], rec.annotation, geom,
+                                  inf_cfg)
+            for k in range(samples.k)]))
+    return out
+
+
+def _epoch_metrics(records, pred_params, scene_samples, feas, train_cfg,
+                   loss_cfg, grad_norms):
+    """One log row: divergence parts, train-set mAP at 0.5, feasibility.
+    feas is _feasible_fractions of the sample batch, which the pred epochs
+    share."""
+    pcs, ccs, pps = [], [], []
     preds_by_scene, gts_by_scene = {}, {}
     for rec, samples in zip(records, scene_samples):
         state = predict(pred_params, rec)
@@ -371,11 +383,6 @@ def _epoch_metrics(records, cond_params, pred_params, scene_samples,
         ccs.append(div_cc(samples.labels, rec, loss_cfg)
                    if samples.k >= 2 else 0.0)
         pps.append(div_pp(state, loss_cfg))
-        geom = rec.geometry()
-        feas.append(np.mean([
-            higher_order_feasible(samples.labels[k], rec.annotation, geom,
-                                  inf_cfg)
-            for k in range(samples.k)]))
         preds_by_scene[rec.scene_id] = decode(
             state, rec, train_cfg.decode_thresh, train_cfg.decode_nms)
         gts_by_scene[rec.scene_id] = rec.gt
@@ -436,8 +443,9 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
             norms.append(opt.step(cond, grad))
             batch.append(samples)
         row = {"phase": phase, "outer": outer, "epoch": epoch}
-        row.update(_epoch_metrics(records, cond, pred, batch, tcfg, icfg,
-                                  lcfg, norms))
+        row.update(_epoch_metrics(
+            records, pred, batch, _feasible_fractions(records, batch, icfg),
+            tcfg, lcfg, norms))
         log.append(row)
         if verbose:
             print(_format_row(row))
@@ -447,6 +455,7 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
                           term_mode=tcfg.term_mode,
                           zero_noise=tcfg.cond_pointwise, noise_tag=tag)
                  for rec in records]
+        feas = _feasible_fractions(records, batch, icfg)
         for epoch in range(tcfg.pred_epochs):
             norms = []
             for i, rec in enumerate(records):
@@ -454,8 +463,8 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
                                  tcfg.pred_pointwise)
                 norms.append(opt_p.step(pred, grad))
             row = {"phase": phase, "outer": outer, "epoch": epoch}
-            row.update(_epoch_metrics(records, cond, pred, batch, tcfg, icfg,
-                                      lcfg, norms))
+            row.update(_epoch_metrics(records, pred, batch, feas, tcfg, lcfg,
+                                      norms))
             log.append(row)
             if verbose:
                 print(_format_row(row))

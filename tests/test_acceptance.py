@@ -317,11 +317,12 @@ def test_analytic_gradients_match_finite_differences():
     params = cond_init(1, 8)
     params.w[:, : f.shape[1]] = sol.T
     icfg = InferenceConfig()
-    st = forward_scores(params, rec, np.zeros(8), icfg, refine=False)
-    np.testing.assert_allclose(st.g, table, atol=1e-9)
-    y = greedy_infer(st.g, rec.annotation, rec.geometry(), icfg)
-    samples = SampleSet(term_mode="U", states=[st] * 2,
-                        labels=np.stack([y, y]), enforced=True)
+    z = np.zeros((2, 8))
+    x, _, g = forward_scores(params, rec, z, icfg, refine=False)
+    np.testing.assert_allclose(g[0], table, atol=1e-9)
+    y = greedy_infer(g[0], rec.annotation, rec.geometry(), icfg)
+    samples = SampleSet(z=z, x=x, stack=None, g=g, labels=np.stack([y, y]),
+                        enforced=True, term_mode="U")
     zero_grad = cond_grad(params, rec, samples, np.array([1, 0]),
                           TrainConfig(k=2), icfg, LossConfig(w_cls=0.0))
     assert all((arr == 0.0).all() for arr in zero_grad.arrays().values())
@@ -334,10 +335,10 @@ def test_analytic_gradients_match_finite_differences():
     grad = cond_grad(params, rec, samples, np.array([1, 0]), tcfg, icfg,
                      LossConfig())
     q_hand = np.array([[0.0, 0.0], [-0.5, 0.5]])
-    np.testing.assert_allclose(grad.w, 2.0 * (q_hand.T @ samples.states[0].x),
+    np.testing.assert_allclose(grad.w, 2.0 * (q_hand.T @ samples.x[0]),
                                atol=1e-9)
     Optimizer("sgd", lr=0.05).step(params, grad)
-    g_new = forward_scores(params, rec, np.zeros(8), icfg, refine=False).g
+    g_new = forward_scores(params, rec, z[:1], icfg, refine=False)[2][0]
     assert g_new[1, 1] < table[1, 1] and g_new[1, 0] > table[1, 0]
 
     assert elapsed < 60.0

@@ -222,6 +222,38 @@ def test_gen_rejects_inconsistent_scene_config(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("scene", "height", 16),  # smoke shapes need a 27 px frame
+    ("scene", "min_objects", 0),  # could draw a scene with no objects
+])
+def test_gen_rejects_configs_it_cannot_draw(tmp_path, capsys, section, key,
+                                            value):
+    with open(SMOKE_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg[section][key] = value
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code = run(["gen", "--config", str(cfg_path),
+                "--out", str(tmp_path / "data")])
+    assert code == EXIT_USAGE
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_gen_draws_small_frames_without_distractors(tmp_path, capsys):
+    with open(SMOKE_CONFIG) as fh:
+        cfg = json.load(fh)
+    cfg["n_scenes"], cfg["n_eval_scenes"] = 2, 1
+    cfg["scene"].update(height=12, width=12, margin=0, min_extent=4,
+                        max_extent=6, max_objects=1)
+    cfg["proposal"]["distractor_count"] = 0
+    cfg_path = tmp_path / "small.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["gen", "--config", str(cfg_path),
+                "--out", str(tmp_path / "data")]) == EXIT_OK
+    capsys.readouterr()
+
+
 def test_box_regime_infer_samples_the_prepared_scene(tmp_path, capsys):
     with open(SMOKE_CONFIG) as fh:
         cfg = json.load(fh)

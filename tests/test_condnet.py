@@ -427,14 +427,22 @@ def test_forward_scores_refinement_toggle():
     params = cond_init(rec.num_classes)
     rng = np.random.default_rng(2)
     params.w += rng.normal(size=params.w.shape)
-    z = np.zeros(8)
+    z = np.stack([np.zeros(8), np.full(8, 0.5)])
     cfg = InferenceConfig()
-    raw = forward_scores(params, rec, z, cfg, refine=False)
-    assert raw.stack is None and not raw.refined
-    refined = forward_scores(params, rec, z, cfg, refine=True)
-    assert refined.refined and refined.stack.shape[0] == cfg.n_iters + 1
-    np.testing.assert_array_equal(refined.stack[0], raw.g)
-    np.testing.assert_array_equal(refined.g, refined.stack[-1])
+    x, raw_stack, raw_g = forward_scores(params, rec, z, cfg, refine=False)
+    assert raw_stack is None
+    assert x.shape == (2, rec.num_proposals, params.w.shape[1])
+    assert raw_g.shape == (2, rec.num_proposals, rec.num_classes + 1)
+    _, stack, g = forward_scores(params, rec, z, cfg, refine=True)
+    assert stack.shape == (cfg.n_iters + 1,) + raw_g.shape
+    np.testing.assert_array_equal(stack[0], raw_g)
+    np.testing.assert_array_equal(g, stack[-1])
+    # each draw's table is the one its own noise row gives
+    for i in range(2):
+        _, one_stack, one_g = forward_scores(params, rec, z[i:i + 1], cfg,
+                                             refine=True)
+        assert one_g[0].tobytes() == g[i].tobytes()
+        assert one_stack[:, 0].tobytes() == stack[:, i].tobytes()
 
 
 def test_sampling_is_deterministic_and_tag_sensitive():
@@ -446,12 +454,11 @@ def test_sampling_is_deterministic_and_tag_sensitive():
     s1 = sample_k(params, rec, 4, seed=9, cfg=cfg)
     s2 = sample_k(params, rec, 4, seed=9, cfg=cfg)
     np.testing.assert_array_equal(s1.labels, s2.labels)
-    for a, b in zip(s1.states, s2.states):
-        np.testing.assert_array_equal(a.z, b.z)
+    np.testing.assert_array_equal(s1.z, s2.z)
     # noise draws must differ across draw index and across tags
-    assert not np.array_equal(s1.states[0].z, s1.states[1].z)
+    assert not np.array_equal(s1.z[0], s1.z[1])
     s3 = sample_k(params, rec, 4, seed=9, cfg=cfg, noise_tag=1)
-    assert not np.array_equal(s1.states[0].z, s3.states[0].z)
+    assert not np.array_equal(s1.z[0], s3.z[0])
 
 
 def test_sampling_zero_noise_collapses_to_one_labeling():
@@ -461,8 +468,7 @@ def test_sampling_zero_noise_collapses_to_one_labeling():
     params.w += rng.normal(size=params.w.shape)
     s = sample_k(params, rec, 3, seed=0, cfg=InferenceConfig(select_threshold=100.0),
                  zero_noise=True)
-    for st in s.states:
-        assert (st.z == 0.0).all()
+    assert s.z.shape == (3, 8) and (s.z == 0.0).all()
     np.testing.assert_array_equal(s.labels[0], s.labels[1])
     np.testing.assert_array_equal(s.labels[0], s.labels[2])
 
@@ -474,11 +480,12 @@ def test_sampling_term_modes_control_refinement_and_enforcement():
     # pool can host both classes in every mode
     cfg = InferenceConfig(select_threshold=100.0)
     s_u = sample_k(params, rec, 2, seed=1, cfg=cfg, term_mode="U")
-    assert not s_u.enforced and all(st.stack is None for st in s_u.states)
+    assert not s_u.enforced and s_u.stack is None and not s_u.refined
     s_up = sample_k(params, rec, 2, seed=1, cfg=cfg, term_mode="U+P")
-    assert not s_up.enforced and all(st.stack is not None for st in s_up.states)
+    assert not s_up.enforced and s_up.refined
     s_uph = sample_k(params, rec, 2, seed=1, cfg=cfg, term_mode="U+P+H")
-    assert s_uph.enforced and all(st.stack is not None for st in s_uph.states)
+    assert s_uph.enforced and s_uph.refined
+    assert s_uph.stack.shape == (cfg.n_iters + 1,) + s_uph.g.shape
     # every labeling under the full mode is annotation-consistent
     geom = rec.geometry()
     for row in s_uph.labels:

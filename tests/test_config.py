@@ -139,8 +139,15 @@ def test_shipped_reference_and_smoke_configs_parse():
     ("train", "scorer_kind", "x"),
     ("scene", "num_classes", 0),
     ("scene", "min_objects", 4),
+    ("scene", "min_objects", 0),
+    ("scene", "min_objects", -1),
     ("scene", "min_extent", 21),
+    # margin 3, max_extent 20: a shape's center range is empty below 27
+    ("scene", "height", 26),
+    ("scene", "width", 26),
+    ("scene", "height", 16),
     ("proposal", "p_target", 0),
+    ("proposal", "distractor_extent", [11, 6]),
 ])
 def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     with pytest.raises(ConfigError, match=f"{section}: {key}"):
@@ -157,12 +164,38 @@ def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     ("train", "decode_thresh", 1.0),
     ("scene", "num_classes", 1),
     ("scene", "min_objects", 3),
+    ("scene", "min_objects", 1),
     ("scene", "min_extent", 20),
+    ("scene", "height", 27),
+    ("scene", "width", 27),
     ("proposal", "p_target", 1),
+    ("proposal", "distractor_extent", (6, 6)),
 ])
 def test_range_endpoints_are_accepted(section, key, value):
     cfg = config_from_obj({section: {key: value}})
     assert getattr(getattr(cfg, section), key) == value
+
+
+def test_frame_bound_follows_margin_and_max_extent():
+    # 2*margin + 2*(max_extent // 2) + 1: odd extents round down
+    scene = {"margin": 0, "min_extent": 4, "max_extent": 7}
+    assert config_from_obj({"scene": dict(scene, height=13, width=13),
+                            "proposal": {"distractor_count": 0}})
+    with pytest.raises(ConfigError, match="scene: height must be at least 7"):
+        config_from_obj({"scene": dict(scene, height=6, width=13),
+                         "proposal": {"distractor_count": 0}})
+
+
+def test_distractors_must_fit_the_frame():
+    # distractors keep a 1 px margin: extent 11 needs sides of at least 13
+    scene = {"height": 12, "width": 40, "margin": 0, "min_extent": 4,
+             "max_extent": 8}
+    with pytest.raises(ConfigError, match="proposal: distractor_extent"):
+        config_from_obj({"scene": scene})
+    assert config_from_obj({"scene": scene,
+                            "proposal": {"distractor_count": 0}})
+    assert config_from_obj({"scene": scene,
+                            "proposal": {"distractor_extent": [6, 9]}})
 
 
 @pytest.mark.parametrize("key", ["w_box", "w_mask", "eps_mask", "iou_floor"])

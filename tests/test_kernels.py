@@ -120,6 +120,42 @@ def test_refine_backward_matches_row_scatter_bitwise(graph, delta, n_iters):
     assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(_graphs(), st.integers(1, 4), st.sampled_from([0.1, 0.3, 8.0]),
+       st.integers(0, 4))
+def test_refine_forward_draw_stack_matches_per_table_calls(graph, k, delta,
+                                                           n_iters):
+    g0, eu, ev, w, rng = graph
+    tables = np.concatenate([g0[None], rng.normal(size=(k - 1,) + g0.shape)])
+    edges = Edges.from_arrays(eu, ev, w, g0.shape[1])
+    got = refine_forward(tables, edges, delta, n_iters)
+    assert got.shape == (n_iters + 1, k) + g0.shape
+    for i in range(k):
+        one = refine_forward(tables[i], edges, delta, n_iters)
+        assert got[:, i].tobytes() == one.tobytes()
+        want = _scatter_refine_forward(tables[i], eu, ev, w, delta, n_iters)
+        assert got[:, i].tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_graphs(), st.integers(1, 4), st.sampled_from([0.1, 0.3, 8.0]),
+       st.integers(0, 4))
+def test_refine_backward_draw_stack_matches_per_table_calls(graph, k, delta,
+                                                            n_iters):
+    g0, eu, ev, w, rng = graph
+    tables = np.concatenate([g0[None], rng.normal(size=(k - 1,) + g0.shape)])
+    q = rng.normal(size=tables.shape)
+    edges = Edges.from_arrays(eu, ev, w, g0.shape[1])
+    stack = refine_forward(tables, edges, delta, n_iters)
+    got = refine_backward(stack, edges, delta, q)
+    assert got.shape == tables.shape
+    for i in range(k):
+        one = refine_backward(stack[:, i], edges, delta, q[i])
+        assert got[i].tobytes() == one.tobytes()
+        want = _scatter_refine_backward(stack[:, i], eu, ev, w, delta, q[i])
+        assert got[i].tobytes() == want.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_greedy_matches_per_proposal_loop_bitwise(data):

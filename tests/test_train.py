@@ -5,13 +5,21 @@ import numpy as np
 import pytest
 
 from annoconsist.adjacency import build_adjacency
-from annoconsist.condnet import InferenceConfig, SampleSet, forward_scores, greedy_infer
+from annoconsist import train as train_mod
+from annoconsist.condnet import (
+    InferenceConfig,
+    SampleSet,
+    forward_scores,
+    greedy_infer,
+    refine_backward,
+    sample_k,
+)
 from annoconsist.disco import div_pc, div_pp
-from annoconsist.loss import LossConfig
+from annoconsist.loss import LossConfig, cost_row
 from annoconsist.masks import inner_boundary, tight_box
 from annoconsist.prednet import PredParams, pred_init, predict
 from annoconsist.scenes import Seed
-from annoconsist.scorer import cond_init, feature_dim, features
+from annoconsist.scorer import axpy, cond_init, feature_dim, features, score_vjp
 from annoconsist.synthgen import ProposalConfig, SceneConfig, make_dataset
 from annoconsist.train import (
     Optimizer,
@@ -19,12 +27,14 @@ from annoconsist.train import (
     TrainingError,
     cond_grad,
     empirical_distribution,
+    cond_zeros_like,
     fit,
     load_checkpoint,
     loss_augmented_infer,
     pred_grad,
     pred_objective,
     prepare_records,
+    prepare_scene,
     save_checkpoint,
     seed_labeling,
     selection_matrix,
@@ -96,6 +106,14 @@ def test_selection_matrix_is_one_hot_score_selector():
     assert float((sel * g).sum()) == g[0, 2] + g[1, 0] + g[2, 1]
 
 
+def test_selection_matrix_stacks_over_leading_axes():
+    labels = np.array([[[2, 0, 1], [1, 1, 0]], [[0, 0, 0], [2, 2, 1]]])
+    sel = selection_matrix(labels, 3)
+    assert sel.shape == (2, 2, 3, 3) and sel.dtype == np.float64
+    for idx in np.ndindex(2, 2):
+        assert sel[idx].tobytes() == selection_matrix(labels[idx], 3).tobytes()
+
+
 def _pred_record():
     masks = [rect_mask(16, 16, 4 * i, 4 * i + 3, 0, 4) for i in range(3)]
     return make_record(masks, [1, 2], size=(16, 16))
@@ -159,12 +177,18 @@ def _params_for_table(rec, table, noise_dim=8):
     return params
 
 
+def _zero_noise_table(params, rec, icfg):
+    return forward_scores(params, rec, np.zeros((1, 8)), icfg, refine=False)[2][0]
+
+
 def _manual_samples(params, rec, table, k, icfg, enforce=True):
-    st = forward_scores(params, rec, np.zeros(8), icfg, refine=False)
-    np.testing.assert_allclose(st.g, table, atol=1e-9)
-    y = greedy_infer(st.g, rec.annotation, rec.geometry(), icfg, enforce=enforce)
-    return SampleSet(term_mode="U", states=[st] * k,
-                     labels=np.stack([y] * k), enforced=enforce)
+    """K identical zero-noise draws on the unrefined table."""
+    z = np.zeros((k, 8))
+    x, _, g = forward_scores(params, rec, z, icfg, refine=False)
+    np.testing.assert_allclose(g[0], table, atol=1e-9)
+    y = greedy_infer(g[0], rec.annotation, rec.geometry(), icfg, enforce=enforce)
+    return SampleSet(z=z, x=x, stack=None, g=g, labels=np.stack([y] * k),
+                     enforced=enforce, term_mode="U")
 
 
 def test_cond_grad_is_exactly_zero_when_the_task_loss_vanishes():
@@ -198,14 +222,14 @@ def test_cond_grad_hand_case_two_proposals_one_class_two_draws():
     tcfg = TrainConfig(k=2, gamma=0.5, epsilon=1.0, aug_sign=-1.0)
     grad = cond_grad(params, rec, samples, y_ref, tcfg, icfg, LossConfig())
     q = np.array([[0.0, 0.0], [-0.5, 0.5]])
-    x = samples.states[0].x
+    x = samples.x[0]
     want = 2.0 * (q.T @ x)  # two identical draws
     np.testing.assert_allclose(grad.w, want, atol=1e-9)
 
     # one descent step must demote the disputed entry g[1, 1] and promote
     # its background alternative
     Optimizer("sgd", lr=0.05).step(params, grad)
-    g_new = forward_scores(params, rec, np.zeros(8), icfg, refine=False).g
+    g_new = _zero_noise_table(params, rec, icfg)
     assert g_new[1, 1] < table[1, 1]
     assert g_new[1, 0] > table[1, 0]
     # the undisputed proposal keeps its selection (features are shared, so
@@ -226,14 +250,93 @@ def test_cond_grad_anchor_mode_is_a_margin_update_toward_the_reference():
     opt = Optimizer("sgd", lr=0.1)
     for _ in range(12):
         samples = _manual_samples(params, rec,
-                                  forward_scores(params, rec, np.zeros(8), icfg,
-                                                 refine=False).g, 2, icfg)
+                                  _zero_noise_table(params, rec, icfg), 2, icfg)
         grad = cond_grad(params, rec, samples, y_ref, tcfg, icfg, LossConfig(),
                          anchor=True)
         opt.step(params, grad)
-    g = forward_scores(params, rec, np.zeros(8), icfg, refine=False).g
+    g = _zero_noise_table(params, rec, icfg)
     y = greedy_infer(g, rec.annotation, rec.geometry(), icfg)
     np.testing.assert_array_equal(y, y_ref)
+
+
+def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
+                        anchor, calls):
+    """cond_grad one draw at a time: each draw's coefficient table, then its
+    own refinement adjoint and scorer backward. Appends every greedy input
+    table to calls, in call order."""
+    kk = samples.k
+    m = rec.num_classes + 1
+    eye = np.eye(m)
+    eps = tcfg.aug_sign * tcfg.epsilon
+    ref_eps = -tcfg.epsilon if anchor else eps
+    gamma = 0.0 if tcfg.cond_pointwise else tcfg.gamma
+
+    def infer(table):
+        calls.append(table.tobytes())
+        return greedy_infer(table, rec.annotation, rec.geometry(), icfg,
+                            enforce=samples.enforced)
+
+    aug_ref = eps * cost_row(y_ref, rec.num_classes, lcfg)
+    aug_pairs = None
+    if gamma != 0.0 and kk >= 2:
+        aug_pairs = [eps * cost_row(samples.labels[k2], rec.num_classes, lcfg)
+                     for k2 in range(kk)]
+        pair_coef = 2.0 * gamma / (kk * (kk - 1) * eps)
+    total = cond_zeros_like(params)
+    for k in range(kk):
+        g = samples.g[k]
+        m_c = eye[samples.labels[k]]
+        m_a = eye[y_ref] if anchor else eye[infer(g + aug_ref)]
+        q = (m_a - m_c) / (kk * ref_eps)
+        if aug_pairs is not None:
+            for k2 in range(kk):
+                if k2 != k:
+                    q += pair_coef * (m_c - eye[infer(g + aug_pairs[k2])])
+        if samples.refined:
+            q = refine_backward(np.ascontiguousarray(samples.stack[:, k]),
+                                rec.adjacency, icfg, q)
+        axpy(total, score_vjp(params, np.ascontiguousarray(samples.x[k]), q),
+             1.0)
+    return total
+
+
+@pytest.mark.parametrize("anchor", [False, True])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("term_mode", ["U", "U+P+H"])
+def test_cond_grad_on_the_draw_stack_matches_a_per_draw_loop(
+        monkeypatch, anchor, gamma, term_mode):
+    tcfg = TrainConfig(k=4, gamma=gamma, term_mode=term_mode)
+    icfg = InferenceConfig(delta=8.0)
+    lcfg = LossConfig()
+    rng = np.random.default_rng(11)
+    got_calls = []
+
+    def traced(table, *args, **kwargs):
+        got_calls.append(np.ascontiguousarray(table).tobytes())
+        return greedy_infer(table, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "greedy_infer", traced)
+    for i, rec in enumerate(_tiny_dataset(n=3)):
+        rec = prepare_scene(rec, tcfg, icfg)
+        params = cond_init(rec.num_classes)
+        params.w += rng.normal(0.0, 0.5, size=params.w.shape)
+        samples = sample_k(params, rec, tcfg.k, 0, icfg, term_mode=term_mode,
+                           noise_tag=i, enforce=True if anchor else None)
+        assert samples.refined == (term_mode != "U")
+        if anchor:
+            y_ref = seed_labeling(rec)
+        else:
+            y_ref = rng.integers(0, rec.num_classes + 1, rec.num_proposals)
+        want_calls = []
+        want = _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg,
+                                   lcfg, anchor, want_calls)
+        del got_calls[:]
+        got = cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
+                        anchor=anchor)
+        assert got.w.tobytes() == want.w.tobytes()
+        assert got_calls == want_calls
+        per_draw = (0 if anchor else 1) + (tcfg.k - 1 if gamma else 0)
+        assert len(got_calls) == tcfg.k * per_draw
 
 
 def test_loss_augmented_inference_sign_semantics():
