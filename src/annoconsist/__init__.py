@@ -57,7 +57,6 @@ from .train import (
     evaluate_params,
     fit,
     load_checkpoint,
-    loss_augmented_infer,
     pred_grad,
     save_checkpoint,
     seed_labeling,
@@ -114,7 +113,6 @@ __all__ = [
     "load_checkpoint",
     "load_config",
     "load_dataset",
-    "loss_augmented_infer",
     "make_dataset",
     "make_scene",
     "map_at",

@@ -15,7 +15,8 @@ import numpy as np
 from . import kernels
 from .masks import box_iou
 from .scenes import Annotation, PoolGeometry, SceneRecord
-from .scorer import CondParams, draw_noise, score_from_input, scorer_input
+from .scorer import (CondParams, draw_noise, feature_dim, score_from_input,
+                     scorer_input)
 
 TERM_MODES = ("U", "U+P", "U+P+H")
 
@@ -30,7 +31,6 @@ class InferenceConfig:
     n_iters: int = 3  # refinement iterations
     overlap_t: float = 0.5  # greedy suppression threshold
     select_threshold: float = 0.0  # stop once the next score falls to/below this
-    center_scores: bool = False  # subtract the per-class pool median first
     box_rho: float = 0.5  # box-IoU needed to count as covering a box
 
     def __post_init__(self):
@@ -98,14 +98,6 @@ def total_score(g: np.ndarray, labels: np.ndarray, ann: Annotation,
     return float(g[np.arange(g.shape[0]), labels].sum())
 
 
-def _class_thresholds(g: np.ndarray, classes: np.ndarray, cfg: InferenceConfig) -> np.ndarray:
-    tau = np.full(classes.shape[0], cfg.select_threshold, dtype=np.float64)
-    if cfg.center_scores:
-        for i, j in enumerate(classes):
-            tau[i] += float(np.median(g[:, j]))
-    return tau
-
-
 def greedy_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
                  cfg: InferenceConfig, enforce: bool = True) -> np.ndarray:
     """Per-class greedy selection.
@@ -121,11 +113,10 @@ def greedy_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
     classes = ann.classes
     if classes.size == 0:
         return np.zeros(g.shape[0], dtype=np.int64)
-    tau = _class_thresholds(g, classes, cfg)
     labels, status = kernels.greedy_labels(
         np.ascontiguousarray(g, dtype=np.float64),
         classes,
-        tau,
+        float(cfg.select_threshold),
         geom.keep_masks(cfg.overlap_t),
         enforce,
     )
@@ -286,7 +277,4 @@ def sample_k(params: CondParams, rec: SceneRecord, k: int, seed: int,
 
 
 def params_noise_dim(params: CondParams, rec: SceneRecord) -> int:
-    from .scorer import feature_dim
-
-    width = params.w.shape[1] if params.kind == "linear" else params.w1.shape[1]
-    return width - feature_dim(rec.num_classes)
+    return params.w.shape[1] - feature_dim(rec.num_classes)

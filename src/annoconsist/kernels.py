@@ -115,8 +115,10 @@ def keep_masks(ovl, t) -> list:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def greedy_labels(g, ann_classes, thresholds, keep, enforce):
+def greedy_labels(g, ann_classes, tau, keep, enforce):
     """Greedy per-class selection. See condnet.greedy_infer for semantics.
+
+    tau is the score threshold, shared by every class.
 
     keep is keep_masks(ovl, t), where ovl[i, l] is the fraction of proposal
     l covered by proposal i: selecting i removes every remaining l with
@@ -126,7 +128,7 @@ def greedy_labels(g, ann_classes, thresholds, keep, enforce):
     p = g.shape[0]
     labels = [0] * p
     free = (1 << p) - 1  # bit i set while no class has selected proposal i
-    for j, tau in zip(ann_classes.tolist(), thresholds.tolist()):
+    for j in ann_classes.tolist():
         scores = g[:, j]
         order = (-scores).argsort(kind="stable").tolist()
         scores = scores.tolist()
@@ -160,7 +162,7 @@ def warmup():
     greedy_labels(
         g,
         np.array([1], dtype=np.int64),
-        np.zeros(1),
+        0.0,
         keep_masks(np.zeros((2, 2)), 0.5),
         True,
     )

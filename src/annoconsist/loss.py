@@ -2,7 +2,7 @@
 
 Both labelings live on one shared pool, so proposal u is compared with
 itself: a pair that agrees costs nothing, and any disagreement (between
-two classes, or between a class and background) costs w_cls * lambda_cls.
+two classes, or between a class and background) costs lambda_cls.
 Delta is therefore a weighted Hamming distance.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 
 @dataclass
 class LossConfig:
-    w_cls: float = 1.0
     lambda_cls: float = 1.0
 
 
@@ -23,11 +22,11 @@ def cost_row(y_ref: np.ndarray, num_classes: int, cfg: LossConfig) -> np.ndarray
     """(P, C+1) table of the cost of labeling proposal u with class c when
     the reference says y_ref[u], for every entry."""
     p = y_ref.shape[0]
-    out = np.full((p, num_classes + 1), cfg.w_cls * cfg.lambda_cls, dtype=np.float64)
+    out = np.full((p, num_classes + 1), cfg.lambda_cls, dtype=np.float64)
     out[np.arange(p), y_ref] = 0.0
     return out
 
 
 def delta(y1: np.ndarray, y2: np.ndarray, cfg: LossConfig) -> float:
     """Dissimilarity between two labelings of one scene's pool."""
-    return cfg.w_cls * cfg.lambda_cls * int(np.count_nonzero(y1 != y2))
+    return cfg.lambda_cls * int(np.count_nonzero(y1 != y2))

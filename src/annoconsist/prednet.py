@@ -24,9 +24,6 @@ class PredParams:
     def copy(self) -> "PredParams":
         return PredParams(w=self.w.copy())
 
-    def arrays(self):
-        return {"w": self.w}
-
 
 @dataclass
 class InstancePrediction:
@@ -99,11 +96,9 @@ def expected_loss_vs_sample(state: np.ndarray, y: np.ndarray,
     lambda * (1 - p_u(y_u)).
     """
     p_target = state[np.arange(state.shape[0]), y]
-    return float(cfg.w_cls * cfg.lambda_cls * (1.0 - p_target).sum())
+    return float(cfg.lambda_cls * (1.0 - p_target).sum())
 
 
 def self_diversity_pred(state: np.ndarray, cfg: LossConfig) -> float:
     """E Delta(y, y') for two independent draws from the state."""
-    return float(
-        cfg.w_cls * cfg.lambda_cls * (1.0 - (state * state).sum(axis=1)).sum()
-    )
+    return float(cfg.lambda_cls * (1.0 - (state * state).sum(axis=1)).sum())

@@ -1,8 +1,8 @@
 """Per-proposal features and the noise-conditioned scorer.
 
 The scorer maps concat(features(u), z) to a row of C+1 scores (column 0
-is background). Default is a single weight matrix; an optional one-hidden-
-layer tanh variant is available. Feature layout, for C classes:
+is background) through a single weight matrix. Feature layout, for C
+classes:
 
     [area, cx, cy, mean_r, mean_g, mean_b, boundary_edge,
      seed_frac_class_1 .. seed_frac_class_C, 1.0]
@@ -23,7 +23,6 @@ from .masks import inner_boundary
 from .scenes import SceneRecord
 
 NOISE_DIM = 8
-MLP_HIDDEN = 32
 
 
 def feature_dim(num_classes: int) -> int:
@@ -61,40 +60,17 @@ def features(rec: SceneRecord) -> np.ndarray:
 
 @dataclass
 class CondParams:
-    """Scorer parameters. kind is "linear" (w: (C+1, D+d)) or "mlp"
-    (w1: (hidden, D+d), w2: (C+1, hidden))."""
+    """Scorer parameters: the linear map w of shape (C+1, D+d)."""
 
-    kind: str
-    w: np.ndarray | None = None
-    w1: np.ndarray | None = None
-    w2: np.ndarray | None = None
+    w: np.ndarray
 
     def copy(self) -> "CondParams":
-        return CondParams(
-            kind=self.kind,
-            w=None if self.w is None else self.w.copy(),
-            w1=None if self.w1 is None else self.w1.copy(),
-            w2=None if self.w2 is None else self.w2.copy(),
-        )
-
-    def arrays(self):
-        if self.kind == "linear":
-            return {"w": self.w}
-        return {"w1": self.w1, "w2": self.w2}
+        return CondParams(w=self.w.copy())
 
 
-def cond_init(num_classes: int, noise_dim: int = NOISE_DIM, kind: str = "linear",
-              hidden: int = MLP_HIDDEN, rng=None) -> CondParams:
+def cond_init(num_classes: int, noise_dim: int = NOISE_DIM) -> CondParams:
     d_in = feature_dim(num_classes) + noise_dim
-    if kind == "linear":
-        return CondParams(kind="linear", w=np.zeros((num_classes + 1, d_in)))
-    if kind == "mlp":
-        if rng is None:
-            rng = np.random.default_rng(0)
-        # tanh saturates with zero init; small random breaks the symmetry
-        w1 = rng.normal(0.0, 0.1, size=(hidden, d_in))
-        return CondParams(kind="mlp", w1=w1, w2=np.zeros((num_classes + 1, hidden)))
-    raise ValueError(f"unknown scorer kind {kind!r}")
+    return CondParams(w=np.zeros((num_classes + 1, d_in)))
 
 
 def scorer_input(rec: SceneRecord, z: np.ndarray) -> np.ndarray:
@@ -108,9 +84,7 @@ def scorer_input(rec: SceneRecord, z: np.ndarray) -> np.ndarray:
 
 
 def score_from_input(params: CondParams, x: np.ndarray) -> np.ndarray:
-    if params.kind == "linear":
-        return x @ params.w.T
-    return np.tanh(x @ params.w1.T) @ params.w2.T
+    return x @ params.w.T
 
 
 def score_vjp(params: CondParams, x: np.ndarray, q: np.ndarray) -> CondParams:
@@ -119,13 +93,7 @@ def score_vjp(params: CondParams, x: np.ndarray, q: np.ndarray) -> CondParams:
     q has the score table's shape; this is the only backward pass the
     trainer needs, since every loss term is a weighted sum of entries.
     """
-    if params.kind == "linear":
-        return CondParams(kind="linear", w=q.T @ x)
-    hidden = np.tanh(x @ params.w1.T)
-    dw2 = q.T @ hidden
-    dh = q @ params.w2
-    dpre = dh * (1.0 - hidden * hidden)
-    return CondParams(kind="mlp", w1=dpre.T @ x, w2=dw2)
+    return CondParams(w=q.T @ x)
 
 
 def draw_noise(seed: int, scene_id: int, k: int, extra: int = 0,
@@ -136,7 +104,5 @@ def draw_noise(seed: int, scene_id: int, k: int, extra: int = 0,
 
 
 def axpy(dst: CondParams, src: CondParams, alpha: float) -> None:
-    """dst += alpha * src, in place, for parameter structures."""
-    for name, arr in src.arrays().items():
-        cur = getattr(dst, name)
-        cur += alpha * arr
+    """dst += alpha * src, in place."""
+    dst.w += alpha * src.w

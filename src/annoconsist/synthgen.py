@@ -40,6 +40,7 @@ class EmptyPoolError(Exception):
 
 
 DISTRACTOR_MARGIN = 1  # distractor blobs may come this close to the border
+SHAPE_FAMILIES = ("rect", "ellipse", "ell")
 
 
 def min_frame_side(margin: int, max_extent: int) -> int:
@@ -56,7 +57,7 @@ class SceneConfig:
     num_classes: int = 3
     min_objects: int = 1
     max_objects: int = 3
-    shape_families: tuple = ("rect", "ellipse", "ell")
+    shape_families: tuple = SHAPE_FAMILIES
     min_extent: int = 12
     max_extent: int = 20
     max_overlap_iou: float = 0.0
@@ -76,6 +77,18 @@ class SceneConfig:
             raise ValueError("min_objects must be at least 1")
         if self.min_objects > self.max_objects:
             raise ValueError("min_objects must not exceed max_objects")
+        if (not self.shape_families
+                or not set(self.shape_families) <= set(SHAPE_FAMILIES)):
+            raise ValueError("shape_families must be a non-empty list drawn "
+                             f"from {list(SHAPE_FAMILIES)}")
+        if self.margin < 0:
+            raise ValueError("margin must be non-negative")
+        # an ell of extent 1 by 1 is a single pixel, which the carved
+        # quadrant removes
+        low = 2 if "ell" in self.shape_families else 1
+        if self.min_extent < low:
+            raise ValueError(f"min_extent must be at least {low} with shape "
+                             f"families {list(self.shape_families)}")
         if self.min_extent > self.max_extent:
             raise ValueError("min_extent must not exceed max_extent")
         side = min_frame_side(self.margin, self.max_extent)
@@ -109,6 +122,10 @@ class ProposalConfig:
                 or self.distractor_extent[0] > self.distractor_extent[1]):
             raise ValueError("distractor_extent must be a (min, max) pair "
                              "with min <= max")
+        # distractors are drawn from every shape family, ell included
+        if self.distractor_count > 0 and self.distractor_extent[0] < 2:
+            raise ValueError("distractor_extent must start at 2 or more "
+                             "while distractor_count > 0")
 
 
 def _draw_shape(rng, cfg: SceneConfig):
@@ -126,7 +143,7 @@ def _draw_shape(rng, cfg: SceneConfig):
         ry = max(ext_y / 2.0, 1.0)
         rx = max(ext_x / 2.0, 1.0)
         mask = ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
-    elif family == "ell":
+    else:  # "ell"
         mask = (np.abs(ys - cy) <= ext_y // 2) & (np.abs(xs - cx) <= ext_x // 2)
         # carve one quadrant out of the rectangle
         qy = rng.integers(2)
@@ -134,8 +151,6 @@ def _draw_shape(rng, cfg: SceneConfig):
         cut_y = (ys < cy) if qy else (ys >= cy)
         cut_x = (xs < cx) if qx else (xs >= cx)
         mask = mask & ~(cut_y & cut_x)
-    else:
-        raise ValueError(f"unknown shape family {family!r}")
     return mask
 
 

@@ -47,12 +47,10 @@ class TrainConfig:
     k: int = 10  # noise draws per scene per step
     gamma: float = 0.5  # diversity trade-off weight
     epsilon: float = 1.0  # loss-augmentation scale
-    aug_sign: float = -1.0  # -1 augments toward the reference, +1 away from it
     lr_init: float = 0.1  # conditional lr during the seed-anchored phase
     lr_cond: float = 0.02
     lr_pred: float = 1.0
     clip_grad: float = 25.0  # l2 cap per update; 0 disables clipping
-    optimizer: str = "sgd"  # "sgd" or "adam"
     init_epochs: int = 8
     cond_epochs: int = 3
     pred_epochs: int = 20
@@ -64,15 +62,12 @@ class TrainConfig:
     box_min_iou: float = 0.5  # pool filter in the box regime
     decode_thresh: float = 0.7
     decode_nms: float = 0.5
-    scorer_kind: str = "linear"
     noise_dim: int = 8
     seed: int = 0
 
     def __post_init__(self):
         if self.supervision not in ("image", "box"):
             raise ValueError("supervision must be 'image' or 'box'")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be 'sgd' or 'adam'")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.epsilon <= 0.0:
@@ -81,8 +76,6 @@ class TrainConfig:
             raise ValueError("decode_thresh must lie in [0, 1]")
         if self.term_mode not in TERM_MODES:
             raise ValueError(f"term_mode must be one of {TERM_MODES}")
-        if self.scorer_kind not in ("linear", "mlp"):
-            raise ValueError("scorer_kind must be 'linear' or 'mlp'")
 
 
 @dataclass
@@ -98,59 +91,18 @@ class FitResult:
         return self.log[-1]["map50"] if self.log else 0.0
 
 
-class Optimizer:
-    """SGD or Adam over named parameter arrays, updating in place."""
-
-    def __init__(self, kind: str, lr: float, clip: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        if kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {kind!r}")
-        self.kind = kind
-        self.lr = lr
-        self.clip = clip
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self._m: dict = {}
-        self._v: dict = {}
-        self._t = 0
-
-    def step(self, params, grad) -> float:
-        """Apply one (optionally norm-clipped) update; returns the raw
-        gradient l2 norm."""
-        arrs = grad.arrays()
-        sq = 0.0
-        for g in arrs.values():
-            sq += float(np.sum(g * g))
-        norm = float(np.sqrt(sq))
-        if not np.isfinite(norm):
-            raise TrainingError("non-finite gradient; stopping")
-        scale = 1.0
-        if self.clip > 0.0 and norm > self.clip:
-            scale = self.clip / norm
-        self._t += 1
-        for name, g in arrs.items():
-            if scale != 1.0:
-                g = g * scale
-            p = getattr(params, name)
-            if self.kind == "sgd":
-                p -= self.lr * g
-            else:
-                m = self._m.setdefault(name, np.zeros_like(g))
-                v = self._v.setdefault(name, np.zeros_like(g))
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                mhat = m / (1.0 - self.beta1 ** self._t)
-                vhat = v / (1.0 - self.beta2 ** self._t)
-                p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-        return norm
-
-
-def cond_zeros_like(params: CondParams) -> CondParams:
-    if params.kind == "linear":
-        return CondParams(kind="linear", w=np.zeros_like(params.w))
-    return CondParams(kind="mlp", w1=np.zeros_like(params.w1),
-                      w2=np.zeros_like(params.w2))
+def sgd_step(params, grad, lr: float, clip: float = 0.0) -> float:
+    """One SGD update of params.w in place; the gradient is scaled down to
+    l2 norm clip when longer (clip 0 disables clipping). Returns the raw
+    gradient l2 norm."""
+    g = grad.w
+    norm = float(np.sqrt(float(np.sum(g * g))))
+    if not np.isfinite(norm):
+        raise TrainingError("non-finite gradient; stopping")
+    if clip > 0.0 and norm > clip:
+        g = g * (clip / norm)
+    params.w -= lr * g
+    return norm
 
 
 def seed_labeling(rec) -> np.ndarray:
@@ -189,24 +141,6 @@ def selection_matrix(labels: np.ndarray, m: int) -> np.ndarray:
     return (labels[..., None] == np.arange(m)).astype(np.float64)
 
 
-def loss_augmented_infer(g: np.ndarray, y_ref: np.ndarray, rec,
-                         inf_cfg: InferenceConfig, loss_cfg: LossConfig,
-                         sign: float, eps: float,
-                         enforce: bool = True) -> np.ndarray:
-    """Greedy argmax of the table augmented by sign * eps times the
-    per-proposal dissimilarity to the reference labeling.
-
-    With sign -1 the augmented argmax is pulled toward the reference
-    (entries that disagree with it are penalized); with +1 it is pushed
-    away. Both directions yield valid finite-difference estimators; the
-    pulled variant also recovers margin-style updates that can demote
-    selections whose score sits within eps of the threshold.
-    """
-    aug = g + sign * eps * cost_row(y_ref, rec.num_classes, loss_cfg)
-    return greedy_infer(aug, rec.annotation, rec.geometry(), inf_cfg,
-                        enforce=enforce)
-
-
 def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
               train_cfg: TrainConfig, inf_cfg: InferenceConfig,
               loss_cfg: LossConfig, anchor: bool = False) -> CondParams:
@@ -217,6 +151,11 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
     pairwise sample term are collected into a single coefficient table,
     and one backward pass runs over the stack of all K tables, so a
     zero-cost configuration yields an exactly zero gradient.
+
+    Augmentation pulls toward the compared labeling: each table is
+    augmented by -epsilon times its cost row, so entries that disagree
+    with the labeling are penalized (the loss-augmented estimator of Song
+    et al., ICML 2016).
 
     With anchor=True the reference term skips the augmented inference and
     uses y_ref itself as the augmented labeling. This is the saturated
@@ -229,8 +168,7 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
     kk = samples.k
     m = rec.num_classes + 1
     geom = rec.geometry()
-    eps = train_cfg.aug_sign * train_cfg.epsilon
-    ref_eps = -train_cfg.epsilon if anchor else eps
+    eps = -train_cfg.epsilon
     gamma = 0.0 if train_cfg.cond_pointwise else train_cfg.gamma
     enforce = samples.enforced
     pairs = gamma != 0.0 and kk >= 2
@@ -258,7 +196,7 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
                                               enforce=enforce)
     m_c = selection_matrix(samples.labels, m)
     m_a = selection_matrix(y_ref if anchor else y_a, m)
-    q = (m_a - m_c) / (kk * ref_eps)
+    q = (m_a - m_c) / (kk * eps)
     if pairs:
         m_b = selection_matrix(y_b, m)
         # each draw's table gets its pairwise terms in k2 order
@@ -267,7 +205,7 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
             q[others] += pair_coef * (m_c[others] - m_b[others, k2])
     if samples.refined:
         q = refine_backward(samples.stack, rec.adjacency, inf_cfg, q)
-    total = cond_zeros_like(params)
+    total = CondParams(w=np.zeros_like(params.w))
     for k in range(kk):
         axpy(total, score_vjp(params, samples.x[k], q[k]), 1.0)
     return total
@@ -291,7 +229,7 @@ def pred_objective(state: np.ndarray, labels: np.ndarray,
     minus (1 - gamma) times the predictor's self-diversity (dropped in
     the pointwise variant).
     """
-    lam = loss_cfg.w_cls * loss_cfg.lambda_cls
+    lam = loss_cfg.lambda_cls
     qbar = empirical_distribution(labels, state.shape[1])
     val = float(np.sum(1.0 - np.sum(state * qbar, axis=1)))
     if not pointwise:
@@ -305,7 +243,7 @@ def pred_grad(params: PredParams, rec, labels: np.ndarray,
     """Exact gradient of pred_objective for one scene."""
     p = predict(params, rec)
     qbar = empirical_distribution(labels, p.shape[1])
-    lam = loss_cfg.w_cls * loss_cfg.lambda_cls
+    lam = loss_cfg.lambda_cls
     pdotq = np.sum(p * qbar, axis=1, keepdims=True)
     dz = -(p * qbar - p * pdotq)
     if not pointwise:
@@ -414,12 +352,8 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
     records, skipped = prepare_records(records, tcfg, icfg)
     c = records[0].num_classes
 
-    rng = np.random.default_rng(np.random.SeedSequence((tcfg.seed, 0x1417)))
-    cond = cond_init(c, tcfg.noise_dim, tcfg.scorer_kind, rng=rng)
+    cond = cond_init(c, tcfg.noise_dim)
     pred = pred_init(c)
-    opt_i = Optimizer(tcfg.optimizer, tcfg.lr_init, clip=tcfg.clip_grad)
-    opt_c = Optimizer(tcfg.optimizer, tcfg.lr_cond, clip=tcfg.clip_grad)
-    opt_p = Optimizer(tcfg.optimizer, tcfg.lr_pred, clip=tcfg.clip_grad)
     k_eff = 1 if tcfg.cond_pointwise else tcfg.k
     seeds_ref = [seed_labeling(rec) for rec in records]
     log: list = []
@@ -431,7 +365,7 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
         # signal ever reaches the scorer. Regular phases honor the mode.
         anchor = phase == "init"
         enforce = True if anchor else None
-        opt = opt_i if anchor else opt_c
+        lr = tcfg.lr_init if anchor else tcfg.lr_cond
         norms, batch = [], []
         for i, rec in enumerate(records):
             samples = sample_k(cond, rec, k_eff, tcfg.seed, icfg,
@@ -440,7 +374,7 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
                                noise_tag=tag, enforce=enforce)
             grad = cond_grad(cond, rec, samples, refs[i], tcfg, icfg, lcfg,
                              anchor=anchor)
-            norms.append(opt.step(cond, grad))
+            norms.append(sgd_step(cond, grad, lr, tcfg.clip_grad))
             batch.append(samples)
         row = {"phase": phase, "outer": outer, "epoch": epoch}
         row.update(_epoch_metrics(
@@ -461,7 +395,8 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
             for i, rec in enumerate(records):
                 grad = pred_grad(pred, rec, batch[i].labels, lcfg, tcfg.gamma,
                                  tcfg.pred_pointwise)
-                norms.append(opt_p.step(pred, grad))
+                norms.append(sgd_step(pred, grad, tcfg.lr_pred,
+                                      tcfg.clip_grad))
             row = {"phase": phase, "outer": outer, "epoch": epoch}
             row.update(_epoch_metrics(records, pred, batch, feas, tcfg, lcfg,
                                       norms))
@@ -539,8 +474,7 @@ def save_checkpoint(path: str, cond: CondParams, pred: PredParams,
                     meta: dict | None = None) -> None:
     obj = {
         "format_version": 1,
-        "cond": {"kind": cond.kind,
-                 "arrays": {n: _arr_to_obj(a) for n, a in cond.arrays().items()}},
+        "cond": {"kind": "linear", "arrays": {"w": _arr_to_obj(cond.w)}},
         "pred": {"arrays": {"w": _arr_to_obj(pred.w)}},
         "meta": meta or {},
     }
@@ -555,7 +489,9 @@ def load_checkpoint(path: str) -> tuple:
         obj = json.load(fh)
     if obj.get("format_version") != 1:
         raise ValueError("unsupported checkpoint version")
-    arrays = {n: _arr_from_obj(o) for n, o in obj["cond"]["arrays"].items()}
-    cond = CondParams(kind=obj["cond"]["kind"], **arrays)
+    kind = obj["cond"].get("kind")
+    if kind != "linear":
+        raise ValueError(f"unsupported checkpoint scorer kind {kind!r}")
+    cond = CondParams(w=_arr_from_obj(obj["cond"]["arrays"]["w"]))
     pred = PredParams(w=_arr_from_obj(obj["pred"]["arrays"]["w"]))
     return cond, pred, obj.get("meta", {})

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 
 import pytest
@@ -225,6 +226,11 @@ def test_gen_rejects_inconsistent_scene_config(tmp_path, capsys):
 @pytest.mark.parametrize("section, key, value", [
     ("scene", "height", 16),  # smoke shapes need a 27 px frame
     ("scene", "min_objects", 0),  # could draw a scene with no objects
+    ("scene", "min_extent", 1),  # an ell of extent 1 by 1 is empty
+    ("scene", "margin", -1),
+    ("scene", "shape_families", []),
+    ("scene", "shape_families", ["triangle"]),
+    ("proposal", "distractor_extent", [1, 11]),  # distractors include ell
 ])
 def test_gen_rejects_configs_it_cannot_draw(tmp_path, capsys, section, key,
                                             value):
@@ -238,6 +244,24 @@ def test_gen_rejects_configs_it_cannot_draw(tmp_path, capsys, section, key,
     assert code == EXIT_USAGE
     assert key in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+def test_model_config_with_retired_keys_is_usage_error(tmp_path, pipeline,
+                                                       capsys):
+    # a model directory written while optimizer, scorer_kind, aug_sign,
+    # center_scores and w_cls were settings no longer loads
+    model = tmp_path / "model"
+    shutil.copytree(pipeline["model"], model)
+    cfg = json.loads((model / "config.json").read_text())
+    cfg["train"].update(optimizer="sgd", scorer_kind="linear", aug_sign=-1.0)
+    cfg["inference"]["center_scores"] = False
+    cfg["loss"]["w_cls"] = 1.0
+    (model / "config.json").write_text(json.dumps(cfg))
+    code = run(["infer", "--model", str(model), "--data", pipeline["data"],
+                "--out", str(tmp_path / "preds.json")])
+    assert code == EXIT_USAGE
+    assert "unknown keys" in capsys.readouterr().err
+    assert not (tmp_path / "preds.json").exists()
 
 
 def test_gen_draws_small_frames_without_distractors(tmp_path, capsys):

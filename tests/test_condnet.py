@@ -132,16 +132,6 @@ def test_greedy_threshold_and_suppression_hand_case():
     np.testing.assert_array_equal(labels, [1, 0, 0])
 
 
-def test_greedy_center_scores_shifts_threshold_by_class_median():
-    rec = _greedy_record()
-    g = np.array([[0.0, 5.0], [0.0, 4.0], [0.0, 3.0]])
-    # median of column 1 is 4.0; with centering the stop level becomes 4.0,
-    # so m1 (score 4.0, not strictly above) is no longer taken
-    labels = greedy_infer(g, rec.annotation, rec.geometry(),
-                          InferenceConfig(center_scores=True))
-    np.testing.assert_array_equal(labels, [1, 0, 0])
-
-
 def test_greedy_visits_classes_in_ascending_order():
     # both classes prefer m0; class 1 runs first and takes it, so class 2
     # falls back to its next-best proposal

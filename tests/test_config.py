@@ -1,6 +1,9 @@
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annoconsist.config import (
     ConfigError,
@@ -11,6 +14,7 @@ from annoconsist.config import (
     load_config,
     save_config,
 )
+from annoconsist.synthgen import EmptyPoolError, PlacementError, make_scene
 
 
 def test_empty_object_yields_defaults():
@@ -64,7 +68,7 @@ def test_section_must_be_an_object():
 
 def test_invalid_section_values_surface_with_section_name():
     with pytest.raises(ConfigError, match="train"):
-        config_from_obj({"train": {"optimizer": "rmsprop"}})
+        config_from_obj({"train": {"k": 0}})
     with pytest.raises(ConfigError, match="eval"):
         config_from_obj({"eval": {"thresholds": [1.5]}})
     with pytest.raises(ConfigError):
@@ -113,7 +117,14 @@ def test_run_config_validation():
         RunConfig(n_eval_scenes=-1)
 
 
-def test_shipped_reference_and_smoke_configs_parse():
+def test_shipped_reference_and_smoke_configs_parse(tmp_path):
+    # each shipped file is exactly what save_config writes for it, so a
+    # stale key fails to load and a missing one fails the comparison
+    for name in ("reference", "smoke"):
+        path = f"configs/{name}.json"
+        save_config(str(tmp_path / "back.json"), load_config(path))
+        with open(path, "rb") as fh:
+            assert fh.read() == (tmp_path / "back.json").read_bytes(), path
     ref = load_config("configs/reference.json")
     assert ref.n_scenes == 50
     assert ref.train.k == 10
@@ -136,7 +147,7 @@ def test_shipped_reference_and_smoke_configs_parse():
     ("train", "decode_thresh", -0.1),
     ("train", "decode_thresh", 2.0),
     ("train", "term_mode", "x"),
-    ("train", "scorer_kind", "x"),
+    ("scene", "margin", -1),
     ("scene", "num_classes", 0),
     ("scene", "min_objects", 4),
     ("scene", "min_objects", 0),
@@ -148,6 +159,13 @@ def test_shipped_reference_and_smoke_configs_parse():
     ("scene", "height", 16),
     ("proposal", "p_target", 0),
     ("proposal", "distractor_extent", [11, 6]),
+    # the default families include ell, whose 1 x 1 draw is empty
+    ("scene", "min_extent", 1),
+    ("scene", "min_extent", 0),
+    ("scene", "shape_families", []),
+    ("scene", "shape_families", ["triangle"]),
+    ("scene", "shape_families", ["rect", "triangle"]),
+    ("proposal", "distractor_extent", [1, 11]),
 ])
 def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     with pytest.raises(ConfigError, match=f"{section}: {key}"):
@@ -170,6 +188,10 @@ def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     ("scene", "width", 27),
     ("proposal", "p_target", 1),
     ("proposal", "distractor_extent", (6, 6)),
+    ("scene", "min_extent", 2),
+    ("scene", "margin", 0),
+    ("scene", "shape_families", ("ell",)),
+    ("proposal", "distractor_extent", (2, 11)),
 ])
 def test_range_endpoints_are_accepted(section, key, value):
     cfg = config_from_obj({section: {key: value}})
@@ -202,3 +224,87 @@ def test_distractors_must_fit_the_frame():
 def test_removed_loss_keys_are_rejected(key):
     with pytest.raises(ConfigError, match=f"loss: unknown keys.*{key}"):
         config_from_obj({"loss": {key: 1.0}})
+
+
+def test_min_extent_bound_depends_on_the_ell_family():
+    # rect and ellipse draw at least one pixel down to extent 1; ell needs 2
+    for families in (["rect"], ["ellipse"], ["rect", "ellipse"]):
+        cfg = config_from_obj({"scene": {"shape_families": families,
+                                         "min_extent": 1}})
+        assert cfg.scene.min_extent == 1
+        with pytest.raises(ConfigError, match="scene: min_extent"):
+            config_from_obj({"scene": {"shape_families": families,
+                                       "min_extent": 0}})
+    with pytest.raises(ConfigError, match="scene: min_extent"):
+        config_from_obj({"scene": {"shape_families": ["rect", "ell"],
+                                   "min_extent": 1}})
+
+
+def test_small_distractors_are_rejected_only_when_drawn():
+    # distractors are drawn from every family, ell included
+    with pytest.raises(ConfigError, match="proposal: distractor_extent"):
+        config_from_obj({"proposal": {"distractor_extent": [1, 1]}})
+    cfg = config_from_obj({"proposal": {"distractor_count": 0,
+                                        "distractor_extent": [1, 1]}})
+    assert cfg.proposal.distractor_extent == (1, 1)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "optimizer", "sgd"),
+    ("train", "scorer_kind", "linear"),
+    ("train", "aug_sign", -1.0),
+    ("inference", "center_scores", False),
+    ("loss", "w_cls", 1.0),
+])
+def test_retired_setting_keys_are_rejected(section, key, value):
+    # even the value every run used is refused: the key itself is gone
+    with pytest.raises(ConfigError, match=f"{section}: unknown keys.*{key}"):
+        config_from_obj({section: {key: value}})
+
+
+@st.composite
+def _drawing_fields(draw):
+    """Scene and proposal drawing fields, drawn around the load-time bounds
+    so that both sides of each bound occur."""
+    margin = draw(st.integers(-1, 4))
+    hi = draw(st.integers(0, 14))
+    side = 2 * margin + 2 * (hi // 2) + 1
+    families = draw(st.sampled_from([
+        ["rect", "ellipse", "ell"], ["rect"], ["ellipse"], ["ell"],
+        ["rect", "ellipse"], ["rect", "ell"], ["ellipse", "ell"], [],
+        ["triangle"], ["rect", "triangle"]]))
+    d_lo = draw(st.integers(-1, 10))
+    scene = {
+        "height": side + draw(st.integers(-1, 12)),
+        "width": side + draw(st.integers(-1, 12)),
+        "margin": margin,
+        "min_extent": hi - draw(st.integers(-1, 6)),
+        "max_extent": hi,
+        "shape_families": families,
+        "max_place_attempts": 20,
+    }
+    proposal = {
+        "distractor_count": draw(st.integers(0, 4)),
+        "distractor_extent": [d_lo, d_lo + draw(st.integers(-1, 6))],
+    }
+    return scene, proposal
+
+
+@settings(max_examples=600, deadline=None)
+@given(fields=_drawing_fields(), seed=st.integers(0, 2**16))
+def test_drawing_fields_load_and_draw_or_are_rejected(fields, seed):
+    # every drawing config the loader accepts draws a scene, or fails with
+    # one of the two errors that name a crowded frame or an empty pool
+    scene, proposal = fields
+    try:
+        cfg = config_from_obj({"scene": scene, "proposal": proposal})
+    except ConfigError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rec = make_scene(cfg.scene, cfg.proposal, seed, 0)
+        except (PlacementError, EmptyPoolError):
+            return
+    assert rec.num_proposals >= 1
+    assert all(g.mask.any() for g in rec.gt)

@@ -45,14 +45,13 @@ def _scatter_refine_backward(stack, eu, ev, w, delta, q_final):
     return q
 
 
-def _loop_greedy_labels(g, ann_classes, thresholds, ovl, t, enforce):
+def _loop_greedy_labels(g, ann_classes, tau, ovl, t, enforce):
     """Reference greedy selection: marks suppressed proposals one by one."""
     p = g.shape[0]
     labels = np.zeros(p, dtype=np.int64)
     selected = np.zeros(p, dtype=np.bool_)
     for idx in range(ann_classes.shape[0]):
         j = ann_classes[idx]
-        tau = thresholds[idx]
         order = np.argsort(-g[:, j], kind="stable")
         suppressed = np.zeros(p, dtype=np.bool_)
         taken = 0
@@ -169,9 +168,7 @@ def test_greedy_matches_per_proposal_loop_bitwise(data):
         min_size=p, max_size=p)))
     classes = np.array(sorted(data.draw(st.sets(st.integers(1, c), min_size=1))),
                        dtype=np.int64)
-    thresholds = np.array(data.draw(st.lists(
-        st.sampled_from([-1.0, 0.0, 0.5]), min_size=classes.size,
-        max_size=classes.size)))
+    tau = data.draw(st.sampled_from([-1.0, 0.0, 0.5]))
     ovl = np.array(data.draw(st.lists(
         st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
                  min_size=p, max_size=p),
@@ -179,10 +176,10 @@ def test_greedy_matches_per_proposal_loop_bitwise(data):
     np.fill_diagonal(ovl, 1.0)
     t = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
     enforce = data.draw(st.booleans())
-    got_labels, got_status = greedy_labels(g, classes, thresholds,
+    got_labels, got_status = greedy_labels(g, classes, tau,
                                            keep_masks(ovl, t), enforce)
-    want_labels, want_status = _loop_greedy_labels(g, classes, thresholds,
-                                                   ovl, t, enforce)
+    want_labels, want_status = _loop_greedy_labels(g, classes, tau, ovl, t,
+                                                   enforce)
     assert got_status == want_status
     assert got_labels.dtype == want_labels.dtype
     assert got_labels.tobytes() == want_labels.tobytes()
@@ -246,14 +243,14 @@ def _keep(p):
 def test_greedy_takes_descending_until_threshold():
     g = np.array([[0.0, 5.0], [0.0, 3.0], [0.0, -1.0]])
     labels, status = greedy_labels(g, np.array([1], dtype=np.int64),
-                                   np.zeros(1), _keep(3), False)
+                                   0.0, _keep(3), False)
     assert status == OK
     np.testing.assert_array_equal(labels, [1, 1, 0])
 
 
 def test_greedy_threshold_is_strict():
     g = np.array([[0.0, 2.0], [0.0, 0.0]])
-    labels, _ = greedy_labels(g, np.array([1], dtype=np.int64), np.zeros(1),
+    labels, _ = greedy_labels(g, np.array([1], dtype=np.int64), 0.0,
                               _keep(2), False)
     np.testing.assert_array_equal(labels, [1, 0])
 
@@ -265,7 +262,7 @@ def test_greedy_suppression_is_class_local_and_one_directional():
     ovl = _ovl(3)
     ovl[0, 1] = 0.8
     labels, status = greedy_labels(g, np.array([1, 2], dtype=np.int64),
-                                   np.zeros(2), keep_masks(ovl, 0.5), False)
+                                   0.0, keep_masks(ovl, 0.5), False)
     assert status == OK
     np.testing.assert_array_equal(labels, [1, 2, 1])
 
@@ -274,7 +271,7 @@ def test_greedy_selected_proposals_excluded_globally():
     # class 1 takes proposal 0; class 2's best is also 0 but must take 1
     g = np.array([[0.0, 5.0, 9.0], [0.0, -1.0, 2.0]])
     labels, status = greedy_labels(g, np.array([1, 2], dtype=np.int64),
-                                   np.zeros(2), _keep(2), False)
+                                   0.0, _keep(2), False)
     assert status == OK
     np.testing.assert_array_equal(labels, [1, 2])
 
@@ -284,7 +281,7 @@ def test_greedy_tie_goes_to_lower_index():
     ovl = _ovl(2)
     ovl[0, 1] = 0.9
     ovl[1, 0] = 0.9
-    labels, _ = greedy_labels(g, np.array([1], dtype=np.int64), np.zeros(1),
+    labels, _ = greedy_labels(g, np.array([1], dtype=np.int64), 0.0,
                               keep_masks(ovl, 0.5), False)
     np.testing.assert_array_equal(labels, [1, 0])
 
@@ -292,7 +289,7 @@ def test_greedy_tie_goes_to_lower_index():
 def test_greedy_enforce_forces_first_take_below_threshold():
     g = np.array([[0.0, -2.0], [0.0, -5.0]])
     labels, status = greedy_labels(g, np.array([1], dtype=np.int64),
-                                   np.zeros(1), _keep(2), True)
+                                   0.0, _keep(2), True)
     assert status == OK
     np.testing.assert_array_equal(labels, [1, 0])
 
@@ -300,7 +297,7 @@ def test_greedy_enforce_forces_first_take_below_threshold():
 def test_greedy_without_enforce_takes_nothing_below_threshold():
     g = np.array([[0.0, -2.0], [0.0, -5.0]])
     labels, status = greedy_labels(g, np.array([1], dtype=np.int64),
-                                   np.zeros(1), _keep(2), False)
+                                   0.0, _keep(2), False)
     assert status == OK
     np.testing.assert_array_equal(labels, [0, 0])
 
@@ -309,7 +306,7 @@ def test_greedy_exhausted_when_no_proposal_left_for_class():
     # one proposal, two annotated classes: class 1 takes it, class 2 starves
     g = np.array([[0.0, 4.0, 4.0]])
     labels, status = greedy_labels(g, np.array([1, 2], dtype=np.int64),
-                                   np.zeros(2), _keep(1), True)
+                                   0.0, _keep(1), True)
     assert status == EXHAUSTED
 
 

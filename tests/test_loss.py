@@ -11,7 +11,7 @@ def test_per_proposal_cost_is_scaled_mismatch_indicator():
     assert delta(np.array([2]), np.array([2]), cfg) == 0.0
     assert delta(np.array([1]), np.array([2]), cfg) == 1.0
     assert delta(np.array([0]), np.array([1]), cfg) == 1.0  # background miss counts fully
-    cfg = LossConfig(w_cls=2.0, lambda_cls=0.5)
+    cfg = LossConfig(lambda_cls=1.0)
     assert delta(np.array([1]), np.array([0]), cfg) == 1.0
     # and it is the matching entry of the cost table
     for c1 in range(3):
@@ -22,7 +22,7 @@ def test_per_proposal_cost_is_scaled_mismatch_indicator():
 
 def test_cost_row_zero_on_reference_entry_everywhere_else_lambda():
     y_ref = np.array([0, 2, 1])
-    row = cost_row(y_ref, num_classes=2, cfg=LossConfig(w_cls=3.0, lambda_cls=2.0))
+    row = cost_row(y_ref, num_classes=2, cfg=LossConfig(lambda_cls=6.0))
     want = np.full((3, 3), 6.0)
     want[0, 0] = 0.0
     want[1, 2] = 0.0
@@ -31,7 +31,7 @@ def test_cost_row_zero_on_reference_entry_everywhere_else_lambda():
 
 
 def test_identity_matching_is_weighted_hamming():
-    cfg = LossConfig(w_cls=1.5, lambda_cls=2.0)
+    cfg = LossConfig(lambda_cls=3.0)
     same = delta(np.array([1, 2]), np.array([1, 2]), cfg)
     assert same == 0.0
     assert isinstance(same, float)

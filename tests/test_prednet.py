@@ -62,13 +62,13 @@ def _mc_expected_loss(state, y, cfg, n_draws, seed):
     u = rng.random(size=(n_draws, p))
     draws = (u[:, :, None] > cum[None, :, :]).sum(axis=2)
     mism = (draws != y[None, :]).sum(axis=1).astype(np.float64)
-    vals = cfg.w_cls * cfg.lambda_cls * mism
+    vals = cfg.lambda_cls * mism
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_draws))
 
 
 def test_expected_loss_closed_form_matches_monte_carlo():
     rng = np.random.default_rng(17)
-    cfg = LossConfig(w_cls=1.25, lambda_cls=0.8)
+    cfg = LossConfig(lambda_cls=1.0)
     for seed in range(3):
         state = softmax_rows(rng.normal(size=(4, 3)))
         y = rng.integers(0, 3, size=4)

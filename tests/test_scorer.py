@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from annoconsist.prednet import pred_init
 from annoconsist.scorer import (
     NOISE_DIM,
     CondParams,
@@ -13,6 +16,7 @@ from annoconsist.scorer import (
     score_vjp,
     scorer_input,
 )
+from annoconsist.train import load_checkpoint, save_checkpoint
 
 from conftest import make_record, rect_mask
 
@@ -62,13 +66,11 @@ def test_linear_scorer_zero_init_scores_zero():
         score_from_input(params, scorer_input(rec, z)), 0.0)
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
-def test_score_vjp_matches_finite_differences(kind):
+def test_score_vjp_matches_finite_differences():
     rng = np.random.default_rng(31)
     rec = _record()
-    params = cond_init(rec.num_classes, kind=kind, rng=rng)
-    for name, arr in params.arrays().items():
-        arr += rng.normal(0.0, 0.3, size=arr.shape)
+    params = cond_init(rec.num_classes)
+    params.w += rng.normal(0.0, 0.3, size=params.w.shape)
     z = draw_noise(3, rec.scene_id, 1)
     x = scorer_input(rec, z)
     q = rng.normal(size=(3, rec.num_classes + 1))
@@ -78,48 +80,36 @@ def test_score_vjp_matches_finite_differences(kind):
 
     grad = score_vjp(params, x, q)
     h = 1e-6
-    for name, arr in params.arrays().items():
-        g = grad.arrays()[name]
-        it = np.nditer(arr, flags=["multi_index"])
-        checked = 0
-        for _ in it:
-            idx = it.multi_index
-            pert = params.copy()
-            pert.arrays()[name][idx] += h
-            up = loss(pert)
-            pert.arrays()[name][idx] -= 2 * h
-            dn = loss(pert)
-            fd = (up - dn) / (2 * h)
-            assert abs(fd - g[idx]) <= 1e-4 * max(1.0, abs(fd))
-            checked += 1
-            if checked >= 40:  # spot-check large arrays
-                break
+    it = np.nditer(params.w, flags=["multi_index"])
+    checked = 0
+    for _ in it:
+        idx = it.multi_index
+        pert = params.copy()
+        pert.w[idx] += h
+        up = loss(pert)
+        pert.w[idx] -= 2 * h
+        dn = loss(pert)
+        fd = (up - dn) / (2 * h)
+        assert abs(fd - grad.w[idx]) <= 1e-4 * max(1.0, abs(fd))
+        checked += 1
+        if checked >= 40:  # spot-check large arrays
+            break
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
-def test_score_grad_picks_single_entry(kind):
+def test_score_grad_picks_single_entry():
     # the gradient of the single entry F[u, c], in closed form
     rng = np.random.default_rng(33)
     rec = _record()
-    params = cond_init(rec.num_classes, kind=kind, rng=rng)
-    for _, arr in params.arrays().items():
-        arr += rng.normal(0.0, 0.2, size=arr.shape)
+    params = cond_init(rec.num_classes)
+    params.w += rng.normal(0.0, 0.2, size=params.w.shape)
     x = scorer_input(rec, draw_noise(1, rec.scene_id, 0))
     u, c = 1, 2
     q = np.zeros((3, rec.num_classes + 1))
     q[u, c] = 1.0
     grad = score_vjp(params, x, q)
-    if kind == "linear":
-        want = np.zeros_like(params.w)
-        want[c] = x[u]
-        np.testing.assert_allclose(grad.w, want)
-        return
-    h = np.tanh(params.w1 @ x[u])
-    want_w2 = np.zeros_like(params.w2)
-    want_w2[c] = h
-    np.testing.assert_allclose(grad.w2, want_w2)
-    np.testing.assert_allclose(
-        grad.w1, np.outer(params.w2[c] * (1.0 - h * h), x[u]))
+    want = np.zeros_like(params.w)
+    want[c] = x[u]
+    np.testing.assert_allclose(grad.w, want)
 
 
 def test_draw_noise_deterministic_and_uniform_range():
@@ -136,18 +126,19 @@ def test_draw_noise_deterministic_and_uniform_range():
 
 
 def test_axpy_accumulates_in_place():
-    a = CondParams(kind="linear", w=np.ones((2, 3)))
-    b = CondParams(kind="linear", w=np.full((2, 3), 2.0))
+    a = CondParams(w=np.ones((2, 3)))
+    b = CondParams(w=np.full((2, 3), 2.0))
     axpy(a, b, 0.5)
     np.testing.assert_allclose(a.w, 2.0)
 
 
-def test_cond_init_mlp_needs_rng_symmetry_break():
-    p = cond_init(3, kind="mlp", rng=np.random.default_rng(0))
-    assert p.w1.std() > 0.0
-    np.testing.assert_array_equal(p.w2, 0.0)
-
-
-def test_unknown_scorer_kind_rejected():
-    with pytest.raises(ValueError):
-        cond_init(3, kind="rbf")
+def test_unknown_scorer_kind_rejected(tmp_path):
+    # the scorer is linear; a checkpoint of any other kind does not load
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(str(path), cond_init(3), pred_init(3))
+    obj = json.loads(path.read_text())
+    for kind in ("mlp", "rbf"):
+        obj["cond"]["kind"] = kind
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="scorer kind"):
+            load_checkpoint(str(path))

@@ -19,18 +19,16 @@ from annoconsist.loss import LossConfig, cost_row
 from annoconsist.masks import inner_boundary, tight_box
 from annoconsist.prednet import PredParams, pred_init, predict
 from annoconsist.scenes import Seed
-from annoconsist.scorer import axpy, cond_init, feature_dim, features, score_vjp
+from annoconsist.scorer import (CondParams, axpy, cond_init, feature_dim,
+                                features, score_vjp)
 from annoconsist.synthgen import ProposalConfig, SceneConfig, make_dataset
 from annoconsist.train import (
-    Optimizer,
     TrainConfig,
     TrainingError,
     cond_grad,
     empirical_distribution,
-    cond_zeros_like,
     fit,
     load_checkpoint,
-    loss_augmented_infer,
     pred_grad,
     pred_objective,
     prepare_records,
@@ -38,6 +36,7 @@ from annoconsist.train import (
     save_checkpoint,
     seed_labeling,
     selection_matrix,
+    sgd_step,
     write_log_csv,
 )
 
@@ -48,8 +47,6 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(supervision="pixel")
     with pytest.raises(ValueError):
-        TrainConfig(optimizer="rmsprop")
-    with pytest.raises(ValueError):
         TrainConfig(k=0)
     with pytest.raises(ValueError):
         TrainConfig(epsilon=0.0)
@@ -58,8 +55,7 @@ def test_train_config_validation():
 def test_optimizer_sgd_step_and_raw_norm():
     params = PredParams(w=np.array([[1.0, 2.0]]))
     grad = PredParams(w=np.array([[3.0, 4.0]]))
-    opt = Optimizer("sgd", lr=0.1)
-    norm = opt.step(params, grad)
+    norm = sgd_step(params, grad, 0.1)
     assert norm == pytest.approx(5.0)
     np.testing.assert_allclose(params.w, [[1.0 - 0.3, 2.0 - 0.4]])
 
@@ -67,29 +63,17 @@ def test_optimizer_sgd_step_and_raw_norm():
 def test_optimizer_clips_update_but_reports_raw_norm():
     params = PredParams(w=np.array([[0.0, 0.0]]))
     grad = PredParams(w=np.array([[3.0, 4.0]]))
-    opt = Optimizer("sgd", lr=1.0, clip=1.0)
-    norm = opt.step(params, grad)
+    norm = sgd_step(params, grad, 1.0, clip=1.0)
     assert norm == pytest.approx(5.0)
     # update direction preserved, length capped at clip
     np.testing.assert_allclose(params.w, [[-0.6, -0.8]])
-
-
-def test_optimizer_adam_first_step_is_signwise():
-    params = PredParams(w=np.array([[1.0, -1.0, 0.5]]))
-    grad = PredParams(w=np.array([[2.0, -3.0, 0.0]]))
-    opt = Optimizer("adam", lr=0.01)
-    opt.step(params, grad)
-    # bias-corrected first step moves by lr * g / (|g| + eps)
-    np.testing.assert_allclose(params.w, [[0.99, -0.99, 0.5]], atol=1e-9)
 
 
 def test_optimizer_rejects_non_finite_gradients():
     params = PredParams(w=np.array([[0.0]]))
     grad = PredParams(w=np.array([[np.nan]]))
     with pytest.raises(TrainingError):
-        Optimizer("sgd", lr=0.1).step(params, grad)
-    with pytest.raises(ValueError):
-        Optimizer("adagrad", lr=0.1)
+        sgd_step(params, grad, 0.1)
 
 
 def test_empirical_distribution_counts_frequencies():
@@ -122,7 +106,7 @@ def _pred_record():
 def test_pred_objective_matches_diversity_terms():
     rng = np.random.default_rng(2)
     rec = _pred_record()
-    lcfg = LossConfig(w_cls=1.5, lambda_cls=0.5)
+    lcfg = LossConfig(lambda_cls=0.75)
     labels = rng.integers(0, 3, size=(4, 3))
     state = np.exp(rng.normal(size=(3, 3)))
     state /= state.sum(axis=1, keepdims=True)
@@ -198,7 +182,7 @@ def test_cond_grad_is_exactly_zero_when_the_task_loss_vanishes():
     icfg = InferenceConfig()
     samples = _manual_samples(params, rec, table, k=3, icfg=icfg)
     tcfg = TrainConfig(k=3)
-    lcfg = LossConfig(w_cls=0.0)  # every dissimilarity row is identically zero
+    lcfg = LossConfig(lambda_cls=0.0)  # every dissimilarity row is zero
     grad = cond_grad(params, rec, samples, np.array([1, 0]), tcfg, icfg, lcfg)
     assert (grad.w == 0.0).all()
 
@@ -206,7 +190,7 @@ def test_cond_grad_is_exactly_zero_when_the_task_loss_vanishes():
 def test_cond_grad_hand_case_two_proposals_one_class_two_draws():
     # fully hand-derived direct-loss-minimization step. Table
     #   g = [[0, 2], [0, 0.5]], reference [1, 0], samples both [1, 1].
-    # Pulled augmentation (-1) subtracts the cost row [[1,0],[0,1]]:
+    # Pulled augmentation subtracts the cost row [[1,0],[0,1]]:
     #   aug = [[-1, 2], [0, -0.5]] -> augmented labeling [1, 0].
     # Reference term per draw: (m_a - m_c) / (K * -eps)
     #   = [[0,0],[1,-1]] / -2 = [[0,0],[-0.5,0.5]].
@@ -219,7 +203,7 @@ def test_cond_grad_hand_case_two_proposals_one_class_two_draws():
     samples = _manual_samples(params, rec, table, k=2, icfg=icfg)
     np.testing.assert_array_equal(samples.labels, [[1, 1], [1, 1]])
     y_ref = np.array([1, 0])
-    tcfg = TrainConfig(k=2, gamma=0.5, epsilon=1.0, aug_sign=-1.0)
+    tcfg = TrainConfig(k=2, gamma=0.5, epsilon=1.0)
     grad = cond_grad(params, rec, samples, y_ref, tcfg, icfg, LossConfig())
     q = np.array([[0.0, 0.0], [-0.5, 0.5]])
     x = samples.x[0]
@@ -228,7 +212,7 @@ def test_cond_grad_hand_case_two_proposals_one_class_two_draws():
 
     # one descent step must demote the disputed entry g[1, 1] and promote
     # its background alternative
-    Optimizer("sgd", lr=0.05).step(params, grad)
+    sgd_step(params, grad, 0.05)
     g_new = _zero_noise_table(params, rec, icfg)
     assert g_new[1, 1] < table[1, 1]
     assert g_new[1, 0] > table[1, 0]
@@ -247,13 +231,12 @@ def test_cond_grad_anchor_mode_is_a_margin_update_toward_the_reference():
     icfg = InferenceConfig()
     y_ref = np.array([1, 0])
     tcfg = TrainConfig(k=2, gamma=0.0, epsilon=1.0)
-    opt = Optimizer("sgd", lr=0.1)
     for _ in range(12):
         samples = _manual_samples(params, rec,
                                   _zero_noise_table(params, rec, icfg), 2, icfg)
         grad = cond_grad(params, rec, samples, y_ref, tcfg, icfg, LossConfig(),
                          anchor=True)
-        opt.step(params, grad)
+        sgd_step(params, grad, 0.1)
     g = _zero_noise_table(params, rec, icfg)
     y = greedy_infer(g, rec.annotation, rec.geometry(), icfg)
     np.testing.assert_array_equal(y, y_ref)
@@ -267,8 +250,7 @@ def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
     kk = samples.k
     m = rec.num_classes + 1
     eye = np.eye(m)
-    eps = tcfg.aug_sign * tcfg.epsilon
-    ref_eps = -tcfg.epsilon if anchor else eps
+    eps = -tcfg.epsilon
     gamma = 0.0 if tcfg.cond_pointwise else tcfg.gamma
 
     def infer(table):
@@ -282,12 +264,12 @@ def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
         aug_pairs = [eps * cost_row(samples.labels[k2], rec.num_classes, lcfg)
                      for k2 in range(kk)]
         pair_coef = 2.0 * gamma / (kk * (kk - 1) * eps)
-    total = cond_zeros_like(params)
+    total = CondParams(w=np.zeros_like(params.w))
     for k in range(kk):
         g = samples.g[k]
         m_c = eye[samples.labels[k]]
         m_a = eye[y_ref] if anchor else eye[infer(g + aug_ref)]
-        q = (m_a - m_c) / (kk * ref_eps)
+        q = (m_a - m_c) / (kk * eps)
         if aug_pairs is not None:
             for k2 in range(kk):
                 if k2 != k:
@@ -337,25 +319,6 @@ def test_cond_grad_on_the_draw_stack_matches_a_per_draw_loop(
         assert got_calls == want_calls
         per_draw = (0 if anchor else 1) + (tcfg.k - 1 if gamma else 0)
         assert len(got_calls) == tcfg.k * per_draw
-
-
-def test_loss_augmented_inference_sign_semantics():
-    rec = _cond_record()
-    g = np.array([[0.0, 0.4], [0.0, 0.6]])
-    y_ref = np.zeros(2, dtype=np.int64)  # reference: everything background
-    icfg = InferenceConfig()
-    lcfg = LossConfig()
-    # pushed away from the reference: foreground entries gain +eps and both
-    # clear the threshold
-    away = loss_augmented_infer(g, y_ref, rec, icfg, lcfg, sign=+1.0, eps=1.0)
-    np.testing.assert_array_equal(away, [1, 1])
-    # pulled toward the reference: both drop below the threshold; only the
-    # forced take survives, and without forcing nothing does
-    toward = loss_augmented_infer(g, y_ref, rec, icfg, lcfg, sign=-1.0, eps=1.0)
-    np.testing.assert_array_equal(toward, [0, 1])
-    free = loss_augmented_infer(g, y_ref, rec, icfg, lcfg, sign=-1.0, eps=1.0,
-                                enforce=False)
-    np.testing.assert_array_equal(free, [0, 0])
 
 
 def test_seed_labeling_prefers_boundary_aligned_extent():
@@ -506,16 +469,15 @@ def test_fit_pointwise_variants_run_and_stay_finite():
 
 def test_checkpoint_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(7)
-    cond = cond_init(3, kind="mlp", rng=rng)
-    cond.w2 = rng.normal(size=cond.w2.shape)
+    cond = cond_init(3)
+    cond.w = rng.normal(size=cond.w.shape)
     pred = pred_init(3)
     pred.w = rng.normal(size=pred.w.shape)
     path = tmp_path / "ckpt.json"
     save_checkpoint(str(path), cond, pred, meta={"outer": 3})
+    assert json.loads(path.read_text())["cond"]["kind"] == "linear"
     cond2, pred2, meta = load_checkpoint(str(path))
-    assert cond2.kind == "mlp"
-    np.testing.assert_array_equal(cond2.w1, cond.w1)
-    np.testing.assert_array_equal(cond2.w2, cond.w2)
+    np.testing.assert_array_equal(cond2.w, cond.w)
     np.testing.assert_array_equal(pred2.w, pred.w)
     assert meta == {"outer": 3}
 
