@@ -4,6 +4,11 @@ All three diversity terms use the weighted Hamming task loss on the
 shared pool. div_pc takes the exact expectation over the factorized
 state and the empirical mean over the K samples; div_cc is the unbiased
 k != k' sample estimator; div_pp is exact on both sides.
+
+On the predictor side the samples matter only through one (P, C+1)
+class-frequency table q̄ per sample batch: train builds it once per batch
+for the predictor gradient. div_pc itself sums per draw over the (K, P)
+label stack, so it matches the per-draw expectation bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .loss import LossConfig, delta
-from .prednet import expected_loss_vs_sample, self_diversity_pred
+from .prednet import self_diversity_pred
 
 
 class DiscParts(NamedTuple):
@@ -24,9 +29,12 @@ class DiscParts(NamedTuple):
 
 
 def div_pc(state: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> float:
-    """(1/K) sum_k E_state Delta(y_p, y_c^k)."""
-    k = labels.shape[0]
-    return sum(expected_loss_vs_sample(state, labels[i], cfg) for i in range(k)) / k
+    """(1/K) sum_k E_state Delta(y_p, y_c^k) over the (K, P) label stack.
+    Draw k's term is lambda * sum_u (1 - state[u, y^k_u]); the K terms are
+    summed in draw order."""
+    k, p = labels.shape
+    per_draw = cfg.lambda_cls * (1.0 - state[np.arange(p), labels]).sum(axis=1)
+    return sum(per_draw.tolist()) / k
 
 
 def div_cc(labels: np.ndarray, rec, cfg: LossConfig) -> float:
@@ -35,11 +43,12 @@ def div_cc(labels: np.ndarray, rec, cfg: LossConfig) -> float:
     k = labels.shape[0]
     if k < 2:
         raise ValueError("div_cc needs at least two samples")
+    rows = list(labels)
     acc = 0.0
     for i in range(k):
         for j in range(k):
             if i != j:
-                acc += delta(labels[i], labels[j], cfg)
+                acc += delta(rows[i], rows[j], cfg)
     return acc / (k * (k - 1))
 
 

@@ -20,11 +20,10 @@ class LossConfig:
 
 def cost_row(y_ref: np.ndarray, num_classes: int, cfg: LossConfig) -> np.ndarray:
     """(P, C+1) table of the cost of labeling proposal u with class c when
-    the reference says y_ref[u], for every entry."""
-    p = y_ref.shape[0]
-    out = np.full((p, num_classes + 1), cfg.lambda_cls, dtype=np.float64)
-    out[np.arange(p), y_ref] = 0.0
-    return out
+    the reference says y_ref[u], for every entry. A stack of labelings of
+    shape (..., P) gives one table per labeling, (..., P, C+1)."""
+    hit = y_ref[..., None] == np.arange(num_classes + 1)
+    return np.where(hit, 0.0, float(cfg.lambda_cls))
 
 
 def delta(y1: np.ndarray, y2: np.ndarray, cfg: LossConfig) -> float:

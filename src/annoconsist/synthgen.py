@@ -97,6 +97,11 @@ class SceneConfig:
                 raise ValueError(
                     f"{name} must be at least {side} to hold shapes of "
                     f"max_extent {self.max_extent} with margin {self.margin}")
+        sf = self.seed_fraction
+        if (not isinstance(sf, (tuple, list)) or len(sf) != 2
+                or not 0.0 <= sf[0] <= sf[1] <= 1.0):
+            raise ValueError("seed_fraction must be a (low, high) pair with "
+                             "0 <= low <= high <= 1")
 
 
 @dataclass
@@ -118,6 +123,11 @@ class ProposalConfig:
     def __post_init__(self):
         if self.p_target < 1:
             raise ValueError("p_target must be at least 1")
+        # a negative count would silently act as 0
+        for name in ("erode_px", "dilate_px", "shift_px", "splits",
+                     "distractor_count", "min_area"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if (len(self.distractor_extent) != 2
                 or self.distractor_extent[0] > self.distractor_extent[1]):
             raise ValueError("distractor_extent must be a (min, max) pair "

@@ -4,7 +4,10 @@ The conditional scorer is trained by direct loss minimization: each
 gradient comes from comparing the greedy labeling of a score table with
 the greedy labeling of the same table augmented by a scaled dissimilarity
 row. The prediction distribution has a closed-form gradient because it
-factorizes over proposals.
+factorizes over proposals. That gradient reads a sample batch only
+through one (P, C+1) class-frequency table q̄ per scene
+(empirical_distribution), which a pred phase builds once after sampling
+and shares across its epochs.
 
 The schedule is: an initialization phase that anchors the conditional to
 seed-derived labelings, then alternating predictor / conditional phases,
@@ -176,8 +179,8 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
         ref_tables = samples.g + eps * cost_row(y_ref, rec.num_classes,
                                                 loss_cfg)
     if pairs:
-        aug_pairs = eps * np.stack([cost_row(y, rec.num_classes, loss_cfg)
-                                    for y in samples.labels])
+        # row k2 augments toward draw k2's labeling
+        aug_pairs = eps * cost_row(samples.labels, rec.num_classes, loss_cfg)
         pair_tables = samples.g[:, None] + aug_pairs[None, :]
         pair_coef = 2.0 * gamma / (kk * (kk - 1) * eps)
     # greedy calls in draw-major order: the reference call, then k2
@@ -198,11 +201,12 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
     m_a = selection_matrix(y_ref if anchor else y_a, m)
     q = (m_a - m_c) / (kk * eps)
     if pairs:
-        m_b = selection_matrix(y_b, m)
-        # each draw's table gets its pairwise terms in k2 order
+        d = pair_coef * (m_c[:, None] - selection_matrix(y_b, m))
+        # each draw's table gets its pairwise terms in k2 order; draw k2
+        # takes none from itself
         for k2 in range(kk):
-            others = np.arange(kk) != k2
-            q[others] += pair_coef * (m_c[others] - m_b[others, k2])
+            q[:k2] += d[:k2, k2]
+            q[k2 + 1:] += d[k2 + 1:, k2]
     if samples.refined:
         q = refine_backward(samples.stack, rec.adjacency, inf_cfg, q)
     total = CondParams(w=np.zeros_like(params.w))
@@ -212,12 +216,13 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
 
 
 def empirical_distribution(labels: np.ndarray, m: int) -> np.ndarray:
-    """(P, C+1) per-proposal class frequencies across the K draws."""
+    """(P, C+1) per-proposal class frequencies q̄ = n / K of a (K, P) label
+    stack, where n[u, c] counts the draws that give proposal u class c.
+    The counts are exact, so q̄ equals adding 1.0 per draw and dividing by
+    K, bit for bit."""
     kk, p = labels.shape
-    out = np.zeros((p, m), dtype=np.float64)
-    for k in range(kk):
-        out[np.arange(p), labels[k]] += 1.0
-    return out / kk
+    n = np.bincount((np.arange(p) * m + labels).ravel(), minlength=p * m)
+    return n.reshape(p, m) / kk
 
 
 def pred_objective(state: np.ndarray, labels: np.ndarray,
@@ -237,12 +242,13 @@ def pred_objective(state: np.ndarray, labels: np.ndarray,
     return lam * val
 
 
-def pred_grad(params: PredParams, rec, labels: np.ndarray,
+def pred_grad(params: PredParams, rec, qbar: np.ndarray,
               loss_cfg: LossConfig, gamma: float,
               pointwise: bool) -> PredParams:
-    """Exact gradient of pred_objective for one scene."""
+    """Exact gradient of pred_objective for one scene. qbar is the sample
+    batch's empirical_distribution, the only thing the gradient reads of
+    the samples."""
     p = predict(params, rec)
-    qbar = empirical_distribution(labels, p.shape[1])
     lam = loss_cfg.lambda_cls
     pdotq = np.sum(p * qbar, axis=1, keepdims=True)
     dz = -(p * qbar - p * pdotq)
@@ -390,10 +396,11 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
                           zero_noise=tcfg.cond_pointwise, noise_tag=tag)
                  for rec in records]
         feas = _feasible_fractions(records, batch, icfg)
+        qbars = [empirical_distribution(s.labels, c + 1) for s in batch]
         for epoch in range(tcfg.pred_epochs):
             norms = []
             for i, rec in enumerate(records):
-                grad = pred_grad(pred, rec, batch[i].labels, lcfg, tcfg.gamma,
+                grad = pred_grad(pred, rec, qbars[i], lcfg, tcfg.gamma,
                                  tcfg.pred_pointwise)
                 norms.append(sgd_step(pred, grad, tcfg.lr_pred,
                                       tcfg.clip_grad))

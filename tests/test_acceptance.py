@@ -50,6 +50,7 @@ from annoconsist.synthgen import make_dataset
 from annoconsist.train import (
     TrainConfig,
     cond_grad,
+    empirical_distribution,
     evaluate_params,
     fit,
     pred_grad,
@@ -294,7 +295,8 @@ def test_analytic_gradients_match_finite_differences():
             params = PredParams(w=w)
             labels = rng.integers(0, 3, size=(3, rec.num_proposals))
             pointwise = i % 4 == 3
-            analytic = pred_grad(params, rec, labels, LossConfig(), 0.5, pointwise)
+            qbar = empirical_distribution(labels, rec.num_classes + 1)
+            analytic = pred_grad(params, rec, qbar, LossConfig(), 0.5, pointwise)
             fd = _fd_grad(
                 lambda: pred_objective(predict(params, rec), labels,
                                        LossConfig(), 0.5, pointwise),

@@ -269,6 +269,59 @@ def test_box_checks_match_per_proposal_box_iou_loops(rects, repeats, boxes,
             _loop_feasible(labels, ann, geom, cfg)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_greedy_result_is_consistent_and_respects_suppression(data):
+    # under enforce, every result that does not raise is annotation-
+    # consistent, with boxes or without; and a proposal taken by the
+    # threshold pass never covers a later take of its class by more than
+    # overlap_t. Box-forced covers ignore suppression, so the overlap check
+    # reads results that have none: no boxes, or enforce off.
+    rects = data.draw(st.lists(_rect, min_size=1, max_size=8))
+    masks = [rect_mask(12, 12, y, y + h, x, x + w) for y, x, h, w in rects]
+    present = data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2,
+                                 unique=True))
+    boxes = None
+    if data.draw(st.booleans()):
+        picks = data.draw(st.lists(
+            st.tuples(st.sampled_from(present),
+                      st.one_of(_rect, st.integers(0, len(rects) - 1))),
+            min_size=1, max_size=3))
+        boxes = []
+        for j, r in picks:
+            y, x, h, w = rects[r] if isinstance(r, int) else r
+            boxes.append((j, Box(x, y, x + w - 1, y + h - 1)))
+    rec = make_record(masks, present, num_classes=2, boxes=boxes,
+                      size=(12, 12))
+    geom, ann = rec.geometry(), rec.annotation
+    cfg = InferenceConfig(
+        overlap_t=data.draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+        box_rho=data.draw(st.sampled_from([0.3, 0.5, 0.8])),
+        select_threshold=data.draw(st.sampled_from([-1.0, 0.0, 1.0])))
+    g = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([-1.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3),
+                 min_size=3, max_size=3),
+        min_size=len(masks), max_size=len(masks))))
+    for enforce in (True, False):
+        try:
+            labels = greedy_infer(g, ann, geom, cfg, enforce=enforce)
+        except InferenceError:
+            assert enforce  # only the enforced passes can run out
+            continue
+        assert set(labels.tolist()) <= {0, *present}
+        if enforce:
+            assert higher_order_feasible(labels, ann, geom, cfg)
+        if boxes is not None and enforce:
+            continue
+        for j in present:
+            # take order: descending score, ties to the lower id
+            order = np.argsort(-g[:, j], kind="stable")
+            taken = [u for u in order.tolist() if labels[u] == j]
+            for a, i in enumerate(taken):
+                for l in taken[a + 1:]:
+                    assert geom.ovl[i, l] <= cfg.overlap_t
+
+
 def test_total_score_sums_selected_entries_or_is_minus_inf():
     rec = make_record([rect_mask(8, 8, 0, 4, 0, 4),
                        rect_mask(8, 8, 4, 8, 4, 8)], [1])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annoconsist.cli import EXIT_OK, EXIT_USAGE, run
 from annoconsist.config import (
     ConfigError,
     EvalConfig,
@@ -166,6 +167,20 @@ def test_shipped_reference_and_smoke_configs_parse(tmp_path):
     ("scene", "shape_families", ["triangle"]),
     ("scene", "shape_families", ["rect", "triangle"]),
     ("proposal", "distractor_extent", [1, 11]),
+    ("scene", "seed_fraction", [0.45, 0.25]),
+    ("scene", "seed_fraction", [-0.1, 0.25]),
+    ("scene", "seed_fraction", [0.25, 1.5]),
+    ("scene", "seed_fraction", [0.25, float("inf")]),
+    ("scene", "seed_fraction", [float("nan"), 0.25]),
+    ("scene", "seed_fraction", [0.25]),
+    ("scene", "seed_fraction", [0.1, 0.2, 0.3]),
+    ("scene", "seed_fraction", 0.3),
+    ("proposal", "erode_px", -1),
+    ("proposal", "dilate_px", -1),
+    ("proposal", "shift_px", -1),
+    ("proposal", "splits", -1),
+    ("proposal", "distractor_count", -1),
+    ("proposal", "min_area", -1),
 ])
 def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     with pytest.raises(ConfigError, match=f"{section}: {key}"):
@@ -192,6 +207,15 @@ def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     ("scene", "margin", 0),
     ("scene", "shape_families", ("ell",)),
     ("proposal", "distractor_extent", (2, 11)),
+    ("scene", "seed_fraction", (0.0, 0.0)),
+    ("scene", "seed_fraction", (0.3, 0.3)),
+    ("scene", "seed_fraction", (0.0, 1.0)),
+    ("proposal", "erode_px", 0),
+    ("proposal", "dilate_px", 0),
+    ("proposal", "shift_px", 0),
+    ("proposal", "splits", 0),
+    ("proposal", "distractor_count", 0),
+    ("proposal", "min_area", 0),
 ])
 def test_range_endpoints_are_accepted(section, key, value):
     cfg = config_from_obj({section: {key: value}})
@@ -218,6 +242,32 @@ def test_distractors_must_fit_the_frame():
                             "proposal": {"distractor_count": 0}})
     assert config_from_obj({"scene": scene,
                             "proposal": {"distractor_extent": [6, 9]}})
+
+
+@pytest.mark.parametrize("section, key, bad, edge", [
+    ("scene", "seed_fraction", [0.45, 0.25], [0.45, 0.45]),
+    ("proposal", "erode_px", -1, 0),
+    ("proposal", "shift_px", -1, 0),
+    ("proposal", "dilate_px", -1, 0),
+])
+def test_gen_rejects_bad_drawing_values_with_usage_exit(tmp_path, capsys,
+                                                        section, key, bad,
+                                                        edge):
+    # the bad value stops gen at load time with exit 2 and writes nothing;
+    # the bound itself is accepted and generates a dataset
+    with open("configs/smoke.json") as fh:
+        obj = json.load(fh)
+    obj[section][key] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "bad_data"
+    assert run(["gen", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert f"{section}: {key}" in capsys.readouterr().err
+    assert not out.exists()
+    obj[section][key] = edge
+    path.write_text(json.dumps(obj))
+    assert run(["gen", "--config", str(path),
+                "--out", str(tmp_path / "data")]) == EXIT_OK
 
 
 @pytest.mark.parametrize("key", ["w_box", "w_mask", "eps_mask", "iou_floor"])

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from annoconsist.disco import DiscParts, disc, div_cc, div_pc, div_pp
 from annoconsist.loss import LossConfig, delta
-from annoconsist.prednet import softmax_rows
+from annoconsist.prednet import expected_loss_vs_sample, softmax_rows
 
 from conftest import make_record, rect_mask
 
@@ -122,3 +125,28 @@ def test_identical_samples_have_zero_conditional_diversity():
     y = np.array([2, 1, 0])
     labels = np.stack([y] * 4)
     assert div_cc(labels, rec, cfg) == 0.0
+
+
+@st.composite
+def _state_and_label_stack(draw):
+    # pools up to 140 proposals, past numpy's 8-wide unrolled and 128-long
+    # pairwise summation blocks
+    p = draw(st.integers(1, 140))
+    m = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 12))
+    logits = draw(arrays(np.float64, (p, m),
+                         elements=st.floats(-30.0, 30.0)))
+    labels = draw(arrays(np.int64, (k, p), elements=st.integers(0, m - 1)))
+    return softmax_rows(logits), labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_state_and_label_stack(), st.sampled_from([1.0, 0.75, 2.5, 3]))
+def test_div_pc_over_the_label_stack_is_bit_identical_to_a_per_draw_loop(
+        state_labels, lam):
+    state, labels = state_labels
+    cfg = LossConfig(lambda_cls=lam)
+    k = labels.shape[0]
+    want = sum(expected_loss_vs_sample(state, labels[i], cfg)
+               for i in range(k)) / k
+    assert div_pc(state, labels, cfg) == want

@@ -37,3 +37,17 @@ def test_identity_matching_is_weighted_hamming():
     assert isinstance(same, float)
     assert delta(np.array([1, 2]), np.array([1, 0]), cfg) == pytest.approx(3.0)
     assert delta(np.array([2, 1]), np.array([1, 2]), cfg) == pytest.approx(6.0)
+
+
+@pytest.mark.parametrize("lam", [0.75, 1])
+def test_cost_row_over_a_label_stack_matches_each_labeling(lam):
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0, 4, size=(5, 7))
+    cfg = LossConfig(lambda_cls=lam)
+    stack = cost_row(labels, num_classes=3, cfg=cfg)
+    assert stack.shape == (5, 7, 4) and stack.dtype == np.float64
+    for k in range(5):
+        want = np.full((7, 4), lam, dtype=np.float64)
+        want[np.arange(7), labels[k]] = 0.0
+        assert stack[k].tobytes() == want.tobytes()
+        assert cost_row(labels[k], 3, cfg).tobytes() == want.tobytes()

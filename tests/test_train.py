@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from annoconsist.adjacency import build_adjacency
 from annoconsist import train as train_mod
@@ -83,6 +86,50 @@ def test_empirical_distribution_counts_frequencies():
     np.testing.assert_allclose(out.sum(axis=1), 1.0)
 
 
+def _per_draw_distribution(labels, m):
+    """q̄ by adding 1.0 per draw, then dividing by K."""
+    kk, p = labels.shape
+    out = np.zeros((p, m), dtype=np.float64)
+    for k in range(kk):
+        out[np.arange(p), labels[k]] += 1.0
+    return out / kk
+
+
+@st.composite
+def _label_stack(draw, p=None, m=None):
+    p = p or draw(st.integers(1, 70))
+    m = m or draw(st.integers(2, 6))
+    k = draw(st.integers(1, 12))
+    return draw(arrays(np.int64, (k, p), elements=st.integers(0, m - 1))), m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_label_stack())
+def test_empirical_distribution_is_bit_identical_to_a_per_draw_loop(stack):
+    labels, m = stack
+    got = empirical_distribution(labels, m)
+    assert got.shape == (labels.shape[1], m) and got.dtype == np.float64
+    assert got.tobytes() == _per_draw_distribution(labels, m).tobytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(_label_stack(p=3, m=4), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.4, 1.0]), st.booleans())
+def test_pred_grad_given_qbar_is_bit_identical_to_the_per_draw_table(
+        stack, seed, gamma, pointwise):
+    labels, m = stack
+    rec = _pred_record()
+    params = pred_init(rec.num_classes)
+    params.w = np.random.default_rng(seed).normal(scale=0.5,
+                                                   size=params.w.shape)
+    lcfg = LossConfig(lambda_cls=0.75)
+    got = pred_grad(params, rec, empirical_distribution(labels, m), lcfg,
+                    gamma, pointwise)
+    want = pred_grad(params, rec, _per_draw_distribution(labels, m), lcfg,
+                     gamma, pointwise)
+    assert got.w.tobytes() == want.w.tobytes()
+
+
 def test_selection_matrix_is_one_hot_score_selector():
     labels = np.array([2, 0, 1])
     sel = selection_matrix(labels, 3)
@@ -128,7 +175,8 @@ def test_pred_grad_matches_finite_differences(pointwise):
     labels = rng.integers(0, 3, size=(5, 3))
     params = pred_init(rec.num_classes)
     params.w = rng.normal(scale=0.3, size=params.w.shape)
-    grad = pred_grad(params, rec, labels, lcfg, gamma, pointwise)
+    qbar = empirical_distribution(labels, rec.num_classes + 1)
+    grad = pred_grad(params, rec, qbar, lcfg, gamma, pointwise)
 
     def objective(w):
         p = PredParams(w=w)
