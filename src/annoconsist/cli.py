@@ -104,7 +104,8 @@ def cmd_train(args) -> int:
     write_log_csv(os.path.join(args.out, "log.csv"), res.log)
     save_config(os.path.join(args.out, "config.json"), cfg)
     print(f"trained on {len(records)} scenes "
-          f"({res.skipped_scenes} skipped); train map50="
+          f"({res.skipped_scenes} skipped); "
+          f"{res.inference_failures} scene inference failures; train map50="
           f"{res.final_map50:.4f}; wrote {args.out}")
     return EXIT_OK
 

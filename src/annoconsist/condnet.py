@@ -76,18 +76,22 @@ def refine_backward(stack: np.ndarray, adjacency, cfg: InferenceConfig,
 
 
 def higher_order_feasible(labels: np.ndarray, ann: Annotation,
-                          geom: PoolGeometry, cfg: InferenceConfig) -> bool:
+                          geom: PoolGeometry,
+                          cfg: InferenceConfig) -> np.ndarray | bool:
     """Annotation consistency: every present class selected at least once;
     with boxes, every box covered by a selected proposal of its class whose
-    tight box reaches IoU box_rho."""
-    for j in ann.classes:
-        if not (labels == j).any():
-            return False
+    tight box reaches IoU box_rho.
+
+    labels is a (..., P) stack of labelings; the result holds one bool per
+    labeling, shape (...). A single (P,) labeling gives one bool.
+    """
+    ok = np.ones(labels.shape[:-1], dtype=np.bool_)
+    for j in ann.classes.tolist():
+        ok &= (labels == j).any(axis=-1)
     if ann.boxes is not None:
         for j, b in ann.boxes:
-            if not (geom.covering(b, cfg.box_rho) & (labels == j)).any():
-                return False
-    return True
+            ok &= (geom.covering(b, cfg.box_rho) & (labels == j)).any(axis=-1)
+    return ok if ok.ndim else bool(ok)
 
 
 def total_score(g: np.ndarray, labels: np.ndarray, ann: Annotation,
@@ -99,7 +103,8 @@ def total_score(g: np.ndarray, labels: np.ndarray, ann: Annotation,
 
 
 def greedy_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
-                 cfg: InferenceConfig, enforce: bool = True) -> np.ndarray:
+                 cfg: InferenceConfig, enforce: bool = True,
+                 memo: dict | None = None) -> np.ndarray:
     """Per-class greedy selection.
 
     Classes are visited in ascending id. Within a class, proposals are
@@ -109,40 +114,64 @@ def greedy_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
     score is at or below the threshold; with enforce=True the first take
     per class ignores the threshold, and box annotations additionally get
     a covering proposal forced in when the threshold pass missed them.
+
+    memo, when given, maps a table's bytes to the labels already computed
+    for it, and must only be shared by calls with the same ann, geom, cfg
+    and enforce. A request whose table bytes are in it returns the stored
+    labels without computing; a computed result is stored. Greedy is a
+    pure function of the table, so the answer is exact, ties and -0.0
+    included. Labels that pass through the memo are read-only. An
+    InferenceError is never stored, so it is raised on every request.
+    Each request is one greedy_infer call; each computed one is one
+    kernels.greedy_labels call.
     """
+    g = np.ascontiguousarray(g, dtype=np.float64)
+    if memo is not None:
+        key = g.tobytes()
+        labels = memo.get(key)
+        if labels is not None:
+            return labels
     classes = ann.classes
     if classes.size == 0:
-        return np.zeros(g.shape[0], dtype=np.int64)
-    labels, status = kernels.greedy_labels(
-        np.ascontiguousarray(g, dtype=np.float64),
-        classes,
-        float(cfg.select_threshold),
-        geom.keep_masks(cfg.overlap_t),
-        enforce,
-    )
-    if status == kernels.EXHAUSTED:
-        raise InferenceError("no proposal left to select for an annotated class")
-    if enforce and ann.boxes is not None:
-        labels = _force_box_cover(g, labels, ann, geom, cfg)
+        labels = np.zeros(g.shape[0], dtype=np.int64)
+    else:
+        labels, status = kernels.greedy_labels(
+            g, classes, float(cfg.select_threshold),
+            geom.keep_masks(cfg.overlap_t), enforce)
+        if status == kernels.EXHAUSTED:
+            raise InferenceError(
+                "no proposal left to select for an annotated class")
+        if enforce and ann.boxes is not None:
+            labels = _force_box_cover(g, labels, ann, geom, cfg)
+    if memo is not None:
+        labels.flags.writeable = False
+        memo[key] = labels
     return labels
 
 
 def _force_box_cover(g, labels, ann, geom, cfg):
-    labels = labels.copy()
+    """Labels with, per box whose class selects no covering proposal, the
+    best-scoring unselected covering proposal set to the box's class. The
+    candidates are scanned in ascending id and replace the best only on a
+    strictly higher score, so ties go to the lower id, and a -inf or NaN
+    score is never taken. labels itself is not modified."""
+    out = labels.tolist()
+    forced = False
     for j, b in ann.boxes:
-        covering = geom.covering(b, cfg.box_rho)
-        if (covering & (labels == j)).any():
+        cover = geom.covering_ids(b, cfg.box_rho)
+        if any(out[u] == j for u in cover):
             continue
         best = -1
         best_score = -np.inf
-        for u in np.flatnonzero(covering & (labels == 0)).tolist():
-            if g[u, j] > best_score:
+        for u in cover:
+            if out[u] == 0 and g[u, j] > best_score:
                 best = u
                 best_score = g[u, j]
         if best < 0:
             raise InferenceError(f"no unselected proposal can cover a class-{j} box")
-        labels[best] = j
-    return labels
+        out[best] = j
+        forced = True
+    return np.array(out, dtype=np.int64) if forced else labels
 
 
 MAX_EXACT_PROPOSALS = 12

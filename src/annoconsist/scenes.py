@@ -75,6 +75,8 @@ class PoolGeometry:
     boxes: list  # tight boxes, one per proposal
     _keep: dict = field(default_factory=dict, repr=False, compare=False)
     _covering: dict = field(default_factory=dict, repr=False, compare=False)
+    _covering_ids: dict = field(default_factory=dict, repr=False,
+                                compare=False)
 
     def keep_masks(self, t: float) -> list:
         """kernels.keep_masks(ovl, t), built once per threshold."""
@@ -93,6 +95,15 @@ class PoolGeometry:
             mask.flags.writeable = False
             self._covering[(box, rho)] = mask
         return mask
+
+    def covering_ids(self, box: Box, rho: float) -> tuple:
+        """Ascending ids of covering(box, rho)'s proposals, as Python ints;
+        built once per (box, rho)."""
+        ids = self._covering_ids.get((box, rho))
+        if ids is None:
+            ids = self._covering_ids[(box, rho)] = tuple(
+                np.flatnonzero(self.covering(box, rho)).tolist())
+        return ids
 
     @staticmethod
     def from_pool(pool: np.ndarray) -> "PoolGeometry":

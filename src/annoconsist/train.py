@@ -26,6 +26,7 @@ import numpy as np
 from .condnet import (
     TERM_MODES,
     InferenceConfig,
+    InferenceError,
     SampleSet,
     greedy_infer,
     higher_order_feasible,
@@ -88,6 +89,9 @@ class FitResult:
     log: list = field(default_factory=list)  # one dict per epoch
     snapshots: list = field(default_factory=list)  # params after each outer iter
     skipped_scenes: int = 0
+    # scenes left out of a cond epoch's update or a pred phase's batch
+    # because their inference raised, counted once per epoch or phase
+    inference_failures: int = 0
 
     @property
     def final_map50(self) -> float:
@@ -167,6 +171,13 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
     and turns the reference term into a margin update that raises the
     reference labeling's score above the current samples'. y_ref must be
     feasible; the initialization phase uses this with the seed anchors.
+
+    The greedy requests keep their order and number: per draw, the
+    reference request unless anchored, then one per other draw k2 when
+    the diversity term is on. Draw k's pairwise table depends on k2 only
+    through draw k2's labeling, and draws seldom differ in labeling, so
+    one memo per call (see greedy_infer) answers repeated tables without
+    computing them again; it is freed when the call returns.
     """
     kk = samples.k
     m = rec.num_classes + 1
@@ -183,20 +194,22 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
         aug_pairs = eps * cost_row(samples.labels, rec.num_classes, loss_cfg)
         pair_tables = samples.g[:, None] + aug_pairs[None, :]
         pair_coef = 2.0 * gamma / (kk * (kk - 1) * eps)
-    # greedy calls in draw-major order: the reference call, then k2
-    # ascending, skipping the draw itself
+    # greedy requests in draw-major order: the reference call, then k2
+    # ascending, skipping the draw itself; the memo computes each distinct
+    # table once
+    memo = {}
     y_a = np.empty_like(samples.labels)
     y_b = np.zeros((kk,) + samples.labels.shape, dtype=np.int64)
     for k in range(kk):
         if not anchor:
             y_a[k] = greedy_infer(ref_tables[k], rec.annotation, geom,
-                                  inf_cfg, enforce=enforce)
+                                  inf_cfg, enforce=enforce, memo=memo)
         if pairs:
             for k2 in range(kk):
                 if k2 != k:
                     y_b[k, k2] = greedy_infer(pair_tables[k, k2],
                                               rec.annotation, geom, inf_cfg,
-                                              enforce=enforce)
+                                              enforce=enforce, memo=memo)
     m_c = selection_matrix(samples.labels, m)
     m_a = selection_matrix(y_ref if anchor else y_a, m)
     q = (m_a - m_c) / (kk * eps)
@@ -304,14 +317,9 @@ def prepare_records(records: list, train_cfg: TrainConfig,
 def _feasible_fractions(records, scene_samples, inf_cfg) -> list:
     """Per scene, the fraction of its K sampled labelings that are
     annotation-consistent."""
-    out = []
-    for rec, samples in zip(records, scene_samples):
-        geom = rec.geometry()
-        out.append(np.mean([
-            higher_order_feasible(samples.labels[k], rec.annotation, geom,
-                                  inf_cfg)
-            for k in range(samples.k)]))
-    return out
+    return [np.mean(higher_order_feasible(samples.labels, rec.annotation,
+                                          rec.geometry(), inf_cfg))
+            for rec, samples in zip(records, scene_samples)]
 
 
 def _epoch_metrics(records, pred_params, scene_samples, feas, train_cfg,
@@ -350,7 +358,10 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
     """Block coordinate descent on the dissimilarity coefficient.
 
     Deterministic for fixed configs and records: all noise is derived
-    from train_cfg.seed together with scene ids and phase tags.
+    from train_cfg.seed together with scene ids and phase tags. A scene
+    whose inference raises InferenceError sits out that cond epoch's
+    update or that pred phase's batch, and FitResult.inference_failures
+    counts it; fit fails only when every scene fails at once.
     """
     tcfg = train_cfg or TrainConfig()
     icfg = inf_cfg or InferenceConfig()
@@ -364,48 +375,72 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
     seeds_ref = [seed_labeling(rec) for rec in records]
     log: list = []
     snapshots: list = []
+    failures = 0  # InferenceErrors, one per scene and epoch or pred phase
 
     def run_cond_epoch(phase, outer, epoch, refs, tag):
+        nonlocal failures
         # The init phase forces annotation consistency in every term mode;
         # without it low-score early tables select nothing and no positive
         # signal ever reaches the scorer. Regular phases honor the mode.
         anchor = phase == "init"
         enforce = True if anchor else None
         lr = tcfg.lr_init if anchor else tcfg.lr_cond
-        norms, batch = [], []
+        norms, used, batch = [], [], []
         for i, rec in enumerate(records):
-            samples = sample_k(cond, rec, k_eff, tcfg.seed, icfg,
-                               term_mode=tcfg.term_mode,
-                               zero_noise=tcfg.cond_pointwise,
-                               noise_tag=tag, enforce=enforce)
-            grad = cond_grad(cond, rec, samples, refs[i], tcfg, icfg, lcfg,
-                             anchor=anchor)
-            norms.append(sgd_step(cond, grad, lr, tcfg.clip_grad))
+            # a scene whose inference fails gets no update this epoch; its
+            # samples still enter the metrics when sampling succeeded
+            try:
+                samples = sample_k(cond, rec, k_eff, tcfg.seed, icfg,
+                                   term_mode=tcfg.term_mode,
+                                   zero_noise=tcfg.cond_pointwise,
+                                   noise_tag=tag, enforce=enforce)
+            except InferenceError:
+                failures += 1
+                continue
+            used.append(rec)
             batch.append(samples)
+            try:
+                grad = cond_grad(cond, rec, samples, refs[i], tcfg, icfg,
+                                 lcfg, anchor=anchor)
+            except InferenceError:
+                failures += 1
+                continue
+            norms.append(sgd_step(cond, grad, lr, tcfg.clip_grad))
+        _require_samples(used, phase, outer, epoch)
         row = {"phase": phase, "outer": outer, "epoch": epoch}
         row.update(_epoch_metrics(
-            records, pred, batch, _feasible_fractions(records, batch, icfg),
+            used, pred, batch, _feasible_fractions(used, batch, icfg),
             tcfg, lcfg, norms))
         log.append(row)
         if verbose:
             print(_format_row(row))
 
     def run_pred_phase(phase, outer, tag):
-        batch = [sample_k(cond, rec, k_eff, tcfg.seed, icfg,
-                          term_mode=tcfg.term_mode,
-                          zero_noise=tcfg.cond_pointwise, noise_tag=tag)
-                 for rec in records]
-        feas = _feasible_fractions(records, batch, icfg)
+        nonlocal failures
+        # a scene whose sampling fails is left out of this phase's batch
+        used, batch = [], []
+        for rec in records:
+            try:
+                batch.append(sample_k(cond, rec, k_eff, tcfg.seed, icfg,
+                                      term_mode=tcfg.term_mode,
+                                      zero_noise=tcfg.cond_pointwise,
+                                      noise_tag=tag))
+            except InferenceError:
+                failures += 1
+                continue
+            used.append(rec)
+        _require_samples(used, phase, outer, 0)
+        feas = _feasible_fractions(used, batch, icfg)
         qbars = [empirical_distribution(s.labels, c + 1) for s in batch]
         for epoch in range(tcfg.pred_epochs):
             norms = []
-            for i, rec in enumerate(records):
+            for i, rec in enumerate(used):
                 grad = pred_grad(pred, rec, qbars[i], lcfg, tcfg.gamma,
                                  tcfg.pred_pointwise)
                 norms.append(sgd_step(pred, grad, tcfg.lr_pred,
                                       tcfg.clip_grad))
             row = {"phase": phase, "outer": outer, "epoch": epoch}
-            row.update(_epoch_metrics(records, pred, batch, feas, tcfg, lcfg,
+            row.update(_epoch_metrics(used, pred, batch, feas, tcfg, lcfg,
                                       norms))
             log.append(row)
             if verbose:
@@ -427,7 +462,13 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
     snapshots.append({"outer": tcfg.outer_iters, "cond": cond.copy(),
                       "pred": pred.copy()})
     return FitResult(cond=cond, pred=pred, log=log, snapshots=snapshots,
-                     skipped_scenes=skipped)
+                     skipped_scenes=skipped, inference_failures=failures)
+
+
+def _require_samples(used, phase, outer, epoch):
+    if not used:
+        raise TrainingError(f"inference failed on every scene in {phase} "
+                            f"{outer}.{epoch}")
 
 
 def evaluate_params(pred_params: PredParams, records: list,

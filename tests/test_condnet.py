@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annoconsist import condnet, kernels
 from annoconsist.condnet import (
     InferenceConfig,
     InferenceError,
@@ -19,7 +20,7 @@ from annoconsist.condnet import (
     total_score,
 )
 from annoconsist.masks import Box, box_iou
-from annoconsist.scorer import cond_init
+from annoconsist.scorer import cond_init, feature_dim
 
 from conftest import make_record, rect_mask
 
@@ -267,6 +268,95 @@ def test_box_checks_match_per_proposal_box_iou_loops(rects, repeats, boxes,
     for labels in rng.integers(0, 3, size=(8, len(masks))):
         assert higher_order_feasible(labels, ann, geom, cfg) == \
             _loop_feasible(labels, ann, geom, cfg)
+
+
+def _mask_force_box_cover(g, labels, ann, geom, cfg):
+    """The box post-pass on boolean covering masks: per box, an ascending
+    scan of the unselected covering proposals with a strict >."""
+    labels = labels.copy()
+    for j, b in ann.boxes:
+        covering = geom.covering(b, cfg.box_rho)
+        if (covering & (labels == j)).any():
+            continue
+        best = -1
+        best_score = -np.inf
+        for u in np.flatnonzero(covering & (labels == 0)).tolist():
+            if g[u, j] > best_score:
+                best = u
+                best_score = g[u, j]
+        if best < 0:
+            raise InferenceError(f"no unselected proposal can cover a class-{j} box")
+        labels[best] = j
+    return labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_rect, min_size=1, max_size=7),
+       st.lists(st.integers(0, 6), max_size=3),
+       st.lists(st.tuples(st.integers(1, 2), st.one_of(_rect, st.integers(0, 9))),
+                min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.5, 0.8]))
+def test_box_post_pass_on_id_lists_matches_the_mask_scan(rects, repeats, boxes,
+                                                          seed, rho):
+    # any labeling, not only greedy's: boxes already covered, two boxes of
+    # one class, ties, -inf and NaN scores, and boxes nothing can cover
+    rects = rects + [rects[i % len(rects)] for i in repeats]
+    masks = [rect_mask(12, 12, y, y + h, x, x + w) for y, x, h, w in rects]
+    boxes = [(j, rects[r % len(rects)] if isinstance(r, int) else r)
+             for j, r in boxes]
+    ann_boxes = [(j, Box(x, y, x + w - 1, y + h - 1))
+                 for j, (y, x, h, w) in boxes]
+    rec = make_record(masks, sorted({j for j, _ in ann_boxes}), num_classes=2,
+                      boxes=ann_boxes, size=(12, 12))
+    geom, ann = rec.geometry(), rec.annotation
+    cfg = InferenceConfig(box_rho=rho)
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        g = rng.choice([-np.inf, np.nan, -1.0, 0.0, 2.0], size=(len(masks), 3))
+        labels = rng.integers(0, 3, size=len(masks))
+        before = labels.tobytes()
+        try:
+            want = _mask_force_box_cover(g, labels, ann, geom, cfg)
+        except InferenceError as exc:
+            with pytest.raises(InferenceError, match=str(exc)):
+                condnet._force_box_cover(g, labels, ann, geom, cfg)
+        else:
+            got = condnet._force_box_cover(g, labels, ann, geom, cfg)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert labels.tobytes() == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rect, min_size=1, max_size=7),
+       st.lists(st.tuples(st.integers(1, 2), st.one_of(_rect, st.integers(0, 9))),
+                max_size=3),
+       st.booleans(), st.integers(0, 2**32 - 1),
+       st.sampled_from([(), (5,), (2, 3)]), st.sampled_from([0.3, 0.5, 0.8]))
+def test_stacked_feasibility_equals_the_per_row_call(rects, boxes, with_boxes,
+                                                     seed, lead, rho):
+    masks = [rect_mask(12, 12, y, y + h, x, x + w) for y, x, h, w in rects]
+    picks = [(j, rects[r % len(rects)] if isinstance(r, int) else r)
+             for j, r in boxes]
+    ann_boxes = [(j, Box(x, y, x + w - 1, y + h - 1))
+                 for j, (y, x, h, w) in picks]
+    present = sorted({j for j, _ in ann_boxes}) or [1]
+    rec = make_record(masks, present, num_classes=2,
+                      boxes=ann_boxes if with_boxes else None, size=(12, 12))
+    geom, ann = rec.geometry(), rec.annotation
+    cfg = InferenceConfig(box_rho=rho)
+    stack = np.random.default_rng(seed).integers(0, 3, size=lead + (len(masks),))
+    got = higher_order_feasible(stack, ann, geom, cfg)
+    rows = stack.reshape(-1, len(masks))
+    want = [_loop_feasible(row, ann, geom, cfg) if with_boxes
+            else all((row == j).any() for j in ann.classes) for row in rows]
+    if not lead:
+        assert type(got) is bool and got == want[0]
+        return
+    assert got.shape == lead and got.dtype == np.bool_
+    assert got.reshape(-1).tolist() == want
+    assert got.reshape(-1).tolist() == [
+        higher_order_feasible(row, ann, geom, cfg) for row in rows]
 
 
 @settings(max_examples=300, deadline=None)
@@ -540,3 +630,107 @@ def test_sampling_term_modes_control_refinement_and_enforcement():
         assert higher_order_feasible(row, rec.annotation, geom, cfg)
     with pytest.raises(ValueError):
         sample_k(params, rec, 2, seed=1, cfg=cfg, term_mode="U+H")
+
+
+def _counting_kernel(monkeypatch):
+    calls = []
+    orig = kernels.greedy_labels
+
+    def counted(*args):
+        calls.append(args[0].tobytes())
+        return orig(*args)
+
+    monkeypatch.setattr(kernels, "greedy_labels", counted)
+    return calls
+
+
+def test_memo_answers_a_repeated_table_without_computing(monkeypatch):
+    rec = _sampling_record()
+    geom, cfg = rec.geometry(), InferenceConfig()
+    calls = _counting_kernel(monkeypatch)
+    g = np.array([[0.0, 2.0, -1.0], [0.0, -0.5, 3.0], [0.0, -1.0, 1.0]])
+    memo = {}
+    first = greedy_infer(g, rec.annotation, geom, cfg, memo=memo)
+    again = greedy_infer(g.copy(), rec.annotation, geom, cfg, memo=memo)
+    assert len(calls) == 1
+    assert again is first and not first.flags.writeable
+    assert first.tobytes() == greedy_infer(g, rec.annotation, geom,
+                                           cfg).tobytes()
+    assert len(calls) == 2  # no memo, so computed
+    # a table that differs in any byte is computed, -0.0 against 0.0 too
+    g2 = g.copy()
+    g2[0, 0] = -0.0
+    greedy_infer(g2, rec.annotation, geom, cfg, memo=memo)
+    assert len(calls) == 3 and len(memo) == 2
+    # one ulp above the stop threshold takes another proposal for class 1
+    g3 = g.copy()
+    g3[2, 1] = np.nextafter(0.0, 1.0)
+    g3[2, 2] = -1.0
+    g4 = g3.copy()
+    g4[2, 1] = 0.0
+    got3 = greedy_infer(g3, rec.annotation, geom, cfg, memo=memo)
+    got4 = greedy_infer(g4, rec.annotation, geom, cfg, memo=memo)
+    assert got3.tolist() == [1, 2, 1] and got4.tolist() == [1, 2, 0]
+
+
+def test_memo_hit_skips_the_box_post_pass(monkeypatch):
+    m0 = rect_mask(12, 12, 0, 4, 0, 4)
+    m1 = rect_mask(12, 12, 7, 11, 7, 11)
+    rec = make_record([m0, m1], [1], boxes=[(1, Box(7, 7, 10, 10))],
+                      size=(12, 12))
+    geom, cfg = rec.geometry(), InferenceConfig()
+    calls = _counting_kernel(monkeypatch)
+    post = []
+    orig = condnet._force_box_cover
+    monkeypatch.setattr(condnet, "_force_box_cover",
+                        lambda *a: post.append(1) or orig(*a))
+    g = np.array([[0.0, 5.0], [0.0, -1.0]])
+    memo = {}
+    for _ in range(3):
+        labels = greedy_infer(g, rec.annotation, geom, cfg, memo=memo)
+        np.testing.assert_array_equal(labels, [1, 1])  # m1 forced in
+    assert len(calls) == 1 and len(post) == 1
+
+
+def test_memo_never_stores_an_inference_error(monkeypatch):
+    # the box post-pass raises and so does an exhausted class: each request
+    # is computed again and raises again
+    m0 = rect_mask(12, 12, 0, 4, 0, 4)
+    boxed = make_record([m0], [1], boxes=[(1, Box(7, 7, 10, 10))],
+                        size=(12, 12))
+    short = make_record([rect_mask(8, 8, 0, 4, 0, 4)], [1, 2])
+    calls = _counting_kernel(monkeypatch)
+    for rec, g in ((boxed, np.array([[0.0, 5.0]])),
+                   (short, np.array([[0.0, 1.0, 1.0]]))):
+        memo = {}
+        del calls[:]
+        for n in range(1, 4):
+            with pytest.raises(InferenceError):
+                greedy_infer(g, rec.annotation, rec.geometry(),
+                             InferenceConfig(), memo=memo)
+            assert len(calls) == n
+        assert memo == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 5.0]),
+       st.booleans(), st.integers(2, 5))
+def test_draw_tables_differ_by_a_constant_per_class_column(seed, scale,
+                                                           refine, k):
+    # the linear scorer adds z_k @ W_noise^T to every row of draw k's table,
+    # and refinement reads only in-column gaps u - v, which such a shift
+    # leaves alone. So two draws' tables differ by one offset per class
+    # column, up to rounding: noise can move a column's entries past the
+    # stop threshold together, but cannot reorder a column's proposals.
+    rec = _sampling_record()
+    rng = np.random.default_rng(seed)
+    params = cond_init(rec.num_classes)
+    params.w += rng.normal(0.0, scale, size=params.w.shape)
+    z = rng.uniform(0.0, 1.0, size=(k, params.w.shape[1]
+                                    - feature_dim(rec.num_classes)))
+    _, _, g = forward_scores(params, rec, z, InferenceConfig(delta=0.5),
+                             refine)
+    diff = g - g[:1]  # (K, P, C+1)
+    offset = diff[:, :1]  # each draw's offset per column, read off row 0
+    tol = 1e-9 * max(1.0, float(np.abs(g).max()))
+    assert np.abs(diff - offset).max() <= tol

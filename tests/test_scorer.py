@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annoconsist.prednet import pred_init
 from annoconsist.scorer import (
@@ -123,6 +125,22 @@ def test_draw_noise_deterministic_and_uniform_range():
     assert not np.array_equal(a, draw_noise(5, 8, 2, extra=9))
     assert not np.array_equal(a, draw_noise(5, 7, 3, extra=9))
     assert not np.array_equal(a, draw_noise(5, 7, 2, extra=10))
+
+
+def _uniform_noise(seed, scene_id, k, extra, dim):
+    """The noise expression draw_noise used before: uniform(0.0, 1.0)."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, scene_id, k, extra)))
+    return rng.uniform(0.0, 1.0, size=dim)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**63 - 1), st.integers(0, 2**31 - 1),
+       st.integers(0, 1000), st.integers(0, 2**20), st.integers(0, 33))
+def test_draw_noise_is_bit_identical_to_uniform(seed, scene_id, k, extra, dim):
+    got = draw_noise(seed, scene_id, k, extra, dim=dim)
+    want = _uniform_noise(seed, scene_id, k, extra, dim)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_axpy_accumulates_in_place():

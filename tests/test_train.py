@@ -1,16 +1,19 @@
 import csv
+import functools
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from annoconsist.adjacency import build_adjacency
 from annoconsist import train as train_mod
+from annoconsist import kernels
 from annoconsist.condnet import (
     InferenceConfig,
+    InferenceError,
     SampleSet,
     forward_scores,
     greedy_infer,
@@ -19,7 +22,7 @@ from annoconsist.condnet import (
 )
 from annoconsist.disco import div_pc, div_pp
 from annoconsist.loss import LossConfig, cost_row
-from annoconsist.masks import inner_boundary, tight_box
+from annoconsist.masks import Box, inner_boundary, tight_box
 from annoconsist.prednet import PredParams, pred_init, predict
 from annoconsist.scenes import Seed
 from annoconsist.scorer import (CondParams, axpy, cond_init, feature_dim,
@@ -291,10 +294,11 @@ def test_cond_grad_anchor_mode_is_a_margin_update_toward_the_reference():
 
 
 def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
-                        anchor, calls):
+                        anchor, calls, results=None):
     """cond_grad one draw at a time: each draw's coefficient table, then its
     own refinement adjoint and scorer backward. Appends every greedy input
-    table to calls, in call order."""
+    table to calls, in call order, and each greedy result to results when
+    given. Every greedy request is computed: there is no memo."""
     kk = samples.k
     m = rec.num_classes + 1
     eye = np.eye(m)
@@ -303,8 +307,11 @@ def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
 
     def infer(table):
         calls.append(table.tobytes())
-        return greedy_infer(table, rec.annotation, rec.geometry(), icfg,
-                            enforce=samples.enforced)
+        out = greedy_infer(table, rec.annotation, rec.geometry(), icfg,
+                           enforce=samples.enforced)
+        if results is not None:
+            results.append(out.tobytes())
+        return out
 
     aug_ref = eps * cost_row(y_ref, rec.num_classes, lcfg)
     aug_pairs = None
@@ -367,6 +374,152 @@ def test_cond_grad_on_the_draw_stack_matches_a_per_draw_loop(
         assert got_calls == want_calls
         per_draw = (0 if anchor else 1) + (tcfg.k - 1 if gamma else 0)
         assert len(got_calls) == tcfg.k * per_draw
+
+
+@functools.lru_cache(maxsize=None)
+def _prepared_scenes(supervision):
+    tcfg, icfg = TrainConfig(supervision=supervision), InferenceConfig()
+    prepared = [prepare_scene(rec, tcfg, icfg) for rec in _tiny_dataset(n=3)]
+    return tuple(rec for rec in prepared if rec is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scene=st.integers(0, 2), supervision=st.sampled_from(["image", "box"]),
+       anchor=st.booleans(), gamma=st.sampled_from([0.0, 0.5]),
+       term_mode=st.sampled_from(["U", "U+P+H"]), k=st.integers(2, 5),
+       noise_scale=st.sampled_from([0.0, 0.05, 0.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cond_grad_with_the_memo_equals_a_memo_free_loop(
+        scene, supervision, anchor, gamma, term_mode, k, noise_scale, seed):
+    # small noise weights make draws share labelings, so pairwise tables
+    # repeat and the memo answers them; the gradient bytes and every
+    # request's result must be those of computing each request
+    recs = _prepared_scenes(supervision)
+    assume(recs)
+    rec = recs[scene % len(recs)]
+    tcfg = TrainConfig(k=k, gamma=gamma, term_mode=term_mode,
+                       supervision=supervision)
+    icfg, lcfg = InferenceConfig(delta=8.0), LossConfig()
+    rng = np.random.default_rng(seed)
+    params = cond_init(rec.num_classes)
+    params.w += rng.normal(0.0, 0.5, size=params.w.shape)
+    params.w[:, feature_dim(rec.num_classes):] *= noise_scale / 0.5
+    try:
+        samples = sample_k(params, rec, k, seed % 97, icfg,
+                           term_mode=term_mode,
+                           enforce=True if anchor else None)
+    except InferenceError:
+        assume(False)
+    y_ref = (seed_labeling(rec) if anchor else
+             rng.integers(0, rec.num_classes + 1, rec.num_proposals))
+    want_calls, want_results = [], []
+    try:
+        want = _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg,
+                                   lcfg, anchor, want_calls, want_results)
+    except InferenceError:
+        want = None
+    got_calls, got_results, computed = [], [], []
+
+    def traced(table, *args, **kwargs):
+        got_calls.append(np.ascontiguousarray(table).tobytes())
+        out = greedy_infer(table, *args, **kwargs)
+        got_results.append(out.tobytes())
+        return out
+
+    def counted(*args):
+        computed.append(1)
+        return orig_kernel(*args)
+
+    orig_kernel = kernels.greedy_labels
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train_mod, "greedy_infer", traced)
+        mp.setattr(kernels, "greedy_labels", counted)
+        if want is None:
+            # the same requests, up to the one that raises
+            with pytest.raises(InferenceError):
+                cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
+                          anchor=anchor)
+            assert got_calls == want_calls
+            return
+        got = cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
+                        anchor=anchor)
+    assert got.w.tobytes() == want.w.tobytes()
+    assert got_calls == want_calls
+    assert got_results == want_results
+    # each distinct table is computed once
+    assert len(computed) == len(set(got_calls))
+
+
+def _hopeless_box_scene(scene_id):
+    """A two-class box scene whose enforced inference always raises. Both
+    classes have a box on m0's extent, and class 2 also has one on m1's.
+    m0 is the only proposal that covers the shared box: whichever class
+    takes it, the other class's box there cannot be covered."""
+    m0 = rect_mask(16, 16, 2, 8, 2, 8)
+    m1 = rect_mask(16, 16, 2, 8, 5, 11)  # box IoU with m0 is 1/3
+    boxes = [(1, tight_box(m0)), (2, tight_box(m0)), (2, tight_box(m1))]
+    return make_record([m0, m1], [1, 2], num_classes=2, size=(16, 16),
+                       boxes=boxes, scene_id=scene_id)
+
+
+def test_hopeless_box_scene_raises_after_class_one_takes_the_shared_cover():
+    tcfg, icfg = TrainConfig(supervision="box"), InferenceConfig()
+    rec = prepare_scene(_hopeless_box_scene(7), tcfg, icfg)
+    assert rec is not None and rec.num_proposals == 2
+    # all-zero scores: class 1 takes m0 (ties go to the lower id), class 2
+    # then takes m1, and the class-2 box on m0 is left uncovered
+    g = np.zeros((2, 3))
+    assert kernels.greedy_labels(
+        g, rec.annotation.classes, 0.0, rec.geometry().keep_masks(0.5),
+        True)[0].tolist() == [1, 2]
+    with pytest.raises(InferenceError, match="class-2 box"):
+        greedy_infer(g, rec.annotation, rec.geometry(), icfg)
+
+
+def test_fit_leaves_out_a_scene_whose_inference_fails():
+    # the hopeless scene fails in every cond epoch and pred phase; it then
+    # contributes nothing, so the fit equals the fit without it, bit for bit
+    good = _tiny_dataset(n=2)
+    tcfg = _tiny_train_cfg(supervision="box")
+    icfg = InferenceConfig(delta=8.0)
+    base = fit(good, tcfg, icfg)
+    assert base.inference_failures == 0
+    res = fit(good + [_hopeless_box_scene(99)], tcfg, icfg)
+    phases = (tcfg.init_epochs + tcfg.outer_iters * tcfg.cond_epochs
+              + tcfg.outer_iters + 1)
+    assert res.inference_failures == phases
+    assert res.skipped_scenes == base.skipped_scenes
+    assert res.cond.w.tobytes() == base.cond.w.tobytes()
+    assert res.pred.w.tobytes() == base.pred.w.tobytes()
+    assert res.log == base.log
+    with pytest.raises(TrainingError, match="every scene"):
+        fit([_hopeless_box_scene(99)], tcfg, icfg)
+
+
+def test_fit_skips_the_update_of_a_scene_whose_gradient_fails(monkeypatch):
+    # sampling succeeds, the direct-loss gradient raises: no update for
+    # that scene, but its samples still count in the epoch's metrics
+    records = _tiny_dataset(n=2)
+    tcfg = _tiny_train_cfg()
+    icfg = InferenceConfig(delta=8.0)
+    orig = train_mod.cond_grad
+    failing = records[1].scene_id
+
+    def flaky(params, rec, *args, **kwargs):
+        if rec.scene_id == failing:
+            raise InferenceError("injected")
+        return orig(params, rec, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "cond_grad", flaky)
+    res = fit(records, tcfg, icfg)
+    cond_epochs = tcfg.init_epochs + tcfg.outer_iters * tcfg.cond_epochs
+    assert res.inference_failures == cond_epochs
+    assert len(res.log) == cond_epochs + (tcfg.outer_iters + 1) * tcfg.pred_epochs
+    only_good = fit(records[:1], tcfg, icfg)
+    # the first cond epoch updates on scene 0 alone in both fits; its
+    # metrics still read both scenes' samples in the flaky fit
+    assert res.log[0]["grad_norm"] == only_good.log[0]["grad_norm"]
+    assert res.log[0]["feasible"] == 1.0
 
 
 def test_seed_labeling_prefers_boundary_aligned_extent():
