@@ -7,6 +7,8 @@ panels). Exit codes: 0 success, 2 bad usage or config, 3 runtime failure.
 """
 
 import argparse
+import collections
+import contextlib
 import dataclasses
 import glob
 import json
@@ -21,7 +23,8 @@ from .condnet import InferenceError, sample_k
 from .config import ConfigError, RunConfig, load_config, save_config
 from .prednet import decode, predict
 from .render import render_predictions
-from .scenes import DatasetFormatError, load_dataset, save_dataset
+from .scenes import (DatasetFormatError, iter_dataset, load_dataset,
+                     save_dataset)
 from .synthgen import EmptyPoolError, PlacementError, make_scene
 from .train import (TrainingError, fit, load_checkpoint, prepare_scene,
                     save_checkpoint, write_log_csv)
@@ -59,18 +62,39 @@ def _load_split(data: str, split: str) -> list:
     return load_dataset(_dataset_path(data, split))
 
 
+@contextlib.contextmanager
+def _atomic_output(path: str):
+    """Yield a temporary path next to `path`. The file written there
+    replaces `path` when the block succeeds and is removed when it raises,
+    so a failed run never leaves a partial output behind."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        yield tmp
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 def _gen_worker(payload):
     scene_cfg, prop_cfg, seed, sid = payload
     return make_scene(scene_cfg, prop_cfg, seed, sid)
 
 
-def _gen_records(cfg: RunConfig, ids: range, jobs: int) -> list:
-    payloads = [(cfg.scene, cfg.proposal, cfg.seed, sid) for sid in ids]
-    if jobs <= 1 or len(payloads) <= 1:
-        return [_gen_worker(p) for p in payloads]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        return pool.map(_gen_worker, payloads)
+def _gen_records(cfg: RunConfig, ids: range, jobs: int, pool_sizes: list):
+    """The scenes of `ids` in order, made one at a time (by `jobs` forked
+    workers when jobs > 1); appends each scene's pool size to pool_sizes."""
+    payloads = ((cfg.scene, cfg.proposal, cfg.seed, sid) for sid in ids)
+    with contextlib.ExitStack() as stack:
+        scenes = map(_gen_worker, payloads)
+        if jobs > 1 and len(ids) > 1:
+            ctx = multiprocessing.get_context("fork")
+            scenes = stack.enter_context(ctx.Pool(jobs)).imap(_gen_worker,
+                                                               payloads)
+        for rec in scenes:
+            pool_sizes.append(rec.num_proposals)
+            yield rec
 
 
 def cmd_gen(args) -> int:
@@ -78,13 +102,14 @@ def cmd_gen(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     train_ids = range(0, cfg.n_scenes)
     eval_ids = range(cfg.n_scenes, cfg.n_scenes + cfg.n_eval_scenes)
-    train_recs = _gen_records(cfg, train_ids, args.jobs)
-    eval_recs = _gen_records(cfg, eval_ids, args.jobs)
-    save_dataset(os.path.join(args.out, "train.jsonl"), train_recs)
-    save_dataset(os.path.join(args.out, "eval.jsonl"), eval_recs)
+    pools = []
+    # both splits replace their files only once every scene is written
+    with _atomic_output(os.path.join(args.out, "train.jsonl")) as train_tmp, \
+            _atomic_output(os.path.join(args.out, "eval.jsonl")) as eval_tmp:
+        save_dataset(train_tmp, _gen_records(cfg, train_ids, args.jobs, pools))
+        save_dataset(eval_tmp, _gen_records(cfg, eval_ids, args.jobs, pools))
     save_config(os.path.join(args.out, "config.json"), cfg)
-    pools = [r.num_proposals for r in train_recs + eval_recs]
-    print(f"wrote {len(train_recs)} train + {len(eval_recs)} eval scenes to "
+    print(f"wrote {len(train_ids)} train + {len(eval_ids)} eval scenes to "
           f"{args.out} (pool sizes {min(pools)}..{max(pools)})")
     return EXIT_OK
 
@@ -112,16 +137,14 @@ def cmd_train(args) -> int:
 
 def _sample_payload(rec, prep, cond, cfg, tag: int) -> list:
     """K sample labelings over the scene's original pool indices; none when
-    prepare_scene found the scene unusable or inference fails."""
+    prepare_scene found the scene unusable. Raises InferenceError when
+    sampling fails."""
     if prep is None:
         return []
     tcfg = cfg.train
-    try:
-        samples = sample_k(cond, prep, tcfg.k, cfg.seed, cfg.inference,
-                           term_mode=tcfg.term_mode,
-                           zero_noise=tcfg.cond_pointwise, noise_tag=tag)
-    except InferenceError:
-        return []
+    samples = sample_k(cond, prep, tcfg.k, cfg.seed, cfg.inference,
+                       term_mode=tcfg.term_mode,
+                       zero_noise=tcfg.cond_pointwise, noise_tag=tag)
     if prep.pool_index is None:
         labels = samples.labels
     else:
@@ -140,42 +163,65 @@ def _decode_payload(pred, rec, cfg) -> list:
     return out
 
 
+def _dump(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _infer_scene(rec, cfg, iter_paths, final_path) -> tuple:
+    """One scene's preds.json entry: samples and decoded predictions under
+    every snapshot checkpoint, then the final one. A checkpoint whose
+    sampling raises InferenceError gets no samples. Returns the entry and
+    the scene's status: "unusable" when prepare_scene rejects it, "failed"
+    when some sampling raised, else "ok"."""
+    prep = prepare_scene(rec, cfg.train, cfg.inference)
+    failed = False
+
+    def at_checkpoint(path, default_outer, tag=None):
+        nonlocal failed
+        cond, pred, meta = load_checkpoint(path)
+        outer = int(meta.get("outer", default_outer))
+        try:
+            samples = _sample_payload(rec, prep, cond, cfg,
+                                      0x7E57 + outer if tag is None else tag)
+        except InferenceError:
+            samples, failed = [], True
+        return {"outer": outer, "samples": samples,
+                "decode": _decode_payload(pred, rec, cfg)}
+
+    iterations = []
+    for path in iter_paths:
+        iterations.append(at_checkpoint(path, len(iterations)))
+    final = at_checkpoint(final_path, len(iter_paths), tag=0x7E57 + 0x99)
+    status = "unusable" if prep is None else "failed" if failed else "ok"
+    return {"scene_id": rec.scene_id, "iterations": iterations,
+            "final": final}, status
+
+
 def cmd_infer(args) -> int:
     cfg = load_config(os.path.join(args.model, "config.json"))
     _apply_seed_env(cfg)
-    records = _load_split(args.data, args.split)
     iter_paths = sorted(glob.glob(os.path.join(args.model,
                                                "checkpoint_iter*.json")))
     final_path = os.path.join(args.model, "checkpoint_final.json")
     if not os.path.exists(final_path):
         raise ConfigError(f"{args.model}: missing checkpoint_final.json")
-    scenes = []
-    for rec in records:
-        prep = prepare_scene(rec, cfg.train, cfg.inference)
-        iterations = []
-        for path in iter_paths:
-            cond, pred, meta = load_checkpoint(path)
-            tag = 0x7E57 + int(meta.get("outer", len(iterations)))
-            iterations.append({
-                "outer": int(meta.get("outer", len(iterations))),
-                "samples": _sample_payload(rec, prep, cond, cfg, tag),
-                "decode": _decode_payload(pred, rec, cfg),
-            })
-        cond, pred, meta = load_checkpoint(final_path)
-        final = {
-            "outer": int(meta.get("outer", len(iter_paths))),
-            "samples": _sample_payload(rec, prep, cond, cfg, 0x7E57 + 0x99),
-            "decode": _decode_payload(pred, rec, cfg),
-        }
-        scenes.append({"scene_id": rec.scene_id, "iterations": iterations,
-                       "final": final})
-    obj = {"format_version": 1, "k": cfg.train.k, "scenes": scenes}
-    with open(args.out, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    empty = sum(1 for sc in scenes if not sc["final"]["samples"])
-    print(f"wrote predictions for {len(scenes)} scenes to {args.out} "
-          f"({empty} without samples)")
+    counts = collections.Counter()
+    # the bytes json.dump of the whole object would write (sort_keys puts
+    # "scenes" last), one scene at a time
+    head = _dump({"format_version": 1, "k": cfg.train.k, "scenes": []})
+    with _atomic_output(args.out) as tmp, open(tmp, "w") as fh:
+        fh.write(head[:-2])
+        for n, rec in enumerate(iter_dataset(_dataset_path(args.data,
+                                                           args.split))):
+            entry, status = _infer_scene(rec, cfg, iter_paths, final_path)
+            fh.write(("," if n else "") + _dump(entry))
+            counts[status] += 1
+            counts["empty"] += not entry["final"]["samples"]
+        fh.write("]}\n")
+    scenes = counts["ok"] + counts["unusable"] + counts["failed"]
+    print(f"wrote predictions for {scenes} scenes to {args.out} "
+          f"({counts['empty']} without samples); {counts['unusable']} "
+          f"unusable, {counts['failed']} with failed sampling")
     return EXIT_OK
 
 
@@ -188,10 +234,10 @@ class _EvalPred:
         self.mask = mask
 
 
-def _load_predictions(path: str) -> dict:
+def _load_predictions(path: str, object_hook=None) -> dict:
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, object_hook=object_hook)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"{path}: invalid JSON ({exc})") from exc
     if obj.get("format_version") != 1:
@@ -199,25 +245,34 @@ def _load_predictions(path: str) -> dict:
     return obj
 
 
+def _unsampled(obj: dict) -> dict:
+    """json object hook that drops the sampled labelings, which eval never
+    reads, as each object is parsed; they are most of a predictions file."""
+    obj.pop("samples", None)
+    obj.pop("iterations", None)
+    return obj
+
+
 def cmd_eval(args) -> int:
-    obj = _load_predictions(args.pred)
-    records = _load_split(args.data, args.split)
-    by_id = {rec.scene_id: rec for rec in records}
+    obj = _load_predictions(args.pred, object_hook=_unsampled)
+    # the last entry per scene id, in the order the file lists the ids
+    decoded = {entry["scene_id"]: entry["final"]["decode"]
+               for entry in obj["scenes"]}
     thresholds = (0.25, 0.50, 0.70, 0.75)
     if args.config:
         thresholds = load_config(args.config).eval.thresholds
-    preds_by_scene = {}
-    for entry in obj["scenes"]:
-        sid = entry["scene_id"]
-        if sid not in by_id:
-            continue
-        rec = by_id[sid]
-        preds_by_scene[sid] = [
-            _EvalPred(d["class_id"], d["confidence"],
-                      rec.pool[d["proposal_index"]])
-            for d in entry["final"]["decode"]
-        ]
-    gts_by_scene = {sid: by_id[sid].gt for sid in preds_by_scene}
+    # per predicted scene, the last record's ground truth and copies of the
+    # decoded pool rows, so no whole pool outlives its scene
+    kept = {}
+    for rec in iter_dataset(_dataset_path(args.data, args.split)):
+        dets = decoded.get(rec.scene_id)
+        if dets is not None:
+            kept[rec.scene_id] = (rec.gt, [
+                _EvalPred(d["class_id"], d["confidence"],
+                          rec.pool[d["proposal_index"]].copy())
+                for d in dets])
+    preds_by_scene = {sid: kept[sid][1] for sid in decoded if sid in kept}
+    gts_by_scene = {sid: kept[sid][0] for sid in preds_by_scene}
     res = evaluate_predictions(preds_by_scene, gts_by_scene, thresholds)
     for t in res.thresholds:
         print(f"mAP@{t:.2f}  {res.map_r[t]:.4f}")

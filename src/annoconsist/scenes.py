@@ -229,14 +229,17 @@ def scene_from_obj(obj: dict) -> SceneRecord:
 
 
 def save_dataset(path, records) -> None:
+    """Write `records`, any iterable of scenes, one line each, consuming it
+    one scene at a time."""
     with open(path, "w", encoding="ascii") as fh:
         for rec in records:
             fh.write(json.dumps(scene_to_obj(rec), separators=(",", ":")))
             fh.write("\n")
 
 
-def load_dataset(path) -> list:
-    records = []
+def iter_dataset(path):
+    """Yield the scenes of a dataset file in file order, parsing each line
+    only when the iteration reaches it; blank lines are skipped."""
     with open(path, "r", encoding="ascii") as fh:
         for line_no, line in enumerate(fh):
             if not line.strip():
@@ -247,8 +250,11 @@ def load_dataset(path) -> list:
                 raise DatasetFormatError(
                     f"line {line_no + 1}: truncated or invalid JSON"
                 ) from exc
-            records.append(scene_from_obj(obj))
-    return records
+            yield scene_from_obj(obj)
+
+
+def load_dataset(path) -> list:
+    return list(iter_dataset(path))
 
 
 def rebuild_with_pool(rec: SceneRecord, keep: np.ndarray) -> SceneRecord:

@@ -36,7 +36,6 @@ from .condnet import (
 from .disco import div_cc, div_pc, div_pp
 from .evaluate import DEFAULT_THRESHOLDS, EvalResult, evaluate_predictions, map_at
 from .loss import LossConfig, cost_row
-from .masks import inner_boundary
 from .prednet import PredParams, argmax_labeling, decode, pred_init, predict
 from .scorer import CondParams, axpy, cond_init, features, score_vjp
 from .synthgen import EmptyPoolError, apply_box_regime
@@ -123,10 +122,7 @@ def seed_labeling(rec) -> np.ndarray:
     coverage by boundary alignment singles out masks whose outline
     follows image evidence. Ties keep the lowest proposal index."""
     labels = np.zeros(rec.num_proposals, dtype=np.int64)
-    ring_edge = np.zeros(rec.num_proposals, dtype=np.float64)
-    for u in range(rec.num_proposals):
-        ring = inner_boundary(rec.pool[u])
-        ring_edge[u] = rec.edges[ring].mean() if ring.any() else 0.0
+    ring_edge = features(rec)[:, 6]  # the scorer's boundary_edge column
     for s in rec.seeds:
         seed_area = float(np.count_nonzero(s.mask))
         if seed_area == 0.0:
@@ -156,8 +152,8 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
 
     Per draw k the contributions of the reference term and of every
     pairwise sample term are collected into a single coefficient table,
-    and one backward pass runs over the stack of all K tables, so a
-    zero-cost configuration yields an exactly zero gradient.
+    and one backward pass runs over the stack of the tables that are not
+    all zero, so a zero-cost configuration yields an exactly zero gradient.
 
     Augmentation pulls toward the compared labeling: each table is
     augmented by -epsilon times its cost row, so entries that disagree
@@ -220,11 +216,18 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
         for k2 in range(kk):
             q[:k2] += d[:k2, k2]
             q[k2 + 1:] += d[k2 + 1:, k2]
-    if samples.refined:
-        q = refine_backward(samples.stack, rec.adjacency, inf_cfg, q)
+    # a draw whose table is all ±0 adds only ±0 to the +0-started total,
+    # which leaves every bit alone, and refinement's adjoint is per draw,
+    # so the backward pass runs over the live draws only
+    live = np.flatnonzero(q.reshape(kk, -1).any(axis=1))
     total = CondParams(w=np.zeros_like(params.w))
-    for k in range(kk):
-        axpy(total, score_vjp(params, samples.x[k], q[k]), 1.0)
+    if live.size == 0:
+        return total
+    q = q[live]
+    if samples.refined:
+        q = refine_backward(samples.stack[:, live], rec.adjacency, inf_cfg, q)
+    for i, k in enumerate(live.tolist()):
+        axpy(total, score_vjp(params, samples.x[k], q[i]), 1.0)
     return total
 
 

@@ -1,19 +1,27 @@
+import glob
+import io
 import json
 import os
 import shutil
 import subprocess
+import tracemalloc
 
 import pytest
 
 import numpy as np
 
+from annoconsist import cli
 from annoconsist.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
-from annoconsist.condnet import sample_k
+from annoconsist.condnet import InferenceError, sample_k
 from annoconsist.config import load_config
-from annoconsist.scenes import load_dataset
+from annoconsist.evaluate import evaluate_predictions
+from annoconsist.prednet import decode, predict
+from annoconsist.scenes import load_dataset, scene_to_obj
 from annoconsist.scorer import feature_dim
-from annoconsist.synthgen import filter_by_boxes
+from annoconsist.synthgen import PlacementError, filter_by_boxes
 from annoconsist.train import load_checkpoint, prepare_scene
+
+from test_train import _hopeless_box_scene
 
 
 @pytest.fixture(autouse=True)
@@ -143,6 +151,181 @@ def test_infer_output_shape_and_determinism(pipeline, tmp_path):
                 pipeline["data"], "--out", again]) == EXIT_OK
     with open(pipeline["preds"], "rb") as fa, open(again, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def _preds_built_in_memory(model, data_file) -> str:
+    """preds.json as one json.dump of the whole object, every scene's entry
+    built in memory first: how infer wrote it before it streamed."""
+    cfg = load_config(os.path.join(model, "config.json"))
+    tcfg = cfg.train
+
+    def samples(rec, prep, cond, tag):
+        if prep is None:
+            return []
+        try:
+            s = sample_k(cond, prep, tcfg.k, cfg.seed, cfg.inference,
+                         term_mode=tcfg.term_mode,
+                         zero_noise=tcfg.cond_pointwise, noise_tag=tag)
+        except InferenceError:
+            return []
+        labels = s.labels
+        if prep.pool_index is not None:
+            labels = np.zeros((s.k, rec.num_proposals), dtype=np.int64)
+            labels[:, prep.pool_index] = s.labels
+        return [row.tolist() for row in labels]
+
+    def decoded(pred, rec):
+        return [{"proposal_index": int(d.proposal_index),
+                 "class_id": int(d.class_id),
+                 "confidence": float(d.confidence)}
+                for d in decode(predict(pred, rec), rec, tcfg.decode_thresh,
+                                tcfg.decode_nms)]
+
+    iter_paths = sorted(glob.glob(os.path.join(model, "checkpoint_iter*.json")))
+    scenes = []
+    for rec in load_dataset(data_file):
+        prep = prepare_scene(rec, tcfg, cfg.inference)
+        iterations = []
+        for path in iter_paths:
+            cond, pred, meta = load_checkpoint(path)
+            outer = int(meta.get("outer", len(iterations)))
+            iterations.append({"outer": outer,
+                               "samples": samples(rec, prep, cond,
+                                                  0x7E57 + outer),
+                               "decode": decoded(pred, rec)})
+        cond, pred, meta = load_checkpoint(
+            os.path.join(model, "checkpoint_final.json"))
+        final = {"outer": int(meta.get("outer", len(iter_paths))),
+                 "samples": samples(rec, prep, cond, 0x7E57 + 0x99),
+                 "decode": decoded(pred, rec)}
+        scenes.append({"scene_id": rec.scene_id, "iterations": iterations,
+                       "final": final})
+    buf = io.StringIO()
+    json.dump({"format_version": 1, "k": tcfg.k, "scenes": scenes}, buf,
+              sort_keys=True, separators=(",", ":"))
+    return buf.getvalue() + "\n"
+
+
+def test_streamed_preds_equal_the_whole_object_dumped_at_once(pipeline):
+    with open(pipeline["preds"]) as fh:
+        got = fh.read()
+    assert got == _preds_built_in_memory(
+        pipeline["model"], os.path.join(pipeline["data"], "eval.jsonl"))
+
+
+def _eval_table_over_loaded_dataset(preds_path, data_file) -> str:
+    """eval's printed table from every record held at once, the way eval
+    matched predictions to scenes before it streamed."""
+    with open(preds_path) as fh:
+        obj = json.load(fh)
+    by_id = {rec.scene_id: rec for rec in load_dataset(data_file)}
+    preds_by_scene = {}
+    for entry in obj["scenes"]:
+        rec = by_id.get(entry["scene_id"])
+        if rec is not None:
+            preds_by_scene[rec.scene_id] = [
+                cli._EvalPred(d["class_id"], d["confidence"],
+                              rec.pool[d["proposal_index"]])
+                for d in entry["final"]["decode"]]
+    gts_by_scene = {sid: by_id[sid].gt for sid in preds_by_scene}
+    res = evaluate_predictions(preds_by_scene, gts_by_scene,
+                               (0.25, 0.50, 0.70, 0.75))
+    lines = [f"mAP@{t:.2f}  {res.map_r[t]:.4f}" for t in res.thresholds]
+    for j in sorted({j for (_, j) in res.per_class}):
+        row = "  ".join(f"{res.per_class[(t, j)]:.4f}" for t in res.thresholds)
+        lines.append(f"class {j}: {row}  (n={res.num_gt[j]})")
+    return "\n".join(lines) + "\n"
+
+
+def test_streamed_eval_prints_the_table_of_the_loaded_dataset(
+        pipeline, tmp_path, capsys):
+    # preds in reverse file order, one scene listed twice (the last entry
+    # counts, at its first place) and one scene the data does not hold
+    with open(pipeline["preds"]) as fh:
+        obj = json.load(fh)
+    scenes = obj["scenes"][::-1]
+    ghost = dict(scenes[0], scene_id=10_000)
+    first_again = dict(scenes[0], final=dict(scenes[0]["final"], decode=[]))
+    obj["scenes"] = scenes + [ghost, first_again]
+    preds = tmp_path / "preds.json"
+    preds.write_text(json.dumps(obj))
+    data_file = os.path.join(pipeline["data"], "eval.jsonl")
+    for path in (pipeline["preds"], str(preds)):
+        capsys.readouterr()
+        assert run(["eval", "--pred", path, "--data",
+                    pipeline["data"]]) == EXIT_OK
+        assert capsys.readouterr().out == _eval_table_over_loaded_dataset(
+            path, data_file)
+
+
+@pytest.mark.parametrize("fail_at", [3, 4])  # a train scene, an eval scene
+def test_gen_that_fails_part_way_leaves_no_output(tmp_path, tiny_config_path,
+                                                  monkeypatch, capsys,
+                                                  fail_at):
+    made = []
+
+    def flaky(*args):
+        made.append(1)
+        if len(made) == fail_at:
+            raise PlacementError("cannot place an object")
+        return real(*args)
+
+    real = cli.make_scene
+    monkeypatch.setattr(cli, "make_scene", flaky)
+    out = tmp_path / "data"
+    out.mkdir()
+    (out / "train.jsonl").write_text("older\n")
+    code = run(["gen", "--config", tiny_config_path, "--out", str(out)])
+    assert code == EXIT_RUNTIME
+    assert "cannot place" in capsys.readouterr().err
+    # no partial split and no temporary file; an older file is untouched
+    assert sorted(os.listdir(out)) == ["train.jsonl"]
+    assert (out / "train.jsonl").read_text() == "older\n"
+
+
+def test_infer_over_a_truncated_line_leaves_no_output(tmp_path, pipeline,
+                                                      capsys):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / "eval.jsonl").read_text().splitlines()
+    lines[1] = lines[1][: len(lines[1]) // 2]
+    (data / "eval.jsonl").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = run(["infer", "--model", pipeline["model"], "--data", str(data),
+                "--out", str(out / "preds.json")])
+    assert code == EXIT_USAGE
+    assert "line 2" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert run(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_infer_and_eval_memory_does_not_grow_with_the_split(
+        tmp_path, pipeline, tiny_config_path, capsys):
+    # held-out splits of n and 4n scenes scored by the same model
+    n = 3
+    peaks = {}
+    for size in (n, 4 * n):
+        cfg = dict(TINY_CONFIG, n_eval_scenes=size)
+        cfg_path = tmp_path / f"cfg{size}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        data, preds = str(tmp_path / f"data{size}"), str(tmp_path / f"p{size}")
+        assert run(["gen", "--config", str(cfg_path), "--out", data]) == EXIT_OK
+        peaks[size] = (
+            _traced_peak(["infer", "--model", pipeline["model"],
+                          "--data", data, "--out", preds]),
+            _traced_peak(["eval", "--pred", preds, "--data", data]))
+    capsys.readouterr()
+    for stage, small, large in zip(("infer", "eval"), peaks[n], peaks[4 * n]):
+        assert large < 1.5 * small, (stage, small, large)
 
 
 def test_eval_prints_map_table(pipeline, capsys):
@@ -289,16 +472,26 @@ def test_box_regime_infer_samples_the_prepared_scene(tmp_path, capsys):
     assert run(["gen", "--config", str(cfg_path), "--out", str(data)]) == EXIT_OK
     assert run(["train", "--config", str(cfg_path), "--data", str(data),
                 "--out", model]) == EXIT_OK
-    # a box that no proposal can cover makes the first held-out scene unusable
+    # a box that no proposal can cover makes the first held-out scene
+    # unusable; a scene whose two classes need the same proposal makes every
+    # sampling raise
     lines = (data / "eval.jsonl").read_text().splitlines()
     scene = json.loads(lines[0])
     scene["annotation"]["boxes"].append([1, 0, 0, 1, 1])
     lines[0] = json.dumps(scene, separators=(",", ":"))
+    hopeless = _hopeless_box_scene(900)
+    hopeless.num_classes = cfg["scene"]["num_classes"]
+    hopeless.annotation.presence = np.array([1, 1, 0], dtype=np.int8)
+    lines.append(json.dumps(scene_to_obj(hopeless), separators=(",", ":")))
     (data / "eval.jsonl").write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert run(["infer", "--model", model, "--data", str(data),
                 "--out", preds]) == EXIT_OK
-    assert "(1 without samples)" in capsys.readouterr().out
+    assert ("(2 without samples); 1 unusable, 1 with failed sampling"
+            in capsys.readouterr().out)
+    with open(preds) as fh:
+        assert fh.read() == _preds_built_in_memory(
+            model, str(data / "eval.jsonl"))
 
     run_cfg = load_config(os.path.join(model, "config.json"))
     tcfg = run_cfg.train
@@ -309,7 +502,7 @@ def test_box_regime_infer_samples_the_prepared_scene(tmp_path, capsys):
     for rec in load_dataset(str(data / "eval.jsonl")):
         got = by_id[rec.scene_id]["final"]["samples"]
         prep = prepare_scene(rec, tcfg, run_cfg.inference)
-        if prep is None:
+        if prep is None or rec.scene_id == hopeless.scene_id:
             assert got == []
             continue
         samples = sample_k(cond, prep, tcfg.k, run_cfg.seed, run_cfg.inference,
@@ -322,6 +515,8 @@ def test_box_regime_infer_samples_the_prepared_scene(tmp_path, capsys):
         assert got == want.tolist()
         filtered += keep.size < rec.num_proposals
     assert by_id[scene["scene_id"]]["final"]["samples"] == []
+    assert all(it["samples"] == []
+               for it in by_id[hopeless.scene_id]["iterations"])
     assert filtered > 0  # some pool was cut, so the index mapping is exercised
 
 

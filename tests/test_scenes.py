@@ -7,6 +7,7 @@ from annoconsist.scenes import (
     DatasetFormatError,
     GroundTruthInstance,
     Seed,
+    iter_dataset,
     load_dataset,
     rebuild_with_pool,
     save_dataset,
@@ -92,6 +93,22 @@ def test_truncated_json_reports_line_number(tmp_path):
     lines[1] = lines[1][: len(lines[1]) // 2]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetFormatError, match="line 2"):
+        load_dataset(path)
+
+
+def test_iter_dataset_parses_a_line_only_when_it_is_reached(tmp_path):
+    rec = _sample_record()
+    path = tmp_path / "broken.jsonl"
+    save_dataset(path, (rec for _ in range(4)))  # any iterable of scenes
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2][: len(lines[2]) // 2]
+    path.write_text("\n".join(lines) + "\n")
+    scenes = iter_dataset(path)
+    for _ in range(2):
+        _assert_records_equal(next(scenes), rec)
+    with pytest.raises(DatasetFormatError, match="line 3"):
+        next(scenes)
+    with pytest.raises(DatasetFormatError, match="line 3"):
         load_dataset(path)
 
 

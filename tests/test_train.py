@@ -294,11 +294,13 @@ def test_cond_grad_anchor_mode_is_a_margin_update_toward_the_reference():
 
 
 def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
-                        anchor, calls, results=None):
+                        anchor, calls, results=None, live=None):
     """cond_grad one draw at a time: each draw's coefficient table, then its
     own refinement adjoint and scorer backward. Appends every greedy input
     table to calls, in call order, and each greedy result to results when
-    given. Every greedy request is computed: there is no memo."""
+    given. Every greedy request is computed: there is no memo. Every draw
+    runs the backward pass, all-zero table or not; live, when given, gets
+    the draws whose coefficient table has a nonzero entry."""
     kk = samples.k
     m = rec.num_classes + 1
     eye = np.eye(m)
@@ -329,6 +331,8 @@ def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
             for k2 in range(kk):
                 if k2 != k:
                     q += pair_coef * (m_c - eye[infer(g + aug_pairs[k2])])
+        if live is not None and q.any():
+            live.append(k)
         if samples.refined:
             q = refine_backward(np.ascontiguousarray(samples.stack[:, k]),
                                 rec.adjacency, icfg, q)
@@ -450,6 +454,65 @@ def test_cond_grad_with_the_memo_equals_a_memo_free_loop(
     assert len(computed) == len(set(got_calls))
 
 
+@settings(max_examples=60, deadline=None)
+@given(scene=st.integers(0, 2), supervision=st.sampled_from(["image", "box"]),
+       anchor=st.booleans(), gamma=st.sampled_from([0.0, 0.5]),
+       term_mode=st.sampled_from(["U", "U+P+H"]), k=st.integers(2, 5),
+       noise_scale=st.sampled_from([0.0, 0.05, 0.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cond_grad_backward_over_live_draws_equals_the_full_backward(
+        scene, supervision, anchor, gamma, term_mode, k, noise_scale, seed):
+    # a draw whose coefficient table is all zero adds nothing, so cond_grad
+    # runs the refinement adjoint and the scorer backward for the others
+    # only; the gradient bytes must be those of backwarding every draw
+    recs = _prepared_scenes(supervision)
+    assume(recs)
+    rec = recs[scene % len(recs)]
+    tcfg = TrainConfig(k=k, gamma=gamma, term_mode=term_mode,
+                       supervision=supervision)
+    icfg, lcfg = InferenceConfig(delta=8.0), LossConfig()
+    rng = np.random.default_rng(seed)
+    params = cond_init(rec.num_classes)
+    params.w += rng.normal(0.0, 0.5, size=params.w.shape)
+    params.w[:, feature_dim(rec.num_classes):] *= noise_scale / 0.5
+    try:
+        samples = sample_k(params, rec, k, seed % 97, icfg,
+                           term_mode=term_mode,
+                           enforce=True if anchor else None)
+    except InferenceError:
+        assume(False)
+    # a reference equal to a draw's labeling leaves that draw's table at
+    # zero more often than a random one
+    y_ref = (seed_labeling(rec) if anchor else
+             samples.labels[seed % k] if seed % 2 else
+             rng.integers(0, rec.num_classes + 1, rec.num_proposals))
+    live = []
+    try:
+        want = _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg,
+                                   lcfg, anchor, [], live=live)
+    except InferenceError:
+        assume(False)
+    vjp_inputs, adjoint_draws = [], []
+
+    def traced_vjp(p, x, q):
+        vjp_inputs.append(x.tobytes())
+        return score_vjp(p, x, q)
+
+    def traced_adjoint(stack, adjacency, cfg, q):
+        adjoint_draws.append(q.shape[0])
+        return refine_backward(stack, adjacency, cfg, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train_mod, "score_vjp", traced_vjp)
+        mp.setattr(train_mod, "refine_backward", traced_adjoint)
+        got = cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
+                        anchor=anchor)
+    assert got.w.tobytes() == want.w.tobytes()
+    assert vjp_inputs == [samples.x[j].tobytes() for j in live]
+    want_adjoint = [len(live)] if samples.refined and live else []
+    assert adjoint_draws == want_adjoint
+
+
 def _hopeless_box_scene(scene_id):
     """A two-class box scene whose enforced inference always raises. Both
     classes have a box on m0's extent, and class 2 also has one on m1's.
@@ -520,6 +583,44 @@ def test_fit_skips_the_update_of_a_scene_whose_gradient_fails(monkeypatch):
     # metrics still read both scenes' samples in the flaky fit
     assert res.log[0]["grad_norm"] == only_good.log[0]["grad_norm"]
     assert res.log[0]["feasible"] == 1.0
+
+
+def _seed_labeling_loop(rec):
+    """seed_labeling with its own ring-edge loop, as it was before it read
+    the scorer's boundary_edge feature column."""
+    labels = np.zeros(rec.num_proposals, dtype=np.int64)
+    ring_edge = np.zeros(rec.num_proposals, dtype=np.float64)
+    for u in range(rec.num_proposals):
+        ring = inner_boundary(rec.pool[u])
+        ring_edge[u] = rec.edges[ring].mean() if ring.any() else 0.0
+    for s in rec.seeds:
+        seed_area = float(np.count_nonzero(s.mask))
+        if seed_area == 0.0:
+            continue
+        best_score, best_u = 0.0, -1
+        for u in range(rec.num_proposals):
+            cover = np.count_nonzero(s.mask & rec.pool[u]) / seed_area
+            score = cover * (0.05 + ring_edge[u])
+            if score > best_score:
+                best_score, best_u = score, u
+        if best_u >= 0:
+            labels[best_u] = s.class_id
+    return labels, ring_edge
+
+
+@pytest.mark.parametrize("supervision", ["image", "box"])
+def test_seed_labeling_equals_its_ring_edge_loop(supervision):
+    tcfg, icfg = TrainConfig(supervision=supervision), InferenceConfig()
+    seen = 0
+    for rec in _tiny_dataset(n=6, seed=3):
+        prep = prepare_scene(rec, tcfg, icfg)
+        if prep is None:
+            continue
+        want, ring_edge = _seed_labeling_loop(prep)
+        np.testing.assert_array_equal(seed_labeling(prep), want)
+        assert features(prep)[:, 6].tobytes() == ring_edge.tobytes()
+        seen += int(want.any())
+    assert seen > 0
 
 
 def test_seed_labeling_prefers_boundary_aligned_extent():
