@@ -76,29 +76,49 @@ def build_adjacency(pool: np.ndarray, edges: np.ndarray, dilation: int = 1) -> A
     pixels (Chebyshev). I_uv sums raw edge values over the contact band;
     no normalization by band length.
     """
-    p = pool.shape[0]
-    dil = [dilate(pool[u], dilation) for u in range(p)]
+    p, h, w = pool.shape
+    dil = dilate(pool, dilation)
+    # u and v can only touch where dilate(u) shares rows and columns with v
+    near = (_shared(dil.any(axis=2), pool.any(axis=2))
+            & _shared(dil.any(axis=1), pool.any(axis=1)))
+    us, vs = np.nonzero(np.triu(near | near.T, 1))  # row-major (u, v)
+    dil = dil.reshape(p, h * w)
+    flat = pool.reshape(p, h * w)
+    edges = edges.reshape(h * w)
+    # the bands of up to P pairs at a time; a pair touches iff its band is
+    # not empty. I_uv is the float32 sum of the band's edge values in
+    # row-major pixel order, as edges[band].sum() adds them.
+    touch, ew = [], []
+    for lo in range(0, us.size, max(p, 1)):
+        u, v = us[lo:lo + p], vs[lo:lo + p]
+        band = (dil[u] & flat[v]) | (dil[v] & flat[u])
+        size = np.count_nonzero(band, axis=1)
+        pixels = np.flatnonzero(band)
+        pixels %= h * w
+        values = edges[pixels]
+        ends = np.cumsum(size).tolist()
+        for k, (a, b) in enumerate(zip([0] + ends[:-1], ends)):
+            if b > a:
+                touch.append(lo + k)
+                ew.append(float(values[a:b].sum()))
+    us, vs = us[touch], vs[touch]
+    ew = np.array(ew, dtype=np.float64)
     neighbors = [[] for _ in range(p)]
     weights = [[] for _ in range(p)]
-    eu, ev, ew = [], [], []
-    for u in range(p):
-        for v in range(u + 1, p):
-            band_uv = dil[u] & pool[v]
-            band_vu = dil[v] & pool[u]
-            if not (band_uv.any() or band_vu.any()):
-                continue
-            w = float(edges[band_uv | band_vu].sum())
-            neighbors[u].append(v)
-            weights[u].append(w)
-            neighbors[v].append(u)
-            weights[v].append(w)
-            eu.extend((u, v))
-            ev.extend((v, u))
-            ew.extend((w, w))
+    for u, v, wt in zip(us.tolist(), vs.tolist(), ew.tolist()):
+        neighbors[u].append(v)
+        weights[u].append(wt)
+        neighbors[v].append(u)
+        weights[v].append(wt)
     return Adjacency(
         neighbors=[np.array(n, dtype=np.int64) for n in neighbors],
         weights=[np.array(w, dtype=np.float64) for w in weights],
-        edge_u=np.array(eu, dtype=np.int64),
-        edge_v=np.array(ev, dtype=np.int64),
-        edge_w=np.array(ew, dtype=np.float64),
+        edge_u=np.stack([us, vs], axis=1).reshape(-1),
+        edge_v=np.stack([vs, us], axis=1).reshape(-1),
+        edge_w=np.repeat(ew, 2),
     )
+
+
+def _shared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(P, P) bool: whether row u of a and row v of b share a set entry."""
+    return (a.astype(np.float32) @ b.T.astype(np.float32)) > 0

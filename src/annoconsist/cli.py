@@ -298,8 +298,12 @@ def cmd_ablate(args) -> int:
 
 def cmd_render(args) -> int:
     obj = _load_predictions(args.pred)
-    records = _load_split(args.data, args.split)
-    by_id = {rec.scene_id: rec for rec in records}
+    wanted = {entry["scene_id"] for entry in obj["scenes"]}
+    # the last record per predicted scene id; the others are dropped as the
+    # split streams past
+    by_id = {rec.scene_id: rec
+             for rec in iter_dataset(_dataset_path(args.data, args.split))
+             if rec.scene_id in wanted}
     paths = render_predictions(obj, by_id, args.out)
     print(f"wrote {len(paths)} panels to {args.out}")
     return EXIT_OK

@@ -1,7 +1,10 @@
 """Binary mask primitives: geometry, overlap measures, RLE codec.
 
-Masks are 2-D bool arrays of shape (H, W). Boxes use inclusive pixel
-coordinates (x_min, y_min, x_max, y_max).
+Masks are 2-D bool arrays of shape (H, W). The morphology primitives take
+a (..., H, W) stack and treat each mask on its own, a single mask being
+the stack with no leading axis; tight boxes and the RLE codec work over a
+(P, H, W) stack, and the single-mask calls are its one-row case. Boxes use
+inclusive pixel coordinates (x_min, y_min, x_max, y_max).
 """
 
 from __future__ import annotations
@@ -51,12 +54,25 @@ def overlap_fraction(a: np.ndarray, b: np.ndarray) -> float:
     return np.count_nonzero(a & b) / nb
 
 
+def tight_boxes(masks: np.ndarray) -> list:
+    """Smallest box containing every set pixel of each mask of a (P, H, W)
+    stack, from row and column `any` over the stack. Errors on an empty
+    mask."""
+    rows = masks.any(axis=2)
+    cols = masks.any(axis=1)
+    if not rows.any(axis=1).all():
+        raise ValueError("tight_box: empty mask")
+    h, w = masks.shape[1:]
+    y0 = rows.argmax(axis=1).tolist()
+    y1 = (h - 1 - rows[:, ::-1].argmax(axis=1)).tolist()
+    x0 = cols.argmax(axis=1).tolist()
+    x1 = (w - 1 - cols[:, ::-1].argmax(axis=1)).tolist()
+    return [Box(*b) for b in zip(x0, y0, x1, y1)]
+
+
 def tight_box(mask: np.ndarray) -> Box:
     """Smallest box containing every set pixel. Errors on an empty mask."""
-    ys, xs = np.nonzero(mask)
-    if ys.size == 0:
-        raise ValueError("tight_box: empty mask")
-    return Box(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+    return tight_boxes(np.asarray(mask)[None])[0]
 
 
 def box_iou(a: Box, b: Box) -> float:
@@ -69,65 +85,102 @@ def box_iou(a: Box, b: Box) -> float:
 
 
 def dilate(mask: np.ndarray, steps: int = 1) -> np.ndarray:
-    """Chebyshev (8-connected) dilation by `steps` pixels."""
-    out = mask.astype(bool).copy()
+    """Chebyshev (8-connected) dilation by `steps` pixels of a (..., H, W)
+    stack of masks, each mask on its own; a fresh array."""
+    out = mask.astype(bool)
     for _ in range(steps):
+        # the 3x3 square is a row segment swept along the columns
         m = out.copy()
-        m[1:, :] |= out[:-1, :]
-        m[:-1, :] |= out[1:, :]
-        m[:, 1:] |= out[:, :-1]
-        m[:, :-1] |= out[:, 1:]
-        m[1:, 1:] |= out[:-1, :-1]
-        m[1:, :-1] |= out[:-1, 1:]
-        m[:-1, 1:] |= out[1:, :-1]
-        m[:-1, :-1] |= out[1:, 1:]
-        out = m
+        m[..., :, 1:] |= out[..., :, :-1]
+        m[..., :, :-1] |= out[..., :, 1:]
+        out = m.copy()
+        out[..., 1:, :] |= m[..., :-1, :]
+        out[..., :-1, :] |= m[..., 1:, :]
     return out
 
 
 def erode(mask: np.ndarray, steps: int = 1) -> np.ndarray:
-    """8-connected erosion; pixels outside the frame count as unset."""
-    m = mask.astype(bool)
+    """8-connected erosion of a (..., H, W) stack of masks; pixels outside
+    the frame count as unset."""
+    if steps < 0:
+        raise ValueError("erode: steps must be non-negative")
     if steps == 0:
-        return m
-    padded = np.pad(m, steps, constant_values=False)
-    out = ~dilate(~padded, steps)
-    return out[steps:-steps, steps:-steps]
+        return mask.astype(bool)
+    out = ~dilate(~mask.astype(bool), steps)
+    # every pixel within `steps` of the border sees an outside pixel
+    out[..., :steps, :] = False
+    out[..., -steps:, :] = False
+    out[..., :, :steps] = False
+    out[..., :, -steps:] = False
+    return out
 
 
 def inner_boundary(mask: np.ndarray) -> np.ndarray:
-    """Set pixels with an unset 8-neighbor (or on the image border)."""
+    """Set pixels with an unset 8-neighbor (or on the image border), for
+    each mask of a (..., H, W) stack."""
     m = mask.astype(bool)
     return m & ~erode(m, 1)
 
 
+def rle_encode_stack(masks: np.ndarray) -> list:
+    """Row-major run-length encodings of a (P, H, W) stack, one dict per
+    mask; counts start with a zeros run (0 when the first pixel is set)."""
+    p, h, w = masks.shape
+    n = h * w
+    flat = masks.reshape(p, n)
+    # run starts: pixels that differ from the one before them, the first
+    # pixel of a row against an unset one
+    starts = np.empty((p, n), dtype=bool)
+    starts[:, :1] = flat[:, :1]
+    np.not_equal(flat[:, 1:], flat[:, :-1], out=starts[:, 1:])
+    runs = np.flatnonzero(starts)
+    # every row's bounds [r*n, run starts..., (r+1)*n] in one sorted list:
+    # one diff gives each row's counts, a set first pixel a leading 0
+    first = np.searchsorted(runs, np.arange(p + 1) * n) + np.arange(p + 1)
+    bounds = np.empty(runs.size + p + 1, dtype=np.int64)
+    at_run = np.ones(bounds.size, dtype=bool)
+    at_run[first] = False
+    bounds[first] = np.arange(p + 1) * n
+    bounds[at_run] = runs
+    counts = np.diff(bounds).tolist()
+    first = first.tolist()
+    return [{"counts": counts[a:b], "size": [h, w]}
+            for a, b in zip(first, first[1:])]
+
+
 def rle_encode(mask: np.ndarray) -> dict:
     """Row-major run-length encoding, counts starting with a zeros run."""
-    h, w = mask.shape
-    flat = np.asarray(mask, dtype=bool).ravel()
-    if flat.size == 0:
-        return {"counts": [0], "size": [h, w]}
-    changes = np.nonzero(np.diff(flat))[0] + 1
-    bounds = np.concatenate(([0], changes, [flat.size]))
-    counts = np.diff(bounds).tolist()
-    if flat[0]:
-        counts = [0] + counts
-    return {"counts": counts, "size": [h, w]}
+    return rle_encode_stack(np.asarray(mask, dtype=bool)[None])[0]
+
+
+def rle_decode_stack(rles: list) -> np.ndarray:
+    """The (P, H, W) stack of P encodings of one frame size. Errors on runs
+    that are negative or do not fill the frame."""
+    if not rles:
+        raise ValueError("rle_decode_stack: no masks")
+    h, w = rles[0]["size"]
+    if any(r["size"] != rles[0]["size"] for r in rles):
+        raise ValueError("rle masks differ in size")
+    lengths = [len(r["counts"]) for r in rles]
+    counts = np.array([c for r in rles for c in r["counts"]])
+    if counts.size and counts.dtype.kind not in "iu":
+        raise ValueError("rle counts must be integer runs")
+    counts = counts.astype(np.int64)
+    if (counts < 0).any():
+        raise ValueError("rle counts must not be negative")
+    ends = np.cumsum(lengths)
+    total = np.concatenate(([0], np.cumsum(counts)))
+    filled = total[ends] - total[ends - lengths]
+    if (filled != h * w).any():
+        raise ValueError(f"rle length {int(filled[filled != h * w][0])} "
+                         f"does not match size {h}x{w}")
+    # runs alternate unset, set, unset, ... from each mask's first run
+    index = np.arange(counts.size) - np.repeat(ends - lengths, lengths)
+    return np.repeat(index % 2 == 1, counts).reshape(len(rles), h, w)
 
 
 def rle_decode(rle: dict) -> np.ndarray:
-    h, w = rle["size"]
-    flat = np.zeros(h * w, dtype=bool)
-    pos = 0
-    val = False
-    for run in rle["counts"]:
-        if val:
-            flat[pos : pos + run] = True
-        pos += run
-        val = not val
-    if pos != h * w:
-        raise ValueError(f"rle length {pos} does not match size {h}x{w}")
-    return flat.reshape(h, w)
+    return rle_decode_stack([rle])[0]
 
 
 def stack_pool(masks) -> np.ndarray:

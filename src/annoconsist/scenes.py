@@ -19,10 +19,9 @@ from .masks import (
     Box,
     box_iou,
     overlap_fraction_matrix,
-    rle_decode,
-    rle_encode,
-    stack_pool,
-    tight_box,
+    rle_decode_stack,
+    rle_encode_stack,
+    tight_boxes,
 )
 
 FORMAT_VERSION = 1
@@ -110,7 +109,7 @@ class PoolGeometry:
         return PoolGeometry(
             areas=pool.reshape(pool.shape[0], -1).sum(axis=1),
             ovl=overlap_fraction_matrix(pool),
-            boxes=[tight_box(pool[i]) for i in range(pool.shape[0])],
+            boxes=tight_boxes(pool),
         )
 
 
@@ -153,7 +152,24 @@ def _unb64_f32(s: str, shape) -> np.ndarray:
     return arr.reshape(shape).copy()
 
 
+def _encode_masks(masks: list, h: int, w: int) -> list:
+    return rle_encode_stack(np.stack(masks) if masks
+                            else np.zeros((0, h, w), dtype=bool))
+
+
+def _decode_masks(rles: list, h: int, w: int) -> np.ndarray:
+    """The (N, h, w) stack of N encodings; each must be of size h x w."""
+    if not rles:
+        return np.zeros((0, h, w), dtype=bool)
+    masks = rle_decode_stack(rles)
+    if masks.shape[1:] != (h, w):
+        raise DatasetFormatError(f"mask size {list(masks.shape[1:])} does "
+                                 f"not match the {h}x{w} frame")
+    return masks
+
+
 def scene_to_obj(rec: SceneRecord) -> dict:
+    h, w = rec.height, rec.width
     return {
         "format_version": FORMAT_VERSION,
         "scene_id": rec.scene_id,
@@ -162,20 +178,58 @@ def scene_to_obj(rec: SceneRecord) -> dict:
         "num_classes": rec.num_classes,
         "image": _b64_f32(rec.image),
         "edges": _b64_f32(rec.edges),
-        "gt": [{"class_id": g.class_id, "mask": rle_encode(g.mask)} for g in rec.gt],
+        "gt": [{"class_id": g.class_id, "mask": m} for g, m in zip(
+            rec.gt, _encode_masks([g.mask for g in rec.gt], h, w))],
         "annotation": {
             "presence": rec.annotation.presence.astype(int).tolist(),
             "boxes": None
             if rec.annotation.boxes is None
             else [[c, *b.as_tuple()] for c, b in rec.annotation.boxes],
         },
-        "seeds": [{"class_id": s.class_id, "mask": rle_encode(s.mask)} for s in rec.seeds],
-        "pool": [rle_encode(rec.pool[i]) for i in range(rec.pool.shape[0])],
+        "seeds": [{"class_id": s.class_id, "mask": m} for s, m in zip(
+            rec.seeds, _encode_masks([s.mask for s in rec.seeds], h, w))],
+        "pool": rle_encode_stack(rec.pool),
         "adjacency": {
             "neighbors": [n.tolist() for n in rec.adjacency.neighbors],
             "weights": [w.tolist() for w in rec.adjacency.weights],
         },
     }
+
+
+def _adjacency_from_obj(obj: dict, p: int) -> Adjacency:
+    """The stored graph of a pool of p proposals, checked: one neighbor
+    list and one weight list per proposal, of equal lengths, with neighbor
+    indices in [0, p) other than the proposal's own. The directed edge
+    arrays list each pair u < v as (u, v) then (v, u), in u's list order."""
+    neighbors = [np.array(n, dtype=np.int64) for n in obj["neighbors"]]
+    weights = [np.array(x, dtype=np.float64) for x in obj["weights"]]
+    if len(neighbors) != p or len(weights) != p:
+        raise DatasetFormatError(
+            f"adjacency lists {len(neighbors)} neighbor and {len(weights)} "
+            f"weight lists for a pool of {p} proposals")
+    sizes = [n.size for n in neighbors]
+    if any(n.ndim != 1 or x.shape != n.shape
+           for n, x in zip(neighbors, weights)):
+        raise DatasetFormatError("adjacency neighbor and weight lists "
+                                 "differ in length")
+    u = np.repeat(np.arange(p, dtype=np.int64), sizes)
+    v = np.concatenate([np.zeros(0, dtype=np.int64), *neighbors])
+    w = np.concatenate([np.zeros(0, dtype=np.float64), *weights])
+    bad = (v < 0) | (v >= p) | (v == u)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DatasetFormatError(
+            f"adjacency: proposal {int(u[i])} lists neighbor {int(v[i])}, "
+            f"outside [0, {p}) or itself")
+    up = u < v
+    u, v, w = u[up], v[up], w[up]
+    return Adjacency(
+        neighbors=neighbors,
+        weights=weights,
+        edge_u=np.stack([u, v], axis=1).reshape(-1),
+        edge_v=np.stack([v, u], axis=1).reshape(-1),
+        edge_w=np.repeat(w, 2),
+    )
 
 
 def scene_from_obj(obj: dict) -> SceneRecord:
@@ -184,22 +238,16 @@ def scene_from_obj(obj: dict) -> SceneRecord:
         if version != FORMAT_VERSION:
             raise DatasetFormatError(f"unsupported format_version {version}")
         h, w = obj["height"], obj["width"]
-        pool = stack_pool([rle_decode(r) for r in obj["pool"]])
+        pool = _decode_masks(obj["pool"], h, w)
+        if not len(pool):
+            raise DatasetFormatError("scene has an empty proposal pool")
         ann_obj = obj["annotation"]
         boxes = ann_obj["boxes"]
         annotation = Annotation(
             presence=np.array(ann_obj["presence"], dtype=np.int8),
             boxes=None if boxes is None else [(b[0], Box(*b[1:])) for b in boxes],
         )
-        neighbors = [np.array(n, dtype=np.int64) for n in obj["adjacency"]["neighbors"]]
-        weights = [np.array(x, dtype=np.float64) for x in obj["adjacency"]["weights"]]
-        eu, ev, ew = [], [], []
-        for u, (ns, ws) in enumerate(zip(neighbors, weights)):
-            for v, wt in zip(ns, ws):
-                if u < v:
-                    eu.extend((u, v))
-                    ev.extend((v, u))
-                    ew.extend((wt, wt))
+        adjacency = _adjacency_from_obj(obj["adjacency"], pool.shape[0])
         return SceneRecord(
             scene_id=obj["scene_id"],
             width=w,
@@ -207,20 +255,14 @@ def scene_from_obj(obj: dict) -> SceneRecord:
             num_classes=obj["num_classes"],
             image=_unb64_f32(obj["image"], (h, w, 3)),
             edges=_unb64_f32(obj["edges"], (h, w)),
-            gt=[
-                GroundTruthInstance(g["class_id"], rle_decode(g["mask"]))
-                for g in obj["gt"]
-            ],
+            gt=[GroundTruthInstance(g["class_id"], m) for g, m in zip(
+                obj["gt"], _decode_masks([g["mask"] for g in obj["gt"]], h, w))],
             annotation=annotation,
-            seeds=[Seed(s["class_id"], rle_decode(s["mask"])) for s in obj["seeds"]],
+            seeds=[Seed(s["class_id"], m) for s, m in zip(
+                obj["seeds"], _decode_masks([s["mask"] for s in obj["seeds"]],
+                                            h, w))],
             pool=pool,
-            adjacency=Adjacency(
-                neighbors=neighbors,
-                weights=weights,
-                edge_u=np.array(eu, dtype=np.int64),
-                edge_v=np.array(ev, dtype=np.int64),
-                edge_w=np.array(ew, dtype=np.float64),
-            ),
+            adjacency=adjacency,
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, DatasetFormatError):

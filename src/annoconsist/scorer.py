@@ -30,32 +30,48 @@ def feature_dim(num_classes: int) -> int:
 
 
 def features(rec: SceneRecord) -> np.ndarray:
-    """(P, D) feature matrix; cached on the record."""
+    """(P, D) feature matrix; cached on the record.
+
+    Areas, centroids and seed overlaps are exact integer counts over the
+    pool stack, divided in the order a per-proposal pass divides them. The
+    colour and ring-edge means stay per proposal, since they are float32
+    reductions, each over its proposal's pixels in row-major order."""
     if rec._features is not None:
         return rec._features
     p = rec.num_proposals
     d = feature_dim(rec.num_classes)
+    h, w = rec.height, rec.width
     out = np.zeros((p, d), dtype=np.float64)
-    hw = rec.height * rec.width
-    seeds_by_class = {}
-    for s in rec.seeds:
-        seeds_by_class.setdefault(s.class_id, []).append(s.mask)
-    for i in range(p):
-        m = rec.pool[i]
-        ys, xs = np.nonzero(m)
-        area = ys.size
-        out[i, 0] = area / hw
-        out[i, 1] = xs.mean() / rec.width
-        out[i, 2] = ys.mean() / rec.height
-        out[i, 3:6] = rec.image[m].mean(axis=0)
-        ring = inner_boundary(m)
-        out[i, 6] = rec.edges[ring].mean() if ring.any() else 0.0
-        for j, seed_masks in seeds_by_class.items():
-            best = max(np.count_nonzero(m & s) / area for s in seed_masks)
-            out[i, 7 + j - 1] = best
-        out[i, d - 1] = 1.0
+    flat = rec.pool.reshape(p, h * w)
+    area = np.count_nonzero(flat, axis=1)
+    if not area.all():
+        raise ValueError("pool contains an empty mask")
+    out[:, 0] = area / (h * w)
+    # the mean x of a mask is sum x / area, as np.mean of its coordinates
+    out[:, 1] = rec.pool.sum(axis=1) @ np.arange(w) / area / w
+    out[:, 2] = rec.pool.sum(axis=2) @ np.arange(h) / area / h
+    image = rec.image.reshape(h * w, 3)
+    for i, px in enumerate(_pixels_by_row(flat)):
+        out[i, 3:6] = image[px].mean(axis=0)
+    edges = rec.edges.reshape(h * w)
+    for i, px in enumerate(_pixels_by_row(
+            inner_boundary(rec.pool).reshape(p, h * w))):
+        out[i, 6] = edges[px].mean() if px.size else 0.0
+    for j in sorted({s.class_id for s in rec.seeds}):
+        inter = np.stack([np.count_nonzero(flat & s.mask.reshape(h * w),
+                                           axis=1)
+                          for s in rec.seeds if s.class_id == j])
+        out[:, 7 + j - 1] = (inter / area).max(axis=0)
+    out[:, d - 1] = 1.0
     rec._features = out
     return out
+
+
+def _pixels_by_row(flat: np.ndarray) -> list:
+    """Per row of a (P, N) bool stack, its set column indices, ascending."""
+    idx = np.flatnonzero(flat)
+    idx %= flat.shape[1]
+    return np.split(idx, np.cumsum(np.count_nonzero(flat, axis=1))[:-1])
 
 
 @dataclass

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjacency import build_adjacency
-from .masks import Box, box_iou, erode, dilate, inner_boundary, stack_pool, tight_box
+from .masks import (box_iou, dilate, erode, inner_boundary, stack_pool,
+                    tight_boxes)
 from .scenes import Annotation, GroundTruthInstance, SceneRecord, Seed, rebuild_with_pool
 
 # class colors; background is gray
@@ -146,7 +147,8 @@ def _draw_shape(rng, cfg: SceneConfig):
     ext_x = int(rng.integers(cfg.min_extent, cfg.max_extent + 1))
     cy = int(rng.integers(cfg.margin + ext_y // 2, h - cfg.margin - ext_y // 2))
     cx = int(rng.integers(cfg.margin + ext_x // 2, w - cfg.margin - ext_x // 2))
-    ys, xs = np.mgrid[0:h, 0:w]
+    # a column and a row of coordinates, broadcast to the frame
+    ys, xs = np.arange(h)[:, None], np.arange(w)[None, :]
     if family == "rect":
         mask = (np.abs(ys - cy) <= ext_y // 2) & (np.abs(xs - cx) <= ext_x // 2)
     elif family == "ellipse":
@@ -174,22 +176,26 @@ def _grow_seed(rng, mask: np.ndarray, fraction: float) -> np.ndarray:
     target = max(1, int(round(fraction * ys.size)))
     cy, cx = ys.mean(), xs.mean()
     start = int(np.argmin((ys - cy) ** 2 + (xs - cx) ** 2))
-    seed = np.zeros_like(mask)
-    seen = np.zeros_like(mask)
-    queue = deque([(int(ys[start]), int(xs[start]))])
-    seen[ys[start], xs[start]] = True
-    count = 0
     h, w = mask.shape
-    while queue and count < target:
-        y, x = queue.popleft()
-        seed[y, x] = True
-        count += 1
-        for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and not seen[ny, nx]:
-                seen[ny, nx] = True
-                queue.append((ny, nx))
-    return seed
+    # the walk runs on flat pixel indices over Python lists, which index
+    # far faster than numpy scalars; unvisited = set and not yet queued
+    unvisited = mask.ravel().tolist()
+    first = int(ys[start]) * w + int(xs[start])
+    unvisited[first] = False
+    queue = deque([first])
+    grown = []
+    while queue and len(grown) < target:
+        i = queue.popleft()
+        grown.append(i)
+        y, x = divmod(i, w)
+        for j, inside in ((i - w, y > 0), (i + w, y < h - 1),
+                          (i - 1, x > 0), (i + 1, x < w - 1)):
+            if inside and unvisited[j]:
+                unvisited[j] = False
+                queue.append(j)
+    seed = np.zeros(h * w, dtype=bool)
+    seed[grown] = True
+    return seed.reshape(h, w)
 
 
 _SCENE_RETRIES = 32
@@ -244,9 +250,10 @@ def gen_scene(cfg: SceneConfig, seed: int, scene_id: int = 0) -> SceneRecord:
     image = np.empty((h, w, 3), dtype=np.float32)
     image[:] = BACKGROUND
     edges = np.zeros((h, w), dtype=np.float32)
+    gt_masks = np.stack([g.mask for g in gt])
     for g in gt:
         image[g.mask] = PALETTE[g.class_id - 1]
-        edges[inner_boundary(g.mask)] = 1.0
+    edges[inner_boundary(gt_masks).any(axis=0)] = 1.0
     image += rng.normal(0.0, cfg.color_noise, size=image.shape).astype(np.float32)
     np.clip(image, 0.0, 1.0, out=image)
 
@@ -260,9 +267,9 @@ def gen_scene(cfg: SceneConfig, seed: int, scene_id: int = 0) -> SceneRecord:
     presence = np.zeros(cfg.num_classes, dtype=np.int8)
     boxes = []
     seeds = []
-    for g in gt:
+    for g, box in zip(gt, tight_boxes(gt_masks)):
         presence[g.class_id - 1] = 1
-        boxes.append((g.class_id, tight_box(g.mask)))
+        boxes.append((g.class_id, box))
         frac = rng.uniform(*cfg.seed_fraction)
         seeds.append(Seed(g.class_id, _grow_seed(rng, g.mask, frac)))
 
@@ -285,7 +292,7 @@ def gen_scene(cfg: SceneConfig, seed: int, scene_id: int = 0) -> SceneRecord:
 def _split_parts(core: np.ndarray, pivot, angle: float):
     """Cut `core` in two along a line through `pivot` at `angle`."""
     h, w = core.shape
-    ys, xs = np.mgrid[0:h, 0:w]
+    ys, xs = np.arange(h)[:, None], np.arange(w)[None, :]
     side = (xs - pivot[1]) * np.cos(angle) + (ys - pivot[0]) * np.sin(angle)
     return core & (side >= 0), core & (side < 0)
 
@@ -311,10 +318,14 @@ def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneReco
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, rec.scene_id, 0xB0B)))
     candidates = []
-    for g, own_seed in zip(rec.gt, rec.seeds):
+    gt_masks = np.array([g.mask for g in rec.gt], dtype=bool).reshape(
+        -1, rec.height, rec.width)
+    cores = erode(gt_masks, cfg.erode_px)
+    grown = dilate(gt_masks, cfg.dilate_px) if cfg.dilate_variant else None
+    for i, (g, own_seed) in enumerate(zip(rec.gt, rec.seeds)):
         if cfg.include_gt:
             candidates.append(g.mask)
-        core = erode(g.mask, cfg.erode_px)
+        core = cores[i]
         if core.any():
             candidates.append(core)
             if (own_seed.mask & core).any():
@@ -327,7 +338,7 @@ def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneReco
                 a, b = _split_parts(core, pivot, angle)
                 candidates.extend((a, b))
         if cfg.dilate_variant:
-            candidates.append(dilate(g.mask, cfg.dilate_px))
+            candidates.append(grown[i])
         if cfg.shift_variant:
             dy = int(rng.integers(-cfg.shift_px, cfg.shift_px + 1))
             dx = int(rng.integers(-cfg.shift_px, cfg.shift_px + 1))
@@ -391,11 +402,8 @@ def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneReco
 
 def filter_by_boxes(pool: np.ndarray, boxes, min_iou: float) -> np.ndarray:
     """Indices of proposals whose tight box matches any annotation box."""
-    keep = []
-    for i in range(pool.shape[0]):
-        tb = tight_box(pool[i])
-        if any(box_iou(tb, b) >= min_iou for _, b in boxes):
-            keep.append(i)
+    keep = [i for i, tb in enumerate(tight_boxes(pool))
+            if any(box_iou(tb, b) >= min_iou for _, b in boxes)]
     return np.array(keep, dtype=np.int64)
 
 

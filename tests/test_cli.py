@@ -328,6 +328,88 @@ def test_infer_and_eval_memory_does_not_grow_with_the_split(
         assert large < 1.5 * small, (stage, small, large)
 
 
+def test_render_memory_does_not_grow_with_the_split(tmp_path, pipeline,
+                                                    tiny_config_path, capsys):
+    # one predictions file over n held-out scenes, drawn against splits of n
+    # and 8n scenes whose first n scenes are those same scenes
+    n = 3
+    peaks, panels = {}, {}
+    for size in (n, 8 * n):
+        cfg = dict(TINY_CONFIG, n_eval_scenes=size)
+        cfg_path = tmp_path / f"cfg{size}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        data = str(tmp_path / f"data{size}")
+        assert run(["gen", "--config", str(cfg_path), "--out", data]) == EXIT_OK
+        if size == n:
+            preds = str(tmp_path / "preds.json")
+            assert run(["infer", "--model", pipeline["model"], "--data", data,
+                        "--out", preds]) == EXIT_OK
+        out = tmp_path / f"panels{size}"
+        capsys.readouterr()
+        peaks[size] = _traced_peak(["render", "--pred", preds, "--data", data,
+                                    "--out", str(out)])
+        assert capsys.readouterr().out == f"wrote {n} panels to {out}\n"
+        panels[size] = {name: (out / name).read_bytes()
+                        for name in sorted(os.listdir(out))}
+    assert len(panels[n]) == n and panels[8 * n] == panels[n]
+    assert peaks[8 * n] < 1.25 * peaks[n], peaks
+
+
+def _edit_first_scene(pipeline, tmp_path, edit):
+    """A copy of the pipeline's data whose first training scene went
+    through `edit(obj)`; returns the data directory."""
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / "train.jsonl").read_text().splitlines()
+    obj = json.loads(lines[0])
+    edit(obj)
+    lines[0] = json.dumps(obj)
+    (data / "train.jsonl").write_text("\n".join(lines) + "\n")
+    return str(data)
+
+
+def _train_on(data, tiny_config_path, tmp_path):
+    return run(["train", "--config", tiny_config_path, "--data", data,
+                "--out", str(tmp_path / "m")])
+
+
+def test_negative_rle_run_is_a_dataset_error(tmp_path, pipeline,
+                                             tiny_config_path, capsys):
+    def negative_run(obj):
+        counts = obj["pool"][0]["counts"]
+        # the runs still add up to the frame, but one of them is negative
+        obj["pool"][0]["counts"] = [counts[0] + 3, -3] + counts[1:]
+
+    data = _edit_first_scene(pipeline, tmp_path, negative_run)
+    assert _train_on(data, tiny_config_path, tmp_path) == EXIT_USAGE
+    assert "negative" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_adjacency_neighbor_outside_the_pool_is_a_dataset_error(
+        tmp_path, pipeline, tiny_config_path, capsys):
+    def past_the_pool(obj):
+        adj = obj["adjacency"]
+        adj["neighbors"][0].append(len(obj["pool"]))
+        adj["weights"][0].append(1.0)
+
+    data = _edit_first_scene(pipeline, tmp_path, past_the_pool)
+    assert _train_on(data, tiny_config_path, tmp_path) == EXIT_USAGE
+    assert "outside" in capsys.readouterr().err
+
+
+def test_adjacency_one_list_short_of_the_pool_is_a_dataset_error(
+        tmp_path, pipeline, tiny_config_path, capsys):
+    def one_short(obj):
+        adj = obj["adjacency"]
+        adj["neighbors"].pop()
+        adj["weights"].pop()
+
+    data = _edit_first_scene(pipeline, tmp_path, one_short)
+    assert _train_on(data, tiny_config_path, tmp_path) == EXIT_USAGE
+    assert "for a pool of" in capsys.readouterr().err
+
+
 def test_eval_prints_map_table(pipeline, capsys):
     assert run(["eval", "--pred", pipeline["preds"], "--data",
                 pipeline["data"]]) == EXIT_OK

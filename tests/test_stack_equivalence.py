@@ -1,0 +1,456 @@
+"""The stacked mask code against the per-mask, per-proposal and per-pair
+loops it replaced, kept here as oracles. Every comparison is on bytes."""
+
+from collections import deque
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from annoconsist.adjacency import Adjacency, build_adjacency
+from annoconsist.masks import (
+    Box,
+    box_iou,
+    dilate,
+    erode,
+    inner_boundary,
+    rle_decode,
+    rle_decode_stack,
+    rle_encode,
+    rle_encode_stack,
+    tight_box,
+    tight_boxes,
+)
+from annoconsist.scenes import (
+    PoolGeometry,
+    Seed,
+    rebuild_with_pool,
+    scene_from_obj,
+    scene_to_obj,
+)
+from annoconsist.scorer import feature_dim, features
+from annoconsist.synthgen import (
+    ProposalConfig,
+    SceneConfig,
+    _draw_shape,
+    _grow_seed,
+    _split_parts,
+    apply_box_regime,
+    filter_by_boxes,
+    gen_scene,
+    make_scene,
+)
+
+from conftest import make_record
+
+# ---------------------------------------------------------------- oracles
+
+
+def old_dilate(mask, steps=1):
+    out = mask.astype(bool).copy()
+    for _ in range(steps):
+        m = out.copy()
+        m[1:, :] |= out[:-1, :]
+        m[:-1, :] |= out[1:, :]
+        m[:, 1:] |= out[:, :-1]
+        m[:, :-1] |= out[:, 1:]
+        m[1:, 1:] |= out[:-1, :-1]
+        m[1:, :-1] |= out[:-1, 1:]
+        m[:-1, 1:] |= out[1:, :-1]
+        m[:-1, :-1] |= out[1:, 1:]
+        out = m
+    return out
+
+
+def old_erode(mask, steps=1):
+    m = mask.astype(bool)
+    if steps == 0:
+        return m
+    padded = np.pad(m, steps, constant_values=False)
+    out = ~old_dilate(~padded, steps)
+    return out[steps:-steps, steps:-steps]
+
+
+def old_inner_boundary(mask):
+    m = mask.astype(bool)
+    return m & ~old_erode(m, 1)
+
+
+def old_rle_encode(mask):
+    h, w = mask.shape
+    flat = np.asarray(mask, dtype=bool).ravel()
+    if flat.size == 0:
+        return {"counts": [0], "size": [h, w]}
+    changes = np.nonzero(np.diff(flat))[0] + 1
+    bounds = np.concatenate(([0], changes, [flat.size]))
+    counts = np.diff(bounds).tolist()
+    if flat[0]:
+        counts = [0] + counts
+    return {"counts": counts, "size": [h, w]}
+
+
+def old_rle_decode(rle):
+    h, w = rle["size"]
+    flat = np.zeros(h * w, dtype=bool)
+    pos = 0
+    val = False
+    for run in rle["counts"]:
+        if val:
+            flat[pos:pos + run] = True
+        pos += run
+        val = not val
+    if pos != h * w:
+        raise ValueError(f"rle length {pos} does not match size {h}x{w}")
+    return flat.reshape(h, w)
+
+
+def old_tight_box(mask):
+    ys, xs = np.nonzero(mask)
+    if ys.size == 0:
+        raise ValueError("tight_box: empty mask")
+    return Box(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+
+
+def old_build_adjacency(pool, edges, dilation=1):
+    p = pool.shape[0]
+    dil = [old_dilate(pool[u], dilation) for u in range(p)]
+    neighbors = [[] for _ in range(p)]
+    weights = [[] for _ in range(p)]
+    eu, ev, ew = [], [], []
+    for u in range(p):
+        for v in range(u + 1, p):
+            band_uv = dil[u] & pool[v]
+            band_vu = dil[v] & pool[u]
+            if not (band_uv.any() or band_vu.any()):
+                continue
+            w = float(edges[band_uv | band_vu].sum())
+            neighbors[u].append(v)
+            weights[u].append(w)
+            neighbors[v].append(u)
+            weights[v].append(w)
+            eu.extend((u, v))
+            ev.extend((v, u))
+            ew.extend((w, w))
+    return Adjacency(
+        neighbors=[np.array(n, dtype=np.int64) for n in neighbors],
+        weights=[np.array(w, dtype=np.float64) for w in weights],
+        edge_u=np.array(eu, dtype=np.int64),
+        edge_v=np.array(ev, dtype=np.int64),
+        edge_w=np.array(ew, dtype=np.float64),
+    )
+
+
+def old_edge_arrays(neighbors, weights):
+    eu, ev, ew = [], [], []
+    for u, (ns, ws) in enumerate(zip(neighbors, weights)):
+        for v, wt in zip(ns, ws):
+            if u < v:
+                eu.extend((u, v))
+                ev.extend((v, u))
+                ew.extend((wt, wt))
+    return (np.array(eu, dtype=np.int64), np.array(ev, dtype=np.int64),
+            np.array(ew, dtype=np.float64))
+
+
+def old_features(rec):
+    p = rec.num_proposals
+    d = feature_dim(rec.num_classes)
+    out = np.zeros((p, d), dtype=np.float64)
+    hw = rec.height * rec.width
+    seeds_by_class = {}
+    for s in rec.seeds:
+        seeds_by_class.setdefault(s.class_id, []).append(s.mask)
+    for i in range(p):
+        m = rec.pool[i]
+        ys, xs = np.nonzero(m)
+        area = ys.size
+        out[i, 0] = area / hw
+        out[i, 1] = xs.mean() / rec.width
+        out[i, 2] = ys.mean() / rec.height
+        out[i, 3:6] = rec.image[m].mean(axis=0)
+        ring = old_inner_boundary(m)
+        out[i, 6] = rec.edges[ring].mean() if ring.any() else 0.0
+        for j, seed_masks in seeds_by_class.items():
+            best = max(np.count_nonzero(m & s) / area for s in seed_masks)
+            out[i, 7 + j - 1] = best
+        out[i, d - 1] = 1.0
+    return out
+
+
+def old_grow_seed(mask, fraction):
+    ys, xs = np.nonzero(mask)
+    target = max(1, int(round(fraction * ys.size)))
+    cy, cx = ys.mean(), xs.mean()
+    start = int(np.argmin((ys - cy) ** 2 + (xs - cx) ** 2))
+    seed = np.zeros_like(mask)
+    seen = np.zeros_like(mask)
+    queue = deque([(int(ys[start]), int(xs[start]))])
+    seen[ys[start], xs[start]] = True
+    count = 0
+    h, w = mask.shape
+    while queue and count < target:
+        y, x = queue.popleft()
+        seed[y, x] = True
+        count += 1
+        for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            ny, nx = y + dy, x + dx
+            if (0 <= ny < h and 0 <= nx < w and mask[ny, nx]
+                    and not seen[ny, nx]):
+                seen[ny, nx] = True
+                queue.append((ny, nx))
+    return seed
+
+
+def old_draw_shape(rng, cfg):
+    h, w = cfg.height, cfg.width
+    family = cfg.shape_families[rng.integers(len(cfg.shape_families))]
+    ext_y = int(rng.integers(cfg.min_extent, cfg.max_extent + 1))
+    ext_x = int(rng.integers(cfg.min_extent, cfg.max_extent + 1))
+    cy = int(rng.integers(cfg.margin + ext_y // 2, h - cfg.margin - ext_y // 2))
+    cx = int(rng.integers(cfg.margin + ext_x // 2, w - cfg.margin - ext_x // 2))
+    ys, xs = np.mgrid[0:h, 0:w]
+    if family == "rect":
+        mask = (np.abs(ys - cy) <= ext_y // 2) & (np.abs(xs - cx) <= ext_x // 2)
+    elif family == "ellipse":
+        ry = max(ext_y / 2.0, 1.0)
+        rx = max(ext_x / 2.0, 1.0)
+        mask = ((ys - cy) / ry) ** 2 + ((xs - cx) / rx) ** 2 <= 1.0
+    else:
+        mask = (np.abs(ys - cy) <= ext_y // 2) & (np.abs(xs - cx) <= ext_x // 2)
+        qy = rng.integers(2)
+        qx = rng.integers(2)
+        cut_y = (ys < cy) if qy else (ys >= cy)
+        cut_x = (xs < cx) if qx else (xs >= cx)
+        mask = mask & ~(cut_y & cut_x)
+    return mask
+
+
+def old_split_parts(core, pivot, angle):
+    h, w = core.shape
+    ys, xs = np.mgrid[0:h, 0:w]
+    side = (xs - pivot[1]) * np.cos(angle) + (ys - pivot[0]) * np.sin(angle)
+    return core & (side >= 0), core & (side < 0)
+
+
+# ------------------------------------------------------------- strategies
+
+
+@st.composite
+def stacks(draw, max_p=6, min_p=0):
+    """A (P, H, W) bool stack of random masks: blobs of any density, some
+    touching the frame border, some empty, some full."""
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12))
+    p = draw(st.integers(min_p, max_p))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "blocks", "full", "empty"]))
+    if kind == "random":
+        return rng.random((p, h, w)) < rng.random()
+    if kind == "full":
+        return np.ones((p, h, w), dtype=bool)
+    if kind == "empty":
+        return np.zeros((p, h, w), dtype=bool)
+    out = np.zeros((p, h, w), dtype=bool)
+    for m in out:
+        y0, x0 = rng.integers(0, h), rng.integers(0, w)
+        m[y0:rng.integers(y0, h) + 1, x0:rng.integers(x0, w) + 1] = True
+    return out
+
+
+def nonempty_rows(pool):
+    return pool[pool.any(axis=(1, 2))]
+
+
+def random_record(pool, rng, num_classes=3, n_seeds=2):
+    p, h, w = pool.shape
+    edges = rng.random((h, w)).astype(np.float32)
+    image = rng.random((h, w, 3)).astype(np.float32)
+    seeds = []
+    for _ in range(n_seeds):
+        seeds.append(Seed(int(rng.integers(1, num_classes + 1)),
+                          rng.random((h, w)) < 0.4))
+    return make_record(list(pool), [1], num_classes=num_classes,
+                       size=(h, w), edges=edges, image=image, seeds=seeds)
+
+
+def assert_same_graph(got, want):
+    for name in ("edge_u", "edge_v", "edge_w"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("neighbors", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert len(a) == len(b), name
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def generated_records():
+    """Generated scenes, their box-regime restrictions and the empty pool
+    gen_scene builds, at the reference frame size."""
+    recs = []
+    for seed in range(3):
+        rec = make_scene(SceneConfig(), ProposalConfig(), seed, seed)
+        recs.append(rec)
+        recs.append(apply_box_regime(rec, 0.5))
+        recs.append(rebuild_with_pool(rec, np.array([0])))
+    return recs
+
+
+# ------------------------------------------------------------ morphology
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacks(), st.integers(0, 3))
+def test_stacked_morphology_equals_the_per_mask_calls(pool, steps):
+    for ours, old in ((lambda m: dilate(m, steps), lambda m: old_dilate(m, steps)),
+                      (lambda m: erode(m, steps), lambda m: old_erode(m, steps)),
+                      (inner_boundary, old_inner_boundary)):
+        got = ours(pool)
+        assert got.shape == pool.shape and got.dtype == np.bool_
+        want = np.array([old(m) for m in pool], dtype=bool).reshape(pool.shape)
+        assert got.tobytes() == want.tobytes()
+        # a single mask is the stack with no leading axis; more leading
+        # axes work the same
+        for i, m in enumerate(pool):
+            assert ours(m).tobytes() == want[i].tobytes()
+        two = np.stack([pool, pool[::-1]])
+        assert ours(two).tobytes() == np.stack([want, want[::-1]]).tobytes()
+
+
+# ------------------------------------------------------------------- RLE
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacks(min_p=1))
+def test_rle_codec_equals_the_per_run_codec(pool):
+    encoded = rle_encode_stack(pool)
+    assert encoded == [old_rle_encode(m) for m in pool]
+    assert [rle_encode(m) for m in pool] == encoded
+    assert rle_decode_stack(encoded).tobytes() == pool.tobytes()
+    for m, rle in zip(pool, encoded):
+        assert rle_decode(rle).tobytes() == old_rle_decode(rle).tobytes()
+        assert rle_decode(rle).tobytes() == m.tobytes()
+
+
+def test_rle_encode_of_an_empty_stack_and_frame():
+    assert rle_encode_stack(np.zeros((0, 3, 4), dtype=bool)) == []
+    assert rle_encode(np.zeros((0, 3), dtype=bool)) == old_rle_encode(
+        np.zeros((0, 3), dtype=bool))
+
+
+# ------------------------------------------------------------ tight boxes
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacks())
+def test_tight_boxes_equal_the_per_mask_boxes(pool):
+    pool = nonempty_rows(pool)
+    boxes = tight_boxes(pool)
+    assert boxes == [old_tight_box(m) for m in pool]
+    assert [tight_box(m) for m in pool] == boxes
+    if len(pool):
+        assert PoolGeometry.from_pool(pool).boxes == boxes
+
+
+def test_filter_by_boxes_equals_the_per_proposal_filter():
+    for rec in generated_records():
+        boxes = rec.annotation.boxes
+        for t in (0.3, 0.5, 0.9):
+            want = [i for i in range(rec.num_proposals)
+                    if any(box_iou(old_tight_box(rec.pool[i]), b) >= t
+                           for _, b in boxes)]
+            got = filter_by_boxes(rec.pool, boxes, t)
+            assert got.dtype == np.int64 and got.tolist() == want
+
+
+# -------------------------------------------------------------- adjacency
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks(max_p=8), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2]))
+def test_build_adjacency_equals_the_pair_loop(pool, seed, dilation):
+    edges = np.random.default_rng(seed).random(pool.shape[1:]).astype(
+        np.float32)
+    assert_same_graph(build_adjacency(pool, edges, dilation),
+                      old_build_adjacency(pool, edges, dilation))
+
+
+def test_build_adjacency_equals_the_pair_loop_on_generated_pools():
+    empty = gen_scene(SceneConfig(), seed=0, scene_id=0)
+    assert empty.num_proposals == 0
+    assert_same_graph(empty.adjacency,
+                      old_build_adjacency(empty.pool, empty.edges))
+    for rec in generated_records():
+        for dilation in (0, 1, 2):
+            assert_same_graph(
+                build_adjacency(rec.pool, rec.edges, dilation),
+                old_build_adjacency(rec.pool, rec.edges, dilation))
+
+
+def test_loaded_edge_arrays_equal_the_per_edge_loop():
+    for rec in generated_records():
+        loaded = scene_from_obj(scene_to_obj(rec)).adjacency
+        for got, want in zip((loaded.edge_u, loaded.edge_v, loaded.edge_w),
+                             old_edge_arrays(loaded.neighbors,
+                                             loaded.weights)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# --------------------------------------------------------------- features
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks(min_p=1), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_features_equal_the_per_proposal_loop(pool, seed, n_seeds):
+    pool = nonempty_rows(pool)
+    if not len(pool):
+        return
+    rec = random_record(pool, np.random.default_rng(seed), n_seeds=n_seeds)
+    assert features(rec).tobytes() == old_features(rec).tobytes()
+
+
+def test_features_equal_the_per_proposal_loop_on_generated_records():
+    for rec in generated_records():
+        assert features(rec).tobytes() == old_features(rec).tobytes()
+
+
+def test_loaded_records_give_the_features_of_the_generated_ones():
+    for rec in generated_records()[::3]:
+        loaded = scene_from_obj(scene_to_obj(rec))
+        assert features(loaded).tobytes() == old_features(rec).tobytes()
+
+
+# ------------------------------------------------------------- generation
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([("rect",), ("ellipse",), ("ell",),
+                        ("rect", "ellipse", "ell")]))
+def test_shapes_and_splits_equal_the_mgrid_versions(seed, families):
+    cfg = SceneConfig(height=24, width=20, min_extent=2, max_extent=14,
+                      margin=1, shape_families=families)
+    ours, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        mask = _draw_shape(ours, cfg)
+        want = old_draw_shape(old, cfg)
+        assert mask.shape == want.shape and mask.tobytes() == want.tobytes()
+        if mask.any():
+            ys, xs = np.nonzero(mask)
+            pivot = (ys.mean(), xs.mean())
+            angle = ours.uniform(0.0, np.pi)
+            assert angle == old.uniform(0.0, np.pi)
+            for a, b in zip(_split_parts(mask, pivot, angle),
+                            old_split_parts(mask, pivot, angle)):
+                assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(stacks(max_p=1, min_p=1), st.floats(0.0, 1.0))
+def test_grow_seed_equals_the_coordinate_walk(pool, fraction):
+    mask = pool[0]
+    if not mask.any():
+        return
+    got = _grow_seed(None, mask, fraction)
+    assert got.dtype == np.bool_
+    assert got.tobytes() == old_grow_seed(mask, fraction).tobytes()
