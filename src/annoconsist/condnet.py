@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .masks import box_iou
 from .scenes import Annotation, PoolGeometry, SceneRecord
 from .scorer import (CondParams, draw_noise, feature_dim, score_from_input,
                      scorer_input)
@@ -42,11 +41,6 @@ class InferenceConfig:
             raise ValueError("overlap_t must lie in [0, 1]")
         if not 0.0 <= self.box_rho <= 1.0:
             raise ValueError("box_rho must lie in [0, 1]")
-
-
-def pairwise_refine(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
-    """Boundary-aware score smoothing, final table only."""
-    return refine_stack(f, adjacency, cfg)[-1]
 
 
 def refine_stack(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
@@ -94,14 +88,6 @@ def higher_order_feasible(labels: np.ndarray, ann: Annotation,
     return ok if ok.ndim else bool(ok)
 
 
-def total_score(g: np.ndarray, labels: np.ndarray, ann: Annotation,
-                geom: PoolGeometry, cfg: InferenceConfig) -> float:
-    """Sum of selected table entries, or -inf when annotation-inconsistent."""
-    if not higher_order_feasible(labels, ann, geom, cfg):
-        return float("-inf")
-    return float(g[np.arange(g.shape[0]), labels].sum())
-
-
 def greedy_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
                  cfg: InferenceConfig, enforce: bool = True,
                  memo: dict | None = None) -> np.ndarray:
@@ -109,7 +95,7 @@ def greedy_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
 
     Classes are visited in ascending id. Within a class, proposals are
     taken in descending score order (ties to the lower id); taking r_i
-    drops every remaining r_l with overlap_fraction(r_i, r_l) > t from
+    drops every remaining r_l with ovl[i, l] = |r_i ∩ r_l| / |r_l| > t from
     that class's candidates. Selection stops once the next candidate's
     score is at or below the threshold; with enforce=True the first take
     per class ignores the threshold, and box annotations additionally get
@@ -172,70 +158,6 @@ def _force_box_cover(g, labels, ann, geom, cfg):
         out[best] = j
         forced = True
     return np.array(out, dtype=np.int64) if forced else labels
-
-
-MAX_EXACT_PROPOSALS = 12
-_EXACT_CHUNK = 1 << 18
-
-
-def exact_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
-                cfg: InferenceConfig) -> np.ndarray:
-    """Brute-force argmax of total_score over the restricted family:
-    labels drawn from {0} ∪ annotated classes, all selected pairs mutually
-    non-overlapping (overlap ≤ t in both directions). Ties go to the
-    lexicographically smallest labeling. Only for P ≤ 12.
-    """
-    p = g.shape[0]
-    if p > MAX_EXACT_PROPOSALS:
-        raise InferenceError(f"exact_infer supports at most {MAX_EXACT_PROPOSALS} proposals")
-    classes = np.asarray(ann.classes, dtype=np.int64)
-    alphabet = np.concatenate(([0], classes))
-    a = alphabet.shape[0]
-    forbidden = []
-    for u in range(p):
-        for v in range(u + 1, p):
-            if geom.ovl[u, v] > cfg.overlap_t or geom.ovl[v, u] > cfg.overlap_t:
-                forbidden.append((u, v))
-    box_compat = None
-    if ann.boxes is not None:
-        box_compat = [
-            (j, np.array([box_iou(geom.boxes[u], b) >= cfg.box_rho for u in range(p)]))
-            for j, b in ann.boxes
-        ]
-
-    total = a**p
-    best_score = -np.inf
-    best_labels = None
-    radix = a ** np.arange(p, dtype=np.int64)
-    for lo in range(0, total, _EXACT_CHUNK):
-        hi = min(lo + _EXACT_CHUNK, total)
-        codes = np.arange(lo, hi, dtype=np.int64)
-        digits = (codes[:, None] // radix[None, :]) % a
-        labels = alphabet[digits]
-        valid = np.ones(hi - lo, dtype=bool)
-        for j in classes:
-            valid &= (labels == j).any(axis=1)
-        for u, v in forbidden:
-            valid &= ~((labels[:, u] != 0) & (labels[:, v] != 0))
-        if box_compat is not None:
-            for j, compat in box_compat:
-                valid &= ((labels == j) & compat[None, :]).any(axis=1)
-        if not valid.any():
-            continue
-        scores = g[np.arange(p)[None, :], labels].sum(axis=1)
-        scores[~valid] = -np.inf
-        i = int(np.argmax(scores))
-        cand_score = scores[i]
-        ties = np.nonzero(scores == cand_score)[0]
-        cand = min(tuple(labels[t]) for t in ties)
-        if cand_score > best_score or (
-            cand_score == best_score and cand < tuple(best_labels)
-        ):
-            best_score = cand_score
-            best_labels = np.array(cand, dtype=np.int64)
-    if best_labels is None:
-        raise InferenceError("no annotation-consistent labeling exists in the search family")
-    return best_labels
 
 
 @dataclass

@@ -3,7 +3,9 @@
 All three diversity terms use the weighted Hamming task loss on the
 shared pool. div_pc takes the exact expectation over the factorized
 state and the empirical mean over the K samples; div_cc is the unbiased
-k != k' sample estimator; div_pp is exact on both sides.
+k != k' sample estimator; div_pp is exact on both sides. The
+coefficient is DIV(p,c) - gamma DIV(c,c) - (1-gamma) DIV(p,p); train's
+epoch metrics combine the three terms.
 
 On the predictor side the samples matter only through one (P, C+1)
 class-frequency table q̄ per sample batch: train builds it once per batch
@@ -13,19 +15,9 @@ label stack, so it matches the per-draw expectation bit for bit.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .loss import LossConfig, delta
-from .prednet import self_diversity_pred
-
-
-class DiscParts(NamedTuple):
-    disc: float
-    div_pc: float
-    div_cc: float
-    div_pp: float
 
 
 def div_pc(state: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> float:
@@ -53,13 +45,5 @@ def div_cc(labels: np.ndarray, rec, cfg: LossConfig) -> float:
 
 
 def div_pp(state: np.ndarray, cfg: LossConfig) -> float:
-    return self_diversity_pred(state, cfg)
-
-
-def disc(state: np.ndarray, labels: np.ndarray, rec, cfg: LossConfig,
-         gamma: float = 0.5) -> DiscParts:
-    """Jensen-style difference DIV(p,c) - gamma DIV(c,c) - (1-gamma) DIV(p,p)."""
-    pc = div_pc(state, labels, cfg)
-    cc = div_cc(labels, rec, cfg)
-    pp = div_pp(state, cfg)
-    return DiscParts(pc - gamma * cc - (1.0 - gamma) * pp, pc, cc, pp)
+    """E Delta(y, y') for two independent draws from the state."""
+    return float(cfg.lambda_cls * (1.0 - (state * state).sum(axis=1)).sum())

@@ -33,10 +33,6 @@ class Box:
         return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
-def mask_area(mask: np.ndarray) -> int:
-    return int(np.count_nonzero(mask))
-
-
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     """Intersection over union; two empty masks have IoU 0 by convention."""
     inter = np.count_nonzero(a & b)
@@ -44,14 +40,6 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     if union == 0:
         return 0.0
     return inter / union
-
-
-def overlap_fraction(a: np.ndarray, b: np.ndarray) -> float:
-    """|a ∩ b| / |b|: the fraction of b covered by a. Not symmetric."""
-    nb = np.count_nonzero(b)
-    if nb == 0:
-        raise ValueError("overlap_fraction: reference mask is empty")
-    return np.count_nonzero(a & b) / nb
 
 
 def tight_boxes(masks: np.ndarray) -> list:
@@ -68,11 +56,6 @@ def tight_boxes(masks: np.ndarray) -> list:
     x0 = cols.argmax(axis=1).tolist()
     x1 = (w - 1 - cols[:, ::-1].argmax(axis=1)).tolist()
     return [Box(*b) for b in zip(x0, y0, x1, y1)]
-
-
-def tight_box(mask: np.ndarray) -> Box:
-    """Smallest box containing every set pixel. Errors on an empty mask."""
-    return tight_boxes(np.asarray(mask)[None])[0]
 
 
 def box_iou(a: Box, b: Box) -> float:
@@ -148,11 +131,6 @@ def rle_encode_stack(masks: np.ndarray) -> list:
             for a, b in zip(first, first[1:])]
 
 
-def rle_encode(mask: np.ndarray) -> dict:
-    """Row-major run-length encoding, counts starting with a zeros run."""
-    return rle_encode_stack(np.asarray(mask, dtype=bool)[None])[0]
-
-
 def rle_decode_stack(rles: list) -> np.ndarray:
     """The (P, H, W) stack of P encodings of one frame size. Errors on runs
     that are negative or do not fill the frame."""
@@ -177,10 +155,6 @@ def rle_decode_stack(rles: list) -> np.ndarray:
     # runs alternate unset, set, unset, ... from each mask's first run
     index = np.arange(counts.size) - np.repeat(ends - lengths, lengths)
     return np.repeat(index % 2 == 1, counts).reshape(len(rles), h, w)
-
-
-def rle_decode(rle: dict) -> np.ndarray:
-    return rle_decode_stack([rle])[0]
 
 
 def stack_pool(masks) -> np.ndarray:

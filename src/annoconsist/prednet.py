@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .loss import LossConfig
 from .scenes import SceneRecord
 from .scorer import feature_dim, features
 
@@ -86,19 +85,3 @@ def decode(state: np.ndarray, rec: SceneRecord, score_thresh: float = 0.7,
             if v != u and not suppressed[v] and cls[v] == cls[u] and geom.ovl[u, v] > nms_t:
                 suppressed[v] = True
     return out
-
-
-def expected_loss_vs_sample(state: np.ndarray, y: np.ndarray,
-                            cfg: LossConfig) -> float:
-    """E over the factorized state of Delta(y_p, y).
-
-    Per-proposal expectation of the mismatch cost has the closed form
-    lambda * (1 - p_u(y_u)).
-    """
-    p_target = state[np.arange(state.shape[0]), y]
-    return float(cfg.lambda_cls * (1.0 - p_target).sum())
-
-
-def self_diversity_pred(state: np.ndarray, cfg: LossConfig) -> float:
-    """E Delta(y, y') for two independent draws from the state."""
-    return float(cfg.lambda_cls * (1.0 - (state * state).sum(axis=1)).sum())

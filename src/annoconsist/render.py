@@ -48,16 +48,14 @@ def labeling_image(rec, labels) -> np.ndarray:
 def decode_image(rec, decoded) -> np.ndarray:
     """Dimmed scene with decoded predictions tinted by class color.
 
-    decoded entries may be InstancePrediction objects or plain dicts with
-    proposal_index / class_id keys.
+    decoded entries are prediction dicts with proposal_index / class_id
+    keys, as infer writes them.
     """
     img = _base(rec, DIM)
     for d in decoded:
-        if isinstance(d, dict):
-            u, c = d["proposal_index"], d["class_id"]
-        else:
-            u, c = d.proposal_index, d.class_id
-        _blend(img, rec.pool[u], PALETTE[(c - 1) % len(PALETTE)], LABEL_ALPHA)
+        c = d["class_id"]
+        _blend(img, rec.pool[d["proposal_index"]],
+               PALETTE[(c - 1) % len(PALETTE)], LABEL_ALPHA)
     return img
 
 

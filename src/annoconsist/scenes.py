@@ -9,6 +9,7 @@ from __future__ import annotations
 import base64
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,8 +200,10 @@ def scene_to_obj(rec: SceneRecord) -> dict:
 def _adjacency_from_obj(obj: dict, p: int) -> Adjacency:
     """The stored graph of a pool of p proposals, checked: one neighbor
     list and one weight list per proposal, of equal lengths, with neighbor
-    indices in [0, p) other than the proposal's own. The directed edge
-    arrays list each pair u < v as (u, v) then (v, u), in u's list order."""
+    indices in [0, p) other than the proposal's own, no neighbor listed
+    twice, and each listed (u, v, w) mirrored by a listed (v, u, w). The
+    directed edge arrays list each pair u < v as (u, v) then (v, u), in
+    u's list order."""
     neighbors = [np.array(n, dtype=np.int64) for n in obj["neighbors"]]
     weights = [np.array(x, dtype=np.float64) for x in obj["weights"]]
     if len(neighbors) != p or len(weights) != p:
@@ -221,6 +224,22 @@ def _adjacency_from_obj(obj: dict, p: int) -> Adjacency:
         raise DatasetFormatError(
             f"adjacency: proposal {int(u[i])} lists neighbor {int(v[i])}, "
             f"outside [0, {p}) or itself")
+    key, mirror = u * p + v, v * p + u
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    twice = sorted_key[1:] == sorted_key[:-1]
+    if twice.any():
+        i = int(order[1:][twice][0])
+        raise DatasetFormatError(
+            f"adjacency: proposal {int(u[i])} lists neighbor {int(v[i])} twice")
+    at = np.minimum(np.searchsorted(sorted_key, mirror), key.size - 1)
+    unmatched = (sorted_key[at] != mirror) | (w[order][at] != w)
+    if unmatched.any():
+        i = int(np.argmax(unmatched))
+        raise DatasetFormatError(
+            f"adjacency: proposal {int(u[i])} lists neighbor {int(v[i])} with "
+            f"weight {float(w[i])!r}, but {int(v[i])} does not list "
+            f"{int(u[i])} with that weight")
     up = u < v
     u, v, w = u[up], v[up], w[up]
     return Adjacency(
@@ -241,18 +260,30 @@ def scene_from_obj(obj: dict) -> SceneRecord:
         pool = _decode_masks(obj["pool"], h, w)
         if not len(pool):
             raise DatasetFormatError("scene has an empty proposal pool")
+        num_classes = operator.index(obj["num_classes"])
         ann_obj = obj["annotation"]
         boxes = ann_obj["boxes"]
         annotation = Annotation(
             presence=np.array(ann_obj["presence"], dtype=np.int8),
             boxes=None if boxes is None else [(b[0], Box(*b[1:])) for b in boxes],
         )
+        if annotation.presence.shape != (num_classes,):
+            raise DatasetFormatError(
+                f"annotation presence has shape {list(annotation.presence.shape)}"
+                f" for {num_classes} classes")
+        for kind, ids in (("ground-truth", [g["class_id"] for g in obj["gt"]]),
+                          ("seed", [s["class_id"] for s in obj["seeds"]]),
+                          ("box", [b[0] for b in boxes or []])):
+            for c in ids:
+                if not 1 <= operator.index(c) <= num_classes:
+                    raise DatasetFormatError(
+                        f"{kind} class_id {c} outside [1, {num_classes}]")
         adjacency = _adjacency_from_obj(obj["adjacency"], pool.shape[0])
         return SceneRecord(
             scene_id=obj["scene_id"],
             width=w,
             height=h,
-            num_classes=obj["num_classes"],
+            num_classes=num_classes,
             image=_unb64_f32(obj["image"], (h, w, 3)),
             edges=_unb64_f32(obj["edges"], (h, w)),
             gt=[GroundTruthInstance(g["class_id"], m) for g, m in zip(

@@ -420,7 +420,3 @@ def apply_box_regime(rec: SceneRecord, min_iou: float) -> SceneRecord:
 
 def make_scene(scene_cfg: SceneConfig, prop_cfg: ProposalConfig, seed: int, scene_id: int) -> SceneRecord:
     return gen_proposals(gen_scene(scene_cfg, seed, scene_id), prop_cfg, seed)
-
-
-def make_dataset(scene_cfg: SceneConfig, prop_cfg: ProposalConfig, n: int, seed: int, start_id: int = 0) -> list:
-    return [make_scene(scene_cfg, prop_cfg, seed, start_id + i) for i in range(n)]

@@ -241,29 +241,14 @@ def empirical_distribution(labels: np.ndarray, m: int) -> np.ndarray:
     return n.reshape(p, m) / kk
 
 
-def pred_objective(state: np.ndarray, labels: np.ndarray,
-                   loss_cfg: LossConfig, gamma: float,
-                   pointwise: bool) -> float:
-    """Predictor block of the dissimilarity coefficient, closed form.
-
-    Sum over proposals of expected disagreement with the sample set,
-    minus (1 - gamma) times the predictor's self-diversity (dropped in
-    the pointwise variant).
-    """
-    lam = loss_cfg.lambda_cls
-    qbar = empirical_distribution(labels, state.shape[1])
-    val = float(np.sum(1.0 - np.sum(state * qbar, axis=1)))
-    if not pointwise:
-        val -= (1.0 - gamma) * float(np.sum(1.0 - np.sum(state * state, axis=1)))
-    return lam * val
-
-
 def pred_grad(params: PredParams, rec, qbar: np.ndarray,
               loss_cfg: LossConfig, gamma: float,
               pointwise: bool) -> PredParams:
-    """Exact gradient of pred_objective for one scene. qbar is the sample
-    batch's empirical_distribution, the only thing the gradient reads of
-    the samples."""
+    """Exact gradient for one scene of the predictor block of the
+    dissimilarity coefficient, lambda * sum_u [(1 - p_u . q̄_u)
+    - (1 - gamma) (1 - p_u . p_u)], the second term dropped in the
+    pointwise variant. qbar is the sample batch's empirical_distribution,
+    the only thing the gradient reads of the samples."""
     p = predict(params, rec)
     lam = loss_cfg.lambda_cls
     pdotq = np.sum(p * qbar, axis=1, keepdims=True)

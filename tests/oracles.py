@@ -1,0 +1,173 @@
+"""Reference implementations that only tests call.
+
+Brute-force and closed-form oracles, and single-mask or single-scene
+conveniences over the library's stacked primitives. The pipeline never
+runs them; tests check the library against them.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from annoconsist.condnet import (InferenceConfig, InferenceError,
+                                 higher_order_feasible, refine_stack)
+from annoconsist.disco import div_cc, div_pc, div_pp
+from annoconsist.loss import LossConfig
+from annoconsist.masks import (Box, box_iou, rle_decode_stack,
+                               rle_encode_stack, tight_boxes)
+from annoconsist.scenes import Annotation, PoolGeometry
+from annoconsist.synthgen import ProposalConfig, SceneConfig, make_scene
+from annoconsist.train import empirical_distribution
+
+
+def mask_area(mask: np.ndarray) -> int:
+    return int(np.count_nonzero(mask))
+
+
+def overlap_fraction(a: np.ndarray, b: np.ndarray) -> float:
+    """|a ∩ b| / |b|: the fraction of b covered by a. Not symmetric."""
+    nb = np.count_nonzero(b)
+    if nb == 0:
+        raise ValueError("overlap_fraction: reference mask is empty")
+    return np.count_nonzero(a & b) / nb
+
+
+def tight_box(mask: np.ndarray) -> Box:
+    """Smallest box containing every set pixel. Errors on an empty mask."""
+    return tight_boxes(np.asarray(mask)[None])[0]
+
+
+def rle_encode(mask: np.ndarray) -> dict:
+    """Row-major run-length encoding, counts starting with a zeros run."""
+    return rle_encode_stack(np.asarray(mask, dtype=bool)[None])[0]
+
+
+def rle_decode(rle: dict) -> np.ndarray:
+    return rle_decode_stack([rle])[0]
+
+
+def pairwise_refine(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
+    """Boundary-aware score smoothing, final table only."""
+    return refine_stack(f, adjacency, cfg)[-1]
+
+
+def total_score(g: np.ndarray, labels: np.ndarray, ann: Annotation,
+                geom: PoolGeometry, cfg: InferenceConfig) -> float:
+    """Sum of selected table entries, or -inf when annotation-inconsistent."""
+    if not higher_order_feasible(labels, ann, geom, cfg):
+        return float("-inf")
+    return float(g[np.arange(g.shape[0]), labels].sum())
+
+
+MAX_EXACT_PROPOSALS = 12
+_EXACT_CHUNK = 1 << 18
+
+
+def exact_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
+                cfg: InferenceConfig) -> np.ndarray:
+    """Brute-force argmax of total_score over the restricted family:
+    labels drawn from {0} ∪ annotated classes, all selected pairs mutually
+    non-overlapping (overlap ≤ t in both directions). Ties go to the
+    lexicographically smallest labeling. Only for P ≤ 12.
+    """
+    p = g.shape[0]
+    if p > MAX_EXACT_PROPOSALS:
+        raise InferenceError(f"exact_infer supports at most {MAX_EXACT_PROPOSALS} proposals")
+    classes = np.asarray(ann.classes, dtype=np.int64)
+    alphabet = np.concatenate(([0], classes))
+    a = alphabet.shape[0]
+    forbidden = []
+    for u in range(p):
+        for v in range(u + 1, p):
+            if geom.ovl[u, v] > cfg.overlap_t or geom.ovl[v, u] > cfg.overlap_t:
+                forbidden.append((u, v))
+    box_compat = None
+    if ann.boxes is not None:
+        box_compat = [
+            (j, np.array([box_iou(geom.boxes[u], b) >= cfg.box_rho for u in range(p)]))
+            for j, b in ann.boxes
+        ]
+
+    total = a**p
+    best_score = -np.inf
+    best_labels = None
+    radix = a ** np.arange(p, dtype=np.int64)
+    for lo in range(0, total, _EXACT_CHUNK):
+        hi = min(lo + _EXACT_CHUNK, total)
+        codes = np.arange(lo, hi, dtype=np.int64)
+        digits = (codes[:, None] // radix[None, :]) % a
+        labels = alphabet[digits]
+        valid = np.ones(hi - lo, dtype=bool)
+        for j in classes:
+            valid &= (labels == j).any(axis=1)
+        for u, v in forbidden:
+            valid &= ~((labels[:, u] != 0) & (labels[:, v] != 0))
+        if box_compat is not None:
+            for j, compat in box_compat:
+                valid &= ((labels == j) & compat[None, :]).any(axis=1)
+        if not valid.any():
+            continue
+        scores = g[np.arange(p)[None, :], labels].sum(axis=1)
+        scores[~valid] = -np.inf
+        i = int(np.argmax(scores))
+        cand_score = scores[i]
+        ties = np.nonzero(scores == cand_score)[0]
+        cand = min(tuple(labels[t]) for t in ties)
+        if cand_score > best_score or (
+            cand_score == best_score and cand < tuple(best_labels)
+        ):
+            best_score = cand_score
+            best_labels = np.array(cand, dtype=np.int64)
+    if best_labels is None:
+        raise InferenceError("no annotation-consistent labeling exists in the search family")
+    return best_labels
+
+
+class DiscParts(NamedTuple):
+    disc: float
+    div_pc: float
+    div_cc: float
+    div_pp: float
+
+
+def disc(state: np.ndarray, labels: np.ndarray, rec, cfg: LossConfig,
+         gamma: float = 0.5) -> DiscParts:
+    """Jensen-style difference DIV(p,c) - gamma DIV(c,c) - (1-gamma) DIV(p,p)."""
+    pc = div_pc(state, labels, cfg)
+    cc = div_cc(labels, rec, cfg)
+    pp = div_pp(state, cfg)
+    return DiscParts(pc - gamma * cc - (1.0 - gamma) * pp, pc, cc, pp)
+
+
+def expected_loss_vs_sample(state: np.ndarray, y: np.ndarray,
+                            cfg: LossConfig) -> float:
+    """E over the factorized state of Delta(y_p, y).
+
+    Per-proposal expectation of the mismatch cost has the closed form
+    lambda * (1 - p_u(y_u)).
+    """
+    p_target = state[np.arange(state.shape[0]), y]
+    return float(cfg.lambda_cls * (1.0 - p_target).sum())
+
+
+def pred_objective(state: np.ndarray, labels: np.ndarray,
+                   loss_cfg: LossConfig, gamma: float,
+                   pointwise: bool) -> float:
+    """Predictor block of the dissimilarity coefficient, closed form.
+
+    Sum over proposals of expected disagreement with the sample set,
+    minus (1 - gamma) times the predictor's self-diversity (dropped in
+    the pointwise variant).
+    """
+    lam = loss_cfg.lambda_cls
+    qbar = empirical_distribution(labels, state.shape[1])
+    val = float(np.sum(1.0 - np.sum(state * qbar, axis=1)))
+    if not pointwise:
+        val -= (1.0 - gamma) * float(np.sum(1.0 - np.sum(state * state, axis=1)))
+    return lam * val
+
+
+def make_dataset(scene_cfg: SceneConfig, prop_cfg: ProposalConfig, n: int, seed: int, start_id: int = 0) -> list:
+    return [make_scene(scene_cfg, prop_cfg, seed, start_id + i) for i in range(n)]

@@ -9,8 +9,10 @@ from annoconsist.ablation import (
     ablation_run,
 )
 from annoconsist.condnet import TERM_MODES, InferenceConfig
-from annoconsist.synthgen import ProposalConfig, SceneConfig, make_dataset
+from annoconsist.synthgen import ProposalConfig, SceneConfig
 from annoconsist.train import TrainConfig, evaluate_params, fit
+
+from oracles import make_dataset
 
 
 @pytest.fixture(scope="module")

@@ -20,16 +20,13 @@ from annoconsist.condnet import (
     TERM_MODES,
     InferenceConfig,
     SampleSet,
-    exact_infer,
     forward_scores,
     greedy_infer,
     higher_order_feasible,
-    pairwise_refine,
     refine_stack,
-    total_score,
 )
 from annoconsist.config import load_config
-from annoconsist.disco import DiscParts, disc, div_pc, div_pp
+from annoconsist.disco import div_pc, div_pp
 from annoconsist.evaluate import DEFAULT_THRESHOLDS, ap_from_flags, evaluate_predictions
 from annoconsist.loss import LossConfig
 from annoconsist.prednet import (
@@ -46,7 +43,6 @@ from annoconsist.scorer import (
     score_vjp,
     scorer_input,
 )
-from annoconsist.synthgen import make_dataset
 from annoconsist.train import (
     TrainConfig,
     cond_grad,
@@ -54,11 +50,12 @@ from annoconsist.train import (
     evaluate_params,
     fit,
     pred_grad,
-    pred_objective,
     sgd_step,
 )
 
 from conftest import make_record, rect_mask
+from oracles import (DiscParts, disc, exact_infer, make_dataset,
+                     pairwise_refine, pred_objective, total_score)
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "configs", "reference.json")

@@ -410,6 +410,50 @@ def test_adjacency_one_list_short_of_the_pool_is_a_dataset_error(
     assert "for a pool of" in capsys.readouterr().err
 
 
+def _first_edge(adj):
+    """(u, v): proposal u's first listed neighbor v; weights[u][0] is I_uv."""
+    u = next(u for u, n in enumerate(adj["neighbors"]) if n)
+    return u, adj["neighbors"][u][0]
+
+
+def _drop_mirror(adj):
+    u, v = _first_edge(adj)
+    i = adj["neighbors"][v].index(u)
+    del adj["neighbors"][v][i], adj["weights"][v][i]
+
+
+def _list_twice(adj):
+    u, v = _first_edge(adj)
+    adj["neighbors"][u].append(v)
+    adj["weights"][u].append(adj["weights"][u][0])
+
+
+def _reweigh_one_side(adj):
+    u, _ = _first_edge(adj)
+    adj["weights"][u][0] += 1.0
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: o["seeds"][0].update(class_id=9), "seed class_id 9 outside"),
+    (lambda o: o["gt"][0].update(class_id=7), "ground-truth class_id 7"),
+    (lambda o: o["annotation"].update(boxes=[[0, 0, 0, 3, 3]]),
+     "box class_id 0 outside"),
+    (lambda o: o["annotation"].update(presence=o["annotation"]["presence"][:1]),
+     "presence has shape [1] for 2 classes"),
+    (lambda o: _drop_mirror(o["adjacency"]), "does not list"),
+    (lambda o: _list_twice(o["adjacency"]), "twice"),
+    (lambda o: _reweigh_one_side(o["adjacency"]), "with that weight"),
+], ids=["seed-class", "gt-class", "box-class", "presence-length",
+        "one-sided-edge", "neighbor-twice", "mirror-weight"])
+def test_class_ids_and_graph_are_checked_at_load(tmp_path, pipeline,
+                                                 tiny_config_path, capsys,
+                                                 edit, message):
+    data = _edit_first_scene(pipeline, tmp_path, edit)
+    assert _train_on(data, tiny_config_path, tmp_path) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
 def test_eval_prints_map_table(pipeline, capsys):
     assert run(["eval", "--pred", pipeline["preds"], "--data",
                 pipeline["data"]]) == EXIT_OK

@@ -9,20 +9,18 @@ from annoconsist import condnet, kernels
 from annoconsist.condnet import (
     InferenceConfig,
     InferenceError,
-    exact_infer,
     forward_scores,
     greedy_infer,
     higher_order_feasible,
-    pairwise_refine,
     refine_backward,
     refine_stack,
     sample_k,
-    total_score,
 )
 from annoconsist.masks import Box, box_iou
 from annoconsist.scorer import cond_init, feature_dim
 
 from conftest import make_record, rect_mask
+from oracles import exact_infer, pairwise_refine, total_score
 
 
 def _two_neighbor_record(edges=None):

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from annoconsist.disco import DiscParts, disc, div_cc, div_pc, div_pp
+from annoconsist.disco import div_cc, div_pc, div_pp
 from annoconsist.loss import LossConfig, delta
-from annoconsist.prednet import expected_loss_vs_sample, softmax_rows
+from annoconsist.prednet import softmax_rows
 
 from conftest import make_record, rect_mask
+from oracles import DiscParts, disc, expected_loss_vs_sample
 
 
 def _record(p=3):

@@ -7,11 +7,12 @@ from annoconsist.evaluate import (
     evaluate_predictions,
     map_at,
 )
-from annoconsist.masks import mask_iou, tight_box
+from annoconsist.masks import mask_iou
 from annoconsist.prednet import InstancePrediction
 from annoconsist.scenes import GroundTruthInstance
 
 from conftest import rect_mask
+from oracles import tight_box
 
 
 def _pred(mask, class_id=1, confidence=0.9, index=0):

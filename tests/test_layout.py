@@ -1,0 +1,74 @@
+"""The library holds only what the pipeline runs.
+
+Every top-level name of `src/annoconsist` must be reached from
+`cli.entry`, `cli.run` or the benchmark harness in `pipebench/`, which
+names library code as `module.name` attributes, "module.name..." strings
+and ("module", "name", ...) tuples. A reached definition reaches each
+name its body mentions: its own module's, `from .module import name`,
+and `module.name`. Code that only tests reach belongs in
+`tests/oracles.py`.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TREES = {p.stem: ast.parse(p.read_text())
+         for p in (ROOT / "src" / "annoconsist").glob("*.py")}
+
+
+def _defs(tree):
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out[node.name] = node
+        for t in getattr(node, "targets", [getattr(node, "target", None)]):
+            if isinstance(t, ast.Name) and not t.id.startswith("__"):
+                out[t.id] = node
+    return out
+
+
+def _imports(tree):
+    """local name -> (module, name), or (module, None) for a module."""
+    return {a.asname or a.name: (n.module, a.name) if n.module else (a.name, None)
+            for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+            and n.level == 1 for a in n.names}
+
+
+def _mentions(mod, node):
+    imports = _imports(TREES[mod])
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield imports.get(n.id, (mod, n.id))
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            target = imports.get(n.value.id, (None, ""))
+            if target[1] is None:
+                yield target[0], n.attr
+
+
+def _pipebench_roots():
+    for path in (ROOT / "pipebench").glob("*.py"):
+        if path.name.startswith("test_"):
+            continue
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                yield n.value.id, n.attr
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                yield tuple((n.value.split(".") + [None])[:2])
+            elif isinstance(n, ast.Tuple) and len(n.elts) >= 2 and all(
+                    isinstance(e, ast.Constant) for e in n.elts[:2]):
+                yield n.elts[0].value, n.elts[1].value
+
+
+def test_every_library_name_is_reached_from_the_pipeline():
+    defs = {mod: _defs(tree) for mod, tree in TREES.items()}
+    todo = [("cli", "entry"), ("cli", "run"), *_pipebench_roots()]
+    seen = set()
+    while todo:
+        mod, name = key = todo.pop()
+        if key not in seen and name in defs.get(mod, {}):
+            seen.add(key)
+            todo.extend(_mentions(mod, defs[mod][name]))
+    unreached = sorted(f"{mod}.{name}" for mod, names in defs.items()
+                       for name in names if (mod, name) not in seen)
+    assert not unreached, f"reached only from tests: {unreached}"

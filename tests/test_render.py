@@ -47,13 +47,10 @@ def test_labeling_image_tints_selected_proposals_only():
     np.testing.assert_allclose(img[~rec.pool[0]], base[~rec.pool[0]])
 
 
-def test_decode_image_accepts_dicts_and_objects():
+def test_decode_image_tints_the_predictions_infer_writes():
     rec = _rec()
-    from annoconsist.prednet import InstancePrediction
-
     as_dict = decode_image(rec, [{"proposal_index": 0, "class_id": 1}])
-    as_obj = decode_image(rec, [InstancePrediction(0, 1, 0.9, rec.pool[0], None)])
-    np.testing.assert_allclose(as_dict, as_obj)
+    np.testing.assert_allclose(as_dict, labeling_image(rec, [1, 0]))
 
 
 def test_compose_grid_dimensions():

@@ -14,11 +14,8 @@ from annoconsist.masks import (
     dilate,
     erode,
     inner_boundary,
-    rle_decode,
     rle_decode_stack,
-    rle_encode,
     rle_encode_stack,
-    tight_box,
     tight_boxes,
 )
 from annoconsist.scenes import (
@@ -42,6 +39,7 @@ from annoconsist.synthgen import (
 )
 
 from conftest import make_record
+from oracles import rle_decode, rle_encode, tight_box
 
 # ---------------------------------------------------------------- oracles
 

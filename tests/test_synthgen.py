@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from annoconsist.masks import box_iou, mask_iou, tight_box
+from annoconsist.masks import box_iou, mask_iou
 from annoconsist.scenes import scene_to_obj
 from annoconsist.synthgen import (
     BACKGROUND,
@@ -13,9 +13,10 @@ from annoconsist.synthgen import (
     apply_box_regime,
     filter_by_boxes,
     gen_scene,
-    make_dataset,
     make_scene,
 )
+
+from oracles import make_dataset, tight_box
 
 
 def test_same_seed_gives_identical_scene():

@@ -22,12 +22,12 @@ from annoconsist.condnet import (
 )
 from annoconsist.disco import div_pc, div_pp
 from annoconsist.loss import LossConfig, cost_row
-from annoconsist.masks import Box, inner_boundary, tight_box
+from annoconsist.masks import inner_boundary
 from annoconsist.prednet import PredParams, pred_init, predict
 from annoconsist.scenes import Seed
 from annoconsist.scorer import (CondParams, axpy, cond_init, feature_dim,
                                 features, score_vjp)
-from annoconsist.synthgen import ProposalConfig, SceneConfig, make_dataset
+from annoconsist.synthgen import ProposalConfig, SceneConfig
 from annoconsist.train import (
     TrainConfig,
     TrainingError,
@@ -36,7 +36,6 @@ from annoconsist.train import (
     fit,
     load_checkpoint,
     pred_grad,
-    pred_objective,
     prepare_records,
     prepare_scene,
     save_checkpoint,
@@ -47,6 +46,7 @@ from annoconsist.train import (
 )
 
 from conftest import make_record, rect_mask
+from oracles import make_dataset, pred_objective, tight_box
 
 
 def test_train_config_validation():
