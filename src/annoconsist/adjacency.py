@@ -12,19 +12,18 @@ from .masks import dilate
 
 @dataclass
 class Adjacency:
-    """Symmetric neighbor structure over a proposal pool.
+    """Symmetric contact graph over a proposal pool, as directed edges.
 
-    neighbors[u] lists v with dilate(mask_u) ∩ mask_v nonempty (u != v);
-    weights[u][i] is I_uv, the raw sum of edge-map values over the contact
-    band (dilate(u) ∩ v) ∪ (dilate(v) ∩ u). Directed edge arrays (each
-    undirected pair twice) are kept for the kernels.
+    Proposals u != v are neighbors iff dilate(mask_u) ∩ mask_v is
+    nonempty; edge e runs edge_u[e] -> edge_v[e] with weight edge_w[e] =
+    I_uv, the raw sum of edge-map values over the contact band
+    (dilate(u) ∩ v) ∪ (dilate(v) ∩ u). Each pair u < v is listed as
+    (u, v) then (v, u).
     """
 
-    neighbors: list
-    weights: list
-    edge_u: np.ndarray = field(repr=False)
-    edge_v: np.ndarray = field(repr=False)
-    edge_w: np.ndarray = field(repr=False)
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    edge_w: np.ndarray
     _kernel_edges: dict = field(default_factory=dict, repr=False,
                                 compare=False)
 
@@ -37,30 +36,15 @@ class Adjacency:
                 self.edge_u, self.edge_v, np.exp(-self.edge_w), m)
         return edges
 
-    def edge_weight(self, u: int, v: int) -> float:
-        for i, n in enumerate(self.neighbors[u]):
-            if n == v:
-                return float(self.weights[u][i])
-        raise KeyError(f"{u} and {v} are not neighbors")
-
     def restrict(self, keep: np.ndarray) -> "Adjacency":
         """The subgraph induced by the ascending node indices `keep`, with
-        node keep[i] renumbered i. Edge and neighbor order carry over, so
-        on a pool built with this graph's dilation the result equals
+        node keep[i] renumbered i. Edge order carries over, so on a pool
+        built with this graph's dilation the result equals
         build_adjacency(pool[keep], edges, dilation)."""
-        new = np.full(len(self.neighbors), -1, dtype=np.int64)
-        new[keep] = np.arange(len(keep))
-        inside = (new[self.edge_u] >= 0) & (new[self.edge_v] >= 0)
-        neighbors, weights = [], []
-        for u in keep:
-            mask = new[self.neighbors[u]] >= 0
-            neighbors.append(new[self.neighbors[u][mask]])
-            weights.append(self.weights[u][mask])
+        inside = np.isin(self.edge_u, keep) & np.isin(self.edge_v, keep)
         return Adjacency(
-            neighbors=neighbors,
-            weights=weights,
-            edge_u=new[self.edge_u[inside]],
-            edge_v=new[self.edge_v[inside]],
+            edge_u=np.searchsorted(keep, self.edge_u[inside]),
+            edge_v=np.searchsorted(keep, self.edge_v[inside]),
             edge_w=self.edge_w[inside],
         )
 
@@ -102,20 +86,10 @@ def build_adjacency(pool: np.ndarray, edges: np.ndarray, dilation: int = 1) -> A
                 touch.append(lo + k)
                 ew.append(float(values[a:b].sum()))
     us, vs = us[touch], vs[touch]
-    ew = np.array(ew, dtype=np.float64)
-    neighbors = [[] for _ in range(p)]
-    weights = [[] for _ in range(p)]
-    for u, v, wt in zip(us.tolist(), vs.tolist(), ew.tolist()):
-        neighbors[u].append(v)
-        weights[u].append(wt)
-        neighbors[v].append(u)
-        weights[v].append(wt)
     return Adjacency(
-        neighbors=[np.array(n, dtype=np.int64) for n in neighbors],
-        weights=[np.array(w, dtype=np.float64) for w in weights],
         edge_u=np.stack([us, vs], axis=1).reshape(-1),
         edge_v=np.stack([vs, us], axis=1).reshape(-1),
-        edge_w=np.repeat(ew, 2),
+        edge_w=np.repeat(np.array(ew, dtype=np.float64), 2),
     )
 
 

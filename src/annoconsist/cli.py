@@ -21,7 +21,7 @@ import numpy as np
 from .ablation import ablation_run
 from .condnet import InferenceError, sample_k
 from .config import ConfigError, RunConfig, load_config, save_config
-from .prednet import decode, predict
+from .prednet import InstancePrediction, decode, predict
 from .render import render_predictions
 from .scenes import (DatasetFormatError, iter_dataset, load_dataset,
                      save_dataset)
@@ -225,15 +225,6 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
-class _EvalPred:
-    __slots__ = ("class_id", "confidence", "mask")
-
-    def __init__(self, class_id, confidence, mask):
-        self.class_id = class_id
-        self.confidence = confidence
-        self.mask = mask
-
-
 def _load_predictions(path: str, object_hook=None) -> dict:
     with open(path) as fh:
         try:
@@ -258,9 +249,7 @@ def cmd_eval(args) -> int:
     # the last entry per scene id, in the order the file lists the ids
     decoded = {entry["scene_id"]: entry["final"]["decode"]
                for entry in obj["scenes"]}
-    thresholds = (0.25, 0.50, 0.70, 0.75)
-    if args.config:
-        thresholds = load_config(args.config).eval.thresholds
+    cfg = load_config(args.config) if args.config else RunConfig()
     # per predicted scene, the last record's ground truth and copies of the
     # decoded pool rows, so no whole pool outlives its scene
     kept = {}
@@ -268,12 +257,14 @@ def cmd_eval(args) -> int:
         dets = decoded.get(rec.scene_id)
         if dets is not None:
             kept[rec.scene_id] = (rec.gt, [
-                _EvalPred(d["class_id"], d["confidence"],
-                          rec.pool[d["proposal_index"]].copy())
+                InstancePrediction(d["proposal_index"], d["class_id"],
+                                   d["confidence"],
+                                   rec.pool[d["proposal_index"]].copy())
                 for d in dets])
     preds_by_scene = {sid: kept[sid][1] for sid in decoded if sid in kept}
     gts_by_scene = {sid: kept[sid][0] for sid in preds_by_scene}
-    res = evaluate_predictions(preds_by_scene, gts_by_scene, thresholds)
+    res = evaluate_predictions(preds_by_scene, gts_by_scene,
+                               cfg.eval.thresholds)
     for t in res.thresholds:
         print(f"mAP@{t:.2f}  {res.map_r[t]:.4f}")
     classes = sorted({j for (_, j) in res.per_class})

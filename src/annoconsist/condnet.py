@@ -52,8 +52,6 @@ def refine_stack(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
     edges (large I_uv) gate the flow to nothing.
     """
     g0 = np.ascontiguousarray(f, dtype=np.float64)
-    if adjacency.edge_u.size == 0:
-        return np.broadcast_to(g0, (cfg.n_iters + 1,) + g0.shape).copy()
     return kernels.refine_forward(g0, adjacency.kernel_edges(g0.shape[-1]),
                                   cfg.delta, cfg.n_iters)
 
@@ -61,8 +59,6 @@ def refine_stack(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
 def refine_backward(stack: np.ndarray, adjacency, cfg: InferenceConfig,
                     q_final: np.ndarray) -> np.ndarray:
     """Adjoint of refine_stack: gradient wrt the unrefined tables."""
-    if adjacency.edge_u.size == 0:
-        return q_final.astype(np.float64).copy()
     return kernels.refine_backward(
         stack, adjacency.kernel_edges(q_final.shape[-1]), cfg.delta,
         np.ascontiguousarray(q_final, dtype=np.float64),
@@ -165,13 +161,11 @@ class SampleSet:
     """A scene's K noise draws, stacked along a leading draw axis, with
     everything the backward pass needs of them."""
 
-    z: np.ndarray  # (K, d) noise
-    x: np.ndarray  # (K, P, D+d) scorer inputs
+    x: np.ndarray  # (K, P, D+d) scorer inputs; the last d columns are noise
     stack: np.ndarray | None  # (n_iters+1, K, P, C+1) iterates; None unrefined
     g: np.ndarray  # (K, P, C+1) final tables the inference ran on
     labels: np.ndarray  # (K, P)
     enforced: bool  # consistency forcing used when sampling
-    term_mode: str
 
     @property
     def k(self) -> int:
@@ -223,8 +217,7 @@ def sample_k(params: CondParams, rec: SceneRecord, k: int, seed: int,
     for i in range(k):
         labels[i] = greedy_infer(g[i], rec.annotation, geom, cfg,
                                  enforce=enforce)
-    return SampleSet(z=z, x=x, stack=stack, g=g, labels=labels,
-                     enforced=enforce, term_mode=term_mode)
+    return SampleSet(x=x, stack=stack, g=g, labels=labels, enforced=enforce)
 
 
 def params_noise_dim(params: CondParams, rec: SceneRecord) -> int:

@@ -9,6 +9,7 @@ import json
 from dataclasses import dataclass, field
 
 from .condnet import InferenceConfig
+from .evaluate import DEFAULT_THRESHOLDS
 from .loss import LossConfig
 from .synthgen import DISTRACTOR_MARGIN, ProposalConfig, SceneConfig, min_frame_side
 from .train import TrainConfig
@@ -20,7 +21,7 @@ class ConfigError(Exception):
 
 @dataclass
 class EvalConfig:
-    thresholds: tuple = (0.25, 0.50, 0.70, 0.75)
+    thresholds: tuple = DEFAULT_THRESHOLDS
 
     def __post_init__(self):
         if not self.thresholds:
@@ -104,9 +105,15 @@ def config_from_obj(obj: dict) -> RunConfig:
         if key in obj:
             kwargs[key] = _build_section(cls, obj[key], key)
     try:
-        return RunConfig(**kwargs)
+        cfg = RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    # the top-level seed drives every stage, training included
+    if "seed" in obj.get("train", {}) and cfg.train.seed != cfg.seed:
+        raise ConfigError(f"train: seed {cfg.train.seed!r} differs from the "
+                          f"top-level seed {cfg.seed}")
+    cfg.train.seed = cfg.seed
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:

@@ -30,7 +30,6 @@ class InstancePrediction:
     class_id: int
     confidence: float
     mask: np.ndarray
-    box: object
 
 
 def pred_init(num_classes: int) -> PredParams:
@@ -78,7 +77,6 @@ def decode(state: np.ndarray, rec: SceneRecord, score_thresh: float = 0.7,
                 class_id=int(cls[u]),
                 confidence=float(conf[u]),
                 mask=rec.pool[u],
-                box=geom.boxes[u],
             )
         )
         for v in cand:

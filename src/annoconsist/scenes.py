@@ -10,7 +10,7 @@ import base64
 import functools
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class Annotation:
 class PoolGeometry:
     """Pool-derived arrays reused by every inference call on a scene."""
 
-    areas: np.ndarray
     ovl: np.ndarray  # ovl[i, l] = |i ∩ l| / |l|
     boxes: list  # tight boxes, one per proposal
     _keep: dict = field(default_factory=dict, repr=False, compare=False)
@@ -108,7 +107,6 @@ class PoolGeometry:
     @staticmethod
     def from_pool(pool: np.ndarray) -> "PoolGeometry":
         return PoolGeometry(
-            areas=pool.reshape(pool.shape[0], -1).sum(axis=1),
             ovl=overlap_fraction_matrix(pool),
             boxes=tight_boxes(pool),
         )
@@ -170,7 +168,15 @@ def _decode_masks(rles: list, h: int, w: int) -> np.ndarray:
 
 
 def scene_to_obj(rec: SceneRecord) -> dict:
+    """The record as a JSON object. The graph is written as one neighbor
+    list and one weight list per proposal, each in edge order."""
     h, w = rec.height, rec.width
+    adj = rec.adjacency
+    order = np.argsort(adj.edge_u, kind="stable")
+    nbrs, wts = adj.edge_v[order].tolist(), adj.edge_w[order].tolist()
+    ends = np.cumsum(np.bincount(adj.edge_u,
+                                 minlength=rec.num_proposals)).tolist()
+    spans = list(zip([0, *ends[:-1]], ends))
     return {
         "format_version": FORMAT_VERSION,
         "scene_id": rec.scene_id,
@@ -191,8 +197,8 @@ def scene_to_obj(rec: SceneRecord) -> dict:
             rec.seeds, _encode_masks([s.mask for s in rec.seeds], h, w))],
         "pool": rle_encode_stack(rec.pool),
         "adjacency": {
-            "neighbors": [n.tolist() for n in rec.adjacency.neighbors],
-            "weights": [w.tolist() for w in rec.adjacency.weights],
+            "neighbors": [nbrs[a:b] for a, b in spans],
+            "weights": [wts[a:b] for a, b in spans],
         },
     }
 
@@ -204,20 +210,19 @@ def _adjacency_from_obj(obj: dict, p: int) -> Adjacency:
     twice, and each listed (u, v, w) mirrored by a listed (v, u, w). The
     directed edge arrays list each pair u < v as (u, v) then (v, u), in
     u's list order."""
-    neighbors = [np.array(n, dtype=np.int64) for n in obj["neighbors"]]
-    weights = [np.array(x, dtype=np.float64) for x in obj["weights"]]
+    neighbors, weights = obj["neighbors"], obj["weights"]
     if len(neighbors) != p or len(weights) != p:
         raise DatasetFormatError(
             f"adjacency lists {len(neighbors)} neighbor and {len(weights)} "
             f"weight lists for a pool of {p} proposals")
-    sizes = [n.size for n in neighbors]
-    if any(n.ndim != 1 or x.shape != n.shape
-           for n, x in zip(neighbors, weights)):
+    sizes = [len(n) for n in neighbors]
+    u = np.repeat(np.arange(p, dtype=np.int64), sizes)
+    v = np.array([x for n in neighbors for x in n], dtype=np.int64)
+    w = np.array([x for ws in weights for x in ws], dtype=np.float64)
+    if ([len(x) for x in weights] != sizes or v.shape != u.shape
+            or w.shape != u.shape):
         raise DatasetFormatError("adjacency neighbor and weight lists "
                                  "differ in length")
-    u = np.repeat(np.arange(p, dtype=np.int64), sizes)
-    v = np.concatenate([np.zeros(0, dtype=np.int64), *neighbors])
-    w = np.concatenate([np.zeros(0, dtype=np.float64), *weights])
     bad = (v < 0) | (v >= p) | (v == u)
     if bad.any():
         i = int(np.argmax(bad))
@@ -243,8 +248,6 @@ def _adjacency_from_obj(obj: dict, p: int) -> Adjacency:
     up = u < v
     u, v, w = u[up], v[up], w[up]
     return Adjacency(
-        neighbors=neighbors,
-        weights=weights,
         edge_u=np.stack([u, v], axis=1).reshape(-1),
         edge_v=np.stack([v, u], axis=1).reshape(-1),
         edge_w=np.repeat(w, 2),
@@ -332,18 +335,9 @@ def load_dataset(path) -> list:
 
 def rebuild_with_pool(rec: SceneRecord, keep: np.ndarray) -> SceneRecord:
     """New record with pool restricted to the ascending indices `keep`;
-    the adjacency is the subgraph of rec's that `keep` induces."""
-    return SceneRecord(
-        scene_id=rec.scene_id,
-        width=rec.width,
-        height=rec.height,
-        num_classes=rec.num_classes,
-        image=rec.image,
-        edges=rec.edges,
-        gt=rec.gt,
-        annotation=rec.annotation,
-        seeds=rec.seeds,
-        pool=rec.pool[keep],
-        adjacency=rec.adjacency.restrict(keep),
-        pool_index=keep,
-    )
+    the adjacency is the subgraph of rec's that `keep` induces. rec's
+    cached geometry and features describe its own pool and are not
+    carried over."""
+    return replace(
+        rec, pool=rec.pool[keep], adjacency=rec.adjacency.restrict(keep),
+        pool_index=keep, _geom=None, _features=None)

@@ -10,7 +10,7 @@ salient-part cues a weak-supervision pipeline would start from.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -385,19 +385,10 @@ def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneReco
         raise EmptyPoolError(f"scene {rec.scene_id}: no proposals survived")
 
     pool = stack_pool(kept)
-    return SceneRecord(
-        scene_id=rec.scene_id,
-        width=rec.width,
-        height=rec.height,
-        num_classes=rec.num_classes,
-        image=rec.image,
-        edges=rec.edges,
-        gt=rec.gt,
-        annotation=rec.annotation,
-        seeds=rec.seeds,
-        pool=pool,
+    return replace(
+        rec, pool=pool,
         adjacency=build_adjacency(pool, rec.edges, dilation=cfg.dilation),
-    )
+        pool_index=None, _geom=None, _features=None)
 
 
 def filter_by_boxes(pool: np.ndarray, boxes, min_iou: float) -> np.ndarray:

@@ -83,7 +83,6 @@ class TrainConfig:
 
 @dataclass
 class FitResult:
-    cond: CondParams
     pred: PredParams
     log: list = field(default_factory=list)  # one dict per epoch
     snapshots: list = field(default_factory=list)  # params after each outer iter
@@ -449,7 +448,7 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
     run_pred_phase("final", tcfg.outer_iters, 0x30000 + tcfg.outer_iters)
     snapshots.append({"outer": tcfg.outer_iters, "cond": cond.copy(),
                       "pred": pred.copy()})
-    return FitResult(cond=cond, pred=pred, log=log, snapshots=snapshots,
+    return FitResult(pred=pred, log=log, snapshots=snapshots,
                      skipped_scenes=skipped, inference_failures=failures)
 
 

@@ -48,6 +48,15 @@ def rle_decode(rle: dict) -> np.ndarray:
     return rle_decode_stack([rle])[0]
 
 
+def edge_weight(adjacency, u: int, v: int) -> float:
+    """I_uv of the directed edge u -> v; KeyError when u and v do not
+    touch."""
+    hit = np.flatnonzero((adjacency.edge_u == u) & (adjacency.edge_v == v))
+    if hit.size == 0:
+        raise KeyError(f"{u} and {v} are not neighbors")
+    return float(adjacency.edge_w[hit[0]])
+
+
 def pairwise_refine(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
     """Boundary-aware score smoothing, final table only."""
     return refine_stack(f, adjacency, cfg)[-1]

@@ -54,7 +54,7 @@ from annoconsist.train import (
 )
 
 from conftest import make_record, rect_mask
-from oracles import (DiscParts, disc, exact_infer, make_dataset,
+from oracles import (DiscParts, disc, edge_weight, exact_infer, make_dataset,
                      pairwise_refine, pred_objective, total_score)
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -318,8 +318,8 @@ def test_analytic_gradients_match_finite_differences():
     x, _, g = forward_scores(params, rec, z, icfg, refine=False)
     np.testing.assert_allclose(g[0], table, atol=1e-9)
     y = greedy_infer(g[0], rec.annotation, rec.geometry(), icfg)
-    samples = SampleSet(z=z, x=x, stack=None, g=g, labels=np.stack([y, y]),
-                        enforced=True, term_mode="U")
+    samples = SampleSet(x=x, stack=None, g=g, labels=np.stack([y, y]),
+                        enforced=True)
     zero_grad = cond_grad(params, rec, samples, np.array([1, 0]),
                           TrainConfig(k=2), icfg, LossConfig(lambda_cls=0.0))
     assert (zero_grad.w == 0.0).all()
@@ -370,7 +370,7 @@ def test_pairwise_refinement_hand_iteration_and_edge_gating():
     edges[2:6, 3] = 6.25
     edges[2:6, 4] = 6.25
     rec_strong = make_record([a, b], [1], edges=edges)
-    assert rec_strong.adjacency.edge_weight(0, 1) == pytest.approx(50.0)
+    assert edge_weight(rec_strong.adjacency, 0, 1) == pytest.approx(50.0)
     f = np.array([[1.0, 0.3], [0.2, 0.9]])
     out = pairwise_refine(f, rec_strong.adjacency, cfg)
     bound = 3.0 * np.exp(-50.0) / cfg.delta
@@ -476,7 +476,7 @@ def test_metric_reports_perfect_predictions_and_hand_curve(reference_run):
         gts[rec.scene_id] = rec.gt
         preds[rec.scene_id] = [
             InstancePrediction(proposal_index=-1, class_id=g.class_id,
-                               confidence=1.0, mask=g.mask.copy(), box=None)
+                               confidence=1.0, mask=g.mask.copy())
             for g in rec.gt
         ]
     ev = evaluate_predictions(preds, gts, DEFAULT_THRESHOLDS)

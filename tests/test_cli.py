@@ -15,7 +15,7 @@ from annoconsist.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
 from annoconsist.condnet import InferenceError, sample_k
 from annoconsist.config import load_config
 from annoconsist.evaluate import evaluate_predictions
-from annoconsist.prednet import decode, predict
+from annoconsist.prednet import InstancePrediction, decode, predict
 from annoconsist.scenes import load_dataset, scene_to_obj
 from annoconsist.scorer import feature_dim
 from annoconsist.synthgen import PlacementError, filter_by_boxes
@@ -224,8 +224,9 @@ def _eval_table_over_loaded_dataset(preds_path, data_file) -> str:
         rec = by_id.get(entry["scene_id"])
         if rec is not None:
             preds_by_scene[rec.scene_id] = [
-                cli._EvalPred(d["class_id"], d["confidence"],
-                              rec.pool[d["proposal_index"]])
+                InstancePrediction(d["proposal_index"], d["class_id"],
+                                   d["confidence"],
+                                   rec.pool[d["proposal_index"]])
                 for d in entry["final"]["decode"]]
     gts_by_scene = {sid: by_id[sid].gt for sid in preds_by_scene}
     res = evaluate_predictions(preds_by_scene, gts_by_scene,
@@ -494,6 +495,21 @@ def test_out_of_range_config_value_is_usage_error(tmp_path, pipeline,
                 "--out", str(tmp_path / "m")])
     assert code == EXIT_USAGE
     assert "n_iters" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+def test_train_seed_other_than_the_seed_is_usage_error(tmp_path, pipeline,
+                                                      capsys):
+    # training runs at the top-level seed, so a different train.seed
+    # would be read and then ignored
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(
+        TINY_CONFIG, train=dict(TINY_CONFIG["train"], seed=7))))
+    code = run(["train", "--config", str(bad), "--data", pipeline["data"],
+                "--out", str(tmp_path / "m")])
+    assert code == EXIT_USAGE
+    assert "train: seed 7 differs from the top-level seed 0" in (
+        capsys.readouterr().err)
     assert not (tmp_path / "m").exists()
 
 

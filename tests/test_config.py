@@ -62,6 +62,15 @@ def test_scalars_must_be_integers_and_bools_are_rejected():
         config_from_obj({"n_scenes": 2.5})
 
 
+def test_train_seed_follows_the_seed_and_may_only_repeat_it():
+    assert config_from_obj({"seed": 4}).train.seed == 4
+    assert config_from_obj({"seed": 4, "train": {"seed": 4}}).train.seed == 4
+    with pytest.raises(ConfigError, match="train: seed 7 differs"):
+        config_from_obj({"seed": 4, "train": {"seed": 7}})
+    with pytest.raises(ConfigError, match="top-level seed 0"):
+        config_from_obj({"train": {"seed": 7}})
+
+
 def test_section_must_be_an_object():
     with pytest.raises(ConfigError, match="train: expected an object"):
         config_from_obj({"train": 5})

@@ -12,13 +12,11 @@ from annoconsist.prednet import InstancePrediction
 from annoconsist.scenes import GroundTruthInstance
 
 from conftest import rect_mask
-from oracles import tight_box
 
 
 def _pred(mask, class_id=1, confidence=0.9, index=0):
     return InstancePrediction(proposal_index=index, class_id=class_id,
-                              confidence=confidence, mask=mask,
-                              box=tight_box(mask))
+                              confidence=confidence, mask=mask)
 
 
 def _gt(mask, class_id=1):

@@ -6,7 +6,8 @@ names library code as `module.name` attributes, "module.name..." strings
 and ("module", "name", ...) tuples. A reached definition reaches each
 name its body mentions: its own module's, `from .module import name`,
 and `module.name`. Code that only tests reach belongs in
-`tests/oracles.py`.
+`tests/oracles.py`. Likewise every field of a library class must be read
+by the library or the harness.
 """
 
 import ast
@@ -72,3 +73,29 @@ def test_every_library_name_is_reached_from_the_pipeline():
     unreached = sorted(f"{mod}.{name}" for mod, names in defs.items()
                        for name in names if (mod, name) not in seen)
     assert not unreached, f"reached only from tests: {unreached}"
+
+
+def _read_attributes():
+    """Every attribute name read (loaded) in the library and in the
+    benchmark harness outside its tests."""
+    paths = [*(ROOT / "src" / "annoconsist").glob("*.py"),
+             *(p for p in (ROOT / "pipebench").glob("*.py")
+               if not p.name.startswith("test_"))]
+    return {n.attr for p in paths for n in ast.walk(ast.parse(p.read_text()))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_record_field_is_read():
+    """Each annotated field of a library class is read as an attribute
+    somewhere in the library or the benchmark harness. The check goes by
+    name only: a dead field that shares its name with a field read
+    elsewhere (say, a `term_mode` next to `TrainConfig.term_mode`) passes."""
+    read = _read_attributes()
+    unread = sorted(
+        f"{mod}.{cls.name}.{node.target.id}"
+        for mod, tree in TREES.items() for cls in tree.body
+        if isinstance(cls, ast.ClassDef) for node in cls.body
+        if isinstance(node, ast.AnnAssign)
+        and isinstance(node.target, ast.Name)
+        and node.target.id not in read)
+    assert not unread, f"fields nothing reads: {unread}"

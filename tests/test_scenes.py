@@ -14,7 +14,9 @@ from annoconsist.scenes import (
     scene_from_obj,
     scene_to_obj,
 )
-from annoconsist.synthgen import ProposalConfig, SceneConfig, make_scene
+from annoconsist.scorer import features
+from annoconsist.synthgen import (ProposalConfig, SceneConfig, gen_proposals,
+                                  make_scene)
 
 from conftest import make_record, rect_mask
 
@@ -54,11 +56,9 @@ def _assert_records_equal(a, b):
         assert sa.class_id == sb.class_id
         np.testing.assert_array_equal(sa.mask, sb.mask)
     assert a.adjacency.num_edges == b.adjacency.num_edges
-    for u in range(a.num_proposals):
-        np.testing.assert_array_equal(a.adjacency.neighbors[u],
-                                      b.adjacency.neighbors[u])
-        np.testing.assert_allclose(a.adjacency.weights[u],
-                                   b.adjacency.weights[u])
+    for name in ("edge_u", "edge_v", "edge_w"):
+        np.testing.assert_array_equal(getattr(a.adjacency, name),
+                                      getattr(b.adjacency, name))
 
 
 def test_obj_roundtrip_preserves_record():
@@ -154,3 +154,24 @@ def test_rebuild_with_pool_restricts_and_rebuilds():
     # masks 0 and 2 do not touch: no edges in the rebuilt graph
     assert sub.adjacency.num_edges == 0
     assert sub.scene_id == rec.scene_id
+
+
+def test_new_pools_do_not_inherit_the_caches_of_the_old_one():
+    rec = make_scene(SceneConfig(), ProposalConfig(), seed=1, scene_id=1)
+    geom, feats = rec.geometry(), features(rec)
+    assert rec._geom is geom and rec._features is feats
+    keep = np.arange(0, rec.num_proposals, 2)
+    sub = rebuild_with_pool(rec, keep)
+    assert sub._geom is None and sub._features is None
+    np.testing.assert_array_equal(sub.pool_index, keep)
+    cold = rebuild_with_pool(
+        make_scene(SceneConfig(), ProposalConfig(), seed=1, scene_id=1), keep)
+    assert features(sub).tobytes() == features(cold).tobytes()
+    assert sub.geometry().ovl.tobytes() == cold.geometry().ovl.tobytes()
+    assert sub.geometry().boxes == cold.geometry().boxes
+    # a pool drawn anew for a warmed, cut record starts cold and uncut too
+    sub.geometry(), features(sub)
+    again = gen_proposals(sub, ProposalConfig(), seed=1)
+    assert again._geom is None and again._features is None
+    assert again.pool_index is None
+    assert again.pool.tobytes() == rec.pool.tobytes()

@@ -1,6 +1,7 @@
 """The stacked mask code against the per-mask, per-proposal and per-pair
 loops it replaced, kept here as oracles. Every comparison is on bytes."""
 
+import json
 from collections import deque
 
 import numpy as np
@@ -19,7 +20,9 @@ from annoconsist.masks import (
     tight_boxes,
 )
 from annoconsist.scenes import (
+    Annotation,
     PoolGeometry,
+    SceneRecord,
     Seed,
     rebuild_with_pool,
     scene_from_obj,
@@ -110,6 +113,8 @@ def old_tight_box(mask):
 
 
 def old_build_adjacency(pool, edges, dilation=1):
+    """The graph as directed edge arrays, and the per-node neighbor and
+    weight lists the pair loop built next to them."""
     p = pool.shape[0]
     dil = [old_dilate(pool[u], dilation) for u in range(p)]
     neighbors = [[] for _ in range(p)]
@@ -129,13 +134,10 @@ def old_build_adjacency(pool, edges, dilation=1):
             eu.extend((u, v))
             ev.extend((v, u))
             ew.extend((w, w))
-    return Adjacency(
-        neighbors=[np.array(n, dtype=np.int64) for n in neighbors],
-        weights=[np.array(w, dtype=np.float64) for w in weights],
-        edge_u=np.array(eu, dtype=np.int64),
-        edge_v=np.array(ev, dtype=np.int64),
-        edge_w=np.array(ew, dtype=np.float64),
-    )
+    return (Adjacency(edge_u=np.array(eu, dtype=np.int64),
+                      edge_v=np.array(ev, dtype=np.int64),
+                      edge_w=np.array(ew, dtype=np.float64)),
+            {"neighbors": neighbors, "weights": weights})
 
 
 def old_edge_arrays(neighbors, weights):
@@ -275,11 +277,18 @@ def assert_same_graph(got, want):
     for name in ("edge_u", "edge_v", "edge_w"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    for name in ("neighbors", "weights"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert len(a) == len(b), name
-        for x, y in zip(a, b):
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def serialized_graph(pool, adjacency):
+    """The adjacency entry scene_to_obj writes for a pool and its graph."""
+    p, h, w = pool.shape
+    rec = SceneRecord(
+        scene_id=0, width=w, height=h, num_classes=1,
+        image=np.zeros((h, w, 3), dtype=np.float32),
+        edges=np.zeros((h, w), dtype=np.float32), gt=[],
+        annotation=Annotation(presence=np.zeros(1, dtype=np.int8)),
+        seeds=[], pool=pool, adjacency=adjacency)
+    return json.dumps(scene_to_obj(rec)["adjacency"])
 
 
 def generated_records():
@@ -370,27 +379,48 @@ def test_build_adjacency_equals_the_pair_loop(pool, seed, dilation):
     edges = np.random.default_rng(seed).random(pool.shape[1:]).astype(
         np.float32)
     assert_same_graph(build_adjacency(pool, edges, dilation),
-                      old_build_adjacency(pool, edges, dilation))
+                      old_build_adjacency(pool, edges, dilation)[0])
 
 
 def test_build_adjacency_equals_the_pair_loop_on_generated_pools():
     empty = gen_scene(SceneConfig(), seed=0, scene_id=0)
     assert empty.num_proposals == 0
     assert_same_graph(empty.adjacency,
-                      old_build_adjacency(empty.pool, empty.edges))
+                      old_build_adjacency(empty.pool, empty.edges)[0])
     for rec in generated_records():
         for dilation in (0, 1, 2):
             assert_same_graph(
                 build_adjacency(rec.pool, rec.edges, dilation),
-                old_build_adjacency(rec.pool, rec.edges, dilation))
+                old_build_adjacency(rec.pool, rec.edges, dilation)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks(max_p=8), st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2]))
+def test_serialized_graph_equals_the_pair_loop_lists(pool, seed, dilation):
+    edges = np.random.default_rng(seed).random(pool.shape[1:]).astype(
+        np.float32)
+    assert serialized_graph(pool, build_adjacency(pool, edges, dilation)) \
+        == json.dumps(old_build_adjacency(pool, edges, dilation)[1])
+
+
+def test_serialized_graph_equals_the_pair_loop_lists_on_generated_pools():
+    # generated_records holds box-regime and single-proposal cuts, whose
+    # graphs restrict builds; each must serialize as the pair loop's lists
+    # on the cut pool
+    dilation = ProposalConfig().dilation
+    empty = gen_scene(SceneConfig(), seed=0, scene_id=0)
+    for rec in [empty, *generated_records()]:
+        assert json.dumps(scene_to_obj(rec)["adjacency"]) == json.dumps(
+            old_build_adjacency(rec.pool, rec.edges, dilation)[1])
 
 
 def test_loaded_edge_arrays_equal_the_per_edge_loop():
     for rec in generated_records():
-        loaded = scene_from_obj(scene_to_obj(rec)).adjacency
+        obj = scene_to_obj(rec)
+        loaded = scene_from_obj(obj).adjacency
         for got, want in zip((loaded.edge_u, loaded.edge_v, loaded.edge_w),
-                             old_edge_arrays(loaded.neighbors,
-                                             loaded.weights)):
+                             old_edge_arrays(obj["adjacency"]["neighbors"],
+                                             obj["adjacency"]["weights"])):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 

@@ -222,8 +222,8 @@ def _manual_samples(params, rec, table, k, icfg, enforce=True):
     x, _, g = forward_scores(params, rec, z, icfg, refine=False)
     np.testing.assert_allclose(g[0], table, atol=1e-9)
     y = greedy_infer(g[0], rec.annotation, rec.geometry(), icfg, enforce=enforce)
-    return SampleSet(z=z, x=x, stack=None, g=g, labels=np.stack([y] * k),
-                     enforced=enforce, term_mode="U")
+    return SampleSet(x=x, stack=None, g=g, labels=np.stack([y] * k),
+                     enforced=enforce)
 
 
 def test_cond_grad_is_exactly_zero_when_the_task_loss_vanishes():
@@ -552,7 +552,8 @@ def test_fit_leaves_out_a_scene_whose_inference_fails():
               + tcfg.outer_iters + 1)
     assert res.inference_failures == phases
     assert res.skipped_scenes == base.skipped_scenes
-    assert res.cond.w.tobytes() == base.cond.w.tobytes()
+    assert (res.snapshots[-1]["cond"].w.tobytes()
+            == base.snapshots[-1]["cond"].w.tobytes())
     assert res.pred.w.tobytes() == base.pred.w.tobytes()
     assert res.log == base.log
     with pytest.raises(TrainingError, match="every scene"):
@@ -736,7 +737,8 @@ def test_fit_is_bit_reproducible_and_logs_every_epoch():
     icfg = InferenceConfig(delta=8.0)
     r1 = fit(records, tcfg, icfg)
     r2 = fit(records, tcfg, icfg)
-    assert r1.cond.w.tobytes() == r2.cond.w.tobytes()
+    assert (r1.snapshots[-1]["cond"].w.tobytes()
+            == r2.snapshots[-1]["cond"].w.tobytes())
     assert r1.pred.w.tobytes() == r2.pred.w.tobytes()
     assert [row["map50"] for row in r1.log] == [row["map50"] for row in r2.log]
     # init + outer * (pred + cond) + final pred
@@ -752,10 +754,12 @@ def test_fit_snapshots_are_independent_copies():
     records = _tiny_dataset()
     result = fit(records, _tiny_train_cfg(), InferenceConfig(delta=8.0))
     assert len(result.snapshots) == 2  # one per outer iter plus the final
-    last = result.snapshots[-1]
-    np.testing.assert_array_equal(last["cond"].w, result.cond.w)
-    result.cond.w += 1.0
-    assert not np.array_equal(last["cond"].w, result.cond.w)
+    first, last = result.snapshots
+    np.testing.assert_array_equal(last["pred"].w, result.pred.w)
+    result.pred.w += 1.0
+    assert not np.array_equal(last["pred"].w, result.pred.w)
+    for name in ("cond", "pred"):
+        assert not np.shares_memory(first[name].w, last[name].w)
 
 
 def test_fit_pointwise_variants_run_and_stay_finite():
