@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .ablation import ablation_run
-from .condnet import InferenceError, sample_k
+from .condnet import InferenceError, params_noise_dim, sample_k
 from .config import ConfigError, RunConfig, load_config, save_config
 from .prednet import InstancePrediction, decode, predict
 from .render import render_predictions
@@ -27,7 +27,7 @@ from .scenes import (DatasetFormatError, iter_dataset, load_dataset,
                      save_dataset)
 from .synthgen import EmptyPoolError, PlacementError, make_scene
 from .train import (TrainingError, fit, load_checkpoint, prepare_scene,
-                    save_checkpoint, write_log_csv)
+                    sample_noise, save_checkpoint, write_log_csv)
 from .evaluate import evaluate_predictions
 
 EXIT_OK = 0
@@ -36,19 +36,23 @@ EXIT_RUNTIME = 3
 
 
 def _apply_seed_env(cfg: RunConfig) -> None:
+    """Overrides the seed with ANNOCONSIST_SEED when it is set; the master
+    seed drives every stage, including training and inference noise."""
     env = os.environ.get("ANNOCONSIST_SEED")
     if env is not None:
         try:
-            cfg.seed = int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError("ANNOCONSIST_SEED must be an integer") from None
+        if seed < 0:
+            raise ConfigError("ANNOCONSIST_SEED must be non-negative")
+        cfg.seed = seed
+    cfg.train = dataclasses.replace(cfg.train, seed=cfg.seed)
 
 
 def _resolved_config(args) -> RunConfig:
     cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
     _apply_seed_env(cfg)
-    # the master seed drives every stage, including training
-    cfg.train = dataclasses.replace(cfg.train, seed=cfg.seed)
     return cfg
 
 
@@ -135,16 +139,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _sample_payload(rec, prep, cond, cfg, tag: int) -> list:
-    """K sample labelings over the scene's original pool indices; none when
-    prepare_scene found the scene unusable. Raises InferenceError when
+def _sample_payload(rec, prep, cond, cfg, z) -> list:
+    """K sample labelings of the prepared scene from a (K, d) noise block,
+    over the scene's original pool indices. Raises InferenceError when
     sampling fails."""
-    if prep is None:
-        return []
-    tcfg = cfg.train
-    samples = sample_k(cond, prep, tcfg.k, cfg.seed, cfg.inference,
-                       term_mode=tcfg.term_mode,
-                       zero_noise=tcfg.cond_pointwise, noise_tag=tag)
+    samples = sample_k(cond, prep, z, cfg.inference,
+                       term_mode=cfg.train.term_mode)
     if prep.pool_index is None:
         labels = samples.labels
     else:
@@ -174,27 +174,31 @@ def _infer_scene(rec, cfg, iter_paths, final_path) -> tuple:
     the scene's status: "unusable" when prepare_scene rejects it, "failed"
     when some sampling raised, else "ok"."""
     prep = prepare_scene(rec, cfg.train, cfg.inference)
+    ckpts = [load_checkpoint(path) for path in [*iter_paths, final_path]]
+    # a checkpoint without an outer index in its meta takes its position
+    outers = [int(meta.get("outer", i)) for i, (_, _, meta) in enumerate(ckpts)]
+    if prep is not None:
+        # every checkpoint's K draws in one block, keyed by its tag; a
+        # scorer of noise width d takes the block's first d columns
+        dims = [params_noise_dim(cond, prep) for cond, _, _ in ckpts]
+        tags = [0x7E57 + outer for outer in outers[:-1]] + [0x7E57 + 0x99]
+        z = sample_noise(cfg.train, rec.scene_id,
+                         np.array(tags, dtype=object), cfg.train.k, max(dims))
     failed = False
-
-    def at_checkpoint(path, default_outer, tag=None):
-        nonlocal failed
-        cond, pred, meta = load_checkpoint(path)
-        outer = int(meta.get("outer", default_outer))
-        try:
-            samples = _sample_payload(rec, prep, cond, cfg,
-                                      0x7E57 + outer if tag is None else tag)
-        except InferenceError:
-            samples, failed = [], True
-        return {"outer": outer, "samples": samples,
-                "decode": _decode_payload(pred, rec, cfg)}
-
-    iterations = []
-    for path in iter_paths:
-        iterations.append(at_checkpoint(path, len(iterations)))
-    final = at_checkpoint(final_path, len(iter_paths), tag=0x7E57 + 0x99)
+    entries = []
+    for i, ((cond, pred, _), outer) in enumerate(zip(ckpts, outers)):
+        samples = []
+        if prep is not None:
+            try:
+                samples = _sample_payload(rec, prep, cond, cfg,
+                                          z[i, :, :dims[i]])
+            except InferenceError:
+                failed = True
+        entries.append({"outer": outer, "samples": samples,
+                        "decode": _decode_payload(pred, rec, cfg)})
     status = "unusable" if prep is None else "failed" if failed else "ok"
-    return {"scene_id": rec.scene_id, "iterations": iterations,
-            "final": final}, status
+    return {"scene_id": rec.scene_id, "iterations": entries[:-1],
+            "final": entries[-1]}, status
 
 
 def cmd_infer(args) -> int:
@@ -279,6 +283,8 @@ def cmd_ablate(args) -> int:
     train_recs = _load_split(args.data, "train")
     eval_recs = _load_split(args.data, "eval")
     seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else None
+    if seeds is not None and min(seeds) < 0:
+        raise ConfigError("--seeds must be non-negative")
     result = ablation_run(train_recs, eval_recs, cfg.train, cfg.inference,
                           cfg.loss, seeds=seeds, verbose=args.verbose)
     result.to_csv(args.out)

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import kernels
 from .scenes import Annotation, PoolGeometry, SceneRecord
-from .scorer import (CondParams, draw_noise, feature_dim, score_from_input,
-                     scorer_input)
+from .scorer import CondParams, feature_dim, score_from_input, scorer_input
 
 TERM_MODES = ("U", "U+P", "U+P+H")
 
@@ -189,29 +188,26 @@ def forward_scores(params: CondParams, rec: SceneRecord, z: np.ndarray,
     return x, None, f
 
 
-def sample_k(params: CondParams, rec: SceneRecord, k: int, seed: int,
+def sample_k(params: CondParams, rec: SceneRecord, z: np.ndarray,
              cfg: InferenceConfig, term_mode: str = "U+P+H",
-             zero_noise: bool = False, noise_tag: int = 0,
              enforce: bool | None = None) -> SampleSet:
-    """K labelings from K noise draws (all-zeros noise in pointwise mode).
-
-    Noise is derived from (seed, scene_id, k, noise_tag) so any scene's
-    stream is reproducible in isolation. enforce overrides the term-mode
-    default for annotation-consistency forcing (the seed-supervised
-    initialization phase forces it in every mode).
+    """K labelings from a (K, d) block of noise rows, d the scorer's noise
+    width (draw_noise of the scene's keys, or zeros in pointwise mode).
+    enforce overrides the term-mode default for annotation-consistency
+    forcing (the seed-supervised initialization phase forces it in every
+    mode).
     """
     if term_mode not in TERM_MODES:
         raise ValueError(f"term_mode must be one of {TERM_MODES}")
+    dim = params_noise_dim(params, rec)
+    if z.ndim != 2 or z.shape[1] != dim:
+        raise ValueError(f"noise block of shape {z.shape} for a scorer of "
+                         f"noise width {dim}")
+    k = z.shape[0]
     refine = term_mode != "U"
     if enforce is None:
         enforce = term_mode == "U+P+H"
     geom = rec.geometry()
-    dim = params_noise_dim(params, rec)
-    if zero_noise:
-        z = np.zeros((k, dim), dtype=np.float64)
-    else:
-        z = np.stack([draw_noise(seed, rec.scene_id, i, noise_tag, dim=dim)
-                      for i in range(k)])
     x, stack, g = forward_scores(params, rec, z, cfg, refine)
     labels = np.zeros((k, rec.num_proposals), dtype=np.int64)
     for i in range(k):

@@ -44,6 +44,8 @@ class RunConfig:
     eval: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_scenes < 1:
             raise ValueError("n_scenes must be at least 1")
         if self.n_eval_scenes < 0:

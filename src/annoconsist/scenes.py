@@ -207,9 +207,9 @@ def _adjacency_from_obj(obj: dict, p: int) -> Adjacency:
     """The stored graph of a pool of p proposals, checked: one neighbor
     list and one weight list per proposal, of equal lengths, with neighbor
     indices in [0, p) other than the proposal's own, no neighbor listed
-    twice, and each listed (u, v, w) mirrored by a listed (v, u, w). The
-    directed edge arrays list each pair u < v as (u, v) then (v, u), in
-    u's list order."""
+    twice, every weight finite and non-negative, and each listed (u, v, w)
+    mirrored by a listed (v, u, w). The directed edge arrays list each pair
+    u < v as (u, v) then (v, u), in u's list order."""
     neighbors, weights = obj["neighbors"], obj["weights"]
     if len(neighbors) != p or len(weights) != p:
         raise DatasetFormatError(
@@ -223,6 +223,12 @@ def _adjacency_from_obj(obj: dict, p: int) -> Adjacency:
             or w.shape != u.shape):
         raise DatasetFormatError("adjacency neighbor and weight lists "
                                  "differ in length")
+    usable = np.isfinite(w) & (w >= 0.0)
+    if not usable.all():
+        i = int(np.argmin(usable))
+        raise DatasetFormatError(
+            f"adjacency: proposal {int(u[i])} lists neighbor {int(v[i])} with "
+            f"weight {float(w[i])!r}, not a finite non-negative number")
     bad = (v < 0) | (v >= p) | (v == u)
     if bad.any():
         i = int(np.argmax(bad))
@@ -259,6 +265,13 @@ def scene_from_obj(obj: dict) -> SceneRecord:
         version = obj["format_version"]
         if version != FORMAT_VERSION:
             raise DatasetFormatError(f"unsupported format_version {version}")
+        # the id keys the scene's noise, so it is never cast
+        scene_id = obj["scene_id"]
+        if (isinstance(scene_id, bool)
+                or not isinstance(scene_id, (int, np.integer))
+                or scene_id < 0):
+            raise DatasetFormatError(
+                f"scene_id {scene_id!r} is not a non-negative integer")
         h, w = obj["height"], obj["width"]
         pool = _decode_masks(obj["pool"], h, w)
         if not len(pool):
@@ -283,7 +296,7 @@ def scene_from_obj(obj: dict) -> SceneRecord:
                         f"{kind} class_id {c} outside [1, {num_classes}]")
         adjacency = _adjacency_from_obj(obj["adjacency"], pool.shape[0])
         return SceneRecord(
-            scene_id=obj["scene_id"],
+            scene_id=int(scene_id),
             width=w,
             height=h,
             num_classes=num_classes,

@@ -37,7 +37,8 @@ from .disco import div_cc, div_pc, div_pp
 from .evaluate import DEFAULT_THRESHOLDS, EvalResult, evaluate_predictions, map_at
 from .loss import LossConfig, cost_row
 from .prednet import PredParams, argmax_labeling, decode, pred_init, predict
-from .scorer import CondParams, axpy, cond_init, features, score_vjp
+from .scorer import (CondParams, axpy, cond_init, draw_noise, features,
+                     score_vjp)
 from .synthgen import EmptyPoolError, apply_box_regime
 
 
@@ -71,6 +72,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.supervision not in ("image", "box"):
             raise ValueError("supervision must be 'image' or 'box'")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.noise_dim < 0:
+            raise ValueError("noise_dim must be non-negative")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.epsilon <= 0.0:
@@ -285,6 +290,21 @@ def prepare_scene(rec, train_cfg: TrainConfig, inf_cfg: InferenceConfig):
     return br
 
 
+def sample_noise(train_cfg: TrainConfig, scene_id, tag, k: int,
+                 dim: int) -> np.ndarray:
+    """The noise of a sample batch, shape (..., k, dim) over the broadcast
+    shape of scene_id and tag: draw i of a scene under a tag is
+    draw_noise(seed, scene_id, i, tag), zeros in pointwise mode. It does
+    not depend on the parameters, so fit and infer draw a whole batch's
+    noise before sampling its scenes."""
+    scene_id = np.asarray(scene_id)[..., None]
+    tag = np.asarray(tag)[..., None]
+    if train_cfg.cond_pointwise:
+        shape = np.broadcast_shapes(scene_id.shape, tag.shape)[:-1]
+        return np.zeros(shape + (k, dim))
+    return draw_noise(train_cfg.seed, scene_id, np.arange(k), tag, dim=dim)
+
+
 def prepare_records(records: list, train_cfg: TrainConfig,
                     inf_cfg: InferenceConfig) -> tuple:
     """prepare_scene over every scene. Returns (records, num_skipped)."""
@@ -359,6 +379,8 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
     cond = cond_init(c, tcfg.noise_dim)
     pred = pred_init(c)
     k_eff = 1 if tcfg.cond_pointwise else tcfg.k
+    # object dtype keeps every id an exact int, however large
+    ids = np.array([rec.scene_id for rec in records], dtype=object)
     seeds_ref = [seed_labeling(rec) for rec in records]
     log: list = []
     snapshots: list = []
@@ -373,14 +395,13 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
         enforce = True if anchor else None
         lr = tcfg.lr_init if anchor else tcfg.lr_cond
         norms, used, batch = [], [], []
+        z = sample_noise(tcfg, ids, tag, k_eff, tcfg.noise_dim)
         for i, rec in enumerate(records):
             # a scene whose inference fails gets no update this epoch; its
             # samples still enter the metrics when sampling succeeded
             try:
-                samples = sample_k(cond, rec, k_eff, tcfg.seed, icfg,
-                                   term_mode=tcfg.term_mode,
-                                   zero_noise=tcfg.cond_pointwise,
-                                   noise_tag=tag, enforce=enforce)
+                samples = sample_k(cond, rec, z[i], icfg,
+                                   term_mode=tcfg.term_mode, enforce=enforce)
             except InferenceError:
                 failures += 1
                 continue
@@ -406,12 +427,11 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
         nonlocal failures
         # a scene whose sampling fails is left out of this phase's batch
         used, batch = [], []
-        for rec in records:
+        z = sample_noise(tcfg, ids, tag, k_eff, tcfg.noise_dim)
+        for i, rec in enumerate(records):
             try:
-                batch.append(sample_k(cond, rec, k_eff, tcfg.seed, icfg,
-                                      term_mode=tcfg.term_mode,
-                                      zero_noise=tcfg.cond_pointwise,
-                                      noise_tag=tag))
+                batch.append(sample_k(cond, rec, z[i], icfg,
+                                      term_mode=tcfg.term_mode))
             except InferenceError:
                 failures += 1
                 continue

@@ -48,6 +48,24 @@ def rle_decode(rle: dict) -> np.ndarray:
     return rle_decode_stack([rle])[0]
 
 
+def uniform_noise(seed: int, scene_id: int, k: int, extra: int,
+                  dim: int) -> np.ndarray:
+    """One noise draw by the per-draw construction: U[0,1)^dim from
+    uniform(0.0, 1.0) of a generator seeded with (seed, scene_id, k,
+    extra)."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence((seed, scene_id, k, extra)))
+    return rng.uniform(0.0, 1.0, size=dim)
+
+
+def scene_noise(seed: int, rec, k: int, tag: int = 0,
+                dim: int = 8) -> np.ndarray:
+    """(k, dim) noise block of a scene's k draws under a tag, one
+    uniform_noise draw at a time."""
+    return np.stack([uniform_noise(seed, rec.scene_id, i, tag, dim)
+                     for i in range(k)]).reshape(k, dim)
+
+
 def edge_weight(adjacency, u: int, v: int) -> float:
     """I_uv of the directed edge u -> v; KeyError when u and v do not
     touch."""

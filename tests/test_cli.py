@@ -21,6 +21,7 @@ from annoconsist.scorer import feature_dim
 from annoconsist.synthgen import PlacementError, filter_by_boxes
 from annoconsist.train import load_checkpoint, prepare_scene
 
+from oracles import scene_noise
 from test_train import _hopeless_box_scene
 
 
@@ -123,6 +124,28 @@ def test_non_integer_seed_env_is_a_usage_error(tmp_path, tiny_config_path,
     assert "ANNOCONSIST_SEED" in capsys.readouterr().err
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, tiny_config_path,
+                                        monkeypatch, capsys, pipeline):
+    monkeypatch.setenv("ANNOCONSIST_SEED", "-1")
+    assert run(["gen", "--config", tiny_config_path,
+                "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert "ANNOCONSIST_SEED must be non-negative" in capsys.readouterr().err
+    monkeypatch.delenv("ANNOCONSIST_SEED")
+    cfg = json.loads(open(tiny_config_path).read())
+    cfg["seed"] = -1
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["gen", "--config", str(path),
+                "--out", str(tmp_path / "y")]) == EXIT_USAGE
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert run(["ablate", "--config", tiny_config_path, "--data",
+                pipeline["data"], "--out", str(tmp_path / "t.csv"),
+                "--seeds", "0,-1"]) == EXIT_USAGE
+    assert "--seeds must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+
+
 def test_train_writes_checkpoints_log_and_config(pipeline):
     model = pipeline["model"]
     assert os.path.exists(os.path.join(model, "checkpoint_final.json"))
@@ -162,10 +185,12 @@ def _preds_built_in_memory(model, data_file) -> str:
     def samples(rec, prep, cond, tag):
         if prep is None:
             return []
+        dim = cond.w.shape[1] - feature_dim(rec.num_classes)
+        z = (np.zeros((tcfg.k, dim)) if tcfg.cond_pointwise
+             else scene_noise(cfg.seed, rec, tcfg.k, tag, dim))
         try:
-            s = sample_k(cond, prep, tcfg.k, cfg.seed, cfg.inference,
-                         term_mode=tcfg.term_mode,
-                         zero_noise=tcfg.cond_pointwise, noise_tag=tag)
+            s = sample_k(cond, prep, z, cfg.inference,
+                         term_mode=tcfg.term_mode)
         except InferenceError:
             return []
         labels = s.labels
@@ -434,6 +459,12 @@ def _reweigh_one_side(adj):
     adj["weights"][u][0] += 1.0
 
 
+def _reweigh_both_sides(adj, w):
+    u, v = _first_edge(adj)
+    adj["weights"][u][0] = w
+    adj["weights"][v][adj["neighbors"][v].index(u)] = w
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda o: o["seeds"][0].update(class_id=9), "seed class_id 9 outside"),
     (lambda o: o["gt"][0].update(class_id=7), "ground-truth class_id 7"),
@@ -444,8 +475,20 @@ def _reweigh_one_side(adj):
     (lambda o: _drop_mirror(o["adjacency"]), "does not list"),
     (lambda o: _list_twice(o["adjacency"]), "twice"),
     (lambda o: _reweigh_one_side(o["adjacency"]), "with that weight"),
+    (lambda o: _reweigh_both_sides(o["adjacency"], -1000.0),
+     "weight -1000.0, not a finite non-negative number"),
+    (lambda o: _reweigh_both_sides(o["adjacency"], float("inf")),
+     "weight inf, not a finite"),
+    (lambda o: _reweigh_both_sides(o["adjacency"], float("nan")),
+     "weight nan, not a finite"),
+    (lambda o: o.update(scene_id=1.5), "scene_id 1.5 is not"),
+    (lambda o: o.update(scene_id=-3), "scene_id -3 is not"),
+    (lambda o: o.update(scene_id="7"), "scene_id '7' is not"),
+    (lambda o: o.update(scene_id=True), "scene_id True is not"),
 ], ids=["seed-class", "gt-class", "box-class", "presence-length",
-        "one-sided-edge", "neighbor-twice", "mirror-weight"])
+        "one-sided-edge", "neighbor-twice", "mirror-weight",
+        "negative-weight", "infinite-weight", "nan-weight", "float-id",
+        "negative-id", "string-id", "bool-id"])
 def test_class_ids_and_graph_are_checked_at_load(tmp_path, pipeline,
                                                  tiny_config_path, capsys,
                                                  edit, message):
@@ -517,7 +560,7 @@ SMOKE_CONFIG = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                             "smoke.json")
 
 
-@pytest.mark.parametrize("noise_dim", [4, 12])
+@pytest.mark.parametrize("noise_dim", [0, 4, 12])
 def test_train_and_infer_honour_noise_dim(tmp_path, noise_dim, capsys):
     with open(SMOKE_CONFIG) as fh:
         cfg = json.load(fh)
@@ -647,10 +690,10 @@ def test_box_regime_infer_samples_the_prepared_scene(tmp_path, capsys):
         if prep is None or rec.scene_id == hopeless.scene_id:
             assert got == []
             continue
-        samples = sample_k(cond, prep, tcfg.k, run_cfg.seed, run_cfg.inference,
-                           term_mode=tcfg.term_mode,
-                           zero_noise=tcfg.cond_pointwise,
-                           noise_tag=0x7E57 + 0x99)
+        z = scene_noise(run_cfg.seed, rec, tcfg.k, 0x7E57 + 0x99,
+                        tcfg.noise_dim)
+        samples = sample_k(cond, prep, z, run_cfg.inference,
+                           term_mode=tcfg.term_mode)
         keep = filter_by_boxes(rec.pool, rec.annotation.boxes, tcfg.box_min_iou)
         want = np.zeros((tcfg.k, rec.num_proposals), dtype=np.int64)
         want[:, keep] = samples.labels

@@ -20,7 +20,8 @@ from annoconsist.masks import Box, box_iou
 from annoconsist.scorer import cond_init, feature_dim
 
 from conftest import make_record, rect_mask
-from oracles import edge_weight, exact_infer, pairwise_refine, total_score
+from oracles import (edge_weight, exact_infer, pairwise_refine, scene_noise,
+                     total_score)
 
 
 def _two_neighbor_record(edges=None):
@@ -595,14 +596,14 @@ def test_sampling_is_deterministic_and_tag_sensitive():
     rng = np.random.default_rng(5)
     params.w += rng.normal(size=params.w.shape)
     cfg = InferenceConfig(select_threshold=100.0)
-    s1 = sample_k(params, rec, 4, seed=9, cfg=cfg)
-    s2 = sample_k(params, rec, 4, seed=9, cfg=cfg)
+    s1 = sample_k(params, rec, scene_noise(9, rec, 4), cfg=cfg)
+    s2 = sample_k(params, rec, scene_noise(9, rec, 4), cfg=cfg)
     np.testing.assert_array_equal(s1.labels, s2.labels)
     z1 = _noise(s1, rec)
     np.testing.assert_array_equal(z1, _noise(s2, rec))
     # noise draws must differ across draw index and across tags
     assert not np.array_equal(z1[0], z1[1])
-    s3 = sample_k(params, rec, 4, seed=9, cfg=cfg, noise_tag=1)
+    s3 = sample_k(params, rec, scene_noise(9, rec, 4, tag=1), cfg=cfg)
     assert not np.array_equal(z1[0], _noise(s3, rec)[0])
 
 
@@ -611,8 +612,8 @@ def test_sampling_zero_noise_collapses_to_one_labeling():
     params = cond_init(rec.num_classes)
     rng = np.random.default_rng(6)
     params.w += rng.normal(size=params.w.shape)
-    s = sample_k(params, rec, 3, seed=0, cfg=InferenceConfig(select_threshold=100.0),
-                 zero_noise=True)
+    s = sample_k(params, rec, np.zeros((3, 8)),
+                 cfg=InferenceConfig(select_threshold=100.0))
     z = _noise(s, rec)
     assert z.shape == (3, 8) and (z == 0.0).all()
     np.testing.assert_array_equal(s.labels[0], s.labels[1])
@@ -625,11 +626,12 @@ def test_sampling_term_modes_control_refinement_and_enforcement():
     # a high stop threshold keeps each class to its one forced take, so the
     # pool can host both classes in every mode
     cfg = InferenceConfig(select_threshold=100.0)
-    s_u = sample_k(params, rec, 2, seed=1, cfg=cfg, term_mode="U")
+    z = scene_noise(1, rec, 2)
+    s_u = sample_k(params, rec, z, cfg=cfg, term_mode="U")
     assert not s_u.enforced and s_u.stack is None and not s_u.refined
-    s_up = sample_k(params, rec, 2, seed=1, cfg=cfg, term_mode="U+P")
+    s_up = sample_k(params, rec, z, cfg=cfg, term_mode="U+P")
     assert not s_up.enforced and s_up.refined
-    s_uph = sample_k(params, rec, 2, seed=1, cfg=cfg, term_mode="U+P+H")
+    s_uph = sample_k(params, rec, z, cfg=cfg, term_mode="U+P+H")
     assert s_uph.enforced and s_uph.refined
     assert s_uph.stack.shape == (cfg.n_iters + 1,) + s_uph.g.shape
     # every labeling under the full mode is annotation-consistent
@@ -637,12 +639,23 @@ def test_sampling_term_modes_control_refinement_and_enforcement():
     for row in s_uph.labels:
         assert higher_order_feasible(row, rec.annotation, geom, cfg)
     # explicit override: the initialization phase forces consistency in U mode
-    s_forced = sample_k(params, rec, 2, seed=1, cfg=cfg, term_mode="U", enforce=True)
+    s_forced = sample_k(params, rec, z, cfg=cfg, term_mode="U", enforce=True)
     assert s_forced.enforced
     for row in s_forced.labels:
         assert higher_order_feasible(row, rec.annotation, geom, cfg)
     with pytest.raises(ValueError):
-        sample_k(params, rec, 2, seed=1, cfg=cfg, term_mode="U+H")
+        sample_k(params, rec, z, cfg=cfg, term_mode="U+H")
+
+
+def test_sampling_checks_the_noise_width_against_the_scorer():
+    rec = _sampling_record()
+    params = cond_init(rec.num_classes)
+    cfg = InferenceConfig(select_threshold=100.0)
+    for z in (np.zeros((2, 7)), np.zeros((2, 9)), np.zeros(8),
+              np.zeros((1, 2, 8))):
+        with pytest.raises(ValueError, match="noise width 8"):
+            sample_k(params, rec, z, cfg=cfg)
+    assert sample_k(params, rec, np.zeros((5, 8)), cfg=cfg).k == 5
 
 
 def _counting_kernel(monkeypatch):

@@ -62,6 +62,13 @@ def test_scalars_must_be_integers_and_bools_are_rejected():
         config_from_obj({"n_scenes": 2.5})
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        config_from_obj({"seed": -1})
+    with pytest.raises(ConfigError, match="train: seed must be non-negative"):
+        config_from_obj({"seed": 0, "train": {"seed": -1}})
+
+
 def test_train_seed_follows_the_seed_and_may_only_repeat_it():
     assert config_from_obj({"seed": 4}).train.seed == 4
     assert config_from_obj({"seed": 4, "train": {"seed": 4}}).train.seed == 4
@@ -157,6 +164,7 @@ def test_shipped_reference_and_smoke_configs_parse(tmp_path):
     ("train", "decode_thresh", -0.1),
     ("train", "decode_thresh", 2.0),
     ("train", "term_mode", "x"),
+    ("train", "noise_dim", -1),
     ("scene", "margin", -1),
     ("scene", "num_classes", 0),
     ("scene", "min_objects", 4),
@@ -204,6 +212,7 @@ def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     ("inference", "box_rho", 1.0),
     ("train", "decode_thresh", 0.0),
     ("train", "decode_thresh", 1.0),
+    ("train", "noise_dim", 0),
     ("scene", "num_classes", 1),
     ("scene", "min_objects", 3),
     ("scene", "min_objects", 1),

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -21,6 +22,7 @@ from annoconsist.scorer import (
 from annoconsist.train import load_checkpoint, save_checkpoint
 
 from conftest import make_record, rect_mask
+from oracles import uniform_noise
 
 
 def _record():
@@ -127,20 +129,86 @@ def test_draw_noise_deterministic_and_uniform_range():
     assert not np.array_equal(a, draw_noise(5, 7, 2, extra=10))
 
 
-def _uniform_noise(seed, scene_id, k, extra, dim):
-    """The noise expression draw_noise used before: uniform(0.0, 1.0)."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, scene_id, k, extra)))
-    return rng.uniform(0.0, 1.0, size=dim)
+# the ints where SeedSequence's split into 32-bit words changes length
+_WORD_EDGES = (0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 1)
+_keys = st.one_of(st.sampled_from(_WORD_EDGES), st.integers(0, 2**70))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**63 - 1), st.integers(0, 2**31 - 1),
-       st.integers(0, 1000), st.integers(0, 2**20), st.integers(0, 33))
-def test_draw_noise_is_bit_identical_to_uniform(seed, scene_id, k, extra, dim):
-    got = draw_noise(seed, scene_id, k, extra, dim=dim)
-    want = _uniform_noise(seed, scene_id, k, extra, dim)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+@settings(max_examples=150, deadline=None)
+@given(_keys, st.lists(_keys, min_size=1, max_size=4), st.integers(1, 5),
+       st.lists(st.integers(0, 2**40), min_size=1, max_size=3),
+       st.integers(0, 33))
+def test_draw_noise_is_bit_identical_to_uniform(seed, ids, k, tags, dim):
+    # ids (S, 1, 1), draws (1, K, 1) and tags (T,) broadcast to (S, K, T)
+    got = draw_noise(seed, np.array(ids, dtype=object)[:, None, None],
+                     np.arange(k)[:, None], np.array(tags), dim=dim)
+    assert got.dtype == np.float64 and got.shape == (len(ids), k, len(tags),
+                                                     dim)
+    for (i, s), j, (t, tag) in itertools.product(enumerate(ids), range(k),
+                                                 enumerate(tags)):
+        want = uniform_noise(seed, s, j, tag, dim)
+        assert got[i, j, t].tobytes() == want.tobytes()
+    # a scalar key is the broadcast shape ()
+    one = draw_noise(seed, ids[0], 0, tags[0], dim=dim)
+    assert one.shape == (dim,)
+    assert one.tobytes() == got[0, 0, 0].tobytes()
+
+
+@pytest.mark.parametrize("dim", [0, 33])
+def test_draw_noise_at_the_entropy_word_edges(dim):
+    # every pair of word edges for seed and scene id, in one call per seed,
+    # with the ids as one integer array and the other keys mixed in
+    ids = np.array(_WORD_EDGES, dtype=object)
+    for seed in _WORD_EDGES:
+        got = draw_noise(seed, ids[:, None], [0, 2**32], 7, dim=dim)
+        assert got.shape == (len(ids), 2, dim)
+        for (i, s), (j, k) in itertools.product(enumerate(_WORD_EDGES),
+                                                enumerate([0, 2**32])):
+            want = uniform_noise(seed, s, k, 7, dim)
+            assert got[i, j].tobytes() == want.tobytes()
+
+
+def test_draw_noise_integer_arrays_match_exact_ints():
+    # int64 and uint64 arrays give the words the same ints give as objects
+    small = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+    want = draw_noise(3, np.array(small, dtype=object), 5, 9)
+    for dtype in (np.int64, np.uint64):
+        got = draw_noise(3, np.array(small, dtype=dtype), 5, 9)
+        assert got.tobytes() == want.tobytes()
+    big = np.array([2**63, 2**64 - 1], dtype=np.uint64)
+    assert draw_noise(3, big, 5, 9).tobytes() == draw_noise(
+        3, np.array([2**63, 2**64 - 1], dtype=object), 5, 9).tobytes()
+
+
+def test_draw_noise_of_a_shorter_width_is_a_prefix():
+    wide = draw_noise(11, np.arange(3)[:, None], np.arange(4), 0x7E57, dim=33)
+    for d in range(34):
+        narrow = draw_noise(11, np.arange(3)[:, None], np.arange(4), 0x7E57,
+                            dim=d)
+        assert narrow.tobytes() == wide[..., :d].tobytes()
+
+
+@pytest.mark.parametrize("pos", range(4))
+def test_draw_noise_rejects_negative_and_non_integer_keys(pos):
+    def call(bad):
+        args = [1, 2, 3, 4]
+        args[pos] = bad
+        return draw_noise(*args)
+
+    for bad in (-1, -2**70, np.array([3, -1]), np.array([3, -1], dtype=object)):
+        with pytest.raises(ValueError, match="non-negative"):
+            call(bad)
+    for bad in (True, 1.5, "7", np.array([1.0]), np.array([True]),
+                np.array([1, 2.5], dtype=object)):
+        with pytest.raises(TypeError):
+            call(bad)
+    with pytest.raises(ValueError, match="dim"):
+        draw_noise(1, 2, 3, 4, dim=-1)
+
+
+def test_draw_noise_of_no_keys_is_empty():
+    assert draw_noise(0, np.zeros((0, 3), dtype=np.int64), 1).shape == (0, 3, 8)
+    assert draw_noise(0, np.array([], dtype=object), 1, dim=2).shape == (0, 2)
 
 
 def test_axpy_accumulates_in_place():

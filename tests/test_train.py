@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import json
 
@@ -46,7 +47,8 @@ from annoconsist.train import (
 )
 
 from conftest import make_record, rect_mask
-from oracles import make_dataset, pred_objective, tight_box
+from oracles import (make_dataset, pred_objective, scene_noise,
+                     tight_box)
 
 
 def test_train_config_validation():
@@ -361,8 +363,9 @@ def test_cond_grad_on_the_draw_stack_matches_a_per_draw_loop(
         rec = prepare_scene(rec, tcfg, icfg)
         params = cond_init(rec.num_classes)
         params.w += rng.normal(0.0, 0.5, size=params.w.shape)
-        samples = sample_k(params, rec, tcfg.k, 0, icfg, term_mode=term_mode,
-                           noise_tag=i, enforce=True if anchor else None)
+        samples = sample_k(params, rec, scene_noise(0, rec, tcfg.k, i), icfg,
+                           term_mode=term_mode,
+                           enforce=True if anchor else None)
         assert samples.refined == (term_mode != "U")
         if anchor:
             y_ref = seed_labeling(rec)
@@ -409,7 +412,7 @@ def test_cond_grad_with_the_memo_equals_a_memo_free_loop(
     params.w += rng.normal(0.0, 0.5, size=params.w.shape)
     params.w[:, feature_dim(rec.num_classes):] *= noise_scale / 0.5
     try:
-        samples = sample_k(params, rec, k, seed % 97, icfg,
+        samples = sample_k(params, rec, scene_noise(seed % 97, rec, k), icfg,
                            term_mode=term_mode,
                            enforce=True if anchor else None)
     except InferenceError:
@@ -476,7 +479,7 @@ def test_cond_grad_backward_over_live_draws_equals_the_full_backward(
     params.w += rng.normal(0.0, 0.5, size=params.w.shape)
     params.w[:, feature_dim(rec.num_classes):] *= noise_scale / 0.5
     try:
-        samples = sample_k(params, rec, k, seed % 97, icfg,
+        samples = sample_k(params, rec, scene_noise(seed % 97, rec, k), icfg,
                            term_mode=term_mode,
                            enforce=True if anchor else None)
     except InferenceError:
@@ -748,6 +751,36 @@ def test_fit_is_bit_reproducible_and_logs_every_epoch():
     for row in r1.log:
         assert set(row) >= {"phase", "outer", "epoch", "disc", "div_pc",
                             "div_cc", "div_pp", "map50", "feasible", "grad_norm"}
+
+
+@pytest.mark.parametrize("pointwise", [False, True])
+def test_fit_samples_each_batch_with_its_scenes_per_draw_noise(monkeypatch,
+                                                               pointwise):
+    # the block drawn per batch gives every scene the rows one draw at a
+    # time gives, under the batch's tag: init epochs 0x10000 + epoch, pred
+    # phases 0x30000 + outer, cond epochs 0x20000 + outer * 0x100 + epoch
+    records = [dataclasses.replace(rec, scene_id=sid) for rec, sid in
+               zip(_tiny_dataset(n=2), (3, 2**64 + 1))]
+    tcfg = _tiny_train_cfg(seed=2**32, cond_pointwise=pointwise)
+    seen = []
+
+    def recording(params, rec, z, *args, **kwargs):
+        seen.append((rec.scene_id, z.copy()))
+        return sample_k(params, rec, z, *args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "sample_k", recording)
+    fit(records, tcfg, InferenceConfig(delta=8.0))
+    tags = [0x10000, 0x10001, 0x30000, 0x20000, 0x30001]
+    assert len(seen) == len(tags) * len(records)
+    for n, (sid, z) in enumerate(seen):
+        tag = tags[n // len(records)]
+        assert sid == records[n % len(records)].scene_id
+        if pointwise:
+            want = np.zeros((1, tcfg.noise_dim))
+        else:
+            want = scene_noise(tcfg.seed, records[n % len(records)], tcfg.k,
+                               tag, tcfg.noise_dim)
+        assert z.tobytes() == want.tobytes()
 
 
 def test_fit_snapshots_are_independent_copies():
