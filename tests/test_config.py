@@ -164,7 +164,6 @@ def test_shipped_reference_and_smoke_configs_parse(tmp_path):
     ("train", "decode_thresh", -0.1),
     ("train", "decode_thresh", 2.0),
     ("train", "term_mode", "x"),
-    ("train", "noise_dim", -1),
     ("scene", "margin", -1),
     ("scene", "num_classes", 0),
     ("scene", "min_objects", 4),
@@ -198,6 +197,7 @@ def test_shipped_reference_and_smoke_configs_parse(tmp_path):
     ("proposal", "splits", -1),
     ("proposal", "distractor_count", -1),
     ("proposal", "min_area", -1),
+    ("train", "noise_dim", -1),
 ])
 def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     with pytest.raises(ConfigError, match=f"{section}: {key}"):
@@ -212,7 +212,6 @@ def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     ("inference", "box_rho", 1.0),
     ("train", "decode_thresh", 0.0),
     ("train", "decode_thresh", 1.0),
-    ("train", "noise_dim", 0),
     ("scene", "num_classes", 1),
     ("scene", "min_objects", 3),
     ("scene", "min_objects", 1),
@@ -234,6 +233,7 @@ def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     ("proposal", "splits", 0),
     ("proposal", "distractor_count", 0),
     ("proposal", "min_area", 0),
+    ("train", "noise_dim", 0),
 ])
 def test_range_endpoints_are_accepted(section, key, value):
     cfg = config_from_obj({section: {key: value}})
