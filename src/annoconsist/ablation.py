@@ -35,22 +35,6 @@ class AblationResult:
     seeds: tuple
     cells: dict = field(default_factory=dict)  # (term, variant) -> {t: mAP}
 
-    def cell(self, term_mode: str, variant: str) -> dict:
-        return self.cells[(term_mode, variant)]
-
-    def term_trend_holds(self, variant: str = "full",
-                         thresh: float = 0.50) -> bool:
-        """mAP is non-decreasing as score terms are added."""
-        vals = [self.cells[(tm, variant)][thresh] for tm in TERM_MODES]
-        return vals[0] <= vals[1] + 1e-12 and vals[1] <= vals[2] + 1e-12
-
-    def pointwise_trend_holds(self, term_mode: str = "U+P+H",
-                              thresh: float = 0.50) -> bool:
-        """The fully probabilistic pair dominates every pointwise variant."""
-        full = self.cells[(term_mode, "full")][thresh]
-        return all(self.cells[(term_mode, v)][thresh] <= full + 1e-12
-                   for v in VARIANT_NAMES[1:])
-
     def format_table(self, thresh: float = 0.50) -> str:
         width = max(len(v) for v in VARIANT_NAMES) + 2
         head = "term".ljust(8) + "".join(v.rjust(width) for v in VARIANT_NAMES)

@@ -48,10 +48,6 @@ class Adjacency:
             edge_w=self.edge_w[inside],
         )
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edge_u) // 2
-
 
 def build_adjacency(pool: np.ndarray, edges: np.ndarray, dilation: int = 1) -> Adjacency:
     """Build the contact graph for a stacked (P, H, W) pool.

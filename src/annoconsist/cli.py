@@ -280,11 +280,16 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _resolved_config(args)
-    train_recs = _load_split(args.data, "train")
-    eval_recs = _load_split(args.data, "eval")
-    seeds = tuple(int(s) for s in args.seeds.split(",")) if args.seeds else None
+    try:
+        seeds = (tuple(int(s) for s in args.seeds.split(","))
+                 if args.seeds else None)
+    except ValueError:
+        raise ConfigError(f"--seeds {args.seeds!r} is not a comma-separated "
+                          "list of integers") from None
     if seeds is not None and min(seeds) < 0:
         raise ConfigError("--seeds must be non-negative")
+    train_recs = _load_split(args.data, "train")
+    eval_recs = _load_split(args.data, "eval")
     result = ablation_run(train_recs, eval_recs, cfg.train, cfg.inference,
                           cfg.loss, seeds=seeds, verbose=args.verbose)
     result.to_csv(args.out)

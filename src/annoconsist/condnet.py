@@ -8,7 +8,7 @@ by running greedy inference on K noise-perturbed tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,7 +161,7 @@ class SampleSet:
     everything the backward pass needs of them."""
 
     x: np.ndarray  # (K, P, D+d) scorer inputs; the last d columns are noise
-    stack: np.ndarray | None  # (n_iters+1, K, P, C+1) iterates; None unrefined
+    stack: np.ndarray  # (n_iters+1, K, P, C+1) refinement iterates
     g: np.ndarray  # (K, P, C+1) final tables the inference ran on
     labels: np.ndarray  # (K, P)
     enforced: bool  # consistency forcing used when sampling
@@ -170,22 +170,16 @@ class SampleSet:
     def k(self) -> int:
         return self.labels.shape[0]
 
-    @property
-    def refined(self) -> bool:
-        return self.stack is not None
-
 
 def forward_scores(params: CondParams, rec: SceneRecord, z: np.ndarray,
-                   cfg: InferenceConfig, refine: bool) -> tuple:
-    """Score tables of K draws from their (K, d) noise. Returns the scorer
-    inputs (K, P, D+d), the refinement stack (None unless refine) and the
-    final tables (K, P, C+1)."""
+                   cfg: InferenceConfig) -> tuple:
+    """Score tables of K draws from their (K, d) noise, refined for
+    cfg.n_iters iterations. Returns the scorer inputs (K, P, D+d), the
+    refinement stack and the final tables (K, P, C+1)."""
     x = scorer_input(rec, z)
     f = np.stack([score_from_input(params, xk) for xk in x])
-    if refine:
-        stack = refine_stack(f, rec.adjacency, cfg)
-        return x, stack, stack[-1]
-    return x, None, f
+    stack = refine_stack(f, rec.adjacency, cfg)
+    return x, stack, stack[-1]
 
 
 def sample_k(params: CondParams, rec: SceneRecord, z: np.ndarray,
@@ -193,9 +187,10 @@ def sample_k(params: CondParams, rec: SceneRecord, z: np.ndarray,
              enforce: bool | None = None) -> SampleSet:
     """K labelings from a (K, d) block of noise rows, d the scorer's noise
     width (draw_noise of the scene's keys, or zeros in pointwise mode).
-    enforce overrides the term-mode default for annotation-consistency
-    forcing (the seed-supervised initialization phase forces it in every
-    mode).
+    The pairwise term enters only through refinement, so term mode "U" is
+    "U+P" with zero refinement iterations. enforce overrides the term-mode
+    default for annotation-consistency forcing (the seed-supervised
+    initialization phase forces it in every mode).
     """
     if term_mode not in TERM_MODES:
         raise ValueError(f"term_mode must be one of {TERM_MODES}")
@@ -204,11 +199,12 @@ def sample_k(params: CondParams, rec: SceneRecord, z: np.ndarray,
         raise ValueError(f"noise block of shape {z.shape} for a scorer of "
                          f"noise width {dim}")
     k = z.shape[0]
-    refine = term_mode != "U"
+    if term_mode == "U":
+        cfg = replace(cfg, n_iters=0)
     if enforce is None:
         enforce = term_mode == "U+P+H"
     geom = rec.geometry()
-    x, stack, g = forward_scores(params, rec, z, cfg, refine)
+    x, stack, g = forward_scores(params, rec, z, cfg)
     labels = np.zeros((k, rec.num_proposals), dtype=np.int64)
     for i in range(k):
         labels[i] = greedy_infer(g[i], rec.annotation, geom, cfg,

@@ -76,6 +76,18 @@ def _tuplify(value):
     return value
 
 
+# the values a field takes, by the type of its default, and their name; a
+# bool, although an int in Python, fits only a bool field. JSON gives a
+# list where a tuple field is set in code.
+_KINDS = {
+    bool: ((bool,), "a bool"),
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    tuple: ((list, tuple), "a list"),
+}
+
+
 def _build_section(cls, obj: dict, where: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -83,6 +95,17 @@ def _build_section(cls, obj: dict, where: str):
     unknown = sorted(set(obj) - names)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
+    for f in dataclasses.fields(cls):
+        if f.name not in obj:
+            continue
+        default = (f.default_factory() if f.default is dataclasses.MISSING
+                   else f.default)
+        accepted, kind = _KINDS[type(default)]
+        value = obj[f.name]
+        if (not isinstance(value, accepted)
+                or isinstance(value, bool) != isinstance(default, bool)):
+            raise ConfigError(f"{where}: {f.name} must be {kind}, not "
+                              f"{value!r}")
     kwargs = {k: _tuplify(v) for k, v in obj.items()}
     try:
         return cls(**kwargs)

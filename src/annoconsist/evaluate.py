@@ -21,10 +21,6 @@ class EvalResult:
     per_class: dict = field(default_factory=dict)  # (threshold, class_id) -> AP
     num_gt: dict = field(default_factory=dict)  # class_id -> count
 
-    def summary(self) -> str:
-        parts = [f"mAP@{t:.2f}={self.map_r[t]:.4f}" for t in self.thresholds]
-        return "  ".join(parts)
-
 
 def ap_from_flags(flags: np.ndarray, npos: int) -> float:
     """All-point interpolated AP from ordered hit flags.

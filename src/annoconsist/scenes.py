@@ -279,6 +279,12 @@ def scene_from_obj(obj: dict) -> SceneRecord:
         num_classes = operator.index(obj["num_classes"])
         ann_obj = obj["annotation"]
         boxes = ann_obj["boxes"]
+        # a cast would read 0.5 as 0 and drop the class
+        if any(type(f) is not int or f not in (0, 1)
+               for f in ann_obj["presence"]):
+            raise DatasetFormatError(
+                f"annotation presence {ann_obj['presence']!r} holds an entry "
+                "other than the int 0 or 1")
         annotation = Annotation(
             presence=np.array(ann_obj["presence"], dtype=np.int8),
             boxes=None if boxes is None else [(b[0], Box(*b[1:])) for b in boxes],
@@ -294,6 +300,11 @@ def scene_from_obj(obj: dict) -> SceneRecord:
                 if not 1 <= operator.index(c) <= num_classes:
                     raise DatasetFormatError(
                         f"{kind} class_id {c} outside [1, {num_classes}]")
+        for c, _ in annotation.boxes or []:
+            if not annotation.presence[c - 1]:
+                raise DatasetFormatError(
+                    f"box of class {c}, which the annotation does not mark "
+                    "present")
         adjacency = _adjacency_from_obj(obj["adjacency"], pool.shape[0])
         return SceneRecord(
             scene_id=int(scene_id),

@@ -24,8 +24,6 @@ import numpy as np
 from .masks import inner_boundary
 from .scenes import SceneRecord
 
-NOISE_DIM = 8
-
 
 def feature_dim(num_classes: int) -> int:
     return 8 + num_classes
@@ -86,7 +84,7 @@ class CondParams:
         return CondParams(w=self.w.copy())
 
 
-def cond_init(num_classes: int, noise_dim: int = NOISE_DIM) -> CondParams:
+def cond_init(num_classes: int, noise_dim: int) -> CondParams:
     d_in = feature_dim(num_classes) + noise_dim
     return CondParams(w=np.zeros((num_classes + 1, d_in)))
 
@@ -114,7 +112,7 @@ def score_vjp(params: CondParams, x: np.ndarray, q: np.ndarray) -> CondParams:
     return CondParams(w=q.T @ x)
 
 
-def draw_noise(seed, scene_id, k, extra=0, dim: int = NOISE_DIM) -> np.ndarray:
+def draw_noise(seed, scene_id, k, extra, dim: int) -> np.ndarray:
     """U[0,1)^dim per key (seed, scene_id, k, extra), for a whole batch.
 
     The four arguments are non-negative ints or integer arrays, broadcast
@@ -176,15 +174,9 @@ def _entropy_words(a: np.ndarray) -> tuple:
     """The 32-bit words SeedSequence splits each int of an array into: a
     list of uint32 arrays of a's shape, least significant word first, as
     many as the longest int has, and each int's count of words (0 is one
-    word, as in SeedSequence). Words past an int's count are 0."""
-    if a.dtype.kind in "iu":
-        if a.dtype.kind == "i" and (a < 0).any():
-            raise ValueError("noise key must be a non-negative int")
-        hi = a >> 32
-        words = [a.astype(np.uint32)]
-        if hi.any():
-            words.append(hi.astype(np.uint32))
-        return words, 1 + (hi != 0)
+    word, as in SeedSequence). Words past an int's count are 0. The keys
+    of a batch are a few hundred ints at most, so they are split as
+    Python ints, which holds for any size."""
     vals = a.ravel().tolist()
     for v in vals:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):

@@ -15,9 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adjacency import build_adjacency
-from .masks import (box_iou, dilate, erode, inner_boundary, stack_pool,
-                    tight_boxes)
-from .scenes import Annotation, GroundTruthInstance, SceneRecord, Seed, rebuild_with_pool
+from .masks import dilate, erode, inner_boundary, stack_pool, tight_boxes
+from .scenes import Annotation, GroundTruthInstance, SceneRecord, Seed
 
 # class colors; background is gray
 PALETTE = np.array(
@@ -389,24 +388,6 @@ def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneReco
         rec, pool=pool,
         adjacency=build_adjacency(pool, rec.edges, dilation=cfg.dilation),
         pool_index=None, _geom=None, _features=None)
-
-
-def filter_by_boxes(pool: np.ndarray, boxes, min_iou: float) -> np.ndarray:
-    """Indices of proposals whose tight box matches any annotation box."""
-    keep = [i for i, tb in enumerate(tight_boxes(pool))
-            if any(box_iou(tb, b) >= min_iou for _, b in boxes)]
-    return np.array(keep, dtype=np.int64)
-
-
-def apply_box_regime(rec: SceneRecord, min_iou: float) -> SceneRecord:
-    """Restrict the pool, and its graph, to box-compatible proposals;
-    errors if none remain."""
-    if rec.annotation.boxes is None:
-        raise ValueError("scene has no box annotations")
-    keep = filter_by_boxes(rec.pool, rec.annotation.boxes, min_iou)
-    if keep.size == 0:
-        raise EmptyPoolError(f"scene {rec.scene_id}: box filter removed every proposal")
-    return rebuild_with_pool(rec, keep)
 
 
 def make_scene(scene_cfg: SceneConfig, prop_cfg: ProposalConfig, seed: int, scene_id: int) -> SceneRecord:

@@ -37,9 +37,9 @@ from .disco import div_cc, div_pc, div_pp
 from .evaluate import DEFAULT_THRESHOLDS, EvalResult, evaluate_predictions, map_at
 from .loss import LossConfig, cost_row
 from .prednet import PredParams, argmax_labeling, decode, pred_init, predict
+from .scenes import rebuild_with_pool
 from .scorer import (CondParams, axpy, cond_init, draw_noise, features,
                      score_vjp)
-from .synthgen import EmptyPoolError, apply_box_regime
 
 
 class TrainingError(Exception):
@@ -63,7 +63,6 @@ class TrainConfig:
     cond_pointwise: bool = False  # zero noise, no pairwise sample term
     pred_pointwise: bool = False  # drop the predictor self-diversity term
     supervision: str = "image"  # "image" (presence only) or "box"
-    box_min_iou: float = 0.5  # pool filter in the box regime
     decode_thresh: float = 0.7
     decode_nms: float = 0.5
     noise_dim: int = 8
@@ -227,9 +226,8 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
     total = CondParams(w=np.zeros_like(params.w))
     if live.size == 0:
         return total
-    q = q[live]
-    if samples.refined:
-        q = refine_backward(samples.stack[:, live], rec.adjacency, inf_cfg, q)
+    q = refine_backward(samples.stack[:, live], rec.adjacency, inf_cfg,
+                        q[live])
     for i, k in enumerate(live.tolist()):
         axpy(total, score_vjp(params, samples.x[k], q[i]), 1.0)
     return total
@@ -268,9 +266,11 @@ def prepare_scene(rec, train_cfg: TrainConfig, inf_cfg: InferenceConfig):
     """Apply the supervision regime to one scene; fit and infer share it.
 
     Image regime drops the boxes from the working annotation. Box regime
-    restricts the pool and its graph to box-compatible proposals. Returns
-    the prepared record, or None when the box regime leaves no proposal
-    or some box impossible to cover.
+    uses the higher-order term's covering test: a proposal whose tight box
+    reaches IoU box_rho with no box can never be foreground, so the pool
+    and its graph are cut to the proposals that cover some box. Returns
+    the prepared record, or None when the scene has no box or some box
+    has no covering proposal.
     """
     if train_cfg.supervision == "image":
         # warm the caches on the source record first so the shallow copy,
@@ -279,15 +279,14 @@ def prepare_scene(rec, train_cfg: TrainConfig, inf_cfg: InferenceConfig):
         features(rec)
         return dataclasses.replace(
             rec, annotation=rec.annotation.without_boxes())
-    try:
-        br = apply_box_regime(rec, train_cfg.box_min_iou)
-    except EmptyPoolError:
+    if rec.annotation.boxes is None:
+        raise ValueError("scene has no box annotations")
+    geom = rec.geometry()
+    covers = [geom.covering(b, inf_cfg.box_rho)
+              for _, b in rec.annotation.boxes]
+    if not covers or not all(c.any() for c in covers):
         return None
-    geom = br.geometry()
-    if not all(geom.covering(b, inf_cfg.box_rho).any()
-               for _, b in br.annotation.boxes):
-        return None
-    return br
+    return rebuild_with_pool(rec, np.flatnonzero(np.logical_or.reduce(covers)))
 
 
 def sample_noise(train_cfg: TrainConfig, scene_id, tag, k: int,

@@ -11,7 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from annoconsist.condnet import (InferenceConfig, InferenceError,
+from annoconsist.ablation import VARIANT_NAMES
+from annoconsist.condnet import (TERM_MODES, InferenceConfig, InferenceError,
                                  higher_order_feasible, refine_stack)
 from annoconsist.disco import div_cc, div_pc, div_pp
 from annoconsist.loss import LossConfig
@@ -73,6 +74,11 @@ def edge_weight(adjacency, u: int, v: int) -> float:
     if hit.size == 0:
         raise KeyError(f"{u} and {v} are not neighbors")
     return float(adjacency.edge_w[hit[0]])
+
+
+def num_edges(adjacency) -> int:
+    """The number of undirected contact pairs of a graph."""
+    return len(adjacency.edge_u) // 2
 
 
 def pairwise_refine(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
@@ -198,3 +204,29 @@ def pred_objective(state: np.ndarray, labels: np.ndarray,
 
 def make_dataset(scene_cfg: SceneConfig, prop_cfg: ProposalConfig, n: int, seed: int, start_id: int = 0) -> list:
     return [make_scene(scene_cfg, prop_cfg, seed, start_id + i) for i in range(n)]
+
+
+def summary(res) -> str:
+    """One line of an EvalResult's mAP at every threshold."""
+    parts = [f"mAP@{t:.2f}={res.map_r[t]:.4f}" for t in res.thresholds]
+    return "  ".join(parts)
+
+
+def cell(result, term_mode: str, variant: str) -> dict:
+    """An AblationResult cell: threshold -> mAP."""
+    return result.cells[(term_mode, variant)]
+
+
+def term_trend_holds(result, variant: str = "full",
+                     thresh: float = 0.50) -> bool:
+    """mAP is non-decreasing as score terms are added."""
+    vals = [result.cells[(tm, variant)][thresh] for tm in TERM_MODES]
+    return vals[0] <= vals[1] + 1e-12 and vals[1] <= vals[2] + 1e-12
+
+
+def pointwise_trend_holds(result, term_mode: str = "U+P+H",
+                          thresh: float = 0.50) -> bool:
+    """The fully probabilistic pair dominates every pointwise variant."""
+    full = result.cells[(term_mode, "full")][thresh]
+    return all(result.cells[(term_mode, v)][thresh] <= full + 1e-12
+               for v in VARIANT_NAMES[1:])

@@ -12,7 +12,8 @@ from annoconsist.condnet import TERM_MODES, InferenceConfig
 from annoconsist.synthgen import ProposalConfig, SceneConfig
 from annoconsist.train import TrainConfig, evaluate_params, fit
 
-from oracles import make_dataset
+from oracles import (cell, make_dataset, pointwise_trend_holds,
+                     term_trend_holds)
 
 
 @pytest.fixture(scope="module")
@@ -56,21 +57,21 @@ def test_full_cell_reproduces_a_plain_fit(tiny_data, grid):
     res = fit(train, cfg, InferenceConfig(delta=8.0))
     ev = evaluate_params(res.pred, heldout, (0.5,), cfg.decode_thresh,
                          cfg.decode_nms)
-    assert grid.cell("U+P+H", "full")[0.5] == ev.map_r[0.5]
+    assert cell(grid, "U+P+H", "full")[0.5] == ev.map_r[0.5]
 
 
 def test_seed_averaging_is_the_mean_of_single_seed_runs(tiny_data):
     train, heldout = tiny_data
     icfg = InferenceConfig(delta=8.0)
     singles = [
-        ablation_run(train, heldout, _tiny_cfg(), icfg, thresholds=(0.5,),
-                     seeds=(s,)).cell("U", "pw-both")[0.5]
+        cell(ablation_run(train, heldout, _tiny_cfg(), icfg,
+                          thresholds=(0.5,), seeds=(s,)), "U", "pw-both")[0.5]
         for s in (0, 1)
     ]
     avg = ablation_run(train, heldout, _tiny_cfg(), icfg, thresholds=(0.5,),
                        seeds=(0, 1))
     assert avg.seeds == (0, 1)
-    assert avg.cell("U", "pw-both")[0.5] == pytest.approx(np.mean(singles))
+    assert cell(avg, "U", "pw-both")[0.5] == pytest.approx(np.mean(singles))
 
 
 def test_trend_predicates_read_the_grid():
@@ -79,13 +80,13 @@ def test_trend_predicates_read_the_grid():
         for j, v in enumerate(VARIANT_NAMES):
             cells[(tm, v)] = {0.5: 0.2 * i if v == "full" else 0.05 * j}
     res = AblationResult(thresholds=(0.5,), seeds=(0,), cells=cells)
-    assert res.term_trend_holds("full")
-    assert not res.pointwise_trend_holds("U")  # full=0 beats nothing there
+    assert term_trend_holds(res, "full")
+    assert not pointwise_trend_holds(res, "U")  # full=0 beats nothing there
     cells = {(tm, v): {0.5: 0.9 if v == "full" else 0.3}
              for tm in TERM_MODES for v in VARIANT_NAMES}
     res = AblationResult(thresholds=(0.5,), seeds=(0,), cells=cells)
-    assert res.pointwise_trend_holds("U+P+H")
-    assert res.term_trend_holds()  # all equal counts as non-decreasing
+    assert pointwise_trend_holds(res, "U+P+H")
+    assert term_trend_holds(res)  # all equal counts as non-decreasing
 
 
 def test_format_table_and_csv_roundtrip(grid, tmp_path):

@@ -54,8 +54,10 @@ from annoconsist.train import (
 )
 
 from conftest import make_record, rect_mask
-from oracles import (DiscParts, disc, edge_weight, exact_infer, make_dataset,
-                     pairwise_refine, pred_objective, total_score)
+from oracles import (DiscParts, cell, disc, edge_weight, exact_infer,
+                     make_dataset, num_edges, pairwise_refine,
+                     pointwise_trend_holds, pred_objective,
+                     term_trend_holds, total_score)
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "configs", "reference.json")
@@ -314,11 +316,12 @@ def test_analytic_gradients_match_finite_differences():
     params = cond_init(1, 8)
     params.w[:, : f.shape[1]] = sol.T
     icfg = InferenceConfig()
+    unrefined = dataclasses.replace(icfg, n_iters=0)
     z = np.zeros((2, 8))
-    x, _, g = forward_scores(params, rec, z, icfg, refine=False)
+    x, stack, g = forward_scores(params, rec, z, unrefined)
     np.testing.assert_allclose(g[0], table, atol=1e-9)
     y = greedy_infer(g[0], rec.annotation, rec.geometry(), icfg)
-    samples = SampleSet(x=x, stack=None, g=g, labels=np.stack([y, y]),
+    samples = SampleSet(x=x, stack=stack, g=g, labels=np.stack([y, y]),
                         enforced=True)
     zero_grad = cond_grad(params, rec, samples, np.array([1, 0]),
                           TrainConfig(k=2), icfg, LossConfig(lambda_cls=0.0))
@@ -335,7 +338,7 @@ def test_analytic_gradients_match_finite_differences():
     np.testing.assert_allclose(grad.w, 2.0 * (q_hand.T @ samples.x[0]),
                                atol=1e-9)
     sgd_step(params, grad, 0.05)
-    g_new = forward_scores(params, rec, z[:1], icfg, refine=False)[2][0]
+    g_new = forward_scores(params, rec, z[:1], unrefined)[2][0]
     assert g_new[1, 1] < table[1, 1] and g_new[1, 0] > table[1, 0]
 
     assert elapsed < 60.0
@@ -358,7 +361,7 @@ def test_pairwise_refinement_hand_iteration_and_edge_gating():
     a = rect_mask(8, 8, 2, 6, 0, 4)
     b = rect_mask(8, 8, 2, 6, 4, 8)
     rec = make_record([a, b], [1])
-    assert rec.adjacency.num_edges == 1
+    assert num_edges(rec.adjacency) == 1
     cfg = InferenceConfig(delta=0.1, n_iters=3)
     stack = refine_stack(np.ones((2, 2)), rec.adjacency, cfg)
     np.testing.assert_array_equal(stack[1], np.full((2, 2), 11.0))
@@ -431,10 +434,10 @@ def test_ablation_trends_hold_across_terms_and_variants(reference_run):
                           inf_cfg=r.cfg.inference, loss_cfg=r.cfg.loss,
                           thresholds=(0.50,), seeds=(0, 1, 2))
     elapsed = time.perf_counter() - t0
-    assert result.term_trend_holds(variant="full", thresh=0.50)
-    assert result.pointwise_trend_holds(term_mode="U+P+H", thresh=0.50)
-    terms = [result.cell(tm, "full")[0.50] for tm in TERM_MODES]
-    pw = [result.cell("U+P+H", v)[0.50]
+    assert term_trend_holds(result, variant="full", thresh=0.50)
+    assert pointwise_trend_holds(result, term_mode="U+P+H", thresh=0.50)
+    terms = [cell(result, tm, "full")[0.50] for tm in TERM_MODES]
+    pw = [cell(result, "U+P+H", v)[0.50]
           for v in ("pw-pred", "pw-cond", "pw-both")]
     _report(
         f"ablations: term trend {terms[0]:.4f} <= {terms[1]:.4f} <= "

@@ -15,13 +15,14 @@ from annoconsist.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
 from annoconsist.condnet import InferenceError, sample_k
 from annoconsist.config import load_config
 from annoconsist.evaluate import evaluate_predictions
+from annoconsist.masks import box_iou
 from annoconsist.prednet import InstancePrediction, decode, predict
 from annoconsist.scenes import load_dataset, scene_to_obj
 from annoconsist.scorer import feature_dim
-from annoconsist.synthgen import PlacementError, filter_by_boxes
+from annoconsist.synthgen import PlacementError
 from annoconsist.train import load_checkpoint, prepare_scene
 
-from oracles import scene_noise
+from oracles import scene_noise, tight_box
 from test_train import _hopeless_box_scene
 
 
@@ -465,6 +466,15 @@ def _reweigh_both_sides(adj, w):
     adj["weights"][v][adj["neighbors"][v].index(u)] = w
 
 
+def _set_presence(obj, value):
+    obj["annotation"]["presence"][0] = value
+
+
+def _unmark_a_boxed_class(obj):
+    ann = obj["annotation"]
+    ann["presence"][ann["boxes"][0][0] - 1] = 0
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda o: o["seeds"][0].update(class_id=9), "seed class_id 9 outside"),
     (lambda o: o["gt"][0].update(class_id=7), "ground-truth class_id 7"),
@@ -485,10 +495,17 @@ def _reweigh_both_sides(adj, w):
     (lambda o: o.update(scene_id=-3), "scene_id -3 is not"),
     (lambda o: o.update(scene_id="7"), "scene_id '7' is not"),
     (lambda o: o.update(scene_id=True), "scene_id True is not"),
+    (lambda o: _set_presence(o, 2), "an entry other than the int 0 or 1"),
+    (lambda o: _set_presence(o, -1), "an entry other than the int 0 or 1"),
+    (lambda o: _set_presence(o, 0.5), "an entry other than the int 0 or 1"),
+    (lambda o: _set_presence(o, True), "an entry other than the int 0 or 1"),
+    (_unmark_a_boxed_class, "which the annotation does not mark present"),
 ], ids=["seed-class", "gt-class", "box-class", "presence-length",
         "one-sided-edge", "neighbor-twice", "mirror-weight",
         "negative-weight", "infinite-weight", "nan-weight", "float-id",
-        "negative-id", "string-id", "bool-id"])
+        "negative-id", "string-id", "bool-id", "presence-two",
+        "presence-negative", "presence-half", "presence-bool",
+        "box-of-absent-class"])
 def test_class_ids_and_graph_are_checked_at_load(tmp_path, pipeline,
                                                  tiny_config_path, capsys,
                                                  edit, message):
@@ -657,12 +674,13 @@ def test_box_regime_infer_samples_the_prepared_scene(tmp_path, capsys):
     assert run(["gen", "--config", str(cfg_path), "--out", str(data)]) == EXIT_OK
     assert run(["train", "--config", str(cfg_path), "--data", str(data),
                 "--out", model]) == EXIT_OK
-    # a box that no proposal can cover makes the first held-out scene
-    # unusable; a scene whose two classes need the same proposal makes every
-    # sampling raise
+    # a box that no proposal can cover, of a class the scene marks present,
+    # makes the first held-out scene unusable; a scene whose two classes
+    # need the same proposal makes every sampling raise
     lines = (data / "eval.jsonl").read_text().splitlines()
     scene = json.loads(lines[0])
-    scene["annotation"]["boxes"].append([1, 0, 0, 1, 1])
+    present = scene["annotation"]["presence"].index(1) + 1
+    scene["annotation"]["boxes"].append([present, 0, 0, 1, 1])
     lines[0] = json.dumps(scene, separators=(",", ":"))
     hopeless = _hopeless_box_scene(900)
     hopeless.num_classes = cfg["scene"]["num_classes"]
@@ -694,11 +712,15 @@ def test_box_regime_infer_samples_the_prepared_scene(tmp_path, capsys):
                         tcfg.noise_dim)
         samples = sample_k(cond, prep, z, run_cfg.inference,
                            term_mode=tcfg.term_mode)
-        keep = filter_by_boxes(rec.pool, rec.annotation.boxes, tcfg.box_min_iou)
+        # the proposals whose tight box covers some box at box_rho
+        rho = run_cfg.inference.box_rho
+        keep = [i for i, m in enumerate(rec.pool)
+                if any(box_iou(tight_box(m), b) >= rho
+                       for _, b in rec.annotation.boxes)]
         want = np.zeros((tcfg.k, rec.num_proposals), dtype=np.int64)
         want[:, keep] = samples.labels
         assert got == want.tolist()
-        filtered += keep.size < rec.num_proposals
+        filtered += len(keep) < rec.num_proposals
     assert by_id[scene["scene_id"]]["final"]["samples"] == []
     assert all(it["samples"] == []
                for it in by_id[hopeless.scene_id]["iterations"])
@@ -728,11 +750,27 @@ def test_eval_rejects_malformed_predictions(tmp_path, pipeline, capsys):
     capsys.readouterr()
 
 
-def test_runtime_errors_exit_three(tmp_path, pipeline, capsys):
-    code = run(["ablate", "--data", pipeline["data"],
-                "--out", str(tmp_path / "t.csv"), "--seeds", "a,b"])
+def test_runtime_errors_exit_three(tmp_path, capsys):
+    # a valid config under which no scene can be placed
+    cfg_path = tmp_path / "crowded.json"
+    cfg_path.write_text(json.dumps({
+        "n_scenes": 1, "n_eval_scenes": 0,
+        "scene": {"min_objects": 40, "max_objects": 40,
+                  "max_place_attempts": 1}}))
+    code = run(["gen", "--config", str(cfg_path), "--out",
+                str(tmp_path / "data")])
     assert code == EXIT_RUNTIME
     assert "error:" in capsys.readouterr().err
+
+
+def test_ablate_rejects_non_integer_seeds_before_loading(tmp_path, capsys):
+    # the split does not exist, so only --seeds can be the reported error
+    for seeds in ("a,b", "x", "1,2.5", "0,"):
+        assert run(["ablate", "--data", str(tmp_path / "missing"),
+                    "--out", str(tmp_path / "t.csv"),
+                    "--seeds", seeds]) == EXIT_USAGE
+        assert f"--seeds {seeds!r}" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_console_script_is_installed():

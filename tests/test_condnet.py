@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -17,11 +18,11 @@ from annoconsist.condnet import (
     sample_k,
 )
 from annoconsist.masks import Box, box_iou
-from annoconsist.scorer import cond_init, feature_dim
+from annoconsist.scorer import cond_init, feature_dim, score_from_input
 
 from conftest import make_record, rect_mask
-from oracles import (edge_weight, exact_infer, pairwise_refine, scene_noise,
-                     total_score)
+from oracles import (edge_weight, exact_infer, num_edges, pairwise_refine,
+                     scene_noise, total_score)
 
 
 def _two_neighbor_record(edges=None):
@@ -36,7 +37,7 @@ def test_refine_two_neighbor_hand_iteration_is_exact():
     # at 1.0, so the gap is 0 and each iteration adds 1 / (0 + 0.1) = 10
     # to both rows: 1 -> 11 -> 21 -> 31, exactly.
     rec = _two_neighbor_record()
-    assert rec.adjacency.num_edges == 1
+    assert num_edges(rec.adjacency) == 1
     f = np.ones((2, 2))
     cfg = InferenceConfig(delta=0.1, n_iters=3)
     stack = refine_stack(f, rec.adjacency, cfg)
@@ -69,7 +70,7 @@ def test_refine_without_neighbors_is_identity():
     a = rect_mask(10, 10, 1, 4, 1, 4)
     b = rect_mask(10, 10, 6, 9, 6, 9)  # far apart, no contact
     rec = make_record([a, b], [1])
-    assert rec.adjacency.num_edges == 0
+    assert num_edges(rec.adjacency) == 0
     cfg = InferenceConfig(delta=0.1, n_iters=3)
     rng = np.random.default_rng(4)
     # one table, a stack of draws, and signed zeros, which an added 0.0
@@ -96,7 +97,7 @@ def test_refine_backward_matches_finite_differences_through_adjacency():
     rng = np.random.default_rng(11)
     edges = rng.uniform(0.0, 0.4, size=(9, 12)).astype(np.float32)
     rec = make_record([a, b, c], [1], edges=edges)
-    assert rec.adjacency.num_edges == 2
+    assert num_edges(rec.adjacency) == 2
     cfg = InferenceConfig(delta=0.3, n_iters=3)
     f = rng.normal(size=(3, 2))
     probe = rng.normal(size=(3, 2))
@@ -564,23 +565,27 @@ def _sampling_record():
 
 def test_forward_scores_refinement_toggle():
     rec = _sampling_record()
-    params = cond_init(rec.num_classes)
+    params = cond_init(rec.num_classes, 8)
     rng = np.random.default_rng(2)
     params.w += rng.normal(size=params.w.shape)
     z = np.stack([np.zeros(8), np.full(8, 0.5)])
     cfg = InferenceConfig()
-    x, raw_stack, raw_g = forward_scores(params, rec, z, cfg, refine=False)
-    assert raw_stack is None
+    # zero iterations leave the scorer's own tables, the stack's only iterate
+    x, raw_stack, raw_g = forward_scores(params, rec, z,
+                                         dataclasses.replace(cfg, n_iters=0))
     assert x.shape == (2, rec.num_proposals, params.w.shape[1])
     assert raw_g.shape == (2, rec.num_proposals, rec.num_classes + 1)
-    _, stack, g = forward_scores(params, rec, z, cfg, refine=True)
+    assert raw_stack.shape == (1,) + raw_g.shape
+    assert raw_stack[0].tobytes() == raw_g.tobytes()
+    for i in range(2):
+        assert raw_g[i].tobytes() == score_from_input(params, x[i]).tobytes()
+    _, stack, g = forward_scores(params, rec, z, cfg)
     assert stack.shape == (cfg.n_iters + 1,) + raw_g.shape
     np.testing.assert_array_equal(stack[0], raw_g)
     np.testing.assert_array_equal(g, stack[-1])
     # each draw's table is the one its own noise row gives
     for i in range(2):
-        _, one_stack, one_g = forward_scores(params, rec, z[i:i + 1], cfg,
-                                             refine=True)
+        _, one_stack, one_g = forward_scores(params, rec, z[i:i + 1], cfg)
         assert one_g[0].tobytes() == g[i].tobytes()
         assert one_stack[:, 0].tobytes() == stack[:, i].tobytes()
 
@@ -592,7 +597,7 @@ def _noise(samples, rec):
 
 def test_sampling_is_deterministic_and_tag_sensitive():
     rec = _sampling_record()
-    params = cond_init(rec.num_classes)
+    params = cond_init(rec.num_classes, 8)
     rng = np.random.default_rng(5)
     params.w += rng.normal(size=params.w.shape)
     cfg = InferenceConfig(select_threshold=100.0)
@@ -609,7 +614,7 @@ def test_sampling_is_deterministic_and_tag_sensitive():
 
 def test_sampling_zero_noise_collapses_to_one_labeling():
     rec = _sampling_record()
-    params = cond_init(rec.num_classes)
+    params = cond_init(rec.num_classes, 8)
     rng = np.random.default_rng(6)
     params.w += rng.normal(size=params.w.shape)
     s = sample_k(params, rec, np.zeros((3, 8)),
@@ -622,18 +627,25 @@ def test_sampling_zero_noise_collapses_to_one_labeling():
 
 def test_sampling_term_modes_control_refinement_and_enforcement():
     rec = _sampling_record()
-    params = cond_init(rec.num_classes)
+    params = cond_init(rec.num_classes, 8)
     # a high stop threshold keeps each class to its one forced take, so the
     # pool can host both classes in every mode
     cfg = InferenceConfig(select_threshold=100.0)
     z = scene_noise(1, rec, 2)
+    # mode U is refinement with zero iterations: its tables are the
+    # scorer's own, and they are the stack's only iterate
     s_u = sample_k(params, rec, z, cfg=cfg, term_mode="U")
-    assert not s_u.enforced and s_u.stack is None and not s_u.refined
+    assert not s_u.enforced and s_u.stack.shape == (1,) + s_u.g.shape
+    raw = forward_scores(params, rec, z, dataclasses.replace(cfg, n_iters=0))
+    assert s_u.g.tobytes() == raw[2].tobytes()
+    assert s_u.stack.tobytes() == raw[1].tobytes()
     s_up = sample_k(params, rec, z, cfg=cfg, term_mode="U+P")
-    assert not s_up.enforced and s_up.refined
+    assert not s_up.enforced
+    assert s_up.stack.shape == (cfg.n_iters + 1,) + s_up.g.shape
     s_uph = sample_k(params, rec, z, cfg=cfg, term_mode="U+P+H")
-    assert s_uph.enforced and s_uph.refined
+    assert s_uph.enforced
     assert s_uph.stack.shape == (cfg.n_iters + 1,) + s_uph.g.shape
+    assert s_uph.g.tobytes() == s_up.g.tobytes()
     # every labeling under the full mode is annotation-consistent
     geom = rec.geometry()
     for row in s_uph.labels:
@@ -649,7 +661,7 @@ def test_sampling_term_modes_control_refinement_and_enforcement():
 
 def test_sampling_checks_the_noise_width_against_the_scorer():
     rec = _sampling_record()
-    params = cond_init(rec.num_classes)
+    params = cond_init(rec.num_classes, 8)
     cfg = InferenceConfig(select_threshold=100.0)
     for z in (np.zeros((2, 7)), np.zeros((2, 9)), np.zeros(8),
               np.zeros((1, 2, 8))):
@@ -750,12 +762,12 @@ def test_draw_tables_differ_by_a_constant_per_class_column(seed, scale,
     # stop threshold together, but cannot reorder a column's proposals.
     rec = _sampling_record()
     rng = np.random.default_rng(seed)
-    params = cond_init(rec.num_classes)
+    params = cond_init(rec.num_classes, 8)
     params.w += rng.normal(0.0, scale, size=params.w.shape)
     z = rng.uniform(0.0, 1.0, size=(k, params.w.shape[1]
                                     - feature_dim(rec.num_classes)))
-    _, _, g = forward_scores(params, rec, z, InferenceConfig(delta=0.5),
-                             refine)
+    _, _, g = forward_scores(params, rec, z, InferenceConfig(
+        delta=0.5, n_iters=3 if refine else 0))
     diff = g - g[:1]  # (K, P, C+1)
     offset = diff[:, :1]  # each draw's offset per column, read off row 0
     tol = 1e-9 * max(1.0, float(np.abs(g).max()))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from annoconsist.cli import EXIT_OK, EXIT_USAGE, run
 from annoconsist.config import (
+    _SECTIONS,
     ConfigError,
     EvalConfig,
     RunConfig,
@@ -323,11 +325,65 @@ def test_small_distractors_are_rejected_only_when_drawn():
     ("train", "aug_sign", -1.0),
     ("inference", "center_scores", False),
     ("loss", "w_cls", 1.0),
+    ("train", "box_min_iou", 0.5),
 ])
 def test_retired_setting_keys_are_rejected(section, key, value):
     # even the value every run used is refused: the key itself is gone
     with pytest.raises(ConfigError, match=f"{section}: unknown keys.*{key}"):
         config_from_obj({section: {key: value}})
+
+
+def _fits(value, default) -> bool:
+    """The load-time type rule, field by the type of its default."""
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, str):
+        return isinstance(value, str)
+    return isinstance(value, (list, tuple))
+
+
+def _default(f):
+    return (f.default_factory() if f.default is dataclasses.MISSING
+            else f.default)
+
+
+@pytest.mark.parametrize("section, f", [
+    (section, f) for section, cls in _SECTIONS.items()
+    for f in dataclasses.fields(cls)], ids=lambda v: getattr(v, "name", v))
+def test_every_field_rejects_values_of_another_type(section, f):
+    default = _default(f)
+    wrong = [v for v in (True, False, 0, 1, 1.5, "x", "", None, [1], [],
+                         {"a": 1}) if not _fits(v, default)]
+    assert wrong
+    for value in wrong:
+        with pytest.raises(ConfigError,
+                           match=f"{section}: {f.name} must be an? "):
+            config_from_obj({section: {f.name: value}})
+    # the default, as JSON writes it, loads back unchanged
+    plain = list(default) if isinstance(default, tuple) else default
+    cfg = config_from_obj({section: {f.name: plain}})
+    assert getattr(getattr(cfg, section), f.name) == default
+
+
+def test_a_float_field_takes_an_int(tmp_path, capsys):
+    cfg = config_from_obj({"train": {"gamma": 1, "lr_pred": 2},
+                           "inference": {"delta": 8}})
+    assert (cfg.train.gamma, cfg.train.lr_pred) == (1, 2)
+    assert cfg.inference.delta == 8
+    # a wrong type stops the command before any work, with exit 2
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({"train": {"lr_init": None}}))
+    assert run(["train", "--config", str(path), "--data",
+                str(tmp_path / "missing"), "--out",
+                str(tmp_path / "m")]) == EXIT_USAGE
+    assert "train: lr_init must be a number, not None" in (
+        capsys.readouterr().err)
 
 
 @st.composite

@@ -12,6 +12,7 @@ from annoconsist.prednet import InstancePrediction
 from annoconsist.scenes import GroundTruthInstance
 
 from conftest import rect_mask
+from oracles import summary
 
 
 def _pred(mask, class_id=1, confidence=0.9, index=0):
@@ -223,6 +224,6 @@ def test_map_at_matches_full_evaluation():
 def test_summary_reports_every_threshold():
     gts, gt_mask = _one_object_scene()
     res = evaluate_predictions({0: [_pred(gt_mask)]}, gts)
-    s = res.summary()
+    s = summary(res)
     for t in DEFAULT_THRESHOLDS:
         assert f"mAP@{t:.2f}=" in s

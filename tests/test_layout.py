@@ -6,8 +6,8 @@ names library code as `module.name` attributes, "module.name..." strings
 and ("module", "name", ...) tuples. A reached definition reaches each
 name its body mentions: its own module's, `from .module import name`,
 and `module.name`. Code that only tests reach belongs in
-`tests/oracles.py`. Likewise every field of a library class must be read
-by the library or the harness.
+`tests/oracles.py`. Likewise every field, method and property of a
+library class must be read by the library or the harness.
 """
 
 import ast
@@ -99,3 +99,20 @@ def test_every_record_field_is_read():
         and isinstance(node.target, ast.Name)
         and node.target.id not in read)
     assert not unread, f"fields nothing reads: {unread}"
+
+
+def test_every_library_method_is_read():
+    """Each method and property of a library class, dunders aside, is read
+    as an attribute somewhere in the library or the benchmark harness. As
+    for fields, the check goes by name only: a method that shares its name
+    with one the harness reads (say, a `summary` next to the tracer's)
+    passes."""
+    read = _read_attributes()
+    unread = sorted(
+        f"{mod}.{cls.name}.{node.name}"
+        for mod, tree in TREES.items() for cls in tree.body
+        if isinstance(cls, ast.ClassDef) for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in read)
+    assert not unread, f"methods nothing reads: {unread}"

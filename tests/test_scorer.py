@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from annoconsist.prednet import pred_init
 from annoconsist.scorer import (
-    NOISE_DIM,
     CondParams,
     axpy,
     cond_init,
@@ -19,10 +18,12 @@ from annoconsist.scorer import (
     score_vjp,
     scorer_input,
 )
-from annoconsist.train import load_checkpoint, save_checkpoint
+from annoconsist.train import TrainConfig, load_checkpoint, save_checkpoint
 
 from conftest import make_record, rect_mask
 from oracles import uniform_noise
+
+NOISE_DIM = TrainConfig().noise_dim
 
 
 def _record():
@@ -64,8 +65,8 @@ def test_scorer_input_appends_shared_noise_row():
 
 def test_linear_scorer_zero_init_scores_zero():
     rec = _record()
-    params = cond_init(rec.num_classes)
-    z = draw_noise(0, rec.scene_id, 0)
+    params = cond_init(rec.num_classes, NOISE_DIM)
+    z = draw_noise(0, rec.scene_id, 0, 0, NOISE_DIM)
     np.testing.assert_array_equal(
         score_from_input(params, scorer_input(rec, z)), 0.0)
 
@@ -73,9 +74,9 @@ def test_linear_scorer_zero_init_scores_zero():
 def test_score_vjp_matches_finite_differences():
     rng = np.random.default_rng(31)
     rec = _record()
-    params = cond_init(rec.num_classes)
+    params = cond_init(rec.num_classes, NOISE_DIM)
     params.w += rng.normal(0.0, 0.3, size=params.w.shape)
-    z = draw_noise(3, rec.scene_id, 1)
+    z = draw_noise(3, rec.scene_id, 1, 0, NOISE_DIM)
     x = scorer_input(rec, z)
     q = rng.normal(size=(3, rec.num_classes + 1))
 
@@ -104,9 +105,9 @@ def test_score_grad_picks_single_entry():
     # the gradient of the single entry F[u, c], in closed form
     rng = np.random.default_rng(33)
     rec = _record()
-    params = cond_init(rec.num_classes)
+    params = cond_init(rec.num_classes, NOISE_DIM)
     params.w += rng.normal(0.0, 0.2, size=params.w.shape)
-    x = scorer_input(rec, draw_noise(1, rec.scene_id, 0))
+    x = scorer_input(rec, draw_noise(1, rec.scene_id, 0, 0, NOISE_DIM))
     u, c = 1, 2
     q = np.zeros((3, rec.num_classes + 1))
     q[u, c] = 1.0
@@ -117,16 +118,16 @@ def test_score_grad_picks_single_entry():
 
 
 def test_draw_noise_deterministic_and_uniform_range():
-    a = draw_noise(5, 7, 2, extra=9)
-    b = draw_noise(5, 7, 2, extra=9)
+    a = draw_noise(5, 7, 2, 9, NOISE_DIM)
+    b = draw_noise(5, 7, 2, 9, NOISE_DIM)
     np.testing.assert_array_equal(a, b)
     assert a.shape == (NOISE_DIM,)
     assert (a >= 0.0).all() and (a < 1.0).all()
     # every component of the key matters
-    assert not np.array_equal(a, draw_noise(6, 7, 2, extra=9))
-    assert not np.array_equal(a, draw_noise(5, 8, 2, extra=9))
-    assert not np.array_equal(a, draw_noise(5, 7, 3, extra=9))
-    assert not np.array_equal(a, draw_noise(5, 7, 2, extra=10))
+    assert not np.array_equal(a, draw_noise(6, 7, 2, 9, NOISE_DIM))
+    assert not np.array_equal(a, draw_noise(5, 8, 2, 9, NOISE_DIM))
+    assert not np.array_equal(a, draw_noise(5, 7, 3, 9, NOISE_DIM))
+    assert not np.array_equal(a, draw_noise(5, 7, 2, 10, NOISE_DIM))
 
 
 # the ints where SeedSequence's split into 32-bit words changes length
@@ -171,13 +172,14 @@ def test_draw_noise_at_the_entropy_word_edges(dim):
 def test_draw_noise_integer_arrays_match_exact_ints():
     # int64 and uint64 arrays give the words the same ints give as objects
     small = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
-    want = draw_noise(3, np.array(small, dtype=object), 5, 9)
+    want = draw_noise(3, np.array(small, dtype=object), 5, 9, NOISE_DIM)
     for dtype in (np.int64, np.uint64):
-        got = draw_noise(3, np.array(small, dtype=dtype), 5, 9)
+        got = draw_noise(3, np.array(small, dtype=dtype), 5, 9, NOISE_DIM)
         assert got.tobytes() == want.tobytes()
     big = np.array([2**63, 2**64 - 1], dtype=np.uint64)
-    assert draw_noise(3, big, 5, 9).tobytes() == draw_noise(
-        3, np.array([2**63, 2**64 - 1], dtype=object), 5, 9).tobytes()
+    assert draw_noise(3, big, 5, 9, NOISE_DIM).tobytes() == draw_noise(
+        3, np.array([2**63, 2**64 - 1], dtype=object), 5, 9,
+        NOISE_DIM).tobytes()
 
 
 def test_draw_noise_of_a_shorter_width_is_a_prefix():
@@ -193,7 +195,7 @@ def test_draw_noise_rejects_negative_and_non_integer_keys(pos):
     def call(bad):
         args = [1, 2, 3, 4]
         args[pos] = bad
-        return draw_noise(*args)
+        return draw_noise(*args, dim=NOISE_DIM)
 
     for bad in (-1, -2**70, np.array([3, -1]), np.array([3, -1], dtype=object)):
         with pytest.raises(ValueError, match="non-negative"):
@@ -207,8 +209,10 @@ def test_draw_noise_rejects_negative_and_non_integer_keys(pos):
 
 
 def test_draw_noise_of_no_keys_is_empty():
-    assert draw_noise(0, np.zeros((0, 3), dtype=np.int64), 1).shape == (0, 3, 8)
-    assert draw_noise(0, np.array([], dtype=object), 1, dim=2).shape == (0, 2)
+    assert draw_noise(0, np.zeros((0, 3), dtype=np.int64), 1, 0,
+                      NOISE_DIM).shape == (0, 3, NOISE_DIM)
+    assert draw_noise(0, np.array([], dtype=object), 1, 0,
+                      dim=2).shape == (0, 2)
 
 
 def test_axpy_accumulates_in_place():
@@ -221,7 +225,7 @@ def test_axpy_accumulates_in_place():
 def test_unknown_scorer_kind_rejected(tmp_path):
     # the scorer is linear; a checkpoint of any other kind does not load
     path = tmp_path / "ckpt.json"
-    save_checkpoint(str(path), cond_init(3), pred_init(3))
+    save_checkpoint(str(path), cond_init(3, NOISE_DIM), pred_init(3))
     obj = json.loads(path.read_text())
     for kind in ("mlp", "rbf"):
         obj["cond"]["kind"] = kind

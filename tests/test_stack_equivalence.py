@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annoconsist.adjacency import Adjacency, build_adjacency
+from annoconsist.condnet import InferenceConfig
 from annoconsist.masks import (
     Box,
     box_iou,
@@ -35,11 +36,10 @@ from annoconsist.synthgen import (
     _draw_shape,
     _grow_seed,
     _split_parts,
-    apply_box_regime,
-    filter_by_boxes,
     gen_scene,
     make_scene,
 )
+from annoconsist.train import TrainConfig, prepare_scene
 
 from conftest import make_record
 from oracles import rle_decode, rle_encode, tight_box
@@ -298,7 +298,8 @@ def generated_records():
     for seed in range(3):
         rec = make_scene(SceneConfig(), ProposalConfig(), seed, seed)
         recs.append(rec)
-        recs.append(apply_box_regime(rec, 0.5))
+        recs.append(prepare_scene(rec, TrainConfig(supervision="box"),
+                                  InferenceConfig()))
         recs.append(rebuild_with_pool(rec, np.array([0])))
     return recs
 
@@ -359,15 +360,29 @@ def test_tight_boxes_equal_the_per_mask_boxes(pool):
         assert PoolGeometry.from_pool(pool).boxes == boxes
 
 
-def test_filter_by_boxes_equals_the_per_proposal_filter():
-    for rec in generated_records():
+def test_box_regime_cut_equals_the_per_proposal_filter():
+    box = TrainConfig(supervision="box")
+    recs = generated_records()
+    # a pool of only its last proposal, which seldom covers the box
+    recs += [rebuild_with_pool(r, np.array([r.num_proposals - 1]))
+             for r in recs]
+    skipped = 0
+    for rec in recs:
         boxes = rec.annotation.boxes
-        for t in (0.3, 0.5, 0.9):
-            want = [i for i in range(rec.num_proposals)
-                    if any(box_iou(old_tight_box(rec.pool[i]), b) >= t
-                           for _, b in boxes)]
-            got = filter_by_boxes(rec.pool, boxes, t)
-            assert got.dtype == np.int64 and got.tolist() == want
+        for t in (0.3, 0.5, 0.9, 1.0):
+            ious = [[box_iou(old_tight_box(m), b) for _, b in boxes]
+                    for m in rec.pool]
+            want = [i for i, row in enumerate(ious) if max(row) >= t]
+            coverable = all(max(col) >= t for col in zip(*ious))
+            got = prepare_scene(rec, box, InferenceConfig(box_rho=t))
+            if not coverable:
+                assert got is None
+                skipped += 1
+                continue
+            assert got.pool_index.dtype == np.int64
+            assert got.pool_index.tolist() == want
+            assert got.pool.tobytes() == rec.pool[want].tobytes()
+    assert skipped > 0  # some cut leaves a box uncovered
 
 
 # -------------------------------------------------------------- adjacency

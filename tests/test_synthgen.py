@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from annoconsist.condnet import InferenceConfig
 from annoconsist.masks import box_iou, mask_iou
 from annoconsist.scenes import scene_to_obj
 from annoconsist.synthgen import (
@@ -10,11 +12,10 @@ from annoconsist.synthgen import (
     PALETTE,
     ProposalConfig,
     SceneConfig,
-    apply_box_regime,
-    filter_by_boxes,
     gen_scene,
     make_scene,
 )
+from annoconsist.train import TrainConfig, prepare_scene
 
 from oracles import make_dataset, tight_box
 
@@ -105,34 +106,52 @@ def test_make_dataset_ids_and_determinism():
             scene_to_obj(b), sort_keys=True)
 
 
-def test_filter_by_boxes_keeps_box_compatible_proposals():
-    rec = make_scene(SceneConfig(), ProposalConfig(), seed=11, scene_id=0)
-    keep = filter_by_boxes(rec.pool, rec.annotation.boxes, 0.5)
-    assert keep.size > 0
-    kept = set(keep.tolist())
-    for i in range(rec.num_proposals):
-        tb = tight_box(rec.pool[i])
-        best = max(box_iou(tb, b) for _, b in rec.annotation.boxes)
-        assert (i in kept) == (best >= 0.5)
+BOX = TrainConfig(supervision="box")
 
 
-def test_apply_box_regime_keeps_gt_coverable():
+def test_box_regime_keeps_the_proposals_that_cover_a_box():
     rec = make_scene(SceneConfig(), ProposalConfig(), seed=11, scene_id=0)
-    sub = apply_box_regime(rec, 0.5)
+    for rho in (0.3, 0.5, 0.7):
+        sub = prepare_scene(rec, BOX, InferenceConfig(box_rho=rho))
+        keep = sub.pool_index
+        assert keep.size > 0
+        assert sub.pool.tobytes() == rec.pool[keep].tobytes()
+        kept = set(keep.tolist())
+        for i in range(rec.num_proposals):
+            tb = tight_box(rec.pool[i])
+            best = max(box_iou(tb, b) for _, b in rec.annotation.boxes)
+            assert (i in kept) == (best >= rho)
+
+
+def test_box_regime_keeps_gt_coverable():
+    rec = make_scene(SceneConfig(), ProposalConfig(), seed=11, scene_id=0)
+    sub = prepare_scene(rec, BOX, InferenceConfig())
     assert sub.num_proposals <= rec.num_proposals
     for g in sub.gt:
         best = max(mask_iou(sub.pool[i], g.mask) for i in range(sub.num_proposals))
         assert best >= 0.5
 
 
-def test_apply_box_regime_requires_boxes():
+def test_box_regime_requires_boxes():
     rec = make_scene(SceneConfig(), ProposalConfig(), seed=11, scene_id=0)
-    stripped = rec.annotation.without_boxes()
-    import dataclasses
+    bare = dataclasses.replace(rec, annotation=rec.annotation.without_boxes())
+    with pytest.raises(ValueError, match="no box annotations"):
+        prepare_scene(bare, BOX, InferenceConfig())
 
-    bare = dataclasses.replace(rec, annotation=stripped)
-    with pytest.raises(ValueError):
-        apply_box_regime(bare, 0.5)
+
+def test_box_regime_skips_a_scene_with_no_box_or_an_uncoverable_box():
+    rec = make_scene(SceneConfig(), ProposalConfig(), seed=11, scene_id=0)
+    ann = rec.annotation
+    empty = dataclasses.replace(rec, annotation=dataclasses.replace(
+        ann, boxes=[]))
+    assert prepare_scene(empty, BOX, InferenceConfig()) is None
+    # no proposal's tight box equals a box that ends past the frame
+    j, b = ann.boxes[0]
+    wide = dataclasses.replace(b, x_max=rec.width)
+    far = dataclasses.replace(rec, annotation=dataclasses.replace(
+        ann, boxes=[*ann.boxes, (j, wide)]))
+    assert prepare_scene(far, BOX, InferenceConfig(box_rho=1.0)) is None
+    assert prepare_scene(rec, BOX, InferenceConfig(box_rho=1.0)) is not None
 
 
 def test_scene_config_caps_enforced():

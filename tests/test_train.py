@@ -47,7 +47,7 @@ from annoconsist.train import (
 )
 
 from conftest import make_record, rect_mask
-from oracles import (make_dataset, pred_objective, scene_noise,
+from oracles import (make_dataset, num_edges, pred_objective, scene_noise,
                      tight_box)
 
 
@@ -215,16 +215,19 @@ def _params_for_table(rec, table, noise_dim=8):
 
 
 def _zero_noise_table(params, rec, icfg):
-    return forward_scores(params, rec, np.zeros((1, 8)), icfg, refine=False)[2][0]
+    return forward_scores(params, rec, np.zeros((1, 8)),
+                          dataclasses.replace(icfg, n_iters=0))[2][0]
 
 
 def _manual_samples(params, rec, table, k, icfg, enforce=True):
-    """K identical zero-noise draws on the unrefined table."""
+    """K identical zero-noise draws on the unrefined table, which zero
+    refinement iterations leave."""
     z = np.zeros((k, 8))
-    x, _, g = forward_scores(params, rec, z, icfg, refine=False)
+    x, stack, g = forward_scores(params, rec, z,
+                                 dataclasses.replace(icfg, n_iters=0))
     np.testing.assert_allclose(g[0], table, atol=1e-9)
     y = greedy_infer(g[0], rec.annotation, rec.geometry(), icfg, enforce=enforce)
-    return SampleSet(x=x, stack=None, g=g, labels=np.stack([y] * k),
+    return SampleSet(x=x, stack=stack, g=g, labels=np.stack([y] * k),
                      enforced=enforce)
 
 
@@ -335,7 +338,9 @@ def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
                     q += pair_coef * (m_c - eye[infer(g + aug_pairs[k2])])
         if live is not None and q.any():
             live.append(k)
-        if samples.refined:
+        # no adjoint at zero iterations; cond_grad runs it anyway, and
+        # must give these bytes
+        if samples.stack.shape[0] > 1:
             q = refine_backward(np.ascontiguousarray(samples.stack[:, k]),
                                 rec.adjacency, icfg, q)
         axpy(total, score_vjp(params, np.ascontiguousarray(samples.x[k]), q),
@@ -361,12 +366,13 @@ def test_cond_grad_on_the_draw_stack_matches_a_per_draw_loop(
     monkeypatch.setattr(train_mod, "greedy_infer", traced)
     for i, rec in enumerate(_tiny_dataset(n=3)):
         rec = prepare_scene(rec, tcfg, icfg)
-        params = cond_init(rec.num_classes)
+        params = cond_init(rec.num_classes, 8)
         params.w += rng.normal(0.0, 0.5, size=params.w.shape)
         samples = sample_k(params, rec, scene_noise(0, rec, tcfg.k, i), icfg,
                            term_mode=term_mode,
                            enforce=True if anchor else None)
-        assert samples.refined == (term_mode != "U")
+        iterates = 1 if term_mode == "U" else icfg.n_iters + 1
+        assert samples.stack.shape[:2] == (iterates, tcfg.k)
         if anchor:
             y_ref = seed_labeling(rec)
         else:
@@ -408,7 +414,7 @@ def test_cond_grad_with_the_memo_equals_a_memo_free_loop(
                        supervision=supervision)
     icfg, lcfg = InferenceConfig(delta=8.0), LossConfig()
     rng = np.random.default_rng(seed)
-    params = cond_init(rec.num_classes)
+    params = cond_init(rec.num_classes, 8)
     params.w += rng.normal(0.0, 0.5, size=params.w.shape)
     params.w[:, feature_dim(rec.num_classes):] *= noise_scale / 0.5
     try:
@@ -475,7 +481,7 @@ def test_cond_grad_backward_over_live_draws_equals_the_full_backward(
                        supervision=supervision)
     icfg, lcfg = InferenceConfig(delta=8.0), LossConfig()
     rng = np.random.default_rng(seed)
-    params = cond_init(rec.num_classes)
+    params = cond_init(rec.num_classes, 8)
     params.w += rng.normal(0.0, 0.5, size=params.w.shape)
     params.w[:, feature_dim(rec.num_classes):] *= noise_scale / 0.5
     try:
@@ -512,7 +518,7 @@ def test_cond_grad_backward_over_live_draws_equals_the_full_backward(
                         anchor=anchor)
     assert got.w.tobytes() == want.w.tobytes()
     assert vjp_inputs == [samples.x[j].tobytes() for j in live]
-    want_adjoint = [len(live)] if samples.refined and live else []
+    want_adjoint = [len(live)] if live else []
     assert adjoint_draws == want_adjoint
 
 
@@ -716,7 +722,7 @@ def test_prepare_records_box_regime_keeps_the_datasets_own_graph():
         for name in ("edge_u", "edge_v", "edge_w"):
             assert (getattr(br.adjacency, name).tobytes()
                     == getattr(want, name).tobytes()), name
-        lost += want.num_edges - build_adjacency(br.pool, br.edges).num_edges
+        lost += num_edges(want) - num_edges(build_adjacency(br.pool, br.edges))
     assert lost > 0  # dilation 1 would have dropped edges here
 
 
@@ -808,7 +814,7 @@ def test_fit_pointwise_variants_run_and_stay_finite():
 
 def test_checkpoint_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(7)
-    cond = cond_init(3)
+    cond = cond_init(3, 8)
     cond.w = rng.normal(size=cond.w.shape)
     pred = pred_init(3)
     pred.w = rng.normal(size=pred.w.shape)
@@ -823,7 +829,7 @@ def test_checkpoint_roundtrip_exact(tmp_path):
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
     path = tmp_path / "ckpt.json"
-    save_checkpoint(str(path), cond_init(2), pred_init(2))
+    save_checkpoint(str(path), cond_init(2, 8), pred_init(2))
     obj = json.loads(path.read_text())
     obj["format_version"] = 99
     path.write_text(json.dumps(obj))
