@@ -21,7 +21,7 @@ import numpy as np
 from .ablation import ablation_run
 from .condnet import InferenceError, params_noise_dim, sample_k
 from .config import ConfigError, RunConfig, load_config, save_config
-from .prednet import InstancePrediction, decode, predict
+from .prednet import InstancePrediction, decode, decoded_index, predict
 from .render import render_predictions
 from .scenes import (DatasetFormatError, iter_dataset, load_dataset,
                      save_dataset)
@@ -260,11 +260,13 @@ def cmd_eval(args) -> int:
     for rec in iter_dataset(_dataset_path(args.data, args.split)):
         dets = decoded.get(rec.scene_id)
         if dets is not None:
-            kept[rec.scene_id] = (rec.gt, [
-                InstancePrediction(d["proposal_index"], d["class_id"],
-                                   d["confidence"],
-                                   rec.pool[d["proposal_index"]].copy())
-                for d in dets])
+            preds = []
+            for d in dets:
+                u = decoded_index(rec, d)
+                preds.append(InstancePrediction(u, d["class_id"],
+                                                d["confidence"],
+                                                rec.pool[u].copy()))
+            kept[rec.scene_id] = (rec.gt, preds)
     preds_by_scene = {sid: kept[sid][1] for sid in decoded if sid in kept}
     gts_by_scene = {sid: kept[sid][0] for sid in preds_by_scene}
     res = evaluate_predictions(preds_by_scene, gts_by_scene,

@@ -112,18 +112,14 @@ def greedy_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
         labels = memo.get(key)
         if labels is not None:
             return labels
-    classes = ann.classes
-    if classes.size == 0:
-        labels = np.zeros(g.shape[0], dtype=np.int64)
-    else:
-        labels, status = kernels.greedy_labels(
-            g, classes, float(cfg.select_threshold),
-            geom.keep_masks(cfg.overlap_t), enforce)
-        if status == kernels.EXHAUSTED:
-            raise InferenceError(
-                "no proposal left to select for an annotated class")
-        if enforce and ann.boxes is not None:
-            labels = _force_box_cover(g, labels, ann, geom, cfg)
+    labels, status = kernels.greedy_labels(
+        g, ann.classes, float(cfg.select_threshold),
+        geom.keep_masks(cfg.overlap_t), enforce)
+    if status == kernels.EXHAUSTED:
+        raise InferenceError(
+            "no proposal left to select for an annotated class")
+    if enforce and ann.boxes is not None:
+        labels = _force_box_cover(g, labels, ann, geom, cfg)
     if memo is not None:
         labels.flags.writeable = False
         memo[key] = labels

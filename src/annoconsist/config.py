@@ -70,15 +70,10 @@ _SECTIONS = {
 _SCALARS = ("seed", "n_scenes", "n_eval_scenes")
 
 
-def _tuplify(value):
-    if isinstance(value, list):
-        return tuple(_tuplify(v) for v in value)
-    return value
-
-
 # the values a field takes, by the type of its default, and their name; a
 # bool, although an int in Python, fits only a bool field. JSON gives a
-# list where a tuple field is set in code.
+# list where a tuple field is set in code; its entries take the type of
+# the default's entries, so a list is never an entry.
 _KINDS = {
     bool: ((bool,), "a bool"),
     int: ((int,), "an integer"),
@@ -86,6 +81,13 @@ _KINDS = {
     str: ((str,), "a string"),
     tuple: ((list, tuple), "a list"),
 }
+
+
+def _check_kind(value, default, what: str) -> None:
+    accepted, kind = _KINDS[type(default)]
+    if (not isinstance(value, accepted)
+            or isinstance(value, bool) != isinstance(default, bool)):
+        raise ConfigError(f"{what} must be {kind}, not {value!r}")
 
 
 def _build_section(cls, obj: dict, where: str):
@@ -100,13 +102,13 @@ def _build_section(cls, obj: dict, where: str):
             continue
         default = (f.default_factory() if f.default is dataclasses.MISSING
                    else f.default)
-        accepted, kind = _KINDS[type(default)]
         value = obj[f.name]
-        if (not isinstance(value, accepted)
-                or isinstance(value, bool) != isinstance(default, bool)):
-            raise ConfigError(f"{where}: {f.name} must be {kind}, not "
-                              f"{value!r}")
-    kwargs = {k: _tuplify(v) for k, v in obj.items()}
+        _check_kind(value, default, f"{where}: {f.name}")
+        if isinstance(default, tuple):
+            for v in value:
+                _check_kind(v, default[0], f"{where}: {f.name} entries")
+    kwargs = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in obj.items()}
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -150,17 +152,12 @@ def load_config(path: str) -> RunConfig:
     return config_from_obj(obj)
 
 
-def _plainify(value):
-    if isinstance(value, tuple):
-        return [_plainify(v) for v in value]
-    return value
-
-
 def config_to_obj(cfg: RunConfig) -> dict:
     obj: dict = {key: getattr(cfg, key) for key in _SCALARS}
     for key, _cls in _SECTIONS.items():
         section = dataclasses.asdict(getattr(cfg, key))
-        obj[key] = {k: _plainify(v) for k, v in section.items()}
+        obj[key] = {k: list(v) if isinstance(v, tuple) else v
+                    for k, v in section.items()}
     return obj
 
 

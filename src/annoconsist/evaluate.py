@@ -79,15 +79,15 @@ def evaluate_predictions(preds_by_scene: dict, gts_by_scene: dict,
 
     preds_by_scene: scene_id -> list of objects with .class_id,
     .confidence and .mask (prednet.decode output works directly).
-    gts_by_scene: scene_id -> list of objects with .class_id and .mask.
-    Classes with no ground truth instances are skipped entirely; scenes
-    present only in preds contribute false positives.
+    gts_by_scene: scene_id -> the scene's ground truth, a
+    scenes.Instances. Classes with no ground truth instances are skipped
+    entirely; scenes present only in preds contribute false positives.
     """
     res = EvalResult(thresholds=tuple(thresholds))
     class_gt: dict = {}
-    for sid, gts in gts_by_scene.items():
-        for g in gts:
-            class_gt.setdefault(g.class_id, {}).setdefault(sid, []).append(g.mask)
+    for sid, gt in gts_by_scene.items():
+        for c, mask in zip(gt.class_ids.tolist(), gt.masks):
+            class_gt.setdefault(c, {}).setdefault(sid, []).append(mask)
     for j, per_scene in class_gt.items():
         res.num_gt[j] = sum(len(v) for v in per_scene.values())
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenes import SceneRecord
+from .scenes import DatasetFormatError, SceneRecord
 from .scorer import feature_dim, features
 
 
@@ -52,8 +52,8 @@ def argmax_labeling(state: np.ndarray) -> np.ndarray:
     return state.argmax(axis=1).astype(np.int64)
 
 
-def decode(state: np.ndarray, rec: SceneRecord, score_thresh: float = 0.7,
-           nms_t: float = 0.5) -> list:
+def decode(state: np.ndarray, rec: SceneRecord, score_thresh: float,
+           nms_t: float) -> list:
     """Thresholded, per-class NMS-filtered instance list.
 
     Candidates need best foreground probability >= score_thresh; within a
@@ -83,3 +83,15 @@ def decode(state: np.ndarray, rec: SceneRecord, score_thresh: float = 0.7,
             if v != u and not suppressed[v] and cls[v] == cls[u] and geom.ovl[u, v] > nms_t:
                 suppressed[v] = True
     return out
+
+
+def decoded_index(rec: SceneRecord, entry: dict) -> int:
+    """The proposal_index of a decoded entry as infer writes it, checked
+    against rec's pool: a non-bool int in [0, P), or DatasetFormatError
+    naming the scene."""
+    u = entry["proposal_index"]
+    if type(u) is not int or not 0 <= u < rec.num_proposals:
+        raise DatasetFormatError(
+            f"scene {rec.scene_id}: decoded proposal_index {u!r} is not an "
+            f"integer in [0, {rec.num_proposals})")
+    return u

@@ -10,6 +10,8 @@ import os
 
 import numpy as np
 
+from .prednet import decoded_index
+from .scenes import DatasetFormatError
 from .synthgen import PALETTE
 
 CELL_SCALE = 2  # nearest-neighbor upscaling factor per cell
@@ -37,6 +39,10 @@ def _blend(img: np.ndarray, mask: np.ndarray, color, alpha: float) -> None:
 
 def labeling_image(rec, labels) -> np.ndarray:
     """Dimmed scene with every selected proposal tinted by its class color."""
+    if len(labels) != rec.num_proposals:
+        raise DatasetFormatError(
+            f"scene {rec.scene_id}: a sampled labeling holds {len(labels)} "
+            f"labels for {rec.num_proposals} proposals")
     img = _base(rec, DIM)
     for u, c in enumerate(labels):
         if c > 0:
@@ -54,7 +60,7 @@ def decode_image(rec, decoded) -> np.ndarray:
     img = _base(rec, DIM)
     for d in decoded:
         c = d["class_id"]
-        _blend(img, rec.pool[d["proposal_index"]],
+        _blend(img, rec.pool[decoded_index(rec, d)],
                PALETTE[(c - 1) % len(PALETTE)], LABEL_ALPHA)
     return img
 

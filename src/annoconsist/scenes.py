@@ -33,15 +33,13 @@ class DatasetFormatError(Exception):
 
 
 @dataclass
-class GroundTruthInstance:
-    class_id: int
-    mask: np.ndarray
+class Instances:
+    """One instance set of a scene (its ground truth or its seeds): mask
+    masks[i] of the (N, H, W) bool stack has the 1-based class
+    class_ids[i] of the (N,) int64 vector. N may be 0."""
 
-
-@dataclass
-class Seed:
-    class_id: int
-    mask: np.ndarray
+    class_ids: np.ndarray
+    masks: np.ndarray
 
 
 @dataclass
@@ -70,12 +68,18 @@ class Annotation:
 class PoolGeometry:
     """Pool-derived arrays reused by every inference call on a scene."""
 
-    ovl: np.ndarray  # ovl[i, l] = |i ∩ l| / |l|
+    pool: np.ndarray = field(repr=False)  # (P, H, W) bool
     boxes: list  # tight boxes, one per proposal
     _keep: dict = field(default_factory=dict, repr=False, compare=False)
     _covering: dict = field(default_factory=dict, repr=False, compare=False)
     _covering_ids: dict = field(default_factory=dict, repr=False,
                                 compare=False)
+
+    @functools.cached_property
+    def ovl(self) -> np.ndarray:
+        """ovl[i, l] = |i ∩ l| / |l|, built on first read: the box regime's
+        cut reads only the tight boxes."""
+        return overlap_fraction_matrix(self.pool)
 
     def keep_masks(self, t: float) -> list:
         """kernels.keep_masks(ovl, t), built once per threshold."""
@@ -106,10 +110,7 @@ class PoolGeometry:
 
     @staticmethod
     def from_pool(pool: np.ndarray) -> "PoolGeometry":
-        return PoolGeometry(
-            ovl=overlap_fraction_matrix(pool),
-            boxes=tight_boxes(pool),
-        )
+        return PoolGeometry(pool=pool, boxes=tight_boxes(pool))
 
 
 @dataclass
@@ -120,9 +121,9 @@ class SceneRecord:
     num_classes: int
     image: np.ndarray  # (H, W, 3) float32 in [0, 1]
     edges: np.ndarray  # (H, W) float32
-    gt: list  # of GroundTruthInstance
+    gt: Instances
     annotation: Annotation
-    seeds: list  # of Seed
+    seeds: Instances
     pool: np.ndarray  # (P, H, W) bool
     adjacency: Adjacency
     # indices of this pool's proposals in the pool it was cut from; None
@@ -151,11 +152,6 @@ def _unb64_f32(s: str, shape) -> np.ndarray:
     return arr.reshape(shape).copy()
 
 
-def _encode_masks(masks: list, h: int, w: int) -> list:
-    return rle_encode_stack(np.stack(masks) if masks
-                            else np.zeros((0, h, w), dtype=bool))
-
-
 def _decode_masks(rles: list, h: int, w: int) -> np.ndarray:
     """The (N, h, w) stack of N encodings; each must be of size h x w."""
     if not rles:
@@ -167,10 +163,14 @@ def _decode_masks(rles: list, h: int, w: int) -> np.ndarray:
     return masks
 
 
+def _instances_to_obj(inst: Instances) -> list:
+    return [{"class_id": c, "mask": m} for c, m in zip(
+        inst.class_ids.tolist(), rle_encode_stack(inst.masks))]
+
+
 def scene_to_obj(rec: SceneRecord) -> dict:
     """The record as a JSON object. The graph is written as one neighbor
     list and one weight list per proposal, each in edge order."""
-    h, w = rec.height, rec.width
     adj = rec.adjacency
     order = np.argsort(adj.edge_u, kind="stable")
     nbrs, wts = adj.edge_v[order].tolist(), adj.edge_w[order].tolist()
@@ -185,16 +185,14 @@ def scene_to_obj(rec: SceneRecord) -> dict:
         "num_classes": rec.num_classes,
         "image": _b64_f32(rec.image),
         "edges": _b64_f32(rec.edges),
-        "gt": [{"class_id": g.class_id, "mask": m} for g, m in zip(
-            rec.gt, _encode_masks([g.mask for g in rec.gt], h, w))],
+        "gt": _instances_to_obj(rec.gt),
         "annotation": {
             "presence": rec.annotation.presence.astype(int).tolist(),
             "boxes": None
             if rec.annotation.boxes is None
             else [[c, *b.as_tuple()] for c, b in rec.annotation.boxes],
         },
-        "seeds": [{"class_id": s.class_id, "mask": m} for s, m in zip(
-            rec.seeds, _encode_masks([s.mask for s in rec.seeds], h, w))],
+        "seeds": _instances_to_obj(rec.seeds),
         "pool": rle_encode_stack(rec.pool),
         "adjacency": {
             "neighbors": [nbrs[a:b] for a, b in spans],
@@ -293,10 +291,15 @@ def scene_from_obj(obj: dict) -> SceneRecord:
             raise DatasetFormatError(
                 f"annotation presence has shape {list(annotation.presence.shape)}"
                 f" for {num_classes} classes")
-        for kind, ids in (("ground-truth", [g["class_id"] for g in obj["gt"]]),
-                          ("seed", [s["class_id"] for s in obj["seeds"]]),
+        gt_ids = [g["class_id"] for g in obj["gt"]]
+        seed_ids = [s["class_id"] for s in obj["seeds"]]
+        for kind, ids in (("ground-truth", gt_ids), ("seed", seed_ids),
                           ("box", [b[0] for b in boxes or []])):
             for c in ids:
+                # an int64 stack would silently read true as class 1
+                if isinstance(c, bool):
+                    raise DatasetFormatError(
+                        f"{kind} class_id {c!r} is a bool, not an integer")
                 if not 1 <= operator.index(c) <= num_classes:
                     raise DatasetFormatError(
                         f"{kind} class_id {c} outside [1, {num_classes}]")
@@ -313,12 +316,11 @@ def scene_from_obj(obj: dict) -> SceneRecord:
             num_classes=num_classes,
             image=_unb64_f32(obj["image"], (h, w, 3)),
             edges=_unb64_f32(obj["edges"], (h, w)),
-            gt=[GroundTruthInstance(g["class_id"], m) for g, m in zip(
-                obj["gt"], _decode_masks([g["mask"] for g in obj["gt"]], h, w))],
+            gt=Instances(np.array(gt_ids, dtype=np.int64), _decode_masks(
+                [g["mask"] for g in obj["gt"]], h, w)),
             annotation=annotation,
-            seeds=[Seed(s["class_id"], m) for s, m in zip(
-                obj["seeds"], _decode_masks([s["mask"] for s in obj["seeds"]],
-                                            h, w))],
+            seeds=Instances(np.array(seed_ids, dtype=np.int64), _decode_masks(
+                [s["mask"] for s in obj["seeds"]], h, w)),
             pool=pool,
             adjacency=adjacency,
         )

@@ -57,10 +57,10 @@ def features(rec: SceneRecord) -> np.ndarray:
     for i, px in enumerate(_pixels_by_row(
             inner_boundary(rec.pool).reshape(p, h * w))):
         out[i, 6] = edges[px].mean() if px.size else 0.0
-    for j in sorted({s.class_id for s in rec.seeds}):
-        inter = np.stack([np.count_nonzero(flat & s.mask.reshape(h * w),
-                                           axis=1)
-                          for s in rec.seeds if s.class_id == j])
+    seeds = rec.seeds
+    for j in sorted(set(seeds.class_ids.tolist())):
+        rows = seeds.masks[seeds.class_ids == j].reshape(-1, 1, h * w)
+        inter = np.count_nonzero(flat & rows, axis=2)
         out[:, 7 + j - 1] = (inter / area).max(axis=0)
     out[:, d - 1] = 1.0
     rec._features = out

@@ -16,7 +16,7 @@ import numpy as np
 
 from .adjacency import build_adjacency
 from .masks import dilate, erode, inner_boundary, stack_pool, tight_boxes
-from .scenes import Annotation, GroundTruthInstance, SceneRecord, Seed
+from .scenes import Annotation, Instances, SceneRecord
 
 # class colors; background is gray
 PALETTE = np.array(
@@ -200,27 +200,28 @@ def _grow_seed(rng, mask: np.ndarray, fraction: float) -> np.ndarray:
 _SCENE_RETRIES = 32
 
 
-def _place_objects(cfg: SceneConfig, rng) -> list:
+def _place_objects(cfg: SceneConfig, rng) -> Instances:
     n_obj = int(rng.integers(cfg.min_objects, cfg.max_objects + 1))
-    gt = []
+    class_ids, masks = [], []
     for _ in range(n_obj):
         class_id = int(rng.integers(1, cfg.num_classes + 1))
         for _attempt in range(cfg.max_place_attempts):
             mask = _draw_shape(rng, cfg)
             inter_ok = all(
-                (np.count_nonzero(mask & g.mask) / np.count_nonzero(mask | g.mask))
+                (np.count_nonzero(mask & m) / np.count_nonzero(mask | m))
                 <= cfg.max_overlap_iou
-                for g in gt
+                for m in masks
             )
             if inter_ok:
-                gt.append(GroundTruthInstance(class_id, mask))
+                class_ids.append(class_id)
+                masks.append(mask)
                 break
         else:
             raise PlacementError(
-                f"could not place object {len(gt) + 1} after "
+                f"could not place object {len(masks) + 1} after "
                 f"{cfg.max_place_attempts} attempts"
             )
-    return gt
+    return Instances(np.array(class_ids, dtype=np.int64), np.stack(masks))
 
 
 def gen_scene(cfg: SceneConfig, seed: int, scene_id: int = 0) -> SceneRecord:
@@ -249,10 +250,10 @@ def gen_scene(cfg: SceneConfig, seed: int, scene_id: int = 0) -> SceneRecord:
     image = np.empty((h, w, 3), dtype=np.float32)
     image[:] = BACKGROUND
     edges = np.zeros((h, w), dtype=np.float32)
-    gt_masks = np.stack([g.mask for g in gt])
-    for g in gt:
-        image[g.mask] = PALETTE[g.class_id - 1]
-    edges[inner_boundary(gt_masks).any(axis=0)] = 1.0
+    class_ids = gt.class_ids.tolist()
+    for c, mask in zip(class_ids, gt.masks):
+        image[mask] = PALETTE[c - 1]
+    edges[inner_boundary(gt.masks).any(axis=0)] = 1.0
     image += rng.normal(0.0, cfg.color_noise, size=image.shape).astype(np.float32)
     np.clip(image, 0.0, 1.0, out=image)
 
@@ -264,13 +265,11 @@ def gen_scene(cfg: SceneConfig, seed: int, scene_id: int = 0) -> SceneRecord:
         np.clip(edges, 0.0, 1.0, out=edges)
 
     presence = np.zeros(cfg.num_classes, dtype=np.int8)
-    boxes = []
-    seeds = []
-    for g, box in zip(gt, tight_boxes(gt_masks)):
-        presence[g.class_id - 1] = 1
-        boxes.append((g.class_id, box))
-        frac = rng.uniform(*cfg.seed_fraction)
-        seeds.append(Seed(g.class_id, _grow_seed(rng, g.mask, frac)))
+    presence[gt.class_ids - 1] = 1
+    # each instance's seed, grown to a fraction drawn in instance order
+    seeds = Instances(gt.class_ids, np.stack([
+        _grow_seed(rng, mask, rng.uniform(*cfg.seed_fraction))
+        for mask in gt.masks]))
 
     empty_pool = np.zeros((0, h, w), dtype=bool)
     return SceneRecord(
@@ -281,7 +280,8 @@ def gen_scene(cfg: SceneConfig, seed: int, scene_id: int = 0) -> SceneRecord:
         image=image,
         edges=edges,
         gt=gt,
-        annotation=Annotation(presence=presence, boxes=boxes),
+        annotation=Annotation(presence=presence, boxes=list(
+            zip(class_ids, tight_boxes(gt.masks)))),
         seeds=seeds,
         pool=empty_pool,
         adjacency=build_adjacency(empty_pool, edges),
@@ -317,18 +317,17 @@ def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneReco
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, rec.scene_id, 0xB0B)))
     candidates = []
-    gt_masks = np.array([g.mask for g in rec.gt], dtype=bool).reshape(
-        -1, rec.height, rec.width)
+    gt_masks = rec.gt.masks
     cores = erode(gt_masks, cfg.erode_px)
     grown = dilate(gt_masks, cfg.dilate_px) if cfg.dilate_variant else None
-    for i, (g, own_seed) in enumerate(zip(rec.gt, rec.seeds)):
+    for i, (mask, own_seed) in enumerate(zip(gt_masks, rec.seeds.masks)):
         if cfg.include_gt:
-            candidates.append(g.mask)
+            candidates.append(mask)
         core = cores[i]
         if core.any():
             candidates.append(core)
-            if (own_seed.mask & core).any():
-                sy, sx = np.nonzero(own_seed.mask & core)
+            if (own_seed & core).any():
+                sy, sx = np.nonzero(own_seed & core)
             else:
                 sy, sx = np.nonzero(core)
             pivot = (sy.mean(), sx.mean())
@@ -341,11 +340,9 @@ def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneReco
         if cfg.shift_variant:
             dy = int(rng.integers(-cfg.shift_px, cfg.shift_px + 1))
             dx = int(rng.integers(-cfg.shift_px, cfg.shift_px + 1))
-            candidates.append(_shift_mask(g.mask, dy, dx))
+            candidates.append(_shift_mask(mask, dy, dx))
 
-    gt_union = np.zeros((rec.height, rec.width), dtype=bool)
-    for g in rec.gt:
-        gt_union |= g.mask
+    gt_union = gt_masks.any(axis=0)
     if cfg.distractor_count > 0:
         placed = 0
         dcfg = SceneConfig(
@@ -375,9 +372,7 @@ def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneReco
         seen.add(key)
         kept.append(m)
     if cfg.seed_filter:
-        seed_union = np.zeros((rec.height, rec.width), dtype=bool)
-        for s in rec.seeds:
-            seed_union |= s.mask
+        seed_union = rec.seeds.masks.any(axis=0)
         kept = [m for m in kept if (m & seed_union).any()]
     kept = kept[: cfg.p_target]
     if not kept:

@@ -34,7 +34,7 @@ from .condnet import (
     sample_k,
 )
 from .disco import div_cc, div_pc, div_pp
-from .evaluate import DEFAULT_THRESHOLDS, EvalResult, evaluate_predictions, map_at
+from .evaluate import EvalResult, evaluate_predictions, map_at
 from .loss import LossConfig, cost_row
 from .prednet import PredParams, argmax_labeling, decode, pred_init, predict
 from .scenes import rebuild_with_pool
@@ -124,20 +124,19 @@ def seed_labeling(rec) -> np.ndarray:
     the seed, and raw seed IoU would favor shrunken masks; weighting
     coverage by boundary alignment singles out masks whose outline
     follows image evidence. Ties keep the lowest proposal index."""
-    labels = np.zeros(rec.num_proposals, dtype=np.int64)
+    p = rec.num_proposals
+    labels = np.zeros(p, dtype=np.int64)
     ring_edge = features(rec)[:, 6]  # the scorer's boundary_edge column
-    for s in rec.seeds:
-        seed_area = float(np.count_nonzero(s.mask))
+    flat = rec.pool.reshape(p, -1)
+    for c, mask in zip(rec.seeds.class_ids.tolist(), rec.seeds.masks):
+        seed_area = float(np.count_nonzero(mask))
         if seed_area == 0.0:
             continue
-        best_score, best_u = 0.0, -1
-        for u in range(rec.num_proposals):
-            cover = np.count_nonzero(s.mask & rec.pool[u]) / seed_area
-            score = cover * (0.05 + ring_edge[u])
-            if score > best_score:
-                best_score, best_u = score, u
-        if best_u >= 0:
-            labels[best_u] = s.class_id
+        cover = np.count_nonzero(flat & mask.reshape(-1), axis=1) / seed_area
+        score = cover * (0.05 + ring_edge)
+        u = int(np.argmax(score))
+        if score[u] > 0.0:
+            labels[u] = c
     return labels
 
 
@@ -477,9 +476,8 @@ def _require_samples(used, phase, outer, epoch):
                             f"{outer}.{epoch}")
 
 
-def evaluate_params(pred_params: PredParams, records: list,
-                    thresholds=DEFAULT_THRESHOLDS, decode_thresh: float = 0.7,
-                    decode_nms: float = 0.5) -> EvalResult:
+def evaluate_params(pred_params: PredParams, records: list, thresholds,
+                    decode_thresh: float, decode_nms: float) -> EvalResult:
     """Decode every scene with the predictor and score against ground truth."""
     preds_by_scene = {
         rec.scene_id: decode(predict(pred_params, rec), rec, decode_thresh,

@@ -2,7 +2,7 @@ import numpy as np
 
 from annoconsist.adjacency import build_adjacency
 from annoconsist.masks import stack_pool
-from annoconsist.scenes import Annotation, SceneRecord
+from annoconsist.scenes import Annotation, Instances, SceneRecord
 
 
 def make_record(masks, present_classes, num_classes=3, size=None, edges=None,
@@ -11,6 +11,7 @@ def make_record(masks, present_classes, num_classes=3, size=None, edges=None,
 
     masks: list of (H, W) bool arrays forming the pool.
     present_classes: iterable of annotated class ids.
+    seeds, gt: Instances; each defaults to the empty set.
     """
     pool = stack_pool(masks)
     h, w = pool.shape[1:] if pool.size else (size or (16, 16))
@@ -30,9 +31,9 @@ def make_record(masks, present_classes, num_classes=3, size=None, edges=None,
         num_classes=num_classes,
         image=image,
         edges=edges,
-        gt=gt or [],
+        gt=gt if gt is not None else instances([], (h, w)),
         annotation=Annotation(presence=presence, boxes=boxes),
-        seeds=seeds or [],
+        seeds=seeds if seeds is not None else instances([], (h, w)),
         pool=pool,
         adjacency=build_adjacency(pool, edges),
     )
@@ -43,3 +44,11 @@ def rect_mask(h, w, y0, y1, x0, x1):
     m = np.zeros((h, w), dtype=bool)
     m[y0:y1, x0:x1] = True
     return m
+
+
+def instances(pairs, size):
+    """The Instances of (class_id, mask) pairs on an (H, W) frame."""
+    h, w = size
+    return Instances(
+        np.array([c for c, _ in pairs], dtype=np.int64),
+        np.array([m for _, m in pairs], dtype=bool).reshape(-1, h, w))

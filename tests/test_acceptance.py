@@ -478,9 +478,9 @@ def test_metric_reports_perfect_predictions_and_hand_curve(reference_run):
     for rec in reference_run.heldout:
         gts[rec.scene_id] = rec.gt
         preds[rec.scene_id] = [
-            InstancePrediction(proposal_index=-1, class_id=g.class_id,
-                               confidence=1.0, mask=g.mask.copy())
-            for g in rec.gt
+            InstancePrediction(proposal_index=-1, class_id=c,
+                               confidence=1.0, mask=g.copy())
+            for c, g in zip(rec.gt.class_ids.tolist(), rec.gt.masks)
         ]
     ev = evaluate_predictions(preds, gts, DEFAULT_THRESHOLDS)
     for t in DEFAULT_THRESHOLDS:

@@ -500,12 +500,19 @@ def _unmark_a_boxed_class(obj):
     (lambda o: _set_presence(o, 0.5), "an entry other than the int 0 or 1"),
     (lambda o: _set_presence(o, True), "an entry other than the int 0 or 1"),
     (_unmark_a_boxed_class, "which the annotation does not mark present"),
+    (lambda o: o["gt"][0].update(class_id=True),
+     "ground-truth class_id True is a bool"),
+    (lambda o: o["seeds"][0].update(class_id=True),
+     "seed class_id True is a bool"),
+    (lambda o: o["annotation"]["boxes"][0].__setitem__(0, True),
+     "box class_id True is a bool"),
 ], ids=["seed-class", "gt-class", "box-class", "presence-length",
         "one-sided-edge", "neighbor-twice", "mirror-weight",
         "negative-weight", "infinite-weight", "nan-weight", "float-id",
         "negative-id", "string-id", "bool-id", "presence-two",
         "presence-negative", "presence-half", "presence-bool",
-        "box-of-absent-class"])
+        "box-of-absent-class", "gt-class-bool", "seed-class-bool",
+        "box-class-bool"])
 def test_class_ids_and_graph_are_checked_at_load(tmp_path, pipeline,
                                                  tiny_config_path, capsys,
                                                  edit, message):
@@ -748,6 +755,52 @@ def test_eval_rejects_malformed_predictions(tmp_path, pipeline, capsys):
     assert run(["eval", "--pred", str(bad), "--data",
                 pipeline["data"]]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def _decode_index(value):
+    def edit(final, p):
+        final["decode"] = [{"proposal_index": value, "class_id": 1,
+                            "confidence": 0.9}]
+    return edit
+
+
+def _labeling_of(extra):
+    def edit(final, p):
+        final["samples"] = [[0] * (p + extra)]
+    return edit
+
+
+_BAD_INDICES = [("index-negative", -1), ("index-past-pool", 10**6),
+                ("index-float", 1.5), ("index-string", "x"),
+                ("index-bool", True)]
+
+
+@pytest.mark.parametrize("cmd, edit", [
+    *[(cmd, _decode_index(v)) for cmd in ("eval", "render")
+      for _, v in _BAD_INDICES],
+    ("render", _labeling_of(1)),
+    ("render", _labeling_of(-1)),
+    ("render", lambda final, p: final["samples"].append([0, 0])),
+], ids=[*[f"{cmd}-{name}" for cmd in ("eval", "render")
+          for name, _ in _BAD_INDICES],
+        "render-labeling-too-long", "render-labeling-too-short",
+        "render-labeling-of-two"])
+def test_eval_and_render_reject_malformed_predictions(tmp_path, pipeline,
+                                                      capsys, cmd, edit):
+    with open(pipeline["preds"]) as fh:
+        obj = json.load(fh)
+    sid = obj["scenes"][0]["scene_id"]
+    p = {rec.scene_id: rec.num_proposals
+         for rec in load_dataset(os.path.join(pipeline["data"],
+                                              "eval.jsonl"))}[sid]
+    edit(obj["scenes"][0]["final"], p)
+    bad = tmp_path / "preds.json"
+    bad.write_text(json.dumps(obj))
+    args = [cmd, "--pred", str(bad), "--data", pipeline["data"]]
+    if cmd == "render":
+        args += ["--out", str(tmp_path / "panels")]
+    assert run(args) == EXIT_USAGE
+    assert f"error: scene {sid}: " in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_three(tmp_path, capsys):

@@ -200,6 +200,16 @@ def test_shipped_reference_and_smoke_configs_parse(tmp_path):
     ("proposal", "distractor_count", -1),
     ("proposal", "min_area", -1),
     ("train", "noise_dim", -1),
+    # a list entry takes the type of the default's entries
+    ("proposal", "distractor_extent", [6.5, 11]),
+    ("proposal", "distractor_extent", [6, True]),
+    ("eval", "thresholds", [True, 0.5]),
+    ("eval", "thresholds", [0.5, "0.7"]),
+    ("eval", "thresholds", [[0.5]]),
+    ("scene", "seed_fraction", [0.25, None]),
+    ("scene", "seed_fraction", [[0.25], 0.45]),
+    ("scene", "shape_families", ["rect", 1]),
+    ("scene", "shape_families", [["rect"]]),
 ])
 def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     with pytest.raises(ConfigError, match=f"{section}: {key}"):
@@ -236,6 +246,9 @@ def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     ("proposal", "distractor_count", 0),
     ("proposal", "min_area", 0),
     ("train", "noise_dim", 0),
+    # an int entry fits a list of floats
+    ("scene", "seed_fraction", (0, 1)),
+    ("eval", "thresholds", (1, 0.5)),
 ])
 def test_range_endpoints_are_accepted(section, key, value):
     cfg = config_from_obj({section: {key: value}})
@@ -431,4 +444,4 @@ def test_drawing_fields_load_and_draw_or_are_rejected(fields, seed):
         except (PlacementError, EmptyPoolError):
             return
     assert rec.num_proposals >= 1
-    assert all(g.mask.any() for g in rec.gt)
+    assert rec.gt.masks.any(axis=(1, 2)).all()

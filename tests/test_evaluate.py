@@ -9,7 +9,7 @@ from annoconsist.evaluate import (
 )
 from annoconsist.masks import mask_iou
 from annoconsist.prednet import InstancePrediction
-from annoconsist.scenes import GroundTruthInstance
+from annoconsist.scenes import Instances
 
 from conftest import rect_mask
 from oracles import summary
@@ -20,8 +20,10 @@ def _pred(mask, class_id=1, confidence=0.9, index=0):
                               confidence=confidence, mask=mask)
 
 
-def _gt(mask, class_id=1):
-    return GroundTruthInstance(class_id=class_id, mask=mask)
+def _gt(masks, class_ids=None):
+    """A scene's ground truth: the masks, all of class 1 unless given."""
+    ids = [1] * len(masks) if class_ids is None else class_ids
+    return Instances(np.array(ids, dtype=np.int64), np.stack(masks))
 
 
 def test_ap_single_true_positive_is_one():
@@ -81,7 +83,7 @@ def test_ap_matches_independent_oracle_on_random_flag_vectors():
 
 def _one_object_scene():
     gt_mask = rect_mask(16, 16, 2, 10, 2, 10)
-    return {0: [_gt(gt_mask)]}, gt_mask
+    return {0: _gt([gt_mask])}, gt_mask
 
 
 def test_perfect_predictions_score_one_at_every_default_threshold():
@@ -111,7 +113,7 @@ def test_map_is_monotone_non_increasing_in_threshold():
     for sid in range(4):
         g1 = rect_mask(20, 20, 1, 9, 1, 9)
         g2 = rect_mask(20, 20, 11, 19, 11, 19)
-        gts[sid] = [_gt(g1, 1), _gt(g2, 2)]
+        gts[sid] = _gt([g1, g2], [1, 2])
         dy, dx = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         p1 = rect_mask(20, 20, 1 + dy, 9 + dy, 1 + dx, 9 + dx)
         p2 = rect_mask(20, 20, 11, 19 - int(rng.integers(0, 5)), 11, 19)
@@ -124,8 +126,8 @@ def test_map_is_monotone_non_increasing_in_threshold():
 
 def test_evaluation_invariant_to_monotone_confidence_rescale():
     rng = np.random.default_rng(33)
-    gts = {0: [_gt(rect_mask(16, 16, 0, 8, 0, 8), 1),
-               _gt(rect_mask(16, 16, 8, 16, 8, 16), 1)]}
+    gts = {0: _gt([rect_mask(16, 16, 0, 8, 0, 8),
+                   rect_mask(16, 16, 8, 16, 8, 16)])}
     masks = [rect_mask(16, 16, 0, 8, 0, 8),
              rect_mask(16, 16, 8, 16, 8, 16),
              rect_mask(16, 16, 4, 12, 4, 12)]
@@ -153,7 +155,7 @@ def test_each_ground_truth_matches_at_most_once():
 
 def test_matching_is_scene_local_and_class_local():
     m = rect_mask(16, 16, 0, 8, 0, 8)
-    gts = {0: [_gt(m, 1)], 1: [_gt(m, 2)]}
+    gts = {0: _gt([m], [1]), 1: _gt([m], [2])}
     # right mask, wrong scene or wrong class: both are false positives
     preds = {1: [_pred(m, 1, 0.9)], 0: [_pred(m, 2, 0.9)]}
     res = evaluate_predictions(preds, gts, (0.5,))
@@ -186,7 +188,7 @@ def test_brute_force_matching_oracle_on_small_random_instances():
             y = int(rng.integers(0, 10))
             x = int(rng.integers(0, 10))
             gt_masks.append(rect_mask(20, 20, y, y + 8, x, x + 8))
-        gts = {0: [_gt(m, 1) for m in gt_masks]}
+        gts = {0: _gt(gt_masks)}
         n_pred = int(rng.integers(1, 6))
         preds = []
         for i in range(n_pred):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from annoconsist.masks import Box
+from annoconsist import kernels
+from annoconsist.condnet import InferenceConfig
+from annoconsist.masks import Box, overlap_fraction_matrix
 from annoconsist.scenes import (
     Annotation,
     DatasetFormatError,
-    GroundTruthInstance,
-    Seed,
+    Instances,
     iter_dataset,
     load_dataset,
     rebuild_with_pool,
@@ -17,8 +18,9 @@ from annoconsist.scenes import (
 from annoconsist.scorer import features
 from annoconsist.synthgen import (ProposalConfig, SceneConfig, gen_proposals,
                                   make_scene)
+from annoconsist.train import TrainConfig, prepare_scene
 
-from conftest import make_record, rect_mask
+from conftest import instances, make_record, rect_mask
 from oracles import num_edges
 
 
@@ -28,9 +30,9 @@ def _sample_record():
              rect_mask(16, 16, 10, 15, 1, 6)]
     edges = rng.random((16, 16)).astype(np.float32)
     image = rng.random((16, 16, 3)).astype(np.float32)
-    gt = [GroundTruthInstance(1, masks[0]), GroundTruthInstance(2, masks[2])]
-    seeds = [Seed(1, rect_mask(16, 16, 4, 6, 4, 6)),
-             Seed(2, rect_mask(16, 16, 11, 13, 2, 4))]
+    gt = instances([(1, masks[0]), (2, masks[2])], (16, 16))
+    seeds = instances([(1, rect_mask(16, 16, 4, 6, 4, 6)),
+                       (2, rect_mask(16, 16, 11, 13, 2, 4))], (16, 16))
     return make_record(masks, [1, 2], edges=edges, image=image, seeds=seeds,
                        gt=gt, boxes=[(1, Box(2, 2, 7, 7)), (2, Box(1, 10, 5, 14))],
                        scene_id=17)
@@ -48,14 +50,12 @@ def _assert_records_equal(a, b):
     else:
         assert [(c, box.as_tuple()) for c, box in a.annotation.boxes] == [
             (c, box.as_tuple()) for c, box in b.annotation.boxes]
-    assert len(a.gt) == len(b.gt)
-    for ga, gb in zip(a.gt, b.gt):
-        assert ga.class_id == gb.class_id
-        np.testing.assert_array_equal(ga.mask, gb.mask)
-    assert len(a.seeds) == len(b.seeds)
-    for sa, sb in zip(a.seeds, b.seeds):
-        assert sa.class_id == sb.class_id
-        np.testing.assert_array_equal(sa.mask, sb.mask)
+    for ia, ib in ((a.gt, b.gt), (a.seeds, b.seeds)):
+        assert isinstance(ib, Instances)
+        assert ib.class_ids.dtype == np.int64 and ib.masks.dtype == np.bool_
+        np.testing.assert_array_equal(ia.class_ids, ib.class_ids)
+        assert ia.masks.shape == ib.masks.shape
+        np.testing.assert_array_equal(ia.masks, ib.masks)
     assert num_edges(a.adjacency) == num_edges(b.adjacency)
     for name in ("edge_u", "edge_v", "edge_w"):
         np.testing.assert_array_equal(getattr(a.adjacency, name),
@@ -176,3 +176,22 @@ def test_new_pools_do_not_inherit_the_caches_of_the_old_one():
     assert again._geom is None and again._features is None
     assert again.pool_index is None
     assert again.pool.tobytes() == rec.pool.tobytes()
+
+
+def test_covering_on_a_fresh_geometry_does_not_build_the_overlap_matrix():
+    rec = make_scene(SceneConfig(), ProposalConfig(), seed=11, scene_id=0)
+    geom = rec.geometry()
+    for _, box in rec.annotation.boxes:
+        assert geom.covering(box, 0.5).any()
+        geom.covering_ids(box, 0.5)
+    assert "ovl" not in vars(geom)
+    # the box regime's cut reads the full pool's tight boxes only
+    assert prepare_scene(rec, TrainConfig(supervision="box"),
+                         InferenceConfig()) is not None
+    assert rec._geom is geom and "ovl" not in vars(geom)
+    # built on first read, then kept
+    ovl = geom.ovl
+    assert vars(geom)["ovl"] is ovl and geom.ovl is ovl
+    assert ovl.tobytes() == overlap_fraction_matrix(rec.pool).tobytes()
+    assert geom.keep_masks(0.5) == kernels.keep_masks(ovl, 0.5)
+    assert geom.keep_masks(0.5) is geom.keep_masks(0.5)

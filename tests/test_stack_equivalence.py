@@ -1,8 +1,10 @@
-"""The stacked mask code against the per-mask, per-proposal and per-pair
-loops it replaced, kept here as oracles. Every comparison is on bytes."""
+"""The stacked mask code against the per-mask, per-proposal, per-pair
+and per-instance loops it replaced, kept here as oracles. Every
+comparison is on bytes."""
 
 import json
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,26 +24,30 @@ from annoconsist.masks import (
 )
 from annoconsist.scenes import (
     Annotation,
+    Instances,
     PoolGeometry,
     SceneRecord,
-    Seed,
     rebuild_with_pool,
     scene_from_obj,
     scene_to_obj,
 )
 from annoconsist.scorer import feature_dim, features
 from annoconsist.synthgen import (
+    DISTRACTOR_MARGIN,
+    EmptyPoolError,
     ProposalConfig,
     SceneConfig,
     _draw_shape,
     _grow_seed,
+    _shift_mask,
     _split_parts,
+    gen_proposals,
     gen_scene,
     make_scene,
 )
-from annoconsist.train import TrainConfig, prepare_scene
+from annoconsist.train import TrainConfig, prepare_scene, seed_labeling
 
-from conftest import make_record
+from conftest import instances, make_record
 from oracles import rle_decode, rle_encode, tight_box
 
 # ---------------------------------------------------------------- oracles
@@ -152,14 +158,20 @@ def old_edge_arrays(neighbors, weights):
             np.array(ew, dtype=np.float64))
 
 
+def per_instance(inst):
+    """An instance set as the per-instance (class_id, mask) list that
+    records held before the stacks."""
+    return list(zip(inst.class_ids.tolist(), inst.masks))
+
+
 def old_features(rec):
     p = rec.num_proposals
     d = feature_dim(rec.num_classes)
     out = np.zeros((p, d), dtype=np.float64)
     hw = rec.height * rec.width
     seeds_by_class = {}
-    for s in rec.seeds:
-        seeds_by_class.setdefault(s.class_id, []).append(s.mask)
+    for class_id, mask in per_instance(rec.seeds):
+        seeds_by_class.setdefault(class_id, []).append(mask)
     for i in range(p):
         m = rec.pool[i]
         ys, xs = np.nonzero(m)
@@ -175,6 +187,82 @@ def old_features(rec):
             out[i, 7 + j - 1] = best
         out[i, d - 1] = 1.0
     return out
+
+
+def old_seed_labeling(rec):
+    labels = np.zeros(rec.num_proposals, dtype=np.int64)
+    ring_edge = features(rec)[:, 6]
+    for class_id, mask in per_instance(rec.seeds):
+        seed_area = float(np.count_nonzero(mask))
+        if seed_area == 0.0:
+            continue
+        best_score, best_u = 0.0, -1
+        for u in range(rec.num_proposals):
+            cover = np.count_nonzero(mask & rec.pool[u]) / seed_area
+            score = cover * (0.05 + ring_edge[u])
+            if score > best_score:
+                best_score, best_u = score, u
+        if best_u >= 0:
+            labels[best_u] = class_id
+    return labels
+
+
+def old_gen_proposals(rec, cfg, seed):
+    """gen_proposals' pool from per-instance lists, per-mask morphology
+    and OR-loop unions; raises EmptyPoolError as it does."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence((seed, rec.scene_id, 0xB0B)))
+    gt, seeds = per_instance(rec.gt), per_instance(rec.seeds)
+    candidates = []
+    for (_, mask), (_, own_seed) in zip(gt, seeds):
+        if cfg.include_gt:
+            candidates.append(mask)
+        core = old_erode(mask, cfg.erode_px)
+        if core.any():
+            candidates.append(core)
+            touch = own_seed & core
+            sy, sx = np.nonzero(touch if touch.any() else core)
+            pivot = (sy.mean(), sx.mean())
+            for _ in range(cfg.splits):
+                candidates.extend(
+                    _split_parts(core, pivot, rng.uniform(0.0, np.pi)))
+        if cfg.dilate_variant:
+            candidates.append(old_dilate(mask, cfg.dilate_px))
+        if cfg.shift_variant:
+            dy = int(rng.integers(-cfg.shift_px, cfg.shift_px + 1))
+            dx = int(rng.integers(-cfg.shift_px, cfg.shift_px + 1))
+            candidates.append(_shift_mask(mask, dy, dx))
+    gt_union = np.zeros((rec.height, rec.width), dtype=bool)
+    for _, mask in gt:
+        gt_union |= mask
+    if cfg.distractor_count > 0:
+        dcfg = SceneConfig(height=rec.height, width=rec.width,
+                           num_classes=rec.num_classes,
+                           min_extent=cfg.distractor_extent[0],
+                           max_extent=cfg.distractor_extent[1],
+                           margin=DISTRACTOR_MARGIN)
+        placed = 0
+        for _ in range(cfg.distractor_count * 20):
+            if placed >= cfg.distractor_count:
+                break
+            blob = _draw_shape(rng, dcfg)
+            if np.count_nonzero(blob & gt_union) / np.count_nonzero(blob) <= 0.25:
+                candidates.append(blob)
+                placed += 1
+    kept, seen = [], set()
+    for m in candidates:
+        if np.count_nonzero(m) >= cfg.min_area and m.tobytes() not in seen:
+            seen.add(m.tobytes())
+            kept.append(m)
+    if cfg.seed_filter:
+        seed_union = np.zeros((rec.height, rec.width), dtype=bool)
+        for _, mask in seeds:
+            seed_union |= mask
+        kept = [m for m in kept if (m & seed_union).any()]
+    kept = kept[:cfg.p_target]
+    if not kept:
+        raise EmptyPoolError("no proposals survived")
+    return np.stack(kept)
 
 
 def old_grow_seed(mask, fraction):
@@ -265,10 +353,9 @@ def random_record(pool, rng, num_classes=3, n_seeds=2):
     p, h, w = pool.shape
     edges = rng.random((h, w)).astype(np.float32)
     image = rng.random((h, w, 3)).astype(np.float32)
-    seeds = []
-    for _ in range(n_seeds):
-        seeds.append(Seed(int(rng.integers(1, num_classes + 1)),
-                          rng.random((h, w)) < 0.4))
+    seeds = instances([(int(rng.integers(1, num_classes + 1)),
+                        rng.random((h, w)) < 0.4) for _ in range(n_seeds)],
+                      (h, w))
     return make_record(list(pool), [1], num_classes=num_classes,
                        size=(h, w), edges=edges, image=image, seeds=seeds)
 
@@ -285,9 +372,9 @@ def serialized_graph(pool, adjacency):
     rec = SceneRecord(
         scene_id=0, width=w, height=h, num_classes=1,
         image=np.zeros((h, w, 3), dtype=np.float32),
-        edges=np.zeros((h, w), dtype=np.float32), gt=[],
+        edges=np.zeros((h, w), dtype=np.float32), gt=instances([], (h, w)),
         annotation=Annotation(presence=np.zeros(1, dtype=np.int8)),
-        seeds=[], pool=pool, adjacency=adjacency)
+        seeds=instances([], (h, w)), pool=pool, adjacency=adjacency)
     return json.dumps(scene_to_obj(rec)["adjacency"])
 
 
@@ -497,3 +584,117 @@ def test_grow_seed_equals_the_coordinate_walk(pool, fraction):
     got = _grow_seed(None, mask, fraction)
     assert got.dtype == np.bool_
     assert got.tobytes() == old_grow_seed(mask, fraction).tobytes()
+
+
+# ---------------------------------------------------------- instance sets
+
+
+@st.composite
+def instance_sets(draw, h, w, max_n=3):
+    """An Instances on an (h, w) frame, possibly empty: rectangles of any
+    size, some touching the border, and noise blobs, some empty."""
+    n = draw(st.integers(0, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = []
+    for _ in range(n):
+        mask = np.zeros((h, w), dtype=bool)
+        if rng.random() < 0.7:
+            y0, x0 = rng.integers(0, h), rng.integers(0, w)
+            mask[y0:rng.integers(y0, h) + 1, x0:rng.integers(x0, w) + 1] = True
+        else:
+            mask = rng.random((h, w)) < rng.random()
+        pairs.append((int(rng.integers(1, 4)), mask))
+    return instances(pairs, (h, w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_empty_and_drawn_instance_sets_roundtrip(data):
+    rec = generated_records()[0]
+    h, w = rec.height, rec.width
+    rec = replace(rec, gt=data.draw(instance_sets(h, w)),
+                  seeds=data.draw(instance_sets(h, w)))
+    obj = scene_to_obj(rec)
+    assert [g["class_id"] for g in obj["gt"]] == rec.gt.class_ids.tolist()
+    loaded = scene_from_obj(obj)
+    for a, b in ((rec.gt, loaded.gt), (rec.seeds, loaded.seeds)):
+        assert b.class_ids.dtype == np.int64 and b.masks.dtype == np.bool_
+        assert b.masks.shape == a.masks.shape
+        assert a.class_ids.tobytes() == b.class_ids.tobytes()
+        assert a.masks.tobytes() == b.masks.tobytes()
+    assert json.dumps(scene_to_obj(loaded)) == json.dumps(obj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks(min_p=1), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_seed_labeling_equals_the_per_seed_loop(pool, seed, n_seeds):
+    pool = nonempty_rows(pool)
+    if not len(pool):
+        return
+    rec = random_record(pool, np.random.default_rng(seed), n_seeds=n_seeds)
+    assert seed_labeling(rec).tobytes() == old_seed_labeling(rec).tobytes()
+
+
+def test_seed_labeling_equals_the_per_seed_loop_on_generated_records():
+    labeled = 0
+    for rec in generated_records():
+        if not rec.num_proposals:
+            continue
+        got = seed_labeling(rec)
+        assert got.tobytes() == old_seed_labeling(rec).tobytes()
+        labeled += int(got.any())
+    assert labeled > 0
+
+
+def test_seed_labeling_ties_and_zero_scores():
+    # two identical proposals tie, so the lower index is labeled; a seed
+    # that no proposal touches labels nothing
+    block = np.zeros((6, 6), dtype=bool)
+    block[1:4, 1:4] = True
+    far, corner = np.zeros((2, 6, 6), dtype=bool)
+    far[5, 5] = corner[0, 0] = True
+    seeds = instances([(2, block), (3, corner)], (6, 6))
+    rec = make_record([far, block, block], [2, 3], size=(6, 6), seeds=seeds)
+    assert seed_labeling(rec).tolist() == [0, 2, 0]
+    assert old_seed_labeling(rec).tolist() == [0, 2, 0]
+
+
+def _proposal_configs():
+    return [ProposalConfig(), ProposalConfig(seed_filter=False),
+            ProposalConfig(include_gt=False, dilate_variant=False,
+                           distractor_count=5),
+            ProposalConfig(distractor_count=0, splits=0, shift_variant=False)]
+
+
+def _assert_same_pool(rec, cfg, seed):
+    try:
+        want = old_gen_proposals(rec, cfg, seed)
+    except EmptyPoolError:
+        try:
+            gen_proposals(rec, cfg, seed)
+        except EmptyPoolError:
+            return 0
+        raise AssertionError("the per-instance loops left no proposal")
+    got = gen_proposals(rec, cfg, seed).pool
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return 1
+
+
+def test_gen_proposals_equals_the_per_instance_loops_on_generated_scenes():
+    for seed in range(4):
+        rec = gen_scene(SceneConfig(), seed, seed)
+        for cfg in _proposal_configs():
+            assert _assert_same_pool(rec, cfg, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(0, 2**16), st.sampled_from(_proposal_configs()))
+def test_gen_proposals_equals_the_per_instance_loops(data, seed, cfg):
+    # gt and seed sets drawn apart, so either may be empty, and they may
+    # differ in length
+    rec = gen_scene(SceneConfig(height=24, width=20, min_extent=4,
+                                max_extent=12), seed, seed)
+    h, w = rec.height, rec.width
+    rec = replace(rec, gt=data.draw(instance_sets(h, w)),
+                  seeds=data.draw(instance_sets(h, w)))
+    _assert_same_pool(rec, cfg, seed)

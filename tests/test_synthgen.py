@@ -38,35 +38,41 @@ def test_scene_invariants_over_many_seeds():
     cfg = SceneConfig()
     for seed in range(12):
         rec = gen_scene(cfg, seed=seed, scene_id=seed)
-        assert 1 <= len(rec.gt) <= cfg.max_objects
-        assert len(rec.seeds) == len(rec.gt)
+        n = rec.gt.class_ids.size
+        assert 1 <= n <= cfg.max_objects
+        assert rec.gt.class_ids.dtype == np.int64
+        assert rec.gt.masks.shape == (n, cfg.height, cfg.width)
+        assert rec.seeds.masks.shape == rec.gt.masks.shape
+        # each seed has its instance's class
+        np.testing.assert_array_equal(rec.seeds.class_ids, rec.gt.class_ids)
         union = np.zeros((cfg.height, cfg.width), dtype=bool)
         present = set()
-        for g, s in zip(rec.gt, rec.seeds):
+        for c, g, s in zip(rec.gt.class_ids.tolist(), rec.gt.masks,
+                           rec.seeds.masks):
             # zero-overlap placement
-            assert not (g.mask & union).any()
-            union |= g.mask
+            assert not (g & union).any()
+            union |= g
             # seed is inside its instance and within the configured fraction
-            assert s.class_id == g.class_id
-            assert (s.mask & ~g.mask).sum() == 0
-            frac = s.mask.sum() / g.mask.sum()
+            assert (s & ~g).sum() == 0
+            frac = s.sum() / g.sum()
             assert cfg.seed_fraction[0] - 0.05 <= frac <= cfg.seed_fraction[1] + 0.05
-            present.add(g.class_id)
+            present.add(c)
         np.testing.assert_array_equal(
             np.nonzero(rec.annotation.presence)[0] + 1, sorted(present))
         # boxes are tight boxes of the instances, one per instance
-        assert len(rec.annotation.boxes) == len(rec.gt)
-        for (c, box), g in zip(rec.annotation.boxes, rec.gt):
-            assert c == g.class_id
-            assert box.as_tuple() == tight_box(g.mask).as_tuple()
+        assert len(rec.annotation.boxes) == n
+        for (c, box), g_c, g in zip(rec.annotation.boxes,
+                                    rec.gt.class_ids.tolist(), rec.gt.masks):
+            assert type(c) is int and c == g_c
+            assert box.as_tuple() == tight_box(g).as_tuple()
 
 
 def test_objects_are_painted_with_class_colors():
     rec = gen_scene(SceneConfig(color_noise=0.0), seed=3, scene_id=0)
-    for g in rec.gt:
-        mean_rgb = rec.image[g.mask].mean(axis=0)
-        np.testing.assert_allclose(mean_rgb, PALETTE[g.class_id - 1], atol=0.02)
-    bg = ~np.any([g.mask for g in rec.gt], axis=0)
+    for c, g in zip(rec.gt.class_ids.tolist(), rec.gt.masks):
+        mean_rgb = rec.image[g].mean(axis=0)
+        np.testing.assert_allclose(mean_rgb, PALETTE[c - 1], atol=0.02)
+    bg = ~np.any(rec.gt.masks, axis=0)
     np.testing.assert_allclose(rec.image[bg].mean(axis=0), BACKGROUND, atol=0.05)
 
 
@@ -74,8 +80,8 @@ def test_pool_contains_gt_and_respects_min_area():
     cfg = ProposalConfig()
     rec = make_scene(SceneConfig(), cfg, seed=5, scene_id=1)
     pool_keys = {rec.pool[i].tobytes() for i in range(rec.num_proposals)}
-    for g in rec.gt:
-        assert g.mask.tobytes() in pool_keys
+    for g in rec.gt.masks:
+        assert g.tobytes() in pool_keys
     for i in range(rec.num_proposals):
         assert rec.pool[i].sum() >= cfg.min_area
 
@@ -84,8 +90,8 @@ def test_pool_proposals_touch_a_seed_when_filtered():
     rec = make_scene(SceneConfig(), ProposalConfig(seed_filter=True), seed=5,
                      scene_id=1)
     seed_union = np.zeros((rec.height, rec.width), dtype=bool)
-    for s in rec.seeds:
-        seed_union |= s.mask
+    for s in rec.seeds.masks:
+        seed_union |= s
     for i in range(rec.num_proposals):
         assert (rec.pool[i] & seed_union).any()
 
@@ -127,8 +133,8 @@ def test_box_regime_keeps_gt_coverable():
     rec = make_scene(SceneConfig(), ProposalConfig(), seed=11, scene_id=0)
     sub = prepare_scene(rec, BOX, InferenceConfig())
     assert sub.num_proposals <= rec.num_proposals
-    for g in sub.gt:
-        best = max(mask_iou(sub.pool[i], g.mask) for i in range(sub.num_proposals))
+    for g in sub.gt.masks:
+        best = max(mask_iou(sub.pool[i], g) for i in range(sub.num_proposals))
         assert best >= 0.5
 
 

@@ -25,7 +25,6 @@ from annoconsist.disco import div_pc, div_pp
 from annoconsist.loss import LossConfig, cost_row
 from annoconsist.masks import inner_boundary
 from annoconsist.prednet import PredParams, pred_init, predict
-from annoconsist.scenes import Seed
 from annoconsist.scorer import (CondParams, axpy, cond_init, feature_dim,
                                 features, score_vjp)
 from annoconsist.synthgen import ProposalConfig, SceneConfig
@@ -46,7 +45,7 @@ from annoconsist.train import (
     write_log_csv,
 )
 
-from conftest import make_record, rect_mask
+from conftest import instances, make_record, rect_mask
 from oracles import (make_dataset, num_edges, pred_objective, scene_noise,
                      tight_box)
 
@@ -603,18 +602,18 @@ def _seed_labeling_loop(rec):
     for u in range(rec.num_proposals):
         ring = inner_boundary(rec.pool[u])
         ring_edge[u] = rec.edges[ring].mean() if ring.any() else 0.0
-    for s in rec.seeds:
-        seed_area = float(np.count_nonzero(s.mask))
+    for class_id, mask in zip(rec.seeds.class_ids.tolist(), rec.seeds.masks):
+        seed_area = float(np.count_nonzero(mask))
         if seed_area == 0.0:
             continue
         best_score, best_u = 0.0, -1
         for u in range(rec.num_proposals):
-            cover = np.count_nonzero(s.mask & rec.pool[u]) / seed_area
+            cover = np.count_nonzero(mask & rec.pool[u]) / seed_area
             score = cover * (0.05 + ring_edge[u])
             if score > best_score:
                 best_score, best_u = score, u
         if best_u >= 0:
-            labels[best_u] = s.class_id
+            labels[best_u] = class_id
     return labels, ring_edge
 
 
@@ -642,9 +641,9 @@ def test_seed_labeling_prefers_boundary_aligned_extent():
     subset = rect_mask(14, 14, 4, 9, 4, 9)
     edges = np.zeros((14, 14), dtype=np.float32)
     edges[inner_boundary(exact)] = 1.0
-    seed = Seed(class_id=2, mask=rect_mask(14, 14, 5, 8, 5, 8))
+    seeds = instances([(2, rect_mask(14, 14, 5, 8, 5, 8))], (14, 14))
     rec = make_record([superset, exact, subset], [2], size=(14, 14),
-                      edges=edges, seeds=[seed])
+                      edges=edges, seeds=seeds)
     labels = seed_labeling(rec)
     np.testing.assert_array_equal(labels, [0, 2, 0])
 
@@ -657,8 +656,8 @@ def test_seed_labeling_weights_coverage_and_handles_multiple_seeds():
     edges = np.zeros((14, 14), dtype=np.float32)
     edges[inner_boundary(full)] = 0.3
     edges[inner_boundary(half)] = 0.3
-    seeds = [Seed(class_id=1, mask=rect_mask(14, 14, 5, 8, 4, 8)),
-             Seed(class_id=3, mask=rect_mask(14, 14, 0, 3, 10, 14))]
+    seeds = instances([(1, rect_mask(14, 14, 5, 8, 4, 8)),
+                       (3, rect_mask(14, 14, 0, 3, 10, 14))], (14, 14))
     rec = make_record([half, full, other], [1, 3], size=(14, 14),
                       edges=edges, seeds=seeds)
     labels = seed_labeling(rec)
