@@ -248,6 +248,15 @@ def _unsampled(obj: dict) -> dict:
     return obj
 
 
+def _check_scenes_found(ids, found, path: str) -> None:
+    """Raise DatasetFormatError naming the first of the predicted scene
+    `ids` that the split at `path` (whose ids are `found`) lacks."""
+    for sid in ids:
+        if sid not in found:
+            raise DatasetFormatError(
+                f"scene {sid}: predicted, but {path} holds no such scene")
+
+
 def cmd_eval(args) -> int:
     obj = _load_predictions(args.pred, object_hook=_unsampled)
     # the last entry per scene id, in the order the file lists the ids
@@ -257,7 +266,8 @@ def cmd_eval(args) -> int:
     # per predicted scene, the last record's ground truth and copies of the
     # decoded pool rows, so no whole pool outlives its scene
     kept = {}
-    for rec in iter_dataset(_dataset_path(args.data, args.split)):
+    path = _dataset_path(args.data, args.split)
+    for rec in iter_dataset(path):
         dets = decoded.get(rec.scene_id)
         if dets is not None:
             preds = []
@@ -267,7 +277,8 @@ def cmd_eval(args) -> int:
                                                 d["confidence"],
                                                 rec.pool[u].copy()))
             kept[rec.scene_id] = (rec.gt, preds)
-    preds_by_scene = {sid: kept[sid][1] for sid in decoded if sid in kept}
+    _check_scenes_found(decoded, kept, path)
+    preds_by_scene = {sid: kept[sid][1] for sid in decoded}
     gts_by_scene = {sid: kept[sid][0] for sid in preds_by_scene}
     res = evaluate_predictions(preds_by_scene, gts_by_scene,
                                cfg.eval.thresholds)
@@ -302,12 +313,13 @@ def cmd_ablate(args) -> int:
 
 def cmd_render(args) -> int:
     obj = _load_predictions(args.pred)
-    wanted = {entry["scene_id"] for entry in obj["scenes"]}
+    wanted = dict.fromkeys(entry["scene_id"] for entry in obj["scenes"])
     # the last record per predicted scene id; the others are dropped as the
     # split streams past
-    by_id = {rec.scene_id: rec
-             for rec in iter_dataset(_dataset_path(args.data, args.split))
+    path = _dataset_path(args.data, args.split)
+    by_id = {rec.scene_id: rec for rec in iter_dataset(path)
              if rec.scene_id in wanted}
+    _check_scenes_found(wanted, by_id, path)
     paths = render_predictions(obj, by_id, args.out)
     print(f"wrote {len(paths)} panels to {args.out}")
     return EXIT_OK

@@ -78,8 +78,10 @@ def higher_order_feasible(labels: np.ndarray, ann: Annotation,
     for j in ann.classes.tolist():
         ok &= (labels == j).any(axis=-1)
     if ann.boxes is not None:
-        for j, b in ann.boxes:
-            ok &= (geom.covering(b, cfg.box_rho) & (labels == j)).any(axis=-1)
+        cover, _ = geom.covering(ann.boxes[:, 1:], cfg.box_rho)
+        # (..., B, P): proposal u covers box b and carries b's class
+        hit = cover & (labels[..., None, :] == ann.boxes[:, :1])
+        ok &= hit.any(axis=-1).all(axis=-1)
     return ok if ok.ndim else bool(ok)
 
 
@@ -134,8 +136,8 @@ def _force_box_cover(g, labels, ann, geom, cfg):
     score is never taken. labels itself is not modified."""
     out = labels.tolist()
     forced = False
-    for j, b in ann.boxes:
-        cover = geom.covering_ids(b, cfg.box_rho)
+    _, ids = geom.covering(ann.boxes[:, 1:], cfg.box_rho)
+    for j, cover in zip(ann.boxes[:, 0].tolist(), ids):
         if any(out[u] == j for u in cover):
             continue
         best = -1

@@ -3,34 +3,14 @@
 Masks are 2-D bool arrays of shape (H, W). The morphology primitives take
 a (..., H, W) stack and treat each mask on its own, a single mask being
 the stack with no leading axis; tight boxes and the RLE codec work over a
-(P, H, W) stack, and the single-mask calls are its one-row case. Boxes use
-inclusive pixel coordinates (x_min, y_min, x_max, y_max).
+(P, H, W) stack, and the single-mask calls are its one-row case. A stack
+of boxes is a (B, 4) int64 array of rows (x_min, y_min, x_max, y_max) in
+inclusive pixel coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Box:
-    x_min: int
-    y_min: int
-    x_max: int
-    y_max: int
-
-    def __post_init__(self):
-        if self.x_max < self.x_min or self.y_max < self.y_min:
-            raise ValueError(f"degenerate box {self}")
-
-    @property
-    def area(self) -> int:
-        return (self.x_max - self.x_min + 1) * (self.y_max - self.y_min + 1)
-
-    def as_tuple(self):
-        return (self.x_min, self.y_min, self.x_max, self.y_max)
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -42,29 +22,30 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return inter / union
 
 
-def tight_boxes(masks: np.ndarray) -> list:
-    """Smallest box containing every set pixel of each mask of a (P, H, W)
-    stack, from row and column `any` over the stack. Errors on an empty
-    mask."""
+def tight_boxes(masks: np.ndarray) -> np.ndarray:
+    """The (P, 4) boxes of a (P, H, W) stack, each the smallest containing
+    every set pixel of its mask, from row and column `any` over the stack.
+    Errors on an empty mask."""
     rows = masks.any(axis=2)
     cols = masks.any(axis=1)
     if not rows.any(axis=1).all():
         raise ValueError("tight_box: empty mask")
     h, w = masks.shape[1:]
-    y0 = rows.argmax(axis=1).tolist()
-    y1 = (h - 1 - rows[:, ::-1].argmax(axis=1)).tolist()
-    x0 = cols.argmax(axis=1).tolist()
-    x1 = (w - 1 - cols[:, ::-1].argmax(axis=1)).tolist()
-    return [Box(*b) for b in zip(x0, y0, x1, y1)]
+    return np.stack([cols.argmax(axis=1), rows.argmax(axis=1),
+                     w - 1 - cols[:, ::-1].argmax(axis=1),
+                     h - 1 - rows[:, ::-1].argmax(axis=1)],
+                    axis=1).astype(np.int64, copy=False)
 
 
-def box_iou(a: Box, b: Box) -> float:
-    ix = min(a.x_max, b.x_max) - max(a.x_min, b.x_min) + 1
-    iy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min) + 1
-    if ix <= 0 or iy <= 0:
-        return 0.0
-    inter = ix * iy
-    return inter / (a.area + b.area - inter)
+def box_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(N, M) IoU of each of N boxes against each of M boxes. Intersections
+    and areas are exact int64 pixel counts, divided once."""
+    side = np.maximum(np.minimum(a[:, None, 2:], b[None, :, 2:])
+                      - np.maximum(a[:, None, :2], b[None, :, :2]) + 1, 0)
+    inter = side[..., 0] * side[..., 1]
+    area_a = (a[:, 2] - a[:, 0] + 1) * (a[:, 3] - a[:, 1] + 1)
+    area_b = (b[:, 2] - b[:, 0] + 1) * (b[:, 3] - b[:, 1] + 1)
+    return inter / (area_a[:, None] + area_b[None, :] - inter)
 
 
 def dilate(mask: np.ndarray, steps: int = 1) -> np.ndarray:

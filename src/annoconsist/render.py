@@ -7,6 +7,7 @@ PPM (P6) needs no image library and opens everywhere.
 """
 
 import os
+import tempfile
 
 import numpy as np
 
@@ -100,18 +101,24 @@ def scene_panel(rec, iterations: list) -> np.ndarray:
 
 def render_predictions(pred_obj: dict, records_by_id: dict,
                        out_dir: str) -> list:
-    """One panel file per scene in the prediction dump; returns the paths."""
+    """One panel file per scene in the prediction dump; returns the paths.
+    The panels are written into a temporary directory next to out_dir and
+    moved into it once every one is drawn, so a malformed entry leaves no
+    new panel behind."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for entry in pred_obj["scenes"]:
-        rec = records_by_id[entry["scene_id"]]
-        iterations = list(entry.get("iterations", []))
-        if "final" in entry:
-            iterations.append(entry["final"])
-        if not iterations:
-            continue
-        panel = scene_panel(rec, iterations)
-        path = os.path.join(out_dir, f"scene_{entry['scene_id']:04d}.ppm")
-        write_ppm(path, panel)
-        paths.append(path)
-    return paths
+    names = []
+    with tempfile.TemporaryDirectory(
+            dir=os.path.dirname(os.path.abspath(out_dir))) as tmp:
+        for entry in pred_obj["scenes"]:
+            rec = records_by_id[entry["scene_id"]]
+            iterations = list(entry.get("iterations", []))
+            if "final" in entry:
+                iterations.append(entry["final"])
+            if not iterations:
+                continue
+            names.append(f"scene_{entry['scene_id']:04d}.ppm")
+            write_ppm(os.path.join(tmp, names[-1]), scene_panel(rec, iterations))
+        # a scene listed twice is drawn twice, its last panel kept
+        for name in set(names):
+            os.replace(os.path.join(tmp, name), os.path.join(out_dir, name))
+    return [os.path.join(out_dir, name) for name in names]

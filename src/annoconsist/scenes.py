@@ -17,7 +17,6 @@ import numpy as np
 from . import kernels
 from .adjacency import Adjacency
 from .masks import (
-    Box,
     box_iou,
     overlap_fraction_matrix,
     rle_decode_stack,
@@ -47,11 +46,12 @@ class Annotation:
     """Weak supervision: class presence flags, optionally boxes.
 
     presence[j-1] is 1 iff class j appears (class ids are 1-based;
-    0 is background). boxes is None in the image-level regime.
+    0 is background). boxes is None in the image-level regime, else a
+    (B, 5) int64 array of rows (class_id, x_min, y_min, x_max, y_max).
     """
 
     presence: np.ndarray
-    boxes: list | None = None  # list of (class_id, Box)
+    boxes: np.ndarray | None = None
 
     @functools.cached_property
     def classes(self) -> np.ndarray:
@@ -69,11 +69,9 @@ class PoolGeometry:
     """Pool-derived arrays reused by every inference call on a scene."""
 
     pool: np.ndarray = field(repr=False)  # (P, H, W) bool
-    boxes: list  # tight boxes, one per proposal
+    boxes: np.ndarray  # (P, 4) tight boxes, one per proposal
     _keep: dict = field(default_factory=dict, repr=False, compare=False)
     _covering: dict = field(default_factory=dict, repr=False, compare=False)
-    _covering_ids: dict = field(default_factory=dict, repr=False,
-                                compare=False)
 
     @functools.cached_property
     def ovl(self) -> np.ndarray:
@@ -88,25 +86,19 @@ class PoolGeometry:
             masks = self._keep[t] = kernels.keep_masks(self.ovl, t)
         return masks
 
-    def covering(self, box: Box, rho: float) -> np.ndarray:
-        """Read-only (P,) mask of the proposals whose tight box reaches
-        IoU rho with `box`; built once per (box, rho)."""
-        mask = self._covering.get((box, rho))
-        if mask is None:
-            mask = np.array([box_iou(b, box) >= rho for b in self.boxes],
-                            dtype=np.bool_)
+    def covering(self, boxes: np.ndarray, rho: float) -> tuple:
+        """For a (B, 4) array of boxes, the read-only (B, P) mask of the
+        proposals whose tight box reaches IoU rho with each box, and per
+        box the ascending ids of those proposals as a tuple of Python
+        ints; built once per (boxes, rho)."""
+        key = (boxes.tobytes(), rho)
+        hit = self._covering.get(key)
+        if hit is None:
+            mask = box_iou(boxes, self.boxes) >= rho
             mask.flags.writeable = False
-            self._covering[(box, rho)] = mask
-        return mask
-
-    def covering_ids(self, box: Box, rho: float) -> tuple:
-        """Ascending ids of covering(box, rho)'s proposals, as Python ints;
-        built once per (box, rho)."""
-        ids = self._covering_ids.get((box, rho))
-        if ids is None:
-            ids = self._covering_ids[(box, rho)] = tuple(
-                np.flatnonzero(self.covering(box, rho)).tolist())
-        return ids
+            hit = self._covering[key] = (mask, tuple(
+                tuple(np.flatnonzero(row).tolist()) for row in mask))
+        return hit
 
     @staticmethod
     def from_pool(pool: np.ndarray) -> "PoolGeometry":
@@ -190,7 +182,7 @@ def scene_to_obj(rec: SceneRecord) -> dict:
             "presence": rec.annotation.presence.astype(int).tolist(),
             "boxes": None
             if rec.annotation.boxes is None
-            else [[c, *b.as_tuple()] for c, b in rec.annotation.boxes],
+            else rec.annotation.boxes.tolist(),
         },
         "seeds": _instances_to_obj(rec.seeds),
         "pool": rle_encode_stack(rec.pool),
@@ -283,14 +275,21 @@ def scene_from_obj(obj: dict) -> SceneRecord:
             raise DatasetFormatError(
                 f"annotation presence {ann_obj['presence']!r} holds an entry "
                 "other than the int 0 or 1")
-        annotation = Annotation(
-            presence=np.array(ann_obj["presence"], dtype=np.int8),
-            boxes=None if boxes is None else [(b[0], Box(*b[1:])) for b in boxes],
-        )
-        if annotation.presence.shape != (num_classes,):
+        presence = np.array(ann_obj["presence"], dtype=np.int8)
+        if presence.shape != (num_classes,):
             raise DatasetFormatError(
-                f"annotation presence has shape {list(annotation.presence.shape)}"
+                f"annotation presence has shape {list(presence.shape)}"
                 f" for {num_classes} classes")
+        # checked as Python ints: a cast would read 2.5 as 2, and 2**70
+        # would overflow the int64 array
+        for b in boxes or []:
+            if len(b) != 5 or any(type(x) is not int for x in b[1:]):
+                raise DatasetFormatError(
+                    f"box {b!r} is not a class id and four int coordinates")
+            if not (0 <= b[1] <= b[3] < w and 0 <= b[2] <= b[4] < h):
+                raise DatasetFormatError(
+                    f"box {b!r} is not a non-empty box inside the {h}x{w} "
+                    "frame")
         gt_ids = [g["class_id"] for g in obj["gt"]]
         seed_ids = [s["class_id"] for s in obj["seeds"]]
         for kind, ids in (("ground-truth", gt_ids), ("seed", seed_ids),
@@ -303,19 +302,28 @@ def scene_from_obj(obj: dict) -> SceneRecord:
                 if not 1 <= operator.index(c) <= num_classes:
                     raise DatasetFormatError(
                         f"{kind} class_id {c} outside [1, {num_classes}]")
-        for c, _ in annotation.boxes or []:
-            if not annotation.presence[c - 1]:
+        for b in boxes or []:
+            if not presence[b[0] - 1]:
                 raise DatasetFormatError(
-                    f"box of class {c}, which the annotation does not mark "
+                    f"box of class {b[0]}, which the annotation does not mark "
                     "present")
+        if boxes is not None:
+            boxes = np.array(boxes, dtype=np.int64).reshape(-1, 5)
+        annotation = Annotation(presence=presence, boxes=boxes)
         adjacency = _adjacency_from_obj(obj["adjacency"], pool.shape[0])
+        image = _unb64_f32(obj["image"], (h, w, 3))
+        edges = _unb64_f32(obj["edges"], (h, w))
+        for name, raster in (("image", image), ("edges", edges)):
+            if not np.isfinite(raster).all():
+                raise DatasetFormatError(
+                    f"{name} raster holds a non-finite value")
         return SceneRecord(
             scene_id=int(scene_id),
             width=w,
             height=h,
             num_classes=num_classes,
-            image=_unb64_f32(obj["image"], (h, w, 3)),
-            edges=_unb64_f32(obj["edges"], (h, w)),
+            image=image,
+            edges=edges,
             gt=Instances(np.array(gt_ids, dtype=np.int64), _decode_masks(
                 [g["mask"] for g in obj["gt"]], h, w)),
             annotation=annotation,

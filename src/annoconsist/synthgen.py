@@ -280,8 +280,8 @@ def gen_scene(cfg: SceneConfig, seed: int, scene_id: int = 0) -> SceneRecord:
         image=image,
         edges=edges,
         gt=gt,
-        annotation=Annotation(presence=presence, boxes=list(
-            zip(class_ids, tight_boxes(gt.masks)))),
+        annotation=Annotation(presence=presence, boxes=np.column_stack(
+            [gt.class_ids, tight_boxes(gt.masks)])),
         seeds=seeds,
         pool=empty_pool,
         adjacency=build_adjacency(empty_pool, edges),

@@ -278,14 +278,13 @@ def prepare_scene(rec, train_cfg: TrainConfig, inf_cfg: InferenceConfig):
         features(rec)
         return dataclasses.replace(
             rec, annotation=rec.annotation.without_boxes())
-    if rec.annotation.boxes is None:
+    boxes = rec.annotation.boxes
+    if boxes is None:
         raise ValueError("scene has no box annotations")
-    geom = rec.geometry()
-    covers = [geom.covering(b, inf_cfg.box_rho)
-              for _, b in rec.annotation.boxes]
-    if not covers or not all(c.any() for c in covers):
+    cover, _ = rec.geometry().covering(boxes[:, 1:], inf_cfg.box_rho)
+    if not len(boxes) or not cover.any(axis=1).all():
         return None
-    return rebuild_with_pool(rec, np.flatnonzero(np.logical_or.reduce(covers)))
+    return rebuild_with_pool(rec, np.flatnonzero(cover.any(axis=0)))
 
 
 def sample_noise(train_cfg: TrainConfig, scene_id, tag, k: int,

@@ -11,6 +11,7 @@ def make_record(masks, present_classes, num_classes=3, size=None, edges=None,
 
     masks: list of (H, W) bool arrays forming the pool.
     present_classes: iterable of annotated class ids.
+    boxes: None, or rows (class_id, x_min, y_min, x_max, y_max).
     seeds, gt: Instances; each defaults to the empty set.
     """
     pool = stack_pool(masks)
@@ -32,7 +33,8 @@ def make_record(masks, present_classes, num_classes=3, size=None, edges=None,
         image=image,
         edges=edges,
         gt=gt if gt is not None else instances([], (h, w)),
-        annotation=Annotation(presence=presence, boxes=boxes),
+        annotation=Annotation(presence=presence, boxes=None if boxes is None
+                              else np.array(boxes, dtype=np.int64).reshape(-1, 5)),
         seeds=seeds if seeds is not None else instances([], (h, w)),
         pool=pool,
         adjacency=build_adjacency(pool, edges),

@@ -16,8 +16,7 @@ from annoconsist.condnet import (TERM_MODES, InferenceConfig, InferenceError,
                                  higher_order_feasible, refine_stack)
 from annoconsist.disco import div_cc, div_pc, div_pp
 from annoconsist.loss import LossConfig
-from annoconsist.masks import (Box, box_iou, rle_decode_stack,
-                               rle_encode_stack, tight_boxes)
+from annoconsist.masks import rle_decode_stack, rle_encode_stack, tight_boxes
 from annoconsist.scenes import Annotation, PoolGeometry
 from annoconsist.synthgen import ProposalConfig, SceneConfig, make_scene
 from annoconsist.train import empirical_distribution
@@ -35,9 +34,26 @@ def overlap_fraction(a: np.ndarray, b: np.ndarray) -> float:
     return np.count_nonzero(a & b) / nb
 
 
-def tight_box(mask: np.ndarray) -> Box:
-    """Smallest box containing every set pixel. Errors on an empty mask."""
+def tight_box(mask: np.ndarray) -> np.ndarray:
+    """Smallest box containing every set pixel, as a (4,) row (x_min,
+    y_min, x_max, y_max). Errors on an empty mask."""
     return tight_boxes(np.asarray(mask)[None])[0]
+
+
+def box_iou(a, b) -> float:
+    """IoU of two boxes (x_min, y_min, x_max, y_max) in inclusive pixel
+    coordinates, one pair at a time in Python ints; 0 when they share no
+    pixel."""
+    ax0, ay0, ax1, ay1 = (int(v) for v in a)
+    bx0, by0, bx1, by1 = (int(v) for v in b)
+    ix = min(ax1, bx1) - max(ax0, bx0) + 1
+    iy = min(ay1, by1) - max(ay0, by0) + 1
+    if ix <= 0 or iy <= 0:
+        return 0.0
+    inter = ix * iy
+    area_a = (ax1 - ax0 + 1) * (ay1 - ay0 + 1)
+    area_b = (bx1 - bx0 + 1) * (by1 - by0 + 1)
+    return inter / (area_a + area_b - inter)
 
 
 def rle_encode(mask: np.ndarray) -> dict:
@@ -120,7 +136,7 @@ def exact_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
     if ann.boxes is not None:
         box_compat = [
             (j, np.array([box_iou(geom.boxes[u], b) >= cfg.box_rho for u in range(p)]))
-            for j, b in ann.boxes
+            for j, *b in ann.boxes.tolist()
         ]
 
     total = a**p

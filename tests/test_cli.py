@@ -1,3 +1,4 @@
+import base64
 import glob
 import io
 import json
@@ -15,14 +16,13 @@ from annoconsist.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
 from annoconsist.condnet import InferenceError, sample_k
 from annoconsist.config import load_config
 from annoconsist.evaluate import evaluate_predictions
-from annoconsist.masks import box_iou
 from annoconsist.prednet import InstancePrediction, decode, predict
 from annoconsist.scenes import load_dataset, scene_to_obj
 from annoconsist.scorer import feature_dim
 from annoconsist.synthgen import PlacementError
 from annoconsist.train import load_checkpoint, prepare_scene
 
-from oracles import scene_noise, tight_box
+from oracles import box_iou, scene_noise, tight_box
 from test_train import _hopeless_box_scene
 
 
@@ -247,13 +247,11 @@ def _eval_table_over_loaded_dataset(preds_path, data_file) -> str:
     by_id = {rec.scene_id: rec for rec in load_dataset(data_file)}
     preds_by_scene = {}
     for entry in obj["scenes"]:
-        rec = by_id.get(entry["scene_id"])
-        if rec is not None:
-            preds_by_scene[rec.scene_id] = [
-                InstancePrediction(d["proposal_index"], d["class_id"],
-                                   d["confidence"],
-                                   rec.pool[d["proposal_index"]])
-                for d in entry["final"]["decode"]]
+        rec = by_id[entry["scene_id"]]
+        preds_by_scene[rec.scene_id] = [
+            InstancePrediction(d["proposal_index"], d["class_id"],
+                               d["confidence"], rec.pool[d["proposal_index"]])
+            for d in entry["final"]["decode"]]
     gts_by_scene = {sid: by_id[sid].gt for sid in preds_by_scene}
     res = evaluate_predictions(preds_by_scene, gts_by_scene,
                                (0.25, 0.50, 0.70, 0.75))
@@ -266,14 +264,14 @@ def _eval_table_over_loaded_dataset(preds_path, data_file) -> str:
 
 def test_streamed_eval_prints_the_table_of_the_loaded_dataset(
         pipeline, tmp_path, capsys):
-    # preds in reverse file order, one scene listed twice (the last entry
-    # counts, at its first place) and one scene the data does not hold
+    # preds in reverse file order and one scene listed twice (the last
+    # entry counts, at its first place); a scene the data does not hold is
+    # an error, checked below
     with open(pipeline["preds"]) as fh:
         obj = json.load(fh)
     scenes = obj["scenes"][::-1]
-    ghost = dict(scenes[0], scene_id=10_000)
     first_again = dict(scenes[0], final=dict(scenes[0]["final"], decode=[]))
-    obj["scenes"] = scenes + [ghost, first_again]
+    obj["scenes"] = scenes + [first_again]
     preds = tmp_path / "preds.json"
     preds.write_text(json.dumps(obj))
     data_file = os.path.join(pipeline["data"], "eval.jsonl")
@@ -475,6 +473,18 @@ def _unmark_a_boxed_class(obj):
     ann["presence"][ann["boxes"][0][0] - 1] = 0
 
 
+def _set_box_entries(obj, **entries):
+    """Sets entries of the first box row, by index: x_min is "i1"."""
+    box = obj["annotation"]["boxes"][0]
+    for i, value in entries.items():
+        box[int(i[1:])] = value
+
+
+def _swap_box_x(obj):
+    box = obj["annotation"]["boxes"][0]
+    box[1], box[3] = box[3], box[1]
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda o: o["seeds"][0].update(class_id=9), "seed class_id 9 outside"),
     (lambda o: o["gt"][0].update(class_id=7), "ground-truth class_id 7"),
@@ -506,19 +516,48 @@ def _unmark_a_boxed_class(obj):
      "seed class_id True is a bool"),
     (lambda o: o["annotation"]["boxes"][0].__setitem__(0, True),
      "box class_id True is a bool"),
+    (lambda o: _set_box_entries(o, i1=2.5),
+     "is not a class id and four int coordinates"),
+    (lambda o: _set_box_entries(o, i2=True),
+     "is not a class id and four int coordinates"),
+    (lambda o: o["annotation"]["boxes"][0].pop(),
+     "is not a class id and four int coordinates"),
+    (lambda o: _set_box_entries(o, i3=32),
+     "is not a non-empty box inside the 32x32 frame"),
+    (_swap_box_x, "is not a non-empty box inside the 32x32 frame"),
+    (lambda o: _set_box_entries(o, i1=2**70, i2=2**70, i3=2**70, i4=2**70),
+     "is not a non-empty box inside the 32x32 frame"),
 ], ids=["seed-class", "gt-class", "box-class", "presence-length",
         "one-sided-edge", "neighbor-twice", "mirror-weight",
         "negative-weight", "infinite-weight", "nan-weight", "float-id",
         "negative-id", "string-id", "bool-id", "presence-two",
         "presence-negative", "presence-half", "presence-bool",
         "box-of-absent-class", "gt-class-bool", "seed-class-bool",
-        "box-class-bool"])
+        "box-class-bool", "box-float-coordinate", "box-bool-coordinate",
+        "box-short-row", "box-outside-frame", "box-degenerate",
+        "box-huge-coordinates"])
 def test_class_ids_and_graph_are_checked_at_load(tmp_path, pipeline,
                                                  tiny_config_path, capsys,
                                                  edit, message):
     data = _edit_first_scene(pipeline, tmp_path, edit)
     assert _train_on(data, tiny_config_path, tmp_path) == EXIT_USAGE
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("key", ["image", "edges"])
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_non_finite_rasters_are_rejected_at_load(tmp_path, pipeline,
+                                                 tiny_config_path, capsys,
+                                                 key, value):
+    def poison(obj):
+        raster = np.frombuffer(base64.b64decode(obj[key]), dtype="<f4").copy()
+        raster[0] = value
+        obj[key] = base64.b64encode(raster.tobytes()).decode("ascii")
+
+    data = _edit_first_scene(pipeline, tmp_path, poison)
+    assert _train_on(data, tiny_config_path, tmp_path) == EXIT_USAGE
+    assert f"{key} raster holds a non-finite value" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
 
 
@@ -723,7 +762,7 @@ def test_box_regime_infer_samples_the_prepared_scene(tmp_path, capsys):
         rho = run_cfg.inference.box_rho
         keep = [i for i, m in enumerate(rec.pool)
                 if any(box_iou(tight_box(m), b) >= rho
-                       for _, b in rec.annotation.boxes)]
+                       for _, *b in rec.annotation.boxes.tolist())]
         want = np.zeros((tcfg.k, rec.num_proposals), dtype=np.int64)
         want[:, keep] = samples.labels
         assert got == want.tolist()
@@ -801,6 +840,42 @@ def test_eval_and_render_reject_malformed_predictions(tmp_path, pipeline,
         args += ["--out", str(tmp_path / "panels")]
     assert run(args) == EXIT_USAGE
     assert f"error: scene {sid}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["eval", "render"])
+def test_a_predicted_scene_missing_from_the_split_is_a_dataset_error(
+        tmp_path, pipeline, capsys, cmd):
+    with open(pipeline["preds"]) as fh:
+        obj = json.load(fh)
+    obj["scenes"][-1]["scene_id"] = 999
+    bad = tmp_path / "preds.json"
+    bad.write_text(json.dumps(obj))
+    args = [cmd, "--pred", str(bad), "--data", pipeline["data"]]
+    if cmd == "render":
+        args += ["--out", str(tmp_path / "panels")]
+    assert run(args) == EXIT_USAGE
+    assert "error: scene 999: predicted, but" in capsys.readouterr().err
+    assert not (tmp_path / "panels").exists()
+
+
+def test_render_leaves_no_new_panel_when_a_later_entry_is_malformed(
+        tmp_path, pipeline, capsys):
+    with open(pipeline["preds"]) as fh:
+        obj = json.load(fh)
+    assert len(obj["scenes"]) > 1
+    obj["scenes"][-1]["final"]["decode"] = [
+        {"proposal_index": -1, "class_id": 1, "confidence": 0.9}]
+    bad = tmp_path / "preds.json"
+    bad.write_text(json.dumps(obj))
+    out = tmp_path / "panels"
+    out.mkdir()
+    (out / "keep.txt").write_text("earlier output")
+    assert run(["render", "--pred", str(bad), "--data", pipeline["data"],
+                "--out", str(out)]) == EXIT_USAGE
+    assert "error: scene " in capsys.readouterr().err
+    assert os.listdir(out) == ["keep.txt"]
+    # nor does the temporary directory the panels were drawn in outlive it
+    assert sorted(os.listdir(tmp_path)) == ["panels", "preds.json"]
 
 
 def test_runtime_errors_exit_three(tmp_path, capsys):

@@ -17,12 +17,11 @@ from annoconsist.condnet import (
     refine_stack,
     sample_k,
 )
-from annoconsist.masks import Box, box_iou
 from annoconsist.scorer import cond_init, feature_dim, score_from_input
 
 from conftest import make_record, rect_mask
-from oracles import (edge_weight, exact_infer, num_edges, pairwise_refine,
-                     scene_noise, total_score)
+from oracles import (box_iou, edge_weight, exact_infer, num_edges,
+                     pairwise_refine, scene_noise, total_score)
 
 
 def _two_neighbor_record(edges=None):
@@ -174,9 +173,9 @@ def test_greedy_box_post_pass_forces_a_covering_proposal():
     # post-pass must add m1 (background until then) to cover the box
     m0 = rect_mask(12, 12, 0, 4, 0, 4)
     m1 = rect_mask(12, 12, 7, 11, 7, 11)
-    box = Box(7, 7, 10, 10)
-    assert box_iou(Box(7, 7, 10, 10), box) == 1.0
-    rec = make_record([m0, m1], [1], boxes=[(1, box)],
+    box = (7, 7, 10, 10)
+    assert box_iou(box, box) == 1.0
+    rec = make_record([m0, m1], [1], boxes=[(1, *box)],
                       size=(12, 12))
     # m1 scores below the stop threshold so only the post-pass can add it
     g = np.array([[0.0, 5.0], [0.0, -1.0]])
@@ -190,7 +189,7 @@ def test_greedy_box_post_pass_forces_a_covering_proposal():
 
 def test_greedy_box_post_pass_raises_when_nothing_covers():
     m0 = rect_mask(12, 12, 0, 4, 0, 4)
-    rec = make_record([m0], [1], boxes=[(1, Box(7, 7, 10, 10))], size=(12, 12))
+    rec = make_record([m0], [1], boxes=[(1, 7, 7, 10, 10)], size=(12, 12))
     g = np.array([[0.0, 5.0]])
     with pytest.raises(InferenceError):
         greedy_infer(g, rec.annotation, rec.geometry(), InferenceConfig())
@@ -199,7 +198,7 @@ def test_greedy_box_post_pass_raises_when_nothing_covers():
 def test_higher_order_feasibility_checks_presence_and_boxes():
     m0 = rect_mask(12, 12, 0, 4, 0, 4)
     m1 = rect_mask(12, 12, 7, 11, 7, 11)
-    rec = make_record([m0, m1], [1, 2], boxes=[(2, Box(7, 7, 10, 10))],
+    rec = make_record([m0, m1], [1, 2], boxes=[(2, 7, 7, 10, 10)],
                       size=(12, 12))
     geom = rec.geometry()
     cfg = InferenceConfig()
@@ -216,7 +215,7 @@ def test_higher_order_feasibility_checks_presence_and_boxes():
 def _loop_force_box_cover(g, labels, ann, geom, cfg):
     """Reference box post-pass: box_iou for every proposal and box."""
     labels = labels.copy()
-    for j, b in ann.boxes:
+    for j, *b in ann.boxes.tolist():
         if any(box_iou(geom.boxes[u], b) >= cfg.box_rho
                for u in np.nonzero(labels == j)[0]):
             continue
@@ -236,7 +235,7 @@ def _loop_feasible(labels, ann, geom, cfg):
     return all((labels == j).any() for j in ann.classes) and all(
         any(box_iou(geom.boxes[u], b) >= cfg.box_rho
             for u in np.nonzero(labels == j)[0])
-        for j, b in ann.boxes)
+        for j, *b in ann.boxes.tolist())
 
 
 # rectangles on a coarse grid, repeated ones and boxes taken from the pool,
@@ -257,9 +256,9 @@ def test_box_checks_match_per_proposal_box_iou_loops(rects, repeats, boxes,
     masks = [rect_mask(12, 12, y, y + h, x, x + w) for y, x, h, w in rects]
     boxes = [(j, rects[r % len(rects)] if isinstance(r, int) else r)
              for j, r in boxes]
-    ann_boxes = [(j, Box(x, y, x + w - 1, y + h - 1))
+    ann_boxes = [(j, x, y, x + w - 1, y + h - 1)
                  for j, (y, x, h, w) in boxes]
-    rec = make_record(masks, sorted({j for j, _ in ann_boxes}), num_classes=2,
+    rec = make_record(masks, sorted({b[0] for b in ann_boxes}), num_classes=2,
                       boxes=ann_boxes, size=(12, 12))
     geom, ann = rec.geometry(), rec.annotation
     cfg = InferenceConfig(box_rho=rho)
@@ -282,8 +281,8 @@ def _mask_force_box_cover(g, labels, ann, geom, cfg):
     """The box post-pass on boolean covering masks: per box, an ascending
     scan of the unselected covering proposals with a strict >."""
     labels = labels.copy()
-    for j, b in ann.boxes:
-        covering = geom.covering(b, cfg.box_rho)
+    cover, _ = geom.covering(ann.boxes[:, 1:], cfg.box_rho)
+    for j, covering in zip(ann.boxes[:, 0].tolist(), cover):
         if (covering & (labels == j)).any():
             continue
         best = -1
@@ -312,9 +311,9 @@ def test_box_post_pass_on_id_lists_matches_the_mask_scan(rects, repeats, boxes,
     masks = [rect_mask(12, 12, y, y + h, x, x + w) for y, x, h, w in rects]
     boxes = [(j, rects[r % len(rects)] if isinstance(r, int) else r)
              for j, r in boxes]
-    ann_boxes = [(j, Box(x, y, x + w - 1, y + h - 1))
+    ann_boxes = [(j, x, y, x + w - 1, y + h - 1)
                  for j, (y, x, h, w) in boxes]
-    rec = make_record(masks, sorted({j for j, _ in ann_boxes}), num_classes=2,
+    rec = make_record(masks, sorted({b[0] for b in ann_boxes}), num_classes=2,
                       boxes=ann_boxes, size=(12, 12))
     geom, ann = rec.geometry(), rec.annotation
     cfg = InferenceConfig(box_rho=rho)
@@ -346,9 +345,9 @@ def test_stacked_feasibility_equals_the_per_row_call(rects, boxes, with_boxes,
     masks = [rect_mask(12, 12, y, y + h, x, x + w) for y, x, h, w in rects]
     picks = [(j, rects[r % len(rects)] if isinstance(r, int) else r)
              for j, r in boxes]
-    ann_boxes = [(j, Box(x, y, x + w - 1, y + h - 1))
+    ann_boxes = [(j, x, y, x + w - 1, y + h - 1)
                  for j, (y, x, h, w) in picks]
-    present = sorted({j for j, _ in ann_boxes}) or [1]
+    present = sorted({b[0] for b in ann_boxes}) or [1]
     rec = make_record(masks, present, num_classes=2,
                       boxes=ann_boxes if with_boxes else None, size=(12, 12))
     geom, ann = rec.geometry(), rec.annotation
@@ -388,7 +387,7 @@ def test_greedy_result_is_consistent_and_respects_suppression(data):
         boxes = []
         for j, r in picks:
             y, x, h, w = rects[r] if isinstance(r, int) else r
-            boxes.append((j, Box(x, y, x + w - 1, y + h - 1)))
+            boxes.append((j, x, y, x + w - 1, y + h - 1))
     rec = make_record(masks, present, num_classes=2, boxes=boxes,
                       size=(12, 12))
     geom, ann = rec.geometry(), rec.annotation
@@ -453,7 +452,7 @@ def _brute_force_exact(g, ann, geom, cfg):
             continue
         if ann.boxes is not None:
             ok = True
-            for j, b in ann.boxes:
+            for j, *b in ann.boxes.tolist():
                 if not any(arr[u] == j and box_iou(geom.boxes[u], b) >= cfg.box_rho
                            for u in range(p)):
                     ok = False
@@ -495,7 +494,7 @@ def test_exact_inference_matches_brute_force_enumeration():
 def test_exact_inference_respects_box_constraints():
     rng = np.random.default_rng(19)
     # the class-2 box matches the second anchor's tight box exactly
-    boxes = [(2, Box(6, 6, 11, 11))]
+    boxes = [(2, 6, 6, 11, 11)]
     for _ in range(8):
         rec = _random_pool_record(rng, boxes=boxes)
         geom = rec.geometry()
@@ -714,7 +713,7 @@ def test_memo_answers_a_repeated_table_without_computing(monkeypatch):
 def test_memo_hit_skips_the_box_post_pass(monkeypatch):
     m0 = rect_mask(12, 12, 0, 4, 0, 4)
     m1 = rect_mask(12, 12, 7, 11, 7, 11)
-    rec = make_record([m0, m1], [1], boxes=[(1, Box(7, 7, 10, 10))],
+    rec = make_record([m0, m1], [1], boxes=[(1, 7, 7, 10, 10)],
                       size=(12, 12))
     geom, cfg = rec.geometry(), InferenceConfig()
     calls = _counting_kernel(monkeypatch)
@@ -734,7 +733,7 @@ def test_memo_never_stores_an_inference_error(monkeypatch):
     # the box post-pass raises and so does an exhausted class: each request
     # is computed again and raises again
     m0 = rect_mask(12, 12, 0, 4, 0, 4)
-    boxed = make_record([m0], [1], boxes=[(1, Box(7, 7, 10, 10))],
+    boxed = make_record([m0], [1], boxes=[(1, 7, 7, 10, 10)],
                         size=(12, 12))
     short = make_record([rect_mask(8, 8, 0, 4, 0, 4)], [1, 2])
     calls = _counting_kernel(monkeypatch)

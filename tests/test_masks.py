@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from annoconsist.masks import (
-    Box,
     box_iou,
     dilate,
     erode,
@@ -16,17 +17,7 @@ from annoconsist.masks import (
 from conftest import rect_mask
 from oracles import (mask_area, overlap_fraction, rle_decode, rle_encode,
                      tight_box)
-
-
-def test_box_area_and_tuple():
-    b = Box(2, 3, 5, 7)
-    assert b.area == 4 * 5
-    assert b.as_tuple() == (2, 3, 5, 7)
-
-
-def test_box_degenerate_rejected():
-    with pytest.raises(ValueError):
-        Box(5, 2, 0, 4)
+from oracles import box_iou as scalar_box_iou
 
 
 def test_mask_iou_hand_cases():
@@ -68,10 +59,37 @@ def test_overlap_fraction_empty_reference_raises():
 def test_tight_box_and_iou():
     m = rect_mask(10, 10, 2, 5, 3, 9)
     b = tight_box(m)
-    assert b.as_tuple() == (3, 2, 8, 4)
-    assert box_iou(b, b) == 1.0
+    assert b.dtype == np.int64
+    assert b.tolist() == [3, 2, 8, 4]
+    assert box_iou(b[None], b[None]).tolist() == [[1.0]]
     # 3x3 boxes offset by one: inter 2x2 = 4, union 9 + 9 - 4 = 14
-    assert box_iou(Box(0, 0, 2, 2), Box(1, 1, 3, 3)) == pytest.approx(4.0 / 14.0)
+    iou = box_iou(np.array([[0, 0, 2, 2]]), np.array([[1, 1, 3, 3], [3, 0, 5, 2]]))
+    assert iou.tolist() == [[4.0 / 14.0, 0.0]]
+
+
+def _box(x0, y0, w, h):
+    return (x0, y0, x0 + w - 1, y0 + h - 1)
+
+
+# one-pixel, identical, nested, corner-sharing, touching and disjoint boxes
+HAND_BOXES = [(0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 3, 3), (1, 1, 2, 2),
+              (3, 3, 5, 5), (4, 0, 6, 3), (9, 9, 9, 9)]
+# a coarse grid makes those relations common; wide boxes test exactness
+_coord = st.integers(0, 6) | st.integers(0, 5000)
+_side = st.integers(1, 4) | st.integers(1, 5000)
+_boxes = st.lists(st.builds(_box, _coord, _coord, _side, _side), max_size=6)
+
+
+@given(_boxes, _boxes)
+def test_box_iou_matrix_equals_the_scalar_oracle_bitwise(a, b):
+    a = np.array(HAND_BOXES + a, dtype=np.int64)
+    b = np.array(b, dtype=np.int64).reshape(-1, 4)
+    got = box_iou(a, b)
+    want = np.array([[scalar_box_iou(x, y) for y in b] for x in a],
+                    dtype=np.float64).reshape(len(a), len(b))
+    assert got.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_tight_box_empty_raises():

@@ -3,7 +3,7 @@ import pytest
 
 from annoconsist import kernels
 from annoconsist.condnet import InferenceConfig
-from annoconsist.masks import Box, overlap_fraction_matrix
+from annoconsist.masks import overlap_fraction_matrix
 from annoconsist.scenes import (
     Annotation,
     DatasetFormatError,
@@ -34,7 +34,7 @@ def _sample_record():
     seeds = instances([(1, rect_mask(16, 16, 4, 6, 4, 6)),
                        (2, rect_mask(16, 16, 11, 13, 2, 4))], (16, 16))
     return make_record(masks, [1, 2], edges=edges, image=image, seeds=seeds,
-                       gt=gt, boxes=[(1, Box(2, 2, 7, 7)), (2, Box(1, 10, 5, 14))],
+                       gt=gt, boxes=[[1, 2, 2, 7, 7], [2, 1, 10, 5, 14]],
                        scene_id=17)
 
 
@@ -48,8 +48,9 @@ def _assert_records_equal(a, b):
     if a.annotation.boxes is None:
         assert b.annotation.boxes is None
     else:
-        assert [(c, box.as_tuple()) for c, box in a.annotation.boxes] == [
-            (c, box.as_tuple()) for c, box in b.annotation.boxes]
+        assert b.annotation.boxes.dtype == np.int64
+        assert a.annotation.boxes.shape == b.annotation.boxes.shape
+        np.testing.assert_array_equal(a.annotation.boxes, b.annotation.boxes)
     for ia, ib in ((a.gt, b.gt), (a.seeds, b.seeds)):
         assert isinstance(ib, Instances)
         assert ib.class_ids.dtype == np.int64 and ib.masks.dtype == np.bool_
@@ -137,7 +138,7 @@ def test_blank_lines_are_skipped(tmp_path):
 
 def test_annotation_classes_and_without_boxes():
     ann = Annotation(presence=np.array([1, 0, 1], dtype=np.int8),
-                     boxes=[(1, Box(0, 0, 3, 3))])
+                     boxes=np.array([[1, 0, 0, 3, 3]]))
     np.testing.assert_array_equal(ann.classes, [1, 3])
     stripped = ann.without_boxes()
     assert stripped.boxes is None
@@ -169,7 +170,7 @@ def test_new_pools_do_not_inherit_the_caches_of_the_old_one():
         make_scene(SceneConfig(), ProposalConfig(), seed=1, scene_id=1), keep)
     assert features(sub).tobytes() == features(cold).tobytes()
     assert sub.geometry().ovl.tobytes() == cold.geometry().ovl.tobytes()
-    assert sub.geometry().boxes == cold.geometry().boxes
+    assert sub.geometry().boxes.tobytes() == cold.geometry().boxes.tobytes()
     # a pool drawn anew for a warmed, cut record starts cold and uncut too
     sub.geometry(), features(sub)
     again = gen_proposals(sub, ProposalConfig(), seed=1)
@@ -181,9 +182,8 @@ def test_new_pools_do_not_inherit_the_caches_of_the_old_one():
 def test_covering_on_a_fresh_geometry_does_not_build_the_overlap_matrix():
     rec = make_scene(SceneConfig(), ProposalConfig(), seed=11, scene_id=0)
     geom = rec.geometry()
-    for _, box in rec.annotation.boxes:
-        assert geom.covering(box, 0.5).any()
-        geom.covering_ids(box, 0.5)
+    cover, _ = geom.covering(rec.annotation.boxes[:, 1:], 0.5)
+    assert cover.any(axis=1).all()
     assert "ovl" not in vars(geom)
     # the box regime's cut reads the full pool's tight boxes only
     assert prepare_scene(rec, TrainConfig(supervision="box"),
@@ -195,3 +195,21 @@ def test_covering_on_a_fresh_geometry_does_not_build_the_overlap_matrix():
     assert ovl.tobytes() == overlap_fraction_matrix(rec.pool).tobytes()
     assert geom.keep_masks(0.5) == kernels.keep_masks(ovl, 0.5)
     assert geom.keep_masks(0.5) is geom.keep_masks(0.5)
+
+
+def test_covering_is_built_once_per_boxes_and_rho():
+    rec = make_scene(SceneConfig(), ProposalConfig(), seed=11, scene_id=0)
+    geom = rec.geometry()
+    boxes = rec.annotation.boxes[:, 1:]
+    cover, ids = geom.covering(boxes, 0.5)
+    assert cover.shape == (len(boxes), rec.num_proposals)
+    assert cover.dtype == np.bool_ and not cover.flags.writeable
+    assert ids == tuple(tuple(int(u) for u in np.flatnonzero(row))
+                        for row in cover)
+    assert all(type(u) is int for row in ids for u in row)
+    # an equal array (a copy, here contiguous) hits the same entry
+    assert geom.covering(boxes.copy(), 0.5)[0] is cover
+    assert geom.covering(boxes, 0.5)[1] is ids
+    loose, _ = geom.covering(boxes, 0.1)
+    assert loose is not cover and (loose | ~cover).all()
+    assert len(geom._covering) == 2

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from annoconsist.adjacency import Adjacency, build_adjacency
 from annoconsist.condnet import InferenceConfig
 from annoconsist.masks import (
-    Box,
-    box_iou,
     dilate,
     erode,
     inner_boundary,
@@ -48,7 +46,7 @@ from annoconsist.synthgen import (
 from annoconsist.train import TrainConfig, prepare_scene, seed_labeling
 
 from conftest import instances, make_record
-from oracles import rle_decode, rle_encode, tight_box
+from oracles import box_iou, rle_decode, rle_encode, tight_box
 
 # ---------------------------------------------------------------- oracles
 
@@ -115,7 +113,7 @@ def old_tight_box(mask):
     ys, xs = np.nonzero(mask)
     if ys.size == 0:
         raise ValueError("tight_box: empty mask")
-    return Box(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
+    return [int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max())]
 
 
 def old_build_adjacency(pool, edges, dilation=1):
@@ -441,10 +439,11 @@ def test_rle_encode_of_an_empty_stack_and_frame():
 def test_tight_boxes_equal_the_per_mask_boxes(pool):
     pool = nonempty_rows(pool)
     boxes = tight_boxes(pool)
-    assert boxes == [old_tight_box(m) for m in pool]
-    assert [tight_box(m) for m in pool] == boxes
+    assert boxes.dtype == np.int64 and boxes.shape == (len(pool), 4)
+    assert boxes.tolist() == [old_tight_box(m) for m in pool]
+    assert [tight_box(m).tolist() for m in pool] == boxes.tolist()
     if len(pool):
-        assert PoolGeometry.from_pool(pool).boxes == boxes
+        assert PoolGeometry.from_pool(pool).boxes.tobytes() == boxes.tobytes()
 
 
 def test_box_regime_cut_equals_the_per_proposal_filter():
@@ -457,7 +456,7 @@ def test_box_regime_cut_equals_the_per_proposal_filter():
     for rec in recs:
         boxes = rec.annotation.boxes
         for t in (0.3, 0.5, 0.9, 1.0):
-            ious = [[box_iou(old_tight_box(m), b) for _, b in boxes]
+            ious = [[box_iou(old_tight_box(m), b) for _, *b in boxes.tolist()]
                     for m in rec.pool]
             want = [i for i, row in enumerate(ious) if max(row) >= t]
             coverable = all(max(col) >= t for col in zip(*ious))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from annoconsist.condnet import InferenceConfig
-from annoconsist.masks import box_iou, mask_iou
+from annoconsist.masks import mask_iou
 from annoconsist.scenes import scene_to_obj
 from annoconsist.synthgen import (
     BACKGROUND,
@@ -17,7 +17,7 @@ from annoconsist.synthgen import (
 )
 from annoconsist.train import TrainConfig, prepare_scene
 
-from oracles import make_dataset, tight_box
+from oracles import box_iou, make_dataset, tight_box
 
 
 def test_same_seed_gives_identical_scene():
@@ -60,11 +60,12 @@ def test_scene_invariants_over_many_seeds():
         np.testing.assert_array_equal(
             np.nonzero(rec.annotation.presence)[0] + 1, sorted(present))
         # boxes are tight boxes of the instances, one per instance
-        assert len(rec.annotation.boxes) == n
-        for (c, box), g_c, g in zip(rec.annotation.boxes,
-                                    rec.gt.class_ids.tolist(), rec.gt.masks):
-            assert type(c) is int and c == g_c
-            assert box.as_tuple() == tight_box(g).as_tuple()
+        boxes = rec.annotation.boxes
+        assert boxes.dtype == np.int64 and boxes.shape == (n, 5)
+        for (c, *box), g_c, g in zip(boxes.tolist(),
+                                     rec.gt.class_ids.tolist(), rec.gt.masks):
+            assert c == g_c
+            assert box == tight_box(g).tolist()
 
 
 def test_objects_are_painted_with_class_colors():
@@ -125,7 +126,7 @@ def test_box_regime_keeps_the_proposals_that_cover_a_box():
         kept = set(keep.tolist())
         for i in range(rec.num_proposals):
             tb = tight_box(rec.pool[i])
-            best = max(box_iou(tb, b) for _, b in rec.annotation.boxes)
+            best = max(box_iou(tb, b) for _, *b in rec.annotation.boxes.tolist())
             assert (i in kept) == (best >= rho)
 
 
@@ -149,13 +150,13 @@ def test_box_regime_skips_a_scene_with_no_box_or_an_uncoverable_box():
     rec = make_scene(SceneConfig(), ProposalConfig(), seed=11, scene_id=0)
     ann = rec.annotation
     empty = dataclasses.replace(rec, annotation=dataclasses.replace(
-        ann, boxes=[]))
+        ann, boxes=np.zeros((0, 5), dtype=np.int64)))
     assert prepare_scene(empty, BOX, InferenceConfig()) is None
     # no proposal's tight box equals a box that ends past the frame
-    j, b = ann.boxes[0]
-    wide = dataclasses.replace(b, x_max=rec.width)
+    wide = ann.boxes[0].copy()
+    wide[3] = rec.width
     far = dataclasses.replace(rec, annotation=dataclasses.replace(
-        ann, boxes=[*ann.boxes, (j, wide)]))
+        ann, boxes=np.vstack([ann.boxes, wide])))
     assert prepare_scene(far, BOX, InferenceConfig(box_rho=1.0)) is None
     assert prepare_scene(rec, BOX, InferenceConfig(box_rho=1.0)) is not None
 

@@ -528,7 +528,7 @@ def _hopeless_box_scene(scene_id):
     takes it, the other class's box there cannot be covered."""
     m0 = rect_mask(16, 16, 2, 8, 2, 8)
     m1 = rect_mask(16, 16, 2, 8, 5, 11)  # box IoU with m0 is 1/3
-    boxes = [(1, tight_box(m0)), (2, tight_box(m0)), (2, tight_box(m1))]
+    boxes = [(1, *tight_box(m0)), (2, *tight_box(m0)), (2, *tight_box(m1))]
     return make_record([m0, m1], [1, 2], num_classes=2, size=(16, 16),
                        boxes=boxes, scene_id=scene_id)
 
@@ -672,9 +672,9 @@ def test_seed_labeling_weights_coverage_and_handles_multiple_seeds():
 def _boxed_record(scene_id=0, with_far_box=False):
     good = rect_mask(16, 16, 2, 8, 2, 8)
     junk = rect_mask(16, 16, 10, 14, 10, 14)
-    boxes = [(1, tight_box(good))]
+    boxes = [(1, *tight_box(good))]
     if with_far_box:
-        boxes.append((2, tight_box(rect_mask(16, 16, 0, 2, 13, 16))))
+        boxes.append((2, *tight_box(rect_mask(16, 16, 0, 2, 13, 16))))
     presence = [1, 2] if with_far_box else [1]
     return make_record([good, junk], presence, size=(16, 16), boxes=boxes,
                        scene_id=scene_id)
