@@ -26,8 +26,9 @@ from .render import render_predictions
 from .scenes import (DatasetFormatError, iter_dataset, load_dataset,
                      save_dataset)
 from .synthgen import EmptyPoolError, PlacementError, make_scene
-from .train import (TrainingError, fit, load_checkpoint, prepare_scene,
-                    sample_noise, save_checkpoint, write_log_csv)
+from .train import (CheckpointError, TrainingError, fit, load_checkpoint,
+                    prepare_scene, sample_noise, save_checkpoint,
+                    write_log_csv)
 from .evaluate import evaluate_predictions
 
 EXIT_OK = 0
@@ -120,9 +121,10 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolved_config(args)
-    records = _load_split(args.data, args.split)
-    res = fit(records, cfg.train, cfg.inference, cfg.loss,
-              verbose=args.verbose)
+    # fit reads the split one scene at a time and keeps only the prepared
+    # scenes
+    res = fit(iter_dataset(_dataset_path(args.data, args.split)), cfg.train,
+              cfg.inference, cfg.loss, verbose=args.verbose)
     os.makedirs(args.out, exist_ok=True)
     for i, snap in enumerate(res.snapshots):
         last = i == len(res.snapshots) - 1
@@ -132,7 +134,7 @@ def cmd_train(args) -> int:
                         snap["pred"], meta={"outer": snap["outer"]})
     write_log_csv(os.path.join(args.out, "log.csv"), res.log)
     save_config(os.path.join(args.out, "config.json"), cfg)
-    print(f"trained on {len(records)} scenes "
+    print(f"trained on {res.num_scenes} scenes "
           f"({res.skipped_scenes} skipped); "
           f"{res.inference_failures} scene inference failures; train map50="
           f"{res.final_map50:.4f}; wrote {args.out}")
@@ -174,9 +176,15 @@ def _infer_scene(rec, cfg, iter_paths, final_path) -> tuple:
     the scene's status: "unusable" when prepare_scene rejects it, "failed"
     when some sampling raised, else "ok"."""
     prep = prepare_scene(rec, cfg.train, cfg.inference)
-    ckpts = [load_checkpoint(path) for path in [*iter_paths, final_path]]
+    paths = [*iter_paths, final_path]
+    ckpts = [load_checkpoint(path) for path in paths]
+    for path, (_, pred, _) in zip(paths, ckpts):
+        if len(pred.w) != rec.num_classes + 1:
+            raise CheckpointError(
+                f"{path}: weights for {len(pred.w) - 1} classes, but scene "
+                f"{rec.scene_id} has {rec.num_classes}")
     # a checkpoint without an outer index in its meta takes its position
-    outers = [int(meta.get("outer", i)) for i, (_, _, meta) in enumerate(ckpts)]
+    outers = [meta.get("outer", i) for i, (_, _, meta) in enumerate(ckpts)]
     if prep is not None:
         # every checkpoint's K draws in one block, keyed by its tag; a
         # scorer of noise width d takes the block's first d columns
@@ -387,8 +395,8 @@ def run(argv) -> int:
         return int(code)
     try:
         return args.func(args)
-    except (ConfigError, DatasetFormatError, FileNotFoundError,
-            NotADirectoryError, IsADirectoryError) as exc:
+    except (ConfigError, DatasetFormatError, CheckpointError,
+            FileNotFoundError, NotADirectoryError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TrainingError, InferenceError, PlacementError, EmptyPoolError,

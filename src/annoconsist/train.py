@@ -38,12 +38,16 @@ from .evaluate import EvalResult, evaluate_predictions, map_at
 from .loss import LossConfig, cost_row
 from .prednet import PredParams, argmax_labeling, decode, pred_init, predict
 from .scenes import rebuild_with_pool
-from .scorer import (CondParams, axpy, cond_init, draw_noise, features,
-                     score_vjp)
+from .scorer import (CondParams, axpy, cond_init, draw_noise, feature_dim,
+                     features, score_vjp)
 
 
 class TrainingError(Exception):
     pass
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that does not hold what save_checkpoint writes."""
 
 
 @dataclass
@@ -90,6 +94,7 @@ class FitResult:
     pred: PredParams
     log: list = field(default_factory=list)  # one dict per epoch
     snapshots: list = field(default_factory=list)  # params after each outer iter
+    num_scenes: int = 0  # scenes read, skipped ones included
     skipped_scenes: int = 0
     # scenes left out of a cond epoch's update or a pred phase's batch
     # because their inference raised, counted once per epoch or phase
@@ -302,9 +307,11 @@ def sample_noise(train_cfg: TrainConfig, scene_id, tag, k: int,
     return draw_noise(train_cfg.seed, scene_id, np.arange(k), tag, dim=dim)
 
 
-def prepare_records(records: list, train_cfg: TrainConfig,
+def prepare_records(records, train_cfg: TrainConfig,
                     inf_cfg: InferenceConfig) -> tuple:
-    """prepare_scene over every scene. Returns (records, num_skipped)."""
+    """prepare_scene over `records`, any iterable of scenes, consumed one
+    scene at a time; only the prepared records are kept. Returns
+    (prepared records, num_skipped)."""
     out = []
     skipped = 0
     for rec in records:
@@ -318,26 +325,25 @@ def prepare_records(records: list, train_cfg: TrainConfig,
     return out, skipped
 
 
-def _feasible_fractions(records, scene_samples, inf_cfg) -> list:
-    """Per scene, the fraction of its K sampled labelings that are
-    annotation-consistent."""
-    return [np.mean(higher_order_feasible(samples.labels, rec.annotation,
-                                          rec.geometry(), inf_cfg))
-            for rec, samples in zip(records, scene_samples)]
+def _feasible_fractions(records, labels, inf_cfg) -> list:
+    """Per scene, the fraction of the K labelings of its (K, P) label
+    stack that are annotation-consistent."""
+    return [np.mean(higher_order_feasible(y, rec.annotation, rec.geometry(),
+                                          inf_cfg))
+            for rec, y in zip(records, labels)]
 
 
-def _epoch_metrics(records, pred_params, scene_samples, feas, train_cfg,
+def _epoch_metrics(records, pred_params, labels, feas, train_cfg,
                    loss_cfg, grad_norms):
     """One log row: divergence parts, train-set mAP at 0.5, feasibility.
-    feas is _feasible_fractions of the sample batch, which the pred epochs
-    share."""
+    labels holds each scene's (K, P) label stack; feas is their
+    _feasible_fractions, which the pred epochs share."""
     pcs, ccs, pps = [], [], []
     preds_by_scene, gts_by_scene = {}, {}
-    for rec, samples in zip(records, scene_samples):
+    for rec, y in zip(records, labels):
         state = predict(pred_params, rec)
-        pcs.append(div_pc(state, samples.labels, loss_cfg))
-        ccs.append(div_cc(samples.labels, rec, loss_cfg)
-                   if samples.k >= 2 else 0.0)
+        pcs.append(div_pc(state, y, loss_cfg))
+        ccs.append(div_cc(y, rec, loss_cfg) if len(y) >= 2 else 0.0)
         pps.append(div_pp(state, loss_cfg))
         preds_by_scene[rec.scene_id] = decode(
             state, rec, train_cfg.decode_thresh, train_cfg.decode_nms)
@@ -355,11 +361,16 @@ def _epoch_metrics(records, pred_params, scene_samples, feas, train_cfg,
     }
 
 
-def fit(records: list, train_cfg: TrainConfig | None = None,
+def fit(records, train_cfg: TrainConfig | None = None,
         inf_cfg: InferenceConfig | None = None,
         loss_cfg: LossConfig | None = None,
         verbose: bool = False) -> FitResult:
     """Block coordinate descent on the dissimilarity coefficient.
+
+    records is any iterable of scenes; prepare_records consumes it one
+    scene at a time, and fit keeps only the prepared records and, per
+    sample batch, each scene's (K, P) label stack: a scene's SampleSet
+    lives only through that scene's step.
 
     Deterministic for fixed configs and records: all noise is derived
     from train_cfg.seed together with scene ids and phase tags. A scene
@@ -371,6 +382,7 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
     icfg = inf_cfg or InferenceConfig()
     lcfg = loss_cfg or LossConfig()
     records, skipped = prepare_records(records, tcfg, icfg)
+    num_scenes = len(records) + skipped
     c = records[0].num_classes
 
     cond = cond_init(c, tcfg.noise_dim)
@@ -391,11 +403,12 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
         anchor = phase == "init"
         enforce = True if anchor else None
         lr = tcfg.lr_init if anchor else tcfg.lr_cond
-        norms, used, batch = [], [], []
+        norms, used, labels = [], [], []
         z = sample_noise(tcfg, ids, tag, k_eff, tcfg.noise_dim)
         for i, rec in enumerate(records):
             # a scene whose inference fails gets no update this epoch; its
-            # samples still enter the metrics when sampling succeeded
+            # labelings still enter the metrics when sampling succeeded.
+            # They are all that outlives the scene's step.
             try:
                 samples = sample_k(cond, rec, z[i], icfg,
                                    term_mode=tcfg.term_mode, enforce=enforce)
@@ -403,18 +416,20 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
                 failures += 1
                 continue
             used.append(rec)
-            batch.append(samples)
+            labels.append(samples.labels)
             try:
                 grad = cond_grad(cond, rec, samples, refs[i], tcfg, icfg,
                                  lcfg, anchor=anchor)
             except InferenceError:
                 failures += 1
                 continue
+            finally:
+                del samples
             norms.append(sgd_step(cond, grad, lr, tcfg.clip_grad))
         _require_samples(used, phase, outer, epoch)
         row = {"phase": phase, "outer": outer, "epoch": epoch}
         row.update(_epoch_metrics(
-            used, pred, batch, _feasible_fractions(used, batch, icfg),
+            used, pred, labels, _feasible_fractions(used, labels, icfg),
             tcfg, lcfg, norms))
         log.append(row)
         if verbose:
@@ -422,20 +437,21 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
 
     def run_pred_phase(phase, outer, tag):
         nonlocal failures
-        # a scene whose sampling fails is left out of this phase's batch
-        used, batch = [], []
+        # a scene whose sampling fails is left out of this phase's batch;
+        # of each sample batch only its labelings are kept
+        used, labels = [], []
         z = sample_noise(tcfg, ids, tag, k_eff, tcfg.noise_dim)
         for i, rec in enumerate(records):
             try:
-                batch.append(sample_k(cond, rec, z[i], icfg,
-                                      term_mode=tcfg.term_mode))
+                labels.append(sample_k(cond, rec, z[i], icfg,
+                                       term_mode=tcfg.term_mode).labels)
             except InferenceError:
                 failures += 1
                 continue
             used.append(rec)
         _require_samples(used, phase, outer, 0)
-        feas = _feasible_fractions(used, batch, icfg)
-        qbars = [empirical_distribution(s.labels, c + 1) for s in batch]
+        feas = _feasible_fractions(used, labels, icfg)
+        qbars = [empirical_distribution(y, c + 1) for y in labels]
         for epoch in range(tcfg.pred_epochs):
             norms = []
             for i, rec in enumerate(used):
@@ -444,7 +460,7 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
                 norms.append(sgd_step(pred, grad, tcfg.lr_pred,
                                       tcfg.clip_grad))
             row = {"phase": phase, "outer": outer, "epoch": epoch}
-            row.update(_epoch_metrics(used, pred, batch, feas, tcfg, lcfg,
+            row.update(_epoch_metrics(used, pred, labels, feas, tcfg, lcfg,
                                       norms))
             log.append(row)
             if verbose:
@@ -466,7 +482,8 @@ def fit(records: list, train_cfg: TrainConfig | None = None,
     snapshots.append({"outer": tcfg.outer_iters, "cond": cond.copy(),
                       "pred": pred.copy()})
     return FitResult(pred=pred, log=log, snapshots=snapshots,
-                     skipped_scenes=skipped, inference_failures=failures)
+                     num_scenes=num_scenes, skipped_scenes=skipped,
+                     inference_failures=failures)
 
 
 def _require_samples(used, phase, outer, epoch):
@@ -516,9 +533,19 @@ def _arr_to_obj(a: np.ndarray) -> dict:
 
 
 def _arr_from_obj(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    a = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return a.reshape(obj["shape"])
+    """The finite 2-D float64 array _arr_to_obj wrote; ValueError if the
+    shape is not two non-negative ints that fit the data's length."""
+    shape = obj["shape"]
+    if (not isinstance(shape, list) or len(shape) != 2
+            or any(type(n) is not int or n < 0 for n in shape)):
+        raise ValueError(f"shape {shape!r} is not two non-negative ints")
+    raw = base64.b64decode(obj["data"], validate=True)
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise ValueError(f"{len(raw)} data bytes for shape {shape}")
+    a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(a).all():
+        raise ValueError("a weight is not finite")
+    return a
 
 
 def save_checkpoint(path: str, cond: CondParams, pred: PredParams,
@@ -535,14 +562,36 @@ def save_checkpoint(path: str, cond: CondParams, pred: PredParams,
 
 
 def load_checkpoint(path: str) -> tuple:
-    """Returns (cond, pred, meta)."""
+    """Returns (cond, pred, meta), parsing the file once. Raises
+    CheckpointError naming the file unless it holds what save_checkpoint
+    writes: format version 1, a linear scorer, finite weights of C+1 rows
+    for some class count C (the predictor's feature_dim(C) columns wide,
+    the scorer's at least that wide), and a meta object whose "outer",
+    when given, is a non-negative int."""
     with open(path) as fh:
-        obj = json.load(fh)
-    if obj.get("format_version") != 1:
-        raise ValueError("unsupported checkpoint version")
-    kind = obj["cond"].get("kind")
-    if kind != "linear":
-        raise ValueError(f"unsupported checkpoint scorer kind {kind!r}")
-    cond = CondParams(w=_arr_from_obj(obj["cond"]["arrays"]["w"]))
-    pred = PredParams(w=_arr_from_obj(obj["pred"]["arrays"]["w"]))
-    return cond, pred, obj.get("meta", {})
+        try:
+            obj = json.load(fh)
+            if obj.get("format_version") != 1:
+                raise ValueError("unsupported checkpoint version")
+            kind = obj["cond"].get("kind")
+            if kind != "linear":
+                raise ValueError(
+                    f"unsupported checkpoint scorer kind {kind!r}")
+            cond = CondParams(w=_arr_from_obj(obj["cond"]["arrays"]["w"]))
+            pred = PredParams(w=_arr_from_obj(obj["pred"]["arrays"]["w"]))
+            m, d = pred.w.shape
+            if (m < 2 or d != feature_dim(m - 1) or cond.w.shape[0] != m
+                    or cond.w.shape[1] < d):
+                raise ValueError(
+                    f"scorer weights of shape {list(cond.w.shape)} and "
+                    f"predictor weights of shape {list(pred.w.shape)} do "
+                    "not fit one class count")
+            meta = obj.get("meta", {})
+            outer = meta.get("outer", 0)
+            if type(outer) is not int or outer < 0:
+                raise ValueError(
+                    f"meta outer {outer!r} is not a non-negative int")
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path}: malformed checkpoint: {exc}") from exc
+    return cond, pred, meta

@@ -16,14 +16,15 @@ from annoconsist.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
 from annoconsist.condnet import InferenceError, sample_k
 from annoconsist.config import load_config
 from annoconsist.evaluate import evaluate_predictions
-from annoconsist.prednet import InstancePrediction, decode, predict
+from annoconsist.prednet import (InstancePrediction, decode, pred_init,
+                                 predict)
 from annoconsist.scenes import load_dataset, scene_to_obj
-from annoconsist.scorer import feature_dim
+from annoconsist.scorer import cond_init, feature_dim
 from annoconsist.synthgen import PlacementError
-from annoconsist.train import load_checkpoint, prepare_scene
+from annoconsist.train import load_checkpoint, prepare_scene, save_checkpoint
 
 from oracles import box_iou, scene_noise, tight_box
-from test_train import _hopeless_box_scene
+from test_train import _boxed_record, _hopeless_box_scene
 
 
 @pytest.fixture(autouse=True)
@@ -321,6 +322,107 @@ def test_infer_over_a_truncated_line_leaves_no_output(tmp_path, pipeline,
                 "--out", str(out / "preds.json")])
     assert code == EXIT_USAGE
     assert "line 2" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_train_streams_its_split_under_the_loaders_contract(
+        tmp_path, pipeline, tiny_config_path, capsys):
+    model = tmp_path / "model"
+    train = ["train", "--config", tiny_config_path, "--out", str(model)]
+    # a truncated last line: exit 2, and no model directory
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    lines = (data / "train.jsonl").read_text().splitlines()
+    lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    (data / "train.jsonl").write_text("\n".join(lines) + "\n")
+    assert run(train + ["--data", str(data)]) == EXIT_USAGE
+    assert f"line {len(lines)}" in capsys.readouterr().err
+    assert not model.exists()
+    # a missing split
+    assert run(train + ["--data", pipeline["data"], "--split",
+                        "nosuch"]) == EXIT_USAGE
+    assert "nosuch.jsonl" in capsys.readouterr().err
+    assert not model.exists()
+    # box supervision: the summary counts the skipped scene, and a split
+    # with no usable scene is a runtime failure
+    cfg = dict(TINY_CONFIG, train=dict(TINY_CONFIG["train"],
+                                       supervision="box"))
+    box_cfg = tmp_path / "box.json"
+    box_cfg.write_text(json.dumps(cfg))
+    split = tmp_path / "box.jsonl"
+    train = ["train", "--config", str(box_cfg), "--data", str(split),
+             "--out", str(model)]
+    usable, hopeless = _boxed_record(0), _boxed_record(1, with_far_box=True)
+
+    def write_split(*recs):
+        split.write_text("".join(
+            json.dumps(scene_to_obj(rec), separators=(",", ":")) + "\n"
+            for rec in recs))
+
+    write_split(usable, hopeless)
+    assert run(train) == EXIT_OK
+    assert capsys.readouterr().out.startswith(
+        "trained on 2 scenes (1 skipped); ")
+    shutil.rmtree(model)
+    write_split(hopeless, hopeless)
+    assert run(train) == EXIT_RUNTIME
+    assert "no usable scenes" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def _set_in_checkpoint(*keys, value):
+    """An edit of a checkpoint file: the entry at `keys` becomes `value`,
+    or value(old entry) when value is callable."""
+    def edit(path):
+        obj = json.loads(path.read_text())
+        inner = obj
+        for key in keys[:-1]:
+            inner = inner[key]
+        inner[keys[-1]] = value(inner[keys[-1]]) if callable(value) else value
+        path.write_text(json.dumps(obj))
+    return edit
+
+
+def _nan_weight(arr):
+    w = np.frombuffer(base64.b64decode(arr["data"]), dtype="<f8").copy()
+    w[-1] = np.nan
+    return dict(arr, data=base64.b64encode(w.tobytes()).decode("ascii"))
+
+
+CHECKPOINT_EDITS = {
+    "version 2": _set_in_checkpoint("format_version", value=2),
+    "truncated": lambda path: path.write_text(
+        path.read_text()[: path.stat().st_size // 2]),
+    "outer x": _set_in_checkpoint("meta", "outer", value="x"),
+    "negative outer": _set_in_checkpoint("meta", "outer", value=-1),
+    "meta not an object": _set_in_checkpoint("meta", value=[1]),
+    "shape off by one": _set_in_checkpoint(
+        "pred", "arrays", "w", "shape", value=lambda s: [s[0], s[1] + 1]),
+    "1-d shape": _set_in_checkpoint(
+        "cond", "arrays", "w", "shape", value=lambda s: [s[0] * s[1]]),
+    "nan weight": _set_in_checkpoint("cond", "arrays", "w",
+                                     value=_nan_weight),
+    "scorer and predictor disagree": _set_in_checkpoint(
+        "cond", "arrays", "w", value=lambda arr: dict(
+            arr, shape=[arr["shape"][0] - 1, arr["shape"][1] + 1])),
+    "three classes for a two-class split": lambda path: save_checkpoint(
+        str(path), cond_init(3, 8), pred_init(3)),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECKPOINT_EDITS))
+def test_malformed_checkpoint_is_a_usage_error_naming_the_file(
+        tmp_path, pipeline, capsys, name):
+    model = tmp_path / "model"
+    shutil.copytree(pipeline["model"], model)
+    path = model / "checkpoint_final.json"
+    CHECKPOINT_EDITS[name](path)
+    out = tmp_path / "out"
+    out.mkdir()
+    code = run(["infer", "--model", str(model), "--data", pipeline["data"],
+                "--out", str(out / "preds.json")])
+    assert code == EXIT_USAGE
+    assert f"error: {path}: " in capsys.readouterr().err
     assert os.listdir(out) == []
 
 

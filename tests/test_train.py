@@ -2,6 +2,9 @@ import csv
 import dataclasses
 import functools
 import json
+import os
+import re
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from annoconsist.adjacency import build_adjacency
 from annoconsist import train as train_mod
 from annoconsist import kernels
+from annoconsist.config import load_config
 from annoconsist.condnet import (
     InferenceConfig,
     InferenceError,
@@ -25,10 +29,12 @@ from annoconsist.disco import div_pc, div_pp
 from annoconsist.loss import LossConfig, cost_row
 from annoconsist.masks import inner_boundary
 from annoconsist.prednet import PredParams, pred_init, predict
+from annoconsist.scenes import Instances
 from annoconsist.scorer import (CondParams, axpy, cond_init, feature_dim,
                                 features, score_vjp)
 from annoconsist.synthgen import ProposalConfig, SceneConfig
 from annoconsist.train import (
+    CheckpointError,
     TrainConfig,
     TrainingError,
     cond_grad,
@@ -594,6 +600,93 @@ def test_fit_skips_the_update_of_a_scene_whose_gradient_fails(monkeypatch):
     assert res.log[0]["feasible"] == 1.0
 
 
+@pytest.mark.parametrize("kw", [{}, {"supervision": "box"},
+                                {"term_mode": "U"}], ids=["image", "box", "U"])
+def test_no_sample_set_outlives_its_scene_step(monkeypatch, kw):
+    # fit keeps only each batch's label stacks: a scene's SampleSet is gone
+    # before the next scene samples and when a log row is computed, also
+    # after its gradient or (for the hopeless box scene) its sampling raised
+    records = _tiny_dataset(n=3)
+    if kw:
+        records.append(_hopeless_box_scene(99))
+    failing = records[1].scene_id
+    alive = []
+    rows = []
+    orig_sample = train_mod.sample_k
+    orig_grad = train_mod.cond_grad
+    orig_metrics = train_mod._epoch_metrics
+
+    def live():
+        return sum(ref() is not None for ref in alive)
+
+    def tracked(*args, **kwargs):
+        assert live() == 0
+        samples = orig_sample(*args, **kwargs)
+        alive.append(weakref.ref(samples))
+        return samples
+
+    def flaky(params, rec, *args, **kwargs):
+        grad = orig_grad(params, rec, *args, **kwargs)
+        if rec.scene_id == failing:
+            raise InferenceError("injected")
+        return grad
+
+    def metrics(*args, **kwargs):
+        rows.append(live())
+        return orig_metrics(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "sample_k", tracked)
+    monkeypatch.setattr(train_mod, "cond_grad", flaky)
+    monkeypatch.setattr(train_mod, "_epoch_metrics", metrics)
+    res = fit(records, _tiny_train_cfg(**kw), InferenceConfig(delta=8.0))
+    assert res.inference_failures > 0
+    assert rows == [0] * len(res.log)
+
+
+def test_fit_consumes_any_iterable_of_scenes_once():
+    records = _tiny_dataset(n=2)
+    tcfg = _tiny_train_cfg(supervision="box")
+    icfg = InferenceConfig(delta=8.0)
+    want = fit(records, tcfg, icfg)
+    got = fit(iter(records), tcfg, icfg)
+    assert got.num_scenes == want.num_scenes == 2
+    assert got.pred.w.tobytes() == want.pred.w.tobytes()
+    assert got.log == want.log
+
+
+SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                     "smoke.json")
+
+
+@pytest.mark.parametrize("supervision", ["image", "box"])
+def test_training_never_reads_ground_truth(supervision):
+    # with every training scene's ground truth emptied, every snapshot is
+    # the same to the byte; only the train-set mAP column of the log moves.
+    # decode_thresh sets only which predictions that mAP scores; at 0 it is
+    # above 0 at smoke size, so the emptied ground truth shows in the log
+    cfg = load_config(SMOKE)
+    tcfg = dataclasses.replace(cfg.train, supervision=supervision,
+                               decode_thresh=0.0)
+    records = make_dataset(cfg.scene, cfg.proposal, cfg.n_scenes, cfg.seed)
+    blind = [dataclasses.replace(rec, gt=Instances(
+        np.zeros(0, dtype=np.int64),
+        np.zeros((0, rec.height, rec.width), dtype=bool))) for rec in records]
+    want = fit(records, tcfg, cfg.inference, cfg.loss)
+    got = fit(blind, tcfg, cfg.inference, cfg.loss)
+    assert [s["outer"] for s in got.snapshots] == [
+        s["outer"] for s in want.snapshots]
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert a["cond"].w.tobytes() == b["cond"].w.tobytes()
+        assert a["pred"].w.tobytes() == b["pred"].w.tobytes()
+
+    def without_map(log):
+        return [{k: v for k, v in row.items() if k != "map50"} for row in log]
+
+    assert without_map(got.log) == without_map(want.log)
+    assert any(row["map50"] > 0.0 for row in want.log)
+    assert all(row["map50"] == 0.0 for row in got.log)
+
+
 def _seed_labeling_loop(rec):
     """seed_labeling with its own ring-edge loop, as it was before it read
     the scorer's boundary_edge feature column."""
@@ -832,7 +925,8 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     obj = json.loads(path.read_text())
     obj["format_version"] = 99
     path.write_text(json.dumps(obj))
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"{path}: malformed checkpoint: unsupported checkpoint version")):
         load_checkpoint(str(path))
 
 
