@@ -19,12 +19,13 @@ import sys
 import numpy as np
 
 from .ablation import ablation_run
-from .condnet import InferenceError, params_noise_dim, sample_k
+from .condnet import InferenceError, sample_k
 from .config import ConfigError, RunConfig, load_config, save_config
 from .prednet import InstancePrediction, decode, decoded_index, predict
 from .render import render_predictions
 from .scenes import (DatasetFormatError, iter_dataset, load_dataset,
                      save_dataset)
+from .scorer import feature_dim
 from .synthgen import EmptyPoolError, PlacementError, make_scene
 from .train import (CheckpointError, TrainingError, fit, load_checkpoint,
                     prepare_scene, sample_noise, save_checkpoint,
@@ -126,12 +127,12 @@ def cmd_train(args) -> int:
     res = fit(iter_dataset(_dataset_path(args.data, args.split)), cfg.train,
               cfg.inference, cfg.loss, verbose=args.verbose)
     os.makedirs(args.out, exist_ok=True)
-    for i, snap in enumerate(res.snapshots):
-        last = i == len(res.snapshots) - 1
+    for outer, (cond, pred) in enumerate(res.snapshots):
+        last = outer == len(res.snapshots) - 1
         name = ("checkpoint_final.json" if last
-                else f"checkpoint_iter{snap['outer']:02d}.json")
-        save_checkpoint(os.path.join(args.out, name), snap["cond"],
-                        snap["pred"], meta={"outer": snap["outer"]})
+                else f"checkpoint_iter{outer:02d}.json")
+        save_checkpoint(os.path.join(args.out, name), cond, pred,
+                        meta={"outer": outer})
     write_log_csv(os.path.join(args.out, "log.csv"), res.log)
     save_config(os.path.join(args.out, "config.json"), cfg)
     print(f"trained on {res.num_scenes} scenes "
@@ -174,32 +175,37 @@ def _infer_scene(rec, cfg, iter_paths, final_path) -> tuple:
     every snapshot checkpoint, then the final one. A checkpoint whose
     sampling raises InferenceError gets no samples. Returns the entry and
     the scene's status: "unusable" when prepare_scene rejects it, "failed"
-    when some sampling raised, else "ok"."""
+    when some sampling raised, else "ok". Raises CheckpointError when a
+    checkpoint's class count is not the scene's, or its scorer is not
+    feature_dim(C) + cfg.train.noise_dim wide."""
     prep = prepare_scene(rec, cfg.train, cfg.inference)
     paths = [*iter_paths, final_path]
     ckpts = [load_checkpoint(path) for path in paths]
-    for path, (_, pred, _) in zip(paths, ckpts):
-        if len(pred.w) != rec.num_classes + 1:
+    width = feature_dim(rec.num_classes) + cfg.train.noise_dim
+    for path, (cond, pred, _) in zip(paths, ckpts):
+        if len(pred) != rec.num_classes + 1:
             raise CheckpointError(
-                f"{path}: weights for {len(pred.w) - 1} classes, but scene "
+                f"{path}: weights for {len(pred) - 1} classes, but scene "
                 f"{rec.scene_id} has {rec.num_classes}")
+        if cond.shape[1] != width:
+            raise CheckpointError(
+                f"{path}: scorer of width {cond.shape[1]}, but the config's "
+                f"noise_dim {cfg.train.noise_dim} needs {width}")
     # a checkpoint without an outer index in its meta takes its position
     outers = [meta.get("outer", i) for i, (_, _, meta) in enumerate(ckpts)]
     if prep is not None:
-        # every checkpoint's K draws in one block, keyed by its tag; a
-        # scorer of noise width d takes the block's first d columns
-        dims = [params_noise_dim(cond, prep) for cond, _, _ in ckpts]
+        # every checkpoint's K draws in one block, keyed by its tag
         tags = [0x7E57 + outer for outer in outers[:-1]] + [0x7E57 + 0x99]
         z = sample_noise(cfg.train, rec.scene_id,
-                         np.array(tags, dtype=object), cfg.train.k, max(dims))
+                         np.array(tags, dtype=object), cfg.train.k,
+                         cfg.train.noise_dim)
     failed = False
     entries = []
     for i, ((cond, pred, _), outer) in enumerate(zip(ckpts, outers)):
         samples = []
         if prep is not None:
             try:
-                samples = _sample_payload(rec, prep, cond, cfg,
-                                          z[i, :, :dims[i]])
+                samples = _sample_payload(rec, prep, cond, cfg, z[i])
             except InferenceError:
                 failed = True
         entries.append({"outer": outer, "samples": samples,

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .scenes import Annotation, PoolGeometry, SceneRecord
-from .scorer import CondParams, feature_dim, score_from_input, scorer_input
+from .scorer import feature_dim, score_from_input, scorer_input
 
 TERM_MODES = ("U", "U+P", "U+P+H")
 
@@ -169,30 +169,31 @@ class SampleSet:
         return self.labels.shape[0]
 
 
-def forward_scores(params: CondParams, rec: SceneRecord, z: np.ndarray,
+def forward_scores(w: np.ndarray, rec: SceneRecord, z: np.ndarray,
                    cfg: InferenceConfig) -> tuple:
-    """Score tables of K draws from their (K, d) noise, refined for
-    cfg.n_iters iterations. Returns the scorer inputs (K, P, D+d), the
-    refinement stack and the final tables (K, P, C+1)."""
+    """Score tables under scorer weights w of K draws from their (K, d)
+    noise, refined for cfg.n_iters iterations. Returns the scorer inputs
+    (K, P, D+d), the refinement stack and the final tables (K, P, C+1)."""
     x = scorer_input(rec, z)
-    f = np.stack([score_from_input(params, xk) for xk in x])
+    f = np.stack([score_from_input(w, xk) for xk in x])
     stack = refine_stack(f, rec.adjacency, cfg)
     return x, stack, stack[-1]
 
 
-def sample_k(params: CondParams, rec: SceneRecord, z: np.ndarray,
+def sample_k(w: np.ndarray, rec: SceneRecord, z: np.ndarray,
              cfg: InferenceConfig, term_mode: str = "U+P+H",
              enforce: bool | None = None) -> SampleSet:
-    """K labelings from a (K, d) block of noise rows, d the scorer's noise
-    width (draw_noise of the scene's keys, or zeros in pointwise mode).
-    The pairwise term enters only through refinement, so term mode "U" is
-    "U+P" with zero refinement iterations. enforce overrides the term-mode
-    default for annotation-consistency forcing (the seed-supervised
-    initialization phase forces it in every mode).
+    """K labelings under scorer weights w from a (K, d) block of noise
+    rows, d the scorer's noise width (draw_noise of the scene's keys, or
+    zeros in pointwise mode). The pairwise term enters only through
+    refinement, so term mode "U" is "U+P" with zero refinement iterations.
+    enforce overrides the term-mode default for annotation-consistency
+    forcing (the seed-supervised initialization phase forces it in every
+    mode).
     """
     if term_mode not in TERM_MODES:
         raise ValueError(f"term_mode must be one of {TERM_MODES}")
-    dim = params_noise_dim(params, rec)
+    dim = w.shape[1] - feature_dim(rec.num_classes)
     if z.ndim != 2 or z.shape[1] != dim:
         raise ValueError(f"noise block of shape {z.shape} for a scorer of "
                          f"noise width {dim}")
@@ -202,13 +203,10 @@ def sample_k(params: CondParams, rec: SceneRecord, z: np.ndarray,
     if enforce is None:
         enforce = term_mode == "U+P+H"
     geom = rec.geometry()
-    x, stack, g = forward_scores(params, rec, z, cfg)
+    x, stack, g = forward_scores(w, rec, z, cfg)
     labels = np.zeros((k, rec.num_proposals), dtype=np.int64)
     for i in range(k):
         labels[i] = greedy_infer(g[i], rec.annotation, geom, cfg,
                                  enforce=enforce)
     return SampleSet(x=x, stack=stack, g=g, labels=labels, enforced=enforce)
 
-
-def params_noise_dim(params: CondParams, rec: SceneRecord) -> int:
-    return params.w.shape[1] - feature_dim(rec.num_classes)

@@ -6,6 +6,7 @@ anywhere are rejected so a typo cannot silently fall back to a default.
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .condnet import InferenceConfig
@@ -88,6 +89,9 @@ def _check_kind(value, default, what: str) -> None:
     if (not isinstance(value, accepted)
             or isinstance(value, bool) != isinstance(default, bool)):
         raise ConfigError(f"{what} must be {kind}, not {value!r}")
+    # json reads NaN, Infinity and -Infinity as floats
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, not {value!r}")
 
 
 def _build_section(cls, obj: dict, where: str):

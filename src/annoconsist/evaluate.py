@@ -39,9 +39,9 @@ def ap_from_flags(flags: np.ndarray, npos: int) -> float:
     rec = tp / npos
     prec = tp / (tp + fp)
     mrec = np.concatenate(([0.0], rec, [1.0]))
-    mpre = np.concatenate(([0.0], prec, [0.0]))
-    for i in range(mpre.shape[0] - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    # the envelope: each precision raised to the largest one after it
+    mpre = np.maximum.accumulate(
+        np.concatenate(([0.0], prec, [0.0]))[::-1])[::-1]
     moved = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[moved + 1] - mrec[moved]) * mpre[moved + 1]))
 

@@ -138,11 +138,6 @@ def rle_decode_stack(rles: list) -> np.ndarray:
     return np.repeat(index % 2 == 1, counts).reshape(len(rles), h, w)
 
 
-def stack_pool(masks) -> np.ndarray:
-    """Stack a list of (H, W) bool masks into a (P, H, W) array."""
-    return np.stack([np.asarray(m, dtype=bool) for m in masks], axis=0)
-
-
 def intersection_counts(pool: np.ndarray) -> np.ndarray:
     """(P, P) pairwise intersection pixel counts for a stacked pool."""
     flat = pool.reshape(pool.shape[0], -1).astype(np.float32)

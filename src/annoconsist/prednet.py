@@ -17,14 +17,6 @@ from .scorer import feature_dim, features
 
 
 @dataclass
-class PredParams:
-    w: np.ndarray  # (C+1, D)
-
-    def copy(self) -> "PredParams":
-        return PredParams(w=self.w.copy())
-
-
-@dataclass
 class InstancePrediction:
     proposal_index: int
     class_id: int
@@ -32,8 +24,9 @@ class InstancePrediction:
     mask: np.ndarray
 
 
-def pred_init(num_classes: int) -> PredParams:
-    return PredParams(w=np.zeros((num_classes + 1, feature_dim(num_classes))))
+def pred_init(num_classes: int) -> np.ndarray:
+    """Zero predictor weights: the linear map w of shape (C+1, D)."""
+    return np.zeros((num_classes + 1, feature_dim(num_classes)))
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -42,9 +35,9 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def predict(params: PredParams, rec: SceneRecord) -> np.ndarray:
-    """(P, C+1) predictive state; rows sum to 1."""
-    return softmax_rows(features(rec) @ params.w.T)
+def predict(w: np.ndarray, rec: SceneRecord) -> np.ndarray:
+    """(P, C+1) predictive state of weights w; rows sum to 1."""
+    return softmax_rows(features(rec) @ w.T)
 
 
 def argmax_labeling(state: np.ndarray) -> np.ndarray:

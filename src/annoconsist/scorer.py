@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,19 +73,9 @@ def _pixels_by_row(flat: np.ndarray) -> list:
     return np.split(idx, np.cumsum(np.count_nonzero(flat, axis=1))[:-1])
 
 
-@dataclass
-class CondParams:
-    """Scorer parameters: the linear map w of shape (C+1, D+d)."""
-
-    w: np.ndarray
-
-    def copy(self) -> "CondParams":
-        return CondParams(w=self.w.copy())
-
-
-def cond_init(num_classes: int, noise_dim: int) -> CondParams:
-    d_in = feature_dim(num_classes) + noise_dim
-    return CondParams(w=np.zeros((num_classes + 1, d_in)))
+def cond_init(num_classes: int, noise_dim: int) -> np.ndarray:
+    """Zero scorer weights: the linear map w of shape (C+1, D+d)."""
+    return np.zeros((num_classes + 1, feature_dim(num_classes) + noise_dim))
 
 
 def scorer_input(rec: SceneRecord, z: np.ndarray) -> np.ndarray:
@@ -99,17 +88,17 @@ def scorer_input(rec: SceneRecord, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def score_from_input(params: CondParams, x: np.ndarray) -> np.ndarray:
-    return x @ params.w.T
+def score_from_input(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return x @ w.T
 
 
-def score_vjp(params: CondParams, x: np.ndarray, q: np.ndarray) -> CondParams:
-    """Gradient of sum(q * F(x)) with respect to the parameters.
+def score_vjp(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Gradient of sum(q * F(x)) with respect to the weights.
 
     q has the score table's shape; this is the only backward pass the
     trainer needs, since every loss term is a weighted sum of entries.
     """
-    return CondParams(w=q.T @ x)
+    return q.T @ x
 
 
 def draw_noise(seed, scene_id, k, extra, dim: int) -> np.ndarray:
@@ -305,7 +294,3 @@ def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple:
     lo = a_lo + b_lo
     return a_hi + b_hi + (lo < a_lo), lo
 
-
-def axpy(dst: CondParams, src: CondParams, alpha: float) -> None:
-    """dst += alpha * src, in place."""
-    dst.w += alpha * src.w

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .adjacency import build_adjacency
-from .masks import dilate, erode, inner_boundary, stack_pool, tight_boxes
+from .masks import dilate, erode, inner_boundary, tight_boxes
 from .scenes import Annotation, Instances, SceneRecord
 
 # class colors; background is gray
@@ -378,7 +378,7 @@ def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneReco
     if not kept:
         raise EmptyPoolError(f"scene {rec.scene_id}: no proposals survived")
 
-    pool = stack_pool(kept)
+    pool = np.stack(kept)
     return replace(
         rec, pool=pool,
         adjacency=build_adjacency(pool, rec.edges, dilation=cfg.dilation),

@@ -36,10 +36,9 @@ from .condnet import (
 from .disco import div_cc, div_pc, div_pp
 from .evaluate import EvalResult, evaluate_predictions, map_at
 from .loss import LossConfig, cost_row
-from .prednet import PredParams, argmax_labeling, decode, pred_init, predict
+from .prednet import argmax_labeling, decode, pred_init, predict
 from .scenes import rebuild_with_pool
-from .scorer import (CondParams, axpy, cond_init, draw_noise, feature_dim,
-                     features, score_vjp)
+from .scorer import cond_init, draw_noise, feature_dim, features, score_vjp
 
 
 class TrainingError(Exception):
@@ -81,6 +80,12 @@ class TrainConfig:
             raise ValueError("noise_dim must be non-negative")
         if self.k < 1:
             raise ValueError("k must be at least 1")
+        # a negative count would silently act as 0, or write a checkpoint
+        # of negative outer index
+        for name in ("init_epochs", "cond_epochs", "pred_epochs",
+                     "outer_iters", "clip_grad"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.decode_thresh <= 1.0:
@@ -91,9 +96,11 @@ class TrainConfig:
 
 @dataclass
 class FitResult:
-    pred: PredParams
+    pred: np.ndarray  # final predictor weights
     log: list = field(default_factory=list)  # one dict per epoch
-    snapshots: list = field(default_factory=list)  # params after each outer iter
+    # (cond, pred) weights after outer iteration i, at position i; the last
+    # pair is the final predictor phase's
+    snapshots: list = field(default_factory=list)
     num_scenes: int = 0  # scenes read, skipped ones included
     skipped_scenes: int = 0
     # scenes left out of a cond epoch's update or a pred phase's batch
@@ -105,17 +112,16 @@ class FitResult:
         return self.log[-1]["map50"] if self.log else 0.0
 
 
-def sgd_step(params, grad, lr: float, clip: float = 0.0) -> float:
-    """One SGD update of params.w in place; the gradient is scaled down to
-    l2 norm clip when longer (clip 0 disables clipping). Returns the raw
-    gradient l2 norm."""
-    g = grad.w
+def sgd_step(w, g, lr: float, clip: float = 0.0) -> float:
+    """One SGD update of the weights w in place; the gradient g is scaled
+    down to l2 norm clip when longer (clip 0 disables clipping). Returns
+    the raw gradient l2 norm."""
     norm = float(np.sqrt(float(np.sum(g * g))))
     if not np.isfinite(norm):
         raise TrainingError("non-finite gradient; stopping")
     if clip > 0.0 and norm > clip:
         g = g * (clip / norm)
-    params.w -= lr * g
+    w -= lr * g
     return norm
 
 
@@ -151,11 +157,11 @@ def selection_matrix(labels: np.ndarray, m: int) -> np.ndarray:
     return (labels[..., None] == np.arange(m)).astype(np.float64)
 
 
-def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
+def cond_grad(params: np.ndarray, rec, samples: SampleSet, y_ref: np.ndarray,
               train_cfg: TrainConfig, inf_cfg: InferenceConfig,
-              loss_cfg: LossConfig, anchor: bool = False) -> CondParams:
+              loss_cfg: LossConfig, anchor: bool = False) -> np.ndarray:
     """Direct-loss-minimization gradient of the dissimilarity coefficient
-    with respect to the conditional parameters, for one scene.
+    with respect to the scorer weights `params`, for one scene.
 
     Per draw k the contributions of the reference term and of every
     pairwise sample term are collected into a single coefficient table,
@@ -227,13 +233,13 @@ def cond_grad(params: CondParams, rec, samples: SampleSet, y_ref: np.ndarray,
     # which leaves every bit alone, and refinement's adjoint is per draw,
     # so the backward pass runs over the live draws only
     live = np.flatnonzero(q.reshape(kk, -1).any(axis=1))
-    total = CondParams(w=np.zeros_like(params.w))
+    total = np.zeros_like(params)
     if live.size == 0:
         return total
     q = refine_backward(samples.stack[:, live], rec.adjacency, inf_cfg,
                         q[live])
     for i, k in enumerate(live.tolist()):
-        axpy(total, score_vjp(params, samples.x[k], q[i]), 1.0)
+        total += score_vjp(samples.x[k], q[i])
     return total
 
 
@@ -247,15 +253,15 @@ def empirical_distribution(labels: np.ndarray, m: int) -> np.ndarray:
     return n.reshape(p, m) / kk
 
 
-def pred_grad(params: PredParams, rec, qbar: np.ndarray,
+def pred_grad(w: np.ndarray, rec, qbar: np.ndarray,
               loss_cfg: LossConfig, gamma: float,
-              pointwise: bool) -> PredParams:
+              pointwise: bool) -> np.ndarray:
     """Exact gradient for one scene of the predictor block of the
     dissimilarity coefficient, lambda * sum_u [(1 - p_u . q̄_u)
     - (1 - gamma) (1 - p_u . p_u)], the second term dropped in the
     pointwise variant. qbar is the sample batch's empirical_distribution,
     the only thing the gradient reads of the samples."""
-    p = predict(params, rec)
+    p = predict(w, rec)
     lam = loss_cfg.lambda_cls
     pdotq = np.sum(p * qbar, axis=1, keepdims=True)
     dz = -(p * qbar - p * pdotq)
@@ -263,7 +269,7 @@ def pred_grad(params: PredParams, rec, qbar: np.ndarray,
         nrm = np.sum(p * p, axis=1, keepdims=True)
         dz += (1.0 - gamma) * 2.0 * (p * p - p * nrm)
     dz *= lam
-    return PredParams(w=dz.T @ features(rec))
+    return dz.T @ features(rec)
 
 
 def prepare_scene(rec, train_cfg: TrainConfig, inf_cfg: InferenceConfig):
@@ -333,7 +339,7 @@ def _feasible_fractions(records, labels, inf_cfg) -> list:
             for rec, y in zip(records, labels)]
 
 
-def _epoch_metrics(records, pred_params, labels, feas, train_cfg,
+def _epoch_metrics(records, pred, labels, feas, train_cfg,
                    loss_cfg, grad_norms):
     """One log row: divergence parts, train-set mAP at 0.5, feasibility.
     labels holds each scene's (K, P) label stack; feas is their
@@ -341,7 +347,7 @@ def _epoch_metrics(records, pred_params, labels, feas, train_cfg,
     pcs, ccs, pps = [], [], []
     preds_by_scene, gts_by_scene = {}, {}
     for rec, y in zip(records, labels):
-        state = predict(pred_params, rec)
+        state = predict(pred, rec)
         pcs.append(div_pc(state, y, loss_cfg))
         ccs.append(div_cc(y, rec, loss_cfg) if len(y) >= 2 else 0.0)
         pps.append(div_pp(state, loss_cfg))
@@ -475,12 +481,10 @@ def fit(records, train_cfg: TrainConfig | None = None,
         for epoch in range(tcfg.cond_epochs):
             run_cond_epoch("cond", outer, epoch, refs,
                            0x20000 + outer * 0x100 + epoch)
-        snapshots.append({"outer": outer, "cond": cond.copy(),
-                          "pred": pred.copy()})
+        snapshots.append((cond.copy(), pred.copy()))
 
     run_pred_phase("final", tcfg.outer_iters, 0x30000 + tcfg.outer_iters)
-    snapshots.append({"outer": tcfg.outer_iters, "cond": cond.copy(),
-                      "pred": pred.copy()})
+    snapshots.append((cond.copy(), pred.copy()))
     return FitResult(pred=pred, log=log, snapshots=snapshots,
                      num_scenes=num_scenes, skipped_scenes=skipped,
                      inference_failures=failures)
@@ -492,11 +496,12 @@ def _require_samples(used, phase, outer, epoch):
                             f"{outer}.{epoch}")
 
 
-def evaluate_params(pred_params: PredParams, records: list, thresholds,
+def evaluate_params(pred: np.ndarray, records: list, thresholds,
                     decode_thresh: float, decode_nms: float) -> EvalResult:
-    """Decode every scene with the predictor and score against ground truth."""
+    """Decode every scene with the predictor weights pred and score against
+    ground truth."""
     preds_by_scene = {
-        rec.scene_id: decode(predict(pred_params, rec), rec, decode_thresh,
+        rec.scene_id: decode(predict(pred, rec), rec, decode_thresh,
                              decode_nms)
         for rec in records
     }
@@ -548,12 +553,12 @@ def _arr_from_obj(obj: dict) -> np.ndarray:
     return a
 
 
-def save_checkpoint(path: str, cond: CondParams, pred: PredParams,
+def save_checkpoint(path: str, cond: np.ndarray, pred: np.ndarray,
                     meta: dict | None = None) -> None:
     obj = {
         "format_version": 1,
-        "cond": {"kind": "linear", "arrays": {"w": _arr_to_obj(cond.w)}},
-        "pred": {"arrays": {"w": _arr_to_obj(pred.w)}},
+        "cond": {"kind": "linear", "arrays": {"w": _arr_to_obj(cond)}},
+        "pred": {"arrays": {"w": _arr_to_obj(pred)}},
         "meta": meta or {},
     }
     with open(path, "w") as fh:
@@ -562,7 +567,8 @@ def save_checkpoint(path: str, cond: CondParams, pred: PredParams,
 
 
 def load_checkpoint(path: str) -> tuple:
-    """Returns (cond, pred, meta), parsing the file once. Raises
+    """Returns the scorer and predictor weights and the meta object,
+    (cond, pred, meta), parsing the file once. Raises
     CheckpointError naming the file unless it holds what save_checkpoint
     writes: format version 1, a linear scorer, finite weights of C+1 rows
     for some class count C (the predictor's feature_dim(C) columns wide,
@@ -577,14 +583,14 @@ def load_checkpoint(path: str) -> tuple:
             if kind != "linear":
                 raise ValueError(
                     f"unsupported checkpoint scorer kind {kind!r}")
-            cond = CondParams(w=_arr_from_obj(obj["cond"]["arrays"]["w"]))
-            pred = PredParams(w=_arr_from_obj(obj["pred"]["arrays"]["w"]))
-            m, d = pred.w.shape
-            if (m < 2 or d != feature_dim(m - 1) or cond.w.shape[0] != m
-                    or cond.w.shape[1] < d):
+            cond = _arr_from_obj(obj["cond"]["arrays"]["w"])
+            pred = _arr_from_obj(obj["pred"]["arrays"]["w"])
+            m, d = pred.shape
+            if (m < 2 or d != feature_dim(m - 1) or cond.shape[0] != m
+                    or cond.shape[1] < d):
                 raise ValueError(
-                    f"scorer weights of shape {list(cond.w.shape)} and "
-                    f"predictor weights of shape {list(pred.w.shape)} do "
+                    f"scorer weights of shape {list(cond.shape)} and "
+                    f"predictor weights of shape {list(pred.shape)} do "
                     "not fit one class count")
             meta = obj.get("meta", {})
             outer = meta.get("outer", 0)

@@ -1,7 +1,6 @@
 import numpy as np
 
 from annoconsist.adjacency import build_adjacency
-from annoconsist.masks import stack_pool
 from annoconsist.scenes import Annotation, Instances, SceneRecord
 
 
@@ -14,7 +13,7 @@ def make_record(masks, present_classes, num_classes=3, size=None, edges=None,
     boxes: None, or rows (class_id, x_min, y_min, x_max, y_max).
     seeds, gt: Instances; each defaults to the empty set.
     """
-    pool = stack_pool(masks)
+    pool = np.array(masks, dtype=bool)
     h, w = pool.shape[1:] if pool.size else (size or (16, 16))
     if size is not None:
         h, w = size

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annoconsist.adjacency import build_adjacency
-from annoconsist.masks import stack_pool
 
 from conftest import rect_mask
 from oracles import edge_weight, num_edges
@@ -19,7 +18,7 @@ def test_abutting_rectangles_edge_weight_hand_case():
     edges = np.zeros((8, 8), dtype=np.float32)
     edges[2:6, 3] = 1.0
     edges[2:6, 4] = 0.5
-    adj = build_adjacency(stack_pool([a, b]), edges)
+    adj = build_adjacency(np.stack([a, b]), edges)
     assert num_edges(adj) == 1
     assert edge_weight(adj, 0, 1) == pytest.approx(6.0)
     assert edge_weight(adj, 1, 0) == pytest.approx(6.0)
@@ -32,8 +31,8 @@ def test_weights_are_raw_sums_not_normalized():
     a_long = rect_mask(10, 10, 2, 6, 0, 5)
     b_long = rect_mask(10, 10, 2, 6, 5, 10)
     edges = np.ones((10, 10), dtype=np.float32)
-    w_short = edge_weight(build_adjacency(stack_pool([a_short, b_short]), edges), 0, 1)
-    w_long = edge_weight(build_adjacency(stack_pool([a_long, b_long]), edges), 0, 1)
+    w_short = edge_weight(build_adjacency(np.stack([a_short, b_short]), edges), 0, 1)
+    w_long = edge_weight(build_adjacency(np.stack([a_long, b_long]), edges), 0, 1)
     assert w_long == pytest.approx(2.0 * w_short)
 
 
@@ -41,11 +40,11 @@ def test_gap_of_two_is_not_adjacent_at_dilation_one():
     a = rect_mask(8, 8, 2, 6, 0, 3)  # cols 0..2
     b = rect_mask(8, 8, 2, 6, 4, 7)  # cols 4..6, gap col 3
     edges = np.zeros((8, 8), dtype=np.float32)
-    adj1 = build_adjacency(stack_pool([a, b]), edges, dilation=1)
+    adj1 = build_adjacency(np.stack([a, b]), edges, dilation=1)
     assert num_edges(adj1) == 0
     with pytest.raises(KeyError):
         edge_weight(adj1, 0, 1)
-    adj2 = build_adjacency(stack_pool([a, b]), edges, dilation=2)
+    adj2 = build_adjacency(np.stack([a, b]), edges, dilation=2)
     assert num_edges(adj2) == 1
 
 
@@ -53,7 +52,7 @@ def test_directed_arrays_list_each_pair_twice():
     a = rect_mask(6, 6, 1, 5, 0, 3)
     b = rect_mask(6, 6, 1, 5, 3, 6)
     c = rect_mask(6, 6, 1, 5, 0, 6)  # touches both
-    adj = build_adjacency(stack_pool([a, b, c]), np.zeros((6, 6), dtype=np.float32))
+    adj = build_adjacency(np.stack([a, b, c]), np.zeros((6, 6), dtype=np.float32))
     assert num_edges(adj) == 3
     assert len(adj.edge_u) == 6
     pairs = set(zip(adj.edge_u.tolist(), adj.edge_v.tolist()))
@@ -66,7 +65,7 @@ def test_directed_arrays_list_each_pair_twice():
 def test_overlapping_masks_are_neighbors():
     a = rect_mask(8, 8, 1, 5, 1, 5)
     b = rect_mask(8, 8, 3, 7, 3, 7)
-    adj = build_adjacency(stack_pool([a, b]), np.zeros((8, 8), dtype=np.float32))
+    adj = build_adjacency(np.stack([a, b]), np.zeros((8, 8), dtype=np.float32))
     assert num_edges(adj) == 1
 
 
@@ -77,7 +76,7 @@ def test_neighbor_lists_are_symmetric():
         y, x = rng.integers(0, 8, size=2)
         m = rect_mask(12, 12, int(y), int(y) + 4, int(x), int(x) + 4)
         masks.append(m)
-    adj = build_adjacency(stack_pool(masks), np.zeros((12, 12), dtype=np.float32))
+    adj = build_adjacency(np.stack(masks), np.zeros((12, 12), dtype=np.float32))
     assert num_edges(adj) > 0
     pairs = list(zip(adj.edge_u.tolist(), adj.edge_v.tolist()))
     assert len(set(pairs)) == len(pairs)
@@ -102,7 +101,7 @@ def _pools(draw):
         x0 = draw(st.integers(0, w - 2))
         masks.append(rect_mask(h, w, y0, draw(st.integers(y0 + 1, h)),
                                x0, draw(st.integers(x0 + 1, w))))
-    pool = np.zeros((0, h, w), dtype=bool) if n == 0 else stack_pool(masks)
+    pool = np.zeros((0, h, w), dtype=bool) if n == 0 else np.stack(masks)
     seed = draw(st.integers(0, 2**32 - 1))
     edges = np.random.default_rng(seed).random((h, w)).astype(np.float32)
     keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))

@@ -187,7 +187,7 @@ def _preds_built_in_memory(model, data_file) -> str:
     def samples(rec, prep, cond, tag):
         if prep is None:
             return []
-        dim = cond.w.shape[1] - feature_dim(rec.num_classes)
+        dim = tcfg.noise_dim
         z = (np.zeros((tcfg.k, dim)) if tcfg.cond_pointwise
              else scene_noise(cfg.seed, rec, tcfg.k, tag, dim))
         try:
@@ -389,6 +389,17 @@ def _nan_weight(arr):
     return dict(arr, data=base64.b64encode(w.tobytes()).decode("ascii"))
 
 
+def _widen_scorer(extra):
+    """An edit that gives the scorer `extra` more noise columns (fewer when
+    negative): a checkpoint trained at another noise_dim than the model
+    directory's config names."""
+    def edit(path):
+        cond, pred, meta = load_checkpoint(str(path))
+        save_checkpoint(str(path), np.zeros((len(cond), cond.shape[1] + extra)),
+                        pred, meta)
+    return edit
+
+
 CHECKPOINT_EDITS = {
     "version 2": _set_in_checkpoint("format_version", value=2),
     "truncated": lambda path: path.write_text(
@@ -407,6 +418,10 @@ CHECKPOINT_EDITS = {
             arr, shape=[arr["shape"][0] - 1, arr["shape"][1] + 1])),
     "three classes for a two-class split": lambda path: save_checkpoint(
         str(path), cond_init(3, 8), pred_init(3)),
+    # the config's noise_dim is 8
+    "scorer one noise column narrow": _widen_scorer(-1),
+    "scorer one noise column wide": _widen_scorer(1),
+    "scorer without noise columns": _widen_scorer(-8),
 }
 
 
@@ -737,7 +752,7 @@ def test_train_and_infer_honour_noise_dim(tmp_path, noise_dim, capsys):
     assert run(["train", "--config", str(cfg_path), "--data", data,
                 "--out", model]) == EXIT_OK
     cond, _, _ = load_checkpoint(os.path.join(model, "checkpoint_final.json"))
-    assert cond.w.shape[1] == feature_dim(cfg["scene"]["num_classes"]) + noise_dim
+    assert cond.shape[1] == feature_dim(cfg["scene"]["num_classes"]) + noise_dim
     assert run(["infer", "--model", model, "--data", data,
                 "--out", str(tmp_path / "preds.json")]) == EXIT_OK
     capsys.readouterr()

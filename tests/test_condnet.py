@@ -566,13 +566,13 @@ def test_forward_scores_refinement_toggle():
     rec = _sampling_record()
     params = cond_init(rec.num_classes, 8)
     rng = np.random.default_rng(2)
-    params.w += rng.normal(size=params.w.shape)
+    params += rng.normal(size=params.shape)
     z = np.stack([np.zeros(8), np.full(8, 0.5)])
     cfg = InferenceConfig()
     # zero iterations leave the scorer's own tables, the stack's only iterate
     x, raw_stack, raw_g = forward_scores(params, rec, z,
                                          dataclasses.replace(cfg, n_iters=0))
-    assert x.shape == (2, rec.num_proposals, params.w.shape[1])
+    assert x.shape == (2, rec.num_proposals, params.shape[1])
     assert raw_g.shape == (2, rec.num_proposals, rec.num_classes + 1)
     assert raw_stack.shape == (1,) + raw_g.shape
     assert raw_stack[0].tobytes() == raw_g.tobytes()
@@ -598,7 +598,7 @@ def test_sampling_is_deterministic_and_tag_sensitive():
     rec = _sampling_record()
     params = cond_init(rec.num_classes, 8)
     rng = np.random.default_rng(5)
-    params.w += rng.normal(size=params.w.shape)
+    params += rng.normal(size=params.shape)
     cfg = InferenceConfig(select_threshold=100.0)
     s1 = sample_k(params, rec, scene_noise(9, rec, 4), cfg=cfg)
     s2 = sample_k(params, rec, scene_noise(9, rec, 4), cfg=cfg)
@@ -615,7 +615,7 @@ def test_sampling_zero_noise_collapses_to_one_labeling():
     rec = _sampling_record()
     params = cond_init(rec.num_classes, 8)
     rng = np.random.default_rng(6)
-    params.w += rng.normal(size=params.w.shape)
+    params += rng.normal(size=params.shape)
     s = sample_k(params, rec, np.zeros((3, 8)),
                  cfg=InferenceConfig(select_threshold=100.0))
     z = _noise(s, rec)
@@ -762,8 +762,8 @@ def test_draw_tables_differ_by_a_constant_per_class_column(seed, scale,
     rec = _sampling_record()
     rng = np.random.default_rng(seed)
     params = cond_init(rec.num_classes, 8)
-    params.w += rng.normal(0.0, scale, size=params.w.shape)
-    z = rng.uniform(0.0, 1.0, size=(k, params.w.shape[1]
+    params += rng.normal(0.0, scale, size=params.shape)
+    z = rng.uniform(0.0, 1.0, size=(k, params.shape[1]
                                     - feature_dim(rec.num_classes)))
     _, _, g = forward_scores(params, rec, z, InferenceConfig(
         delta=0.5, n_iters=3 if refine else 0))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 import warnings
 
 import pytest
@@ -210,6 +211,22 @@ def test_shipped_reference_and_smoke_configs_parse(tmp_path):
     ("scene", "seed_fraction", [[0.25], 0.45]),
     ("scene", "shape_families", ["rect", 1]),
     ("scene", "shape_families", [["rect"]]),
+    # a negative count would act as 0, a negative outer_iters write a
+    # checkpoint that infer refuses
+    ("train", "init_epochs", -1),
+    ("train", "cond_epochs", -1),
+    ("train", "pred_epochs", -1),
+    ("train", "outer_iters", -1),
+    ("train", "clip_grad", -0.5),
+    # NaN and infinity fit no number field
+    ("scene", "color_noise", float("nan")),
+    ("train", "gamma", float("nan")),
+    ("train", "epsilon", float("inf")),
+    ("train", "lr_cond", float("-inf")),
+    ("train", "clip_grad", float("inf")),
+    ("inference", "delta", float("inf")),
+    ("inference", "select_threshold", float("nan")),
+    ("loss", "lambda_cls", float("nan")),
 ])
 def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     with pytest.raises(ConfigError, match=f"{section}: {key}"):
@@ -249,6 +266,11 @@ def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     # an int entry fits a list of floats
     ("scene", "seed_fraction", (0, 1)),
     ("eval", "thresholds", (1, 0.5)),
+    ("train", "init_epochs", 0),
+    ("train", "cond_epochs", 0),
+    ("train", "pred_epochs", 0),
+    ("train", "outer_iters", 0),
+    ("train", "clip_grad", 0.0),
 ])
 def test_range_endpoints_are_accepted(section, key, value):
     cfg = config_from_obj({section: {key: value}})
@@ -282,6 +304,11 @@ def test_distractors_must_fit_the_frame():
     ("proposal", "erode_px", -1, 0),
     ("proposal", "shift_px", -1, 0),
     ("proposal", "dilate_px", -1, 0),
+    # json writes NaN and Infinity, and reads them back as floats
+    ("scene", "color_noise", float("nan"), 0.0),
+    ("train", "gamma", float("nan"), 0.0),
+    ("train", "epsilon", float("inf"), sys.float_info.max),
+    ("train", "outer_iters", -1, 0),
 ])
 def test_gen_rejects_bad_drawing_values_with_usage_exit(tmp_path, capsys,
                                                         section, key, bad,

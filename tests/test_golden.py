@@ -24,7 +24,8 @@ from annoconsist.cli import EXIT_OK, run
 SMOKE = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                      "smoke.json")
 
-# sha256 prefixes of the smoke data, the same under every run
+# sha256 prefixes of the smoke data and eval table, the same under every
+# run whose pins do not name them
 DATA = {"train.jsonl": "ec9d8f355cb9", "eval.jsonl": "988c88400a47",
         "eval stdout": "da295e31423c"}
 
@@ -38,6 +39,14 @@ RUNS = {
     "U": ({"term_mode": "U"}, {"checkpoint_final.json": "85de0e61f8b1",
                                "log.csv": "fe9314dd179d",
                                "preds.json": "34a315765f66"}),
+    # at smoke's decode_thresh 0.7 every log row reads map50 0; threshold 0
+    # decodes every scene, so log.csv pins predict -> decode -> map_at.
+    # Training does not read the threshold: the checkpoint is image's.
+    "decode0": ({"decode_thresh": 0.0},
+                {"checkpoint_final.json": "58d83d19fce9",
+                 "log.csv": "6a14755f0d0e",
+                 "preds.json": "95e69018d47b",
+                 "eval stdout": "d27acb578968"}),
 }
 
 

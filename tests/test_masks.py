@@ -11,7 +11,6 @@ from annoconsist.masks import (
     intersection_counts,
     mask_iou,
     overlap_fraction_matrix,
-    stack_pool,
 )
 
 from conftest import rect_mask
@@ -150,7 +149,7 @@ def test_rle_decode_rejects_bad_length():
 def test_intersection_counts_matches_loop():
     rng = np.random.default_rng(7)
     masks = [rng.random((8, 8)) < 0.5 for _ in range(6)]
-    pool = stack_pool(masks)
+    pool = np.stack(masks)
     counts = intersection_counts(pool)
     for i in range(6):
         for j in range(6):
@@ -164,7 +163,7 @@ def test_overlap_fraction_matrix_matches_pairwise():
         m = rng.random((8, 8)) < 0.5
         if m.any():
             masks.append(m)
-    pool = stack_pool(masks)
+    pool = np.stack(masks)
     ovl = overlap_fraction_matrix(pool)
     for i in range(5):
         for j in range(5):
@@ -172,6 +171,6 @@ def test_overlap_fraction_matrix_matches_pairwise():
 
 
 def test_overlap_fraction_matrix_rejects_empty_mask():
-    pool = stack_pool([rect_mask(4, 4, 0, 2, 0, 2), np.zeros((4, 4), dtype=bool)])
+    pool = np.stack([rect_mask(4, 4, 0, 2, 0, 2), np.zeros((4, 4), dtype=bool)])
     with pytest.raises(ValueError):
         overlap_fraction_matrix(pool)

@@ -36,12 +36,11 @@ def test_zero_init_predicts_uniform_rows():
 
 def test_predict_is_feature_linear_softmax():
     rec = make_record([rect_mask(8, 8, 0, 4, 0, 4)], [1], num_classes=2)
-    params = pred_init(rec.num_classes)
     rng = np.random.default_rng(4)
-    params.w = rng.normal(size=(3, feature_dim(2)))
+    params = rng.normal(size=pred_init(rec.num_classes).shape)
     from annoconsist.scorer import features
 
-    want = softmax_rows(features(rec) @ params.w.T)
+    want = softmax_rows(features(rec) @ params.T)
     np.testing.assert_allclose(predict(params, rec), want)
 
 

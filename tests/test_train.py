@@ -28,10 +28,9 @@ from annoconsist.condnet import (
 from annoconsist.disco import div_pc, div_pp
 from annoconsist.loss import LossConfig, cost_row
 from annoconsist.masks import inner_boundary
-from annoconsist.prednet import PredParams, pred_init, predict
+from annoconsist.prednet import pred_init, predict
 from annoconsist.scenes import Instances
-from annoconsist.scorer import (CondParams, axpy, cond_init, feature_dim,
-                                features, score_vjp)
+from annoconsist.scorer import cond_init, feature_dim, features, score_vjp
 from annoconsist.synthgen import ProposalConfig, SceneConfig
 from annoconsist.train import (
     CheckpointError,
@@ -66,25 +65,25 @@ def test_train_config_validation():
 
 
 def test_optimizer_sgd_step_and_raw_norm():
-    params = PredParams(w=np.array([[1.0, 2.0]]))
-    grad = PredParams(w=np.array([[3.0, 4.0]]))
+    params = np.array([[1.0, 2.0]])
+    grad = np.array([[3.0, 4.0]])
     norm = sgd_step(params, grad, 0.1)
     assert norm == pytest.approx(5.0)
-    np.testing.assert_allclose(params.w, [[1.0 - 0.3, 2.0 - 0.4]])
+    np.testing.assert_allclose(params, [[1.0 - 0.3, 2.0 - 0.4]])
 
 
 def test_optimizer_clips_update_but_reports_raw_norm():
-    params = PredParams(w=np.array([[0.0, 0.0]]))
-    grad = PredParams(w=np.array([[3.0, 4.0]]))
+    params = np.array([[0.0, 0.0]])
+    grad = np.array([[3.0, 4.0]])
     norm = sgd_step(params, grad, 1.0, clip=1.0)
     assert norm == pytest.approx(5.0)
     # update direction preserved, length capped at clip
-    np.testing.assert_allclose(params.w, [[-0.6, -0.8]])
+    np.testing.assert_allclose(params, [[-0.6, -0.8]])
 
 
 def test_optimizer_rejects_non_finite_gradients():
-    params = PredParams(w=np.array([[0.0]]))
-    grad = PredParams(w=np.array([[np.nan]]))
+    params = np.array([[0.0]])
+    grad = np.array([[np.nan]])
     with pytest.raises(TrainingError):
         sgd_step(params, grad, 0.1)
 
@@ -129,15 +128,14 @@ def test_pred_grad_given_qbar_is_bit_identical_to_the_per_draw_table(
         stack, seed, gamma, pointwise):
     labels, m = stack
     rec = _pred_record()
-    params = pred_init(rec.num_classes)
-    params.w = np.random.default_rng(seed).normal(scale=0.5,
-                                                   size=params.w.shape)
+    params = np.random.default_rng(seed).normal(
+        scale=0.5, size=pred_init(rec.num_classes).shape)
     lcfg = LossConfig(lambda_cls=0.75)
     got = pred_grad(params, rec, empirical_distribution(labels, m), lcfg,
                     gamma, pointwise)
     want = pred_grad(params, rec, _per_draw_distribution(labels, m), lcfg,
                      gamma, pointwise)
-    assert got.w.tobytes() == want.w.tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def test_selection_matrix_is_one_hot_score_selector():
@@ -183,24 +181,22 @@ def test_pred_grad_matches_finite_differences(pointwise):
     lcfg = LossConfig()
     gamma = 0.4
     labels = rng.integers(0, 3, size=(5, 3))
-    params = pred_init(rec.num_classes)
-    params.w = rng.normal(scale=0.3, size=params.w.shape)
+    params = rng.normal(scale=0.3, size=pred_init(rec.num_classes).shape)
     qbar = empirical_distribution(labels, rec.num_classes + 1)
     grad = pred_grad(params, rec, qbar, lcfg, gamma, pointwise)
 
     def objective(w):
-        p = PredParams(w=w)
-        return pred_objective(predict(p, rec), labels, lcfg, gamma, pointwise)
+        return pred_objective(predict(w, rec), labels, lcfg, gamma, pointwise)
 
     h = 1e-5
-    idx = [(i, j) for i in range(params.w.shape[0]) for j in range(params.w.shape[1])]
+    idx = [(i, j) for i in range(params.shape[0]) for j in range(params.shape[1])]
     for i, j in idx:
-        wp = params.w.copy()
-        wm = params.w.copy()
+        wp = params.copy()
+        wm = params.copy()
         wp[i, j] += h
         wm[i, j] -= h
         fd = (objective(wp) - objective(wm)) / (2 * h)
-        assert grad.w[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+        assert grad[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 def _cond_record():
@@ -215,7 +211,7 @@ def _params_for_table(rec, table, noise_dim=8):
     f = features(rec)
     sol, *_ = np.linalg.lstsq(f, table, rcond=None)
     params = cond_init(rec.num_classes, noise_dim)
-    params.w[:, : f.shape[1]] = sol.T
+    params[:, : f.shape[1]] = sol.T
     return params
 
 
@@ -245,7 +241,7 @@ def test_cond_grad_is_exactly_zero_when_the_task_loss_vanishes():
     tcfg = TrainConfig(k=3)
     lcfg = LossConfig(lambda_cls=0.0)  # every dissimilarity row is zero
     grad = cond_grad(params, rec, samples, np.array([1, 0]), tcfg, icfg, lcfg)
-    assert (grad.w == 0.0).all()
+    assert (grad == 0.0).all()
 
 
 def test_cond_grad_hand_case_two_proposals_one_class_two_draws():
@@ -269,7 +265,7 @@ def test_cond_grad_hand_case_two_proposals_one_class_two_draws():
     q = np.array([[0.0, 0.0], [-0.5, 0.5]])
     x = samples.x[0]
     want = 2.0 * (q.T @ x)  # two identical draws
-    np.testing.assert_allclose(grad.w, want, atol=1e-9)
+    np.testing.assert_allclose(grad, want, atol=1e-9)
 
     # one descent step must demote the disputed entry g[1, 1] and promote
     # its background alternative
@@ -331,7 +327,7 @@ def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
         aug_pairs = [eps * cost_row(samples.labels[k2], rec.num_classes, lcfg)
                      for k2 in range(kk)]
         pair_coef = 2.0 * gamma / (kk * (kk - 1) * eps)
-    total = CondParams(w=np.zeros_like(params.w))
+    total = np.zeros_like(params)
     for k in range(kk):
         g = samples.g[k]
         m_c = eye[samples.labels[k]]
@@ -348,8 +344,7 @@ def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
         if samples.stack.shape[0] > 1:
             q = refine_backward(np.ascontiguousarray(samples.stack[:, k]),
                                 rec.adjacency, icfg, q)
-        axpy(total, score_vjp(params, np.ascontiguousarray(samples.x[k]), q),
-             1.0)
+        total += score_vjp(np.ascontiguousarray(samples.x[k]), q)
     return total
 
 
@@ -372,7 +367,7 @@ def test_cond_grad_on_the_draw_stack_matches_a_per_draw_loop(
     for i, rec in enumerate(_tiny_dataset(n=3)):
         rec = prepare_scene(rec, tcfg, icfg)
         params = cond_init(rec.num_classes, 8)
-        params.w += rng.normal(0.0, 0.5, size=params.w.shape)
+        params += rng.normal(0.0, 0.5, size=params.shape)
         samples = sample_k(params, rec, scene_noise(0, rec, tcfg.k, i), icfg,
                            term_mode=term_mode,
                            enforce=True if anchor else None)
@@ -388,7 +383,7 @@ def test_cond_grad_on_the_draw_stack_matches_a_per_draw_loop(
         del got_calls[:]
         got = cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
                         anchor=anchor)
-        assert got.w.tobytes() == want.w.tobytes()
+        assert got.tobytes() == want.tobytes()
         assert got_calls == want_calls
         per_draw = (0 if anchor else 1) + (tcfg.k - 1 if gamma else 0)
         assert len(got_calls) == tcfg.k * per_draw
@@ -420,8 +415,8 @@ def test_cond_grad_with_the_memo_equals_a_memo_free_loop(
     icfg, lcfg = InferenceConfig(delta=8.0), LossConfig()
     rng = np.random.default_rng(seed)
     params = cond_init(rec.num_classes, 8)
-    params.w += rng.normal(0.0, 0.5, size=params.w.shape)
-    params.w[:, feature_dim(rec.num_classes):] *= noise_scale / 0.5
+    params += rng.normal(0.0, 0.5, size=params.shape)
+    params[:, feature_dim(rec.num_classes):] *= noise_scale / 0.5
     try:
         samples = sample_k(params, rec, scene_noise(seed % 97, rec, k), icfg,
                            term_mode=term_mode,
@@ -461,7 +456,7 @@ def test_cond_grad_with_the_memo_equals_a_memo_free_loop(
             return
         got = cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
                         anchor=anchor)
-    assert got.w.tobytes() == want.w.tobytes()
+    assert got.tobytes() == want.tobytes()
     assert got_calls == want_calls
     assert got_results == want_results
     # each distinct table is computed once
@@ -487,8 +482,8 @@ def test_cond_grad_backward_over_live_draws_equals_the_full_backward(
     icfg, lcfg = InferenceConfig(delta=8.0), LossConfig()
     rng = np.random.default_rng(seed)
     params = cond_init(rec.num_classes, 8)
-    params.w += rng.normal(0.0, 0.5, size=params.w.shape)
-    params.w[:, feature_dim(rec.num_classes):] *= noise_scale / 0.5
+    params += rng.normal(0.0, 0.5, size=params.shape)
+    params[:, feature_dim(rec.num_classes):] *= noise_scale / 0.5
     try:
         samples = sample_k(params, rec, scene_noise(seed % 97, rec, k), icfg,
                            term_mode=term_mode,
@@ -508,9 +503,9 @@ def test_cond_grad_backward_over_live_draws_equals_the_full_backward(
         assume(False)
     vjp_inputs, adjoint_draws = [], []
 
-    def traced_vjp(p, x, q):
+    def traced_vjp(x, q):
         vjp_inputs.append(x.tobytes())
-        return score_vjp(p, x, q)
+        return score_vjp(x, q)
 
     def traced_adjoint(stack, adjacency, cfg, q):
         adjoint_draws.append(q.shape[0])
@@ -521,7 +516,7 @@ def test_cond_grad_backward_over_live_draws_equals_the_full_backward(
         mp.setattr(train_mod, "refine_backward", traced_adjoint)
         got = cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
                         anchor=anchor)
-    assert got.w.tobytes() == want.w.tobytes()
+    assert got.tobytes() == want.tobytes()
     assert vjp_inputs == [samples.x[j].tobytes() for j in live]
     want_adjoint = [len(live)] if live else []
     assert adjoint_draws == want_adjoint
@@ -566,9 +561,8 @@ def test_fit_leaves_out_a_scene_whose_inference_fails():
               + tcfg.outer_iters + 1)
     assert res.inference_failures == phases
     assert res.skipped_scenes == base.skipped_scenes
-    assert (res.snapshots[-1]["cond"].w.tobytes()
-            == base.snapshots[-1]["cond"].w.tobytes())
-    assert res.pred.w.tobytes() == base.pred.w.tobytes()
+    assert res.snapshots[-1][0].tobytes() == base.snapshots[-1][0].tobytes()
+    assert res.pred.tobytes() == base.pred.tobytes()
     assert res.log == base.log
     with pytest.raises(TrainingError, match="every scene"):
         fit([_hopeless_box_scene(99)], tcfg, icfg)
@@ -650,7 +644,7 @@ def test_fit_consumes_any_iterable_of_scenes_once():
     want = fit(records, tcfg, icfg)
     got = fit(iter(records), tcfg, icfg)
     assert got.num_scenes == want.num_scenes == 2
-    assert got.pred.w.tobytes() == want.pred.w.tobytes()
+    assert got.pred.tobytes() == want.pred.tobytes()
     assert got.log == want.log
 
 
@@ -673,11 +667,11 @@ def test_training_never_reads_ground_truth(supervision):
         np.zeros((0, rec.height, rec.width), dtype=bool))) for rec in records]
     want = fit(records, tcfg, cfg.inference, cfg.loss)
     got = fit(blind, tcfg, cfg.inference, cfg.loss)
-    assert [s["outer"] for s in got.snapshots] == [
-        s["outer"] for s in want.snapshots]
-    for a, b in zip(got.snapshots, want.snapshots):
-        assert a["cond"].w.tobytes() == b["cond"].w.tobytes()
-        assert a["pred"].w.tobytes() == b["pred"].w.tobytes()
+    assert len(got.snapshots) == len(want.snapshots)
+    for (got_cond, got_pred), (cond, pred) in zip(got.snapshots,
+                                                  want.snapshots):
+        assert got_cond.tobytes() == cond.tobytes()
+        assert got_pred.tobytes() == pred.tobytes()
 
     def without_map(log):
         return [{k: v for k, v in row.items() if k != "map50"} for row in log]
@@ -838,9 +832,8 @@ def test_fit_is_bit_reproducible_and_logs_every_epoch():
     icfg = InferenceConfig(delta=8.0)
     r1 = fit(records, tcfg, icfg)
     r2 = fit(records, tcfg, icfg)
-    assert (r1.snapshots[-1]["cond"].w.tobytes()
-            == r2.snapshots[-1]["cond"].w.tobytes())
-    assert r1.pred.w.tobytes() == r2.pred.w.tobytes()
+    assert r1.snapshots[-1][0].tobytes() == r2.snapshots[-1][0].tobytes()
+    assert r1.pred.tobytes() == r2.pred.tobytes()
     assert [row["map50"] for row in r1.log] == [row["map50"] for row in r2.log]
     # init + outer * (pred + cond) + final pred
     want_rows = 2 + 1 * (3 + 1) + 3
@@ -886,11 +879,11 @@ def test_fit_snapshots_are_independent_copies():
     result = fit(records, _tiny_train_cfg(), InferenceConfig(delta=8.0))
     assert len(result.snapshots) == 2  # one per outer iter plus the final
     first, last = result.snapshots
-    np.testing.assert_array_equal(last["pred"].w, result.pred.w)
-    result.pred.w += 1.0
-    assert not np.array_equal(last["pred"].w, result.pred.w)
-    for name in ("cond", "pred"):
-        assert not np.shares_memory(first[name].w, last[name].w)
+    np.testing.assert_array_equal(last[1], result.pred)
+    result.pred += 1.0
+    assert not np.array_equal(last[1], result.pred)
+    for a, b in zip(first, last):
+        assert not np.shares_memory(a, b)
 
 
 def test_fit_pointwise_variants_run_and_stay_finite():
@@ -906,16 +899,15 @@ def test_fit_pointwise_variants_run_and_stay_finite():
 
 def test_checkpoint_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(7)
-    cond = cond_init(3, 8)
-    cond.w = rng.normal(size=cond.w.shape)
-    pred = pred_init(3)
-    pred.w = rng.normal(size=pred.w.shape)
+    cond = rng.normal(size=cond_init(3, 8).shape)
+    pred = rng.normal(size=pred_init(3).shape)
     path = tmp_path / "ckpt.json"
     save_checkpoint(str(path), cond, pred, meta={"outer": 3})
     assert json.loads(path.read_text())["cond"]["kind"] == "linear"
     cond2, pred2, meta = load_checkpoint(str(path))
-    np.testing.assert_array_equal(cond2.w, cond.w)
-    np.testing.assert_array_equal(pred2.w, pred.w)
+    for got, want in ((cond2, cond), (pred2, pred)):
+        assert got.dtype == np.float64 and got.flags.writeable
+        assert got.tobytes() == want.tobytes()
     assert meta == {"outer": 3}
 
 
