@@ -9,7 +9,6 @@ panels). Exit codes: 0 success, 2 bad usage or config, 3 runtime failure.
 import argparse
 import collections
 import contextlib
-import dataclasses
 import glob
 import json
 import multiprocessing
@@ -37,25 +36,8 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-def _apply_seed_env(cfg: RunConfig) -> None:
-    """Overrides the seed with ANNOCONSIST_SEED when it is set; the master
-    seed drives every stage, including training and inference noise."""
-    env = os.environ.get("ANNOCONSIST_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError("ANNOCONSIST_SEED must be an integer") from None
-        if seed < 0:
-            raise ConfigError("ANNOCONSIST_SEED must be non-negative")
-        cfg.seed = seed
-    cfg.train = dataclasses.replace(cfg.train, seed=cfg.seed)
-
-
 def _resolved_config(args) -> RunConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else RunConfig()
-    _apply_seed_env(cfg)
-    return cfg
+    return load_config(args.config) if getattr(args, "config", None) else RunConfig()
 
 
 def _dataset_path(data: str, split: str) -> str:
@@ -217,7 +199,6 @@ def _infer_scene(rec, cfg, iter_paths, final_path) -> tuple:
 
 def cmd_infer(args) -> int:
     cfg = load_config(os.path.join(args.model, "config.json"))
-    _apply_seed_env(cfg)
     iter_paths = sorted(glob.glob(os.path.join(args.model,
                                                "checkpoint_iter*.json")))
     final_path = os.path.join(args.model, "checkpoint_final.json")
@@ -276,7 +257,7 @@ def cmd_eval(args) -> int:
     # the last entry per scene id, in the order the file lists the ids
     decoded = {entry["scene_id"]: entry["final"]["decode"]
                for entry in obj["scenes"]}
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = _resolved_config(args)
     # per predicted scene, the last record's ground truth and copies of the
     # decoded pool rows, so no whole pool outlives its scene
     kept = {}

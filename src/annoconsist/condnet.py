@@ -25,7 +25,7 @@ class InferenceError(Exception):
 
 @dataclass
 class InferenceConfig:
-    delta: float = 0.1  # stabilizer in the pairwise update
+    delta: float = 8.0  # stabilizer in the pairwise update
     n_iters: int = 3  # refinement iterations
     overlap_t: float = 0.5  # greedy suppression threshold
     select_threshold: float = 0.0  # stop once the next score falls to/below this

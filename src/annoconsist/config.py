@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .condnet import InferenceConfig
 from .evaluate import DEFAULT_THRESHOLDS
 from .loss import LossConfig
-from .synthgen import DISTRACTOR_MARGIN, ProposalConfig, SceneConfig, min_frame_side
+from .synthgen import ProposalConfig, SceneConfig
 from .train import TrainConfig
 
 
@@ -51,13 +51,6 @@ class RunConfig:
             raise ValueError("n_scenes must be at least 1")
         if self.n_eval_scenes < 0:
             raise ValueError("n_eval_scenes must be non-negative")
-        if self.proposal.distractor_count > 0:
-            hi = self.proposal.distractor_extent[1]
-            side = min_frame_side(DISTRACTOR_MARGIN, hi)
-            if min(self.scene.height, self.scene.width) < side:
-                raise ValueError(
-                    f"proposal: distractor_extent up to {hi} needs scene "
-                    f"height and width of at least {side}")
 
 
 _SECTIONS = {

@@ -5,6 +5,21 @@ Class identity is carried by color; shape family varies freely. The edge
 map marks ground-truth instance boundaries at 1.0 plus sparse noise.
 Seeds are contiguous sub-regions of each instance, standing in for the
 salient-part cues a weak-supervision pipeline would start from.
+
+`SceneConfig` sizes the task (frame, classes, object count and extent)
+and `ProposalConfig` says whether each ground-truth mask joins its pool.
+Every other detail is a module constant:
+- objects: `SHAPE_FAMILIES`, `MARGIN` and `MAX_PLACE_ATTEMPTS`; objects
+  never overlap;
+- rendering: `COLOR_NOISE`, `EDGE_NOISE_DENSITY`, `EDGE_NOISE_AMPLITUDE`
+  and the seeds' `SEED_FRACTION`;
+- proposals: the eroded core (`ERODE_PX`) and `SPLITS` cuts of it, the
+  dilated (`DILATE_PX`) and shifted (`SHIFT_PX`) masks, and
+  `DISTRACTOR_COUNT` background blobs (`DISTRACTOR_EXTENT`,
+  `DISTRACTOR_MARGIN`);
+- pools: proposals under `MIN_AREA` pixels, repeats and those that touch
+  no seed are dropped, at most `P_TARGET` are kept, and the contact
+  graph is built at `DILATION`.
 """
 
 from __future__ import annotations
@@ -39,8 +54,24 @@ class EmptyPoolError(Exception):
     pass
 
 
+# the generator's fixed rendering and perturbation details
+SHAPE_FAMILIES = ("rect", "ellipse", "ell")  # each draw picks one at random
+MARGIN = 3  # objects keep this many pixels from the border
+MAX_PLACE_ATTEMPTS = 200  # draws per object before the scene is redrawn
+COLOR_NOISE = 0.04  # std of the gaussian noise on each image channel
+EDGE_NOISE_DENSITY = 0.01  # share of pixels that get a spurious edge
+EDGE_NOISE_AMPLITUDE = 0.2  # spurious edges are uniform in [0, this)
+SEED_FRACTION = (0.25, 0.45)  # a seed covers a uniform share of its object
+ERODE_PX = 2  # the core variant, which the part variants split
+SPLITS = 2  # cuts of each core, each giving two parts
+DILATE_PX = 2  # the grown variant
+SHIFT_PX = 3  # the shifted variant moves up to this far on each axis
+DISTRACTOR_COUNT = 3  # background blobs in each pool
+DISTRACTOR_EXTENT = (6, 11)
 DISTRACTOR_MARGIN = 1  # distractor blobs may come this close to the border
-SHAPE_FAMILIES = ("rect", "ellipse", "ell")
+MIN_AREA = 8  # smaller proposals are dropped
+P_TARGET = 64  # pools are cut to this many proposals
+DILATION = 1  # proposals this close are neighbors in the contact graph
 
 
 def min_frame_side(margin: int, max_extent: int) -> int:
@@ -57,16 +88,8 @@ class SceneConfig:
     num_classes: int = 3
     min_objects: int = 1
     max_objects: int = 3
-    shape_families: tuple = SHAPE_FAMILIES
     min_extent: int = 12
     max_extent: int = 20
-    max_overlap_iou: float = 0.0
-    margin: int = 3
-    color_noise: float = 0.04
-    edge_noise_density: float = 0.01
-    edge_noise_amplitude: float = 0.2
-    seed_fraction: tuple = (0.25, 0.45)
-    max_place_attempts: int = 200
 
     def __post_init__(self):
         if self.height > 128 or self.width > 128:
@@ -77,75 +100,36 @@ class SceneConfig:
             raise ValueError("min_objects must be at least 1")
         if self.min_objects > self.max_objects:
             raise ValueError("min_objects must not exceed max_objects")
-        if (not self.shape_families
-                or not set(self.shape_families) <= set(SHAPE_FAMILIES)):
-            raise ValueError("shape_families must be a non-empty list drawn "
-                             f"from {list(SHAPE_FAMILIES)}")
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
         # an ell of extent 1 by 1 is a single pixel, which the carved
         # quadrant removes
-        low = 2 if "ell" in self.shape_families else 1
-        if self.min_extent < low:
-            raise ValueError(f"min_extent must be at least {low} with shape "
-                             f"families {list(self.shape_families)}")
+        if self.min_extent < 2:
+            raise ValueError("min_extent must be at least 2")
         if self.min_extent > self.max_extent:
             raise ValueError("min_extent must not exceed max_extent")
-        side = min_frame_side(self.margin, self.max_extent)
+        # the frame holds both the objects and the distractor blobs
+        side = max(min_frame_side(MARGIN, self.max_extent),
+                   min_frame_side(DISTRACTOR_MARGIN, DISTRACTOR_EXTENT[1]))
         for name in ("height", "width"):
             if getattr(self, name) < side:
                 raise ValueError(
                     f"{name} must be at least {side} to hold shapes of "
-                    f"max_extent {self.max_extent} with margin {self.margin}")
-        sf = self.seed_fraction
-        if (not isinstance(sf, (tuple, list)) or len(sf) != 2
-                or not 0.0 <= sf[0] <= sf[1] <= 1.0):
-            raise ValueError("seed_fraction must be a (low, high) pair with "
-                             "0 <= low <= high <= 1")
+                    f"max_extent {self.max_extent} and the distractors")
 
 
 @dataclass
 class ProposalConfig:
     include_gt: bool = True
-    erode_px: int = 2
-    splits: int = 2
-    dilate_variant: bool = True
-    dilate_px: int = 2
-    shift_variant: bool = True
-    shift_px: int = 3
-    distractor_count: int = 3
-    distractor_extent: tuple = (6, 11)
-    seed_filter: bool = True
-    min_area: int = 8
-    p_target: int = 64
-    dilation: int = 1
-
-    def __post_init__(self):
-        if self.p_target < 1:
-            raise ValueError("p_target must be at least 1")
-        # a negative count would silently act as 0
-        for name in ("erode_px", "dilate_px", "shift_px", "splits",
-                     "distractor_count", "min_area"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if (len(self.distractor_extent) != 2
-                or self.distractor_extent[0] > self.distractor_extent[1]):
-            raise ValueError("distractor_extent must be a (min, max) pair "
-                             "with min <= max")
-        # distractors are drawn from every shape family, ell included
-        if self.distractor_count > 0 and self.distractor_extent[0] < 2:
-            raise ValueError("distractor_extent must start at 2 or more "
-                             "while distractor_count > 0")
 
 
-def _draw_shape(rng, cfg: SceneConfig):
-    """Rasterize one random shape fully inside the frame."""
-    h, w = cfg.height, cfg.width
-    family = cfg.shape_families[rng.integers(len(cfg.shape_families))]
-    ext_y = int(rng.integers(cfg.min_extent, cfg.max_extent + 1))
-    ext_x = int(rng.integers(cfg.min_extent, cfg.max_extent + 1))
-    cy = int(rng.integers(cfg.margin + ext_y // 2, h - cfg.margin - ext_y // 2))
-    cx = int(rng.integers(cfg.margin + ext_x // 2, w - cfg.margin - ext_x // 2))
+def _draw_shape(rng, frame: tuple, extent: tuple, margin: int):
+    """Rasterize one random shape on an (h, w) frame, of extents drawn from
+    the inclusive (lo, hi) range, at least margin pixels from the border."""
+    h, w = frame
+    family = SHAPE_FAMILIES[rng.integers(len(SHAPE_FAMILIES))]
+    ext_y = int(rng.integers(extent[0], extent[1] + 1))
+    ext_x = int(rng.integers(extent[0], extent[1] + 1))
+    cy = int(rng.integers(margin + ext_y // 2, h - margin - ext_y // 2))
+    cx = int(rng.integers(margin + ext_x // 2, w - margin - ext_x // 2))
     # a column and a row of coordinates, broadcast to the frame
     ys, xs = np.arange(h)[:, None], np.arange(w)[None, :]
     if family == "rect":
@@ -205,21 +189,18 @@ def _place_objects(cfg: SceneConfig, rng) -> Instances:
     class_ids, masks = [], []
     for _ in range(n_obj):
         class_id = int(rng.integers(1, cfg.num_classes + 1))
-        for _attempt in range(cfg.max_place_attempts):
-            mask = _draw_shape(rng, cfg)
-            inter_ok = all(
-                (np.count_nonzero(mask & m) / np.count_nonzero(mask | m))
-                <= cfg.max_overlap_iou
-                for m in masks
-            )
-            if inter_ok:
+        for _attempt in range(MAX_PLACE_ATTEMPTS):
+            mask = _draw_shape(rng, (cfg.height, cfg.width),
+                               (cfg.min_extent, cfg.max_extent), MARGIN)
+            # objects never overlap
+            if not any((mask & m).any() for m in masks):
                 class_ids.append(class_id)
                 masks.append(mask)
                 break
         else:
             raise PlacementError(
                 f"could not place object {len(masks) + 1} after "
-                f"{cfg.max_place_attempts} attempts"
+                f"{MAX_PLACE_ATTEMPTS} attempts"
             )
     return Instances(np.array(class_ids, dtype=np.int64), np.stack(masks))
 
@@ -254,21 +235,21 @@ def gen_scene(cfg: SceneConfig, seed: int, scene_id: int = 0) -> SceneRecord:
     for c, mask in zip(class_ids, gt.masks):
         image[mask] = PALETTE[c - 1]
     edges[inner_boundary(gt.masks).any(axis=0)] = 1.0
-    image += rng.normal(0.0, cfg.color_noise, size=image.shape).astype(np.float32)
+    image += rng.normal(0.0, COLOR_NOISE, size=image.shape).astype(np.float32)
     np.clip(image, 0.0, 1.0, out=image)
 
-    n_noise = int(round(cfg.edge_noise_density * h * w))
+    n_noise = int(round(EDGE_NOISE_DENSITY * h * w))
     if n_noise:
         ys = rng.integers(0, h, size=n_noise)
         xs = rng.integers(0, w, size=n_noise)
-        edges[ys, xs] += rng.uniform(0.0, cfg.edge_noise_amplitude, size=n_noise)
+        edges[ys, xs] += rng.uniform(0.0, EDGE_NOISE_AMPLITUDE, size=n_noise)
         np.clip(edges, 0.0, 1.0, out=edges)
 
     presence = np.zeros(cfg.num_classes, dtype=np.int8)
     presence[gt.class_ids - 1] = 1
     # each instance's seed, grown to a fraction drawn in instance order
     seeds = Instances(gt.class_ids, np.stack([
-        _grow_seed(rng, mask, rng.uniform(*cfg.seed_fraction))
+        _grow_seed(rng, mask, rng.uniform(*SEED_FRACTION))
         for mask in gt.masks]))
 
     empty_pool = np.zeros((0, h, w), dtype=bool)
@@ -308,18 +289,18 @@ def _shift_mask(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
 
 
 def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneRecord:
-    """Attach a proposal pool to a scene: gt masks, perturbed variants,
-    background distractors; optionally filtered to overlap a seed.
+    """Attach a proposal pool to a scene: gt masks, perturbed variants and
+    background distractors, filtered to overlap a seed.
 
     Part variants are cut from the eroded instance so their contact bands
     with the full mask (and with each other) avoid the drawn boundary ring;
-    this requires erode_px > dilation.
+    this requires ERODE_PX > DILATION.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, rec.scene_id, 0xB0B)))
     candidates = []
     gt_masks = rec.gt.masks
-    cores = erode(gt_masks, cfg.erode_px)
-    grown = dilate(gt_masks, cfg.dilate_px) if cfg.dilate_variant else None
+    cores = erode(gt_masks, ERODE_PX)
+    grown = dilate(gt_masks, DILATE_PX)
     for i, (mask, own_seed) in enumerate(zip(gt_masks, rec.seeds.masks)):
         if cfg.include_gt:
             candidates.append(mask)
@@ -331,57 +312,45 @@ def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneReco
             else:
                 sy, sx = np.nonzero(core)
             pivot = (sy.mean(), sx.mean())
-            for _ in range(cfg.splits):
+            for _ in range(SPLITS):
                 angle = rng.uniform(0.0, np.pi)
                 a, b = _split_parts(core, pivot, angle)
                 candidates.extend((a, b))
-        if cfg.dilate_variant:
-            candidates.append(grown[i])
-        if cfg.shift_variant:
-            dy = int(rng.integers(-cfg.shift_px, cfg.shift_px + 1))
-            dx = int(rng.integers(-cfg.shift_px, cfg.shift_px + 1))
-            candidates.append(_shift_mask(mask, dy, dx))
+        candidates.append(grown[i])
+        dy = int(rng.integers(-SHIFT_PX, SHIFT_PX + 1))
+        dx = int(rng.integers(-SHIFT_PX, SHIFT_PX + 1))
+        candidates.append(_shift_mask(mask, dy, dx))
 
     gt_union = gt_masks.any(axis=0)
-    if cfg.distractor_count > 0:
-        placed = 0
-        dcfg = SceneConfig(
-            height=rec.height,
-            width=rec.width,
-            num_classes=rec.num_classes,
-            min_extent=cfg.distractor_extent[0],
-            max_extent=cfg.distractor_extent[1],
-            margin=DISTRACTOR_MARGIN,
-        )
-        for _ in range(cfg.distractor_count * 20):
-            if placed >= cfg.distractor_count:
-                break
-            blob = _draw_shape(rng, dcfg)
-            if np.count_nonzero(blob & gt_union) / np.count_nonzero(blob) <= 0.25:
-                candidates.append(blob)
-                placed += 1
+    placed = 0
+    for _ in range(DISTRACTOR_COUNT * 20):
+        if placed >= DISTRACTOR_COUNT:
+            break
+        blob = _draw_shape(rng, (rec.height, rec.width), DISTRACTOR_EXTENT,
+                           DISTRACTOR_MARGIN)
+        if np.count_nonzero(blob & gt_union) / np.count_nonzero(blob) <= 0.25:
+            candidates.append(blob)
+            placed += 1
 
     seen = set()
     kept = []
     for m in candidates:
-        if np.count_nonzero(m) < cfg.min_area:
+        if np.count_nonzero(m) < MIN_AREA:
             continue
         key = m.tobytes()
         if key in seen:
             continue
         seen.add(key)
         kept.append(m)
-    if cfg.seed_filter:
-        seed_union = rec.seeds.masks.any(axis=0)
-        kept = [m for m in kept if (m & seed_union).any()]
-    kept = kept[: cfg.p_target]
+    seed_union = rec.seeds.masks.any(axis=0)
+    kept = [m for m in kept if (m & seed_union).any()][:P_TARGET]
     if not kept:
         raise EmptyPoolError(f"scene {rec.scene_id}: no proposals survived")
 
     pool = np.stack(kept)
     return replace(
         rec, pool=pool,
-        adjacency=build_adjacency(pool, rec.edges, dilation=cfg.dilation),
+        adjacency=build_adjacency(pool, rec.edges, dilation=DILATION),
         pool_index=None, _geom=None, _features=None)
 
 

@@ -81,15 +81,18 @@ class TrainConfig:
         if self.k < 1:
             raise ValueError("k must be at least 1")
         # a negative count would silently act as 0, or write a checkpoint
-        # of negative outer index
+        # of negative outer index; a negative rate turns descent into ascent
         for name in ("init_epochs", "cond_epochs", "pred_epochs",
-                     "outer_iters", "clip_grad"):
+                     "outer_iters", "clip_grad", "lr_init", "lr_cond",
+                     "lr_pred"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.epsilon <= 0.0:
             raise ValueError("epsilon must be positive")
-        if not 0.0 <= self.decode_thresh <= 1.0:
-            raise ValueError("decode_thresh must lie in [0, 1]")
+        # outside [0, 1] gamma flips the sign of a diversity term
+        for name in ("gamma", "decode_thresh", "decode_nms"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
         if self.term_mode not in TERM_MODES:
             raise ValueError(f"term_mode must be one of {TERM_MODES}")
 

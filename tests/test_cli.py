@@ -27,11 +27,6 @@ from oracles import box_iou, scene_noise, tight_box
 from test_train import _boxed_record, _hopeless_box_scene
 
 
-@pytest.fixture(autouse=True)
-def _clean_seed_env(monkeypatch):
-    monkeypatch.delenv("ANNOCONSIST_SEED", raising=False)
-
-
 TINY_CONFIG = {
     "seed": 0,
     "n_scenes": 3,
@@ -54,7 +49,6 @@ def tiny_config_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory, tiny_config_path):
     """gen -> train -> infer, shared by the pipeline tests below."""
-    os.environ.pop("ANNOCONSIST_SEED", None)
     root = tmp_path_factory.mktemp("pipe")
     data = str(root / "data")
     model = str(root / "model")
@@ -103,36 +97,8 @@ def test_gen_parallel_jobs_match_serial(tmp_path, tiny_config_path):
             assert fa.read() == fb.read(), name
 
 
-def test_seed_env_var_overrides_config(tmp_path, tiny_config_path, monkeypatch):
-    base = str(tmp_path / "base")
-    assert run(["gen", "--config", tiny_config_path, "--out", base]) == EXIT_OK
-    monkeypatch.setenv("ANNOCONSIST_SEED", "5")
-    other = str(tmp_path / "other")
-    assert run(["gen", "--config", tiny_config_path, "--out", other]) == EXIT_OK
-    cfg = json.loads(open(os.path.join(other, "config.json")).read())
-    assert cfg["seed"] == 5
-    assert cfg["train"]["seed"] == 5
-    with open(os.path.join(base, "train.jsonl"), "rb") as fa, \
-            open(os.path.join(other, "train.jsonl"), "rb") as fb:
-        assert fa.read() != fb.read()
-
-
-def test_non_integer_seed_env_is_a_usage_error(tmp_path, tiny_config_path,
-                                               monkeypatch, capsys):
-    monkeypatch.setenv("ANNOCONSIST_SEED", "nope")
-    code = run(["gen", "--config", tiny_config_path,
-                "--out", str(tmp_path / "x")])
-    assert code == EXIT_USAGE
-    assert "ANNOCONSIST_SEED" in capsys.readouterr().err
-
-
-def test_negative_seed_is_a_usage_error(tmp_path, tiny_config_path,
-                                        monkeypatch, capsys, pipeline):
-    monkeypatch.setenv("ANNOCONSIST_SEED", "-1")
-    assert run(["gen", "--config", tiny_config_path,
-                "--out", str(tmp_path / "x")]) == EXIT_USAGE
-    assert "ANNOCONSIST_SEED must be non-negative" in capsys.readouterr().err
-    monkeypatch.delenv("ANNOCONSIST_SEED")
+def test_negative_seed_is_a_usage_error(tmp_path, tiny_config_path, capsys,
+                                        pipeline):
     cfg = json.loads(open(tiny_config_path).read())
     cfg["seed"] = -1
     path = tmp_path / "neg.json"
@@ -145,7 +111,7 @@ def test_negative_seed_is_a_usage_error(tmp_path, tiny_config_path,
                 "--seeds", "0,-1"]) == EXIT_USAGE
     assert "--seeds must be non-negative" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
-    assert not (tmp_path / "x").exists() and not (tmp_path / "y").exists()
+    assert not (tmp_path / "y").exists()
 
 
 def test_train_writes_checkpoints_log_and_config(pipeline):
@@ -775,10 +741,11 @@ def test_gen_rejects_inconsistent_scene_config(tmp_path, capsys):
     ("scene", "height", 16),  # smoke shapes need a 27 px frame
     ("scene", "min_objects", 0),  # could draw a scene with no objects
     ("scene", "min_extent", 1),  # an ell of extent 1 by 1 is empty
+    # generator constants: the key is refused, whatever its value
     ("scene", "margin", -1),
     ("scene", "shape_families", []),
     ("scene", "shape_families", ["triangle"]),
-    ("proposal", "distractor_extent", [1, 11]),  # distractors include ell
+    ("proposal", "distractor_extent", [1, 11]),
 ])
 def test_gen_rejects_configs_it_cannot_draw(tmp_path, capsys, section, key,
                                             value):
@@ -812,18 +779,20 @@ def test_model_config_with_retired_keys_is_usage_error(tmp_path, pipeline,
     assert not (tmp_path / "preds.json").exists()
 
 
-def test_gen_draws_small_frames_without_distractors(tmp_path, capsys):
-    with open(SMOKE_CONFIG) as fh:
-        cfg = json.load(fh)
-    cfg["n_scenes"], cfg["n_eval_scenes"] = 2, 1
-    cfg["scene"].update(height=12, width=12, margin=0, min_extent=4,
-                        max_extent=6, max_objects=1)
-    cfg["proposal"]["distractor_count"] = 0
-    cfg_path = tmp_path / "small.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert run(["gen", "--config", str(cfg_path),
-                "--out", str(tmp_path / "data")]) == EXIT_OK
-    capsys.readouterr()
+def test_model_config_with_a_retired_generator_key_is_usage_error(
+        tmp_path, pipeline, capsys):
+    # erode_px is a generator constant: a model config.json that sets it,
+    # even at the constant's value, does not load
+    model = tmp_path / "model"
+    shutil.copytree(pipeline["model"], model)
+    cfg = json.loads((model / "config.json").read_text())
+    cfg["proposal"]["erode_px"] = 2
+    (model / "config.json").write_text(json.dumps(cfg))
+    code = run(["infer", "--model", str(model), "--data", pipeline["data"],
+                "--out", str(tmp_path / "preds.json")])
+    assert code == EXIT_USAGE
+    assert "proposal: unknown keys ['erode_px']" in capsys.readouterr().err
+    assert not (tmp_path / "preds.json").exists()
 
 
 def test_box_regime_infer_samples_the_prepared_scene(tmp_path, capsys):
@@ -996,12 +965,13 @@ def test_render_leaves_no_new_panel_when_a_later_entry_is_malformed(
 
 
 def test_runtime_errors_exit_three(tmp_path, capsys):
-    # a valid config under which no scene can be placed
+    # a valid config under which no scene can be placed: the frame holds
+    # one object of extent 20, centred, and a second always overlaps it
     cfg_path = tmp_path / "crowded.json"
     cfg_path.write_text(json.dumps({
         "n_scenes": 1, "n_eval_scenes": 0,
-        "scene": {"min_objects": 40, "max_objects": 40,
-                  "max_place_attempts": 1}}))
+        "scene": {"height": 27, "width": 27, "min_objects": 2,
+                  "max_objects": 2, "min_extent": 20, "max_extent": 20}}))
     code = run(["gen", "--config", str(cfg_path), "--out",
                 str(tmp_path / "data")])
     assert code == EXIT_RUNTIME

@@ -18,6 +18,7 @@ from annoconsist.config import (
     load_config,
     save_config,
 )
+from annoconsist import synthgen
 from annoconsist.synthgen import EmptyPoolError, PlacementError, make_scene
 
 
@@ -145,6 +146,9 @@ def test_shipped_reference_and_smoke_configs_parse(tmp_path):
         save_config(str(tmp_path / "back.json"), load_config(path))
         with open(path, "rb") as fh:
             assert fh.read() == (tmp_path / "back.json").read_bytes(), path
+    # the defaults are the reference protocol
+    with open("configs/reference.json") as fh:
+        assert config_to_obj(RunConfig()) == json.load(fh)
     ref = load_config("configs/reference.json")
     assert ref.n_scenes == 50
     assert ref.train.k == 10
@@ -154,6 +158,32 @@ def test_shipped_reference_and_smoke_configs_parse(tmp_path):
     assert ref.inference.delta == 8.0
     smoke = load_config("configs/smoke.json")
     assert smoke.n_scenes <= 10
+
+
+# generator details that are synthgen constants, at their values
+RETIRED_GENERATOR_KEYS = [
+    ("scene", "shape_families", list(synthgen.SHAPE_FAMILIES)),
+    ("scene", "margin", synthgen.MARGIN),
+    ("scene", "max_overlap_iou", 0.0),
+    ("scene", "color_noise", synthgen.COLOR_NOISE),
+    ("scene", "edge_noise_density", synthgen.EDGE_NOISE_DENSITY),
+    ("scene", "edge_noise_amplitude", synthgen.EDGE_NOISE_AMPLITUDE),
+    ("scene", "seed_fraction", list(synthgen.SEED_FRACTION)),
+    ("scene", "max_place_attempts", synthgen.MAX_PLACE_ATTEMPTS),
+    ("proposal", "erode_px", synthgen.ERODE_PX),
+    ("proposal", "splits", synthgen.SPLITS),
+    ("proposal", "dilate_variant", True),
+    ("proposal", "shift_variant", True),
+    ("proposal", "seed_filter", True),
+    ("proposal", "dilate_px", synthgen.DILATE_PX),
+    ("proposal", "shift_px", synthgen.SHIFT_PX),
+    ("proposal", "distractor_count", synthgen.DISTRACTOR_COUNT),
+    ("proposal", "distractor_extent", list(synthgen.DISTRACTOR_EXTENT)),
+    ("proposal", "min_area", synthgen.MIN_AREA),
+    ("proposal", "p_target", synthgen.P_TARGET),
+    ("proposal", "dilation", synthgen.DILATION),
+]
+_RETIRED_KEYS = {key for _, key, _ in RETIRED_GENERATOR_KEYS}
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -179,7 +209,7 @@ def test_shipped_reference_and_smoke_configs_parse(tmp_path):
     ("scene", "height", 16),
     ("proposal", "p_target", 0),
     ("proposal", "distractor_extent", [11, 6]),
-    # the default families include ell, whose 1 x 1 draw is empty
+    # the shape families include ell, whose 1 x 1 draw is empty
     ("scene", "min_extent", 1),
     ("scene", "min_extent", 0),
     ("scene", "shape_families", []),
@@ -227,9 +257,22 @@ def test_shipped_reference_and_smoke_configs_parse(tmp_path):
     ("inference", "delta", float("inf")),
     ("inference", "select_threshold", float("nan")),
     ("loss", "lambda_cls", float("nan")),
+    ("train", "decode_nms", -1.0),
+    ("train", "decode_nms", 1.5),
+    # outside [0, 1] a diversity term flips sign
+    ("train", "gamma", -0.5),
+    ("train", "gamma", 1.5),
+    # a negative rate turns descent into ascent
+    ("train", "lr_init", -0.1),
+    ("train", "lr_cond", -0.1),
+    ("train", "lr_pred", -1.0),
 ])
 def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
-    with pytest.raises(ConfigError, match=f"{section}: {key}"):
+    # a retired generator key is refused whatever its value, so a config
+    # that set it out of range still stops at load time
+    match = (rf"{section}: unknown keys \['{key}'\]"
+             if key in _RETIRED_KEYS else f"{section}: {key}")
+    with pytest.raises(ConfigError, match=match):
         config_from_obj({section: {key: value}})
 
 
@@ -241,30 +284,22 @@ def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     ("inference", "box_rho", 1.0),
     ("train", "decode_thresh", 0.0),
     ("train", "decode_thresh", 1.0),
+    ("train", "decode_nms", 0.0),
+    ("train", "decode_nms", 1.0),
+    ("train", "gamma", 0.0),
+    ("train", "gamma", 1.0),
+    ("train", "lr_init", 0.0),
+    ("train", "lr_cond", 0.0),
+    ("train", "lr_pred", 0.0),
     ("scene", "num_classes", 1),
     ("scene", "min_objects", 3),
     ("scene", "min_objects", 1),
     ("scene", "min_extent", 20),
     ("scene", "height", 27),
     ("scene", "width", 27),
-    ("proposal", "p_target", 1),
-    ("proposal", "distractor_extent", (6, 6)),
     ("scene", "min_extent", 2),
-    ("scene", "margin", 0),
-    ("scene", "shape_families", ("ell",)),
-    ("proposal", "distractor_extent", (2, 11)),
-    ("scene", "seed_fraction", (0.0, 0.0)),
-    ("scene", "seed_fraction", (0.3, 0.3)),
-    ("scene", "seed_fraction", (0.0, 1.0)),
-    ("proposal", "erode_px", 0),
-    ("proposal", "dilate_px", 0),
-    ("proposal", "shift_px", 0),
-    ("proposal", "splits", 0),
-    ("proposal", "distractor_count", 0),
-    ("proposal", "min_area", 0),
     ("train", "noise_dim", 0),
     # an int entry fits a list of floats
-    ("scene", "seed_fraction", (0, 1)),
     ("eval", "thresholds", (1, 0.5)),
     ("train", "init_epochs", 0),
     ("train", "cond_epochs", 0),
@@ -278,34 +313,27 @@ def test_range_endpoints_are_accepted(section, key, value):
 
 
 def test_frame_bound_follows_margin_and_max_extent():
-    # 2*margin + 2*(max_extent // 2) + 1: odd extents round down
-    scene = {"margin": 0, "min_extent": 4, "max_extent": 7}
-    assert config_from_obj({"scene": dict(scene, height=13, width=13),
-                            "proposal": {"distractor_count": 0}})
-    with pytest.raises(ConfigError, match="scene: height must be at least 7"):
-        config_from_obj({"scene": dict(scene, height=6, width=13),
-                         "proposal": {"distractor_count": 0}})
+    # 2*margin + 2*(max_extent // 2) + 1 at margin 3: odd extents round down
+    for max_extent in (8, 9):
+        scene = {"min_extent": 4, "max_extent": max_extent}
+        assert config_from_obj({"scene": dict(scene, height=15, width=15)})
+        with pytest.raises(ConfigError,
+                           match="scene: width must be at least 15"):
+            config_from_obj({"scene": dict(scene, height=15, width=14)})
 
 
 def test_distractors_must_fit_the_frame():
-    # distractors keep a 1 px margin: extent 11 needs sides of at least 13
-    scene = {"height": 12, "width": 40, "margin": 0, "min_extent": 4,
-             "max_extent": 8}
-    with pytest.raises(ConfigError, match="proposal: distractor_extent"):
-        config_from_obj({"scene": scene})
-    assert config_from_obj({"scene": scene,
-                            "proposal": {"distractor_count": 0}})
-    assert config_from_obj({"scene": scene,
-                            "proposal": {"distractor_extent": [6, 9]}})
+    # distractors keep a 1 px margin: extent 11 needs sides of at least 13,
+    # more than shapes of max_extent 4 need
+    scene = {"min_extent": 2, "max_extent": 4}
+    with pytest.raises(ConfigError, match="scene: height must be at least 13"):
+        config_from_obj({"scene": dict(scene, height=12, width=40)})
+    assert config_from_obj({"scene": dict(scene, height=13, width=13)})
 
 
 @pytest.mark.parametrize("section, key, bad, edge", [
-    ("scene", "seed_fraction", [0.45, 0.25], [0.45, 0.45]),
-    ("proposal", "erode_px", -1, 0),
-    ("proposal", "shift_px", -1, 0),
-    ("proposal", "dilate_px", -1, 0),
+    ("scene", "min_extent", 1, 2),
     # json writes NaN and Infinity, and reads them back as floats
-    ("scene", "color_noise", float("nan"), 0.0),
     ("train", "gamma", float("nan"), 0.0),
     ("train", "epsilon", float("inf"), sys.float_info.max),
     ("train", "outer_iters", -1, 0),
@@ -337,26 +365,12 @@ def test_removed_loss_keys_are_rejected(key):
 
 
 def test_min_extent_bound_depends_on_the_ell_family():
-    # rect and ellipse draw at least one pixel down to extent 1; ell needs 2
-    for families in (["rect"], ["ellipse"], ["rect", "ellipse"]):
-        cfg = config_from_obj({"scene": {"shape_families": families,
-                                         "min_extent": 1}})
-        assert cfg.scene.min_extent == 1
-        with pytest.raises(ConfigError, match="scene: min_extent"):
-            config_from_obj({"scene": {"shape_families": families,
-                                       "min_extent": 0}})
+    # rect and ellipse draw at least one pixel down to extent 1, but ell,
+    # one of the shape families, needs 2
+    assert "ell" in synthgen.SHAPE_FAMILIES
     with pytest.raises(ConfigError, match="scene: min_extent"):
-        config_from_obj({"scene": {"shape_families": ["rect", "ell"],
-                                   "min_extent": 1}})
-
-
-def test_small_distractors_are_rejected_only_when_drawn():
-    # distractors are drawn from every family, ell included
-    with pytest.raises(ConfigError, match="proposal: distractor_extent"):
-        config_from_obj({"proposal": {"distractor_extent": [1, 1]}})
-    cfg = config_from_obj({"proposal": {"distractor_count": 0,
-                                        "distractor_extent": [1, 1]}})
-    assert cfg.proposal.distractor_extent == (1, 1)
+        config_from_obj({"scene": {"min_extent": 1}})
+    assert config_from_obj({"scene": {"min_extent": 2}}).scene.min_extent == 2
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -371,6 +385,22 @@ def test_retired_setting_keys_are_rejected(section, key, value):
     # even the value every run used is refused: the key itself is gone
     with pytest.raises(ConfigError, match=f"{section}: unknown keys.*{key}"):
         config_from_obj({section: {key: value}})
+
+
+@pytest.mark.parametrize("section, key, value", RETIRED_GENERATOR_KEYS,
+                         ids=[key for _, key, _ in RETIRED_GENERATOR_KEYS])
+def test_retired_generator_keys_stop_gen(tmp_path, capsys, section, key,
+                                         value):
+    # even the value every run used is refused, and gen writes nothing
+    with open("configs/smoke.json") as fh:
+        obj = json.load(fh)
+    obj[section][key] = value
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(obj))
+    out = tmp_path / "data"
+    assert run(["gen", "--config", str(path), "--out", str(out)]) == EXIT_USAGE
+    assert f"{section}: unknown keys ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _fits(value, default) -> bool:
@@ -426,32 +456,44 @@ def test_a_float_field_takes_an_int(tmp_path, capsys):
         capsys.readouterr().err)
 
 
+def _frame_bound(max_extent: int) -> int:
+    """The smallest side that holds the objects and the distractors."""
+    return max(2 * synthgen.MARGIN + 2 * (max_extent // 2) + 1,
+               2 * synthgen.DISTRACTOR_MARGIN
+               + 2 * (synthgen.DISTRACTOR_EXTENT[1] // 2) + 1)
+
+
 @st.composite
 def _drawing_fields(draw):
-    """Scene and proposal drawing fields, drawn around the load-time bounds
-    so that both sides of each bound occur."""
-    margin = draw(st.integers(-1, 4))
+    """Scene and proposal fields, drawn around the load-time bounds so
+    that both sides of each bound occur."""
     hi = draw(st.integers(0, 14))
-    side = 2 * margin + 2 * (hi // 2) + 1
-    families = draw(st.sampled_from([
-        ["rect", "ellipse", "ell"], ["rect"], ["ellipse"], ["ell"],
-        ["rect", "ellipse"], ["rect", "ell"], ["ellipse", "ell"], [],
-        ["triangle"], ["rect", "triangle"]]))
-    d_lo = draw(st.integers(-1, 10))
+    side = _frame_bound(hi)
+    n_lo = draw(st.integers(0, 2))
     scene = {
         "height": side + draw(st.integers(-1, 12)),
         "width": side + draw(st.integers(-1, 12)),
-        "margin": margin,
+        "num_classes": draw(st.integers(0, 6)),
+        "min_objects": n_lo,
+        "max_objects": n_lo + draw(st.integers(-1, 1)),
         "min_extent": hi - draw(st.integers(-1, 6)),
         "max_extent": hi,
-        "shape_families": families,
-        "max_place_attempts": 20,
     }
-    proposal = {
-        "distractor_count": draw(st.integers(0, 4)),
-        "distractor_extent": [d_lo, d_lo + draw(st.integers(-1, 6))],
-    }
-    return scene, proposal
+    return scene, {"include_gt": draw(st.booleans())}
+
+
+def _draws_or_names_the_failure(cfg, seed):
+    """make_scene draws a scene, or fails with one of the two errors that
+    name a crowded frame or an empty pool; True when it drew one."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rec = make_scene(cfg.scene, cfg.proposal, seed, 0)
+        except (PlacementError, EmptyPoolError):
+            return False
+    assert rec.num_proposals >= 1
+    assert rec.gt.masks.any(axis=(1, 2)).all()
+    return True
 
 
 @settings(max_examples=600, deadline=None)
@@ -464,11 +506,16 @@ def test_drawing_fields_load_and_draw_or_are_rejected(fields, seed):
         cfg = config_from_obj({"scene": scene, "proposal": proposal})
     except ConfigError:
         return
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            rec = make_scene(cfg.scene, cfg.proposal, seed, 0)
-        except (PlacementError, EmptyPoolError):
-            return
-    assert rec.num_proposals >= 1
-    assert rec.gt.masks.any(axis=(1, 2)).all()
+    _draws_or_names_the_failure(cfg, seed)
+
+
+def test_the_smallest_frame_the_loader_accepts_draws_scenes():
+    # at max_extent 7 the object and distractor bounds meet at 13; each
+    # scene holds one object of extent 7, centred
+    scene = {"height": 13, "width": 13, "min_objects": 1, "max_objects": 1,
+             "min_extent": 7, "max_extent": 7}
+    assert _frame_bound(7) == 13
+    with pytest.raises(ConfigError, match="scene: height must be at least 13"):
+        config_from_obj({"scene": dict(scene, height=12)})
+    cfg = config_from_obj({"scene": scene})
+    assert all(_draws_or_names_the_failure(cfg, seed) for seed in range(8))

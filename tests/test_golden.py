@@ -54,11 +54,6 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.fixture(autouse=True)
-def _clean_seed_env(monkeypatch):
-    monkeypatch.delenv("ANNOCONSIST_SEED", raising=False)
-
-
 @pytest.mark.parametrize("name", list(RUNS))
 def test_smoke_outputs_match_the_pinned_hashes(tmp_path, name):
     train_over, pins = RUNS[name]

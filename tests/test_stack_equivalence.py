@@ -31,7 +31,18 @@ from annoconsist.scenes import (
 )
 from annoconsist.scorer import feature_dim, features
 from annoconsist.synthgen import (
+    DILATE_PX,
+    DILATION,
+    DISTRACTOR_COUNT,
+    DISTRACTOR_EXTENT,
     DISTRACTOR_MARGIN,
+    ERODE_PX,
+    MARGIN,
+    MIN_AREA,
+    P_TARGET,
+    SHAPE_FAMILIES,
+    SHIFT_PX,
+    SPLITS,
     EmptyPoolError,
     ProposalConfig,
     SceneConfig,
@@ -215,49 +226,41 @@ def old_gen_proposals(rec, cfg, seed):
     for (_, mask), (_, own_seed) in zip(gt, seeds):
         if cfg.include_gt:
             candidates.append(mask)
-        core = old_erode(mask, cfg.erode_px)
+        core = old_erode(mask, ERODE_PX)
         if core.any():
             candidates.append(core)
             touch = own_seed & core
             sy, sx = np.nonzero(touch if touch.any() else core)
             pivot = (sy.mean(), sx.mean())
-            for _ in range(cfg.splits):
+            for _ in range(SPLITS):
                 candidates.extend(
                     _split_parts(core, pivot, rng.uniform(0.0, np.pi)))
-        if cfg.dilate_variant:
-            candidates.append(old_dilate(mask, cfg.dilate_px))
-        if cfg.shift_variant:
-            dy = int(rng.integers(-cfg.shift_px, cfg.shift_px + 1))
-            dx = int(rng.integers(-cfg.shift_px, cfg.shift_px + 1))
-            candidates.append(_shift_mask(mask, dy, dx))
+        candidates.append(old_dilate(mask, DILATE_PX))
+        dy = int(rng.integers(-SHIFT_PX, SHIFT_PX + 1))
+        dx = int(rng.integers(-SHIFT_PX, SHIFT_PX + 1))
+        candidates.append(_shift_mask(mask, dy, dx))
     gt_union = np.zeros((rec.height, rec.width), dtype=bool)
     for _, mask in gt:
         gt_union |= mask
-    if cfg.distractor_count > 0:
-        dcfg = SceneConfig(height=rec.height, width=rec.width,
-                           num_classes=rec.num_classes,
-                           min_extent=cfg.distractor_extent[0],
-                           max_extent=cfg.distractor_extent[1],
-                           margin=DISTRACTOR_MARGIN)
-        placed = 0
-        for _ in range(cfg.distractor_count * 20):
-            if placed >= cfg.distractor_count:
-                break
-            blob = _draw_shape(rng, dcfg)
-            if np.count_nonzero(blob & gt_union) / np.count_nonzero(blob) <= 0.25:
-                candidates.append(blob)
-                placed += 1
+    placed = 0
+    for _ in range(DISTRACTOR_COUNT * 20):
+        if placed >= DISTRACTOR_COUNT:
+            break
+        blob = old_draw_shape(rng, (rec.height, rec.width), DISTRACTOR_EXTENT,
+                              DISTRACTOR_MARGIN)
+        if np.count_nonzero(blob & gt_union) / np.count_nonzero(blob) <= 0.25:
+            candidates.append(blob)
+            placed += 1
     kept, seen = [], set()
     for m in candidates:
-        if np.count_nonzero(m) >= cfg.min_area and m.tobytes() not in seen:
+        if np.count_nonzero(m) >= MIN_AREA and m.tobytes() not in seen:
             seen.add(m.tobytes())
             kept.append(m)
-    if cfg.seed_filter:
-        seed_union = np.zeros((rec.height, rec.width), dtype=bool)
-        for _, mask in seeds:
-            seed_union |= mask
-        kept = [m for m in kept if (m & seed_union).any()]
-    kept = kept[:cfg.p_target]
+    seed_union = np.zeros((rec.height, rec.width), dtype=bool)
+    for _, mask in seeds:
+        seed_union |= mask
+    kept = [m for m in kept if (m & seed_union).any()]
+    kept = kept[:P_TARGET]
     if not kept:
         raise EmptyPoolError("no proposals survived")
     return np.stack(kept)
@@ -287,13 +290,13 @@ def old_grow_seed(mask, fraction):
     return seed
 
 
-def old_draw_shape(rng, cfg):
-    h, w = cfg.height, cfg.width
-    family = cfg.shape_families[rng.integers(len(cfg.shape_families))]
-    ext_y = int(rng.integers(cfg.min_extent, cfg.max_extent + 1))
-    ext_x = int(rng.integers(cfg.min_extent, cfg.max_extent + 1))
-    cy = int(rng.integers(cfg.margin + ext_y // 2, h - cfg.margin - ext_y // 2))
-    cx = int(rng.integers(cfg.margin + ext_x // 2, w - cfg.margin - ext_x // 2))
+def old_draw_shape(rng, frame, extent, margin):
+    h, w = frame
+    family = SHAPE_FAMILIES[rng.integers(len(SHAPE_FAMILIES))]
+    ext_y = int(rng.integers(extent[0], extent[1] + 1))
+    ext_x = int(rng.integers(extent[0], extent[1] + 1))
+    cy = int(rng.integers(margin + ext_y // 2, h - margin - ext_y // 2))
+    cx = int(rng.integers(margin + ext_x // 2, w - margin - ext_x // 2))
     ys, xs = np.mgrid[0:h, 0:w]
     if family == "rect":
         mask = (np.abs(ys - cy) <= ext_y // 2) & (np.abs(xs - cx) <= ext_x // 2)
@@ -508,7 +511,7 @@ def test_serialized_graph_equals_the_pair_loop_lists_on_generated_pools():
     # generated_records holds box-regime and single-proposal cuts, whose
     # graphs restrict builds; each must serialize as the pair loop's lists
     # on the cut pool
-    dilation = ProposalConfig().dilation
+    dilation = DILATION
     empty = gen_scene(SceneConfig(), seed=0, scene_id=0)
     for rec in [empty, *generated_records()]:
         assert json.dumps(scene_to_obj(rec)["adjacency"]) == json.dumps(
@@ -554,15 +557,16 @@ def test_loaded_records_give_the_features_of_the_generated_ones():
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1),
-       st.sampled_from([("rect",), ("ellipse",), ("ell",),
-                        ("rect", "ellipse", "ell")]))
-def test_shapes_and_splits_equal_the_mgrid_versions(seed, families):
-    cfg = SceneConfig(height=24, width=20, min_extent=2, max_extent=14,
-                      margin=1, shape_families=families)
+       st.sampled_from([((2, 14), MARGIN), (DISTRACTOR_EXTENT,
+                                             DISTRACTOR_MARGIN)]))
+def test_shapes_and_splits_equal_the_mgrid_versions(seed, drawn):
+    # objects of any extent the loader accepts, at the object margin, and
+    # the distractor blobs
+    extent, margin = drawn
     ours, old = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(5):
-        mask = _draw_shape(ours, cfg)
-        want = old_draw_shape(old, cfg)
+        mask = _draw_shape(ours, (24, 21), extent, margin)
+        want = old_draw_shape(old, (24, 21), extent, margin)
         assert mask.shape == want.shape and mask.tobytes() == want.tobytes()
         if mask.any():
             ys, xs = np.nonzero(mask)
@@ -659,10 +663,7 @@ def test_seed_labeling_ties_and_zero_scores():
 
 
 def _proposal_configs():
-    return [ProposalConfig(), ProposalConfig(seed_filter=False),
-            ProposalConfig(include_gt=False, dilate_variant=False,
-                           distractor_count=5),
-            ProposalConfig(distractor_count=0, splits=0, shift_variant=False)]
+    return [ProposalConfig(), ProposalConfig(include_gt=False)]
 
 
 def _assert_same_pool(rec, cfg, seed):

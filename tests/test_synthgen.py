@@ -9,7 +9,9 @@ from annoconsist.masks import mask_iou
 from annoconsist.scenes import scene_to_obj
 from annoconsist.synthgen import (
     BACKGROUND,
+    MIN_AREA,
     PALETTE,
+    SEED_FRACTION,
     ProposalConfig,
     SceneConfig,
     gen_scene,
@@ -55,7 +57,7 @@ def test_scene_invariants_over_many_seeds():
             # seed is inside its instance and within the configured fraction
             assert (s & ~g).sum() == 0
             frac = s.sum() / g.sum()
-            assert cfg.seed_fraction[0] - 0.05 <= frac <= cfg.seed_fraction[1] + 0.05
+            assert SEED_FRACTION[0] - 0.05 <= frac <= SEED_FRACTION[1] + 0.05
             present.add(c)
         np.testing.assert_array_equal(
             np.nonzero(rec.annotation.presence)[0] + 1, sorted(present))
@@ -69,7 +71,8 @@ def test_scene_invariants_over_many_seeds():
 
 
 def test_objects_are_painted_with_class_colors():
-    rec = gen_scene(SceneConfig(color_noise=0.0), seed=3, scene_id=0)
+    # the per-channel noise averages out over an object's pixels
+    rec = gen_scene(SceneConfig(), seed=3, scene_id=0)
     for c, g in zip(rec.gt.class_ids.tolist(), rec.gt.masks):
         mean_rgb = rec.image[g].mean(axis=0)
         np.testing.assert_allclose(mean_rgb, PALETTE[c - 1], atol=0.02)
@@ -78,18 +81,16 @@ def test_objects_are_painted_with_class_colors():
 
 
 def test_pool_contains_gt_and_respects_min_area():
-    cfg = ProposalConfig()
-    rec = make_scene(SceneConfig(), cfg, seed=5, scene_id=1)
+    rec = make_scene(SceneConfig(), ProposalConfig(), seed=5, scene_id=1)
     pool_keys = {rec.pool[i].tobytes() for i in range(rec.num_proposals)}
     for g in rec.gt.masks:
         assert g.tobytes() in pool_keys
     for i in range(rec.num_proposals):
-        assert rec.pool[i].sum() >= cfg.min_area
+        assert rec.pool[i].sum() >= MIN_AREA
 
 
 def test_pool_proposals_touch_a_seed_when_filtered():
-    rec = make_scene(SceneConfig(), ProposalConfig(seed_filter=True), seed=5,
-                     scene_id=1)
+    rec = make_scene(SceneConfig(), ProposalConfig(), seed=5, scene_id=1)
     seed_union = np.zeros((rec.height, rec.width), dtype=bool)
     for s in rec.seeds.masks:
         seed_union |= s
@@ -98,8 +99,7 @@ def test_pool_proposals_touch_a_seed_when_filtered():
 
 
 def test_pool_has_no_duplicates():
-    rec = make_scene(SceneConfig(), ProposalConfig(seed_filter=False), seed=2,
-                     scene_id=0)
+    rec = make_scene(SceneConfig(), ProposalConfig(), seed=2, scene_id=0)
     keys = [rec.pool[i].tobytes() for i in range(rec.num_proposals)]
     assert len(keys) == len(set(keys))
 

@@ -795,10 +795,12 @@ def test_prepare_records_box_regime_filters_pool_and_skips_uncoverable():
 
 
 def test_prepare_records_box_regime_keeps_the_datasets_own_graph():
-    # the pool was built at dilation 2, so its box-regime sub-pool must carry
-    # the dilation-2 contact graph, not one rebuilt at another dilation
-    recs = make_dataset(SceneConfig(), ProposalConfig(dilation=2, erode_px=3),
-                        6, seed=0)
+    # each pool carries a dilation-2 contact graph, so its box-regime
+    # sub-pool must carry the dilation-2 graph, not one rebuilt at another
+    # dilation
+    recs = [dataclasses.replace(
+        rec, adjacency=build_adjacency(rec.pool, rec.edges, dilation=2))
+        for rec in make_dataset(SceneConfig(), ProposalConfig(), 6, seed=0)]
     out, skipped = prepare_records(recs, TrainConfig(supervision="box"),
                                    InferenceConfig())
     assert skipped == 0
