@@ -152,27 +152,34 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _infer_scene(rec, cfg, iter_paths, final_path) -> tuple:
+def _load_checked(path, cfg):
+    """load_checkpoint of `path`, and a CheckpointError naming it unless
+    its scorer is feature_dim(C) + cfg.train.noise_dim wide, C the
+    checkpoint's class count."""
+    cond, pred, meta = load_checkpoint(path)
+    width = feature_dim(len(pred) - 1) + cfg.train.noise_dim
+    if cond.shape[1] != width:
+        raise CheckpointError(
+            f"{path}: scorer of width {cond.shape[1]}, but the config's "
+            f"noise_dim {cfg.train.noise_dim} needs {width}")
+    return cond, pred, meta
+
+
+def _infer_scene(rec, cfg, paths) -> tuple:
     """One scene's preds.json entry: samples and decoded predictions under
     every snapshot checkpoint, then the final one. A checkpoint whose
     sampling raises InferenceError gets no samples. Returns the entry and
     the scene's status: "unusable" when prepare_scene rejects it, "failed"
     when some sampling raised, else "ok". Raises CheckpointError when a
-    checkpoint's class count is not the scene's, or its scorer is not
-    feature_dim(C) + cfg.train.noise_dim wide."""
+    checkpoint of `paths` fails _load_checked or its class count is not
+    the scene's."""
     prep = prepare_scene(rec, cfg.train, cfg.inference)
-    paths = [*iter_paths, final_path]
-    ckpts = [load_checkpoint(path) for path in paths]
-    width = feature_dim(rec.num_classes) + cfg.train.noise_dim
-    for path, (cond, pred, _) in zip(paths, ckpts):
+    ckpts = [_load_checked(path, cfg) for path in paths]
+    for path, (_, pred, _) in zip(paths, ckpts):
         if len(pred) != rec.num_classes + 1:
             raise CheckpointError(
                 f"{path}: weights for {len(pred) - 1} classes, but scene "
                 f"{rec.scene_id} has {rec.num_classes}")
-        if cond.shape[1] != width:
-            raise CheckpointError(
-                f"{path}: scorer of width {cond.shape[1]}, but the config's "
-                f"noise_dim {cfg.train.noise_dim} needs {width}")
     # a checkpoint without an outer index in its meta takes its position
     outers = [meta.get("outer", i) for i, (_, _, meta) in enumerate(ckpts)]
     if prep is not None:
@@ -199,11 +206,12 @@ def _infer_scene(rec, cfg, iter_paths, final_path) -> tuple:
 
 def cmd_infer(args) -> int:
     cfg = load_config(os.path.join(args.model, "config.json"))
-    iter_paths = sorted(glob.glob(os.path.join(args.model,
-                                               "checkpoint_iter*.json")))
     final_path = os.path.join(args.model, "checkpoint_final.json")
     if not os.path.exists(final_path):
         raise ConfigError(f"{args.model}: missing checkpoint_final.json")
+    paths = [*sorted(glob.glob(os.path.join(args.model,
+                                            "checkpoint_iter*.json"))),
+             final_path]
     counts = collections.Counter()
     # the bytes json.dump of the whole object would write (sort_keys puts
     # "scenes" last), one scene at a time
@@ -212,10 +220,14 @@ def cmd_infer(args) -> int:
         fh.write(head[:-2])
         for n, rec in enumerate(iter_dataset(_dataset_path(args.data,
                                                            args.split))):
-            entry, status = _infer_scene(rec, cfg, iter_paths, final_path)
+            entry, status = _infer_scene(rec, cfg, paths)
             fh.write(("," if n else "") + _dump(entry))
             counts[status] += 1
             counts["empty"] += not entry["final"]["samples"]
+        if not counts:
+            # no scene opened the checkpoints: check them here
+            for path in paths:
+                _load_checked(path, cfg)
         fh.write("]}\n")
     scenes = counts["ok"] + counts["unusable"] + counts["failed"]
     print(f"wrote predictions for {scenes} scenes to {args.out} "

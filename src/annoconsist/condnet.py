@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .scenes import Annotation, PoolGeometry, SceneRecord
-from .scorer import feature_dim, score_from_input, scorer_input
+from .scorer import feature_dim, features, score_from_input
 
 TERM_MODES = ("U", "U+P", "U+P+H")
 
@@ -43,8 +43,8 @@ class InferenceConfig:
 
 
 def refine_stack(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
-    """All refinement iterates of a (..., P, C+1) stack of tables, shape
-    (n_iters+1, ..., P, C+1); each table is refined on its own.
+    """All refinement iterates of a (P, C+1) table, shape
+    (n_iters+1, P, C+1).
 
     Each iteration adds, per neighbor pair, exp(-I_uv) / (gap^2 + delta);
     updates read the previous iterate only, so order never matters. Strong
@@ -57,7 +57,7 @@ def refine_stack(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
 
 def refine_backward(stack: np.ndarray, adjacency, cfg: InferenceConfig,
                     q_final: np.ndarray) -> np.ndarray:
-    """Adjoint of refine_stack: gradient wrt the unrefined tables."""
+    """Adjoint of refine_stack: gradient wrt the unrefined table."""
     return kernels.refine_backward(
         stack, adjacency.kernel_edges(q_final.shape[-1]), cfg.delta,
         np.ascontiguousarray(q_final, dtype=np.float64),
@@ -158,8 +158,8 @@ class SampleSet:
     """A scene's K noise draws, stacked along a leading draw axis, with
     everything the backward pass needs of them."""
 
-    x: np.ndarray  # (K, P, D+d) scorer inputs; the last d columns are noise
-    stack: np.ndarray  # (n_iters+1, K, P, C+1) refinement iterates
+    z: np.ndarray  # (K, d) noise rows
+    stack: np.ndarray  # (n_iters+1, P, C+1) iterates of the noise-free table
     g: np.ndarray  # (K, P, C+1) final tables the inference ran on
     labels: np.ndarray  # (K, P)
     enforced: bool  # consistency forcing used when sampling
@@ -172,12 +172,22 @@ class SampleSet:
 def forward_scores(w: np.ndarray, rec: SceneRecord, z: np.ndarray,
                    cfg: InferenceConfig) -> tuple:
     """Score tables under scorer weights w of K draws from their (K, d)
-    noise, refined for cfg.n_iters iterations. Returns the scorer inputs
-    (K, P, D+d), the refinement stack and the final tables (K, P, C+1)."""
-    x = scorer_input(rec, z)
-    f = np.stack([score_from_input(w, xk) for xk in x])
-    stack = refine_stack(f, rec.adjacency, cfg)
-    return x, stack, stack[-1]
+    noise, refined for cfg.n_iters iterations. Returns the refinement
+    stack of the noise-free table, (n_iters+1, P, C+1), and the K final
+    tables (K, P, C+1).
+
+    The scorer is linear, so draw k's table is the noise-free table plus
+    one offset per class column, b_k = w[:, D:] @ z_k, in every row.
+    Refinement reads only gaps within a column, which that offset leaves
+    alone, so it is refined once and each draw adds its offset to the
+    final iterate. Each offset is reduced over its own noise row alone, so
+    a draw's table does not depend on the other draws of the block.
+    """
+    d = feature_dim(rec.num_classes)
+    stack = refine_stack(score_from_input(w[:, :d], features(rec)),
+                         rec.adjacency, cfg)
+    b = (z[:, None, :] * w[:, d:]).sum(axis=-1)
+    return stack, stack[-1] + b[:, None, :]
 
 
 def sample_k(w: np.ndarray, rec: SceneRecord, z: np.ndarray,
@@ -203,10 +213,10 @@ def sample_k(w: np.ndarray, rec: SceneRecord, z: np.ndarray,
     if enforce is None:
         enforce = term_mode == "U+P+H"
     geom = rec.geometry()
-    x, stack, g = forward_scores(w, rec, z, cfg)
+    stack, g = forward_scores(w, rec, z, cfg)
     labels = np.zeros((k, rec.num_proposals), dtype=np.int64)
     for i in range(k):
         labels[i] = greedy_infer(g[i], rec.annotation, geom, cfg,
                                  enforce=enforce)
-    return SampleSet(x=x, stack=stack, g=g, labels=labels, enforced=enforce)
+    return SampleSet(z=z, stack=stack, g=g, labels=labels, enforced=enforce)
 

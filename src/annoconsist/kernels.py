@@ -3,15 +3,13 @@ per-class selection.
 
 Greedy selection runs once per loss-augmented inference on a small table
 (tens of proposals by a few classes), so per-call overhead weighs as much
-as arithmetic. Refinement therefore takes a scene's K noise draws as one
-(K, P, M) stack. It scatters over the flattened stack, which adds each
-entry's edge terms in the same order as `np.add.at` over one table's rows,
-so every draw's result is bit-identical to that per-table scatter; the
+as arithmetic. Refinement scatters over the flattened (P, M) table, which
+adds each entry's edge terms in the same order as `np.add.at` over the
+table's rows, so its result is bit-identical to that row scatter; the
 tests keep it and the per-proposal greedy loop as reference
 implementations.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,63 +46,48 @@ class Edges:
                      flat_v=(v[:, None] * m + cols).ravel())
 
 
-def _draw_offsets(flat, shape):
-    """flat indices into one (P, M) table, repeated for each table of a
-    (..., P, M) stack and offset to its place in the flattened stack: table
-    k's copy is k*P*M + flat, so a scatter still adds each entry's terms in
-    edge order."""
-    k = math.prod(shape[:-2])
-    size = shape[-2] * shape[-1]
-    return (np.arange(0, k * size, size, dtype=np.int64)[:, None]
-            + flat).reshape(-1)
-
-
 def refine_forward(g0, edges: Edges, delta, n_iters):
     """Iterate g[u,c] += w_uv / ((g[u,c]-g[v,c])^2 + delta) over directed edges.
 
-    g0 is a (..., P, M) stack of tables, refined independently: a (K, P, M)
-    stack of K noise draws gives bitwise the K single-table results.
-    Updates are synchronous: every iteration reads the previous table only.
-    Returns the full (n_iters+1, ..., P, M) stack; the stack is what the
-    adjoint needs, and P is small enough that keeping it is free.
+    g0 is one (P, M) table. Updates are synchronous: every iteration reads
+    the previous table only. Returns the full (n_iters+1, P, M) stack; the
+    stack is what the adjoint needs, and P is small enough that keeping it
+    is free.
     """
     stack = np.empty((n_iters + 1,) + g0.shape, dtype=np.float64)
     stack[0] = g0
     w = edges.w[:, None]
-    flat_u = _draw_offsets(edges.flat_u, g0.shape)
     for n in range(1, n_iters + 1):
         prev = stack[n - 1]
-        d = np.take(prev, edges.u, axis=-2)
-        d -= np.take(prev, edges.v, axis=-2)
+        d = np.take(prev, edges.u, axis=0)
+        d -= np.take(prev, edges.v, axis=0)
         d *= d
         d += delta
         contrib = np.divide(w, d, out=d)
         cur = stack[n]
         cur[...] = prev
-        np.add.at(cur.reshape(-1), flat_u, contrib.reshape(-1))
+        np.add.at(cur.reshape(-1), edges.flat_u, contrib.reshape(-1))
     return stack
 
 
 def refine_backward(stack, edges: Edges, delta, q_final):
-    """Adjoint of refine_forward: push d(loss)/dG_n back to d(loss)/dG_0,
-    for every table of the stack at once."""
+    """Adjoint of refine_forward: push d(loss)/dG_n back to d(loss)/dG_0
+    for the (P, M) table whose iterates `stack` holds."""
     w2 = 2.0 * edges.w[:, None]
     q = q_final.astype(np.float64).copy()
-    flat_u = _draw_offsets(edges.flat_u, q.shape)
-    flat_v = _draw_offsets(edges.flat_v, q.shape)
     n_iters = stack.shape[0] - 1
     for n in range(n_iters, 0, -1):
         prev = stack[n - 1]
-        d = np.take(prev, edges.u, axis=-2)
-        d -= np.take(prev, edges.v, axis=-2)
+        d = np.take(prev, edges.u, axis=0)
+        d -= np.take(prev, edges.v, axis=0)
         denom = d * d
         denom += delta
         denom *= denom
         pull = w2 * d
         pull /= denom
-        pull *= np.take(q, edges.u, axis=-2)
-        np.subtract.at(q.reshape(-1), flat_u, pull.reshape(-1))
-        np.add.at(q.reshape(-1), flat_v, pull.reshape(-1))
+        pull *= np.take(q, edges.u, axis=0)
+        np.subtract.at(q.reshape(-1), edges.flat_u, pull.reshape(-1))
+        np.add.at(q.reshape(-1), edges.flat_v, pull.reshape(-1))
     return q
 
 

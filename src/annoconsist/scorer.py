@@ -78,16 +78,6 @@ def cond_init(num_classes: int, noise_dim: int) -> np.ndarray:
     return np.zeros((num_classes + 1, feature_dim(num_classes) + noise_dim))
 
 
-def scorer_input(rec: SceneRecord, z: np.ndarray) -> np.ndarray:
-    """(P, D+d) matrix: features with the shared noise row appended. A
-    (K, d) stack of noise rows gives the (K, P, D+d) stack of matrices."""
-    f = features(rec)
-    out = np.empty(z.shape[:-1] + (f.shape[0], f.shape[1] + z.shape[-1]))
-    out[..., :f.shape[1]] = f
-    out[..., f.shape[1]:] = z[..., None, :]
-    return out
-
-
 def score_from_input(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x @ w.T
 

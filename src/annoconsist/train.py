@@ -167,9 +167,10 @@ def cond_grad(params: np.ndarray, rec, samples: SampleSet, y_ref: np.ndarray,
     with respect to the scorer weights `params`, for one scene.
 
     Per draw k the contributions of the reference term and of every
-    pairwise sample term are collected into a single coefficient table,
-    and one backward pass runs over the stack of the tables that are not
-    all zero, so a zero-cost configuration yields an exactly zero gradient.
+    pairwise sample term are collected into a single coefficient table
+    q_k. The draws share one refinement (see condnet.forward_scores), so
+    one backward pass of sum_k q_k gives the feature block, and a
+    zero-cost configuration yields an exactly zero gradient.
 
     Augmentation pulls toward the compared labeling: each table is
     augmented by -epsilon times its cost row, so entries that disagree
@@ -232,17 +233,20 @@ def cond_grad(params: np.ndarray, rec, samples: SampleSet, y_ref: np.ndarray,
         for k2 in range(kk):
             q[:k2] += d[:k2, k2]
             q[k2 + 1:] += d[k2 + 1:, k2]
-    # a draw whose table is all ±0 adds only ±0 to the +0-started total,
-    # which leaves every bit alone, and refinement's adjoint is per draw,
-    # so the backward pass runs over the live draws only
-    live = np.flatnonzero(q.reshape(kk, -1).any(axis=1))
+    # every draw's table is the shared noise-free one plus its column
+    # offsets, which refinement carries through unchanged: the adjoint is
+    # the same for every draw and keeps each column's sum, so the feature
+    # block needs one backward pass of the draws' summed coefficients, and
+    # draw k's offset row takes q_k's column sums. A ±0 sum adds only ±0
+    # to the +0-started block, so its backward pass is skipped.
     total = np.zeros_like(params)
-    if live.size == 0:
-        return total
-    q = refine_backward(samples.stack[:, live], rec.adjacency, inf_cfg,
-                        q[live])
-    for i, k in enumerate(live.tolist()):
-        total += score_vjp(samples.x[k], q[i])
+    n_feat = feature_dim(rec.num_classes)
+    q_feat = q.sum(axis=0)
+    if q_feat.any():
+        q_feat = refine_backward(samples.stack, rec.adjacency, inf_cfg,
+                                 q_feat)
+        total[:, :n_feat] = score_vjp(features(rec), q_feat)
+    total[:, n_feat:] = score_vjp(samples.z, q.sum(axis=1))
     return total
 
 

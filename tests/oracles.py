@@ -13,11 +13,13 @@ import numpy as np
 
 from annoconsist.ablation import VARIANT_NAMES
 from annoconsist.condnet import (TERM_MODES, InferenceConfig, InferenceError,
-                                 higher_order_feasible, refine_stack)
+                                 higher_order_feasible, refine_backward,
+                                 refine_stack)
 from annoconsist.disco import div_cc, div_pc, div_pp
 from annoconsist.loss import LossConfig
 from annoconsist.masks import rle_decode_stack, rle_encode_stack, tight_boxes
 from annoconsist.scenes import Annotation, PoolGeometry
+from annoconsist.scorer import features, score_from_input, score_vjp
 from annoconsist.synthgen import ProposalConfig, SceneConfig, make_scene
 from annoconsist.train import empirical_distribution
 
@@ -100,6 +102,52 @@ def num_edges(adjacency) -> int:
 def pairwise_refine(f: np.ndarray, adjacency, cfg: InferenceConfig) -> np.ndarray:
     """Boundary-aware score smoothing, final table only."""
     return refine_stack(f, adjacency, cfg)[-1]
+
+
+def scorer_input(rec, z: np.ndarray) -> np.ndarray:
+    """(P, D+d) matrix: features with the shared noise row appended. A
+    (K, d) stack of noise rows gives the (K, P, D+d) stack of matrices."""
+    f = features(rec)
+    out = np.empty(z.shape[:-1] + (f.shape[0], f.shape[1] + z.shape[-1]))
+    out[..., :f.shape[1]] = f
+    out[..., f.shape[1]:] = z[..., None, :]
+    return out
+
+
+# relative float64 bound between the shared refinement and the per-draw
+# oracle below, of each result's largest entry: in float64 (F0 + b)
+# refined and R(F0) + b differ by rounding only
+PER_DRAW_RTOL = 1e-12
+
+
+def assert_per_draw_close(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+    assert float(np.abs(got - want).max(initial=0.0)) <= PER_DRAW_RTOL * scale
+
+
+def per_draw_forward(w: np.ndarray, rec, z: np.ndarray,
+                     cfg: InferenceConfig) -> tuple:
+    """Each of K draws scored on its own (P, D+d) input and refined on its
+    own: the scorer inputs (K, P, D+d), the refinement iterates
+    (n_iters+1, K, P, C+1) and the final tables (K, P, C+1)."""
+    x = scorer_input(rec, z)
+    stacks = np.stack([refine_stack(score_from_input(w, xk), rec.adjacency,
+                                    cfg) for xk in x], axis=1)
+    return x, stacks, stacks[-1]
+
+
+def per_draw_backward(w: np.ndarray, rec, z: np.ndarray, q: np.ndarray,
+                      cfg: InferenceConfig) -> np.ndarray:
+    """Gradient wrt the scorer weights w of sum_k sum(q_k * G_k), with draw
+    k's final table G_k from per_draw_forward: one refinement adjoint and
+    one scorer backward per draw, summed in draw order."""
+    x, stacks, _ = per_draw_forward(w, rec, z, cfg)
+    total = np.zeros_like(w)
+    for k in range(len(x)):
+        total += score_vjp(x[k], refine_backward(
+            np.ascontiguousarray(stacks[:, k]), rec.adjacency, cfg, q[k]))
+    return total
 
 
 def total_score(g: np.ndarray, labels: np.ndarray, ann: Annotation,

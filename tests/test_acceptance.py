@@ -40,7 +40,6 @@ from annoconsist.scorer import (
     features,
     score_from_input,
     score_vjp,
-    scorer_input,
 )
 from annoconsist.train import (
     TrainConfig,
@@ -55,7 +54,7 @@ from annoconsist.train import (
 from conftest import make_record, rect_mask
 from oracles import (DiscParts, cell, disc, edge_weight, exact_infer,
                      make_dataset, num_edges, pairwise_refine,
-                     pointwise_trend_holds, pred_objective,
+                     pointwise_trend_holds, pred_objective, scorer_input,
                      term_trend_holds, total_score)
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -316,10 +315,10 @@ def test_analytic_gradients_match_finite_differences():
     icfg = InferenceConfig()
     unrefined = dataclasses.replace(icfg, n_iters=0)
     z = np.zeros((2, 8))
-    x, stack, g = forward_scores(params, rec, z, unrefined)
+    stack, g = forward_scores(params, rec, z, unrefined)
     np.testing.assert_allclose(g[0], table, atol=1e-9)
     y = greedy_infer(g[0], rec.annotation, rec.geometry(), icfg)
-    samples = SampleSet(x=x, stack=stack, g=g, labels=np.stack([y, y]),
+    samples = SampleSet(z=z, stack=stack, g=g, labels=np.stack([y, y]),
                         enforced=True)
     zero_grad = cond_grad(params, rec, samples, np.array([1, 0]),
                           TrainConfig(k=2), icfg, LossConfig(lambda_cls=0.0))
@@ -333,10 +332,10 @@ def test_analytic_gradients_match_finite_differences():
     grad = cond_grad(params, rec, samples, np.array([1, 0]), tcfg, icfg,
                      LossConfig())
     q_hand = np.array([[0.0, 0.0], [-0.5, 0.5]])
-    np.testing.assert_allclose(grad, 2.0 * (q_hand.T @ samples.x[0]),
-                               atol=1e-9)
+    x = scorer_input(rec, samples.z[0])
+    np.testing.assert_allclose(grad, 2.0 * (q_hand.T @ x), atol=1e-9)
     sgd_step(params, grad, 0.05)
-    g_new = forward_scores(params, rec, z[:1], unrefined)[2][0]
+    g_new = forward_scores(params, rec, z[:1], unrefined)[1][0]
     assert g_new[1, 1] < table[1, 1] and g_new[1, 0] > table[1, 0]
 
     assert elapsed < 60.0

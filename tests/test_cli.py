@@ -407,6 +407,34 @@ def test_malformed_checkpoint_is_a_usage_error_naming_the_file(
     assert os.listdir(out) == []
 
 
+# every edit but the class count, which only a scene can contradict
+EMPTY_SPLIT_EDITS = [name for name in CHECKPOINT_EDITS
+                     if name != "three classes for a two-class split"]
+
+
+@pytest.mark.parametrize("name", EMPTY_SPLIT_EDITS)
+def test_malformed_checkpoint_over_an_empty_split_is_a_usage_error(
+        tmp_path, pipeline, capsys, name):
+    # no scene opens the checkpoints, so infer checks them after the loop
+    model = tmp_path / "model"
+    shutil.copytree(pipeline["model"], model)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["infer", "--model", str(model), "--data", str(empty),
+            "--out", str(out / "preds.json")]
+    assert run(argv) == EXIT_OK
+    assert json.loads((out / "preds.json").read_text())["scenes"] == []
+    (out / "preds.json").unlink()
+    capsys.readouterr()
+    path = model / "checkpoint_final.json"
+    CHECKPOINT_EDITS[name](path)
+    assert run(argv) == EXIT_USAGE
+    assert f"error: {path}: " in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def _traced_peak(argv) -> int:
     tracemalloc.start()
     try:

@@ -17,11 +17,13 @@ from annoconsist.condnet import (
     refine_stack,
     sample_k,
 )
-from annoconsist.scorer import cond_init, feature_dim, score_from_input
+from annoconsist.scorer import (cond_init, feature_dim, features,
+                                score_from_input)
 
 from conftest import make_record, rect_mask
-from oracles import (box_iou, edge_weight, exact_infer, num_edges,
-                     pairwise_refine, scene_noise, total_score)
+from oracles import (assert_per_draw_close, box_iou, edge_weight, exact_infer,
+                     num_edges, pairwise_refine, per_draw_forward,
+                     scene_noise, total_score)
 
 
 def _two_neighbor_record(edges=None):
@@ -72,10 +74,10 @@ def test_refine_without_neighbors_is_identity():
     assert num_edges(rec.adjacency) == 0
     cfg = InferenceConfig(delta=0.1, n_iters=3)
     rng = np.random.default_rng(4)
-    # one table, a stack of draws, and signed zeros, which an added 0.0
-    # would turn positive: every iterate and the adjoint equal their input
-    # bit for bit, and the adjoint is a fresh array
-    for f in (np.array([[2.0, -1.0], [0.5, 3.0]]), rng.normal(size=(3, 2, 4)),
+    # two tables, and signed zeros, which an added 0.0 would turn
+    # positive: every iterate and the adjoint equal their input bit for
+    # bit, and the adjoint is a fresh array
+    for f in (np.array([[2.0, -1.0], [0.5, 3.0]]), rng.normal(size=(2, 4)),
               np.array([[-0.0, 0.0], [0.0, -0.0]])):
         stack = refine_stack(f, rec.adjacency, cfg)
         assert stack.shape == (cfg.n_iters + 1,) + f.shape
@@ -569,29 +571,64 @@ def test_forward_scores_refinement_toggle():
     params += rng.normal(size=params.shape)
     z = np.stack([np.zeros(8), np.full(8, 0.5)])
     cfg = InferenceConfig()
-    # zero iterations leave the scorer's own tables, the stack's only iterate
-    x, raw_stack, raw_g = forward_scores(params, rec, z,
-                                         dataclasses.replace(cfg, n_iters=0))
-    assert x.shape == (2, rec.num_proposals, params.shape[1])
+    d = feature_dim(rec.num_classes)
+    f0 = score_from_input(params[:, :d], features(rec))
+    # zero iterations leave the scorer's own noise-free table, the stack's
+    # only iterate
+    raw_stack, raw_g = forward_scores(params, rec, z,
+                                      dataclasses.replace(cfg, n_iters=0))
     assert raw_g.shape == (2, rec.num_proposals, rec.num_classes + 1)
-    assert raw_stack.shape == (1,) + raw_g.shape
-    assert raw_stack[0].tobytes() == raw_g.tobytes()
-    for i in range(2):
-        assert raw_g[i].tobytes() == score_from_input(params, x[i]).tobytes()
-    _, stack, g = forward_scores(params, rec, z, cfg)
-    assert stack.shape == (cfg.n_iters + 1,) + raw_g.shape
-    np.testing.assert_array_equal(stack[0], raw_g)
-    np.testing.assert_array_equal(g, stack[-1])
+    assert raw_stack.shape == (1,) + raw_g.shape[1:]
+    assert raw_stack[0].tobytes() == f0.tobytes()
+    stack, g = forward_scores(params, rec, z, cfg)
+    assert stack.shape == (cfg.n_iters + 1,) + raw_g.shape[1:]
+    assert stack.tobytes() == refine_stack(f0, rec.adjacency, cfg).tobytes()
     # each draw's table is the one its own noise row gives
     for i in range(2):
-        _, one_stack, one_g = forward_scores(params, rec, z[i:i + 1], cfg)
+        one_stack, one_g = forward_scores(params, rec, z[i:i + 1], cfg)
         assert one_g[0].tobytes() == g[i].tobytes()
-        assert one_stack[:, 0].tobytes() == stack[:, i].tobytes()
+        assert one_stack.tobytes() == stack.tobytes()
 
 
-def _noise(samples, rec):
-    """The (K, d) noise rows: the last d columns of every scorer input."""
-    return samples.x[:, 0, feature_dim(rec.num_classes):]
+@pytest.mark.parametrize("noise_dim", [0, 3, 8])
+@pytest.mark.parametrize("n_iters", [0, 3])
+@pytest.mark.parametrize("k", [1, 4])
+def test_draw_tables_are_the_shared_final_iterate_plus_their_offsets(
+        noise_dim, n_iters, k):
+    # draw k's table is stack[-1] + b[k], bit for bit, where b[k] is
+    # w[:, D:] @ z[k] reduced over draw k's noise row alone
+    rec = _sampling_record()
+    rng = np.random.default_rng(noise_dim * 10 + n_iters + k)
+    params = cond_init(rec.num_classes, noise_dim)
+    params += rng.normal(size=params.shape)
+    z = rng.uniform(size=(k, noise_dim))
+    stack, g = forward_scores(params, rec, z,
+                              InferenceConfig(delta=0.5, n_iters=n_iters))
+    w_noise = params[:, feature_dim(rec.num_classes):]
+    for i in range(k):
+        b = (w_noise * z[i]).sum(axis=1)
+        assert b.shape == (rec.num_classes + 1,)
+        assert g[i].tobytes() == (stack[-1] + b).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 1.0, 5.0]),
+       st.sampled_from([0.5, 8.0]), st.integers(0, 4),
+       st.integers(1, 5), st.sampled_from([0, 1, 8]))
+def test_draw_tables_match_the_per_draw_refinement(seed, scale, delta,
+                                                   n_iters, k, noise_dim):
+    # refining each draw's own table gives the shared refinement's tables
+    # up to rounding. The pipeline's delta is 8; a small delta amplifies
+    # the offset's rounding of each gap (see test_kernels), and at 0.1 the
+    # difference reaches a third of the bound
+    rec = _sampling_record()
+    rng = np.random.default_rng(seed)
+    params = cond_init(rec.num_classes, noise_dim)
+    params += rng.normal(0.0, scale, size=params.shape)
+    z = rng.uniform(size=(k, noise_dim))
+    cfg = InferenceConfig(delta=delta, n_iters=n_iters)
+    _, g = forward_scores(params, rec, z, cfg)
+    assert_per_draw_close(g, per_draw_forward(params, rec, z, cfg)[2])
 
 
 def test_sampling_is_deterministic_and_tag_sensitive():
@@ -603,12 +640,12 @@ def test_sampling_is_deterministic_and_tag_sensitive():
     s1 = sample_k(params, rec, scene_noise(9, rec, 4), cfg=cfg)
     s2 = sample_k(params, rec, scene_noise(9, rec, 4), cfg=cfg)
     np.testing.assert_array_equal(s1.labels, s2.labels)
-    z1 = _noise(s1, rec)
-    np.testing.assert_array_equal(z1, _noise(s2, rec))
+    z1 = s1.z
+    np.testing.assert_array_equal(z1, s2.z)
     # noise draws must differ across draw index and across tags
     assert not np.array_equal(z1[0], z1[1])
     s3 = sample_k(params, rec, scene_noise(9, rec, 4, tag=1), cfg=cfg)
-    assert not np.array_equal(z1[0], _noise(s3, rec)[0])
+    assert not np.array_equal(z1[0], s3.z[0])
 
 
 def test_sampling_zero_noise_collapses_to_one_labeling():
@@ -618,8 +655,7 @@ def test_sampling_zero_noise_collapses_to_one_labeling():
     params += rng.normal(size=params.shape)
     s = sample_k(params, rec, np.zeros((3, 8)),
                  cfg=InferenceConfig(select_threshold=100.0))
-    z = _noise(s, rec)
-    assert z.shape == (3, 8) and (z == 0.0).all()
+    assert s.z.shape == (3, 8) and (s.z == 0.0).all()
     np.testing.assert_array_equal(s.labels[0], s.labels[1])
     np.testing.assert_array_equal(s.labels[0], s.labels[2])
 
@@ -632,18 +668,18 @@ def test_sampling_term_modes_control_refinement_and_enforcement():
     cfg = InferenceConfig(select_threshold=100.0)
     z = scene_noise(1, rec, 2)
     # mode U is refinement with zero iterations: its tables are the
-    # scorer's own, and they are the stack's only iterate
+    # scorer's own, and the noise-free table is the stack's only iterate
     s_u = sample_k(params, rec, z, cfg=cfg, term_mode="U")
-    assert not s_u.enforced and s_u.stack.shape == (1,) + s_u.g.shape
+    assert not s_u.enforced and s_u.stack.shape == (1,) + s_u.g.shape[1:]
     raw = forward_scores(params, rec, z, dataclasses.replace(cfg, n_iters=0))
-    assert s_u.g.tobytes() == raw[2].tobytes()
-    assert s_u.stack.tobytes() == raw[1].tobytes()
+    assert s_u.stack.tobytes() == raw[0].tobytes()
+    assert s_u.g.tobytes() == raw[1].tobytes()
     s_up = sample_k(params, rec, z, cfg=cfg, term_mode="U+P")
     assert not s_up.enforced
-    assert s_up.stack.shape == (cfg.n_iters + 1,) + s_up.g.shape
+    assert s_up.stack.shape == (cfg.n_iters + 1,) + s_up.g.shape[1:]
     s_uph = sample_k(params, rec, z, cfg=cfg, term_mode="U+P+H")
     assert s_uph.enforced
-    assert s_uph.stack.shape == (cfg.n_iters + 1,) + s_uph.g.shape
+    assert s_uph.stack.shape == (cfg.n_iters + 1,) + s_uph.g.shape[1:]
     assert s_uph.g.tobytes() == s_up.g.tobytes()
     # every labeling under the full mode is annotation-consistent
     geom = rec.geometry()
@@ -765,7 +801,7 @@ def test_draw_tables_differ_by_a_constant_per_class_column(seed, scale,
     params += rng.normal(0.0, scale, size=params.shape)
     z = rng.uniform(0.0, 1.0, size=(k, params.shape[1]
                                     - feature_dim(rec.num_classes)))
-    _, _, g = forward_scores(params, rec, z, InferenceConfig(
+    _, g = forward_scores(params, rec, z, InferenceConfig(
         delta=0.5, n_iters=3 if refine else 0))
     diff = g - g[:1]  # (K, P, C+1)
     offset = diff[:, :1]  # each draw's offset per column, read off row 0

@@ -30,21 +30,21 @@ DATA = {"train.jsonl": "ec9d8f355cb9", "eval.jsonl": "988c88400a47",
         "eval stdout": "da295e31423c"}
 
 RUNS = {
-    "image": ({}, {"checkpoint_final.json": "58d83d19fce9",
-                   "log.csv": "a70c077c684c",
+    "image": ({}, {"checkpoint_final.json": "d9c892ac8a3e",
+                   "log.csv": "2765b8de78db",
                    "preds.json": "5c1bd8a16e5e"}),
-    "box": ({"supervision": "box"}, {"checkpoint_final.json": "1d71204d6026",
-                                     "log.csv": "b7098dbf1d24",
+    "box": ({"supervision": "box"}, {"checkpoint_final.json": "5996fe6316b9",
+                                     "log.csv": "e26f0e69a583",
                                      "preds.json": "23ef3bd62c87"}),
-    "U": ({"term_mode": "U"}, {"checkpoint_final.json": "85de0e61f8b1",
+    "U": ({"term_mode": "U"}, {"checkpoint_final.json": "47ea4df5dc21",
                                "log.csv": "fe9314dd179d",
                                "preds.json": "34a315765f66"}),
     # at smoke's decode_thresh 0.7 every log row reads map50 0; threshold 0
     # decodes every scene, so log.csv pins predict -> decode -> map_at.
     # Training does not read the threshold: the checkpoint is image's.
     "decode0": ({"decode_thresh": 0.0},
-                {"checkpoint_final.json": "58d83d19fce9",
-                 "log.csv": "6a14755f0d0e",
+                {"checkpoint_final.json": "d9c892ac8a3e",
+                 "log.csv": "7a6cb8792945",
                  "preds.json": "95e69018d47b",
                  "eval stdout": "d27acb578968"}),
 }

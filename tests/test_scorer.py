@@ -14,12 +14,11 @@ from annoconsist.scorer import (
     features,
     score_from_input,
     score_vjp,
-    scorer_input,
 )
 from annoconsist.train import TrainConfig, load_checkpoint, save_checkpoint
 
 from conftest import make_record, rect_mask
-from oracles import uniform_noise
+from oracles import scorer_input, uniform_noise
 
 NOISE_DIM = TrainConfig().noise_dim
 

@@ -51,8 +51,9 @@ from annoconsist.train import (
 )
 
 from conftest import instances, make_record, rect_mask
-from oracles import (make_dataset, num_edges, pred_objective, scene_noise,
-                     tight_box)
+from oracles import (assert_per_draw_close, make_dataset, num_edges,
+                     per_draw_backward, pred_objective, scene_noise,
+                     scorer_input, tight_box)
 
 
 def test_train_config_validation():
@@ -217,18 +218,18 @@ def _params_for_table(rec, table, noise_dim=8):
 
 def _zero_noise_table(params, rec, icfg):
     return forward_scores(params, rec, np.zeros((1, 8)),
-                          dataclasses.replace(icfg, n_iters=0))[2][0]
+                          dataclasses.replace(icfg, n_iters=0))[1][0]
 
 
 def _manual_samples(params, rec, table, k, icfg, enforce=True):
     """K identical zero-noise draws on the unrefined table, which zero
     refinement iterations leave."""
     z = np.zeros((k, 8))
-    x, stack, g = forward_scores(params, rec, z,
-                                 dataclasses.replace(icfg, n_iters=0))
+    stack, g = forward_scores(params, rec, z,
+                              dataclasses.replace(icfg, n_iters=0))
     np.testing.assert_allclose(g[0], table, atol=1e-9)
     y = greedy_infer(g[0], rec.annotation, rec.geometry(), icfg, enforce=enforce)
-    return SampleSet(x=x, stack=stack, g=g, labels=np.stack([y] * k),
+    return SampleSet(z=z, stack=stack, g=g, labels=np.stack([y] * k),
                      enforced=enforce)
 
 
@@ -263,7 +264,7 @@ def test_cond_grad_hand_case_two_proposals_one_class_two_draws():
     tcfg = TrainConfig(k=2, gamma=0.5, epsilon=1.0)
     grad = cond_grad(params, rec, samples, y_ref, tcfg, icfg, LossConfig())
     q = np.array([[0.0, 0.0], [-0.5, 0.5]])
-    x = samples.x[0]
+    x = scorer_input(rec, samples.z[0])
     want = 2.0 * (q.T @ x)  # two identical draws
     np.testing.assert_allclose(grad, want, atol=1e-9)
 
@@ -300,13 +301,13 @@ def test_cond_grad_anchor_mode_is_a_margin_update_toward_the_reference():
 
 
 def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
-                        anchor, calls, results=None, live=None):
+                        anchor, calls, results=None, coef=None):
     """cond_grad one draw at a time: each draw's coefficient table, then its
-    own refinement adjoint and scorer backward. Appends every greedy input
-    table to calls, in call order, and each greedy result to results when
-    given. Every greedy request is computed: there is no memo. Every draw
-    runs the backward pass, all-zero table or not; live, when given, gets
-    the draws whose coefficient table has a nonzero entry."""
+    own refinement and scorer backward from per_draw_backward. Appends
+    every greedy input table to calls, in call order, and each greedy
+    result to results when given. Every greedy request is computed: there
+    is no memo. coef, when given, gets the (K, P, C+1) coefficient
+    tables."""
     kk = samples.k
     m = rec.num_classes + 1
     eye = np.eye(m)
@@ -327,7 +328,7 @@ def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
         aug_pairs = [eps * cost_row(samples.labels[k2], rec.num_classes, lcfg)
                      for k2 in range(kk)]
         pair_coef = 2.0 * gamma / (kk * (kk - 1) * eps)
-    total = np.zeros_like(params)
+    qs = np.zeros(samples.g.shape)
     for k in range(kk):
         g = samples.g[k]
         m_c = eye[samples.labels[k]]
@@ -337,23 +338,37 @@ def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
             for k2 in range(kk):
                 if k2 != k:
                     q += pair_coef * (m_c - eye[infer(g + aug_pairs[k2])])
-        if live is not None and q.any():
-            live.append(k)
-        # no adjoint at zero iterations; cond_grad runs it anyway, and
-        # must give these bytes
-        if samples.stack.shape[0] > 1:
-            q = refine_backward(np.ascontiguousarray(samples.stack[:, k]),
-                                rec.adjacency, icfg, q)
-        total += score_vjp(np.ascontiguousarray(samples.x[k]), q)
-    return total
+        qs[k] = q
+    if coef is not None:
+        coef.append(qs)
+    # the refinement the samples were drawn under: none in term mode U
+    cfg = dataclasses.replace(icfg, n_iters=samples.stack.shape[0] - 1)
+    return per_draw_backward(params, rec, samples.z, qs, cfg)
 
 
 @pytest.mark.parametrize("anchor", [False, True])
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
-@pytest.mark.parametrize("term_mode", ["U", "U+P+H"])
+@pytest.mark.parametrize("term_mode", ["U", "U+P", "U+P+H"])
 def test_cond_grad_on_the_draw_stack_matches_a_per_draw_loop(
         monkeypatch, anchor, gamma, term_mode):
-    tcfg = TrainConfig(k=4, gamma=gamma, term_mode=term_mode)
+    _check_cond_grad_against_the_per_draw_loop(
+        monkeypatch, anchor, TrainConfig(k=4, gamma=gamma,
+                                         term_mode=term_mode))
+
+
+@pytest.mark.parametrize("anchor", [False, True])
+@pytest.mark.parametrize("term_mode", ["U", "U+P", "U+P+H"])
+@pytest.mark.parametrize("k,noise_dim", [(1, 8), (4, 0), (1, 0)])
+def test_cond_grad_matches_a_per_draw_loop_with_one_draw_or_no_noise(
+        monkeypatch, anchor, term_mode, k, noise_dim):
+    _check_cond_grad_against_the_per_draw_loop(
+        monkeypatch, anchor, TrainConfig(k=k, term_mode=term_mode,
+                                         noise_dim=noise_dim))
+
+
+def _check_cond_grad_against_the_per_draw_loop(monkeypatch, anchor, tcfg):
+    # the greedy requests are those of the per-draw loop, byte for byte,
+    # and the gradient is the per-draw one up to rounding
     icfg = InferenceConfig(delta=8.0)
     lcfg = LossConfig()
     rng = np.random.default_rng(11)
@@ -366,13 +381,14 @@ def test_cond_grad_on_the_draw_stack_matches_a_per_draw_loop(
     monkeypatch.setattr(train_mod, "greedy_infer", traced)
     for i, rec in enumerate(_tiny_dataset(n=3)):
         rec = prepare_scene(rec, tcfg, icfg)
-        params = cond_init(rec.num_classes, 8)
+        params = cond_init(rec.num_classes, tcfg.noise_dim)
         params += rng.normal(0.0, 0.5, size=params.shape)
-        samples = sample_k(params, rec, scene_noise(0, rec, tcfg.k, i), icfg,
-                           term_mode=term_mode,
+        samples = sample_k(params, rec,
+                           scene_noise(0, rec, tcfg.k, i, tcfg.noise_dim),
+                           icfg, term_mode=tcfg.term_mode,
                            enforce=True if anchor else None)
-        iterates = 1 if term_mode == "U" else icfg.n_iters + 1
-        assert samples.stack.shape[:2] == (iterates, tcfg.k)
+        iterates = 1 if tcfg.term_mode == "U" else icfg.n_iters + 1
+        assert samples.stack.shape == (iterates,) + samples.g.shape[1:]
         if anchor:
             y_ref = seed_labeling(rec)
         else:
@@ -383,9 +399,10 @@ def test_cond_grad_on_the_draw_stack_matches_a_per_draw_loop(
         del got_calls[:]
         got = cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
                         anchor=anchor)
-        assert got.tobytes() == want.tobytes()
+        assert_per_draw_close(got, want)
         assert got_calls == want_calls
-        per_draw = (0 if anchor else 1) + (tcfg.k - 1 if gamma else 0)
+        pairs = tcfg.k - 1 if tcfg.gamma else 0
+        per_draw = (0 if anchor else 1) + pairs
         assert len(got_calls) == tcfg.k * per_draw
 
 
@@ -405,8 +422,8 @@ def _prepared_scenes(supervision):
 def test_cond_grad_with_the_memo_equals_a_memo_free_loop(
         scene, supervision, anchor, gamma, term_mode, k, noise_scale, seed):
     # small noise weights make draws share labelings, so pairwise tables
-    # repeat and the memo answers them; the gradient bytes and every
-    # request's result must be those of computing each request
+    # repeat and the memo answers them; every request's result must be
+    # that of computing it, and the gradient the per-draw loop's
     recs = _prepared_scenes(supervision)
     assume(recs)
     rec = recs[scene % len(recs)]
@@ -456,7 +473,7 @@ def test_cond_grad_with_the_memo_equals_a_memo_free_loop(
             return
         got = cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
                         anchor=anchor)
-    assert got.tobytes() == want.tobytes()
+    assert_per_draw_close(got, want)
     assert got_calls == want_calls
     assert got_results == want_results
     # each distinct table is computed once
@@ -469,11 +486,12 @@ def test_cond_grad_with_the_memo_equals_a_memo_free_loop(
        term_mode=st.sampled_from(["U", "U+P+H"]), k=st.integers(2, 5),
        noise_scale=st.sampled_from([0.0, 0.05, 0.5]),
        seed=st.integers(0, 2**32 - 1))
-def test_cond_grad_backward_over_live_draws_equals_the_full_backward(
+def test_cond_grad_runs_one_backward_pass_of_the_summed_coefficients(
         scene, supervision, anchor, gamma, term_mode, k, noise_scale, seed):
-    # a draw whose coefficient table is all zero adds nothing, so cond_grad
-    # runs the refinement adjoint and the scorer backward for the others
-    # only; the gradient bytes must be those of backwarding every draw
+    # the draws share one refinement, so cond_grad runs its adjoint once,
+    # on the sum of the draws' coefficient tables, and skips it when that
+    # sum is all ±0; the noise block reads the draws' noise rows. The
+    # gradient is the per-draw backward's up to rounding
     recs = _prepared_scenes(supervision)
     assume(recs)
     rec = recs[scene % len(recs)]
@@ -495,20 +513,20 @@ def test_cond_grad_backward_over_live_draws_equals_the_full_backward(
     y_ref = (seed_labeling(rec) if anchor else
              samples.labels[seed % k] if seed % 2 else
              rng.integers(0, rec.num_classes + 1, rec.num_proposals))
-    live = []
+    coef = []
     try:
         want = _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg,
-                                   lcfg, anchor, [], live=live)
+                                   lcfg, anchor, [], coef=coef)
     except InferenceError:
         assume(False)
-    vjp_inputs, adjoint_draws = [], []
+    vjp_inputs, adjoint_inputs = [], []
 
     def traced_vjp(x, q):
         vjp_inputs.append(x.tobytes())
         return score_vjp(x, q)
 
     def traced_adjoint(stack, adjacency, cfg, q):
-        adjoint_draws.append(q.shape[0])
+        adjoint_inputs.append((stack.tobytes(), q.tobytes()))
         return refine_backward(stack, adjacency, cfg, q)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -516,10 +534,14 @@ def test_cond_grad_backward_over_live_draws_equals_the_full_backward(
         mp.setattr(train_mod, "refine_backward", traced_adjoint)
         got = cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
                         anchor=anchor)
-    assert got.tobytes() == want.tobytes()
-    assert vjp_inputs == [samples.x[j].tobytes() for j in live]
-    want_adjoint = [len(live)] if live else []
-    assert adjoint_draws == want_adjoint
+    assert_per_draw_close(got, want)
+    q_sum = coef[0].sum(axis=0)
+    if q_sum.any():
+        assert adjoint_inputs == [(samples.stack.tobytes(), q_sum.tobytes())]
+        assert vjp_inputs == [features(rec).tobytes(), samples.z.tobytes()]
+    else:
+        assert adjoint_inputs == []
+        assert vjp_inputs == [samples.z.tobytes()]
 
 
 def _hopeless_box_scene(scene_id):
