@@ -8,8 +8,10 @@ training run evaluated on held-out scenes, optionally averaged over
 several seeds.
 """
 
+import contextlib
 import csv
 import dataclasses
+import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,18 +60,44 @@ class AblationResult:
                                    for t in self.thresholds])
 
 
+def _cell_maps(train_records, eval_records, inf_cfg, loss_cfg, thresholds,
+               cfg) -> list:
+    """One (cell, seed) task: fit under cfg, then held-out mAP per
+    threshold."""
+    res = fit(train_records, cfg, inf_cfg, loss_cfg)
+    ev = evaluate_params(res.pred, eval_records, thresholds,
+                         cfg.decode_thresh, cfg.decode_nms)
+    return [ev.map_r[t] for t in thresholds]
+
+
+# the arguments every task of a forked worker shares, set as it starts
+_shared = ()
+
+
+def _init_worker(*shared):
+    global _shared
+    _shared = shared
+
+
+def _worker_cell_maps(cfg):
+    return _cell_maps(*_shared, cfg)
+
+
 def ablation_run(train_records: list, eval_records: list,
                  base_cfg: TrainConfig | None = None,
                  inf_cfg: InferenceConfig | None = None,
                  loss_cfg: LossConfig | None = None,
                  thresholds=DEFAULT_ABLATION_THRESHOLDS,
                  seeds: tuple | None = None,
-                 verbose: bool = False) -> AblationResult:
+                 verbose: bool = False, jobs: int = 1) -> AblationResult:
     """Train and evaluate all twelve configurations on a fixed dataset.
 
     Every cell differs from base_cfg only in term_mode, the two pointwise
     flags and (when averaging) the seed, so the all-terms fully
     probabilistic cell reproduces a plain fit with the same seed exactly.
+    With jobs > 1 the (cell, seed) tasks run in at most that many forked
+    workers, which inherit the records instead of receiving them; each
+    task is deterministic, so the result is the serial run's, bit for bit.
     """
     base = base_cfg or TrainConfig()
     lcfg = loss_cfg or LossConfig()
@@ -77,21 +105,25 @@ def ablation_run(train_records: list, eval_records: list,
     if seeds is None:
         seeds = (base.seed,)
     result = AblationResult(thresholds=tuple(thresholds), seeds=tuple(seeds))
-    for tm in TERM_MODES:
-        for name, pw_p, pw_c in VARIANTS:
-            per_thresh = {t: [] for t in result.thresholds}
-            for s in seeds:
-                cfg = dataclasses.replace(
-                    base, term_mode=tm, pred_pointwise=pw_p,
-                    cond_pointwise=pw_c, seed=s)
-                res = fit(train_records, cfg, icfg, lcfg)
-                ev = evaluate_params(res.pred, eval_records,
-                                     result.thresholds,
-                                     cfg.decode_thresh, cfg.decode_nms)
-                for t in result.thresholds:
-                    per_thresh[t].append(ev.map_r[t])
+    cells = [(tm, name, pw_p, pw_c) for tm in TERM_MODES
+             for name, pw_p, pw_c in VARIANTS]
+    tasks = [dataclasses.replace(base, term_mode=tm, pred_pointwise=pw_p,
+                                 cond_pointwise=pw_c, seed=s)
+             for tm, _, pw_p, pw_c in cells for s in seeds]
+    shared = (train_records, eval_records, icfg, lcfg, result.thresholds)
+    with contextlib.ExitStack() as stack:
+        maps = (_cell_maps(*shared, cfg) for cfg in tasks)
+        if jobs > 1 and len(tasks) > 1:
+            ctx = multiprocessing.get_context("fork")
+            pool = stack.enter_context(ctx.Pool(
+                min(jobs, len(tasks)), initializer=_init_worker,
+                initargs=shared))
+            maps = pool.imap(_worker_cell_maps, tasks)
+        for tm, name, _, _ in cells:
+            per_seed = [next(maps) for _ in seeds]
             result.cells[(tm, name)] = {
-                t: float(np.mean(v)) for t, v in per_thresh.items()}
+                t: float(np.mean([m[i] for m in per_seed]))
+                for i, t in enumerate(result.thresholds)}
             if verbose:
                 at50 = result.cells[(tm, name)].get(0.50)
                 shown = "n/a" if at50 is None else f"{at50:.4f}"

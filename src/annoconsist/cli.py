@@ -270,24 +270,20 @@ def cmd_eval(args) -> int:
     decoded = {entry["scene_id"]: entry["final"]["decode"]
                for entry in obj["scenes"]}
     cfg = _resolved_config(args)
-    # per predicted scene, the last record's ground truth and copies of the
-    # decoded pool rows, so no whole pool outlives its scene
+    # per predicted scene, the last record's ground-truth class ids and the
+    # IoU table of its pool against them, so no mask outlives its scene
     kept = {}
     path = _dataset_path(args.data, args.split)
     for rec in iter_dataset(path):
         dets = decoded.get(rec.scene_id)
         if dets is not None:
-            preds = []
-            for d in dets:
-                u = decoded_index(rec, d)
-                preds.append(InstancePrediction(u, d["class_id"],
-                                                d["confidence"],
-                                                rec.pool[u].copy()))
-            kept[rec.scene_id] = (rec.gt, preds)
+            preds = [InstancePrediction(decoded_index(rec, d), d["class_id"],
+                                        d["confidence"]) for d in dets]
+            kept[rec.scene_id] = ((rec.gt.class_ids, rec.gt_iou()), preds)
     _check_scenes_found(decoded, kept, path)
     preds_by_scene = {sid: kept[sid][1] for sid in decoded}
-    gts_by_scene = {sid: kept[sid][0] for sid in preds_by_scene}
-    res = evaluate_predictions(preds_by_scene, gts_by_scene,
+    truth_by_scene = {sid: kept[sid][0] for sid in preds_by_scene}
+    res = evaluate_predictions(preds_by_scene, truth_by_scene,
                                cfg.eval.thresholds)
     for t in res.thresholds:
         print(f"mAP@{t:.2f}  {res.map_r[t]:.4f}")
@@ -308,10 +304,13 @@ def cmd_ablate(args) -> int:
                           "list of integers") from None
     if seeds is not None and min(seeds) < 0:
         raise ConfigError("--seeds must be non-negative")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs {args.jobs} is not a positive count")
     train_recs = _load_split(args.data, "train")
     eval_recs = _load_split(args.data, "eval")
     result = ablation_run(train_recs, eval_recs, cfg.train, cfg.inference,
-                          cfg.loss, seeds=seeds, verbose=args.verbose)
+                          cfg.loss, seeds=seeds, verbose=args.verbose,
+                          jobs=args.jobs)
     result.to_csv(args.out)
     print(result.format_table())
     print(f"wrote {args.out}")
@@ -372,6 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output CSV table")
     p.add_argument("--seeds", help="comma-separated seeds for averaging")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, one (cell, seed) fit each at a time")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_ablate)
 

@@ -13,15 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union; two empty masks have IoU 0 by convention."""
-    inter = np.count_nonzero(a & b)
-    union = np.count_nonzero(a | b)
-    if union == 0:
-        return 0.0
-    return inter / union
-
-
 def tight_boxes(masks: np.ndarray) -> np.ndarray:
     """The (P, 4) boxes of a (P, H, W) stack, each the smallest containing
     every set pixel of its mask, from row and column `any` over the stack.
@@ -138,15 +129,36 @@ def rle_decode_stack(rles: list) -> np.ndarray:
     return np.repeat(index % 2 == 1, counts).reshape(len(rles), h, w)
 
 
-def intersection_counts(pool: np.ndarray) -> np.ndarray:
-    """(P, P) pairwise intersection pixel counts for a stacked pool."""
-    flat = pool.reshape(pool.shape[0], -1).astype(np.float32)
-    return (flat @ flat.T).astype(np.int64)
+def _flat(masks: np.ndarray) -> np.ndarray:
+    """The (N, H * W) rows of an (N, H, W) stack, N possibly 0."""
+    n, h, w = masks.shape
+    return masks.reshape(n, h * w)
+
+
+def intersection_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(A, B) intersection pixel counts of each mask of an (A, H, W) stack
+    with each mask of a (B, H, W) stack. The float32 sums are exact
+    integers while H * W < 2**24."""
+    fa, fb = _flat(a).astype(np.float32), _flat(b).astype(np.float32)
+    return (fa @ fb.T).astype(np.int64)
+
+
+def iou_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(A, B) intersection over union of each mask of an (A, H, W) stack
+    with each mask of a (B, H, W) stack: exact int pixel counts divided
+    once, so an entry is bit-equal to the Python int division of its
+    counts. Two empty masks have IoU 0 by convention."""
+    inter = intersection_counts(a, b)
+    area_a = np.count_nonzero(_flat(a), axis=1)
+    area_b = np.count_nonzero(_flat(b), axis=1)
+    union = area_a[:, None] + area_b[None, :] - inter
+    return np.divide(inter, union, out=np.zeros(inter.shape),
+                     where=union > 0)
 
 
 def overlap_fraction_matrix(pool: np.ndarray) -> np.ndarray:
     """ovl[i, l] = |mask_i ∩ mask_l| / |mask_l| for a stacked pool."""
-    counts = intersection_counts(pool)
+    counts = intersection_counts(pool, pool)
     areas = counts.diagonal().astype(np.float64)
     if (areas == 0).any():
         raise ValueError("pool contains an empty mask")

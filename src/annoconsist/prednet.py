@@ -21,7 +21,6 @@ class InstancePrediction:
     proposal_index: int
     class_id: int
     confidence: float
-    mask: np.ndarray
 
 
 def pred_init(num_classes: int) -> np.ndarray:
@@ -57,24 +56,25 @@ def decode(state: np.ndarray, rec: SceneRecord, score_thresh: float,
     fg = state[:, 1:]
     conf = fg.max(axis=1)
     cls = fg.argmax(axis=1) + 1
-    cand = np.nonzero(conf >= score_thresh)[0]
-    order = cand[np.argsort(-conf[cand], kind="stable")]
+    cand = (conf >= score_thresh).nonzero()[0]
+    order = cand[(-conf[cand]).argsort(kind="stable")]
+    # the loop reads Python lists: row i of ovl holds the overlaps of the
+    # i-th candidate in `order` with every candidate in `cand`. A lone
+    # candidate suppresses nothing, so it leaves the pool's overlap
+    # matrix unbuilt
+    conf, cls = conf.tolist(), cls.tolist()
+    ovl = geom.ovl[order[:, None], cand].tolist() if len(cand) > 1 else [[]]
+    cand = cand.tolist()
     out = []
-    suppressed = np.zeros(state.shape[0], dtype=bool)
-    for u in order:
-        if suppressed[u]:
+    suppressed = set()
+    for u, row in zip(order.tolist(), ovl):
+        if u in suppressed:
             continue
-        out.append(
-            InstancePrediction(
-                proposal_index=int(u),
-                class_id=int(cls[u]),
-                confidence=float(conf[u]),
-                mask=rec.pool[u],
-            )
-        )
-        for v in cand:
-            if v != u and not suppressed[v] and cls[v] == cls[u] and geom.ovl[u, v] > nms_t:
-                suppressed[v] = True
+        out.append(InstancePrediction(proposal_index=u, class_id=cls[u],
+                                      confidence=conf[u]))
+        for v, o in zip(cand, row):
+            if v != u and v not in suppressed and cls[v] == cls[u] and o > nms_t:
+                suppressed.add(v)
     return out
 
 

@@ -18,6 +18,7 @@ from . import kernels
 from .adjacency import Adjacency
 from .masks import (
     box_iou,
+    iou_table,
     overlap_fraction_matrix,
     rle_decode_stack,
     rle_encode_stack,
@@ -123,6 +124,10 @@ class SceneRecord:
     pool_index: np.ndarray | None = None
     _geom: PoolGeometry | None = field(default=None, repr=False, compare=False)
     _features: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # not an init field, so a copy made by dataclasses.replace (say with
+    # another pool or ground truth) builds its own
+    _gt_iou: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def num_proposals(self) -> int:
@@ -132,6 +137,14 @@ class SceneRecord:
         if self._geom is None:
             self._geom = PoolGeometry.from_pool(self.pool)
         return self._geom
+
+    def gt_iou(self) -> np.ndarray:
+        """(P, G) mask IoU of each pool proposal with each ground-truth
+        instance, built once: the only ground truth evaluation reads,
+        since every decoded instance is a pool proposal."""
+        if self._gt_iou is None:
+            self._gt_iou = iou_table(self.pool, self.gt.masks)
+        return self._gt_iou
 
 
 def _b64_f32(arr: np.ndarray) -> str:
@@ -370,8 +383,8 @@ def load_dataset(path) -> list:
 def rebuild_with_pool(rec: SceneRecord, keep: np.ndarray) -> SceneRecord:
     """New record with pool restricted to the ascending indices `keep`;
     the adjacency is the subgraph of rec's that `keep` induces. rec's
-    cached geometry and features describe its own pool and are not
-    carried over."""
+    cached geometry, features and ground-truth IoU table describe its own
+    pool and are not carried over."""
     return replace(
         rec, pool=rec.pool[keep], adjacency=rec.adjacency.restrict(keep),
         pool_index=keep, _geom=None, _features=None)

@@ -36,7 +36,8 @@ from .condnet import (
 from .disco import div_cc, div_pc, div_pp
 from .evaluate import EvalResult, evaluate_predictions, map_at
 from .loss import LossConfig, cost_row
-from .prednet import argmax_labeling, decode, pred_init, predict
+from .prednet import (argmax_labeling, decode, pred_init, predict,
+                      softmax_rows)
 from .scenes import rebuild_with_pool
 from .scorer import cond_init, draw_noise, feature_dim, features, score_vjp
 
@@ -225,14 +226,19 @@ def cond_grad(params: np.ndarray, rec, samples: SampleSet, y_ref: np.ndarray,
                                               enforce=enforce, memo=memo)
     m_c = selection_matrix(samples.labels, m)
     m_a = selection_matrix(y_ref if anchor else y_a, m)
-    q = (m_a - m_c) / (kk * eps)
     if pairs:
-        d = pair_coef * (m_c[:, None] - selection_matrix(y_b, m))
-        # each draw's table gets its pairwise terms in k2 order; draw k2
-        # takes none from itself
-        for k2 in range(kk):
-            q[:k2] += d[:k2, k2]
-            q[k2 + 1:] += d[k2 + 1:, k2]
+        # slot 0 of draw k holds its reference term and slot 1 + k2 its
+        # pairwise term against draw k2; one reduction from -0.0, which
+        # adds nothing to any float, sums them in slot order. Draw k takes
+        # no term from itself, so its own slot holds -0.0 too
+        terms = np.empty((kk, kk + 1) + m_c.shape[1:])
+        np.divide(m_a - m_c, kk * eps, out=terms[:, 0])
+        np.multiply(pair_coef, m_c[:, None] - selection_matrix(y_b, m),
+                    out=terms[:, 1:])
+        terms[:, 1:][np.diag_indices(kk)] = -0.0
+        q = np.add.reduce(terms, axis=1, initial=-0.0)
+    else:
+        q = (m_a - m_c) / (kk * eps)
     # every draw's table is the shared noise-free one plus its column
     # offsets, which refinement carries through unchanged: the adjoint is
     # the same for every draw and keeps each column's sum, so the feature
@@ -338,29 +344,35 @@ def prepare_records(records, train_cfg: TrainConfig,
     return out, skipped
 
 
-def _feasible_fractions(records, labels, inf_cfg) -> list:
-    """Per scene, the fraction of the K labelings of its (K, P) label
-    stack that are annotation-consistent."""
-    return [np.mean(higher_order_feasible(y, rec.annotation, rec.geometry(),
-                                          inf_cfg))
-            for rec, y in zip(records, labels)]
+def _feasible_fractions(records, used, labels, inf_cfg) -> list:
+    """Per used scene, the fraction of the K labelings of its (K, P) label
+    stack that are annotation-consistent. used holds record indices."""
+    return [np.mean(higher_order_feasible(y, records[i].annotation,
+                                          records[i].geometry(), inf_cfg))
+            for i, y in zip(used, labels)]
 
 
-def _epoch_metrics(records, pred, labels, feas, train_cfg,
-                   loss_cfg, grad_norms):
+def _epoch_metrics(records, feats, bounds, used, pred, labels, feas,
+                   train_cfg, loss_cfg, grad_norms):
     """One log row: divergence parts, train-set mAP at 0.5, feasibility.
-    labels holds each scene's (K, P) label stack; feas is their
+
+    feats is the (ΣP, D) stack of the records' features, record i's rows
+    being bounds[i]:bounds[i + 1], so one pass gives every predictor
+    state; row by row it equals predict. used holds the indices of the
+    records whose (K, P) label stacks are labels; feas is their
     _feasible_fractions, which the pred epochs share."""
+    state = softmax_rows(feats @ pred.T)
     pcs, ccs, pps = [], [], []
-    preds_by_scene, gts_by_scene = {}, {}
-    for rec, y in zip(records, labels):
-        state = predict(pred, rec)
-        pcs.append(div_pc(state, y, loss_cfg))
+    preds_by_scene, truth_by_scene = {}, {}
+    for i, y in zip(used, labels):
+        rec = records[i]
+        rec_state = state[bounds[i]:bounds[i + 1]]
+        pcs.append(div_pc(rec_state, y, loss_cfg))
         ccs.append(div_cc(y, rec, loss_cfg) if len(y) >= 2 else 0.0)
-        pps.append(div_pp(state, loss_cfg))
+        pps.append(div_pp(rec_state, loss_cfg))
         preds_by_scene[rec.scene_id] = decode(
-            state, rec, train_cfg.decode_thresh, train_cfg.decode_nms)
-        gts_by_scene[rec.scene_id] = rec.gt
+            rec_state, rec, train_cfg.decode_thresh, train_cfg.decode_nms)
+        truth_by_scene[rec.scene_id] = (rec.gt.class_ids, rec.gt_iou())
     g = train_cfg.gamma
     pc, cc, pp = float(np.mean(pcs)), float(np.mean(ccs)), float(np.mean(pps))
     return {
@@ -368,7 +380,7 @@ def _epoch_metrics(records, pred, labels, feas, train_cfg,
         "div_pc": pc,
         "div_cc": cc,
         "div_pp": pp,
-        "map50": map_at(preds_by_scene, gts_by_scene, 0.5),
+        "map50": map_at(preds_by_scene, truth_by_scene, 0.5),
         "feasible": float(np.mean(feas)),
         "grad_norm": float(np.mean(grad_norms)) if grad_norms else 0.0,
     }
@@ -400,6 +412,9 @@ def fit(records, train_cfg: TrainConfig | None = None,
 
     cond = cond_init(c, tcfg.noise_dim)
     pred = pred_init(c)
+    # the log rows' predictor states come from one stacked pass
+    feats = np.concatenate([features(rec) for rec in records])
+    bounds = np.cumsum([0] + [rec.num_proposals for rec in records]).tolist()
     k_eff = 1 if tcfg.cond_pointwise else tcfg.k
     # object dtype keeps every id an exact int, however large
     ids = np.array([rec.scene_id for rec in records], dtype=object)
@@ -428,7 +443,7 @@ def fit(records, train_cfg: TrainConfig | None = None,
             except InferenceError:
                 failures += 1
                 continue
-            used.append(rec)
+            used.append(i)
             labels.append(samples.labels)
             try:
                 grad = cond_grad(cond, rec, samples, refs[i], tcfg, icfg,
@@ -442,8 +457,9 @@ def fit(records, train_cfg: TrainConfig | None = None,
         _require_samples(used, phase, outer, epoch)
         row = {"phase": phase, "outer": outer, "epoch": epoch}
         row.update(_epoch_metrics(
-            used, pred, labels, _feasible_fractions(used, labels, icfg),
-            tcfg, lcfg, norms))
+            records, feats, bounds, used, pred, labels,
+            _feasible_fractions(records, used, labels, icfg), tcfg, lcfg,
+            norms))
         log.append(row)
         if verbose:
             print(_format_row(row))
@@ -461,20 +477,20 @@ def fit(records, train_cfg: TrainConfig | None = None,
             except InferenceError:
                 failures += 1
                 continue
-            used.append(rec)
+            used.append(i)
         _require_samples(used, phase, outer, 0)
-        feas = _feasible_fractions(used, labels, icfg)
+        feas = _feasible_fractions(records, used, labels, icfg)
         qbars = [empirical_distribution(y, c + 1) for y in labels]
         for epoch in range(tcfg.pred_epochs):
             norms = []
-            for i, rec in enumerate(used):
-                grad = pred_grad(pred, rec, qbars[i], lcfg, tcfg.gamma,
+            for i, qbar in zip(used, qbars):
+                grad = pred_grad(pred, records[i], qbar, lcfg, tcfg.gamma,
                                  tcfg.pred_pointwise)
                 norms.append(sgd_step(pred, grad, tcfg.lr_pred,
                                       tcfg.clip_grad))
             row = {"phase": phase, "outer": outer, "epoch": epoch}
-            row.update(_epoch_metrics(used, pred, labels, feas, tcfg, lcfg,
-                                      norms))
+            row.update(_epoch_metrics(records, feats, bounds, used, pred,
+                                      labels, feas, tcfg, lcfg, norms))
             log.append(row)
             if verbose:
                 print(_format_row(row))
@@ -512,8 +528,9 @@ def evaluate_params(pred: np.ndarray, records: list, thresholds,
                              decode_nms)
         for rec in records
     }
-    gts_by_scene = {rec.scene_id: rec.gt for rec in records}
-    return evaluate_predictions(preds_by_scene, gts_by_scene, thresholds)
+    truth_by_scene = {rec.scene_id: (rec.gt.class_ids, rec.gt_iou())
+                      for rec in records}
+    return evaluate_predictions(preds_by_scene, truth_by_scene, thresholds)
 
 
 def _format_row(row: dict) -> str:

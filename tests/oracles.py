@@ -16,12 +16,23 @@ from annoconsist.condnet import (TERM_MODES, InferenceConfig, InferenceError,
                                  higher_order_feasible, refine_backward,
                                  refine_stack)
 from annoconsist.disco import div_cc, div_pc, div_pp
+from annoconsist.evaluate import EvalResult, ap_from_flags
 from annoconsist.loss import LossConfig
 from annoconsist.masks import rle_decode_stack, rle_encode_stack, tight_boxes
+from annoconsist.prednet import predict
 from annoconsist.scenes import Annotation, PoolGeometry
 from annoconsist.scorer import features, score_from_input, score_vjp
 from annoconsist.synthgen import ProposalConfig, SceneConfig, make_scene
 from annoconsist.train import empirical_distribution
+
+
+def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
+    """Intersection over union; two empty masks have IoU 0 by convention."""
+    inter = np.count_nonzero(a & b)
+    union = np.count_nonzero(a | b)
+    if union == 0:
+        return 0.0
+    return inter / union
 
 
 def mask_area(mask: np.ndarray) -> int:
@@ -294,3 +305,115 @@ def pointwise_trend_holds(result, term_mode: str = "U+P+H",
     full = result.cells[(term_mode, "full")][thresh]
     return all(result.cells[(term_mode, v)][thresh] <= full + 1e-12
                for v in VARIANT_NAMES[1:])
+
+
+class MaskPrediction(NamedTuple):
+    """A decoded instance that carries its own mask."""
+    proposal_index: int
+    class_id: int
+    confidence: float
+    mask: np.ndarray
+
+
+def decode_loop(state: np.ndarray, rec, score_thresh: float,
+                nms_t: float) -> list:
+    """prednet.decode as a loop over numpy scalars, each instance carrying
+    its pool mask."""
+    geom = rec.geometry()
+    fg = state[:, 1:]
+    conf = fg.max(axis=1)
+    cls = fg.argmax(axis=1) + 1
+    cand = np.nonzero(conf >= score_thresh)[0]
+    order = cand[np.argsort(-conf[cand], kind="stable")]
+    out = []
+    suppressed = np.zeros(state.shape[0], dtype=bool)
+    for u in order:
+        if suppressed[u]:
+            continue
+        out.append(MaskPrediction(int(u), int(cls[u]), float(conf[u]),
+                                  rec.pool[u]))
+        for v in cand:
+            if (v != u and not suppressed[v] and cls[v] == cls[u]
+                    and geom.ovl[u, v] > nms_t):
+                suppressed[v] = True
+    return out
+
+
+def _match_masks(entries: list, gt_masks: dict, thresh: float) -> np.ndarray:
+    """Greedy matching of (confidence, scene_id, order, mask) entries to
+    the masks of gt_masks (scene_id -> masks of one class), by mask_iou;
+    the hit flags in descending confidence order."""
+    ordered = sorted(entries, key=lambda e: (-e[0], e[1], e[2]))
+    used = {sid: np.zeros(len(ms), dtype=bool) for sid, ms in gt_masks.items()}
+    flags = np.zeros(len(ordered), dtype=bool)
+    for i, (_, sid, _, mask) in enumerate(ordered):
+        cands = gt_masks.get(sid)
+        if cands is None:
+            continue
+        best_iou, best_j = 0.0, -1
+        for j, gm in enumerate(cands):
+            if used[sid][j]:
+                continue
+            iou = mask_iou(mask, gm)
+            if iou > best_iou:
+                best_iou, best_j = iou, j
+        if best_j >= 0 and best_iou >= thresh:
+            used[sid][best_j] = True
+            flags[i] = True
+    return flags
+
+
+def evaluate_masks(preds_by_scene: dict, gts_by_scene: dict,
+                   thresholds) -> EvalResult:
+    """evaluate.evaluate_predictions by mask IoU: preds carry .mask, and
+    gts_by_scene maps scene ids to their ground-truth Instances."""
+    res = EvalResult(thresholds=tuple(thresholds))
+    class_gt: dict = {}
+    for sid, gt in gts_by_scene.items():
+        for c, mask in zip(gt.class_ids.tolist(), gt.masks):
+            class_gt.setdefault(c, {}).setdefault(sid, []).append(mask)
+    for j, per_scene in class_gt.items():
+        res.num_gt[j] = sum(len(v) for v in per_scene.values())
+    class_preds: dict = {j: [] for j in class_gt}
+    for sid, preds in preds_by_scene.items():
+        for order, p in enumerate(preds):
+            if p.class_id in class_preds:
+                class_preds[p.class_id].append(
+                    (float(p.confidence), sid, order, p.mask))
+    for t in res.thresholds:
+        aps = {}
+        for j, per_scene in class_gt.items():
+            flags = _match_masks(class_preds[j], per_scene, t)
+            aps[j] = ap_from_flags(flags, res.num_gt[j])
+            res.per_class[(t, j)] = aps[j]
+        res.map_r[t] = float(np.mean(list(aps.values()))) if aps else 0.0
+    return res
+
+
+def epoch_metrics_per_scene(records, pred, labels, feas, train_cfg,
+                            loss_cfg, grad_norms) -> dict:
+    """train._epoch_metrics one scene at a time: predict per record, the
+    loop decode and mask-IoU matching. records are the used ones, labels
+    their (K, P) label stacks."""
+    pcs, ccs, pps = [], [], []
+    preds_by_scene, gts_by_scene = {}, {}
+    for rec, y in zip(records, labels):
+        state = predict(pred, rec)
+        pcs.append(div_pc(state, y, loss_cfg))
+        ccs.append(div_cc(y, rec, loss_cfg) if len(y) >= 2 else 0.0)
+        pps.append(div_pp(state, loss_cfg))
+        preds_by_scene[rec.scene_id] = decode_loop(
+            state, rec, train_cfg.decode_thresh, train_cfg.decode_nms)
+        gts_by_scene[rec.scene_id] = rec.gt
+    g = train_cfg.gamma
+    pc, cc, pp = float(np.mean(pcs)), float(np.mean(ccs)), float(np.mean(pps))
+    return {
+        "disc": pc - g * cc - (1.0 - g) * pp,
+        "div_pc": pc,
+        "div_cc": cc,
+        "div_pp": pp,
+        "map50": evaluate_masks(preds_by_scene, gts_by_scene,
+                                (0.5,)).map_r[0.5],
+        "feasible": float(np.mean(feas)),
+        "grad_norm": float(np.mean(grad_norms)) if grad_norms else 0.0,
+    }

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from annoconsist import ablation
 from annoconsist.ablation import (
     VARIANT_NAMES,
     AblationResult,
@@ -58,6 +59,54 @@ def test_full_cell_reproduces_a_plain_fit(tiny_data, grid):
     ev = evaluate_params(res.pred, heldout, (0.5,), cfg.decode_thresh,
                          cfg.decode_nms)
     assert cell(grid, "U+P+H", "full")[0.5] == ev.map_r[0.5]
+
+
+def test_forked_workers_reproduce_the_serial_grid(tiny_data, grid):
+    train, heldout = tiny_data
+    par = ablation_run(train, heldout, _tiny_cfg(),
+                       InferenceConfig(delta=8.0), thresholds=(0.5,),
+                       seeds=(0,), jobs=2)
+    assert list(par.cells.items()) == list(grid.cells.items())
+
+
+class _InlinePool:
+    """A stand-in for a forked pool that records its width and runs each
+    task in process."""
+
+    widths = []
+
+    def __init__(self, processes, initializer, initargs):
+        self.widths.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, fn, tasks):
+        return map(fn, tasks)
+
+
+class _InlineContext:
+    Pool = _InlinePool
+
+
+def test_the_pool_is_never_wider_than_the_task_list(tiny_data, grid,
+                                                    monkeypatch):
+    # 12 cells x 1 seed: 64 jobs start 12 workers, and every task's result
+    # lands in its cell
+    train, heldout = tiny_data
+    monkeypatch.setattr(ablation, "_shared", ())
+    monkeypatch.setattr(ablation.multiprocessing, "get_context",
+                        lambda method: _InlineContext)
+    _InlinePool.widths = []
+    res = ablation_run(train, heldout, _tiny_cfg(),
+                       InferenceConfig(delta=8.0), thresholds=(0.5,),
+                       seeds=(0,), jobs=64)
+    assert _InlinePool.widths == [len(TERM_MODES) * len(VARIANT_NAMES)]
+    assert list(res.cells.items()) == list(grid.cells.items())
 
 
 def test_seed_averaging_is_the_mean_of_single_seed_runs(tiny_data):

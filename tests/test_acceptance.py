@@ -429,7 +429,7 @@ def test_ablation_trends_hold_across_terms_and_variants(reference_run):
     t0 = time.perf_counter()
     result = ablation_run(r.train, r.heldout, base_cfg=r.cfg.train,
                           inf_cfg=r.cfg.inference, loss_cfg=r.cfg.loss,
-                          thresholds=(0.50,), seeds=(0, 1, 2))
+                          thresholds=(0.50,), seeds=(0, 1, 2), jobs=2)
     elapsed = time.perf_counter() - t0
     assert term_trend_holds(result, variant="full", thresh=0.50)
     assert pointwise_trend_holds(result, term_mode="U+P+H", thresh=0.50)
@@ -470,16 +470,20 @@ def test_box_supervision_matches_or_beats_image_level(reference_run):
 def test_metric_reports_perfect_predictions_and_hand_curve(reference_run):
     # ground truth replayed as predictions scores 1.0 at every threshold,
     # and the three-prediction hand example reproduces the all-point
-    # interpolated area exactly.
-    preds, gts = {}, {}
+    # interpolated area exactly. The reference pools include every
+    # ground-truth mask, so each object is replayed as its own proposal.
+    preds, truth = {}, {}
     for rec in reference_run.heldout:
-        gts[rec.scene_id] = rec.gt
+        iou = rec.gt_iou()
+        truth[rec.scene_id] = (rec.gt.class_ids, iou)
+        own = iou.argmax(axis=0)
+        assert (iou[own, np.arange(len(own))] == 1.0).all()
         preds[rec.scene_id] = [
-            InstancePrediction(proposal_index=-1, class_id=c,
-                               confidence=1.0, mask=g.copy())
-            for c, g in zip(rec.gt.class_ids.tolist(), rec.gt.masks)
+            InstancePrediction(proposal_index=int(u), class_id=c,
+                               confidence=1.0)
+            for u, c in zip(own, rec.gt.class_ids.tolist())
         ]
-    ev = evaluate_predictions(preds, gts, DEFAULT_THRESHOLDS)
+    ev = evaluate_predictions(preds, truth, DEFAULT_THRESHOLDS)
     for t in DEFAULT_THRESHOLDS:
         assert ev.map_r[t] == 1.0
 

@@ -15,15 +15,14 @@ from annoconsist import cli
 from annoconsist.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
 from annoconsist.condnet import InferenceError, sample_k
 from annoconsist.config import load_config
-from annoconsist.evaluate import evaluate_predictions
-from annoconsist.prednet import (InstancePrediction, decode, pred_init,
-                                 predict)
+from annoconsist.prednet import decode, pred_init, predict
 from annoconsist.scenes import load_dataset, scene_to_obj
 from annoconsist.scorer import cond_init, feature_dim
 from annoconsist.synthgen import PlacementError
 from annoconsist.train import load_checkpoint, prepare_scene, save_checkpoint
 
-from oracles import box_iou, scene_noise, tight_box
+from oracles import (MaskPrediction, box_iou, evaluate_masks, scene_noise,
+                     tight_box)
 from test_train import _boxed_record, _hopeless_box_scene
 
 
@@ -95,6 +94,28 @@ def test_gen_parallel_jobs_match_serial(tmp_path, tiny_config_path):
         with open(os.path.join(serial, name), "rb") as fa, \
                 open(os.path.join(par, name), "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+def test_ablate_parallel_jobs_match_serial(tmp_path, tiny_config_path,
+                                          pipeline, capsys):
+    # the (cell, seed) fits of forked workers are the serial run's, so
+    # the table is byte-equal; a pool of no worker is a usage error
+    tables = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"grid{jobs}.csv"
+        assert run(["ablate", "--config", tiny_config_path, "--data",
+                    pipeline["data"], "--out", str(out), "--seeds", "0,1",
+                    "--jobs", jobs]) == EXIT_OK
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    for jobs in ("0", "-2"):
+        out = tmp_path / "none.csv"
+        assert run(["ablate", "--config", tiny_config_path, "--data",
+                    pipeline["data"], "--out", str(out),
+                    "--jobs", jobs]) == EXIT_USAGE
+        assert f"--jobs {jobs} is not a positive count" in (
+            capsys.readouterr().err)
+        assert not out.exists()
 
 
 def test_negative_seed_is_a_usage_error(tmp_path, tiny_config_path, capsys,
@@ -208,7 +229,7 @@ def test_streamed_preds_equal_the_whole_object_dumped_at_once(pipeline):
 
 def _eval_table_over_loaded_dataset(preds_path, data_file) -> str:
     """eval's printed table from every record held at once, the way eval
-    matched predictions to scenes before it streamed."""
+    matched predictions to scenes before it streamed, and by mask IoU."""
     with open(preds_path) as fh:
         obj = json.load(fh)
     by_id = {rec.scene_id: rec for rec in load_dataset(data_file)}
@@ -216,12 +237,12 @@ def _eval_table_over_loaded_dataset(preds_path, data_file) -> str:
     for entry in obj["scenes"]:
         rec = by_id[entry["scene_id"]]
         preds_by_scene[rec.scene_id] = [
-            InstancePrediction(d["proposal_index"], d["class_id"],
-                               d["confidence"], rec.pool[d["proposal_index"]])
+            MaskPrediction(d["proposal_index"], d["class_id"],
+                           d["confidence"], rec.pool[d["proposal_index"]])
             for d in entry["final"]["decode"]]
     gts_by_scene = {sid: by_id[sid].gt for sid in preds_by_scene}
-    res = evaluate_predictions(preds_by_scene, gts_by_scene,
-                               (0.25, 0.50, 0.70, 0.75))
+    res = evaluate_masks(preds_by_scene, gts_by_scene,
+                         (0.25, 0.50, 0.70, 0.75))
     lines = [f"mAP@{t:.2f}  {res.map_r[t]:.4f}" for t in res.thresholds]
     for j in sorted({j for (_, j) in res.per_class}):
         row = "  ".join(f"{res.per_class[(t, j)]:.4f}" for t in res.thresholds)

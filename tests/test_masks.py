@@ -9,37 +9,43 @@ from annoconsist.masks import (
     erode,
     inner_boundary,
     intersection_counts,
-    mask_iou,
+    iou_table,
     overlap_fraction_matrix,
 )
 
 from conftest import rect_mask
-from oracles import (mask_area, overlap_fraction, rle_decode, rle_encode,
-                     tight_box)
+from oracles import (mask_area, mask_iou, overlap_fraction, rle_decode,
+                     rle_encode, tight_box)
 from oracles import box_iou as scalar_box_iou
 
 
-def test_mask_iou_hand_cases():
+def test_iou_table_hand_cases():
     a = rect_mask(8, 8, 2, 4, 2, 4)
-    assert mask_iou(a, a) == 1.0
     b = rect_mask(8, 8, 5, 7, 5, 7)
-    assert mask_iou(a, b) == 0.0
     # 2x2 square against itself shifted one column: inter 2, union 6
     c = rect_mask(8, 8, 2, 4, 3, 5)
-    assert mask_iou(a, c) == pytest.approx(2.0 / 6.0)
+    table = iou_table(np.stack([a, b]), np.stack([a, b, c]))
+    assert table.tolist() == [[1.0, 0.0, 2.0 / 6.0], [0.0, 1.0, 0.0]]
 
 
-def test_mask_iou_empty_empty_is_zero():
-    e = np.zeros((4, 4), dtype=bool)
-    assert mask_iou(e, e) == 0.0
+def test_iou_table_of_empty_masks_is_zero():
+    e = np.zeros((1, 4, 4), dtype=bool)
+    assert iou_table(e, e).tolist() == [[0.0]]
+    assert iou_table(e, np.zeros((0, 4, 4), dtype=bool)).shape == (1, 0)
 
 
-def test_mask_iou_symmetric_random():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.random((10, 10)) < 0.4
-        b = rng.random((10, 10)) < 0.4
-        assert mask_iou(a, b) == mask_iou(b, a)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 5), st.integers(0, 5),
+       st.sampled_from([0.0, 0.1, 0.4, 0.9]))
+def test_iou_table_is_bit_equal_to_mask_iou(seed, n_a, n_b, density):
+    rng = np.random.default_rng(seed)
+    a = rng.random((n_a, 9, 7)) < density
+    b = rng.random((n_b, 9, 7)) < density
+    table = iou_table(a, b)
+    assert table.shape == (n_a, n_b)
+    for i in range(n_a):
+        for j in range(n_b):
+            assert table[i, j] == mask_iou(a[i], b[j])
+            assert mask_iou(a[i], b[j]) == mask_iou(b[j], a[i])
 
 
 def test_overlap_fraction_is_directional():
@@ -150,9 +156,10 @@ def test_intersection_counts_matches_loop():
     rng = np.random.default_rng(7)
     masks = [rng.random((8, 8)) < 0.5 for _ in range(6)]
     pool = np.stack(masks)
-    counts = intersection_counts(pool)
+    counts = intersection_counts(pool, pool[:4])
+    assert counts.shape == (6, 4)
     for i in range(6):
-        for j in range(6):
+        for j in range(4):
             assert counts[i, j] == np.count_nonzero(masks[i] & masks[j])
 
 

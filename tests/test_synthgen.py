@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from annoconsist.condnet import InferenceConfig
-from annoconsist.masks import mask_iou
 from annoconsist.scenes import scene_to_obj
 from annoconsist.synthgen import (
     BACKGROUND,
@@ -134,9 +133,9 @@ def test_box_regime_keeps_gt_coverable():
     rec = make_scene(SceneConfig(), ProposalConfig(), seed=11, scene_id=0)
     sub = prepare_scene(rec, BOX, InferenceConfig())
     assert sub.num_proposals <= rec.num_proposals
-    for g in sub.gt.masks:
-        best = max(mask_iou(sub.pool[i], g) for i in range(sub.num_proposals))
-        assert best >= 0.5
+    # every ground-truth instance keeps a proposal of IoU >= 0.5
+    assert sub.gt_iou().shape == (sub.num_proposals, len(sub.gt.class_ids))
+    assert (sub.gt_iou().max(axis=0) >= 0.5).all()
 
 
 def test_box_regime_requires_boxes():

@@ -51,9 +51,9 @@ from annoconsist.train import (
 )
 
 from conftest import instances, make_record, rect_mask
-from oracles import (assert_per_draw_close, make_dataset, num_edges,
-                     per_draw_backward, pred_objective, scene_noise,
-                     scorer_input, tight_box)
+from oracles import (assert_per_draw_close, epoch_metrics_per_scene,
+                     make_dataset, num_edges, per_draw_backward,
+                     pred_objective, scene_noise, scorer_input, tight_box)
 
 
 def test_train_config_validation():
@@ -519,10 +519,11 @@ def test_cond_grad_runs_one_backward_pass_of_the_summed_coefficients(
                                    lcfg, anchor, [], coef=coef)
     except InferenceError:
         assume(False)
-    vjp_inputs, adjoint_inputs = [], []
+    vjp_inputs, vjp_coefs, adjoint_inputs = [], [], []
 
     def traced_vjp(x, q):
         vjp_inputs.append(x.tobytes())
+        vjp_coefs.append(q.tobytes())
         return score_vjp(x, q)
 
     def traced_adjoint(stack, adjacency, cfg, q):
@@ -535,6 +536,9 @@ def test_cond_grad_runs_one_backward_pass_of_the_summed_coefficients(
         got = cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
                         anchor=anchor)
     assert_per_draw_close(got, want)
+    # the coefficient tables are the per-draw loop's, bit for bit: the
+    # noise block reads their sums over proposals
+    assert vjp_coefs[-1] == coef[0].sum(axis=1).tobytes()
     q_sum = coef[0].sum(axis=0)
     if q_sum.any():
         assert adjoint_inputs == [(samples.stack.tobytes(), q_sum.tobytes())]
@@ -701,6 +705,53 @@ def test_training_never_reads_ground_truth(supervision):
     assert without_map(got.log) == without_map(want.log)
     assert any(row["map50"] > 0.0 for row in want.log)
     assert all(row["map50"] == 0.0 for row in got.log)
+
+
+@functools.lru_cache(maxsize=None)
+def _smoke_scenes(supervision):
+    """The smoke config's training scenes prepared under a regime (box
+    cuts and rebuilds the pools), with their stacked features and row
+    bounds as fit builds them."""
+    cfg = load_config(SMOKE)
+    tcfg = dataclasses.replace(cfg.train, supervision=supervision)
+    records, _ = prepare_records(
+        make_dataset(cfg.scene, cfg.proposal, cfg.n_scenes, cfg.seed), tcfg,
+        cfg.inference)
+    feats = np.concatenate([features(rec) for rec in records])
+    bounds = np.cumsum([0] + [rec.num_proposals for rec in records]).tolist()
+    return tuple(records), feats, bounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(supervision=st.sampled_from(["image", "box"]),
+       seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3, 5]),
+       scale=st.sampled_from([0.0, 0.5, 3.0]),
+       decode_thresh=st.sampled_from([0.0, 0.5, 0.7]),
+       decode_nms=st.sampled_from([0.0, 0.5, 1.0]))
+def test_epoch_metrics_equal_the_per_scene_row(supervision, seed, k, scale,
+                                               decode_thresh, decode_nms):
+    # one stacked predictor pass, the list decode and matching through the
+    # IoU table give the per-scene row bit for bit, over any used subset
+    # (the others failed inference), K = 1 included
+    records, feats, bounds = _smoke_scenes(supervision)
+    assert any(rec.pool_index is not None for rec in records) == (
+        supervision == "box")
+    rng = np.random.default_rng(seed)
+    c = records[0].num_classes
+    pred = pred_init(c) + rng.normal(0.0, scale, (c + 1, feats.shape[1]))
+    n_used = int(rng.integers(1, len(records) + 1))
+    used = sorted(rng.choice(len(records), n_used, replace=False).tolist())
+    labels = [rng.integers(0, c + 1, (k, records[i].num_proposals))
+              for i in used]
+    feas = rng.random(len(used)).tolist()
+    norms = rng.random(int(rng.integers(0, 3))).tolist()
+    tcfg = TrainConfig(decode_thresh=decode_thresh, decode_nms=decode_nms)
+    lcfg = LossConfig()
+    got = train_mod._epoch_metrics(records, feats, bounds, used, pred,
+                                   labels, feas, tcfg, lcfg, norms)
+    want = epoch_metrics_per_scene([records[i] for i in used], pred, labels,
+                                   feas, tcfg, lcfg, norms)
+    assert got == want
 
 
 def _seed_labeling_loop(rec):
