@@ -8,10 +8,8 @@ training run evaluated on held-out scenes, optionally averaged over
 several seeds.
 """
 
-import contextlib
 import csv
 import dataclasses
-import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +17,7 @@ import numpy as np
 from .condnet import InferenceConfig, TERM_MODES
 from .loss import LossConfig
 from .train import TrainConfig, evaluate_params, fit
+from .workers import forked_imap, usable_cpus
 
 # (name, pred_pointwise, cond_pointwise)
 VARIANTS = (
@@ -70,34 +69,21 @@ def _cell_maps(train_records, eval_records, inf_cfg, loss_cfg, thresholds,
     return [ev.map_r[t] for t in thresholds]
 
 
-# the arguments every task of a forked worker shares, set as it starts
-_shared = ()
-
-
-def _init_worker(*shared):
-    global _shared
-    _shared = shared
-
-
-def _worker_cell_maps(cfg):
-    return _cell_maps(*_shared, cfg)
-
-
 def ablation_run(train_records: list, eval_records: list,
                  base_cfg: TrainConfig | None = None,
                  inf_cfg: InferenceConfig | None = None,
                  loss_cfg: LossConfig | None = None,
                  thresholds=DEFAULT_ABLATION_THRESHOLDS,
                  seeds: tuple | None = None,
-                 verbose: bool = False, jobs: int = 1) -> AblationResult:
+                 verbose: bool = False) -> AblationResult:
     """Train and evaluate all twelve configurations on a fixed dataset.
 
     Every cell differs from base_cfg only in term_mode, the two pointwise
     flags and (when averaging) the seed, so the all-terms fully
     probabilistic cell reproduces a plain fit with the same seed exactly.
-    With jobs > 1 the (cell, seed) tasks run in at most that many forked
-    workers, which inherit the records instead of receiving them; each
-    task is deterministic, so the result is the serial run's, bit for bit.
+    The (cell, seed) fits run in one forked worker per usable CPU (in
+    process when there is one); each fit is deterministic, so the result
+    does not depend on the number of workers.
     """
     base = base_cfg or TrainConfig()
     lcfg = loss_cfg or LossConfig()
@@ -111,21 +97,14 @@ def ablation_run(train_records: list, eval_records: list,
                                  cond_pointwise=pw_c, seed=s)
              for tm, _, pw_p, pw_c in cells for s in seeds]
     shared = (train_records, eval_records, icfg, lcfg, result.thresholds)
-    with contextlib.ExitStack() as stack:
-        maps = (_cell_maps(*shared, cfg) for cfg in tasks)
-        if jobs > 1 and len(tasks) > 1:
-            ctx = multiprocessing.get_context("fork")
-            pool = stack.enter_context(ctx.Pool(
-                min(jobs, len(tasks)), initializer=_init_worker,
-                initargs=shared))
-            maps = pool.imap(_worker_cell_maps, tasks)
-        for tm, name, _, _ in cells:
-            per_seed = [next(maps) for _ in seeds]
-            result.cells[(tm, name)] = {
-                t: float(np.mean([m[i] for m in per_seed]))
-                for i, t in enumerate(result.thresholds)}
-            if verbose:
-                at50 = result.cells[(tm, name)].get(0.50)
-                shown = "n/a" if at50 is None else f"{at50:.4f}"
-                print(f"[{tm:>6s} | {name:<8s}] map50={shown}")
+    maps = forked_imap(_cell_maps, tasks, usable_cpus(), shared)
+    for tm, name, _, _ in cells:
+        per_seed = [next(maps) for _ in seeds]
+        result.cells[(tm, name)] = {
+            t: float(np.mean([m[i] for m in per_seed]))
+            for i, t in enumerate(result.thresholds)}
+        if verbose:
+            at50 = result.cells[(tm, name)].get(0.50)
+            shown = "n/a" if at50 is None else f"{at50:.4f}"
+            print(f"[{tm:>6s} | {name:<8s}] map50={shown}")
     return result

@@ -11,7 +11,6 @@ import collections
 import contextlib
 import glob
 import json
-import multiprocessing
 import os
 import sys
 
@@ -30,6 +29,7 @@ from .train import (CheckpointError, TrainingError, fit, load_checkpoint,
                     prepare_scene, sample_noise, save_checkpoint,
                     write_log_csv)
 from .evaluate import evaluate_predictions
+from .workers import forked_imap
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,24 +65,13 @@ def _atomic_output(path: str):
     os.replace(tmp, path)
 
 
-def _gen_worker(payload):
-    scene_cfg, prop_cfg, seed, sid = payload
-    return make_scene(scene_cfg, prop_cfg, seed, sid)
-
-
 def _gen_records(cfg: RunConfig, ids: range, jobs: int, pool_sizes: list):
-    """The scenes of `ids` in order, made one at a time (by `jobs` forked
-    workers when jobs > 1); appends each scene's pool size to pool_sizes."""
-    payloads = ((cfg.scene, cfg.proposal, cfg.seed, sid) for sid in ids)
-    with contextlib.ExitStack() as stack:
-        scenes = map(_gen_worker, payloads)
-        if jobs > 1 and len(ids) > 1:
-            ctx = multiprocessing.get_context("fork")
-            scenes = stack.enter_context(ctx.Pool(jobs)).imap(_gen_worker,
-                                                               payloads)
-        for rec in scenes:
-            pool_sizes.append(rec.num_proposals)
-            yield rec
+    """The scenes of `ids` in order, made by up to `jobs` forked workers;
+    appends each scene's pool size to pool_sizes."""
+    for rec in forked_imap(make_scene, ids, jobs,
+                           (cfg.scene, cfg.proposal, cfg.seed)):
+        pool_sizes.append(rec.num_proposals)
+        yield rec
 
 
 def cmd_gen(args) -> int:
@@ -304,13 +293,10 @@ def cmd_ablate(args) -> int:
                           "list of integers") from None
     if seeds is not None and min(seeds) < 0:
         raise ConfigError("--seeds must be non-negative")
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs {args.jobs} is not a positive count")
     train_recs = _load_split(args.data, "train")
     eval_recs = _load_split(args.data, "eval")
     result = ablation_run(train_recs, eval_recs, cfg.train, cfg.inference,
-                          cfg.loss, seeds=seeds, verbose=args.verbose,
-                          jobs=args.jobs)
+                          cfg.loss, seeds=seeds, verbose=args.verbose)
     result.to_csv(args.out)
     print(result.format_table())
     print(f"wrote {args.out}")
@@ -371,8 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output CSV table")
     p.add_argument("--seeds", help="comma-separated seeds for averaging")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes, one (cell, seed) fit each at a time")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_ablate)
 

@@ -226,19 +226,14 @@ def cond_grad(params: np.ndarray, rec, samples: SampleSet, y_ref: np.ndarray,
                                               enforce=enforce, memo=memo)
     m_c = selection_matrix(samples.labels, m)
     m_a = selection_matrix(y_ref if anchor else y_a, m)
+    q = (m_a - m_c) / (kk * eps)
     if pairs:
-        # slot 0 of draw k holds its reference term and slot 1 + k2 its
-        # pairwise term against draw k2; one reduction from -0.0, which
-        # adds nothing to any float, sums them in slot order. Draw k takes
-        # no term from itself, so its own slot holds -0.0 too
-        terms = np.empty((kk, kk + 1) + m_c.shape[1:])
-        np.divide(m_a - m_c, kk * eps, out=terms[:, 0])
-        np.multiply(pair_coef, m_c[:, None] - selection_matrix(y_b, m),
-                    out=terms[:, 1:])
-        terms[:, 1:][np.diag_indices(kk)] = -0.0
-        q = np.add.reduce(terms, axis=1, initial=-0.0)
-    else:
-        q = (m_a - m_c) / (kk * eps)
+        d = pair_coef * (m_c[:, None] - selection_matrix(y_b, m))
+        # each draw's table gets its pairwise terms in k2 order; draw k2
+        # takes none from itself
+        for k2 in range(kk):
+            q[:k2] += d[:k2, k2]
+            q[k2 + 1:] += d[k2 + 1:, k2]
     # every draw's table is the shared noise-free one plus its column
     # offsets, which refinement carries through unchanged: the adjoint is
     # the same for every draw and keeps each column's sum, so the feature

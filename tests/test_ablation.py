@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from annoconsist import ablation
+from annoconsist import ablation, workers
 from annoconsist.ablation import (
     VARIANT_NAMES,
     AblationResult,
@@ -36,10 +36,13 @@ def _tiny_cfg(**kw):
 
 @pytest.fixture(scope="module")
 def grid(tiny_data):
+    # run in process, whatever the machine's CPU count
     train, heldout = tiny_data
-    return ablation_run(train, heldout, _tiny_cfg(),
-                        InferenceConfig(delta=8.0), thresholds=(0.5,),
-                        seeds=(0,))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ablation, "usable_cpus", lambda: 1)
+        return ablation_run(train, heldout, _tiny_cfg(),
+                            InferenceConfig(delta=8.0), thresholds=(0.5,),
+                            seeds=(0,))
 
 
 def test_grid_covers_every_term_mode_and_variant(grid):
@@ -61,11 +64,13 @@ def test_full_cell_reproduces_a_plain_fit(tiny_data, grid):
     assert cell(grid, "U+P+H", "full")[0.5] == ev.map_r[0.5]
 
 
-def test_forked_workers_reproduce_the_serial_grid(tiny_data, grid):
+def test_forked_workers_reproduce_the_in_process_grid(tiny_data, grid,
+                                                     monkeypatch):
     train, heldout = tiny_data
+    monkeypatch.setattr(ablation, "usable_cpus", lambda: 2)
     par = ablation_run(train, heldout, _tiny_cfg(),
                        InferenceConfig(delta=8.0), thresholds=(0.5,),
-                       seeds=(0,), jobs=2)
+                       seeds=(0,))
     assert list(par.cells.items()) == list(grid.cells.items())
 
 
@@ -95,16 +100,17 @@ class _InlineContext:
 
 def test_the_pool_is_never_wider_than_the_task_list(tiny_data, grid,
                                                     monkeypatch):
-    # 12 cells x 1 seed: 64 jobs start 12 workers, and every task's result
+    # 12 cells x 1 seed: 64 CPUs start 12 workers, and every task's result
     # lands in its cell
     train, heldout = tiny_data
-    monkeypatch.setattr(ablation, "_shared", ())
-    monkeypatch.setattr(ablation.multiprocessing, "get_context",
+    monkeypatch.setattr(workers, "_work", (None, ()))
+    monkeypatch.setattr(workers.multiprocessing, "get_context",
                         lambda method: _InlineContext)
+    monkeypatch.setattr(ablation, "usable_cpus", lambda: 64)
     _InlinePool.widths = []
     res = ablation_run(train, heldout, _tiny_cfg(),
                        InferenceConfig(delta=8.0), thresholds=(0.5,),
-                       seeds=(0,), jobs=64)
+                       seeds=(0,))
     assert _InlinePool.widths == [len(TERM_MODES) * len(VARIANT_NAMES)]
     assert list(res.cells.items()) == list(grid.cells.items())
 

@@ -429,7 +429,7 @@ def test_ablation_trends_hold_across_terms_and_variants(reference_run):
     t0 = time.perf_counter()
     result = ablation_run(r.train, r.heldout, base_cfg=r.cfg.train,
                           inf_cfg=r.cfg.inference, loss_cfg=r.cfg.loss,
-                          thresholds=(0.50,), seeds=(0, 1, 2), jobs=2)
+                          thresholds=(0.50,), seeds=(0, 1, 2))
     elapsed = time.perf_counter() - t0
     assert term_trend_holds(result, variant="full", thresh=0.50)
     assert pointwise_trend_holds(result, term_mode="U+P+H", thresh=0.50)

@@ -11,7 +11,7 @@ import pytest
 
 import numpy as np
 
-from annoconsist import cli
+from annoconsist import ablation, cli
 from annoconsist.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
 from annoconsist.condnet import InferenceError, sample_k
 from annoconsist.config import load_config
@@ -96,26 +96,19 @@ def test_gen_parallel_jobs_match_serial(tmp_path, tiny_config_path):
             assert fa.read() == fb.read(), name
 
 
-def test_ablate_parallel_jobs_match_serial(tmp_path, tiny_config_path,
-                                          pipeline, capsys):
-    # the (cell, seed) fits of forked workers are the serial run's, so
-    # the table is byte-equal; a pool of no worker is a usage error
+def test_ablate_in_forked_workers_matches_the_in_process_table(
+        tmp_path, tiny_config_path, pipeline, monkeypatch):
+    # the (cell, seed) fits of forked workers are the in-process run's, so
+    # the table is byte-equal whatever the CPU count
     tables = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"grid{jobs}.csv"
-        assert run(["ablate", "--config", tiny_config_path, "--data",
-                    pipeline["data"], "--out", str(out), "--seeds", "0,1",
-                    "--jobs", jobs]) == EXIT_OK
-        tables.append(out.read_bytes())
-    assert tables[0] == tables[1]
-    for jobs in ("0", "-2"):
-        out = tmp_path / "none.csv"
+    for cpus in (1, 2):
+        monkeypatch.setattr(ablation, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"grid{cpus}.csv"
         assert run(["ablate", "--config", tiny_config_path, "--data",
                     pipeline["data"], "--out", str(out),
-                    "--jobs", jobs]) == EXIT_USAGE
-        assert f"--jobs {jobs} is not a positive count" in (
-            capsys.readouterr().err)
-        assert not out.exists()
+                    "--seeds", "0,1"]) == EXIT_OK
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_negative_seed_is_a_usage_error(tmp_path, tiny_config_path, capsys,
