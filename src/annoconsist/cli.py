@@ -19,7 +19,7 @@ import numpy as np
 from .ablation import ablation_run
 from .condnet import InferenceError, sample_k
 from .config import ConfigError, RunConfig, load_config, save_config
-from .prednet import InstancePrediction, decode, decoded_index, predict
+from .prednet import decode, decoded_prediction, predict
 from .render import render_predictions
 from .scenes import (DatasetFormatError, iter_dataset, load_dataset,
                      save_dataset)
@@ -266,8 +266,7 @@ def cmd_eval(args) -> int:
     for rec in iter_dataset(path):
         dets = decoded.get(rec.scene_id)
         if dets is not None:
-            preds = [InstancePrediction(decoded_index(rec, d), d["class_id"],
-                                        d["confidence"]) for d in dets]
+            preds = [decoded_prediction(rec, d) for d in dets]
             kept[rec.scene_id] = ((rec.gt.class_ids, rec.gt_iou()), preds)
     _check_scenes_found(decoded, kept, path)
     preds_by_scene = {sid: kept[sid][1] for sid in decoded}

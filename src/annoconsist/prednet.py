@@ -78,13 +78,24 @@ def decode(state: np.ndarray, rec: SceneRecord, score_thresh: float,
     return out
 
 
-def decoded_index(rec: SceneRecord, entry: dict) -> int:
-    """The proposal_index of a decoded entry as infer writes it, checked
-    against rec's pool: a non-bool int in [0, P), or DatasetFormatError
-    naming the scene."""
-    u = entry["proposal_index"]
+def decoded_prediction(rec: SceneRecord, entry: dict) -> InstancePrediction:
+    """A decoded entry as infer writes it, checked against rec: a
+    proposal_index that is a non-bool int in [0, P), a class_id that is a
+    non-bool int in [1, C] and a confidence that is a finite non-bool
+    number in [0, 1]; otherwise DatasetFormatError naming the scene."""
+    u, c = entry["proposal_index"], entry["class_id"]
+    conf = entry["confidence"]
     if type(u) is not int or not 0 <= u < rec.num_proposals:
         raise DatasetFormatError(
             f"scene {rec.scene_id}: decoded proposal_index {u!r} is not an "
             f"integer in [0, {rec.num_proposals})")
-    return u
+    if type(c) is not int or not 1 <= c <= rec.num_classes:
+        raise DatasetFormatError(
+            f"scene {rec.scene_id}: decoded class_id {c!r} is not an "
+            f"integer in [1, {rec.num_classes}]")
+    # NaN fails the range test
+    if type(conf) not in (int, float) or not 0.0 <= conf <= 1.0:
+        raise DatasetFormatError(
+            f"scene {rec.scene_id}: decoded confidence {conf!r} is not a "
+            "number in [0, 1]")
+    return InstancePrediction(u, c, float(conf))

@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 
-from .prednet import decoded_index
+from .prednet import decoded_prediction
 from .scenes import DatasetFormatError
 from .synthgen import PALETTE
 
@@ -55,14 +55,14 @@ def labeling_image(rec, labels) -> np.ndarray:
 def decode_image(rec, decoded) -> np.ndarray:
     """Dimmed scene with decoded predictions tinted by class color.
 
-    decoded entries are prediction dicts with proposal_index / class_id
-    keys, as infer writes them.
+    decoded entries are prediction dicts as infer writes them, checked by
+    decoded_prediction.
     """
     img = _base(rec, DIM)
     for d in decoded:
-        c = d["class_id"]
-        _blend(img, rec.pool[decoded_index(rec, d)],
-               PALETTE[(c - 1) % len(PALETTE)], LABEL_ALPHA)
+        pred = decoded_prediction(rec, d)
+        _blend(img, rec.pool[pred.proposal_index],
+               PALETTE[(pred.class_id - 1) % len(PALETTE)], LABEL_ALPHA)
     return img
 
 

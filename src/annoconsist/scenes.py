@@ -67,9 +67,11 @@ class Annotation:
 
 @dataclass
 class PoolGeometry:
-    """Pool-derived arrays reused by every inference call on a scene."""
+    """Pool-derived arrays reused by every inference call on a scene. Only
+    ovl reads the pool, so the geometry lets go of it once ovl is built and
+    holds tables alone from then on."""
 
-    pool: np.ndarray = field(repr=False)  # (P, H, W) bool
+    pool: np.ndarray | None = field(repr=False)  # (P, H, W) bool until ovl
     boxes: np.ndarray  # (P, 4) tight boxes, one per proposal
     _keep: dict = field(default_factory=dict, repr=False, compare=False)
     _covering: dict = field(default_factory=dict, repr=False, compare=False)
@@ -78,7 +80,9 @@ class PoolGeometry:
     def ovl(self) -> np.ndarray:
         """ovl[i, l] = |i ∩ l| / |l|, built on first read: the box regime's
         cut reads only the tight boxes."""
-        return overlap_fraction_matrix(self.pool)
+        ovl = overlap_fraction_matrix(self.pool)
+        self.pool = None
+        return ovl
 
     def keep_masks(self, t: float) -> list:
         """kernels.keep_masks(ovl, t), built once per threshold."""

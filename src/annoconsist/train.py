@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .adjacency import Adjacency
 from .condnet import (
     TERM_MODES,
     InferenceConfig,
@@ -38,7 +39,7 @@ from .evaluate import EvalResult, evaluate_predictions, map_at
 from .loss import LossConfig, cost_row
 from .prednet import (argmax_labeling, decode, pred_init, predict,
                       softmax_rows)
-from .scenes import rebuild_with_pool
+from .scenes import Annotation, PoolGeometry, rebuild_with_pool
 from .scorer import cond_init, draw_noise, feature_dim, features, score_vjp
 
 
@@ -321,11 +322,53 @@ def sample_noise(train_cfg: TrainConfig, scene_id, tag, k: int,
     return draw_noise(train_cfg.seed, scene_id, np.arange(k), tag, dim=dim)
 
 
+@dataclass
+class PreparedScene:
+    """A training scene as fit keeps it: what fit reads once prepare_scene
+    has applied the supervision regime, and no pixels. Every term of both
+    distributions reads per-proposal tables (features, contact graph,
+    overlaps, covering boxes); the train-set map50 column reads the ground
+    truth only through its class ids and IoU table. The attribute names
+    are those of SceneRecord that sample_k, cond_grad, decode and predict
+    read."""
+
+    scene_id: int
+    num_classes: int
+    num_proposals: int
+    annotation: Annotation
+    adjacency: Adjacency
+    # indices of the proposals in the scene's own pool; None when the
+    # regime kept the whole pool
+    pool_index: np.ndarray | None
+    seed_labels: np.ndarray  # (P,) seed_labeling, the init phase's anchors
+    gt_class_ids: np.ndarray  # (G,)
+    gt_iou: np.ndarray  # (P, G) SceneRecord.gt_iou
+    _features: np.ndarray  # (P, D) scorer.features
+    _geom: PoolGeometry  # ovl built, so it holds no pool
+
+    def geometry(self) -> PoolGeometry:
+        return self._geom
+
+    @staticmethod
+    def from_record(rec, inf_cfg: InferenceConfig) -> "PreparedScene":
+        """The tables of a prepared record. Its geometry builds the keep
+        masks every greedy call reads, and with them ovl, which lets go of
+        the pool; nothing else of rec's pixels stays reachable."""
+        geom = rec.geometry()
+        geom.keep_masks(inf_cfg.overlap_t)
+        return PreparedScene(
+            scene_id=rec.scene_id, num_classes=rec.num_classes,
+            num_proposals=rec.num_proposals, annotation=rec.annotation,
+            adjacency=rec.adjacency, pool_index=rec.pool_index,
+            seed_labels=seed_labeling(rec), gt_class_ids=rec.gt.class_ids,
+            gt_iou=rec.gt_iou(), _features=features(rec), _geom=geom)
+
+
 def prepare_records(records, train_cfg: TrainConfig,
                     inf_cfg: InferenceConfig) -> tuple:
     """prepare_scene over `records`, any iterable of scenes, consumed one
-    scene at a time; only the prepared records are kept. Returns
-    (prepared records, num_skipped)."""
+    scene at a time; of each usable scene only its PreparedScene is kept.
+    Returns (prepared scenes, num_skipped)."""
     out = []
     skipped = 0
     for rec in records:
@@ -333,7 +376,7 @@ def prepare_records(records, train_cfg: TrainConfig,
         if prep is None:
             skipped += 1
         else:
-            out.append(prep)
+            out.append(PreparedScene.from_record(prep, inf_cfg))
     if not out:
         raise TrainingError("no usable scenes after applying supervision")
     return out, skipped
@@ -367,7 +410,7 @@ def _epoch_metrics(records, feats, bounds, used, pred, labels, feas,
         pps.append(div_pp(rec_state, loss_cfg))
         preds_by_scene[rec.scene_id] = decode(
             rec_state, rec, train_cfg.decode_thresh, train_cfg.decode_nms)
-        truth_by_scene[rec.scene_id] = (rec.gt.class_ids, rec.gt_iou())
+        truth_by_scene[rec.scene_id] = (rec.gt_class_ids, rec.gt_iou)
     g = train_cfg.gamma
     pc, cc, pp = float(np.mean(pcs)), float(np.mean(ccs)), float(np.mean(pps))
     return {
@@ -388,9 +431,9 @@ def fit(records, train_cfg: TrainConfig | None = None,
     """Block coordinate descent on the dissimilarity coefficient.
 
     records is any iterable of scenes; prepare_records consumes it one
-    scene at a time, and fit keeps only the prepared records and, per
-    sample batch, each scene's (K, P) label stack: a scene's SampleSet
-    lives only through that scene's step.
+    scene at a time, and fit keeps only each scene's PreparedScene, its
+    tables without pixels, and, per sample batch, each scene's (K, P)
+    label stack: a scene's SampleSet lives only through that scene's step.
 
     Deterministic for fixed configs and records: all noise is derived
     from train_cfg.seed together with scene ids and phase tags. A scene
@@ -413,7 +456,7 @@ def fit(records, train_cfg: TrainConfig | None = None,
     k_eff = 1 if tcfg.cond_pointwise else tcfg.k
     # object dtype keeps every id an exact int, however large
     ids = np.array([rec.scene_id for rec in records], dtype=object)
-    seeds_ref = [seed_labeling(rec) for rec in records]
+    seeds_ref = [rec.seed_labels for rec in records]
     log: list = []
     snapshots: list = []
     failures = 0  # InferenceErrors, one per scene and epoch or pred phase

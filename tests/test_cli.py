@@ -924,10 +924,11 @@ def test_eval_rejects_malformed_predictions(tmp_path, pipeline, capsys):
     capsys.readouterr()
 
 
-def _decode_index(value):
+def _decoded(**fields):
+    entry = {"proposal_index": 0, "class_id": 1, "confidence": 0.9, **fields}
+
     def edit(final, p):
-        final["decode"] = [{"proposal_index": value, "class_id": 1,
-                            "confidence": 0.9}]
+        final["decode"] = [entry]
     return edit
 
 
@@ -937,19 +938,34 @@ def _labeling_of(extra):
     return edit
 
 
-_BAD_INDICES = [("index-negative", -1), ("index-past-pool", 10**6),
-                ("index-float", 1.5), ("index-string", "x"),
-                ("index-bool", True)]
+_BAD_ENTRIES = [
+    ("index-negative", "proposal_index", -1),
+    ("index-past-pool", "proposal_index", 10**6),
+    ("index-float", "proposal_index", 1.5),
+    ("index-string", "proposal_index", "x"),
+    ("index-bool", "proposal_index", True),
+    ("class-bool", "class_id", True),
+    ("class-float", "class_id", 1.0),
+    ("class-past-classes", "class_id", 99),
+    ("class-negative", "class_id", -1),
+    ("class-background", "class_id", 0),
+    ("confidence-string", "confidence", "high"),
+    ("confidence-nan", "confidence", float("nan")),
+    ("confidence-infinite", "confidence", float("inf")),
+    ("confidence-bool", "confidence", True),
+    ("confidence-above-one", "confidence", 1.5),
+    ("confidence-negative", "confidence", -0.5),
+]
 
 
 @pytest.mark.parametrize("cmd, edit", [
-    *[(cmd, _decode_index(v)) for cmd in ("eval", "render")
-      for _, v in _BAD_INDICES],
+    *[(cmd, _decoded(**{key: v})) for cmd in ("eval", "render")
+      for _, key, v in _BAD_ENTRIES],
     ("render", _labeling_of(1)),
     ("render", _labeling_of(-1)),
     ("render", lambda final, p: final["samples"].append([0, 0])),
 ], ids=[*[f"{cmd}-{name}" for cmd in ("eval", "render")
-          for name, _ in _BAD_INDICES],
+          for name, _, _ in _BAD_ENTRIES],
         "render-labeling-too-long", "render-labeling-too-short",
         "render-labeling-of-two"])
 def test_eval_and_render_reject_malformed_predictions(tmp_path, pipeline,

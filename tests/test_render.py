@@ -49,7 +49,8 @@ def test_labeling_image_tints_selected_proposals_only():
 
 def test_decode_image_tints_the_predictions_infer_writes():
     rec = _rec()
-    as_dict = decode_image(rec, [{"proposal_index": 0, "class_id": 1}])
+    as_dict = decode_image(
+        rec, [{"proposal_index": 0, "class_id": 1, "confidence": 0.9}])
     np.testing.assert_allclose(as_dict, labeling_image(rec, [1, 0]))
 
 
@@ -66,7 +67,8 @@ def test_scene_panel_rows_and_scaling():
     iterations = [
         {"samples": [[1, 0], [0, 2]], "decode": []},
         {"samples": [[1, 2], [1, 0]],
-         "decode": [{"proposal_index": 1, "class_id": 2}]},
+         "decode": [{"proposal_index": 1, "class_id": 2,
+                     "confidence": 0.9}]},
     ]
     panel = scene_panel(rec, iterations)
     ch = 8 * CELL_SCALE
@@ -84,7 +86,8 @@ def test_render_predictions_writes_one_file_per_scene(tmp_path):
             "scene_id": 0,
             "iterations": [{"samples": [[1, 0]], "decode": []}],
             "final": {"samples": [[1, 2]],
-                      "decode": [{"proposal_index": 0, "class_id": 1}]},
+                      "decode": [{"proposal_index": 0, "class_id": 1,
+                                  "confidence": 0.9}]},
         }],
     }
     paths = render_predictions(pred_obj, {0: rec}, str(tmp_path))

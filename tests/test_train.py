@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import functools
+import gc
 import json
 import os
 import re
@@ -34,6 +35,7 @@ from annoconsist.scorer import cond_init, feature_dim, features, score_vjp
 from annoconsist.synthgen import ProposalConfig, SceneConfig
 from annoconsist.train import (
     CheckpointError,
+    PreparedScene,
     TrainConfig,
     TrainingError,
     cond_grad,
@@ -709,17 +711,18 @@ def test_training_never_reads_ground_truth(supervision):
 
 @functools.lru_cache(maxsize=None)
 def _smoke_scenes(supervision):
-    """The smoke config's training scenes prepared under a regime (box
-    cuts and rebuilds the pools), with their stacked features and row
-    bounds as fit builds them."""
+    """The smoke config's training scenes under a regime (box cuts and
+    rebuilds the pools): prepare_scene's records, their PreparedScenes as
+    fit keeps them, and the stacked features and row bounds fit builds."""
     cfg = load_config(SMOKE)
     tcfg = dataclasses.replace(cfg.train, supervision=supervision)
-    records, _ = prepare_records(
-        make_dataset(cfg.scene, cfg.proposal, cfg.n_scenes, cfg.seed), tcfg,
-        cfg.inference)
+    cut = [prep for rec in make_dataset(cfg.scene, cfg.proposal, cfg.n_scenes,
+                                        cfg.seed)
+           if (prep := prepare_scene(rec, tcfg, cfg.inference)) is not None]
+    records = [PreparedScene.from_record(rec, cfg.inference) for rec in cut]
     feats = np.concatenate([features(rec) for rec in records])
     bounds = np.cumsum([0] + [rec.num_proposals for rec in records]).tolist()
-    return tuple(records), feats, bounds
+    return tuple(cut), tuple(records), feats, bounds
 
 
 @settings(max_examples=60, deadline=None)
@@ -733,7 +736,7 @@ def test_epoch_metrics_equal_the_per_scene_row(supervision, seed, k, scale,
     # one stacked predictor pass, the list decode and matching through the
     # IoU table give the per-scene row bit for bit, over any used subset
     # (the others failed inference), K = 1 included
-    records, feats, bounds = _smoke_scenes(supervision)
+    cut, records, feats, bounds = _smoke_scenes(supervision)
     assert any(rec.pool_index is not None for rec in records) == (
         supervision == "box")
     rng = np.random.default_rng(seed)
@@ -749,7 +752,7 @@ def test_epoch_metrics_equal_the_per_scene_row(supervision, seed, k, scale,
     lcfg = LossConfig()
     got = train_mod._epoch_metrics(records, feats, bounds, used, pred,
                                    labels, feas, tcfg, lcfg, norms)
-    want = epoch_metrics_per_scene([records[i] for i in used], pred, labels,
+    want = epoch_metrics_per_scene([cut[i] for i in used], pred, labels,
                                    feas, tcfg, lcfg, norms)
     assert got == want
 
@@ -878,13 +881,76 @@ def test_prepare_records_box_regime_keeps_the_datasets_own_graph():
                                    InferenceConfig())
     assert skipped == 0
     lost = 0
-    for br in out:
-        want = build_adjacency(br.pool, br.edges, dilation=2)
+    for rec, br in zip(recs, out):
+        pool = rec.pool[br.pool_index]
+        want = build_adjacency(pool, rec.edges, dilation=2)
         for name in ("edge_u", "edge_v", "edge_w"):
             assert (getattr(br.adjacency, name).tobytes()
                     == getattr(want, name).tobytes()), name
-        lost += num_edges(want) - num_edges(build_adjacency(br.pool, br.edges))
+        lost += num_edges(want) - num_edges(build_adjacency(pool, rec.edges))
     assert lost > 0  # dilation 1 would have dropped edges here
+
+
+def _reachable_array_bytes(root) -> int:
+    """Bytes of the ndarray buffers reachable from root through containers,
+    instance dicts and array bases, each buffer counted once."""
+    seen, counted, total, todo = set(), set(), 0, [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            if id(obj) not in counted:
+                counted.add(id(obj))
+                total += obj.nbytes
+            continue
+        todo.extend(gc.get_referents(obj))
+    return total
+
+
+@pytest.mark.parametrize("supervision", ["image", "box"])
+def test_prepared_scenes_hold_no_pixels(supervision):
+    # what fit keeps of a scene is its tables: no raster, pool or mask
+    # stack stays reachable from prepare_records' output
+    scenes = make_dataset(SceneConfig(), ProposalConfig(), 8, seed=4)
+    pixels = sum(rec.image.nbytes + rec.edges.nbytes + rec.pool.nbytes
+                 + rec.gt.masks.nbytes + rec.seeds.masks.nbytes
+                 for rec in scenes)
+    out = prepare_records(scenes, TrainConfig(supervision=supervision),
+                          InferenceConfig())
+    assert len(out[0]) + out[1] == len(scenes) and len(out[0]) > 0
+    assert _reachable_array_bytes(out) < 0.25 * pixels
+
+
+@pytest.mark.parametrize("supervision", ["image", "box"])
+def test_prepared_scenes_keep_the_anchors_and_iou_of_their_records(
+        supervision):
+    # the seed anchors and the IoU table are those of the unprepared
+    # record (image) or of the cut one (box), computed on a cold copy
+    tcfg, icfg = TrainConfig(supervision=supervision), InferenceConfig()
+    out, skipped = prepare_records(
+        make_dataset(SceneConfig(), ProposalConfig(), 8, seed=5), tcfg, icfg)
+    refs = [rec if supervision == "image" else prepare_scene(rec, tcfg, icfg)
+            for rec in make_dataset(SceneConfig(), ProposalConfig(), 8,
+                                    seed=5)]
+    refs = [ref for ref in refs if ref is not None]
+    assert len(refs) == len(out) and len(out) + skipped == 8
+    assert any(prep.seed_labels.any() for prep in out)
+    for prep, ref in zip(out, refs):
+        assert prep.scene_id == ref.scene_id
+        assert prep.num_proposals == ref.num_proposals
+        assert prep.seed_labels.tobytes() == seed_labeling(ref).tobytes()
+        assert prep.gt_class_ids.tobytes() == ref.gt.class_ids.tobytes()
+        assert prep.gt_iou.shape == (ref.num_proposals, len(ref.gt.class_ids))
+        assert prep.gt_iou.tobytes() == ref.gt_iou().tobytes()
+        assert prep._features.tobytes() == features(ref).tobytes()
+        geom = prep.geometry()
+        assert geom.pool is None
+        assert geom.ovl.tobytes() == ref.geometry().ovl.tobytes()
+        assert geom.boxes.tobytes() == ref.geometry().boxes.tobytes()
 
 
 def _tiny_dataset(n=2, seed=0):
