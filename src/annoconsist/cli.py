@@ -225,14 +225,45 @@ def cmd_infer(args) -> int:
     return EXIT_OK
 
 
-def _load_predictions(path: str, object_hook=None) -> dict:
+def _load_predictions(path: str, sampled: bool) -> dict:
+    """A predictions file, parsed and checked: format_version 1 and a
+    scenes list of objects, each with an integer scene_id and a final
+    object whose decode is a list; with sampled, also its iterations, a
+    list of such objects, and every one's samples, a list. Otherwise a
+    DatasetFormatError, naming the scene where one is known. Without
+    sampled, the sampled labelings are dropped as the file is parsed."""
     with open(path) as fh:
         try:
-            obj = json.load(fh, object_hook=object_hook)
+            obj = json.load(fh, object_hook=None if sampled else _unsampled)
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"{path}: invalid JSON ({exc})") from exc
-    if obj.get("format_version") != 1:
+    if not isinstance(obj, dict) or obj.get("format_version") != 1:
         raise DatasetFormatError(f"{path}: unsupported prediction format")
+    if not isinstance(obj.get("scenes"), list):
+        raise DatasetFormatError(f"{path}: scenes is not a list")
+    keys = ("decode", "samples") if sampled else ("decode",)
+    for i, entry in enumerate(obj["scenes"]):
+        sid = entry.get("scene_id") if isinstance(entry, dict) else None
+        if type(sid) is not int:
+            raise DatasetFormatError(
+                f"{path}: scene entry {i} is not an object with an integer "
+                "scene_id")
+        parts = [("final", entry.get("final"))]
+        if sampled:
+            iterations = entry.get("iterations", [])
+            if not isinstance(iterations, list):
+                raise DatasetFormatError(
+                    f"scene {sid}: iterations is not a list")
+            parts += [(f"iterations[{j}]", it)
+                      for j, it in enumerate(iterations)]
+        for name, part in parts:
+            if not isinstance(part, dict):
+                raise DatasetFormatError(
+                    f"scene {sid}: {name} is not an object")
+            for key in keys:
+                if not isinstance(part.get(key), list):
+                    raise DatasetFormatError(
+                        f"scene {sid}: {name}.{key} is not a list")
     return obj
 
 
@@ -254,7 +285,7 @@ def _check_scenes_found(ids, found, path: str) -> None:
 
 
 def cmd_eval(args) -> int:
-    obj = _load_predictions(args.pred, object_hook=_unsampled)
+    obj = _load_predictions(args.pred, sampled=False)
     # the last entry per scene id, in the order the file lists the ids
     decoded = {entry["scene_id"]: entry["final"]["decode"]
                for entry in obj["scenes"]}
@@ -303,7 +334,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_render(args) -> int:
-    obj = _load_predictions(args.pred)
+    obj = _load_predictions(args.pred, sampled=True)
     wanted = dict.fromkeys(entry["scene_id"] for entry in obj["scenes"])
     # the last record per predicted scene id; the others are dropped as the
     # split streams past

@@ -15,9 +15,11 @@ label stack, so it matches the per-draw expectation bit for bit.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 
-from .loss import LossConfig, delta
+from .loss import LossConfig, delta, label_bits
 
 
 def div_pc(state: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> float:
@@ -31,16 +33,15 @@ def div_pc(state: np.ndarray, labels: np.ndarray, cfg: LossConfig) -> float:
 
 def div_cc(labels: np.ndarray, rec, cfg: LossConfig) -> float:
     """(1/(K(K-1))) sum_{k != k'} Delta(y^k, y^k'). Needs K >= 2. The
-    labelings share rec's pool, so Delta does not read rec itself."""
+    labelings share rec's pool, so Delta does not read rec itself. The
+    K rows are packed into bitsets once; the K(K-1) terms are summed in
+    row-major (k, k' != k) order."""
     k = labels.shape[0]
     if k < 2:
         raise ValueError("div_cc needs at least two samples")
-    rows = list(labels)
     acc = 0.0
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                acc += delta(rows[i], rows[j], cfg)
+    for a, b in permutations(label_bits(labels), 2):
+        acc += delta(a, b, cfg)
     return acc / (k * (k - 1))
 
 

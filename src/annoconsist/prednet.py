@@ -82,9 +82,14 @@ def decoded_prediction(rec: SceneRecord, entry: dict) -> InstancePrediction:
     """A decoded entry as infer writes it, checked against rec: a
     proposal_index that is a non-bool int in [0, P), a class_id that is a
     non-bool int in [1, C] and a confidence that is a finite non-bool
-    number in [0, 1]; otherwise DatasetFormatError naming the scene."""
-    u, c = entry["proposal_index"], entry["class_id"]
-    conf = entry["confidence"]
+    number in [0, 1]; otherwise, or when entry is not an object holding
+    all three, DatasetFormatError naming the scene."""
+    keys = ("proposal_index", "class_id", "confidence")
+    if not isinstance(entry, dict) or not all(k in entry for k in keys):
+        raise DatasetFormatError(
+            f"scene {rec.scene_id}: decoded entry {entry!r} is not an "
+            "object with proposal_index, class_id and confidence")
+    u, c, conf = (entry[k] for k in keys)
     if type(u) is not int or not 0 <= u < rec.num_proposals:
         raise DatasetFormatError(
             f"scene {rec.scene_id}: decoded proposal_index {u!r} is not an "

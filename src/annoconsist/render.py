@@ -38,14 +38,26 @@ def _blend(img: np.ndarray, mask: np.ndarray, color, alpha: float) -> None:
     img[mask] = (1.0 - alpha) * img[mask] + alpha * np.asarray(color)
 
 
-def labeling_image(rec, labels) -> np.ndarray:
-    """Dimmed scene with every selected proposal tinted by its class color."""
+def labeling_image(rec, labels: list) -> np.ndarray:
+    """Dimmed scene with every selected proposal tinted by its class color.
+
+    labels is a sampled labeling as infer writes it: a list of one label
+    per proposal, each a non-bool int in [0, C]; otherwise
+    DatasetFormatError naming the scene.
+    """
+    if not isinstance(labels, list):
+        raise DatasetFormatError(
+            f"scene {rec.scene_id}: a sampled labeling is not a list")
     if len(labels) != rec.num_proposals:
         raise DatasetFormatError(
             f"scene {rec.scene_id}: a sampled labeling holds {len(labels)} "
             f"labels for {rec.num_proposals} proposals")
     img = _base(rec, DIM)
     for u, c in enumerate(labels):
+        if type(c) is not int or not 0 <= c <= rec.num_classes:
+            raise DatasetFormatError(
+                f"scene {rec.scene_id}: sampled label {c!r} is not an "
+                f"integer in [0, {rec.num_classes}]")
         if c > 0:
             _blend(img, rec.pool[u], PALETTE[(c - 1) % len(PALETTE)],
                    LABEL_ALPHA)
@@ -102,20 +114,18 @@ def scene_panel(rec, iterations: list) -> np.ndarray:
 def render_predictions(pred_obj: dict, records_by_id: dict,
                        out_dir: str) -> list:
     """One panel file per scene in the prediction dump; returns the paths.
-    The panels are written into a temporary directory next to out_dir and
-    moved into it once every one is drawn, so a malformed entry leaves no
-    new panel behind."""
+    Every scene entry holds a final object and may hold an iterations
+    list, each object a samples and a decode list, as cli checks on
+    loading. The panels are written into a temporary directory next to
+    out_dir and moved into it once every one is drawn, so a malformed
+    entry leaves no new panel behind."""
     os.makedirs(out_dir, exist_ok=True)
     names = []
     with tempfile.TemporaryDirectory(
             dir=os.path.dirname(os.path.abspath(out_dir))) as tmp:
         for entry in pred_obj["scenes"]:
             rec = records_by_id[entry["scene_id"]]
-            iterations = list(entry.get("iterations", []))
-            if "final" in entry:
-                iterations.append(entry["final"])
-            if not iterations:
-                continue
+            iterations = [*entry.get("iterations", []), entry["final"]]
             names.append(f"scene_{entry['scene_id']:04d}.ppm")
             write_ppm(os.path.join(tmp, names[-1]), scene_panel(rec, iterations))
         # a scene listed twice is drawn twice, its last panel kept

@@ -233,6 +233,24 @@ def exact_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
     return best_labels
 
 
+def delta_arrays(y1: np.ndarray, y2: np.ndarray, cfg: LossConfig) -> float:
+    """Delta of two labelings as label arrays: lambda times the number of
+    proposals whose labels differ."""
+    return cfg.lambda_cls * int(np.count_nonzero(y1 != y2))
+
+
+def div_cc_pairs(labels: np.ndarray, cfg: LossConfig) -> float:
+    """div_cc as the loop over the ordered pairs (i, j != i) of the rows
+    of a (K, P) label stack, in row-major order, with delta_arrays."""
+    k = labels.shape[0]
+    acc = 0.0
+    for i in range(k):
+        for j in range(k):
+            if i != j:
+                acc += delta_arrays(labels[i], labels[j], cfg)
+    return acc / (k * (k - 1))
+
+
 class DiscParts(NamedTuple):
     disc: float
     div_pc: float

@@ -938,6 +938,37 @@ def _labeling_of(extra):
     return edit
 
 
+def _label(value):
+    def edit(final, p):
+        final["samples"] = [[value] + [0] * (p - 1)]
+    return edit
+
+
+def _in_final(edit):
+    """An edit of the first scene's final entry, as an edit of the file."""
+    def edit_file(obj, p):
+        edit(obj["scenes"][0]["final"], p)
+        return obj
+    return edit_file
+
+
+_DROP = object()
+
+
+def _at(*keys, value=_DROP):
+    """An edit of the file that sets the entry at keys, or drops it."""
+    def edit_file(obj, p):
+        parent = obj
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value is _DROP:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+        return obj
+    return edit_file
+
+
 _BAD_ENTRIES = [
     ("index-negative", "proposal_index", -1),
     ("index-past-pool", "proposal_index", 10**6),
@@ -957,33 +988,68 @@ _BAD_ENTRIES = [
     ("confidence-negative", "confidence", -0.5),
 ]
 
+_FINAL = ("scenes", 0, "final")
+# (name, edit of the file, whether the message can name the scene)
+_BAD_STRUCTURES = [
+    ("top-level-list", lambda obj, p: [obj], False),
+    ("scenes-not-a-list", _at("scenes", value={"0": 1}), False),
+    ("scene-entry-not-an-object", _at("scenes", 0, value=[0]), False),
+    ("scene-id-list", _at("scenes", 0, "scene_id", value=[0]), False),
+    ("final-not-an-object", _at(*_FINAL, value=[]), True),
+    ("no-final", _at(*_FINAL), True),
+    ("decode-not-a-list", _at(*_FINAL, "decode", value=5), True),
+    ("decoded-entry-not-an-object", _at(*_FINAL, "decode", value=[[0, 1]]),
+     True),
+    ("decoded-entry-without-index",
+     _at(*_FINAL, "decode", value=[{"class_id": 1, "confidence": 0.9}]),
+     True),
+]
+_BAD_SAMPLES = [
+    ("iterations-not-a-list", _at("scenes", 0, "iterations", value={}), True),
+    ("iteration-not-an-object", _at("scenes", 0, "iterations", value=[3]),
+     True),
+    ("samples-not-a-list", _at(*_FINAL, "samples", value=7), True),
+    ("labeling-not-a-list", _at(*_FINAL, "samples", value=[7]), True),
+    *[(f"label-{name}", _in_final(_label(v)), True) for name, v in [
+        ("past-classes", 99), ("negative", -1), ("bool", True),
+        ("float", 1.5), ("string", "a"), ("null", None)]],
+]
 
-@pytest.mark.parametrize("cmd, edit", [
-    *[(cmd, _decoded(**{key: v})) for cmd in ("eval", "render")
-      for _, key, v in _BAD_ENTRIES],
-    ("render", _labeling_of(1)),
-    ("render", _labeling_of(-1)),
-    ("render", lambda final, p: final["samples"].append([0, 0])),
+
+@pytest.mark.parametrize("cmd, edit, names_scene", [
+    *[(cmd, _in_final(_decoded(**{key: v})), True)
+      for cmd in ("eval", "render") for _, key, v in _BAD_ENTRIES],
+    ("render", _in_final(_labeling_of(1)), True),
+    ("render", _in_final(_labeling_of(-1)), True),
+    ("render", _in_final(lambda final, p: final["samples"].append([0, 0])),
+     True),
+    *[(cmd, edit, named) for cmd in ("eval", "render")
+      for _, edit, named in _BAD_STRUCTURES],
+    *[("render", edit, named) for _, edit, named in _BAD_SAMPLES],
 ], ids=[*[f"{cmd}-{name}" for cmd in ("eval", "render")
           for name, _, _ in _BAD_ENTRIES],
         "render-labeling-too-long", "render-labeling-too-short",
-        "render-labeling-of-two"])
+        "render-labeling-of-two",
+        *[f"{cmd}-{name}" for cmd in ("eval", "render")
+          for name, _, _ in _BAD_STRUCTURES],
+        *[f"render-{name}" for name, _, _ in _BAD_SAMPLES]])
 def test_eval_and_render_reject_malformed_predictions(tmp_path, pipeline,
-                                                      capsys, cmd, edit):
+                                                      capsys, cmd, edit,
+                                                      names_scene):
     with open(pipeline["preds"]) as fh:
         obj = json.load(fh)
     sid = obj["scenes"][0]["scene_id"]
     p = {rec.scene_id: rec.num_proposals
          for rec in load_dataset(os.path.join(pipeline["data"],
                                               "eval.jsonl"))}[sid]
-    edit(obj["scenes"][0]["final"], p)
     bad = tmp_path / "preds.json"
-    bad.write_text(json.dumps(obj))
+    bad.write_text(json.dumps(edit(obj, p)))
     args = [cmd, "--pred", str(bad), "--data", pipeline["data"]]
     if cmd == "render":
         args += ["--out", str(tmp_path / "panels")]
     assert run(args) == EXIT_USAGE
-    assert f"error: scene {sid}: " in capsys.readouterr().err
+    named = f"scene {sid}" if names_scene else str(bad)
+    assert f"error: {named}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["eval", "render"])

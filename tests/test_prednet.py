@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annoconsist.disco import div_pp
-from annoconsist.loss import LossConfig, delta
+from annoconsist.loss import LossConfig
 from annoconsist.prednet import (
     argmax_labeling,
     decode,
@@ -15,7 +15,7 @@ from annoconsist.prednet import (
 from annoconsist.scorer import feature_dim
 
 from conftest import make_record, rect_mask
-from oracles import decode_loop, expected_loss_vs_sample
+from oracles import decode_loop, delta_arrays, expected_loss_vs_sample
 
 
 def test_softmax_rows_hand_case_and_shift_invariance():
@@ -100,7 +100,7 @@ def test_expected_loss_agrees_with_identity_delta_on_point_masses():
     state[1, 0] = 1.0
     y = np.array([1, 2])
     cfg = LossConfig()
-    want = delta(np.array([1, 0]), y, cfg)
+    want = delta_arrays(np.array([1, 0]), y, cfg)
     assert expected_loss_vs_sample(state, y, cfg) == pytest.approx(want)
     # and the self diversity of a point mass is zero
     assert div_pp(state, cfg) == pytest.approx(0.0)
