@@ -75,6 +75,8 @@ def _gen_records(cfg: RunConfig, ids: range, jobs: int, pool_sizes: list):
 
 
 def cmd_gen(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs {args.jobs} is not a positive integer")
     cfg = _resolved_config(args)
     os.makedirs(args.out, exist_ok=True)
     train_ids = range(0, cfg.n_scenes)

@@ -2,8 +2,9 @@
 
 Each proposal gets an independent softmax over C+1 classes computed from
 its features alone (no noise, no annotation). Decoding keeps proposals
-whose best foreground probability clears a threshold and runs per-class
-greedy NMS.
+whose best foreground probability clears a threshold (the candidate step,
+which also runs over a stack of scenes' states) and runs per-class greedy
+NMS over each scene's candidates.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenes import DatasetFormatError, SceneRecord
+from .scenes import DatasetFormatError, PoolGeometry, SceneRecord
 from .scorer import feature_dim, features
 
 
@@ -52,11 +53,25 @@ def decode(state: np.ndarray, rec: SceneRecord, score_thresh: float,
     class, a kept candidate suppresses others it covers by more than
     nms_t. Idempotent: decoding the survivors again changes nothing.
     """
-    geom = rec.geometry()
+    return nms(*candidates(state, score_thresh), rec.geometry(), nms_t)
+
+
+def candidates(state: np.ndarray, score_thresh: float) -> tuple:
+    """decode's candidate step over the rows of a state, or of a stack of
+    scenes' states: each row's best foreground probability, its class, and
+    whether that probability reaches score_thresh. Every row reads only
+    itself, so a scene's rows of a stack equal its own step."""
     fg = state[:, 1:]
     conf = fg.max(axis=1)
-    cls = fg.argmax(axis=1) + 1
-    cand = (conf >= score_thresh).nonzero()[0]
+    return conf, fg.argmax(axis=1) + 1, conf >= score_thresh
+
+
+def nms(conf: np.ndarray, cls: np.ndarray, keep: np.ndarray,
+        geom: PoolGeometry, nms_t: float) -> list:
+    """decode's NMS loop over one scene's candidate step: the candidates
+    `keep` marks, by descending confidence (ties by index), each dropped
+    when a kept one of its class covers it by more than nms_t."""
+    cand = keep.nonzero()[0]
     order = cand[(-conf[cand]).argsort(kind="stable")]
     # the loop reads Python lists: row i of ovl holds the overlaps of the
     # i-th candidate in `order` with every candidate in `cand`. A lone

@@ -328,6 +328,11 @@ def scene_from_obj(obj: dict) -> SceneRecord:
             boxes = np.array(boxes, dtype=np.int64).reshape(-1, 5)
         annotation = Annotation(presence=presence, boxes=boxes)
         adjacency = _adjacency_from_obj(obj["adjacency"], pool.shape[0])
+        for name in ("image", "edges"):
+            if not isinstance(obj[name], str):
+                raise DatasetFormatError(
+                    f"scene {scene_id}: {name} raster is "
+                    f"{type(obj[name]).__name__}, not a base64 string")
         image = _unb64_f32(obj["image"], (h, w, 3))
         edges = _unb64_f32(obj["edges"], (h, w))
         for name, raster in (("image", image), ("edges", edges)):

@@ -7,7 +7,8 @@ row. The prediction distribution has a closed-form gradient because it
 factorizes over proposals. That gradient reads a sample batch only
 through one (P, C+1) class-frequency table q̄ per scene
 (empirical_distribution), which a pred phase builds once after sampling
-and shares across its epochs.
+and shares across its epochs. The log rows likewise read a batch through
+tables built once per batch (SampleBatch).
 
 The schedule is: an initialization phase that anchors the conditional to
 seed-derived labelings, then alternating predictor / conditional phases,
@@ -36,9 +37,9 @@ from .condnet import (
 )
 from .disco import div_cc, div_pc, div_pp
 from .evaluate import EvalResult, evaluate_predictions, map_at
-from .loss import LossConfig, cost_row
-from .prednet import (argmax_labeling, decode, pred_init, predict,
-                      softmax_rows)
+from .loss import LossConfig, cost_row, label_bits
+from .prednet import (argmax_labeling, candidates, decode, nms, pred_init,
+                      predict, softmax_rows)
 from .scenes import Annotation, PoolGeometry, rebuild_with_pool
 from .scorer import cond_init, draw_noise, feature_dim, features, score_vjp
 
@@ -382,34 +383,59 @@ def prepare_records(records, train_cfg: TrainConfig,
     return out, skipped
 
 
-def _feasible_fractions(records, used, labels, inf_cfg) -> list:
-    """Per used scene, the fraction of the K labelings of its (K, P) label
-    stack that are annotation-consistent. used holds record indices."""
-    return [np.mean(higher_order_feasible(y, records[i].annotation,
-                                          records[i].geometry(), inf_cfg))
-            for i, y in zip(used, labels)]
+@dataclass
+class SampleBatch:
+    """What the log rows of one sample batch read of its labelings, built
+    once: a cond epoch's batch serves one row, a pred phase's batch all of
+    its epochs' rows. Column j's block of the stacked labels,
+    bounds[j]:bounds[j + 1], is the (K, P) label stack of record used[j],
+    and rows maps each column to its row of fit's stacked features."""
+
+    used: list  # record indices of the scenes that sampled
+    bits: list  # per used scene, its K labelings as label_bits
+    labels: np.ndarray  # (K, ΣP_used) the used scenes' stacks side by side
+    rows: np.ndarray  # (ΣP_used,)
+    bounds: list  # n_used + 1 column bounds
+    feasible: float  # mean annotation-consistent fraction over used scenes
+
+    @staticmethod
+    def build(records, feat_bounds, used, labels,
+              inf_cfg: InferenceConfig) -> "SampleBatch":
+        """The batch of the (K, P) label stacks `labels` of records `used`;
+        feat_bounds are the records' row bounds in the feature stack."""
+        return SampleBatch(
+            used=used, bits=[label_bits(y) for y in labels],
+            labels=np.concatenate(labels, axis=1),
+            rows=np.concatenate([np.arange(feat_bounds[i], feat_bounds[i + 1])
+                                 for i in used]),
+            bounds=np.cumsum([0] + [y.shape[1] for y in labels]).tolist(),
+            feasible=float(np.mean([
+                np.mean(higher_order_feasible(y, records[i].annotation,
+                                              records[i].geometry(), inf_cfg))
+                for i, y in zip(used, labels)])))
 
 
-def _epoch_metrics(records, feats, bounds, used, pred, labels, feas,
-                   train_cfg, loss_cfg, grad_norms):
+def _epoch_metrics(records, feats, batch, pred, train_cfg, loss_cfg,
+                   grad_norms):
     """One log row: divergence parts, train-set mAP at 0.5, feasibility.
 
-    feats is the (ΣP, D) stack of the records' features, record i's rows
-    being bounds[i]:bounds[i + 1], so one pass gives every predictor
-    state; row by row it equals predict. used holds the indices of the
-    records whose (K, P) label stacks are labels; feas is their
-    _feasible_fractions, which the pred epochs share."""
-    state = softmax_rows(feats @ pred.T)
-    pcs, ccs, pps = [], [], []
+    feats is the (ΣP, D) stack of the records' features, so one pass gives
+    every predictor state; row by row it equals predict. The per-proposal
+    terms of div_pc, div_pp and decode's candidate step run once over the
+    used scenes' states; each scene then reduces its own slice."""
+    state = softmax_rows(feats @ pred.T)[batch.rows]
+    bounds = batch.bounds
+    pcs = div_pc(state, batch.labels, bounds, loss_cfg)
+    pps = div_pp(state, bounds, loss_cfg)
+    ccs = [div_cc(bits, loss_cfg) if len(bits) >= 2 else 0.0
+           for bits in batch.bits]
+    conf, cls, keep = candidates(state, train_cfg.decode_thresh)
     preds_by_scene, truth_by_scene = {}, {}
-    for i, y in zip(used, labels):
+    for i, a, b in zip(batch.used, bounds, bounds[1:]):
         rec = records[i]
-        rec_state = state[bounds[i]:bounds[i + 1]]
-        pcs.append(div_pc(rec_state, y, loss_cfg))
-        ccs.append(div_cc(y, rec, loss_cfg) if len(y) >= 2 else 0.0)
-        pps.append(div_pp(rec_state, loss_cfg))
-        preds_by_scene[rec.scene_id] = decode(
-            rec_state, rec, train_cfg.decode_thresh, train_cfg.decode_nms)
+        preds_by_scene[rec.scene_id] = nms(
+            conf[a:b], cls[a:b], keep[a:b], rec.geometry(),
+            train_cfg.decode_nms)
         truth_by_scene[rec.scene_id] = (rec.gt_class_ids, rec.gt_iou)
     g = train_cfg.gamma
     pc, cc, pp = float(np.mean(pcs)), float(np.mean(ccs)), float(np.mean(pps))
@@ -419,7 +445,7 @@ def _epoch_metrics(records, feats, bounds, used, pred, labels, feas,
         "div_cc": cc,
         "div_pp": pp,
         "map50": map_at(preds_by_scene, truth_by_scene, 0.5),
-        "feasible": float(np.mean(feas)),
+        "feasible": batch.feasible,
         "grad_norm": float(np.mean(grad_norms)) if grad_norms else 0.0,
     }
 
@@ -433,7 +459,8 @@ def fit(records, train_cfg: TrainConfig | None = None,
     records is any iterable of scenes; prepare_records consumes it one
     scene at a time, and fit keeps only each scene's PreparedScene, its
     tables without pixels, and, per sample batch, each scene's (K, P)
-    label stack: a scene's SampleSet lives only through that scene's step.
+    label stack and the batch's SampleBatch: a scene's SampleSet lives only
+    through that scene's step.
 
     Deterministic for fixed configs and records: all noise is derived
     from train_cfg.seed together with scene ids and phase tags. A scene
@@ -493,11 +520,10 @@ def fit(records, train_cfg: TrainConfig | None = None,
                 del samples
             norms.append(sgd_step(cond, grad, lr, tcfg.clip_grad))
         _require_samples(used, phase, outer, epoch)
+        batch = SampleBatch.build(records, bounds, used, labels, icfg)
         row = {"phase": phase, "outer": outer, "epoch": epoch}
-        row.update(_epoch_metrics(
-            records, feats, bounds, used, pred, labels,
-            _feasible_fractions(records, used, labels, icfg), tcfg, lcfg,
-            norms))
+        row.update(_epoch_metrics(records, feats, batch, pred, tcfg, lcfg,
+                                  norms))
         log.append(row)
         if verbose:
             print(_format_row(row))
@@ -517,7 +543,7 @@ def fit(records, train_cfg: TrainConfig | None = None,
                 continue
             used.append(i)
         _require_samples(used, phase, outer, 0)
-        feas = _feasible_fractions(records, used, labels, icfg)
+        batch = SampleBatch.build(records, bounds, used, labels, icfg)
         qbars = [empirical_distribution(y, c + 1) for y in labels]
         for epoch in range(tcfg.pred_epochs):
             norms = []
@@ -527,8 +553,8 @@ def fit(records, train_cfg: TrainConfig | None = None,
                 norms.append(sgd_step(pred, grad, tcfg.lr_pred,
                                       tcfg.clip_grad))
             row = {"phase": phase, "outer": outer, "epoch": epoch}
-            row.update(_epoch_metrics(records, feats, bounds, used, pred,
-                                      labels, feas, tcfg, lcfg, norms))
+            row.update(_epoch_metrics(records, feats, batch, pred, tcfg,
+                                      lcfg, norms))
             log.append(row)
             if verbose:
                 print(_format_row(row))

@@ -17,7 +17,7 @@ from annoconsist.condnet import (TERM_MODES, InferenceConfig, InferenceError,
                                  refine_stack)
 from annoconsist.disco import div_cc, div_pc, div_pp
 from annoconsist.evaluate import EvalResult, ap_from_flags
-from annoconsist.loss import LossConfig
+from annoconsist.loss import LossConfig, label_bits
 from annoconsist.masks import rle_decode_stack, rle_encode_stack, tight_boxes
 from annoconsist.prednet import predict
 from annoconsist.scenes import Annotation, PoolGeometry
@@ -251,6 +251,21 @@ def div_cc_pairs(labels: np.ndarray, cfg: LossConfig) -> float:
     return acc / (k * (k - 1))
 
 
+def div_pc_scene(state: np.ndarray, labels: np.ndarray,
+                 cfg: LossConfig) -> float:
+    """disco.div_pc of one scene's (P, C+1) state and (K, P) label stack:
+    draw k's term is lambda * sum_u (1 - state[u, y^k_u]); the K terms are
+    summed in draw order."""
+    k, p = labels.shape
+    per_draw = cfg.lambda_cls * (1.0 - state[np.arange(p), labels]).sum(axis=1)
+    return sum(per_draw.tolist()) / k
+
+
+def div_pp_scene(state: np.ndarray, cfg: LossConfig) -> float:
+    """disco.div_pp of one scene's (P, C+1) state."""
+    return float(cfg.lambda_cls * (1.0 - (state * state).sum(axis=1)).sum())
+
+
 class DiscParts(NamedTuple):
     disc: float
     div_pc: float
@@ -258,12 +273,15 @@ class DiscParts(NamedTuple):
     div_pp: float
 
 
-def disc(state: np.ndarray, labels: np.ndarray, rec, cfg: LossConfig,
+def disc(state: np.ndarray, labels: np.ndarray, cfg: LossConfig,
          gamma: float = 0.5) -> DiscParts:
-    """Jensen-style difference DIV(p,c) - gamma DIV(c,c) - (1-gamma) DIV(p,p)."""
-    pc = div_pc(state, labels, cfg)
-    cc = div_cc(labels, rec, cfg)
-    pp = div_pp(state, cfg)
+    """Jensen-style difference DIV(p,c) - gamma DIV(c,c) - (1-gamma) DIV(p,p)
+    of one scene's (P, C+1) state and (K, P) label stack, K >= 2, from the
+    disco terms over a one-scene stack."""
+    bounds = [0, len(state)]
+    pc = div_pc(state, labels, bounds, cfg)[0]
+    cc = div_cc(label_bits(labels), cfg)
+    pp = div_pp(state, bounds, cfg)[0]
     return DiscParts(pc - gamma * cc - (1.0 - gamma) * pp, pc, cc, pp)
 
 
@@ -411,15 +429,15 @@ def evaluate_masks(preds_by_scene: dict, gts_by_scene: dict,
 def epoch_metrics_per_scene(records, pred, labels, feas, train_cfg,
                             loss_cfg, grad_norms) -> dict:
     """train._epoch_metrics one scene at a time: predict per record, the
-    loop decode and mask-IoU matching. records are the used ones, labels
-    their (K, P) label stacks."""
+    per-scene diversity terms, the loop decode and mask-IoU matching.
+    records are the used ones, labels their (K, P) label stacks."""
     pcs, ccs, pps = [], [], []
     preds_by_scene, gts_by_scene = {}, {}
     for rec, y in zip(records, labels):
         state = predict(pred, rec)
-        pcs.append(div_pc(state, y, loss_cfg))
-        ccs.append(div_cc(y, rec, loss_cfg) if len(y) >= 2 else 0.0)
-        pps.append(div_pp(state, loss_cfg))
+        pcs.append(div_pc_scene(state, y, loss_cfg))
+        ccs.append(div_cc_pairs(y, loss_cfg) if len(y) >= 2 else 0.0)
+        pps.append(div_pp_scene(state, loss_cfg))
         preds_by_scene[rec.scene_id] = decode_loop(
             state, rec, train_cfg.decode_thresh, train_cfg.decode_nms)
         gts_by_scene[rec.scene_id] = rec.gt

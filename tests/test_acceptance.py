@@ -212,7 +212,7 @@ def test_diversity_estimators_match_monte_carlo():
         per_draw = lam * (draws[:, None, :] != labels[None, :, :]).sum(axis=2).mean(axis=1)
         mc = float(per_draw.mean())
         se = float(per_draw.std(ddof=1) / np.sqrt(n_draws))
-        err = abs(div_pc(state, labels, lcfg) - mc)
+        err = abs(div_pc(state, labels, [0, p], lcfg)[0] - mc)
         assert err <= 3.0 * se + 1e-12
         worst_pc = max(worst_pc, err / se)
 
@@ -220,19 +220,16 @@ def test_diversity_estimators_match_monte_carlo():
         per_pair = lam * (draws != draws_b).sum(axis=1).astype(np.float64)
         mc = float(per_pair.mean())
         se = float(per_pair.std(ddof=1) / np.sqrt(n_draws))
-        err = abs(div_pp(state, lcfg) - mc)
+        err = abs(div_pp(state, [0, p], lcfg)[0] - mc)
         assert err <= 3.0 * se + 1e-12
         worst_pp = max(worst_pp, err / se)
     elapsed = time.perf_counter() - t0
 
     # deterministic matched pair: every divergence term vanishes exactly
-    a = rect_mask(12, 12, 1, 6, 1, 6)
-    b = rect_mask(12, 12, 7, 12, 7, 12)
-    rec = make_record([a, b], [1], num_classes=1, size=(12, 12))
     state = np.array([[0.0, 1.0], [1.0, 0.0]])
     y = argmax_labeling(state)
     labels = np.stack([y, y, y])
-    assert disc(state, labels, rec, lcfg) == DiscParts(0.0, 0.0, 0.0, 0.0)
+    assert disc(state, labels, lcfg) == DiscParts(0.0, 0.0, 0.0, 0.0)
 
     assert elapsed < 60.0
     _report(

@@ -96,6 +96,17 @@ def test_gen_parallel_jobs_match_serial(tmp_path, tiny_config_path):
             assert fa.read() == fb.read(), name
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_gen_jobs_below_one_is_a_usage_error(tmp_path, tiny_config_path,
+                                             capsys, jobs):
+    out = tmp_path / "data"
+    assert run(["gen", "--config", tiny_config_path, "--out", str(out),
+                "--jobs", jobs]) == EXIT_USAGE
+    assert f"--jobs {jobs} is not a positive integer" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_ablate_in_forked_workers_matches_the_in_process_table(
         tmp_path, tiny_config_path, pipeline, monkeypatch):
     # the (cell, seed) fits of forked workers are the in-process run's, so
@@ -684,6 +695,37 @@ def test_non_finite_rasters_are_rejected_at_load(tmp_path, pipeline,
     assert _train_on(data, tiny_config_path, tmp_path) == EXIT_USAGE
     assert f"{key} raster holds a non-finite value" in capsys.readouterr().err
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("stage", ["train", "infer", "eval"])
+@pytest.mark.parametrize("key", ["image", "edges"])
+@pytest.mark.parametrize("value, kind", [
+    (7, "int"), (True, "bool"), ([0.5, 1.0], "list"), ({"b64": "AAAA"}, "dict"),
+    (None, "NoneType")], ids=["number", "bool", "list", "object", "null"])
+def test_a_raster_that_is_not_a_string_is_rejected_at_load(
+        tmp_path, pipeline, tiny_config_path, capsys, stage, key, value,
+        kind):
+    split = "train" if stage == "train" else "eval"
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    path = data / f"{split}.jsonl"
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[0])
+    obj[key] = value
+    lines[0] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--config", tiny_config_path, "--data", str(data),
+                  "--out", str(out)],
+        "infer": ["infer", "--model", pipeline["model"], "--data", str(data),
+                  "--out", str(out)],
+        "eval": ["eval", "--pred", pipeline["preds"], "--data", str(data)],
+    }[stage]
+    assert run(argv) == EXIT_USAGE
+    assert (f"scene {obj['scene_id']}: {key} raster is {kind}, not a base64 "
+            "string") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_prints_map_table(pipeline, capsys):

@@ -93,7 +93,7 @@ def test_delta_over_label_bits_is_the_scaled_mismatch_count(labels, lam):
 @given(_label_stack(), st.sampled_from([0, 0.75, 1, 3]))
 def test_div_cc_is_bit_identical_to_the_array_pair_loop(labels, lam):
     cfg = LossConfig(lambda_cls=lam)
-    got, want = div_cc(labels, None, cfg), div_cc_pairs(labels, cfg)
+    got, want = div_cc(label_bits(labels), cfg), div_cc_pairs(labels, cfg)
     assert got.hex() == want.hex()
 
 

@@ -89,7 +89,7 @@ def test_self_diversity_closed_form_matches_monte_carlo():
     vals = (draws[0] != draws[1]).sum(axis=1).astype(np.float64)
     mc = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(n))
-    exact = div_pp(state, cfg)
+    [exact] = div_pp(state, [0, 5], cfg)
     assert abs(exact - mc) < 3.0 * se
 
 
@@ -103,17 +103,19 @@ def test_expected_loss_agrees_with_identity_delta_on_point_masses():
     want = delta_arrays(np.array([1, 0]), y, cfg)
     assert expected_loss_vs_sample(state, y, cfg) == pytest.approx(want)
     # and the self diversity of a point mass is zero
-    assert div_pp(state, cfg) == pytest.approx(0.0)
+    assert div_pp(state, [0, 2], cfg) == pytest.approx([0.0])
 
 
 def test_self_diversity_maximal_at_uniform():
     uniform = np.full((3, 4), 0.25)
     cfg = LossConfig()
-    assert div_pp(uniform, cfg) == pytest.approx(3 * (1 - 0.25))
+    [top] = div_pp(uniform, [0, 3], cfg)
+    assert top == pytest.approx(3 * (1 - 0.25))
     rng = np.random.default_rng(3)
-    for _ in range(5):
-        other = softmax_rows(rng.normal(size=(3, 4)))
-        assert div_pp(other, cfg) <= div_pp(uniform, cfg) + 1e-12
+    # one stack of five scenes, each scored on its own
+    others = softmax_rows(rng.normal(size=(15, 4)))
+    for value in div_pp(others, [0, 3, 6, 9, 12, 15], cfg):
+        assert value <= top + 1e-12
 
 
 def _decode_record():

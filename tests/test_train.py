@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from annoconsist.adjacency import build_adjacency
+from annoconsist import disco as disco_mod
 from annoconsist import train as train_mod
 from annoconsist import kernels
 from annoconsist.config import load_config
@@ -23,11 +24,12 @@ from annoconsist.condnet import (
     SampleSet,
     forward_scores,
     greedy_infer,
+    higher_order_feasible,
     refine_backward,
     sample_k,
 )
 from annoconsist.disco import div_pc, div_pp
-from annoconsist.loss import LossConfig, cost_row
+from annoconsist.loss import LossConfig, cost_row, label_bits
 from annoconsist.masks import inner_boundary
 from annoconsist.prednet import pred_init, predict
 from annoconsist.scenes import Instances
@@ -168,13 +170,15 @@ def test_pred_objective_matches_diversity_terms():
     labels = rng.integers(0, 3, size=(4, 3))
     state = np.exp(rng.normal(size=(3, 3)))
     state /= state.sum(axis=1, keepdims=True)
+    [pc] = div_pc(state, labels, [0, 3], lcfg)
+    [pp] = div_pp(state, [0, 3], lcfg)
     for gamma in (0.0, 0.5, 1.0):
-        want = div_pc(state, labels, lcfg) - (1 - gamma) * div_pp(state, lcfg)
+        want = pc - (1 - gamma) * pp
         got = pred_objective(state, labels, lcfg, gamma, pointwise=False)
         assert got == pytest.approx(want)
     # pointwise drops the self-diversity term entirely
     got = pred_objective(state, labels, lcfg, 0.5, pointwise=True)
-    assert got == pytest.approx(div_pc(state, labels, lcfg))
+    assert got == pytest.approx(pc)
 
 
 @pytest.mark.parametrize("pointwise", [False, True])
@@ -730,31 +734,76 @@ def _smoke_scenes(supervision):
        seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3, 5]),
        scale=st.sampled_from([0.0, 0.5, 3.0]),
        decode_thresh=st.sampled_from([0.0, 0.5, 0.7]),
-       decode_nms=st.sampled_from([0.0, 0.5, 1.0]))
+       decode_nms=st.sampled_from([0.0, 0.5, 1.0]),
+       lam=st.sampled_from([0.75, 1.0, 3.0]))
 def test_epoch_metrics_equal_the_per_scene_row(supervision, seed, k, scale,
-                                               decode_thresh, decode_nms):
-    # one stacked predictor pass, the list decode and matching through the
-    # IoU table give the per-scene row bit for bit, over any used subset
-    # (the others failed inference), K = 1 included
+                                               decode_thresh, decode_nms,
+                                               lam):
+    # a sample batch's tables, built once, and the stacked per-row terms
+    # give the per-scene row bit for bit, over any used subset (the others
+    # failed inference), K = 1 included; one batch serves several rows
     cut, records, feats, bounds = _smoke_scenes(supervision)
     assert any(rec.pool_index is not None for rec in records) == (
         supervision == "box")
     rng = np.random.default_rng(seed)
     c = records[0].num_classes
-    pred = pred_init(c) + rng.normal(0.0, scale, (c + 1, feats.shape[1]))
     n_used = int(rng.integers(1, len(records) + 1))
     used = sorted(rng.choice(len(records), n_used, replace=False).tolist())
     labels = [rng.integers(0, c + 1, (k, records[i].num_proposals))
               for i in used]
-    feas = rng.random(len(used)).tolist()
-    norms = rng.random(int(rng.integers(0, 3))).tolist()
+    icfg = load_config(SMOKE).inference
+    batch = train_mod.SampleBatch.build(records, bounds, used, labels, icfg)
+    for j, (i, y) in enumerate(zip(used, labels)):
+        a, b = batch.bounds[j], batch.bounds[j + 1]
+        assert batch.bits[j] == label_bits(y)
+        assert np.array_equal(batch.labels[:, a:b], y)
+        assert batch.rows[a:b].tolist() == list(range(bounds[i],
+                                                      bounds[i + 1]))
+    feas = [np.mean(higher_order_feasible(y, cut[i].annotation,
+                                          cut[i].geometry(), icfg))
+            for i, y in zip(used, labels)]
+    assert batch.feasible == float(np.mean(feas))
     tcfg = TrainConfig(decode_thresh=decode_thresh, decode_nms=decode_nms)
-    lcfg = LossConfig()
-    got = train_mod._epoch_metrics(records, feats, bounds, used, pred,
-                                   labels, feas, tcfg, lcfg, norms)
-    want = epoch_metrics_per_scene([cut[i] for i in used], pred, labels,
-                                   feas, tcfg, lcfg, norms)
-    assert got == want
+    lcfg = LossConfig(lambda_cls=lam)
+    for _ in range(2):
+        pred = pred_init(c) + rng.normal(0.0, scale, (c + 1, feats.shape[1]))
+        norms = rng.random(int(rng.integers(0, 3))).tolist()
+        got = train_mod._epoch_metrics(records, feats, batch, pred, tcfg,
+                                       lcfg, norms)
+        want = epoch_metrics_per_scene([cut[i] for i in used], pred, labels,
+                                       feas, tcfg, lcfg, norms)
+        assert got == want
+
+
+def test_a_sample_batch_packs_each_scene_once_and_keeps_every_delta_call(
+        monkeypatch):
+    # a pred phase's batch serves all its epochs' rows, yet packs each used
+    # scene's labelings once; every row still makes its K(K-1) delta calls
+    # per used scene
+    records = _tiny_dataset(n=3)
+    tcfg = _tiny_train_cfg(k=3, pred_epochs=4)
+    packed, compared = [], [0]
+    orig_bits, orig_delta = train_mod.label_bits, disco_mod.delta
+
+    def counted_bits(labels):
+        packed.append(len(labels))
+        return orig_bits(labels)
+
+    def counted_delta(*args):
+        compared[0] += 1
+        return orig_delta(*args)
+
+    monkeypatch.setattr(train_mod, "label_bits", counted_bits)
+    monkeypatch.setattr(disco_mod, "delta", counted_delta)
+    res = fit(records, tcfg, InferenceConfig(delta=8.0))
+    assert res.inference_failures == 0 and res.skipped_scenes == 0
+    n_used, k = len(records), tcfg.k
+    batches = (tcfg.init_epochs + tcfg.outer_iters * tcfg.cond_epochs
+               + tcfg.outer_iters + 1)
+    rows = batches + (tcfg.outer_iters + 1) * (tcfg.pred_epochs - 1)
+    assert len(res.log) == rows
+    assert packed == [k] * (batches * n_used)
+    assert compared[0] == rows * n_used * k * (k - 1)
 
 
 def _seed_labeling_loop(rec):
