@@ -19,6 +19,7 @@ import numpy as np
 from .ablation import ablation_run
 from .condnet import InferenceError, sample_k
 from .config import ConfigError, RunConfig, load_config, save_config
+from .masks import iou_table
 from .prednet import decode, decoded_prediction, predict
 from .render import render_predictions
 from .scenes import (DatasetFormatError, iter_dataset, load_dataset,
@@ -300,7 +301,8 @@ def cmd_eval(args) -> int:
         dets = decoded.get(rec.scene_id)
         if dets is not None:
             preds = [decoded_prediction(rec, d) for d in dets]
-            kept[rec.scene_id] = ((rec.gt.class_ids, rec.gt_iou()), preds)
+            kept[rec.scene_id] = (
+                (rec.gt.class_ids, iou_table(rec.pool, rec.gt.masks)), preds)
     _check_scenes_found(decoded, kept, path)
     preds_by_scene = {sid: kept[sid][1] for sid in decoded}
     truth_by_scene = {sid: kept[sid][0] for sid in preds_by_scene}

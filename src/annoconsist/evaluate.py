@@ -78,7 +78,7 @@ def evaluate_predictions(preds_by_scene: dict, truth_by_scene: dict,
     .class_id and .confidence (prednet.decode output works directly).
     truth_by_scene: scene_id -> (class_ids, iou), the scene's (G,)
     ground-truth class ids and the (P, G) IoU table of its pool against
-    them (SceneRecord.gt_iou). Classes with no ground truth instances are
+    them (masks.iou_table). Classes with no ground truth instances are
     skipped entirely; scenes present only in preds contribute false
     positives.
     """

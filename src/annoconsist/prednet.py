@@ -74,11 +74,9 @@ def nms(conf: np.ndarray, cls: np.ndarray, keep: np.ndarray,
     cand = keep.nonzero()[0]
     order = cand[(-conf[cand]).argsort(kind="stable")]
     # the loop reads Python lists: row i of ovl holds the overlaps of the
-    # i-th candidate in `order` with every candidate in `cand`. A lone
-    # candidate suppresses nothing, so it leaves the pool's overlap
-    # matrix unbuilt
+    # i-th candidate in `order` with every candidate in `cand`
     conf, cls = conf.tolist(), cls.tolist()
-    ovl = geom.ovl[order[:, None], cand].tolist() if len(cand) > 1 else [[]]
+    ovl = geom.ovl[order[:, None], cand].tolist()
     cand = cand.tolist()
     out = []
     suppressed = set()

@@ -10,7 +10,7 @@ import base64
 import functools
 import json
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from . import kernels
 from .adjacency import Adjacency
 from .masks import (
     box_iou,
-    iou_table,
     overlap_fraction_matrix,
     rle_decode_stack,
     rle_encode_stack,
@@ -26,6 +25,7 @@ from .masks import (
 )
 
 FORMAT_VERSION = 1
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class DatasetFormatError(Exception):
@@ -67,22 +67,13 @@ class Annotation:
 
 @dataclass
 class PoolGeometry:
-    """Pool-derived arrays reused by every inference call on a scene. Only
-    ovl reads the pool, so the geometry lets go of it once ovl is built and
-    holds tables alone from then on."""
+    """Pool-derived arrays reused by every inference call on a scene; it
+    holds tables alone, no pool."""
 
-    pool: np.ndarray | None = field(repr=False)  # (P, H, W) bool until ovl
     boxes: np.ndarray  # (P, 4) tight boxes, one per proposal
+    ovl: np.ndarray  # (P, P) ovl[i, l] = |i ∩ l| / |l|
     _keep: dict = field(default_factory=dict, repr=False, compare=False)
     _covering: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @functools.cached_property
-    def ovl(self) -> np.ndarray:
-        """ovl[i, l] = |i ∩ l| / |l|, built on first read: the box regime's
-        cut reads only the tight boxes."""
-        ovl = overlap_fraction_matrix(self.pool)
-        self.pool = None
-        return ovl
 
     def keep_masks(self, t: float) -> list:
         """kernels.keep_masks(ovl, t), built once per threshold."""
@@ -107,7 +98,16 @@ class PoolGeometry:
 
     @staticmethod
     def from_pool(pool: np.ndarray) -> "PoolGeometry":
-        return PoolGeometry(pool=pool, boxes=tight_boxes(pool))
+        return PoolGeometry(boxes=tight_boxes(pool),
+                            ovl=overlap_fraction_matrix(pool))
+
+    def restrict(self, keep: np.ndarray) -> "PoolGeometry":
+        """The geometry of the sub-pool of the ascending proposal ids
+        `keep`, proposal keep[i] renumbered i. Every entry of the boxes and
+        of ovl reads only its own proposals, so this equals from_pool of
+        the sub-pool bit for bit."""
+        return PoolGeometry(boxes=self.boxes[keep],
+                            ovl=self.ovl[np.ix_(keep, keep)])
 
 
 @dataclass
@@ -123,15 +123,8 @@ class SceneRecord:
     seeds: Instances
     pool: np.ndarray  # (P, H, W) bool
     adjacency: Adjacency
-    # indices of this pool's proposals in the pool it was cut from; None
-    # when the pool is the scene's own
-    pool_index: np.ndarray | None = None
     _geom: PoolGeometry | None = field(default=None, repr=False, compare=False)
     _features: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # not an init field, so a copy made by dataclasses.replace (say with
-    # another pool or ground truth) builds its own
-    _gt_iou: np.ndarray | None = field(default=None, init=False, repr=False,
-                                       compare=False)
 
     @property
     def num_proposals(self) -> int:
@@ -141,14 +134,6 @@ class SceneRecord:
         if self._geom is None:
             self._geom = PoolGeometry.from_pool(self.pool)
         return self._geom
-
-    def gt_iou(self) -> np.ndarray:
-        """(P, G) mask IoU of each pool proposal with each ground-truth
-        instance, built once: the only ground truth evaluation reads,
-        since every decoded instance is a pool proposal."""
-        if self._gt_iou is None:
-            self._gt_iou = iou_table(self.pool, self.gt.masks)
-        return self._gt_iou
 
 
 def _b64_f32(arr: np.ndarray) -> str:
@@ -210,38 +195,40 @@ def scene_to_obj(rec: SceneRecord) -> dict:
     }
 
 
-def _adjacency_from_obj(obj: dict, p: int) -> Adjacency:
+def _adjacency_from_obj(obj: dict, p: int, scene_id: int) -> Adjacency:
     """The stored graph of a pool of p proposals, checked: one neighbor
-    list and one weight list per proposal, of equal lengths, with neighbor
-    indices in [0, p) other than the proposal's own, no neighbor listed
-    twice, every weight finite and non-negative, and each listed (u, v, w)
-    mirrored by a listed (v, u, w). The directed edge arrays list each pair
-    u < v as (u, v) then (v, u), in u's list order."""
+    list and one weight list per proposal, of equal lengths; every
+    neighbor a non-bool int in [0, p) other than the proposal's own, none
+    listed twice; every weight a non-bool int or float, finite,
+    non-negative and within float range; and each listed (u, v, w)
+    mirrored by a listed (v, u, w). Entries are checked as Python values
+    before the cast, which would read 1.5 or true as 1 and overflow on
+    2**70. The directed edge arrays list each pair u < v as (u, v) then
+    (v, u), in u's list order."""
+    where = f"scene {scene_id}: adjacency"
     neighbors, weights = obj["neighbors"], obj["weights"]
     if len(neighbors) != p or len(weights) != p:
         raise DatasetFormatError(
-            f"adjacency lists {len(neighbors)} neighbor and {len(weights)} "
+            f"{where} lists {len(neighbors)} neighbor and {len(weights)} "
             f"weight lists for a pool of {p} proposals")
     sizes = [len(n) for n in neighbors]
+    if [len(x) for x in weights] != sizes:
+        raise DatasetFormatError(
+            f"{where} neighbor and weight lists differ in length")
+    for u, (nbrs, wts) in enumerate(zip(neighbors, weights)):
+        for v, x in zip(nbrs, wts):
+            if type(v) is not int or not 0 <= v < p or v == u:
+                raise DatasetFormatError(
+                    f"{where}: proposal {u} lists neighbor {v!r}, not an int "
+                    f"or outside [0, {p}) or itself")
+            # NaN, infinities and ints past the float range fail the test
+            if type(x) not in (int, float) or not 0.0 <= x <= _FLOAT_MAX:
+                raise DatasetFormatError(
+                    f"{where}: proposal {u} lists neighbor {v} with weight "
+                    f"{x!r}, not a finite non-negative number")
     u = np.repeat(np.arange(p, dtype=np.int64), sizes)
     v = np.array([x for n in neighbors for x in n], dtype=np.int64)
     w = np.array([x for ws in weights for x in ws], dtype=np.float64)
-    if ([len(x) for x in weights] != sizes or v.shape != u.shape
-            or w.shape != u.shape):
-        raise DatasetFormatError("adjacency neighbor and weight lists "
-                                 "differ in length")
-    usable = np.isfinite(w) & (w >= 0.0)
-    if not usable.all():
-        i = int(np.argmin(usable))
-        raise DatasetFormatError(
-            f"adjacency: proposal {int(u[i])} lists neighbor {int(v[i])} with "
-            f"weight {float(w[i])!r}, not a finite non-negative number")
-    bad = (v < 0) | (v >= p) | (v == u)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DatasetFormatError(
-            f"adjacency: proposal {int(u[i])} lists neighbor {int(v[i])}, "
-            f"outside [0, {p}) or itself")
     key, mirror = u * p + v, v * p + u
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
@@ -249,13 +236,13 @@ def _adjacency_from_obj(obj: dict, p: int) -> Adjacency:
     if twice.any():
         i = int(order[1:][twice][0])
         raise DatasetFormatError(
-            f"adjacency: proposal {int(u[i])} lists neighbor {int(v[i])} twice")
+            f"{where}: proposal {int(u[i])} lists neighbor {int(v[i])} twice")
     at = np.minimum(np.searchsorted(sorted_key, mirror), key.size - 1)
     unmatched = (sorted_key[at] != mirror) | (w[order][at] != w)
     if unmatched.any():
         i = int(np.argmax(unmatched))
         raise DatasetFormatError(
-            f"adjacency: proposal {int(u[i])} lists neighbor {int(v[i])} with "
+            f"{where}: proposal {int(u[i])} lists neighbor {int(v[i])} with "
             f"weight {float(w[i])!r}, but {int(v[i])} does not list "
             f"{int(u[i])} with that weight")
     up = u < v
@@ -327,7 +314,8 @@ def scene_from_obj(obj: dict) -> SceneRecord:
         if boxes is not None:
             boxes = np.array(boxes, dtype=np.int64).reshape(-1, 5)
         annotation = Annotation(presence=presence, boxes=boxes)
-        adjacency = _adjacency_from_obj(obj["adjacency"], pool.shape[0])
+        adjacency = _adjacency_from_obj(obj["adjacency"], pool.shape[0],
+                                        scene_id)
         for name in ("image", "edges"):
             if not isinstance(obj[name], str):
                 raise DatasetFormatError(
@@ -388,12 +376,3 @@ def iter_dataset(path):
 def load_dataset(path) -> list:
     return list(iter_dataset(path))
 
-
-def rebuild_with_pool(rec: SceneRecord, keep: np.ndarray) -> SceneRecord:
-    """New record with pool restricted to the ascending indices `keep`;
-    the adjacency is the subgraph of rec's that `keep` induces. rec's
-    cached geometry, features and ground-truth IoU table describe its own
-    pool and are not carried over."""
-    return replace(
-        rec, pool=rec.pool[keep], adjacency=rec.adjacency.restrict(keep),
-        pool_index=keep, _geom=None, _features=None)

@@ -25,7 +25,7 @@ Every other detail is a module constant:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -205,8 +205,9 @@ def _place_objects(cfg: SceneConfig, rng) -> Instances:
     return Instances(np.array(class_ids, dtype=np.int64), np.stack(masks))
 
 
-def gen_scene(cfg: SceneConfig, seed: int, scene_id: int = 0) -> SceneRecord:
-    """Deterministic scene from (seed, scene_id); pool starts empty.
+def gen_scene(cfg: SceneConfig, seed: int, scene_id: int = 0) -> tuple:
+    """Deterministic drawn scene from (seed, scene_id): its ground truth,
+    image, edge map and seeds, as the tuple (gt, image, edges, seeds).
 
     A crowded draw (several large objects that cannot coexist without
     overlap) is redrawn from a fresh stream keyed by the attempt index,
@@ -245,28 +246,11 @@ def gen_scene(cfg: SceneConfig, seed: int, scene_id: int = 0) -> SceneRecord:
         edges[ys, xs] += rng.uniform(0.0, EDGE_NOISE_AMPLITUDE, size=n_noise)
         np.clip(edges, 0.0, 1.0, out=edges)
 
-    presence = np.zeros(cfg.num_classes, dtype=np.int8)
-    presence[gt.class_ids - 1] = 1
     # each instance's seed, grown to a fraction drawn in instance order
     seeds = Instances(gt.class_ids, np.stack([
         _grow_seed(rng, mask, rng.uniform(*SEED_FRACTION))
         for mask in gt.masks]))
-
-    empty_pool = np.zeros((0, h, w), dtype=bool)
-    return SceneRecord(
-        scene_id=scene_id,
-        width=w,
-        height=h,
-        num_classes=cfg.num_classes,
-        image=image,
-        edges=edges,
-        gt=gt,
-        annotation=Annotation(presence=presence, boxes=np.column_stack(
-            [gt.class_ids, tight_boxes(gt.masks)])),
-        seeds=seeds,
-        pool=empty_pool,
-        adjacency=build_adjacency(empty_pool, edges),
-    )
+    return gt, image, edges, seeds
 
 
 def _split_parts(core: np.ndarray, pivot, angle: float):
@@ -288,20 +272,23 @@ def _shift_mask(mask: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
-def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneRecord:
-    """Attach a proposal pool to a scene: gt masks, perturbed variants and
-    background distractors, filtered to overlap a seed.
+def gen_proposals(gt: Instances, seeds: Instances, cfg: ProposalConfig,
+                  seed: int, scene_id: int) -> np.ndarray:
+    """The (P, H, W) proposal pool of a drawn scene, on the frame of its
+    ground-truth stack: gt masks, perturbed variants and background
+    distractors, filtered to overlap a seed.
 
     Part variants are cut from the eroded instance so their contact bands
     with the full mask (and with each other) avoid the drawn boundary ring;
     this requires ERODE_PX > DILATION.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, rec.scene_id, 0xB0B)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, scene_id, 0xB0B)))
     candidates = []
-    gt_masks = rec.gt.masks
+    gt_masks = gt.masks
+    h, w = gt_masks.shape[1:]
     cores = erode(gt_masks, ERODE_PX)
     grown = dilate(gt_masks, DILATE_PX)
-    for i, (mask, own_seed) in enumerate(zip(gt_masks, rec.seeds.masks)):
+    for i, (mask, own_seed) in enumerate(zip(gt_masks, seeds.masks)):
         if cfg.include_gt:
             candidates.append(mask)
         core = cores[i]
@@ -326,7 +313,7 @@ def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneReco
     for _ in range(DISTRACTOR_COUNT * 20):
         if placed >= DISTRACTOR_COUNT:
             break
-        blob = _draw_shape(rng, (rec.height, rec.width), DISTRACTOR_EXTENT,
+        blob = _draw_shape(rng, (h, w), DISTRACTOR_EXTENT,
                            DISTRACTOR_MARGIN)
         if np.count_nonzero(blob & gt_union) / np.count_nonzero(blob) <= 0.25:
             candidates.append(blob)
@@ -342,17 +329,34 @@ def gen_proposals(rec: SceneRecord, cfg: ProposalConfig, seed: int) -> SceneReco
             continue
         seen.add(key)
         kept.append(m)
-    seed_union = rec.seeds.masks.any(axis=0)
+    seed_union = seeds.masks.any(axis=0)
     kept = [m for m in kept if (m & seed_union).any()][:P_TARGET]
     if not kept:
-        raise EmptyPoolError(f"scene {rec.scene_id}: no proposals survived")
+        raise EmptyPoolError(f"scene {scene_id}: no proposals survived")
 
-    pool = np.stack(kept)
-    return replace(
-        rec, pool=pool,
-        adjacency=build_adjacency(pool, rec.edges, dilation=DILATION),
-        pool_index=None, _geom=None, _features=None)
+    return np.stack(kept)
 
 
-def make_scene(scene_cfg: SceneConfig, prop_cfg: ProposalConfig, seed: int, scene_id: int) -> SceneRecord:
-    return gen_proposals(gen_scene(scene_cfg, seed, scene_id), prop_cfg, seed)
+def make_scene(scene_cfg: SceneConfig, prop_cfg: ProposalConfig, seed: int,
+               scene_id: int) -> SceneRecord:
+    """The scene of (seed, scene_id) with its proposal pool and the pool's
+    contact graph; the annotation marks each drawn class present and
+    boxes each instance."""
+    gt, image, edges, seeds = gen_scene(scene_cfg, seed, scene_id)
+    pool = gen_proposals(gt, seeds, prop_cfg, seed, scene_id)
+    presence = np.zeros(scene_cfg.num_classes, dtype=np.int8)
+    presence[gt.class_ids - 1] = 1
+    return SceneRecord(
+        scene_id=scene_id,
+        width=scene_cfg.width,
+        height=scene_cfg.height,
+        num_classes=scene_cfg.num_classes,
+        image=image,
+        edges=edges,
+        gt=gt,
+        annotation=Annotation(presence=presence, boxes=np.column_stack(
+            [gt.class_ids, tight_boxes(gt.masks)])),
+        seeds=seeds,
+        pool=pool,
+        adjacency=build_adjacency(pool, edges, dilation=DILATION),
+    )

@@ -18,7 +18,6 @@ final conditional.
 
 import base64
 import csv
-import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -38,9 +37,10 @@ from .condnet import (
 from .disco import div_cc, div_pc, div_pp
 from .evaluate import EvalResult, evaluate_predictions, map_at
 from .loss import LossConfig, cost_row, label_bits
+from .masks import iou_table
 from .prednet import (argmax_labeling, candidates, decode, nms, pred_init,
                       predict, softmax_rows)
-from .scenes import Annotation, PoolGeometry, rebuild_with_pool
+from .scenes import Annotation, PoolGeometry
 from .scorer import cond_init, draw_noise, feature_dim, features, score_vjp
 
 
@@ -131,9 +131,12 @@ def sgd_step(w, g, lr: float, clip: float = 0.0) -> float:
     return norm
 
 
-def seed_labeling(rec) -> np.ndarray:
+def seed_labeling(rec, keep: np.ndarray | None = None) -> np.ndarray:
     """Anchor labeling for the initialization phase: each seed labels one
-    proposal; everything else stays background.
+    proposal; everything else stays background. With `keep`, ascending
+    proposal ids, it labels the sub-pool of those proposals, proposal
+    keep[i] as i; every score reads only its own proposal, so this equals
+    the labeling of the cut pool.
 
     The anchor score of a proposal for a seed is the fraction of seed
     pixels the mask covers times (0.05 + mean edge strength along the
@@ -141,10 +144,11 @@ def seed_labeling(rec) -> np.ndarray:
     the seed, and raw seed IoU would favor shrunken masks; weighting
     coverage by boundary alignment singles out masks whose outline
     follows image evidence. Ties keep the lowest proposal index."""
-    p = rec.num_proposals
-    labels = np.zeros(p, dtype=np.int64)
     ring_edge = features(rec)[:, 6]  # the scorer's boundary_edge column
-    flat = rec.pool.reshape(p, -1)
+    flat = rec.pool.reshape(rec.num_proposals, -1)
+    if keep is not None:
+        ring_edge, flat = ring_edge[keep], flat[keep]
+    labels = np.zeros(len(flat), dtype=np.int64)
     for c, mask in zip(rec.seeds.class_ids.tolist(), rec.seeds.masks):
         seed_area = float(np.count_nonzero(mask))
         if seed_area == 0.0:
@@ -282,30 +286,42 @@ def pred_grad(w: np.ndarray, rec, qbar: np.ndarray,
     return dz.T @ features(rec)
 
 
-def prepare_scene(rec, train_cfg: TrainConfig, inf_cfg: InferenceConfig):
-    """Apply the supervision regime to one scene; fit and infer share it.
+def prepare_scene(rec, train_cfg: TrainConfig,
+                  inf_cfg: InferenceConfig) -> "PreparedScene | None":
+    """Apply the supervision regime to one scene and keep its tables; fit
+    and infer share the result.
 
     Image regime drops the boxes from the working annotation. Box regime
     uses the higher-order term's covering test: a proposal whose tight box
-    reaches IoU box_rho with no box can never be foreground, so the pool
-    and its graph are cut to the proposals that cover some box. Returns
-    the prepared record, or None when the scene has no box or some box
-    has no covering proposal.
+    reaches IoU box_rho with no box can never be foreground, so the scene
+    keeps only the proposals that cover some box. It takes their rows (and
+    columns) of the whole pool's tables; every entry of the features,
+    tight boxes, overlaps, IoU table and seed scores reads only its own
+    proposals, so these equal the cut pool's tables bit for bit. Returns
+    None when the scene has no box or some box has no covering proposal.
     """
+    geom, annotation, keep = rec.geometry(), rec.annotation, None
     if train_cfg.supervision == "image":
-        # warm the caches on the source record first so the shallow copy,
-        # and later fits or decodes over the source, share them
-        rec.geometry()
-        features(rec)
-        return dataclasses.replace(
-            rec, annotation=rec.annotation.without_boxes())
-    boxes = rec.annotation.boxes
-    if boxes is None:
-        raise ValueError("scene has no box annotations")
-    cover, _ = rec.geometry().covering(boxes[:, 1:], inf_cfg.box_rho)
-    if not len(boxes) or not cover.any(axis=1).all():
-        return None
-    return rebuild_with_pool(rec, np.flatnonzero(cover.any(axis=0)))
+        annotation = annotation.without_boxes()
+    else:
+        boxes = annotation.boxes
+        if boxes is None:
+            raise ValueError("scene has no box annotations")
+        cover, _ = geom.covering(boxes[:, 1:], inf_cfg.box_rho)
+        if not len(boxes) or not cover.any(axis=1).all():
+            return None
+        keep = np.flatnonzero(cover.any(axis=0))
+    feats, gt_iou = features(rec), iou_table(rec.pool, rec.gt.masks)
+    adjacency = rec.adjacency
+    if keep is not None:
+        geom, adjacency = geom.restrict(keep), adjacency.restrict(keep)
+        feats, gt_iou = feats[keep], gt_iou[keep]
+    return PreparedScene(
+        scene_id=rec.scene_id, num_classes=rec.num_classes,
+        num_proposals=len(feats), annotation=annotation, adjacency=adjacency,
+        pool_index=keep, seed_labels=seed_labeling(rec, keep),
+        gt_class_ids=rec.gt.class_ids, gt_iou=gt_iou, _features=feats,
+        _geom=geom)
 
 
 def sample_noise(train_cfg: TrainConfig, scene_id, tag, k: int,
@@ -325,9 +341,9 @@ def sample_noise(train_cfg: TrainConfig, scene_id, tag, k: int,
 
 @dataclass
 class PreparedScene:
-    """A training scene as fit keeps it: what fit reads once prepare_scene
-    has applied the supervision regime, and no pixels. Every term of both
-    distributions reads per-proposal tables (features, contact graph,
+    """A scene as prepare_scene leaves it for fit and infer: what they read
+    once the supervision regime is applied, and no pixels. Every term of
+    both distributions reads per-proposal tables (features, contact graph,
     overlaps, covering boxes); the train-set map50 column reads the ground
     truth only through its class ids and IoU table. The attribute names
     are those of SceneRecord that sample_k, cond_grad, decode and predict
@@ -343,26 +359,12 @@ class PreparedScene:
     pool_index: np.ndarray | None
     seed_labels: np.ndarray  # (P,) seed_labeling, the init phase's anchors
     gt_class_ids: np.ndarray  # (G,)
-    gt_iou: np.ndarray  # (P, G) SceneRecord.gt_iou
+    gt_iou: np.ndarray  # (P, G) masks.iou_table of the pool and ground truth
     _features: np.ndarray  # (P, D) scorer.features
-    _geom: PoolGeometry  # ovl built, so it holds no pool
+    _geom: PoolGeometry
 
     def geometry(self) -> PoolGeometry:
         return self._geom
-
-    @staticmethod
-    def from_record(rec, inf_cfg: InferenceConfig) -> "PreparedScene":
-        """The tables of a prepared record. Its geometry builds the keep
-        masks every greedy call reads, and with them ovl, which lets go of
-        the pool; nothing else of rec's pixels stays reachable."""
-        geom = rec.geometry()
-        geom.keep_masks(inf_cfg.overlap_t)
-        return PreparedScene(
-            scene_id=rec.scene_id, num_classes=rec.num_classes,
-            num_proposals=rec.num_proposals, annotation=rec.annotation,
-            adjacency=rec.adjacency, pool_index=rec.pool_index,
-            seed_labels=seed_labeling(rec), gt_class_ids=rec.gt.class_ids,
-            gt_iou=rec.gt_iou(), _features=features(rec), _geom=geom)
 
 
 def prepare_records(records, train_cfg: TrainConfig,
@@ -377,7 +379,7 @@ def prepare_records(records, train_cfg: TrainConfig,
         if prep is None:
             skipped += 1
         else:
-            out.append(PreparedScene.from_record(prep, inf_cfg))
+            out.append(prep)
     if not out:
         raise TrainingError("no usable scenes after applying supervision")
     return out, skipped
@@ -592,7 +594,8 @@ def evaluate_params(pred: np.ndarray, records: list, thresholds,
                              decode_nms)
         for rec in records
     }
-    truth_by_scene = {rec.scene_id: (rec.gt.class_ids, rec.gt_iou())
+    truth_by_scene = {rec.scene_id: (rec.gt.class_ids,
+                                     iou_table(rec.pool, rec.gt.masks))
                       for rec in records}
     return evaluate_predictions(preds_by_scene, truth_by_scene, thresholds)
 

@@ -7,23 +7,28 @@ runs them; tests check the library against them.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from annoconsist.ablation import VARIANT_NAMES
+from annoconsist.adjacency import build_adjacency
 from annoconsist.condnet import (TERM_MODES, InferenceConfig, InferenceError,
                                  higher_order_feasible, refine_backward,
                                  refine_stack)
 from annoconsist.disco import div_cc, div_pc, div_pp
 from annoconsist.evaluate import EvalResult, ap_from_flags
 from annoconsist.loss import LossConfig, label_bits
-from annoconsist.masks import rle_decode_stack, rle_encode_stack, tight_boxes
+from annoconsist.masks import (iou_table, rle_decode_stack, rle_encode_stack,
+                               tight_boxes)
 from annoconsist.prednet import predict
-from annoconsist.scenes import Annotation, PoolGeometry
+from annoconsist.scenes import Annotation, PoolGeometry, SceneRecord
 from annoconsist.scorer import features, score_from_input, score_vjp
-from annoconsist.synthgen import ProposalConfig, SceneConfig, make_scene
-from annoconsist.train import empirical_distribution
+from annoconsist.synthgen import (DILATION, ProposalConfig, SceneConfig,
+                                  gen_proposals, gen_scene, make_scene)
+from annoconsist.train import (PreparedScene, TrainConfig,
+                               empirical_distribution, seed_labeling)
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -315,6 +320,85 @@ def pred_objective(state: np.ndarray, labels: np.ndarray,
 
 def make_dataset(scene_cfg: SceneConfig, prop_cfg: ProposalConfig, n: int, seed: int, start_id: int = 0) -> list:
     return [make_scene(scene_cfg, prop_cfg, seed, start_id + i) for i in range(n)]
+
+
+def gen_scene_record(scene_cfg: SceneConfig, seed: int,
+                     scene_id: int = 0) -> SceneRecord:
+    """The drawn scene of (seed, scene_id) as a record of its own, with an
+    empty pool and graph: the first of the two records the two-step
+    construction built."""
+    gt, image, edges, seeds = gen_scene(scene_cfg, seed, scene_id)
+    presence = np.zeros(scene_cfg.num_classes, dtype=np.int8)
+    presence[gt.class_ids - 1] = 1
+    empty = np.zeros((0, scene_cfg.height, scene_cfg.width), dtype=bool)
+    return SceneRecord(
+        scene_id=scene_id, width=scene_cfg.width, height=scene_cfg.height,
+        num_classes=scene_cfg.num_classes, image=image, edges=edges, gt=gt,
+        annotation=Annotation(presence=presence, boxes=np.column_stack(
+            [gt.class_ids, tight_boxes(gt.masks)])),
+        seeds=seeds, pool=empty, adjacency=build_adjacency(empty, edges))
+
+
+def attach_proposals(rec: SceneRecord, prop_cfg: ProposalConfig,
+                     seed: int) -> SceneRecord:
+    """A copy of rec holding the proposal pool of its scene and the pool's
+    contact graph: the second record of the two-step construction."""
+    pool = gen_proposals(rec.gt, rec.seeds, prop_cfg, seed, rec.scene_id)
+    return replace(rec, pool=pool,
+                   adjacency=build_adjacency(pool, rec.edges,
+                                             dilation=DILATION),
+                   _geom=None, _features=None)
+
+
+def rebuild_with_pool(rec: SceneRecord, keep: np.ndarray) -> SceneRecord:
+    """A copy of rec whose pool is cut to the ascending proposal ids
+    `keep`, with the subgraph of rec's graph that keep induces. Its
+    geometry and features start cold: they are built from the cut pool's
+    pixels, not taken from rec's."""
+    return replace(rec, pool=rec.pool[keep],
+                   adjacency=rec.adjacency.restrict(keep), _geom=None,
+                   _features=None)
+
+
+def cut_record(rec: SceneRecord, train_cfg: TrainConfig,
+               inf_cfg: InferenceConfig):
+    """prepare_scene's supervision regime as a pixel copy: (record, keep)
+    with keep the kept proposal ids, or None when the scene is skipped.
+    The image regime copies rec without its boxes (keep None); the box
+    regime copies it with its pool cut to the proposals whose tight box
+    reaches IoU box_rho with some box. Every copy starts cold."""
+    if train_cfg.supervision == "image":
+        return replace(rec, annotation=rec.annotation.without_boxes(),
+                       _geom=None, _features=None), None
+    boxes = rec.annotation.boxes
+    if boxes is None:
+        raise ValueError("scene has no box annotations")
+    cover = np.array([[box_iou(tb, b) >= inf_cfg.box_rho
+                       for tb in tight_boxes(rec.pool)]
+                      for b in boxes[:, 1:]], dtype=bool).reshape(
+                          len(boxes), rec.num_proposals)
+    if not len(boxes) or not cover.any(axis=1).all():
+        return None
+    keep = np.flatnonzero(cover.any(axis=0))
+    return rebuild_with_pool(rec, keep), keep
+
+
+def prepare_scene_by_copy(rec: SceneRecord, train_cfg: TrainConfig,
+                          inf_cfg: InferenceConfig):
+    """train.prepare_scene with every table computed on cut_record's pixel
+    copy: features, geometry, seed anchors and IoU table of the cut pool
+    itself. None when the scene is skipped."""
+    cut = cut_record(rec, train_cfg, inf_cfg)
+    if cut is None:
+        return None
+    sub, keep = cut
+    return PreparedScene(
+        scene_id=sub.scene_id, num_classes=sub.num_classes,
+        num_proposals=sub.num_proposals, annotation=sub.annotation,
+        adjacency=sub.adjacency, pool_index=keep,
+        seed_labels=seed_labeling(sub), gt_class_ids=sub.gt.class_ids,
+        gt_iou=iou_table(sub.pool, sub.gt.masks), _features=features(sub),
+        _geom=sub.geometry())
 
 
 def summary(res) -> str:

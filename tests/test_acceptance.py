@@ -29,6 +29,7 @@ from annoconsist.config import load_config
 from annoconsist.disco import div_pc, div_pp
 from annoconsist.evaluate import DEFAULT_THRESHOLDS, ap_from_flags, evaluate_predictions
 from annoconsist.loss import LossConfig
+from annoconsist.masks import iou_table
 from annoconsist.prednet import (
     InstancePrediction,
     argmax_labeling,
@@ -471,7 +472,7 @@ def test_metric_reports_perfect_predictions_and_hand_curve(reference_run):
     # ground-truth mask, so each object is replayed as its own proposal.
     preds, truth = {}, {}
     for rec in reference_run.heldout:
-        iou = rec.gt_iou()
+        iou = iou_table(rec.pool, rec.gt.masks)
         truth[rec.scene_id] = (rec.gt.class_ids, iou)
         own = iou.argmax(axis=0)
         assert (iou[own, np.arange(len(own))] == 1.0).all()

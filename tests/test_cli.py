@@ -516,17 +516,31 @@ def test_render_memory_does_not_grow_with_the_split(tmp_path, pipeline,
     assert peaks[8 * n] < 1.25 * peaks[n], peaks
 
 
-def _edit_first_scene(pipeline, tmp_path, edit):
-    """A copy of the pipeline's data whose first training scene went
+def _edit_first_scene(pipeline, tmp_path, edit, split="train"):
+    """A copy of the pipeline's data whose first scene of `split` went
     through `edit(obj)`; returns the data directory."""
     data = tmp_path / "data"
     shutil.copytree(pipeline["data"], data)
-    lines = (data / "train.jsonl").read_text().splitlines()
+    lines = (data / f"{split}.jsonl").read_text().splitlines()
     obj = json.loads(lines[0])
     edit(obj)
     lines[0] = json.dumps(obj)
-    (data / "train.jsonl").write_text("\n".join(lines) + "\n")
+    (data / f"{split}.jsonl").write_text("\n".join(lines) + "\n")
     return str(data)
+
+
+def _stage_argv(stage, data, pipeline, tiny_config_path, out):
+    """The command line of `stage` reading the dataset `data`; train, infer
+    and render write to `out`."""
+    return {
+        "train": ["train", "--config", tiny_config_path, "--data", data,
+                  "--out", out],
+        "infer": ["infer", "--model", pipeline["model"], "--data", data,
+                  "--out", out],
+        "eval": ["eval", "--pred", pipeline["preds"], "--data", data],
+        "render": ["render", "--pred", pipeline["preds"], "--data", data,
+                   "--out", out],
+    }[stage]
 
 
 def _train_on(data, tiny_config_path, tmp_path):
@@ -600,6 +614,35 @@ def _reweigh_both_sides(adj, w):
     adj["weights"][v][adj["neighbors"][v].index(u)] = w
 
 
+def _set_first_entry(adj, key, value):
+    """Sets the first listed neighbor (key "neighbors") or its weight (key
+    "weights") of the first proposal that lists one."""
+    u, _ = _first_edge(adj)
+    adj[key][u][0] = value
+
+
+# (id, edit, message) of a graph entry that a cast would misread or
+# overflow on; the message is formatted with the scene id and the first
+# listed edge (u, v) of the edited scene
+_BAD_GRAPH_ENTRIES = [
+    (f"neighbor-{name}",
+     lambda o, value=value: _set_first_entry(o["adjacency"], "neighbors",
+                                             value),
+     f"scene {{scene}}: adjacency: proposal {{u}} lists neighbor {value!r}, "
+     "not an int") for name, value in [
+        ("float", 1.5), ("integral-float", 1.0), ("bool", True),
+        ("string", "1"), ("infinite", float("inf")), ("huge", 2**70)]
+] + [
+    (f"weight-{name}",
+     lambda o, value=value: _set_first_entry(o["adjacency"], "weights",
+                                             value),
+     f"scene {{scene}}: adjacency: proposal {{u}} lists neighbor {{v}} with "
+     f"weight {value!r}, not a finite non-negative number")
+    for name, value in [("bool", True), ("string", "1"), ("huge", 2**2000)]
+]
+_LOAD_STAGES = ("train", "infer", "eval", "render")
+
+
 def _set_presence(obj, value):
     obj["annotation"]["presence"][0] = value
 
@@ -621,7 +664,8 @@ def _swap_box_x(obj):
     box[1], box[3] = box[3], box[1]
 
 
-@pytest.mark.parametrize("edit, message", [
+@pytest.mark.parametrize("edit, message, stage", [*(
+    (edit, message, "train") for edit, message in [
     (lambda o: o["seeds"][0].update(class_id=9), "seed class_id 9 outside"),
     (lambda o: o["gt"][0].update(class_id=7), "ground-truth class_id 7"),
     (lambda o: o["annotation"].update(boxes=[[0, 0, 0, 3, 3]]),
@@ -663,6 +707,8 @@ def _swap_box_x(obj):
     (_swap_box_x, "is not a non-empty box inside the 32x32 frame"),
     (lambda o: _set_box_entries(o, i1=2**70, i2=2**70, i3=2**70, i4=2**70),
      "is not a non-empty box inside the 32x32 frame"),
+    ]), *((edit, message, stage) for _, edit, message in _BAD_GRAPH_ENTRIES
+          for stage in _LOAD_STAGES),
 ], ids=["seed-class", "gt-class", "box-class", "presence-length",
         "one-sided-edge", "neighbor-twice", "mirror-weight",
         "negative-weight", "infinite-weight", "nan-weight", "float-id",
@@ -671,14 +717,22 @@ def _swap_box_x(obj):
         "box-of-absent-class", "gt-class-bool", "seed-class-bool",
         "box-class-bool", "box-float-coordinate", "box-bool-coordinate",
         "box-short-row", "box-outside-frame", "box-degenerate",
-        "box-huge-coordinates"])
+        "box-huge-coordinates", *(f"{name}-{stage}"
+                                  for name, _, _ in _BAD_GRAPH_ENTRIES
+                                  for stage in _LOAD_STAGES)])
 def test_class_ids_and_graph_are_checked_at_load(tmp_path, pipeline,
                                                  tiny_config_path, capsys,
-                                                 edit, message):
-    data = _edit_first_scene(pipeline, tmp_path, edit)
-    assert _train_on(data, tiny_config_path, tmp_path) == EXIT_USAGE
-    assert message in capsys.readouterr().err
-    assert not (tmp_path / "m").exists()
+                                                 edit, message, stage):
+    split = "train" if stage == "train" else "eval"
+    data = _edit_first_scene(pipeline, tmp_path, edit, split)
+    obj = json.loads(open(os.path.join(data, f"{split}.jsonl")).readline())
+    u, v = _first_edge(obj["adjacency"])
+    out = str(tmp_path / "m")
+    assert run(_stage_argv(stage, data, pipeline, tiny_config_path,
+                           out)) == EXIT_USAGE
+    assert message.format(scene=obj["scene_id"], u=u, v=v) in (
+        capsys.readouterr().err)
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("key", ["image", "edges"])
@@ -715,14 +769,8 @@ def test_a_raster_that_is_not_a_string_is_rejected_at_load(
     lines[0] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n")
     out = tmp_path / "out"
-    argv = {
-        "train": ["train", "--config", tiny_config_path, "--data", str(data),
-                  "--out", str(out)],
-        "infer": ["infer", "--model", pipeline["model"], "--data", str(data),
-                  "--out", str(out)],
-        "eval": ["eval", "--pred", pipeline["preds"], "--data", str(data)],
-    }[stage]
-    assert run(argv) == EXIT_USAGE
+    assert run(_stage_argv(stage, str(data), pipeline, tiny_config_path,
+                           str(out))) == EXIT_USAGE
     assert (f"scene {obj['scene_id']}: {key} raster is {kind}, not a base64 "
             "string") in capsys.readouterr().err
     assert not out.exists()

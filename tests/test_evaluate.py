@@ -9,6 +9,7 @@ from annoconsist.evaluate import (
     evaluate_predictions,
     map_at,
 )
+from annoconsist.masks import iou_table
 from annoconsist.prednet import InstancePrediction
 
 from conftest import instances, make_record, rect_mask
@@ -30,7 +31,9 @@ def _scene(pool, gt_masks, class_ids=None, scene_id=0):
 
 
 def _truth(*recs):
-    return {rec.scene_id: (rec.gt.class_ids, rec.gt_iou()) for rec in recs}
+    return {rec.scene_id: (rec.gt.class_ids,
+                           iou_table(rec.pool, rec.gt.masks))
+            for rec in recs}
 
 
 def test_ap_single_true_positive_is_one():

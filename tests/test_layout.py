@@ -116,3 +116,44 @@ def test_every_library_method_is_read():
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in read)
     assert not unread, f"methods nothing reads: {unread}"
+
+
+def _annotation_names(node):
+    """Names of a string annotation, as in `-> "PreparedScene | None"`."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                if isinstance(n, ast.Name)}
+    return set()
+
+
+def _unused_imports(path):
+    """Names a module imports and never mentions: not as a name, not as
+    the base of an attribute, not in a string annotation."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    used = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            for a in n.names:
+                imported[a.asname or a.name.split(".")[0]] = n.lineno
+        elif isinstance(n, ast.ImportFrom) and n.module != "__future__":
+            for a in n.names:
+                imported[a.asname or a.name] = n.lineno
+        elif isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, (ast.arg, ast.AnnAssign)):
+            used |= _annotation_names(n.annotation)
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            used |= _annotation_names(n.returns)
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in sorted(imported.items(), key=lambda x: x[1])
+            if name not in used]
+
+
+def test_no_unused_imports():
+    """Every import in the library and the tests is used: code that
+    deletes a function tends to leave its imports behind."""
+    paths = [*sorted((ROOT / "src" / "annoconsist").glob("*.py")),
+             *sorted((ROOT / "tests").glob("*.py"))]
+    unused = [u for p in paths for u in _unused_imports(p)]
+    assert not unused, f"unused imports: {unused}"

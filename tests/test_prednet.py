@@ -12,7 +12,6 @@ from annoconsist.prednet import (
     predict,
     softmax_rows,
 )
-from annoconsist.scorer import feature_dim
 
 from conftest import make_record, rect_mask
 from oracles import decode_loop, delta_arrays, expected_loss_vs_sample

@@ -2,23 +2,20 @@ import numpy as np
 import pytest
 
 from annoconsist import kernels
-from annoconsist.condnet import InferenceConfig
+from annoconsist.adjacency import build_adjacency
 from annoconsist.masks import overlap_fraction_matrix
 from annoconsist.scenes import (
     Annotation,
     DatasetFormatError,
     Instances,
+    PoolGeometry,
     iter_dataset,
     load_dataset,
-    rebuild_with_pool,
     save_dataset,
     scene_from_obj,
     scene_to_obj,
 )
-from annoconsist.scorer import features
-from annoconsist.synthgen import (ProposalConfig, SceneConfig, gen_proposals,
-                                  make_scene)
-from annoconsist.train import TrainConfig, prepare_scene
+from annoconsist.synthgen import ProposalConfig, SceneConfig, make_scene
 
 from conftest import instances, make_record, rect_mask
 from oracles import num_edges
@@ -146,54 +143,40 @@ def test_annotation_classes_and_without_boxes():
     assert ann.boxes is not None  # original untouched
 
 
-def test_rebuild_with_pool_restricts_and_rebuilds():
+def test_restricted_tables_are_those_of_the_cut_pool():
     rec = _sample_record()
     keep = np.array([0, 2])
-    sub = rebuild_with_pool(rec, keep)
-    assert sub.num_proposals == 2
-    np.testing.assert_array_equal(sub.pool[0], rec.pool[0])
-    np.testing.assert_array_equal(sub.pool[1], rec.pool[2])
-    # masks 0 and 2 do not touch: no edges in the rebuilt graph
-    assert num_edges(sub.adjacency) == 0
-    assert sub.scene_id == rec.scene_id
+    geom = rec.geometry().restrict(keep)
+    want = PoolGeometry.from_pool(rec.pool[keep])
+    assert geom.boxes.tobytes() == want.boxes.tobytes()
+    assert geom.ovl.tobytes() == want.ovl.tobytes()
+    # masks 0 and 2 do not touch: no edges in the restricted graph
+    sub = rec.adjacency.restrict(keep)
+    assert num_edges(sub) == 0
+    assert num_edges(build_adjacency(rec.pool[keep], rec.edges)) == 0
 
 
 def test_new_pools_do_not_inherit_the_caches_of_the_old_one():
+    # the full pool's keep masks and covering sets name its own proposal
+    # ids, so a restricted geometry builds its own from the cut tables
     rec = make_scene(SceneConfig(), ProposalConfig(), seed=1, scene_id=1)
-    geom, feats = rec.geometry(), features(rec)
-    assert rec._geom is geom and rec._features is feats
+    geom = rec.geometry()
+    boxes = rec.annotation.boxes[:, 1:]
+    geom.keep_masks(0.5), geom.covering(boxes, 0.5)
     keep = np.arange(0, rec.num_proposals, 2)
-    sub = rebuild_with_pool(rec, keep)
-    assert sub._geom is None and sub._features is None
-    np.testing.assert_array_equal(sub.pool_index, keep)
-    cold = rebuild_with_pool(
-        make_scene(SceneConfig(), ProposalConfig(), seed=1, scene_id=1), keep)
-    assert features(sub).tobytes() == features(cold).tobytes()
-    assert sub.geometry().ovl.tobytes() == cold.geometry().ovl.tobytes()
-    assert sub.geometry().boxes.tobytes() == cold.geometry().boxes.tobytes()
-    # a pool drawn anew for a warmed, cut record starts cold and uncut too
-    sub.geometry(), features(sub)
-    again = gen_proposals(sub, ProposalConfig(), seed=1)
-    assert again._geom is None and again._features is None
-    assert again.pool_index is None
-    assert again.pool.tobytes() == rec.pool.tobytes()
+    sub = geom.restrict(keep)
+    assert not sub._keep and not sub._covering
+    cold = PoolGeometry.from_pool(rec.pool[keep])
+    assert sub.keep_masks(0.5) == cold.keep_masks(0.5)
+    assert sub.covering(boxes, 0.5)[1] == cold.covering(boxes, 0.5)[1]
 
 
-def test_covering_on_a_fresh_geometry_does_not_build_the_overlap_matrix():
+def test_geometry_holds_the_overlap_matrix_and_builds_keep_masks_once():
     rec = make_scene(SceneConfig(), ProposalConfig(), seed=11, scene_id=0)
     geom = rec.geometry()
-    cover, _ = geom.covering(rec.annotation.boxes[:, 1:], 0.5)
-    assert cover.any(axis=1).all()
-    assert "ovl" not in vars(geom)
-    # the box regime's cut reads the full pool's tight boxes only
-    assert prepare_scene(rec, TrainConfig(supervision="box"),
-                         InferenceConfig()) is not None
-    assert rec._geom is geom and "ovl" not in vars(geom)
-    # built on first read, then kept
-    ovl = geom.ovl
-    assert vars(geom)["ovl"] is ovl and geom.ovl is ovl
-    assert ovl.tobytes() == overlap_fraction_matrix(rec.pool).tobytes()
-    assert geom.keep_masks(0.5) == kernels.keep_masks(ovl, 0.5)
+    assert rec.geometry() is geom
+    assert geom.ovl.tobytes() == overlap_fraction_matrix(rec.pool).tobytes()
+    assert geom.keep_masks(0.5) == kernels.keep_masks(geom.ovl, 0.5)
     assert geom.keep_masks(0.5) is geom.keep_masks(0.5)
 
 

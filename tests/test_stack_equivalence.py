@@ -22,10 +22,8 @@ from annoconsist.masks import (
 )
 from annoconsist.scenes import (
     Annotation,
-    Instances,
     PoolGeometry,
     SceneRecord,
-    rebuild_with_pool,
     scene_from_obj,
     scene_to_obj,
 )
@@ -51,13 +49,14 @@ from annoconsist.synthgen import (
     _shift_mask,
     _split_parts,
     gen_proposals,
-    gen_scene,
     make_scene,
 )
 from annoconsist.train import TrainConfig, prepare_scene, seed_labeling
 
-from conftest import instances, make_record
-from oracles import box_iou, rle_decode, rle_encode, tight_box
+from conftest import instances, make_record, rect_mask
+from oracles import (attach_proposals, box_iou, cut_record, gen_scene_record,
+                     prepare_scene_by_copy, rebuild_with_pool, rle_decode,
+                     rle_encode, tight_box)
 
 # ---------------------------------------------------------------- oracles
 
@@ -380,14 +379,14 @@ def serialized_graph(pool, adjacency):
 
 
 def generated_records():
-    """Generated scenes, their box-regime restrictions and the empty pool
-    gen_scene builds, at the reference frame size."""
+    """Generated scenes, their box-regime restrictions as pixel copies and
+    their first proposals alone, at the reference frame size."""
     recs = []
     for seed in range(3):
         rec = make_scene(SceneConfig(), ProposalConfig(), seed, seed)
         recs.append(rec)
-        recs.append(prepare_scene(rec, TrainConfig(supervision="box"),
-                                  InferenceConfig()))
+        recs.append(cut_record(rec, TrainConfig(supervision="box"),
+                               InferenceConfig())[0])
         recs.append(rebuild_with_pool(rec, np.array([0])))
     return recs
 
@@ -470,8 +469,93 @@ def test_box_regime_cut_equals_the_per_proposal_filter():
                 continue
             assert got.pool_index.dtype == np.int64
             assert got.pool_index.tolist() == want
-            assert got.pool.tobytes() == rec.pool[want].tobytes()
+            assert got.geometry().boxes.tobytes() == tight_boxes(
+                rec.pool[want]).tobytes()
     assert skipped > 0  # some cut leaves a box uncovered
+
+
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_same_prepared(got, want, boxes, inf_cfg):
+    """Two prepared scenes agree table for table, bit for bit; the
+    covering test is compared on `boxes`."""
+    assert (got.scene_id, got.num_classes, got.num_proposals) == (
+        want.scene_id, want.num_classes, want.num_proposals)
+    if want.pool_index is None:
+        assert got.pool_index is None
+    else:
+        _assert_same_array(got.pool_index, want.pool_index)
+    _assert_same_array(got.annotation.presence, want.annotation.presence)
+    if want.annotation.boxes is None:
+        assert got.annotation.boxes is None
+    else:
+        _assert_same_array(got.annotation.boxes, want.annotation.boxes)
+    for name in ("edge_u", "edge_v", "edge_w"):
+        _assert_same_array(getattr(got.adjacency, name),
+                           getattr(want.adjacency, name))
+    for name in ("seed_labels", "gt_class_ids", "gt_iou", "_features"):
+        _assert_same_array(getattr(got, name), getattr(want, name))
+    geom, ref = got.geometry(), want.geometry()
+    _assert_same_array(geom.boxes, ref.boxes)
+    _assert_same_array(geom.ovl, ref.ovl)
+    for t in {inf_cfg.overlap_t, 0.0, 0.9}:
+        assert geom.keep_masks(t) == ref.keep_masks(t)
+    for rho in (0.3, inf_cfg.box_rho, 1.0):
+        mask, ids = geom.covering(boxes, rho)
+        ref_mask, ref_ids = ref.covering(boxes, rho)
+        _assert_same_array(mask, ref_mask)
+        assert ids == ref_ids
+
+
+def _outside_anchor_record():
+    """A scene whose seed anchor over the whole pool, a superset whose
+    outline follows the edge map, covers no box: the cut pool anchors
+    the seed on the boxed proposal instead."""
+    boxed = rect_mask(16, 16, 4, 9, 4, 9)
+    wide = rect_mask(16, 16, 1, 15, 1, 15)
+    edges = inner_boundary(wide).astype(np.float32)
+    seeds = instances([(1, rect_mask(16, 16, 5, 7, 5, 7))], (16, 16))
+    rec = make_record([wide, boxed], [1], size=(16, 16), edges=edges,
+                      seeds=seeds, gt=instances([(1, boxed)], (16, 16)),
+                      boxes=[(1, *tight_box(boxed))])
+    assert seed_labeling(rec).tolist() == [1, 0]
+    return rec
+
+
+def test_prepared_scene_equals_the_pixel_copy_path():
+    # the prepared tables are rows and columns of the whole pool's; each
+    # must equal the table computed anew on the cut pool's pixels
+    recs = [make_scene(SceneConfig(), ProposalConfig(), seed, seed)
+            for seed in range(4)]
+    # a pool of only its last proposal, and one without it
+    recs += [rebuild_with_pool(r, np.array([r.num_proposals - 1]))
+             for r in recs[:2]]
+    recs += [rebuild_with_pool(r, np.arange(r.num_proposals - 1))
+             for r in recs[:2]]
+    recs.append(_outside_anchor_record())
+    compared = {"image": 0, "box": 0}
+    for rec in recs:
+        boxes = rec.annotation.boxes[:, 1:]
+        for supervision, t in [("image", 0.5), ("box", 0.3), ("box", 0.5),
+                               ("box", 0.9), ("box", 1.0)]:
+            tcfg = TrainConfig(supervision=supervision)
+            icfg = InferenceConfig(box_rho=t)
+            want = prepare_scene_by_copy(rec, tcfg, icfg)
+            # a record with warm caches gives the tables of a cold one
+            cold = replace(rec, _geom=None, _features=None)
+            rec.geometry().keep_masks(0.9)
+            features(rec)
+            for src in (cold, rec):
+                got = prepare_scene(src, tcfg, icfg)
+                if want is None:
+                    assert got is None
+                    continue
+                _assert_same_prepared(got, want, boxes, icfg)
+                compared[supervision] += 1
+    assert compared["image"] > 0 and compared["box"] > 0
 
 
 # -------------------------------------------------------------- adjacency
@@ -487,7 +571,7 @@ def test_build_adjacency_equals_the_pair_loop(pool, seed, dilation):
 
 
 def test_build_adjacency_equals_the_pair_loop_on_generated_pools():
-    empty = gen_scene(SceneConfig(), seed=0, scene_id=0)
+    empty = gen_scene_record(SceneConfig(), seed=0, scene_id=0)
     assert empty.num_proposals == 0
     assert_same_graph(empty.adjacency,
                       old_build_adjacency(empty.pool, empty.edges)[0])
@@ -512,7 +596,7 @@ def test_serialized_graph_equals_the_pair_loop_lists_on_generated_pools():
     # graphs restrict builds; each must serialize as the pair loop's lists
     # on the cut pool
     dilation = DILATION
-    empty = gen_scene(SceneConfig(), seed=0, scene_id=0)
+    empty = gen_scene_record(SceneConfig(), seed=0, scene_id=0)
     for rec in [empty, *generated_records()]:
         assert json.dumps(scene_to_obj(rec)["adjacency"]) == json.dumps(
             old_build_adjacency(rec.pool, rec.edges, dilation)[1])
@@ -671,18 +755,18 @@ def _assert_same_pool(rec, cfg, seed):
         want = old_gen_proposals(rec, cfg, seed)
     except EmptyPoolError:
         try:
-            gen_proposals(rec, cfg, seed)
+            attach_proposals(rec, cfg, seed)
         except EmptyPoolError:
             return 0
         raise AssertionError("the per-instance loops left no proposal")
-    got = gen_proposals(rec, cfg, seed).pool
+    got = gen_proposals(rec.gt, rec.seeds, cfg, seed, rec.scene_id)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     return 1
 
 
 def test_gen_proposals_equals_the_per_instance_loops_on_generated_scenes():
     for seed in range(4):
-        rec = gen_scene(SceneConfig(), seed, seed)
+        rec = gen_scene_record(SceneConfig(), seed, seed)
         for cfg in _proposal_configs():
             assert _assert_same_pool(rec, cfg, seed)
 
@@ -692,8 +776,8 @@ def test_gen_proposals_equals_the_per_instance_loops_on_generated_scenes():
 def test_gen_proposals_equals_the_per_instance_loops(data, seed, cfg):
     # gt and seed sets drawn apart, so either may be empty, and they may
     # differ in length
-    rec = gen_scene(SceneConfig(height=24, width=20, min_extent=4,
-                                max_extent=12), seed, seed)
+    rec = gen_scene_record(SceneConfig(height=24, width=20, min_extent=4,
+                                       max_extent=12), seed, seed)
     h, w = rec.height, rec.width
     rec = replace(rec, gt=data.draw(instance_sets(h, w)),
                   seeds=data.draw(instance_sets(h, w)))

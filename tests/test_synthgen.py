@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from annoconsist.condnet import InferenceConfig
+from annoconsist.masks import tight_boxes
 from annoconsist.scenes import scene_to_obj
 from annoconsist.synthgen import (
     BACKGROUND,
@@ -18,7 +19,8 @@ from annoconsist.synthgen import (
 )
 from annoconsist.train import TrainConfig, prepare_scene
 
-from oracles import box_iou, make_dataset, tight_box
+from oracles import (attach_proposals, box_iou, gen_scene_record,
+                     make_dataset, tight_box)
 
 
 def test_same_seed_gives_identical_scene():
@@ -35,10 +37,23 @@ def test_different_seeds_differ():
         scene_to_obj(b), sort_keys=True)
 
 
+def test_make_scene_equals_the_two_step_record():
+    # one record built from the drawn scene and its pool serializes as the
+    # empty-pool record with the pool attached after
+    for seed in range(6):
+        for pcfg in (ProposalConfig(), ProposalConfig(include_gt=False)):
+            got = make_scene(SceneConfig(), pcfg, seed=seed, scene_id=seed)
+            want = attach_proposals(
+                gen_scene_record(SceneConfig(), seed=seed, scene_id=seed),
+                pcfg, seed=seed)
+            assert json.dumps(scene_to_obj(got)) == json.dumps(
+                scene_to_obj(want))
+
+
 def test_scene_invariants_over_many_seeds():
     cfg = SceneConfig()
     for seed in range(12):
-        rec = gen_scene(cfg, seed=seed, scene_id=seed)
+        rec = make_scene(cfg, ProposalConfig(), seed=seed, scene_id=seed)
         n = rec.gt.class_ids.size
         assert 1 <= n <= cfg.max_objects
         assert rec.gt.class_ids.dtype == np.int64
@@ -71,12 +86,12 @@ def test_scene_invariants_over_many_seeds():
 
 def test_objects_are_painted_with_class_colors():
     # the per-channel noise averages out over an object's pixels
-    rec = gen_scene(SceneConfig(), seed=3, scene_id=0)
-    for c, g in zip(rec.gt.class_ids.tolist(), rec.gt.masks):
-        mean_rgb = rec.image[g].mean(axis=0)
+    gt, image, _, _ = gen_scene(SceneConfig(), seed=3, scene_id=0)
+    for c, g in zip(gt.class_ids.tolist(), gt.masks):
+        mean_rgb = image[g].mean(axis=0)
         np.testing.assert_allclose(mean_rgb, PALETTE[c - 1], atol=0.02)
-    bg = ~np.any(rec.gt.masks, axis=0)
-    np.testing.assert_allclose(rec.image[bg].mean(axis=0), BACKGROUND, atol=0.05)
+    bg = ~np.any(gt.masks, axis=0)
+    np.testing.assert_allclose(image[bg].mean(axis=0), BACKGROUND, atol=0.05)
 
 
 def test_pool_contains_gt_and_respects_min_area():
@@ -121,7 +136,8 @@ def test_box_regime_keeps_the_proposals_that_cover_a_box():
         sub = prepare_scene(rec, BOX, InferenceConfig(box_rho=rho))
         keep = sub.pool_index
         assert keep.size > 0
-        assert sub.pool.tobytes() == rec.pool[keep].tobytes()
+        assert sub.geometry().boxes.tobytes() == tight_boxes(
+            rec.pool[keep]).tobytes()
         kept = set(keep.tolist())
         for i in range(rec.num_proposals):
             tb = tight_box(rec.pool[i])
@@ -134,8 +150,8 @@ def test_box_regime_keeps_gt_coverable():
     sub = prepare_scene(rec, BOX, InferenceConfig())
     assert sub.num_proposals <= rec.num_proposals
     # every ground-truth instance keeps a proposal of IoU >= 0.5
-    assert sub.gt_iou().shape == (sub.num_proposals, len(sub.gt.class_ids))
-    assert (sub.gt_iou().max(axis=0) >= 0.5).all()
+    assert sub.gt_iou.shape == (sub.num_proposals, len(sub.gt_class_ids))
+    assert (sub.gt_iou.max(axis=0) >= 0.5).all()
 
 
 def test_box_regime_requires_boxes():

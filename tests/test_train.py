@@ -30,14 +30,13 @@ from annoconsist.condnet import (
 )
 from annoconsist.disco import div_pc, div_pp
 from annoconsist.loss import LossConfig, cost_row, label_bits
-from annoconsist.masks import inner_boundary
+from annoconsist.masks import inner_boundary, iou_table
 from annoconsist.prednet import pred_init, predict
-from annoconsist.scenes import Instances
+from annoconsist.scenes import Instances, PoolGeometry
 from annoconsist.scorer import cond_init, feature_dim, features, score_vjp
 from annoconsist.synthgen import ProposalConfig, SceneConfig
 from annoconsist.train import (
     CheckpointError,
-    PreparedScene,
     TrainConfig,
     TrainingError,
     cond_grad,
@@ -55,9 +54,10 @@ from annoconsist.train import (
 )
 
 from conftest import instances, make_record, rect_mask
-from oracles import (assert_per_draw_close, epoch_metrics_per_scene,
-                     make_dataset, num_edges, per_draw_backward,
-                     pred_objective, scene_noise, scorer_input, tight_box)
+from oracles import (assert_per_draw_close, cut_record,
+                     epoch_metrics_per_scene, make_dataset, num_edges,
+                     per_draw_backward, pred_objective, scene_noise,
+                     scorer_input, tight_box)
 
 
 def test_train_config_validation():
@@ -396,7 +396,7 @@ def _check_cond_grad_against_the_per_draw_loop(monkeypatch, anchor, tcfg):
         iterates = 1 if tcfg.term_mode == "U" else icfg.n_iters + 1
         assert samples.stack.shape == (iterates,) + samples.g.shape[1:]
         if anchor:
-            y_ref = seed_labeling(rec)
+            y_ref = rec.seed_labels
         else:
             y_ref = rng.integers(0, rec.num_classes + 1, rec.num_proposals)
         want_calls = []
@@ -446,7 +446,7 @@ def test_cond_grad_with_the_memo_equals_a_memo_free_loop(
                            enforce=True if anchor else None)
     except InferenceError:
         assume(False)
-    y_ref = (seed_labeling(rec) if anchor else
+    y_ref = (rec.seed_labels if anchor else
              rng.integers(0, rec.num_classes + 1, rec.num_proposals))
     want_calls, want_results = [], []
     try:
@@ -516,7 +516,7 @@ def test_cond_grad_runs_one_backward_pass_of_the_summed_coefficients(
         assume(False)
     # a reference equal to a draw's labeling leaves that draw's table at
     # zero more often than a random one
-    y_ref = (seed_labeling(rec) if anchor else
+    y_ref = (rec.seed_labels if anchor else
              samples.labels[seed % k] if seed % 2 else
              rng.integers(0, rec.num_classes + 1, rec.num_proposals))
     coef = []
@@ -715,15 +715,17 @@ def test_training_never_reads_ground_truth(supervision):
 
 @functools.lru_cache(maxsize=None)
 def _smoke_scenes(supervision):
-    """The smoke config's training scenes under a regime (box cuts and
-    rebuilds the pools): prepare_scene's records, their PreparedScenes as
-    fit keeps them, and the stacked features and row bounds fit builds."""
+    """The smoke config's training scenes under a regime (box cuts the
+    pools): the regime's pixel copies (cut_record), the PreparedScenes fit
+    keeps, and the stacked features and row bounds fit builds."""
     cfg = load_config(SMOKE)
     tcfg = dataclasses.replace(cfg.train, supervision=supervision)
-    cut = [prep for rec in make_dataset(cfg.scene, cfg.proposal, cfg.n_scenes,
-                                        cfg.seed)
-           if (prep := prepare_scene(rec, tcfg, cfg.inference)) is not None]
-    records = [PreparedScene.from_record(rec, cfg.inference) for rec in cut]
+    cut, records = [], []
+    for rec in make_dataset(cfg.scene, cfg.proposal, cfg.n_scenes, cfg.seed):
+        prep = prepare_scene(rec, tcfg, cfg.inference)
+        if prep is not None:
+            cut.append(cut_record(rec, tcfg, cfg.inference)[0])
+            records.append(prep)
     feats = np.concatenate([features(rec) for rec in records])
     bounds = np.cumsum([0] + [rec.num_proposals for rec in records]).tolist()
     return tuple(cut), tuple(records), feats, bounds
@@ -837,9 +839,13 @@ def test_seed_labeling_equals_its_ring_edge_loop(supervision):
         prep = prepare_scene(rec, tcfg, icfg)
         if prep is None:
             continue
-        want, ring_edge = _seed_labeling_loop(prep)
-        np.testing.assert_array_equal(seed_labeling(prep), want)
-        assert features(prep)[:, 6].tobytes() == ring_edge.tobytes()
+        # the loop runs on the regime's pixel copy of the scene
+        sub, keep = cut_record(rec, tcfg, icfg)
+        want, ring_edge = _seed_labeling_loop(sub)
+        np.testing.assert_array_equal(seed_labeling(sub), want)
+        np.testing.assert_array_equal(seed_labeling(rec, keep), want)
+        np.testing.assert_array_equal(prep.seed_labels, want)
+        assert features(sub)[:, 6].tobytes() == ring_edge.tobytes()
         seen += int(want.any())
     assert seen > 0
 
@@ -982,10 +988,10 @@ def test_prepared_scenes_keep_the_anchors_and_iou_of_their_records(
     tcfg, icfg = TrainConfig(supervision=supervision), InferenceConfig()
     out, skipped = prepare_records(
         make_dataset(SceneConfig(), ProposalConfig(), 8, seed=5), tcfg, icfg)
-    refs = [rec if supervision == "image" else prepare_scene(rec, tcfg, icfg)
+    refs = [cut_record(rec, tcfg, icfg)
             for rec in make_dataset(SceneConfig(), ProposalConfig(), 8,
                                     seed=5)]
-    refs = [ref for ref in refs if ref is not None]
+    refs = [ref for ref, _ in filter(None, refs)]
     assert len(refs) == len(out) and len(out) + skipped == 8
     assert any(prep.seed_labels.any() for prep in out)
     for prep, ref in zip(out, refs):
@@ -994,12 +1000,43 @@ def test_prepared_scenes_keep_the_anchors_and_iou_of_their_records(
         assert prep.seed_labels.tobytes() == seed_labeling(ref).tobytes()
         assert prep.gt_class_ids.tobytes() == ref.gt.class_ids.tobytes()
         assert prep.gt_iou.shape == (ref.num_proposals, len(ref.gt.class_ids))
-        assert prep.gt_iou.tobytes() == ref.gt_iou().tobytes()
+        assert prep.gt_iou.tobytes() == iou_table(ref.pool,
+                                                  ref.gt.masks).tobytes()
         assert prep._features.tobytes() == features(ref).tobytes()
         geom = prep.geometry()
-        assert geom.pool is None
         assert geom.ovl.tobytes() == ref.geometry().ovl.tobytes()
         assert geom.boxes.tobytes() == ref.geometry().boxes.tobytes()
+
+
+@pytest.mark.parametrize("supervision", ["image", "box"])
+def test_preparation_builds_each_scenes_features_and_geometry_once(
+        monkeypatch, supervision):
+    # the box cut takes rows of the whole pool's tables, so no table is
+    # computed anew for the cut pool: per scene, one features pass (a call
+    # that finds no cached table) and one geometry
+    computed, built = [], []
+    orig_features, orig_from_pool = train_mod.features, PoolGeometry.from_pool
+
+    def counted_features(rec):
+        if rec._features is None:
+            computed.append(rec.scene_id)
+        return orig_features(rec)
+
+    def counted_from_pool(pool):
+        built.append(len(pool))
+        return orig_from_pool(pool)
+
+    monkeypatch.setattr(train_mod, "features", counted_features)
+    monkeypatch.setattr(PoolGeometry, "from_pool",
+                        staticmethod(counted_from_pool))
+    recs = make_dataset(SceneConfig(), ProposalConfig(), 6, seed=0)
+    out, skipped = prepare_records(recs, TrainConfig(supervision=supervision),
+                                   InferenceConfig())
+    assert skipped == 0
+    assert any(prep.num_proposals < rec.num_proposals
+               for prep, rec in zip(out, recs)) == (supervision == "box")
+    assert computed == [rec.scene_id for rec in recs]
+    assert built == [rec.num_proposals for rec in recs]
 
 
 def _tiny_dataset(n=2, seed=0):
