@@ -8,6 +8,7 @@ by running greedy inference on K noise-perturbed tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,9 +86,44 @@ def higher_order_feasible(labels: np.ndarray, ann: Annotation,
     return ok if ok.ndim else bool(ok)
 
 
+def decision_keys(tables: np.ndarray, ann: Annotation,
+                  cfg: InferenceConfig) -> list:
+    """One decision key per table of a (..., P, C+1) stack, in C order of
+    the leading axes; a (P, C+1) table gives a list of one.
+
+    Greedy inference reads a table only through its keyed columns: each
+    annotated class's, and each box class's. Per keyed column it reads the
+    stable descending order of the proposals (ties to the lower index;
+    -0.0 ties 0.0) and which entries are at or below select_threshold. The
+    key is the bytes of those orders and patterns, both in argsort's index
+    dtype, which holds any proposal id. The box post-pass takes, per
+    uncovered box, the best-scoring eligible proposal with ties to the
+    lower index: with finite scores, the first eligible one in that order.
+    So two tables with equal keys get equal labels, or both raise.
+
+    A -inf score is never forced in, and a NaN has no place in an order,
+    so a stack with a non-finite entry in a keyed column gets no keys:
+    every entry of the list is None.
+    """
+    cols = ann.classes
+    if ann.boxes is not None:
+        cols = np.array(sorted(set(cols.tolist()).union(
+            ann.boxes[:, 0].tolist())), dtype=np.int64)
+    n = math.prod(tables.shape[:-2])
+    s = np.swapaxes(tables[..., cols], -1, -2)  # (..., J, P)
+    if not n or not np.isfinite(s).all():
+        return [None] * n
+    rows = np.concatenate([(-s).argsort(axis=-1, kind="stable"),
+                           s <= cfg.select_threshold], axis=-1).reshape(n, -1)
+    if not rows.shape[1]:
+        return [b""] * n
+    return rows.view(np.dtype((np.void, rows.nbytes // n))).ravel().tolist()
+
+
 def greedy_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
                  cfg: InferenceConfig, enforce: bool = True,
-                 memo: dict | None = None) -> np.ndarray:
+                 memo: dict | None = None,
+                 key: bytes | None = None) -> np.ndarray:
     """Per-class greedy selection.
 
     Classes are visited in ascending id. Within a class, proposals are
@@ -98,22 +134,21 @@ def greedy_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
     per class ignores the threshold, and box annotations additionally get
     a covering proposal forced in when the threshold pass missed them.
 
-    memo, when given, maps a table's bytes to the labels already computed
-    for it, and must only be shared by calls with the same ann, geom, cfg
-    and enforce. A request whose table bytes are in it returns the stored
-    labels without computing; a computed result is stored. Greedy is a
-    pure function of the table, so the answer is exact, ties and -0.0
-    included. Labels that pass through the memo are read-only. An
-    InferenceError is never stored, so it is raised on every request.
-    Each request is one greedy_infer call; each computed one is one
-    kernels.greedy_labels call.
+    key is g's decision key (decision_keys) and memo maps decision keys to
+    the labels already computed for them; they come together, and memo
+    must only be shared by calls with the same ann, geom, cfg and enforce.
+    Greedy reads a table only through its key, so a request whose key is
+    in memo returns the stored labels without computing, exactly; a
+    computed result is stored. A request without a key is computed.
+    Labels that pass through the memo are read-only. An InferenceError is
+    never stored, so it is raised on every request. Each request is one
+    greedy_infer call; each computed one is one kernels.greedy_labels call.
     """
-    g = np.ascontiguousarray(g, dtype=np.float64)
-    if memo is not None:
-        key = g.tobytes()
+    if key is not None:
         labels = memo.get(key)
         if labels is not None:
             return labels
+    g = np.ascontiguousarray(g, dtype=np.float64)
     labels, status = kernels.greedy_labels(
         g, ann.classes, float(cfg.select_threshold),
         geom.keep_masks(cfg.overlap_t), enforce)
@@ -122,7 +157,7 @@ def greedy_infer(g: np.ndarray, ann: Annotation, geom: PoolGeometry,
             "no proposal left to select for an annotated class")
     if enforce and ann.boxes is not None:
         labels = _force_box_cover(g, labels, ann, geom, cfg)
-    if memo is not None:
+    if key is not None:
         labels.flags.writeable = False
         memo[key] = labels
     return labels
@@ -200,6 +235,13 @@ def sample_k(w: np.ndarray, rec: SceneRecord, z: np.ndarray,
     enforce overrides the term-mode default for annotation-consistency
     forcing (the seed-supervised initialization phase forces it in every
     mode).
+
+    The K draws' tables are keyed by decision_keys and share one memo
+    (see greedy_infer). A draw's table is the noise-free one plus one
+    offset per column, which reorders a column only where rounding ties
+    or swaps two entries, so draws share a key unless an offset moves an
+    entry across select_threshold; each distinct key is computed once,
+    and every draw still makes its own greedy_infer request.
     """
     if term_mode not in TERM_MODES:
         raise ValueError(f"term_mode must be one of {TERM_MODES}")
@@ -214,9 +256,11 @@ def sample_k(w: np.ndarray, rec: SceneRecord, z: np.ndarray,
         enforce = term_mode == "U+P+H"
     geom = rec.geometry()
     stack, g = forward_scores(w, rec, z, cfg)
+    keys = decision_keys(g, rec.annotation, cfg)
+    memo = {}
     labels = np.zeros((k, rec.num_proposals), dtype=np.int64)
     for i in range(k):
         labels[i] = greedy_infer(g[i], rec.annotation, geom, cfg,
-                                 enforce=enforce)
+                                 enforce=enforce, memo=memo, key=keys[i])
     return SampleSet(z=z, stack=stack, g=g, labels=labels, enforced=enforce)
 

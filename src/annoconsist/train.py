@@ -29,6 +29,7 @@ from .condnet import (
     InferenceConfig,
     InferenceError,
     SampleSet,
+    decision_keys,
     greedy_infer,
     higher_order_feasible,
     refine_backward,
@@ -50,6 +51,14 @@ class TrainingError(Exception):
 
 class CheckpointError(ValueError):
     """A checkpoint file that does not hold what save_checkpoint writes."""
+
+
+# Upper bounds of TrainConfig.k and TrainConfig.noise_dim. cond_grad holds
+# up to K^2 score tables of a scene at once and makes K^2 greedy requests
+# per scene and epoch, so k is capped at 256 (K^2 = 65,536); a noise row
+# wider than 1024 is far past any scorer this library trains.
+MAX_K = 256
+MAX_NOISE_DIM = 1024
 
 
 @dataclass
@@ -83,6 +92,9 @@ class TrainConfig:
             raise ValueError("noise_dim must be non-negative")
         if self.k < 1:
             raise ValueError("k must be at least 1")
+        for name, bound in (("k", MAX_K), ("noise_dim", MAX_NOISE_DIM)):
+            if getattr(self, name) > bound:
+                raise ValueError(f"{name} must be at most {bound}")
         # a negative count would silently act as 0, or write a checkpoint
         # of negative outer index; a negative rate turns descent into ascent
         for name in ("init_epochs", "cond_epochs", "pred_epochs",
@@ -195,9 +207,13 @@ def cond_grad(params: np.ndarray, rec, samples: SampleSet, y_ref: np.ndarray,
     The greedy requests keep their order and number: per draw, the
     reference request unless anchored, then one per other draw k2 when
     the diversity term is on. Draw k's pairwise table depends on k2 only
-    through draw k2's labeling, and draws seldom differ in labeling, so
-    one memo per call (see greedy_infer) answers repeated tables without
-    computing them again; it is freed when the call returns.
+    through draw k2's labeling, so the pair tables are built once per
+    distinct draw labeling, (K, D, P, C+1), and each request reads its
+    own, byte for byte the table g_k + augmentation toward y_k2. Every
+    table of the call is keyed by condnet.decision_keys, and one memo per
+    call answers a request whose key an earlier one computed (see
+    greedy_infer): draws differ by column offsets, so they mostly share
+    their keys. The memo is freed when the call returns.
     """
     kk = samples.k
     m = rec.num_classes + 1
@@ -206,34 +222,42 @@ def cond_grad(params: np.ndarray, rec, samples: SampleSet, y_ref: np.ndarray,
     gamma = 0.0 if train_cfg.cond_pointwise else train_cfg.gamma
     enforce = samples.enforced
     pairs = gamma != 0.0 and kk >= 2
-    if not anchor:
-        ref_tables = samples.g + eps * cost_row(y_ref, rec.num_classes,
-                                                loss_cfg)
+    # the augmentation rows: toward y_ref first unless anchored, then
+    # toward each distinct draw labeling in order of first appearance;
+    # draw k2's pair table is slot[k2]
+    augs = [] if anchor else [y_ref]
+    slot = []
     if pairs:
-        # row k2 augments toward draw k2's labeling
-        aug_pairs = eps * cost_row(samples.labels, rec.num_classes, loss_cfg)
-        pair_tables = samples.g[:, None] + aug_pairs[None, :]
-        pair_coef = 2.0 * gamma / (kk * (kk - 1) * eps)
-    # greedy requests in draw-major order: the reference call, then k2
-    # ascending, skipping the draw itself; the memo computes each distinct
-    # table once
-    memo = {}
-    y_a = np.empty_like(samples.labels)
+        first = {}
+        for y in samples.labels:
+            slot.append(first.setdefault(y.tobytes(), len(augs)))
+            if slot[-1] == len(augs):
+                augs.append(y)
+    a = len(augs)
+    if a:
+        tables = samples.g[:, None] + eps * cost_row(
+            np.array(augs), rec.num_classes, loss_cfg)
+        keys = decision_keys(tables, rec.annotation, inf_cfg)
+    memo, y_a = {}, np.empty_like(samples.labels)
     y_b = np.zeros((kk,) + samples.labels.shape, dtype=np.int64)
+    # greedy requests in draw-major order: the reference call, then k2
+    # ascending, skipping the draw itself
     for k in range(kk):
         if not anchor:
-            y_a[k] = greedy_infer(ref_tables[k], rec.annotation, geom,
-                                  inf_cfg, enforce=enforce, memo=memo)
+            y_a[k] = greedy_infer(tables[k, 0], rec.annotation, geom, inf_cfg,
+                                  enforce=enforce, memo=memo, key=keys[k * a])
         if pairs:
             for k2 in range(kk):
                 if k2 != k:
-                    y_b[k, k2] = greedy_infer(pair_tables[k, k2],
-                                              rec.annotation, geom, inf_cfg,
-                                              enforce=enforce, memo=memo)
+                    s = slot[k2]
+                    y_b[k, k2] = greedy_infer(
+                        tables[k, s], rec.annotation, geom, inf_cfg,
+                        enforce=enforce, memo=memo, key=keys[k * a + s])
     m_c = selection_matrix(samples.labels, m)
     m_a = selection_matrix(y_ref if anchor else y_a, m)
     q = (m_a - m_c) / (kk * eps)
     if pairs:
+        pair_coef = 2.0 * gamma / (kk * (kk - 1) * eps)
         d = pair_coef * (m_c[:, None] - selection_matrix(y_b, m))
         # each draw's table gets its pairwise terms in k2 order; draw k2
         # takes none from itself
@@ -288,8 +312,8 @@ def pred_grad(w: np.ndarray, rec, qbar: np.ndarray,
 
 def prepare_scene(rec, train_cfg: TrainConfig,
                   inf_cfg: InferenceConfig) -> "PreparedScene | None":
-    """Apply the supervision regime to one scene and keep its tables; fit
-    and infer share the result.
+    """Apply the supervision regime to one scene and keep the tables that
+    fit and infer both read; prepare_records adds fit's own two.
 
     Image regime drops the boxes from the working annotation. Box regime
     uses the higher-order term's covering test: a proposal whose tight box
@@ -311,16 +335,14 @@ def prepare_scene(rec, train_cfg: TrainConfig,
         if not len(boxes) or not cover.any(axis=1).all():
             return None
         keep = np.flatnonzero(cover.any(axis=0))
-    feats, gt_iou = features(rec), iou_table(rec.pool, rec.gt.masks)
-    adjacency = rec.adjacency
+    feats, adjacency = features(rec), rec.adjacency
     if keep is not None:
         geom, adjacency = geom.restrict(keep), adjacency.restrict(keep)
-        feats, gt_iou = feats[keep], gt_iou[keep]
+        feats = feats[keep]
     return PreparedScene(
         scene_id=rec.scene_id, num_classes=rec.num_classes,
         num_proposals=len(feats), annotation=annotation, adjacency=adjacency,
-        pool_index=keep, seed_labels=seed_labeling(rec, keep),
-        gt_class_ids=rec.gt.class_ids, gt_iou=gt_iou, _features=feats,
+        pool_index=keep, gt_class_ids=rec.gt.class_ids, _features=feats,
         _geom=geom)
 
 
@@ -347,7 +369,8 @@ class PreparedScene:
     overlaps, covering boxes); the train-set map50 column reads the ground
     truth only through its class ids and IoU table. The attribute names
     are those of SceneRecord that sample_k, cond_grad, decode and predict
-    read."""
+    read. Only fit reads the seed anchors and the IoU table, so only
+    prepare_records fills them; infer's scenes leave them None."""
 
     scene_id: int
     num_classes: int
@@ -357,11 +380,13 @@ class PreparedScene:
     # indices of the proposals in the scene's own pool; None when the
     # regime kept the whole pool
     pool_index: np.ndarray | None
-    seed_labels: np.ndarray  # (P,) seed_labeling, the init phase's anchors
     gt_class_ids: np.ndarray  # (G,)
-    gt_iou: np.ndarray  # (P, G) masks.iou_table of the pool and ground truth
     _features: np.ndarray  # (P, D) scorer.features
     _geom: PoolGeometry
+    # (P,) seed_labeling, the init phase's anchors
+    seed_labels: np.ndarray | None = None
+    # (P, G) masks.iou_table of the pool and ground truth
+    gt_iou: np.ndarray | None = None
 
     def geometry(self) -> PoolGeometry:
         return self._geom
@@ -370,16 +395,22 @@ class PreparedScene:
 def prepare_records(records, train_cfg: TrainConfig,
                     inf_cfg: InferenceConfig) -> tuple:
     """prepare_scene over `records`, any iterable of scenes, consumed one
-    scene at a time; of each usable scene only its PreparedScene is kept.
-    Returns (prepared scenes, num_skipped)."""
+    scene at a time, with fit's own tables added: the seed anchors and
+    the IoU table, rows of the whole pool's like the others. Of each
+    usable scene only its PreparedScene is kept. Returns (prepared scenes,
+    num_skipped)."""
     out = []
     skipped = 0
     for rec in records:
         prep = prepare_scene(rec, train_cfg, inf_cfg)
         if prep is None:
             skipped += 1
-        else:
-            out.append(prep)
+            continue
+        keep = prep.pool_index
+        gt_iou = iou_table(rec.pool, rec.gt.masks)
+        prep.seed_labels = seed_labeling(rec, keep)
+        prep.gt_iou = gt_iou if keep is None else gt_iou[keep]
+        out.append(prep)
     if not out:
         raise TrainingError("no usable scenes after applying supervision")
     return out, skipped

@@ -174,6 +174,27 @@ def total_score(g: np.ndarray, labels: np.ndarray, ann: Annotation,
     return float(g[np.arange(g.shape[0]), labels].sum())
 
 
+def decision_key(g: np.ndarray, ann: Annotation, cfg: InferenceConfig):
+    """What greedy inference reads of one (P, C+1) table, as a tuple: per
+    keyed column (each annotated class and each box class, ascending), the
+    proposals in descending score order with ties to the lower index, and
+    which entries are at or below select_threshold. None when a keyed
+    entry is not finite. Two tables of one memo share condnet's
+    decision_keys entry exactly when they share this tuple."""
+    cols = set(ann.classes.tolist())
+    if ann.boxes is not None:
+        cols |= set(ann.boxes[:, 0].tolist())
+    key = []
+    for j in sorted(cols):
+        col = g[:, j].tolist()
+        if not all(np.isfinite(col)):
+            return None
+        order = sorted(range(len(col)), key=lambda u: (-col[u], u))
+        key.append((tuple(order),
+                    tuple(v <= cfg.select_threshold for v in col)))
+    return tuple(key)
+
+
 MAX_EXACT_PROPOSALS = 12
 _EXACT_CHUNK = 1 << 18
 

@@ -12,6 +12,7 @@ import pytest
 import numpy as np
 
 from annoconsist import ablation, cli
+from annoconsist import train as train_mod
 from annoconsist.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
 from annoconsist.condnet import InferenceError, sample_k
 from annoconsist.config import load_config
@@ -19,7 +20,8 @@ from annoconsist.prednet import decode, pred_init, predict
 from annoconsist.scenes import load_dataset, scene_to_obj
 from annoconsist.scorer import cond_init, feature_dim
 from annoconsist.synthgen import PlacementError
-from annoconsist.train import load_checkpoint, prepare_scene, save_checkpoint
+from annoconsist.train import (MAX_K, MAX_NOISE_DIM, load_checkpoint,
+                               prepare_scene, save_checkpoint)
 
 from oracles import (MaskPrediction, box_iou, evaluate_masks, scene_noise,
                      tight_box)
@@ -167,6 +169,34 @@ def test_infer_output_shape_and_determinism(pipeline, tmp_path):
                 pipeline["data"], "--out", again]) == EXIT_OK
     with open(pipeline["preds"], "rb") as fa, open(again, "rb") as fb:
         assert fa.read() == fb.read()
+
+
+def test_only_train_builds_seed_anchors_and_iou_tables(pipeline, tmp_path,
+                                                       tiny_config_path,
+                                                       monkeypatch):
+    # the seed anchors and the ground-truth IoU table are fit's alone:
+    # train builds each once per scene, infer neither, and the outputs
+    # stay those of the pipeline
+    calls = []
+    for name in ("seed_labeling", "iou_table"):
+        orig = getattr(train_mod, name)
+        monkeypatch.setattr(train_mod, name,
+                            lambda *a, _f=orig, _n=name: calls.append(_n)
+                            or _f(*a))
+    preds = str(tmp_path / "preds.json")
+    assert run(["infer", "--model", pipeline["model"], "--data",
+                pipeline["data"], "--out", preds]) == EXIT_OK
+    assert calls == []
+    model = str(tmp_path / "model")
+    assert run(["train", "--config", tiny_config_path, "--data",
+                pipeline["data"], "--out", model]) == EXIT_OK
+    assert sorted(calls) == ["iou_table"] * 3 + ["seed_labeling"] * 3
+    for got, want in ((preds, pipeline["preds"]),
+                      (os.path.join(model, "checkpoint_final.json"),
+                       os.path.join(pipeline["model"],
+                                    "checkpoint_final.json"))):
+        with open(got, "rb") as fa, open(want, "rb") as fb:
+            assert fa.read() == fb.read()
 
 
 def _preds_built_in_memory(model, data_file) -> str:
@@ -854,6 +884,47 @@ def test_train_and_infer_honour_noise_dim(tmp_path, noise_dim, capsys):
     assert run(["infer", "--model", model, "--data", data,
                 "--out", str(tmp_path / "preds.json")]) == EXIT_OK
     capsys.readouterr()
+
+
+def test_draws_and_noise_width_are_bounded(tmp_path, pipeline, capsys):
+    # train and infer run at MAX_K draws and a MAX_NOISE_DIM noise row.
+    # One more, 2**40 or 2**70 (which died deep in training with exit 1
+    # or 3) is refused at load with exit 2, naming the key, in train's
+    # config and in a model's config.json
+    cfg = dict(TINY_CONFIG, train=dict(
+        TINY_CONFIG["train"], k=MAX_K, noise_dim=MAX_NOISE_DIM,
+        init_epochs=1, cond_epochs=0, pred_epochs=1, outer_iters=0))
+    cfg_path = tmp_path / "bound.json"
+    cfg_path.write_text(json.dumps(cfg))
+    model = tmp_path / "model"
+    assert run(["train", "--config", str(cfg_path), "--data",
+                pipeline["data"], "--out", str(model)]) == EXIT_OK
+    preds = str(tmp_path / "preds.json")
+    assert run(["infer", "--model", str(model), "--data", pipeline["data"],
+                "--out", preds]) == EXIT_OK
+    with open(preds) as fh:
+        assert len(json.load(fh)["scenes"][0]["final"]["samples"]) == MAX_K
+    capsys.readouterr()
+    for key, bound in (("k", MAX_K), ("noise_dim", MAX_NOISE_DIM)):
+        for value in (bound + 1, 2**40, 2**70):
+            msg = f"train: {key} must be at most {bound}"
+            bad = json.loads(cfg_path.read_text())
+            bad["train"][key] = value
+            bad_path = tmp_path / "bad.json"
+            bad_path.write_text(json.dumps(bad))
+            out = tmp_path / "bad_model"
+            assert run(["train", "--config", str(bad_path), "--data",
+                        pipeline["data"], "--out", str(out)]) == EXIT_USAGE
+            assert msg in capsys.readouterr().err
+            assert not out.exists()
+            shutil.copytree(model, out)
+            (out / "config.json").write_text(json.dumps(bad))
+            assert run(["infer", "--model", str(out), "--data",
+                        pipeline["data"], "--out",
+                        str(tmp_path / "bad.json.preds")]) == EXIT_USAGE
+            assert msg in capsys.readouterr().err
+            assert not (tmp_path / "bad.json.preds").exists()
+            shutil.rmtree(out)
 
 
 def test_gen_rejects_inconsistent_scene_config(tmp_path, capsys):

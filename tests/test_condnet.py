@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -10,6 +11,7 @@ from annoconsist import condnet, kernels
 from annoconsist.condnet import (
     InferenceConfig,
     InferenceError,
+    decision_keys,
     forward_scores,
     greedy_infer,
     higher_order_feasible,
@@ -21,9 +23,9 @@ from annoconsist.scorer import (cond_init, feature_dim, features,
                                 score_from_input)
 
 from conftest import make_record, rect_mask
-from oracles import (assert_per_draw_close, box_iou, edge_weight, exact_infer,
-                     num_edges, pairwise_refine, per_draw_forward,
-                     scene_noise, total_score)
+from oracles import (assert_per_draw_close, box_iou, decision_key,
+                     edge_weight, exact_infer, num_edges, pairwise_refine,
+                     per_draw_forward, scene_noise, total_score)
 
 
 def _two_neighbor_record(edges=None):
@@ -717,33 +719,47 @@ def _counting_kernel(monkeypatch):
     return calls
 
 
+def _key(g, ann, cfg):
+    return decision_keys(g, ann, cfg)[0]
+
+
 def test_memo_answers_a_repeated_table_without_computing(monkeypatch):
     rec = _sampling_record()
     geom, cfg = rec.geometry(), InferenceConfig()
+    ann = rec.annotation
     calls = _counting_kernel(monkeypatch)
     g = np.array([[0.0, 2.0, -1.0], [0.0, -0.5, 3.0], [0.0, -1.0, 1.0]])
     memo = {}
-    first = greedy_infer(g, rec.annotation, geom, cfg, memo=memo)
-    again = greedy_infer(g.copy(), rec.annotation, geom, cfg, memo=memo)
+    first = greedy_infer(g, ann, geom, cfg, memo=memo, key=_key(g, ann, cfg))
+    again = greedy_infer(g.copy(), ann, geom, cfg, memo=memo,
+                         key=_key(g.copy(), ann, cfg))
     assert len(calls) == 1
     assert again is first and not first.flags.writeable
-    assert first.tobytes() == greedy_infer(g, rec.annotation, geom,
-                                           cfg).tobytes()
-    assert len(calls) == 2  # no memo, so computed
-    # a table that differs in any byte is computed, -0.0 against 0.0 too
-    g2 = g.copy()
-    g2[0, 0] = -0.0
-    greedy_infer(g2, rec.annotation, geom, cfg, memo=memo)
-    assert len(calls) == 3 and len(memo) == 2
-    # one ulp above the stop threshold takes another proposal for class 1
+    assert first.tobytes() == greedy_infer(g, ann, geom, cfg).tobytes()
+    assert len(calls) == 2  # no key, so computed
+    # tables that differ in bytes but not in key are answered: -0.0 for
+    # 0.0, an unkeyed background column, and a column offset that keeps
+    # the column's order and threshold pattern
+    same = g.copy()
+    same[0, 0] = -0.0
+    same[:, 0] += 7.0
+    same[:, 2] += 0.25
+    assert same.tobytes() != g.tobytes()
+    assert _key(same, ann, cfg) == _key(g, ann, cfg)
+    assert greedy_infer(same, ann, geom, cfg, memo=memo,
+                        key=_key(same, ann, cfg)) is first
+    assert len(calls) == 2 and len(memo) == 1
+    # a table whose key differs is computed: one ulp above the stop
+    # threshold takes another proposal for class 1
     g3 = g.copy()
     g3[2, 1] = np.nextafter(0.0, 1.0)
     g3[2, 2] = -1.0
     g4 = g3.copy()
     g4[2, 1] = 0.0
-    got3 = greedy_infer(g3, rec.annotation, geom, cfg, memo=memo)
-    got4 = greedy_infer(g4, rec.annotation, geom, cfg, memo=memo)
+    got3 = greedy_infer(g3, ann, geom, cfg, memo=memo, key=_key(g3, ann, cfg))
+    got4 = greedy_infer(g4, ann, geom, cfg, memo=memo, key=_key(g4, ann, cfg))
     assert got3.tolist() == [1, 2, 1] and got4.tolist() == [1, 2, 0]
+    assert len(calls) == 4 and len(memo) == 3
 
 
 def test_memo_hit_skips_the_box_post_pass(monkeypatch):
@@ -751,7 +767,7 @@ def test_memo_hit_skips_the_box_post_pass(monkeypatch):
     m1 = rect_mask(12, 12, 7, 11, 7, 11)
     rec = make_record([m0, m1], [1], boxes=[(1, 7, 7, 10, 10)],
                       size=(12, 12))
-    geom, cfg = rec.geometry(), InferenceConfig()
+    geom, cfg, ann = rec.geometry(), InferenceConfig(), rec.annotation
     calls = _counting_kernel(monkeypatch)
     post = []
     orig = condnet._force_box_cover
@@ -759,8 +775,10 @@ def test_memo_hit_skips_the_box_post_pass(monkeypatch):
                         lambda *a: post.append(1) or orig(*a))
     g = np.array([[0.0, 5.0], [0.0, -1.0]])
     memo = {}
-    for _ in range(3):
-        labels = greedy_infer(g, rec.annotation, geom, cfg, memo=memo)
+    # the same table, then two of other bytes and the same key
+    for table in (g, g, g + [[0.0, 1.0]], g * [[1.0, 2.0]]):
+        labels = greedy_infer(table, ann, geom, cfg, memo=memo,
+                              key=_key(table, ann, cfg))
         np.testing.assert_array_equal(labels, [1, 1])  # m1 forced in
     assert len(calls) == 1 and len(post) == 1
 
@@ -773,16 +791,183 @@ def test_memo_never_stores_an_inference_error(monkeypatch):
                         size=(12, 12))
     short = make_record([rect_mask(8, 8, 0, 4, 0, 4)], [1, 2])
     calls = _counting_kernel(monkeypatch)
+    cfg = InferenceConfig()
     for rec, g in ((boxed, np.array([[0.0, 5.0]])),
                    (short, np.array([[0.0, 1.0, 1.0]]))):
         memo = {}
         del calls[:]
         for n in range(1, 4):
             with pytest.raises(InferenceError):
-                greedy_infer(g, rec.annotation, rec.geometry(),
-                             InferenceConfig(), memo=memo)
+                greedy_infer(g, rec.annotation, rec.geometry(), cfg,
+                             memo=memo, key=_key(g, rec.annotation, cfg))
             assert len(calls) == n
         assert memo == {}
+
+
+def _keyed_against_computed(stack, ann, geom, cfg, enforce, calls):
+    """Greedy over a (N, P, M) stack through one keyed memo, checked
+    against each table computed alone: equal label bytes, or both raise.
+    decision_keys must agree with the oracle key: two tables share a key
+    exactly when they share the oracle's, and a table with a non-finite
+    keyed entry has none. The memo computes each distinct key once, and
+    every request without a key or whose inference raises. Returns the
+    keys."""
+    keys = decision_keys(stack, ann, cfg)
+    oracle = [decision_key(t, ann, cfg) for t in stack]
+    # one non-finite table takes the whole stack off the keyed path
+    if None in oracle:
+        assert keys == [None] * len(stack)
+    else:
+        assert len(keys) == len(stack) and None not in keys
+    for a, b in itertools.combinations(range(len(stack)), 2):
+        if keys[a] is not None:
+            assert (keys[a] == keys[b]) == (oracle[a] == oracle[b])
+    memo, got = {}, []
+    del calls[:]
+    for table, key in zip(stack, keys):
+        try:
+            got.append(greedy_infer(table, ann, geom, cfg, enforce=enforce,
+                                    memo=memo, key=key).tobytes())
+        except InferenceError:
+            got.append(None)
+    computed = len(calls)
+    for table, labels in zip(stack, got):
+        try:
+            want = greedy_infer(table.copy(), ann, geom, cfg,
+                                enforce=enforce).tobytes()
+        except InferenceError:
+            want = None
+        assert labels == want
+    ok_keys = {k for k, y in zip(keys, got) if k is not None and y is not None}
+    assert set(memo) == ok_keys
+    assert computed == len(ok_keys) + sum(
+        k is None or y is None for k, y in zip(keys, got))
+    return keys
+
+
+_near = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, np.nextafter(1.0, 2.0),
+                         np.nextafter(1.0, 0.0), -1.0, 2.0])
+
+
+def _scene(data, max_rects=8):
+    """A random pool on a 12x12 grid, up to two present classes, boxes
+    taken from the pool or drawn anew (often uncoverable) or none, and an
+    inference config. A box may carry a class the presence flags leave
+    out: greedy_infer accepts any Annotation."""
+    rects = data.draw(st.lists(_rect, min_size=1, max_size=max_rects))
+    masks = [rect_mask(12, 12, y, y + h, x, x + w) for y, x, h, w in rects]
+    present = data.draw(st.lists(st.integers(1, 2), min_size=0, max_size=2,
+                                 unique=True))
+    boxes = None
+    if data.draw(st.booleans()):
+        picks = data.draw(st.lists(
+            st.tuples(st.integers(1, 2),
+                      st.one_of(_rect, st.integers(0, len(rects) - 1))),
+            min_size=1, max_size=3))
+        boxes = []
+        for j, r in picks:
+            y, x, h, w = rects[r] if isinstance(r, int) else r
+            boxes.append((j, x, y, x + w - 1, y + h - 1))
+    rec = make_record(masks, present, num_classes=2, boxes=boxes,
+                      size=(12, 12))
+    cfg = InferenceConfig(
+        overlap_t=data.draw(st.sampled_from([0.0, 0.5, 1.0])),
+        box_rho=data.draw(st.sampled_from([0.3, 0.5, 0.8])),
+        select_threshold=data.draw(st.sampled_from([-1.0, 0.0, 1.0])))
+    return rec, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_keyed_memo_equals_a_per_table_computation(data):
+    # a base table plus one offset per column, as draws and augmentations
+    # make them: entries tie, take -0.0 for 0.0, and sit one ulp either
+    # side of the threshold; box scenes force covers in or raise
+    rec, cfg = _scene(data)
+    p = rec.num_proposals
+    row = st.lists(_near | st.floats(-3, 3), min_size=3, max_size=3)
+    base = np.array(data.draw(st.lists(row, min_size=p, max_size=p)))
+    offsets = np.array(data.draw(st.lists(
+        st.lists(_near | st.sampled_from([0.5, -0.5, 2.0**-52]), min_size=3,
+                 max_size=3), min_size=1, max_size=8)))
+    stack = base + offsets[:, None, :]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_kernel(mp)
+        for enforce in (True, False):
+            keys = _keyed_against_computed(stack, rec.annotation,
+                                           rec.geometry(), cfg, enforce, calls)
+            assert None not in keys
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_non_finite_keyed_entry_takes_the_computed_path(data):
+    # NaN and ±inf in a keyed column: no table of the stack gets a key and
+    # every request is computed. In a column no class or box reads, they
+    # leave the keys alone
+    rec, cfg = _scene(data)
+    ann, p = rec.annotation, rec.num_proposals
+    stack = np.array(data.draw(st.lists(
+        st.lists(st.lists(_near, min_size=3, max_size=3), min_size=p,
+                 max_size=p), min_size=1, max_size=4)))
+    keyed = set(ann.classes.tolist())
+    if ann.boxes is not None:
+        keyed |= set(ann.boxes[:, 0].tolist())
+    n = data.draw(st.integers(0, len(stack) - 1))
+    u = data.draw(st.integers(0, p - 1))
+    j = data.draw(st.integers(0, 2))
+    stack[n, u, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    enforce = data.draw(st.booleans())
+    with pytest.MonkeyPatch.context() as mp:
+        keys = _keyed_against_computed(stack, ann, rec.geometry(), cfg,
+                                       enforce, _counting_kernel(mp))
+    if j in keyed:
+        assert keys == [None] * len(stack)
+    else:
+        assert None not in keys
+
+
+@functools.lru_cache(maxsize=None)
+def _wide_pool_record():
+    """300 proposals, so proposal ids do not fit one byte."""
+    rng = np.random.default_rng(5)
+    masks = []
+    for _ in range(300):
+        y, x = rng.integers(0, 20, size=2)
+        h, w = rng.integers(2, 5, size=2)
+        masks.append(rect_mask(24, 24, y, y + h, x, x + w))
+    return make_record(masks, [1, 2], num_classes=2, size=(24, 24))
+
+
+def test_order_keys_hold_proposal_ids_past_255(monkeypatch):
+    # two tables whose class-1 orders differ only in proposals 1 and 257:
+    # one byte per id would give them one key, and the second table the
+    # first one's labels
+    rec = _wide_pool_record()
+    cfg = InferenceConfig(select_threshold=10.0)
+    a = np.zeros((300, 3))
+    a[1, 1], a[257, 1] = 2.0, 1.0
+    b = a.copy()
+    b[1, 1], b[257, 1] = 1.0, 2.0
+    calls = _counting_kernel(monkeypatch)
+    keys = _keyed_against_computed(np.stack([a, b]), rec.annotation,
+                                   rec.geometry(), cfg, True, calls)
+    assert keys[0] != keys[1] and len(set(keys)) == 2
+    # two classes: 300 ids and 300 pattern entries each, of argsort's dtype
+    assert len(keys[0]) == 2 * 600 * np.dtype(np.intp).itemsize
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_keyed_memo_on_a_pool_wider_than_256(seed, k):
+    rec = _wide_pool_record()
+    rng = np.random.default_rng(seed)
+    base = rng.choice([-1.0, 0.0, -0.0, 0.5, 1.0], size=(300, 3))
+    stack = base + rng.choice([0.0, 5e-324, -0.5], size=(k, 1, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        _keyed_against_computed(stack, rec.annotation, rec.geometry(),
+                                InferenceConfig(select_threshold=0.0),
+                                bool(seed % 2), _counting_kernel(mp))
 
 
 @settings(max_examples=100, deadline=None)

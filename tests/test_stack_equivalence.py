@@ -51,7 +51,8 @@ from annoconsist.synthgen import (
     gen_proposals,
     make_scene,
 )
-from annoconsist.train import TrainConfig, prepare_scene, seed_labeling
+from annoconsist.train import (TrainConfig, prepare_records, prepare_scene,
+                               seed_labeling)
 
 from conftest import instances, make_record, rect_mask
 from oracles import (attach_proposals, box_iou, cut_record, gen_scene_record,
@@ -553,6 +554,9 @@ def test_prepared_scene_equals_the_pixel_copy_path():
                 if want is None:
                     assert got is None
                     continue
+                # infer's scene lacks fit's own tables; fit's has them all
+                assert got.seed_labels is None and got.gt_iou is None
+                (got,), _ = prepare_records([src], tcfg, icfg)
                 _assert_same_prepared(got, want, boxes, icfg)
                 compared[supervision] += 1
     assert compared["image"] > 0 and compared["box"] > 0

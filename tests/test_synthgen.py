@@ -17,7 +17,7 @@ from annoconsist.synthgen import (
     gen_scene,
     make_scene,
 )
-from annoconsist.train import TrainConfig, prepare_scene
+from annoconsist.train import TrainConfig, prepare_records, prepare_scene
 
 from oracles import (attach_proposals, box_iou, gen_scene_record,
                      make_dataset, tight_box)
@@ -147,7 +147,7 @@ def test_box_regime_keeps_the_proposals_that_cover_a_box():
 
 def test_box_regime_keeps_gt_coverable():
     rec = make_scene(SceneConfig(), ProposalConfig(), seed=11, scene_id=0)
-    sub = prepare_scene(rec, BOX, InferenceConfig())
+    (sub,), _ = prepare_records([rec], BOX, InferenceConfig())
     assert sub.num_proposals <= rec.num_proposals
     # every ground-truth instance keeps a proposal of IoU >= 0.5
     assert sub.gt_iou.shape == (sub.num_proposals, len(sub.gt_class_ids))

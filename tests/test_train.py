@@ -54,7 +54,7 @@ from annoconsist.train import (
 )
 
 from conftest import instances, make_record, rect_mask
-from oracles import (assert_per_draw_close, cut_record,
+from oracles import (assert_per_draw_close, cut_record, decision_key,
                      epoch_metrics_per_scene, make_dataset, num_edges,
                      per_draw_backward, pred_objective, scene_noise,
                      scorer_input, tight_box)
@@ -306,6 +306,15 @@ def test_cond_grad_anchor_mode_is_a_margin_update_toward_the_reference():
     np.testing.assert_array_equal(y, y_ref)
 
 
+def _fit_scene(rec, tcfg, icfg):
+    """The PreparedScene fit keeps of one scene, fit's own tables
+    included, or None when the regime skips it."""
+    try:
+        return prepare_records([rec], tcfg, icfg)[0][0]
+    except TrainingError:
+        return None
+
+
 def _per_draw_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
                         anchor, calls, results=None, coef=None):
     """cond_grad one draw at a time: each draw's coefficient table, then its
@@ -386,7 +395,7 @@ def _check_cond_grad_against_the_per_draw_loop(monkeypatch, anchor, tcfg):
 
     monkeypatch.setattr(train_mod, "greedy_infer", traced)
     for i, rec in enumerate(_tiny_dataset(n=3)):
-        rec = prepare_scene(rec, tcfg, icfg)
+        rec = _fit_scene(rec, tcfg, icfg)
         params = cond_init(rec.num_classes, tcfg.noise_dim)
         params += rng.normal(0.0, 0.5, size=params.shape)
         samples = sample_k(params, rec,
@@ -415,7 +424,7 @@ def _check_cond_grad_against_the_per_draw_loop(monkeypatch, anchor, tcfg):
 @functools.lru_cache(maxsize=None)
 def _prepared_scenes(supervision):
     tcfg, icfg = TrainConfig(supervision=supervision), InferenceConfig()
-    prepared = [prepare_scene(rec, tcfg, icfg) for rec in _tiny_dataset(n=3)]
+    prepared = [_fit_scene(rec, tcfg, icfg) for rec in _tiny_dataset(n=3)]
     return tuple(rec for rec in prepared if rec is not None)
 
 
@@ -454,10 +463,11 @@ def test_cond_grad_with_the_memo_equals_a_memo_free_loop(
                                    lcfg, anchor, want_calls, want_results)
     except InferenceError:
         want = None
-    got_calls, got_results, computed = [], [], []
+    got_calls, got_results, computed, got_keys = [], [], [], []
 
     def traced(table, *args, **kwargs):
         got_calls.append(np.ascontiguousarray(table).tobytes())
+        got_keys.append(decision_key(table, rec.annotation, icfg))
         out = greedy_infer(table, *args, **kwargs)
         got_results.append(out.tobytes())
         return out
@@ -482,8 +492,49 @@ def test_cond_grad_with_the_memo_equals_a_memo_free_loop(
     assert_per_draw_close(got, want)
     assert got_calls == want_calls
     assert got_results == want_results
-    # each distinct table is computed once
-    assert len(computed) == len(set(got_calls))
+    # each distinct decision key is computed once: tables of other bytes
+    # and the same key share one computation
+    assert len(computed) == len(set(got_keys)) <= len(set(got_calls))
+
+
+@settings(max_examples=60, deadline=None)
+@given(scene=st.integers(0, 2), supervision=st.sampled_from(["image", "box"]),
+       enforce=st.sampled_from([True, None]),
+       term_mode=st.sampled_from(["U", "U+P+H"]), k=st.integers(1, 8),
+       noise_scale=st.sampled_from([0.0, 0.05, 0.5, 5.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sample_k_computes_one_greedy_per_distinct_key(
+        scene, supervision, enforce, term_mode, k, noise_scale, seed):
+    # each distinct decision key among the K draws is computed once, and
+    # every draw's labels are those of its table computed alone
+    recs = _prepared_scenes(supervision)
+    assume(recs)
+    rec = recs[scene % len(recs)]
+    icfg = InferenceConfig(delta=8.0)
+    rng = np.random.default_rng(seed)
+    params = cond_init(rec.num_classes, 8)
+    params += rng.normal(0.0, 0.5, size=params.shape)
+    params[:, feature_dim(rec.num_classes):] *= noise_scale / 0.5
+    computed = []
+
+    def counted(*args):
+        computed.append(1)
+        return orig_kernel(*args)
+
+    orig_kernel = kernels.greedy_labels
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "greedy_labels", counted)
+        try:
+            samples = sample_k(params, rec, scene_noise(seed % 97, rec, k),
+                               icfg, term_mode=term_mode, enforce=enforce)
+        except InferenceError:
+            assume(False)
+    keys = {decision_key(g, rec.annotation, icfg) for g in samples.g}
+    assert len(computed) == len(keys) <= len({g.tobytes() for g in samples.g})
+    for g, y in zip(samples.g, samples.labels):
+        assert y.tobytes() == greedy_infer(
+            g, rec.annotation, rec.geometry(), icfg,
+            enforce=samples.enforced).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -722,7 +773,7 @@ def _smoke_scenes(supervision):
     tcfg = dataclasses.replace(cfg.train, supervision=supervision)
     cut, records = [], []
     for rec in make_dataset(cfg.scene, cfg.proposal, cfg.n_scenes, cfg.seed):
-        prep = prepare_scene(rec, tcfg, cfg.inference)
+        prep = _fit_scene(rec, tcfg, cfg.inference)
         if prep is not None:
             cut.append(cut_record(rec, tcfg, cfg.inference)[0])
             records.append(prep)
@@ -836,7 +887,7 @@ def test_seed_labeling_equals_its_ring_edge_loop(supervision):
     tcfg, icfg = TrainConfig(supervision=supervision), InferenceConfig()
     seen = 0
     for rec in _tiny_dataset(n=6, seed=3):
-        prep = prepare_scene(rec, tcfg, icfg)
+        prep = _fit_scene(rec, tcfg, icfg)
         if prep is None:
             continue
         # the loop runs on the regime's pixel copy of the scene
