@@ -19,6 +19,11 @@ from .scorer import feature_dim, features, score_from_input
 
 TERM_MODES = ("U", "U+P", "U+P+H")
 
+# Upper bound of InferenceConfig.n_iters. refine_stack keeps every iterate,
+# an (n_iters+1, P, C+1) stack per scene, and a step's backward pass walks
+# them all; 1024 iterations are far past the few that refinement needs.
+MAX_N_ITERS = 1024
+
 
 class InferenceError(Exception):
     pass
@@ -37,6 +42,8 @@ class InferenceConfig:
             raise ValueError("delta must be positive")
         if self.n_iters < 0:
             raise ValueError("n_iters must be non-negative")
+        if self.n_iters > MAX_N_ITERS:
+            raise ValueError(f"n_iters must be at most {MAX_N_ITERS}")
         if not 0.0 <= self.overlap_t <= 1.0:
             raise ValueError("overlap_t must lie in [0, 1]")
         if not 0.0 <= self.box_rho <= 1.0:

@@ -15,20 +15,22 @@ import numpy as np
 from annoconsist.ablation import VARIANT_NAMES
 from annoconsist.adjacency import build_adjacency
 from annoconsist.condnet import (TERM_MODES, InferenceConfig, InferenceError,
-                                 higher_order_feasible, refine_backward,
-                                 refine_stack)
+                                 greedy_infer, higher_order_feasible,
+                                 refine_backward, refine_stack)
 from annoconsist.disco import div_cc, div_pc, div_pp
 from annoconsist.evaluate import EvalResult, ap_from_flags
-from annoconsist.loss import LossConfig, label_bits
+from annoconsist.loss import LossConfig, cost_row, label_bits
 from annoconsist.masks import (iou_table, rle_decode_stack, rle_encode_stack,
                                tight_boxes)
 from annoconsist.prednet import predict
 from annoconsist.scenes import Annotation, PoolGeometry, SceneRecord
-from annoconsist.scorer import features, score_from_input, score_vjp
+from annoconsist.scorer import (feature_dim, features, score_from_input,
+                                score_vjp)
 from annoconsist.synthgen import (DILATION, ProposalConfig, SceneConfig,
                                   gen_proposals, gen_scene, make_scene)
-from annoconsist.train import (PreparedScene, TrainConfig,
-                               empirical_distribution, seed_labeling)
+from annoconsist.train import (PreparedScene, TrainConfig, TrainingError,
+                               empirical_distribution, seed_labeling,
+                               selection_matrix)
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -164,6 +166,83 @@ def per_draw_backward(w: np.ndarray, rec, z: np.ndarray, q: np.ndarray,
         total += score_vjp(x[k], refine_backward(
             np.ascontiguousarray(stacks[:, k]), rec.adjacency, cfg, q[k]))
     return total
+
+
+def dense_cond_grad(params: np.ndarray, rec, samples, y_ref: np.ndarray,
+                    train_cfg: TrainConfig, inf_cfg: InferenceConfig,
+                    loss_cfg: LossConfig, anchor: bool = False) -> np.ndarray:
+    """cond_grad with the dense coefficient formula on every step, the zero
+    step included: the one-hot selection tables of the draws, of the
+    reference labelings and of the (K, K) pairwise labelings, accumulated
+    in k2 order, then the same backward pass of their sums. Each greedy
+    request is computed alone, in cond_grad's order."""
+    kk = samples.k
+    m = rec.num_classes + 1
+    eps = -train_cfg.epsilon
+    gamma = 0.0 if train_cfg.cond_pointwise else train_cfg.gamma
+    pairs = gamma != 0.0 and kk >= 2
+
+    def infer(k, y):
+        aug = eps * cost_row(y, rec.num_classes, loss_cfg)
+        return greedy_infer(samples.g[k] + aug, rec.annotation,
+                            rec.geometry(), inf_cfg, enforce=samples.enforced)
+
+    y_a = np.empty_like(samples.labels)
+    y_b = np.zeros((kk,) + samples.labels.shape, dtype=np.int64)
+    for k in range(kk):
+        if not anchor:
+            y_a[k] = infer(k, y_ref)
+        if pairs:
+            for k2 in range(kk):
+                if k2 != k:
+                    y_b[k, k2] = infer(k, samples.labels[k2])
+    m_c = selection_matrix(samples.labels, m)
+    m_a = selection_matrix(y_ref if anchor else y_a, m)
+    q = (m_a - m_c) / (kk * eps)
+    if pairs:
+        pair_coef = 2.0 * gamma / (kk * (kk - 1) * eps)
+        d = pair_coef * (m_c[:, None] - selection_matrix(y_b, m))
+        for k2 in range(kk):
+            q[:k2] += d[:k2, k2]
+            q[k2 + 1:] += d[k2 + 1:, k2]
+    total = np.zeros_like(params)
+    n_feat = feature_dim(rec.num_classes)
+    q_feat = q.sum(axis=0)
+    if q_feat.any():
+        q_feat = refine_backward(samples.stack, rec.adjacency, inf_cfg,
+                                 q_feat)
+        total[:, :n_feat] = score_vjp(features(rec), q_feat)
+    total[:, n_feat:] = score_vjp(samples.z, q.sum(axis=1))
+    return total
+
+
+def unfused_pred_grad(w: np.ndarray, rec, qbar: np.ndarray,
+                      loss_cfg: LossConfig, gamma: float,
+                      pointwise: bool) -> np.ndarray:
+    """train.pred_grad computing each product where it is used: predict
+    reads the features, p * qbar and p * p are formed twice each, and the
+    features are read again for the weight gradient."""
+    p = predict(w, rec)
+    lam = loss_cfg.lambda_cls
+    pdotq = np.sum(p * qbar, axis=1, keepdims=True)
+    dz = -(p * qbar - p * pdotq)
+    if not pointwise:
+        nrm = np.sum(p * p, axis=1, keepdims=True)
+        dz += (1.0 - gamma) * 2.0 * (p * p - p * nrm)
+    dz *= lam
+    return dz.T @ features(rec)
+
+
+def numpy_sgd_step(w, g, lr: float, clip: float = 0.0) -> float:
+    """train.sgd_step with its norm taken and checked by numpy's sqrt and
+    isfinite."""
+    norm = float(np.sqrt(float(np.sum(g * g))))
+    if not np.isfinite(norm):
+        raise TrainingError("non-finite gradient; stopping")
+    if clip > 0.0 and norm > clip:
+        g = g * (clip / norm)
+    w -= lr * g
+    return norm
 
 
 def total_score(g: np.ndarray, labels: np.ndarray, ann: Annotation,

@@ -14,7 +14,7 @@ import numpy as np
 from annoconsist import ablation, cli
 from annoconsist import train as train_mod
 from annoconsist.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, run
-from annoconsist.condnet import InferenceError, sample_k
+from annoconsist.condnet import MAX_N_ITERS, InferenceError, sample_k
 from annoconsist.config import load_config
 from annoconsist.prednet import decode, pred_init, predict
 from annoconsist.scenes import load_dataset, scene_to_obj
@@ -925,6 +925,43 @@ def test_draws_and_noise_width_are_bounded(tmp_path, pipeline, capsys):
             assert msg in capsys.readouterr().err
             assert not (tmp_path / "bad.json.preds").exists()
             shutil.rmtree(out)
+
+
+def test_refinement_iterations_are_bounded(tmp_path, pipeline, capsys):
+    # train and infer refine for MAX_N_ITERS iterations. One more, 2**40
+    # or 2**70 (2**40 died allocating the iterate stack with exit 1) is
+    # refused at load with exit 2, naming the key, in train's config and
+    # in a model's config.json
+    cfg = dict(TINY_CONFIG, inference=dict(
+        TINY_CONFIG["inference"], n_iters=MAX_N_ITERS), train=dict(
+        TINY_CONFIG["train"], init_epochs=1, cond_epochs=0, pred_epochs=1,
+        outer_iters=0))
+    cfg_path = tmp_path / "bound.json"
+    cfg_path.write_text(json.dumps(cfg))
+    model = tmp_path / "model"
+    assert run(["train", "--config", str(cfg_path), "--data",
+                pipeline["data"], "--out", str(model)]) == EXIT_OK
+    assert run(["infer", "--model", str(model), "--data", pipeline["data"],
+                "--out", str(tmp_path / "preds.json")]) == EXIT_OK
+    capsys.readouterr()
+    msg = f"inference: n_iters must be at most {MAX_N_ITERS}"
+    for value in (MAX_N_ITERS + 1, 2**40, 2**70):
+        bad = dict(cfg, inference=dict(cfg["inference"], n_iters=value))
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        out = tmp_path / "bad_model"
+        assert run(["train", "--config", str(bad_path), "--data",
+                    pipeline["data"], "--out", str(out)]) == EXIT_USAGE
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
+        shutil.copytree(model, out)
+        (out / "config.json").write_text(json.dumps(bad))
+        preds = tmp_path / "bad.preds.json"
+        assert run(["infer", "--model", str(out), "--data", pipeline["data"],
+                    "--out", str(preds)]) == EXIT_USAGE
+        assert msg in capsys.readouterr().err
+        assert not preds.exists()
+        shutil.rmtree(out)
 
 
 def test_gen_rejects_inconsistent_scene_config(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annoconsist.cli import EXIT_OK, EXIT_USAGE, run
+from annoconsist.condnet import MAX_N_ITERS
 from annoconsist.config import (
     _SECTIONS,
     ConfigError,
@@ -266,6 +267,10 @@ _RETIRED_KEYS = {key for _, key, _ in RETIRED_GENERATOR_KEYS}
     ("train", "lr_init", -0.1),
     ("train", "lr_cond", -0.1),
     ("train", "lr_pred", -1.0),
+    # refinement keeps an (n_iters+1, P, C+1) stack of iterates
+    ("inference", "n_iters", MAX_N_ITERS + 1),
+    ("inference", "n_iters", 2**40),
+    ("inference", "n_iters", 2**70),
 ])
 def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     # a retired generator key is refused whatever its value, so a config
@@ -306,6 +311,7 @@ def test_out_of_range_values_are_rejected_at_load_time(section, key, value):
     ("train", "pred_epochs", 0),
     ("train", "outer_iters", 0),
     ("train", "clip_grad", 0.0),
+    ("inference", "n_iters", MAX_N_ITERS),
 ])
 def test_range_endpoints_are_accepted(section, key, value):
     cfg = config_from_obj({section: {key: value}})

@@ -55,9 +55,10 @@ from annoconsist.train import (
 
 from conftest import instances, make_record, rect_mask
 from oracles import (assert_per_draw_close, cut_record, decision_key,
-                     epoch_metrics_per_scene, make_dataset, num_edges,
-                     per_draw_backward, pred_objective, scene_noise,
-                     scorer_input, tight_box)
+                     dense_cond_grad, epoch_metrics_per_scene, make_dataset,
+                     num_edges, numpy_sgd_step, per_draw_backward,
+                     pred_objective, scene_noise, scorer_input, tight_box,
+                     unfused_pred_grad)
 
 
 def test_train_config_validation():
@@ -91,6 +92,52 @@ def test_optimizer_rejects_non_finite_gradients():
     grad = np.array([[np.nan]])
     with pytest.raises(TrainingError):
         sgd_step(params, grad, 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+def test_optimizer_rejects_every_non_finite_norm(bad):
+    # a NaN or infinite entry, or a norm whose square overflows, stops
+    # training and leaves the weights as they were
+    params = np.ones((2, 2))
+    grad = np.array([[0.5, bad], [0.0, 1.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(TrainingError):
+            sgd_step(params, grad, 0.1)
+        with pytest.raises(TrainingError):
+            numpy_sgd_step(params.copy(), grad, 0.1)
+    assert params.tobytes() == np.ones((2, 2)).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(pointwise=st.booleans(), gamma=st.sampled_from([0.0, 0.5, 1.0]),
+       qbar=st.sampled_from(["one-hot", "uniform", "empirical"]),
+       clip=st.sampled_from([0.0, 1e-3, 25.0]),
+       scale=st.sampled_from([0.0, 0.5, 20.0]), lr=st.sampled_from([0.1, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_predictor_step_is_bit_identical_to_the_unfused_step(
+        pointwise, gamma, qbar, clip, scale, lr, seed):
+    # pred_grad computes each product once and sgd_step takes its norm in
+    # Python floats; gradient, weights and norm keep every bit
+    rec = _pred_record()
+    rng = np.random.default_rng(seed)
+    w = rng.normal(scale=scale, size=pred_init(rec.num_classes).shape)
+    p, m = rec.num_proposals, rec.num_classes + 1
+    if qbar == "one-hot":
+        table = np.eye(m)[rng.integers(0, m, p)]
+    elif qbar == "uniform":
+        table = np.full((p, m), 1.0 / m)
+    else:
+        table = empirical_distribution(rng.integers(0, m, (5, p)), m)
+    lcfg = LossConfig(lambda_cls=0.75)
+    got = pred_grad(w, rec, table, lcfg, gamma, pointwise)
+    want = unfused_pred_grad(w, rec, table, lcfg, gamma, pointwise)
+    assert got.tobytes() == want.tobytes()
+    w_got, w_want = w.copy(), w.copy()
+    norm = sgd_step(w_got, got, lr, clip)
+    want_norm = numpy_sgd_step(w_want, want, lr, clip)
+    assert type(norm) is float
+    assert np.float64(norm).tobytes() == np.float64(want_norm).tobytes()
+    assert w_got.tobytes() == w_want.tobytes()
 
 
 def test_empirical_distribution_counts_frequencies():
@@ -605,6 +652,118 @@ def test_cond_grad_runs_one_backward_pass_of_the_summed_coefficients(
         assert vjp_inputs == [samples.z.tobytes()]
 
 
+@settings(max_examples=80, deadline=None)
+@given(scene=st.integers(0, 2), supervision=st.sampled_from(["image", "box"]),
+       anchor=st.booleans(), gamma=st.sampled_from([0.0, 0.5]),
+       pointwise=st.booleans(), k=st.sampled_from([1, 2, 10]),
+       step=st.sampled_from(["zero", "tiny", "regular"]),
+       noise_scale=st.sampled_from([0.0, 0.05, 0.5]),
+       seed=st.integers(0, 2**32 - 1))
+def test_cond_grad_equals_the_dense_formula_on_zero_and_nonzero_steps(
+        scene, supervision, anchor, gamma, pointwise, k, step, noise_scale,
+        seed):
+    # cond_grad builds no selection table exactly when every augmented
+    # labeling is its draw's own, and its gradient is the dense formula's
+    # byte for byte either way. A zero task loss forces the zero step: each
+    # augmented table is its draw's own, and an anchored step's reference
+    # is a draw's labeling, which every draw shares when they get no noise.
+    # A tiny epsilon mostly gives zero steps with nonzero cost rows.
+    recs = _prepared_scenes(supervision)
+    assume(recs)
+    rec = recs[scene % len(recs)]
+    tcfg = TrainConfig(k=k, gamma=gamma, cond_pointwise=pointwise,
+                       supervision=supervision,
+                       epsilon=1e-9 if step == "tiny" else 1.0)
+    icfg = InferenceConfig(delta=8.0)
+    lcfg = LossConfig(lambda_cls=0.0 if step == "zero" else 1.0)
+    rng = np.random.default_rng(seed)
+    params = cond_init(rec.num_classes, 8)
+    params += rng.normal(0.0, 0.5, size=params.shape)
+    if step == "zero" and anchor:
+        noise_scale = 0.0
+    params[:, feature_dim(rec.num_classes):] *= noise_scale / 0.5
+    try:
+        samples = sample_k(params, rec, scene_noise(seed % 97, rec, k), icfg,
+                           enforce=True if anchor else None)
+    except InferenceError:
+        assume(False)
+    if step == "zero" or seed % 2:
+        y_ref = samples.labels[seed % k]
+    elif anchor:
+        y_ref = rec.seed_labels
+    else:
+        y_ref = rng.integers(0, rec.num_classes + 1, rec.num_proposals)
+    try:
+        want = dense_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
+                               anchor=anchor)
+    except InferenceError:
+        assume(False)
+    results, selections = [], []
+
+    def traced(*args, **kwargs):
+        results.append(greedy_infer(*args, **kwargs))
+        return results[-1]
+
+    def counted(*args):
+        selections.append(1)
+        return selection_matrix(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(train_mod, "greedy_infer", traced)
+        mp.setattr(train_mod, "selection_matrix", counted)
+        got = cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg,
+                        anchor=anchor)
+    assert got.tobytes() == want.tobytes()
+    pairs = k - 1 if gamma and not pointwise else 0
+    per_draw = (0 if anchor else 1) + pairs
+    unchanged = all(np.array_equal(y, samples.labels[i // per_draw])
+                    for i, y in enumerate(results))
+    if anchor:
+        unchanged &= bool((samples.labels == y_ref).all())
+    assert len(results) == k * per_draw
+    assert (not selections) == unchanged
+    if step == "zero":
+        assert unchanged
+
+
+def test_cond_grad_is_dense_when_only_a_pairwise_labeling_moves(
+        monkeypatch):
+    # both reference requests return their draw's labeling, but pulling
+    # draw 0 toward draw 1's labeling drops proposal 1: the step is not
+    # zero, and its gradient is the dense formula's. Draw 1's class column
+    # sits 1 below draw 0's, so draw 1 leaves proposal 1 out.
+    rec = _cond_record()
+    shared = np.array([[0.0, 2.0], [0.0, 0.5]])
+    g = np.stack([shared, shared + [0.0, -1.0]])
+    icfg = InferenceConfig(n_iters=0)
+    labels = np.stack([greedy_infer(t, rec.annotation, rec.geometry(), icfg)
+                       for t in g])
+    np.testing.assert_array_equal(labels, [[1, 1], [1, 0]])
+    samples = SampleSet(z=np.array([[0.0], [1.0]]), stack=shared[None],
+                        g=g, labels=labels, enforced=True)
+    params = cond_init(rec.num_classes, 1)
+    y_ref = labels[0]
+    tcfg, lcfg = TrainConfig(k=2, gamma=0.5), LossConfig()
+    results, selections = [], []
+
+    def traced(*args, **kwargs):
+        results.append(greedy_infer(*args, **kwargs).tolist())
+        return np.array(results[-1])
+
+    def counted(*args):
+        selections.append(1)
+        return selection_matrix(*args)
+
+    monkeypatch.setattr(train_mod, "greedy_infer", traced)
+    monkeypatch.setattr(train_mod, "selection_matrix", counted)
+    got = cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg)
+    # draw 0: reference, then toward draw 1; draw 1: reference, toward 0
+    assert results == [[1, 1], [1, 0], [1, 0], [1, 0]]
+    assert selections and got.any()
+    want = dense_cond_grad(params, rec, samples, y_ref, tcfg, icfg, lcfg)
+    assert got.tobytes() == want.tobytes()
+
+
 def _hopeless_box_scene(scene_id):
     """A two-class box scene whose enforced inference always raises. Both
     classes have a box on m0's extent, and class 2 also has one on m1's.
@@ -1102,6 +1261,31 @@ def _tiny_train_cfg(**kw):
                 outer_iters=1, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def test_fit_builds_selection_tables_for_nonzero_steps_only(monkeypatch):
+    # some of a small fit's direct-loss steps are zero and skip the
+    # selection tables, and some are not; the fit is the same either way
+    records = _tiny_dataset(n=3)
+    tcfg, icfg = _tiny_train_cfg(k=4), InferenceConfig(delta=8.0)
+    base = fit(records, tcfg, icfg)
+    built = []
+    orig_grad, orig_sel = train_mod.cond_grad, train_mod.selection_matrix
+
+    def grad(*args, **kwargs):
+        built.append(False)
+        return orig_grad(*args, **kwargs)
+
+    def sel(*args):
+        built[-1] = True
+        return orig_sel(*args)
+
+    monkeypatch.setattr(train_mod, "cond_grad", grad)
+    monkeypatch.setattr(train_mod, "selection_matrix", sel)
+    res = fit(records, tcfg, icfg)
+    assert 0 < built.count(True) < len(built)
+    assert res.pred.tobytes() == base.pred.tobytes()
+    assert res.snapshots[-1][0].tobytes() == base.snapshots[-1][0].tobytes()
 
 
 def test_fit_is_bit_reproducible_and_logs_every_epoch():
